@@ -1,7 +1,7 @@
 /**
  * @file
  * Multi-session soak: hundreds of short sessions with mixed fault
- * storms through the SessionManager.
+ * storms through a single-shard Placer.
  *
  * Five session mixes rotate across the fleet:
  *
@@ -18,16 +18,18 @@
  *   trace    a corrupted ingest trace (TraceError quarantines the
  *            session at start).
  *
- * A few deliberately over-budget "whale" submissions exercise the
- * rejection path.  Every seed is fixed and every per-session fault
- * stream comes from FaultConfig::forSession, so two runs emit
- * identical "vstream-soak-1" JSON (modulo wall_clock_seconds) - the
- * CI soak-smoke job asserts exactly that, under ASan+UBSan.
+ * Every session arrives at tick 0; the admission queue then meters
+ * them onto the serving timeline.  A few deliberately over-budget
+ * "whale" arrivals exercise the rejection path.  Every seed is fixed
+ * and every per-session fault stream comes from
+ * FaultConfig::forSession, so two runs emit identical
+ * "vstream-soak-1" JSON (modulo wall_clock_seconds) - the CI
+ * soak-smoke job asserts exactly that, under ASan+UBSan.
  *
- * `--jobs N` (or VSTREAM_JOBS) rehearses the session shards across
- * worker threads (SessionManager::precompute) and fans the solo
- * isolation oracle the same way; the JSON stays byte-identical at
- * any job count because session evolution is offset-invariant.
+ * `--jobs N` (or VSTREAM_JOBS) rehearses the sessions across worker
+ * threads (Placer::run) and fans the solo isolation oracle the same
+ * way; the JSON stays byte-identical at any job count because
+ * session evolution is offset-invariant.
  *
  * The harness verifies its own acceptance invariants (fatal faults
  * resolve to Quarantined/Evicted, clean sessions are bit-identical
@@ -53,7 +55,6 @@
 #include "bench_util.hh"
 #include "serve/fleet_report.hh"
 #include "serve/placer.hh"
-#include "serve/session_manager.hh"
 #include "video/library.hh"
 #include "video/trace.hh"
 
@@ -193,7 +194,7 @@ makeSession(std::uint64_t id, std::uint32_t frames_n,
     return s;
 }
 
-/** A submission whose solo demand exceeds every budget. */
+/** An arrival whose solo demand exceeds every budget. */
 SessionConfig
 makeWhale(std::uint64_t id)
 {
@@ -481,8 +482,8 @@ struct MixTally
 int
 main(int argc, char **argv)
 {
-    header("Soak: mixed-fault session fleet through the "
-           "SessionManager",
+    header("Soak: mixed-fault session fleet through a single-shard "
+           "Placer",
            "robustness extension - admission control, fault "
            "domains, circuit breakers under storm load");
 
@@ -546,11 +547,11 @@ main(int argc, char **argv)
     const std::uint32_t frames_n = frames(96);
     const auto wall_start = std::chrono::steady_clock::now();
 
-    ServeConfig serve;
-    serve.bandwidth_budget_mbps = 300.0;
-    serve.framebuffer_budget_bytes = 64ULL << 20;
-    serve.max_active = 24;
-    SessionManager mgr(serve);
+    FleetConfig single;
+    single.serve.bandwidth_budget_mbps = 300.0;
+    single.serve.framebuffer_budget_bytes = 64ULL << 20;
+    single.serve.max_active = 24;
+    single.jobs = n_jobs;
 
     const std::vector<std::uint8_t> intact_blob = makeTraceBlob();
 
@@ -559,22 +560,35 @@ main(int argc, char **argv)
     for (std::uint32_t i = 0; i < n_sessions; ++i) {
         solo_copies.push_back(makeSession(i, frames_n, intact_blob));
     }
-    if (n_jobs > 1) {
-        // Rehearse the fleet across workers; submission below then
-        // replays outcomes on the shared timeline.  (Whales are
-        // never admitted, so they are not rehearsed.)
-        mgr.precompute(solo_copies, n_jobs);
-    }
 
-    // Whales first: both budgets reject them outright.
-    std::uint64_t next_id = 0;
-    for (int w = 0; w < 3; ++w) {
-        mgr.submit(makeWhale(1000 + next_id++));
+    // Everyone arrives at tick 0, whales first: both budgets reject
+    // them outright (and the Placer never rehearses them).  The mix
+    // field tells whales from sessions, whose ids may overlap.
+    constexpr std::uint32_t kWhaleMix = 1;
+    std::vector<ArrivalEvent> arrivals;
+    arrivals.reserve(3 + n_sessions);
+    for (std::uint64_t w = 0; w < 3; ++w) {
+        ArrivalEvent a;
+        a.id = 1000 + w;
+        a.mix = kWhaleMix;
+        arrivals.push_back(a);
     }
     for (std::uint32_t i = 0; i < n_sessions; ++i) {
-        mgr.submit(solo_copies[i]);
+        ArrivalEvent a;
+        a.id = i;
+        arrivals.push_back(a);
     }
-    mgr.runAll();
+    std::vector<SessionOutcome> outcomes;
+    outcomes.reserve(n_sessions);
+    Placer placer(
+        single,
+        [&](const ArrivalEvent &a) {
+            return a.mix == kWhaleMix ? makeWhale(a.id)
+                                      : solo_copies[a.id];
+        },
+        [&](const SessionOutcome &o) { outcomes.push_back(o); });
+    placer.run(arrivals);
+    const StatsSnapshot served = placer.fleetSnapshot();
 
     // ---- tallies ------------------------------------------------------
     std::array<MixTally, kNumMixes> mixes{};
@@ -585,7 +599,7 @@ main(int argc, char **argv)
     double aggregate_j = 0.0;
     int failures = 0;
 
-    for (const SessionOutcome &o : mgr.outcomes()) {
+    for (const SessionOutcome &o : outcomes) {
         const std::size_t mix = o.id % kNumMixes;
         MixTally &t = mixes[mix];
         ++t.sessions;
@@ -618,11 +632,11 @@ main(int argc, char **argv)
                   failures);
         }
     }
-    check(mgr.outcomes().size() == n_sessions,
+    check(outcomes.size() == n_sessions,
           "not every submitted session completed", failures);
-    check(mgr.rejected() == 3, "whales were not all rejected",
+    check(placer.rejected() == 3, "whales were not all rejected",
           failures);
-    check(mgr.queuedTotal() > 0,
+    check(placer.queuedTotal() > 0,
           "admission queue never engaged (raise the fleet size)",
           failures);
     check(mixes[3].breaker_trips > 0, "no breaker ever tripped",
@@ -653,7 +667,7 @@ main(int argc, char **argv)
         const PipelineResult &solo_r = solo_results[k];
         baseline_j += solo_r.totalEnergy();
         const SessionOutcome *o = nullptr;
-        for (const SessionOutcome &cand : mgr.outcomes()) {
+        for (const SessionOutcome &cand : outcomes) {
             if (cand.id == i) {
                 o = &cand;
                 break;
@@ -690,10 +704,11 @@ main(int argc, char **argv)
                   << std::setw(8) << t.breaker_trips << std::setw(12)
                   << t.energy_j * 1e3 << "\n";
     }
-    std::cout << "\nadmitted " << mgr.admitted() << ", queued "
-              << mgr.queuedTotal() << ", rejected " << mgr.rejected()
-              << ", evicted " << mgr.evicted() << ", breaker trips "
-              << mgr.breakerTrips() << " (reprobes " << reprobes
+    std::cout << "\nadmitted " << placer.admitted() << ", queued "
+              << placer.queuedTotal() << ", rejected "
+              << placer.rejected() << ", evicted "
+              << served.count("state.evicted") << ", breaker trips "
+              << served.count("breaker.trips") << " (reprobes " << reprobes
               << ", recovered " << recovered_breakers << ")\n";
     std::cout << "aggregate energy " << aggregate_j * 1e3
               << " mJ; clean-mix isolated baseline " << baseline_j * 1e3
@@ -718,14 +733,16 @@ main(int argc, char **argv)
         w.kv("wall_clock_seconds", wall);
         w.key("admission");
         w.beginObject();
-        w.kv("admitted", static_cast<double>(mgr.admitted()));
-        w.kv("queued", static_cast<double>(mgr.queuedTotal()));
-        w.kv("rejected", static_cast<double>(mgr.rejected()));
+        w.kv("admitted", static_cast<double>(placer.admitted()));
+        w.kv("queued", static_cast<double>(placer.queuedTotal()));
+        w.kv("rejected", static_cast<double>(placer.rejected()));
         w.endObject();
-        w.kv("evictions", static_cast<double>(mgr.evicted()));
+        w.kv("evictions",
+             static_cast<double>(served.count("state.evicted")));
         w.key("breaker");
         w.beginObject();
-        w.kv("trips", static_cast<double>(mgr.breakerTrips()));
+        w.kv("trips",
+             static_cast<double>(served.count("breaker.trips")));
         w.kv("reprobes", static_cast<double>(reprobes));
         w.kv("recoveredSessions",
              static_cast<double>(recovered_breakers));

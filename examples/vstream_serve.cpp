@@ -2,11 +2,11 @@
  * @file
  * vstream_serve - the multi-session server front end.
  *
- * Drives N concurrent streaming sessions through the SessionManager:
- * admission control against aggregate DRAM-bandwidth / frame-buffer
- * budgets, per-session fault domains walking the Healthy -> Degraded
- * -> Quarantined -> Evicted ladder, and the per-session MACH circuit
- * breaker.  Fault rules given here are remixed per session with
+ * Drives N concurrent streaming sessions through the Placer (one
+ * shard unless --shards says otherwise): admission control against
+ * aggregate DRAM-bandwidth / frame-buffer budgets, per-session fault
+ * domains walking the Healthy -> Degraded -> Quarantined -> Evicted
+ * ladder, and the per-session MACH circuit breaker.  Fault rules given here are remixed per session with
  * FaultConfig::forSession, so every session draws an independent
  * fault stream from one schedule.
  *
@@ -73,7 +73,6 @@
 #include <memory>
 
 #include "serve/fleet_report.hh"
-#include "serve/session_manager.hh"
 #include "sim/parallel.hh"
 #include "sim/stats_registry.hh"
 #include "video/library.hh"
@@ -281,7 +280,7 @@ main(int argc, char **argv)
     }
 
     // A template SessionConfig for session @p id, shared by the
-    // single-manager and fleet paths.
+    // single-shard and fleet paths.
     auto makeSession = [&](std::uint64_t id) {
         SessionConfig s;
         s.id = id;
@@ -313,16 +312,19 @@ main(int argc, char **argv)
         return s;
     };
 
+    // Without --shards this is single-shard serving: one fault
+    // domain (dedup poison rules must target domain 0), no chaos.
+    FleetConfig fleet;
+    fleet.serve = serve;
+    fleet.jobs = n_jobs;
+    fleet.dedup = dedup;
+
     if (shards > 0) {
         const auto wall_start = std::chrono::steady_clock::now();
-        FleetConfig fleet;
-        fleet.serve = serve;
         fleet.shards = shards;
-        fleet.jobs = n_jobs;
         fleet.rebalance_period = static_cast<Tick>(1) * sim_clock::s;
         chaos.shed_depth = shed_depth;
         fleet.chaos = chaos;
-        fleet.dedup = dedup;
 
         std::vector<ArrivalEvent> arrivals;
         if (!arrival_trace_file.empty()) {
@@ -403,15 +405,6 @@ main(int argc, char **argv)
         return placer.admitted() > 0 ? 0 : 1;
     }
 
-    SessionManager mgr(serve);
-    // Single-manager mode is one fault domain; poison rules must
-    // target domain 0.
-    std::unique_ptr<SharedMachTier> tier;
-    if (dedup.enabled) {
-        tier = std::make_unique<SharedMachTier>(dedup, 1);
-        mgr.setDedup(tier.get());
-    }
-
     std::cout << "vstream_serve: " << sessions << " sessions of "
               << video << " x " << frames << " frames, scheme "
               << schemeName(scheme) << "\n"
@@ -421,21 +414,18 @@ main(int argc, char **argv)
               << " MB frame buffers, max " << serve.max_active
               << " active\n\n";
 
-    std::vector<SessionConfig> cfgs;
-    cfgs.reserve(sessions);
+    // Every session arrives at tick 0; the admission queue meters
+    // them onto the serving timeline.
+    std::vector<ArrivalEvent> arrivals(sessions);
     for (std::uint32_t id = 0; id < sessions; ++id) {
-        cfgs.push_back(makeSession(id));
+        arrivals[id].id = id;
     }
-    if (n_jobs > 1) {
-        mgr.precompute(cfgs, n_jobs);
-    }
-    std::uint64_t submitted_rejected = 0;
-    for (SessionConfig &s : cfgs) {
-        if (mgr.submit(std::move(s)) == Admission::kRejected) {
-            ++submitted_rejected;
-        }
-    }
-    mgr.runAll();
+    std::vector<SessionOutcome> outcomes;
+    Placer placer(
+        fleet,
+        [&](const ArrivalEvent &a) { return makeSession(a.id); },
+        [&](const SessionOutcome &o) { outcomes.push_back(o); });
+    placer.run(arrivals);
 
     std::cout << std::left << std::setw(9) << "session" << std::right
               << std::setw(13) << "final" << std::setw(8) << "trips"
@@ -444,7 +434,7 @@ main(int argc, char **argv)
               << std::setw(11) << "degr ms" << "\n";
     std::cout << std::fixed << std::setprecision(2);
     double total_j = 0.0;
-    for (const SessionOutcome &o : mgr.outcomes()) {
+    for (const SessionOutcome &o : outcomes) {
         total_j += o.result.totalEnergy();
         std::cout << std::left << std::setw(9) << o.id << std::right
                   << std::setw(13) << healthStateName(o.final_state)
@@ -457,28 +447,92 @@ main(int argc, char **argv)
                   << "\n";
     }
 
-    std::cout << "\nadmitted " << mgr.admitted() << ", queued "
-              << mgr.queuedTotal() << ", rejected " << mgr.rejected()
-              << ", evicted " << mgr.evicted() << ", breaker trips "
-              << mgr.breakerTrips() << "\n"
+    const StatsSnapshot served = placer.fleetSnapshot();
+    const std::uint64_t evicted = served.count("state.evicted");
+    const std::uint64_t trips = served.count("breaker.trips");
+    std::cout << "\nadmitted " << placer.admitted() << ", queued "
+              << placer.queuedTotal() << ", rejected "
+              << placer.rejected() << ", evicted " << evicted
+              << ", breaker trips " << trips << "\n"
               << "aggregate energy " << total_j * 1e3 << " mJ over "
-              << ticksToMs(mgr.curTick()) << " ms served\n";
+              << ticksToMs(placer.endTick()) << " ms served\n";
+    const SharedMachTier *tier = placer.dedupTier();
     if (tier != nullptr) {
-        const DedupSettle &t = mgr.dedupTotals();
+        const DedupDomainStats t = tier->totals();
         std::cout << "dedup: " << t.shared_hits
                   << " shared hit(s), " << t.self_hits
                   << " self hit(s), " << t.bytes_elided
                   << " B elided, " << t.false_hits
-                  << " false hit(s), " << tier->totals().trips
+                  << " false hit(s), " << t.trips
                   << " breaker trip(s)\n";
     }
 
     if (!stats_json_file.empty()) {
+        // The run drained, so the live gauges (active sessions and
+        // reservations) read zero.
+        struct ServeStat
+        {
+            const char *name;
+            const char *desc;
+            std::uint64_t value;
+        };
+        std::vector<ServeStat> stats = {
+            {"serve.admitted", "sessions admitted (ever active)",
+             placer.admitted()},
+            {"serve.rejected", "submissions rejected at admission",
+             placer.rejected()},
+            {"serve.queued",
+             "submissions that waited in the admission queue",
+             placer.queuedTotal()},
+            {"serve.evicted", "sessions evicted by the ladder", evicted},
+            {"serve.breakerTrips",
+             "MACH circuit-breaker trips across all sessions", trips},
+            {"serve.queueTimeouts",
+             "queued sessions expired past the deadline",
+             placer.recovery().queue_timeouts},
+            {"serve.active", "sessions currently active", 0},
+            {"serve.bandwidthReservedMBps",
+             "estimated DRAM bandwidth reserved, MB/s", 0},
+            {"serve.framebufferReservedBytes",
+             "frame-buffer pool bytes reserved", 0},
+        };
+        if (tier != nullptr) {
+            const DedupDomainStats t = tier->totals();
+            stats.insert(
+                stats.end(),
+                {{"serve.dedup.sharedHits",
+                  "DRAM writes elided by citing another session's "
+                  "shared-tier block",
+                  t.shared_hits},
+                 {"serve.dedup.selfHits",
+                  "DRAM writes elided against the session's own "
+                  "published block",
+                  t.self_hits},
+                 {"serve.dedup.bytesElided",
+                  "DRAM write bytes elided by the shared tier",
+                  t.bytes_elided},
+                 {"serve.dedup.uniquePublished",
+                  "blocks published into the shared tier",
+                  t.unique_published},
+                 {"serve.dedup.falseHits",
+                  "shared-tier citations demoted by verify-on-hit",
+                  t.false_hits},
+                 {"serve.dedup.blockedWrites",
+                  "writes not considered for sharing (quarantine or "
+                  "stale-epoch drain)",
+                  t.blocked_writes},
+                 {"serve.dedup.breakerTrips",
+                  "shared-tier epoch bumps forced by false-hit storms",
+                  t.trips}});
+        }
         StatsRegistry reg;
-        mgr.regStats(reg);
+        for (const ServeStat &st : stats) {
+            const double v = static_cast<double>(st.value);
+            reg.addCallback(st.name, st.desc, [v] { return v; });
+        }
         std::ofstream os(stats_json_file);
         reg.dumpJson(os);
         std::cout << "stats JSON " << stats_json_file << "\n";
     }
-    return submitted_rejected == sessions ? 1 : 0;
+    return placer.rejected() == sessions ? 1 : 0;
 }

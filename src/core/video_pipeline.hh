@@ -117,8 +117,8 @@ struct Playback;
  *  - run() simulates the whole playback in one call (the classic
  *    single-session mode every bench uses);
  *  - start() / stepVsync() / finish() expose the same simulation one
- *    vsync at a time, so a SessionManager can interleave many
- *    sessions on a shared event queue (src/serve/).  Stepping the
+ *    vsync at a time, so a served Session can evaluate its health
+ *    window between vsyncs (src/serve/session.hh).  Stepping the
  *    pipeline to completion is bit-identical to run().
  */
 class VideoPipeline

@@ -10,6 +10,21 @@ namespace vstream
 {
 
 void
+ServeConfig::validate() const
+{
+    if (bandwidth_budget_mbps <= 0.0) {
+        vs_fatal("serve bandwidth budget must be positive, got ",
+                 bandwidth_budget_mbps, " MB/s");
+    }
+    if (framebuffer_budget_bytes == 0) {
+        vs_fatal("serve frame-buffer budget must be positive");
+    }
+    if (max_active == 0) {
+        vs_fatal("serve max_active must be >= 1");
+    }
+}
+
+void
 FleetConfig::validate() const
 {
     serve.validate();
@@ -22,8 +37,10 @@ FleetConfig::validate() const
     chaos.validate(shards);
 }
 
-Placer::Placer(FleetConfig cfg, SessionFactory factory)
-    : cfg_(cfg), factory_(std::move(factory))
+Placer::Placer(FleetConfig cfg, SessionFactory factory,
+               OutcomeObserver observer)
+    : cfg_(cfg), factory_(std::move(factory)),
+      observer_(std::move(observer))
 {
     cfg_.validate();
     vs_assert(factory_ != nullptr, "fleet needs a session factory");
@@ -95,8 +112,8 @@ Placer::Placer(FleetConfig cfg, SessionFactory factory)
 bool
 Placer::fits(double bw_mbps, std::uint64_t fb_bytes) const
 {
-    // Global admission, same predicate as SessionManager::fits -
-    // no term here may depend on the shard layout.
+    // Global admission: no term here may depend on the shard
+    // layout.
     return active_.size() < cfg_.serve.max_active &&
            bw_reserved_ + bw_mbps <=
                cfg_.serve.bandwidth_budget_mbps &&
@@ -270,6 +287,9 @@ Placer::finishOne()
     // commutative, so the bytes cannot tell this apart from the
     // fold-at-admit order.
     shards_[l.shard].absorb(l.outcome);
+    if (observer_) {
+        observer_(l.outcome);
+    }
     if (dedup_) {
         // Dedup accounting was settled at admit; it becomes durable
         // together with the outcome, and the session's tier refs
@@ -296,6 +316,18 @@ Placer::expireFront()
 {
     // The front has the earliest enqueue tick (strict FIFO), hence
     // the earliest deadline; it timed out before budget freed.
+    if (observer_) {
+        // The session never ran: a marker outcome carries only who
+        // timed out (id/group) and the queue span.
+        const Pending &p = waiting_.front();
+        SessionOutcome o;
+        o.id = p.arrival.id;
+        o.group = p.reh.outcome.group;
+        o.queue_timeout = true;
+        o.start_offset = p.enqueue;
+        o.end_tick = cur_tick_;
+        observer_(o);
+    }
     waiting_.pop_front();
     ++recovery_.queue_timeouts;
     updateFleetHealth();
@@ -457,9 +489,9 @@ Placer::admit(Pending &&p, Tick start)
     const Tick finish_tick = start + p.reh.local_end;
     l.outcome.start_offset = start;
     l.outcome.end_tick = finish_tick;
-    // The ladder clock starts at construction, so a live session
-    // admitted at offset T dwells Healthy for T extra ticks before
-    // its first transition; mirror SessionManager's rebasing.
+    // The ladder dwell is reported on the serving timeline: a
+    // session admitted at T counts the T ticks before its admission
+    // as Healthy, so dwells sum to end_tick.
     l.outcome
         .dwell[static_cast<std::size_t>(HealthState::kHealthy)] +=
         start;
@@ -487,9 +519,8 @@ Placer::admit(Pending &&p, Tick start)
 void
 Placer::drainWaiting()
 {
-    // Strict FIFO, as in SessionManager::drainWaiting: no
-    // head-of-line skipping, so admission order is independent of
-    // session sizes (and of everything shard-shaped).
+    // Strict FIFO: no head-of-line skipping, so admission order is
+    // independent of session sizes (and of everything shard-shaped).
     while (!waiting_.empty()) {
         const Pending &front = waiting_.front();
         if (!fits(front.bw_mbps, front.fb_bytes)) {

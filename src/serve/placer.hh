@@ -10,9 +10,9 @@
  *  - *Admission is global.*  One budget pool (ServeConfig: DRAM
  *    bandwidth, frame-buffer bytes, max_active), one strict-FIFO
  *    wait queue with an optional deadline, one whale-rejection rule -
- *    evaluated on the shared timeline exactly as SessionManager does
- *    for a single shard.  Nothing about admit/queue/reject depends
- *    on the shard count.
+ *    evaluated on the shared timeline.  Nothing about
+ *    admit/queue/reject depends on the shard count, so single-shard
+ *    serving is simply a Placer with FleetConfig::shards = 1.
  *
  *  - *Placement is advisory.*  Each shard owns a slice of the global
  *    budget as a placement weight; arrivals route to the least-
@@ -43,6 +43,10 @@
  *    is inert and the report is byte-identical to the pre-chaos
  *    stack.
  *
+ * Callers that need per-session outcomes (the single-shard soak and
+ * vstream_serve's per-session table) pass an OutcomeObserver; fleet
+ * callers pass none and pay nothing for it.
+ *
  * Event ordering at equal ticks is pinned: finish < queue-timeout <
  * checkpoint < chaos < rebalance - so budget freed at tick T is
  * visible to everything else at T, an admission wins a tie with the
@@ -66,7 +70,6 @@
 
 #include "serve/arrivals.hh"
 #include "serve/chaos.hh"
-#include "serve/session_manager.hh"
 #include "serve/shard.hh"
 #include "serve/shared_mach.hh"
 #include "serve/snapshot.hh"
@@ -74,11 +77,35 @@
 namespace vstream
 {
 
+/** Aggregate budgets guarded at admission. */
+struct ServeConfig
+{
+    /** Aggregate DRAM-bandwidth budget, MB/s (estimated demand of
+     * all active sessions must stay below this). */
+    double bandwidth_budget_mbps = 2000.0;
+    /** Aggregate frame-buffer pool budget, bytes. */
+    std::uint64_t framebuffer_budget_bytes = 64ULL << 20;
+    /** Hard cap on concurrently active sessions. */
+    std::uint32_t max_active = 64;
+    /** Queue over-budget submissions instead of rejecting them
+     * (sessions that could never fit are always rejected). */
+    bool queue_when_full = true;
+    /**
+     * Admission-queue deadline in ticks (0 = wait forever, the
+     * legacy behaviour).  A session still queued this long after
+     * submission expires with a queue_timeout outcome instead of
+     * occupying the waitlist indefinitely - the bound the
+     * bounded-queue lint (tools/vstream_analyze) checks for.
+     */
+    Tick queue_deadline = 0;
+
+    void validate() const;
+};
+
 /** Fleet-level configuration: global budgets + shard layout. */
 struct FleetConfig
 {
-    /** Global admission budgets (shared semantics with the
-     * single-shard SessionManager). */
+    /** Global admission budgets. */
     ServeConfig serve;
     /** Shard count; slices start as an equal split of the global
      * budget.  Any value >= 1 yields byte-identical fleet JSON. */
@@ -111,11 +138,18 @@ struct FleetConfig
 using SessionFactory =
     std::function<SessionConfig(const ArrivalEvent &)>;
 
+/** Sees every session's outcome once, in completion order: finished
+ * sessions (rebased onto the serving timeline) and queue_timeout
+ * markers for arrivals that expired in the wait queue.  Rejected
+ * arrivals and shed floods produce no outcome. */
+using OutcomeObserver = std::function<void(const SessionOutcome &)>;
+
 /** Global admission + least-loaded routing across Shards. */
 class Placer
 {
   public:
-    Placer(FleetConfig cfg, SessionFactory factory);
+    Placer(FleetConfig cfg, SessionFactory factory,
+           OutcomeObserver observer = nullptr);
 
     Placer(const Placer &) = delete;
     Placer &operator=(const Placer &) = delete;
@@ -285,6 +319,7 @@ class Placer
 
     FleetConfig cfg_;
     SessionFactory factory_;
+    OutcomeObserver observer_;
     /** Cross-session shared state; only ever touched on the serial
      * timeline (admit/finish/crash), never by rehearsal workers. */
     // vstream:shard_local

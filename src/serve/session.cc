@@ -33,11 +33,10 @@ Session::Session(SessionConfig cfg)
 }
 
 void
-Session::start(Tick start_offset)
+Session::start()
 {
     vs_assert(!started_, "a session may only start once");
     started_ = true;
-    start_offset_ = start_offset;
     pipeline_.start();
 
     // Dedup recording observes unique-block writes into a private
@@ -61,11 +60,9 @@ Session::start(Tick start_offset)
             loadTrace(is, cfg_.trace_policy, nullptr);
         trace_error_ = tr.error;
         if (!tr.ok()) {
-            ladder_.transitionTo(HealthState::kQuarantined,
-                                 start_offset_);
+            ladder_.transitionTo(HealthState::kQuarantined, 0);
         } else if (tr.frames_skipped > 0) {
-            ladder_.transitionTo(HealthState::kDegraded,
-                                 start_offset_);
+            ladder_.transitionTo(HealthState::kDegraded, 0);
         }
     }
 }
@@ -91,21 +88,16 @@ Session::leftEarly() const
 }
 
 Tick
-Session::nextTick() const
-{
-    return start_offset_ + pipeline_.nextVsyncTick();
-}
-
-void
 Session::stepVsync()
 {
     vs_assert(started_ && !done(), "stepping a finished session");
-    const Tick now = nextTick();
+    const Tick now = pipeline_.nextVsyncTick();
     pipeline_.stepVsync();
     ++vsyncs_;
     if (vsyncs_ % cfg_.health.window_vsyncs == 0) {
         evaluateWindow(now);
     }
+    return now;
 }
 
 void
@@ -219,12 +211,10 @@ RehearsedSession
 rehearseSession(const SessionConfig &cfg)
 {
     Session s(cfg);
-    s.start(0);
+    s.start();
     RehearsedSession r;
-    r.immediate = s.done();
     while (!s.done()) {
-        r.local_end = s.nextTick();
-        s.stepVsync();
+        r.local_end = s.stepVsync();
     }
     const bool left_early = s.leftEarly();
     s.finalize(r.local_end);

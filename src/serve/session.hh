@@ -9,14 +9,16 @@
  * Because the substrate is private, a no-fault session produces
  * energy/drop numbers bit-identical to a solo VideoPipeline run with
  * the same PipelineConfig, no matter how many neighbours it is
- * interleaved with - the isolation property tests/test_serve.cc
- * pins down.
+ * served beside - the isolation property tests/test_serve.cc pins
+ * down.
  *
- * The SessionManager drives the session one vsync at a time at
- * absolute tick start_offset + local vsync tick; every
+ * rehearseSession() is the only driver: it steps the session one
+ * vsync at a time on its local clock (starting at tick 0); every
  * HealthConfig::window_vsyncs vsyncs the session evaluates its
  * window counters (drops, underruns, DRAM abandons, MACH false
- * hits) and walks the ladder / trips the breaker.
+ * hits) and walks the ladder / trips the breaker.  The Placer
+ * (serve/placer.hh) then rebases the outcome onto the serving
+ * timeline.
  */
 
 #ifndef VSTREAM_SERVE_SESSION_HH
@@ -35,7 +37,7 @@
 namespace vstream
 {
 
-/** Everything needed to run one session under the manager. */
+/** Everything needed to run one served session. */
 struct SessionConfig
 {
     /** Unique id; also the label in stats and the soak report. */
@@ -91,7 +93,7 @@ struct SessionOutcome
     PipelineResult result;
     /** The materialization log recorded during the run (empty when
      * SessionConfig::dedup_record is off); settled against the
-     * shared tier by the placer / session manager. */
+     * shared tier by the Placer. */
     DedupRecord dedup;
 };
 
@@ -104,9 +106,9 @@ class Session
     Session(const Session &) = delete;
     Session &operator=(const Session &) = delete;
 
-    /** Admit at absolute tick @p start_offset: allocate the
-     * substrate and validate the ingest trace (if any). */
-    void start(Tick start_offset);
+    /** Allocate the substrate and validate the ingest trace (if
+     * any) at local tick 0. */
+    void start();
 
     /** No more vsyncs wanted (playback complete, evicted, or the
      * viewer left per SessionConfig::leave_after). */
@@ -116,11 +118,9 @@ class Session
      * completed or the ladder evicted. */
     bool leftEarly() const;
 
-    /** Absolute tick of the next vsync (valid while !done()). */
-    Tick nextTick() const;
-
-    /** Process one vsync; on a window boundary, evaluate health. */
-    void stepVsync();
+    /** Process one vsync; on a window boundary, evaluate health.
+     * Returns the local tick of the vsync just processed. */
+    Tick stepVsync();
 
     /** Close the playback (early when evicted) and cache the
      * result; idempotent. */
@@ -137,8 +137,6 @@ class Session
     /** Move the dedup materialization log out (empty when recording
      * was off). */
     DedupRecord takeDedup();
-    Tick startOffset() const { return start_offset_; }
-    const SessionConfig &config() const { return cfg_; }
 
     /** Estimated DRAM-bandwidth demand of @p cfg, MB/s (decode
      * writes + display reads at the nominal frame rate). */
@@ -159,7 +157,6 @@ class Session
     DedupRecorder dedup_recorder_;
     /** The session's own jitter stream (breaker cooldowns). */
     Random rng_;
-    Tick start_offset_ = 0;
     TraceError trace_error_ = TraceError::kNone;
 
     // window bookkeeping
@@ -177,28 +174,25 @@ class Session
     PipelineResult result_;
 };
 
-/** A session run to completion detached at local tick 0. */
+/** A session run to completion at local tick 0. */
 struct RehearsedSession
 {
     SessionOutcome outcome;
     /** Local tick of the final vsync (0 when done at start). */
     Tick local_end = 0;
-    /** Finished without stepping a single vsync. */
-    bool immediate = false;
 };
 
 /**
  * Rehearse @p cfg: run the session to completion on its own private
- * substrate, detached at offset 0, and record the outcome.
+ * substrate, starting at local tick 0, and record the outcome.
  *
  * A session's evolution is offset-invariant - the breaker cooldown
  * and ladder dwell are tick *differences*, and the pipeline runs on
- * its own local clock - so a rehearsed outcome replayed at offset T
- * is identical to a live session admitted at T (after rebasing
- * start_offset/end_tick and the construction-to-admission Healthy
- * dwell).  SessionManager::precompute and the fleet Placer both
- * lean on this to fan rehearsals across parallelMap workers while
- * keeping every aggregate byte-identical at any --jobs count.
+ * its own local clock - so the Placer admits the rehearsed outcome
+ * at any serving tick T by rebasing start_offset/end_tick and the
+ * pre-admission Healthy dwell.  That is what lets it fan rehearsals
+ * across parallelMap workers while keeping every aggregate
+ * byte-identical at any --jobs count.
  */
 RehearsedSession rehearseSession(const SessionConfig &cfg);
 

@@ -204,8 +204,8 @@ struct DedupDomainStats
 /**
  * The refcounted, per-fault-domain shared MACH tier.
  *
- * Single-threaded by design: every method runs on the placer's (or
- * session manager's) serial timeline.  The shard-local annotations
+ * Single-threaded by design: every method runs on the placer's
+ * serial timeline.  The shard-local annotations
  * below are load-bearing - the analyzer's shared-state-guarded rule
  * requires them, and the lock-discipline pass flags any use from a
  * parallelFor/parallelMap worker.

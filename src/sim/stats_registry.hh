@@ -9,7 +9,7 @@
  * then the single source of truth for reporting: the text, JSON and
  * CSV exporters all walk the same entry list, so a stat registered
  * once shows up in every output format, and a stat that is *not*
- * registered cannot be printed at all (tools/vstream_lint.py's
+ * registered cannot be printed at all (tools/vstream_analyze's
  * registry-stats rule enforces this by banning direct printStat
  * calls outside src/sim).
  *

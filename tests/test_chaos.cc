@@ -17,7 +17,6 @@
 #include "serve/chaos.hh"
 #include "serve/fleet_report.hh"
 #include "serve/placer.hh"
-#include "serve/session_manager.hh"
 #include "serve/shard.hh"
 #include "serve/snapshot.hh"
 
@@ -490,43 +489,49 @@ TEST(QueueDeadline, ExpiresOverdueFleetArrivals)
               arrivals.size());
 }
 
-TEST(QueueDeadline, ManagerRecordsTimeoutOutcomes)
+TEST(QueueDeadline, SingleShardRecordsTimeoutOutcomes)
 {
-    // Budget for one tiny session; submit three at once with a
+    // Budget for one tiny session; three arrive at once with a
     // deadline shorter than a session span: the two queued behind
     // the first must expire with marker outcomes.
     const SessionConfig probe = chaosSession(ArrivalEvent{});
-    ServeConfig serve;
-    serve.bandwidth_budget_mbps =
+    FleetConfig cfg;
+    cfg.serve.bandwidth_budget_mbps =
         Session::demandMBps(probe.pipeline) * 1.5;
-    serve.framebuffer_budget_bytes =
+    cfg.serve.framebuffer_budget_bytes =
         Session::framebufferBytes(probe.pipeline) * 2;
-    serve.max_active = 1;
-    serve.queue_deadline = 50 * sim_clock::ms;
-    SessionManager mgr(serve);
+    cfg.serve.max_active = 1;
+    cfg.serve.queue_deadline = 50 * sim_clock::ms;
 
+    std::vector<ArrivalEvent> arrivals(3);
     for (std::uint64_t id = 0; id < 3; ++id) {
-        ArrivalEvent a;
-        a.id = id;
-        SessionConfig cfg = chaosSession(a);
-        cfg.id = id;
-        mgr.submit(std::move(cfg));
+        arrivals[id].id = id;
     }
-    EXPECT_EQ(mgr.admitted(), 1u);
-    EXPECT_EQ(mgr.waitingCount(), 2u);
-    mgr.runAll();
+    std::vector<SessionOutcome> outcomes;
+    Placer placer(cfg, chaosSession, [&](const SessionOutcome &o) {
+        outcomes.push_back(o);
+    });
+    placer.run(arrivals);
 
-    EXPECT_EQ(mgr.queueTimeouts(), 2u);
-    EXPECT_EQ(mgr.admitted(), 1u);
+    EXPECT_EQ(placer.admitted(), 1u);
+    EXPECT_EQ(placer.queuedTotal(), 2u);
+    EXPECT_EQ(placer.peakWaiting(), 2u);
+    EXPECT_EQ(placer.recovery().queue_timeouts, 2u);
+    ASSERT_EQ(outcomes.size(), 3u);
     std::uint64_t markers = 0;
-    for (const SessionOutcome &o : mgr.outcomes()) {
+    for (const SessionOutcome &o : outcomes) {
         if (o.queue_timeout) {
             ++markers;
+            EXPECT_NE(o.id, 0u);
             EXPECT_EQ(o.end_tick - o.start_offset,
-                      serve.queue_deadline);
+                      cfg.serve.queue_deadline);
+            EXPECT_EQ(o.result.totalEnergy(), 0.0);
         }
     }
     EXPECT_EQ(markers, 2u);
+    // Markers are observed when they expire, before the admitted
+    // session (which outlasts the deadline) finishes.
+    EXPECT_FALSE(outcomes.back().queue_timeout);
 }
 
 } // namespace

@@ -3,7 +3,7 @@
  * Focused tests for the error-reporting layer (sim/logging.hh) and
  * the EventQueue lifetime/ordering invariants it guards.
  *
- * The custom linter (tools/vstream_lint.py, rule logging-discipline)
+ * The custom analyzer (tools/vstream_analyze, rule logging-discipline)
  * funnels every internal error through vs_assert/vs_panic/vs_fatal,
  * so the exact shape of their output is part of the repo's debugging
  * contract: death tests here pin the message prefix, the formatted

@@ -1,9 +1,10 @@
 /**
  * @file
  * Multi-session server tests: circuit-breaker state machine,
- * degradation-ladder bookkeeping, admission control, session
- * isolation (bit-identity with solo runs), and a trace-corruption
- * fuzz pass over the per-session fault domain.
+ * degradation-ladder bookkeeping, single-shard admission control
+ * through the Placer, session isolation (bit-identity with solo
+ * runs), and a trace-corruption fuzz pass over the per-session fault
+ * domain.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,7 @@
 #include <utility>
 #include <vector>
 
-#include "serve/session_manager.hh"
+#include "serve/placer.hh"
 #include "sim/parallel.hh"
 #include "sim/random.hh"
 #include "video/trace.hh"
@@ -185,6 +186,51 @@ TEST(HealthLadder, TracksDwellPerState)
 }
 
 // ---------------------------------------------------------------------
+// Single-shard serving harness
+// ---------------------------------------------------------------------
+
+/** What a finished single-shard run exposes (a Placer runs once). */
+struct ServeRun
+{
+    /** Every outcome, in completion order. */
+    std::vector<SessionOutcome> outcomes;
+    std::uint64_t admitted = 0;
+    std::uint64_t queued = 0;
+    std::uint64_t rejected = 0;
+    std::uint64_t peak_active = 0;
+    std::uint64_t peak_waiting = 0;
+    StatsSnapshot served;
+};
+
+/** Serve @p cfgs through a one-shard Placer: all arrive at tick 0,
+ * in order (the arrival's mix indexes @p cfgs). */
+ServeRun
+serveAll(const ServeConfig &serve, const std::vector<SessionConfig> &cfgs,
+         unsigned jobs = 1)
+{
+    FleetConfig fleet;
+    fleet.serve = serve;
+    fleet.jobs = jobs;
+    std::vector<ArrivalEvent> arrivals(cfgs.size());
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        arrivals[i].id = cfgs[i].id;
+        arrivals[i].mix = static_cast<std::uint32_t>(i);
+    }
+    ServeRun run;
+    Placer placer(
+        fleet, [&](const ArrivalEvent &a) { return cfgs[a.mix]; },
+        [&](const SessionOutcome &o) { run.outcomes.push_back(o); });
+    placer.run(arrivals);
+    run.admitted = placer.admitted();
+    run.queued = placer.queuedTotal();
+    run.rejected = placer.rejected();
+    run.peak_active = placer.peakActive();
+    run.peak_waiting = placer.peakWaiting();
+    run.served = placer.fleetSnapshot();
+    return run;
+}
+
+// ---------------------------------------------------------------------
 // Admission control
 // ---------------------------------------------------------------------
 
@@ -192,10 +238,10 @@ TEST(Admission, RejectsWhatCouldNeverFit)
 {
     ServeConfig cfg;
     cfg.bandwidth_budget_mbps = 1.0; // below any session's demand
-    SessionManager mgr(cfg);
-    EXPECT_EQ(mgr.submit(tinySession(0)), Admission::kRejected);
-    EXPECT_EQ(mgr.rejected(), 1u);
-    EXPECT_EQ(mgr.admitted(), 0u);
+    const ServeRun run = serveAll(cfg, {tinySession(0)});
+    EXPECT_EQ(run.rejected, 1u);
+    EXPECT_EQ(run.admitted, 0u);
+    EXPECT_TRUE(run.outcomes.empty());
 }
 
 TEST(Admission, QueuesOverBudgetAndDrainsFifo)
@@ -205,29 +251,34 @@ TEST(Admission, QueuesOverBudgetAndDrainsFifo)
     ServeConfig cfg;
     // Room for exactly two concurrent sessions.
     cfg.bandwidth_budget_mbps = 2.5 * demand;
-    SessionManager mgr(cfg);
-    EXPECT_EQ(mgr.submit(tinySession(0)), Admission::kAdmitted);
-    EXPECT_EQ(mgr.submit(tinySession(1)), Admission::kAdmitted);
-    EXPECT_EQ(mgr.submit(tinySession(2)), Admission::kQueued);
-    EXPECT_EQ(mgr.submit(tinySession(3)), Admission::kQueued);
-    EXPECT_EQ(mgr.waitingCount(), 2u);
-    EXPECT_GT(mgr.bandwidthReservedMBps(), 2.0 * demand - 1e-9);
-
-    mgr.runAll();
-    // Everyone eventually ran; budgets fully released.
-    EXPECT_EQ(mgr.outcomes().size(), 4u);
-    EXPECT_EQ(mgr.admitted(), 4u);
-    EXPECT_EQ(mgr.queuedTotal(), 2u);
-    EXPECT_EQ(mgr.bandwidthReservedMBps(), 0.0);
-    EXPECT_EQ(mgr.framebufferReservedBytes(), 0u);
-    // Queued sessions start only after a finisher releases budget.
-    for (const SessionOutcome &o : mgr.outcomes()) {
+    const ServeRun run =
+        serveAll(cfg, {tinySession(0), tinySession(1), tinySession(2),
+                       tinySession(3)});
+    // Two admitted at once, two queued behind them.  Everyone
+    // eventually ran, and the Placer's drain asserts that every
+    // reservation was released.
+    EXPECT_EQ(run.queued, 2u);
+    EXPECT_EQ(run.peak_waiting, 2u);
+    EXPECT_EQ(run.peak_active, 2u);
+    EXPECT_EQ(run.outcomes.size(), 4u);
+    EXPECT_EQ(run.admitted, 4u);
+    // Queued sessions start only after a finisher releases budget,
+    // and in FIFO order.
+    Tick start2 = 0;
+    Tick start3 = 0;
+    for (const SessionOutcome &o : run.outcomes) {
         if (o.id >= 2) {
             EXPECT_GT(o.start_offset, 0u);
         } else {
             EXPECT_EQ(o.start_offset, 0u);
         }
+        if (o.id == 2) {
+            start2 = o.start_offset;
+        } else if (o.id == 3) {
+            start3 = o.start_offset;
+        }
     }
+    EXPECT_LE(start2, start3);
 }
 
 TEST(Admission, NoQueueModeRejectsInstead)
@@ -237,22 +288,20 @@ TEST(Admission, NoQueueModeRejectsInstead)
     ServeConfig cfg;
     cfg.bandwidth_budget_mbps = 1.5 * demand;
     cfg.queue_when_full = false;
-    SessionManager mgr(cfg);
-    EXPECT_EQ(mgr.submit(tinySession(0)), Admission::kAdmitted);
-    EXPECT_EQ(mgr.submit(tinySession(1)), Admission::kRejected);
-    mgr.runAll();
-    EXPECT_EQ(mgr.outcomes().size(), 1u);
+    const ServeRun run = serveAll(cfg, {tinySession(0), tinySession(1)});
+    EXPECT_EQ(run.admitted, 1u);
+    EXPECT_EQ(run.rejected, 1u);
+    EXPECT_EQ(run.outcomes.size(), 1u);
 }
 
 TEST(Admission, MaxActiveCapQueues)
 {
     ServeConfig cfg;
     cfg.max_active = 1;
-    SessionManager mgr(cfg);
-    EXPECT_EQ(mgr.submit(tinySession(0)), Admission::kAdmitted);
-    EXPECT_EQ(mgr.submit(tinySession(1)), Admission::kQueued);
-    mgr.runAll();
-    EXPECT_EQ(mgr.outcomes().size(), 2u);
+    const ServeRun run = serveAll(cfg, {tinySession(0), tinySession(1)});
+    EXPECT_EQ(run.queued, 1u);
+    EXPECT_EQ(run.peak_active, 1u);
+    EXPECT_EQ(run.outcomes.size(), 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -263,15 +312,15 @@ TEST(Isolation, CleanSessionsMatchSoloRunsBitIdentical)
 {
     const Scheme schemes[] = {Scheme::kBaseline, Scheme::kRaceToSleep,
                               Scheme::kMab, Scheme::kGab};
-    SessionManager mgr(ServeConfig{});
+    std::vector<SessionConfig> cfgs;
     for (std::uint64_t id = 0; id < 8; ++id) {
-        ASSERT_EQ(mgr.submit(tinySession(id, schemes[id % 4])),
-                  Admission::kAdmitted);
+        cfgs.push_back(tinySession(id, schemes[id % 4]));
     }
-    mgr.runAll();
-    ASSERT_EQ(mgr.outcomes().size(), 8u);
+    const ServeRun run = serveAll(ServeConfig{}, cfgs);
+    ASSERT_EQ(run.admitted, 8u);
+    ASSERT_EQ(run.outcomes.size(), 8u);
 
-    for (const SessionOutcome &o : mgr.outcomes()) {
+    for (const SessionOutcome &o : run.outcomes) {
         VideoPipeline solo(tinySession(o.id, schemes[o.id % 4]).pipeline);
         const PipelineResult r = solo.run();
         EXPECT_EQ(o.final_state, HealthState::kHealthy);
@@ -290,7 +339,6 @@ TEST(Isolation, CleanSessionsMatchSoloRunsBitIdentical)
 
 TEST(FaultDomain, DramStormEvictsOnlyTheFaultySession)
 {
-    SessionManager mgr(ServeConfig{});
     SessionConfig faulty = tinySession(1);
     faulty.pipeline.faults.dram_retry_limit = 2;
     faulty.pipeline.faults.rules.push_back(parseFaultRule(
@@ -300,13 +348,13 @@ TEST(FaultDomain, DramStormEvictsOnlyTheFaultySession)
     faulty.health.abandon_budget = 4;
     faulty.health.evict_windows = 2;
 
-    ASSERT_EQ(mgr.submit(tinySession(0)), Admission::kAdmitted);
-    ASSERT_EQ(mgr.submit(std::move(faulty)), Admission::kAdmitted);
-    ASSERT_EQ(mgr.submit(tinySession(2)), Admission::kAdmitted);
-    mgr.runAll();
-    ASSERT_EQ(mgr.outcomes().size(), 3u);
+    const ServeRun run = serveAll(
+        ServeConfig{},
+        {tinySession(0), std::move(faulty), tinySession(2)});
+    ASSERT_EQ(run.admitted, 3u);
+    ASSERT_EQ(run.outcomes.size(), 3u);
 
-    for (const SessionOutcome &o : mgr.outcomes()) {
+    for (const SessionOutcome &o : run.outcomes) {
         if (o.id == 1) {
             EXPECT_EQ(o.final_state, HealthState::kEvicted);
             continue;
@@ -318,7 +366,7 @@ TEST(FaultDomain, DramStormEvictsOnlyTheFaultySession)
         EXPECT_EQ(r.totalEnergy(), o.result.totalEnergy());
         EXPECT_EQ(r.drops, o.result.drops);
     }
-    EXPECT_EQ(mgr.evicted(), 1u);
+    EXPECT_EQ(run.served.count("state.evicted"), 1u);
 }
 
 TEST(FaultDomain, CorruptTraceQuarantinesAtStart)
@@ -326,28 +374,24 @@ TEST(FaultDomain, CorruptTraceQuarantinesAtStart)
     std::vector<std::uint8_t> blob = traceBlob(tinyProfile(4, 7));
     blob[blob.size() / 2] ^= 0xff;
 
-    SessionManager mgr(ServeConfig{});
     SessionConfig bad = tinySession(0);
     bad.trace_blob = std::move(blob);
     bad.health.evict_windows = 1;
-    ASSERT_EQ(mgr.submit(std::move(bad)), Admission::kAdmitted);
-    mgr.runAll();
-    ASSERT_EQ(mgr.outcomes().size(), 1u);
-    const SessionOutcome &o = mgr.outcomes().front();
+    const ServeRun run = serveAll(ServeConfig{}, {std::move(bad)});
+    ASSERT_EQ(run.outcomes.size(), 1u);
+    const SessionOutcome &o = run.outcomes.front();
     EXPECT_EQ(o.final_state, HealthState::kEvicted);
     EXPECT_NE(o.trace_error, TraceError::kNone);
 }
 
 TEST(FaultDomain, IntactTraceStaysHealthy)
 {
-    SessionManager mgr(ServeConfig{});
     SessionConfig good = tinySession(0);
     good.trace_blob = traceBlob(tinyProfile(4, 7));
-    ASSERT_EQ(mgr.submit(std::move(good)), Admission::kAdmitted);
-    mgr.runAll();
-    EXPECT_EQ(mgr.outcomes().front().final_state,
-              HealthState::kHealthy);
-    EXPECT_EQ(mgr.outcomes().front().trace_error, TraceError::kNone);
+    const ServeRun run = serveAll(ServeConfig{}, {std::move(good)});
+    ASSERT_EQ(run.outcomes.size(), 1u);
+    EXPECT_EQ(run.outcomes.front().final_state, HealthState::kHealthy);
+    EXPECT_EQ(run.outcomes.front().trace_error, TraceError::kNone);
 }
 
 /**
@@ -386,19 +430,18 @@ TEST(FaultDomain, TraceCorruptionFuzzNeverLeaks)
             blob.push_back(static_cast<std::uint8_t>(rng.next()));
         }
 
-        SessionManager mgr(ServeConfig{});
         SessionConfig fuzzed = tinySession(0);
         fuzzed.trace_blob = std::move(blob);
         fuzzed.trace_policy = (round % 2 == 0)
                                   ? TracePolicy::kFailClean
                                   : TracePolicy::kSkipFrame;
         fuzzed.health.evict_windows = 1;
-        ASSERT_EQ(mgr.submit(std::move(fuzzed)), Admission::kAdmitted);
-        ASSERT_EQ(mgr.submit(tinySession(99)), Admission::kAdmitted);
-        mgr.runAll();
-        ASSERT_EQ(mgr.outcomes().size(), 2u);
+        const ServeRun run = serveAll(
+            ServeConfig{}, {std::move(fuzzed), tinySession(99)});
+        ASSERT_EQ(run.admitted, 2u);
+        ASSERT_EQ(run.outcomes.size(), 2u);
 
-        for (const SessionOutcome &o : mgr.outcomes()) {
+        for (const SessionOutcome &o : run.outcomes) {
             if (o.id != 99) {
                 continue;
             }
@@ -416,7 +459,6 @@ TEST(FaultDomain, TraceCorruptionFuzzNeverLeaks)
 
 TEST(SessionBreaker, StormTripsAndCooldownRecovers)
 {
-    SessionManager mgr(ServeConfig{});
     SessionConfig s = tinySession(0, Scheme::kGab);
     s.pipeline.profile.frame_count = 120;
     s.pipeline.mach.verify_on_hit = true;
@@ -426,24 +468,69 @@ TEST(SessionBreaker, StormTripsAndCooldownRecovers)
     s.health.window_vsyncs = 8;
     s.breaker.min_lookups = 16;
     s.breaker.cooldown_base = 100 * sim_clock::ms;
-    ASSERT_EQ(mgr.submit(std::move(s)), Admission::kAdmitted);
-    mgr.runAll();
+    const ServeRun run = serveAll(ServeConfig{}, {std::move(s)});
+    ASSERT_EQ(run.outcomes.size(), 1u);
 
-    const SessionOutcome &o = mgr.outcomes().front();
+    const SessionOutcome &o = run.outcomes.front();
     EXPECT_GT(o.breaker_trips, 0u);
     EXPECT_GT(o.breaker_reprobes, 0u);
     // The storm ends at 700ms of a 2s playback: the last re-probe
     // sees a clean window and the breaker ends Closed.
     EXPECT_EQ(o.breaker_state, CircuitBreaker::State::kClosed);
     EXPECT_EQ(o.final_state, HealthState::kHealthy);
-    EXPECT_EQ(mgr.breakerTrips(), o.breaker_trips);
+    EXPECT_EQ(run.served.count("breaker.trips"),
+              o.breaker_trips);
 }
 
 // ---------------------------------------------------------------------
-// Rehearsal fan-out rides the persistent pool: no per-wave spawns
+// Rehearsal: parallel fan-out is invisible in the outcome stream, and
+// it rides the persistent pool (no per-wave spawns)
 // ---------------------------------------------------------------------
 
-TEST(Rehearsal, PrecomputeWavesSpawnThreadsOnlyOnce)
+TEST(Rehearsal, OutcomeStreamIdenticalAtAnyJobs)
+{
+    // Room for three at a time, so most sessions queue and start at
+    // staggered offsets; mixed schemes and a faulty session make the
+    // finish order non-trivial.
+    const Scheme schemes[] = {Scheme::kBaseline, Scheme::kRaceToSleep,
+                              Scheme::kMab, Scheme::kGab};
+    std::vector<SessionConfig> cfgs;
+    for (std::uint64_t id = 0; id < 12; ++id) {
+        SessionConfig s = tinySession(id, schemes[id % 4]);
+        s.pipeline.profile.frame_count = 24 + 8 * (id % 3);
+        if (id == 5) {
+            s.pipeline.faults.rules.push_back(parseFaultRule(
+                FaultClass::kNetworkStall,
+                "p=0.5,from=1ms,until=200ms,len=80ms"));
+            s.pipeline.arrival.enabled = true;
+            s.pipeline.arrival.bandwidth_mbps = 2.0;
+            s.pipeline.faults = s.pipeline.faults.forSession(id);
+            s.health.window_vsyncs = 8;
+        }
+        cfgs.push_back(std::move(s));
+    }
+    ServeConfig serve;
+    serve.max_active = 3;
+    const ServeRun serial = serveAll(serve, cfgs, 1);
+    const ServeRun parallel = serveAll(serve, cfgs, 4);
+
+    ASSERT_EQ(serial.outcomes.size(), cfgs.size());
+    ASSERT_EQ(parallel.outcomes.size(), serial.outcomes.size());
+    EXPECT_GT(serial.queued, 0u);
+    for (std::size_t i = 0; i < serial.outcomes.size(); ++i) {
+        const SessionOutcome &a = serial.outcomes[i];
+        const SessionOutcome &b = parallel.outcomes[i];
+        EXPECT_EQ(a.id, b.id) << "completion order differs at " << i;
+        EXPECT_EQ(a.start_offset, b.start_offset);
+        EXPECT_EQ(a.end_tick, b.end_tick);
+        EXPECT_EQ(a.result.totalEnergy(), b.result.totalEnergy());
+        EXPECT_EQ(a.result.drops, b.result.drops);
+        EXPECT_EQ(a.final_state, b.final_state);
+        EXPECT_EQ(a.dwell, b.dwell);
+    }
+}
+
+TEST(Rehearsal, WavesSpawnThreadsOnlyOnce)
 {
     const auto makeWave = [](std::uint64_t base) {
         std::vector<SessionConfig> wave;
@@ -455,24 +542,17 @@ TEST(Rehearsal, PrecomputeWavesSpawnThreadsOnlyOnce)
 
     // Warmup wave: the pool grows to the requested width here (and
     // only here - parallelMap used to spawn+join per call).
-    {
-        SessionManager warm(ServeConfig{});
-        warm.precompute(makeWave(0), 4);
-    }
+    serveAll(ServeConfig{}, makeWave(0), 4);
     const std::uint64_t spawned =
         ThreadPool::instance().threadsSpawned();
 
-    // Steady state: every later rehearsal wave - including the full
-    // precompute -> submit -> replay cycle - reuses the warm workers.
+    // Steady state: every later wave - rehearsal fan-out, admission
+    // and replay on the serving timeline - reuses the warm workers.
     for (std::uint64_t round = 0; round < 3; ++round) {
-        SessionManager mgr(ServeConfig{});
-        std::vector<SessionConfig> wave = makeWave(100 * (round + 1));
-        mgr.precompute(wave, 4);
-        for (SessionConfig &s : wave) {
-            ASSERT_EQ(mgr.submit(std::move(s)), Admission::kAdmitted);
-        }
-        mgr.runAll();
-        EXPECT_EQ(mgr.outcomes().size(), 6u);
+        const ServeRun run =
+            serveAll(ServeConfig{}, makeWave(100 * (round + 1)), 4);
+        EXPECT_EQ(run.admitted, 6u);
+        EXPECT_EQ(run.outcomes.size(), 6u);
     }
     EXPECT_EQ(ThreadPool::instance().threadsSpawned(), spawned);
 }

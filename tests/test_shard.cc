@@ -3,8 +3,8 @@
  * Fleet serving tests: shard bookkeeping, arrival processes, and the
  * placer's headline contract - the merged fleet report is
  * byte-identical at any shard count, any jobs count, and any
- * rebalance cadence, while admission (queue/reject/peaks) behaves
- * exactly like the single-shard SessionManager.
+ * rebalance cadence, and admission (queue/reject/peaks) is the same
+ * global decision at one shard as at many.
  */
 
 #include <gtest/gtest.h>

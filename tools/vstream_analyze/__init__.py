@@ -1,7 +1,7 @@
 """vstream-analyze: cross-TU determinism & concurrency analyzer.
 
-Grown out of tools/vstream_lint.py (which remains as a thin compat
-shim).  The package splits into:
+Grown out of the single-file vstream_lint linter.  The package
+splits into:
 
   lexer.py     a real C++ lexer: raw strings, digit separators,
                line-splices (including inside // comments), and

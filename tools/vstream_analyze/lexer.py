@@ -1,6 +1,6 @@
 """C++ lexer for the analyzer.
 
-The old tools/vstream_lint.py stripper mis-handled three constructs:
+The old vstream_lint stripper mis-handled three constructs:
 
   * raw string literals: R"(...)" closed at the first '"', so the
     rest of the literal was scanned as code (fabricating findings)

@@ -69,7 +69,7 @@ class Ctx:
 
 
 # ===================================================================
-# Ported per-TU rules (from tools/vstream_lint.py)
+# Ported per-TU rules (from the old vstream_lint)
 # ===================================================================
 
 RAW_ASSERT_RE = re.compile(
