@@ -27,29 +27,17 @@ log2u(std::uint64_t v)
 SetAssocCache::SetAssocCache(std::string name, const CacheConfig &cfg)
     : name_(std::move(name)), cfg_(cfg), sets_(cfg.numSets()),
       ways_(cfg.assoc), line_shift_(log2u(cfg.line_bytes)),
-      lines_(static_cast<std::size_t>(cfg.numLines())),
+      set_shift_(log2u(sets_)),
+      lines_(static_cast<std::size_t>(cfg.numLines())), mru_(sets_, 0),
       repl_(cfg.policy, sets_, ways_)
 {
     cfg_.validate();
 }
 
-std::uint32_t
-SetAssocCache::setIndex(Addr line_addr) const
-{
-    return static_cast<std::uint32_t>((line_addr >> line_shift_) &
-                                      (sets_ - 1));
-}
-
-std::uint64_t
-SetAssocCache::tagOf(Addr line_addr) const
-{
-    return (line_addr >> line_shift_) / sets_;
-}
-
 Addr
 SetAssocCache::lineAddr(std::uint32_t set, std::uint64_t tag) const
 {
-    return ((tag * sets_) + set) << line_shift_;
+    return ((tag << set_shift_) | set) << line_shift_;
 }
 
 SetAssocCache::Line &
@@ -67,25 +55,20 @@ SetAssocCache::line(std::uint32_t set, std::uint32_t way) const
 // vstream:allow(no-hotpath-alloc) appends into the caller's reused
 // summary scratch; its vectors keep their capacity across accesses
 bool
-SetAssocCache::accessLine(Addr line_addr, MemOp op,
+SetAssocCache::accessSlow(std::uint32_t set, std::uint64_t tag, MemOp op,
                           CacheAccessSummary &summary)
 {
-    const std::uint32_t set = setIndex(line_addr);
-    const std::uint64_t tag = tagOf(line_addr);
-
     for (std::uint32_t w = 0; w < ways_; ++w) {
         Line &l = line(set, w);
         if (l.valid && l.tag == tag) {
-            ++hits_;
             repl_.touch(set, w);
+            mru_[set] = w;
             if (op == MemOp::kWrite) {
                 l.dirty = cfg_.write_back;
             }
             return true;
         }
     }
-
-    ++misses_;
 
     if (op == MemOp::kWrite && !cfg_.write_allocate) {
         // Streaming store: bypass, no state change.
@@ -115,14 +98,11 @@ SetAssocCache::accessLine(Addr line_addr, MemOp op,
     l.tag = tag;
     l.dirty = (op == MemOp::kWrite) && cfg_.write_back;
     repl_.fill(set, victim_way);
+    mru_[set] = victim_way;
 
-    if (op == MemOp::kRead || !cfg_.write_back) {
-        // A read miss (or write-through write) fetches the line.
-        summary.fills.push_back(line_addr);
-    } else if (op == MemOp::kWrite) {
-        // Write-allocate: fetch-on-write (whole line brought in).
-        summary.fills.push_back(line_addr);
-    }
+    // A read miss fetches the line; so does a write miss, whether
+    // write-through or write-allocate (fetch-on-write).
+    summary.fills.push_back(lineAddr(set, tag));
     return false;
 }
 
@@ -141,29 +121,39 @@ SetAssocCache::accessInto(Addr addr, std::uint32_t size, MemOp op,
 {
     vs_assert(size > 0, "zero-size cache access");
 
-    summary.lines = 0;
-    summary.hits = 0;
-    summary.misses = 0;
     summary.writebacks.clear();
     summary.fills.clear();
     const Addr first = addr >> line_shift_;
     const Addr last = (addr + size - 1) >> line_shift_;
-    for (Addr l = first; l <= last; ++l) {
-        ++summary.lines;
-        if (accessLine(l << line_shift_, op, summary)) {
-            ++summary.hits;
-        } else {
-            ++summary.misses;
+    std::uint32_t hits = 0;
+    for (Addr ln = first; ln <= last; ++ln) {
+        const std::uint32_t set = setOf(ln);
+        const std::uint64_t tag = tagOf(ln);
+        // MRU-way first: the common hit needs neither a scan nor a
+        // replacement update (see mru_).
+        Line &m = line(set, mru_[set]);
+        if (m.valid && m.tag == tag) {
+            if (op == MemOp::kWrite) {
+                m.dirty = cfg_.write_back;
+            }
+            ++hits;
+        } else if (accessSlow(set, tag, op, summary)) {
+            ++hits;
         }
     }
+    summary.lines = static_cast<std::uint32_t>(last - first + 1);
+    summary.hits = hits;
+    summary.misses = summary.lines - hits;
+    hits_ += summary.hits;
+    misses_ += summary.misses;
 }
 
 bool
 SetAssocCache::contains(Addr addr) const
 {
-    const Addr line_addr = addr >> line_shift_ << line_shift_;
-    const std::uint32_t set = setIndex(line_addr);
-    const std::uint64_t tag = tagOf(line_addr);
+    const Addr ln = addr >> line_shift_;
+    const std::uint32_t set = setOf(ln);
+    const std::uint64_t tag = tagOf(ln);
     for (std::uint32_t w = 0; w < ways_; ++w) {
         const Line &l = line(set, w);
         if (l.valid && l.tag == tag) {
@@ -214,9 +204,8 @@ SetAssocCache::invalidateRange(Addr addr, std::uint64_t size)
     }
 
     for (Addr ln = first; ln <= last; ++ln) {
-        const Addr line_addr = ln << line_shift_;
-        const std::uint32_t set = setIndex(line_addr);
-        const std::uint64_t tag = tagOf(line_addr);
+        const std::uint32_t set = setOf(ln);
+        const std::uint64_t tag = tagOf(ln);
         for (std::uint32_t w = 0; w < ways_; ++w) {
             Line &l = line(set, w);
             if (l.valid && l.tag == tag) {

@@ -106,21 +106,38 @@ class SetAssocCache
         std::uint64_t tag = 0;
     };
 
-    std::uint32_t setIndex(Addr line_addr) const;
-    std::uint64_t tagOf(Addr line_addr) const;
+    /** Set of line number @p ln (an address >> line_shift_). */
+    std::uint32_t setOf(Addr ln) const
+    {
+        return static_cast<std::uint32_t>(ln & (sets_ - 1));
+    }
+    std::uint64_t tagOf(Addr ln) const { return ln >> set_shift_; }
     Addr lineAddr(std::uint32_t set, std::uint64_t tag) const;
     Line &line(std::uint32_t set, std::uint32_t way);
     const Line &line(std::uint32_t set, std::uint32_t way) const;
 
-    /** Access a single line; returns hit, may add to summary. */
-    bool accessLine(Addr line_addr, MemOp op, CacheAccessSummary &summary);
+    /**
+     * Access one line whose set's MRU way did not match: scan the
+     * other ways, else miss (and maybe fill).  Returns hit; may add
+     * to @p summary.
+     */
+    bool accessSlow(std::uint32_t set, std::uint64_t tag, MemOp op,
+                    CacheAccessSummary &summary);
 
     std::string name_;
     CacheConfig cfg_;
     std::uint32_t sets_;
     std::uint32_t ways_;
     std::uint32_t line_shift_;
+    /** log2(sets_): validate() requires a power-of-two set count. */
+    std::uint32_t set_shift_;
     std::vector<Line> lines_;
+    /**
+     * Per set, the way last hit or filled.  Under LRU it holds the
+     * set's largest stamp, so a hit on it leaves the victim order
+     * unchanged and skips ReplacementState::touch.
+     */
+    std::vector<std::uint32_t> mru_;
     ReplacementState repl_;
 
     std::uint64_t hits_ = 0;

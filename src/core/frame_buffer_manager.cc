@@ -88,30 +88,40 @@ FrameBufferManager::find(std::uint64_t frame_index) const
     return nullptr;
 }
 
+std::size_t
+FrameBufferManager::slotIndexContaining(Addr addr) const
+{
+    const auto holds = [this, addr](std::size_t i) {
+        const BufferSlot &slot = slots_.at(i);
+        return addr >= slot.data_base &&
+               addr < slot.data_base + slot.data_capacity;
+    };
+    // Blocks arrive in runs within one slot; data ranges are disjoint
+    // and never move, so the last match is checked first.
+    if (last_slot_ < slots_.allocated() && holds(last_slot_)) {
+        return last_slot_;
+    }
+    for (std::size_t i = 0; i < slots_.allocated(); ++i) {
+        if (holds(i)) {
+            last_slot_ = i;
+            return i;
+        }
+    }
+    return slots_.allocated();
+}
+
 BufferSlot *
 FrameBufferManager::slotContaining(Addr addr)
 {
-    for (std::size_t i = 0; i < slots_.allocated(); ++i) {
-        BufferSlot &slot = slots_.at(i);
-        if (addr >= slot.data_base &&
-            addr < slot.data_base + slot.data_capacity) {
-            return &slot;
-        }
-    }
-    return nullptr;
+    const std::size_t i = slotIndexContaining(addr);
+    return i < slots_.allocated() ? &slots_.at(i) : nullptr;
 }
 
 const BufferSlot *
 FrameBufferManager::slotContaining(Addr addr) const
 {
-    for (std::size_t i = 0; i < slots_.allocated(); ++i) {
-        const BufferSlot &slot = slots_.at(i);
-        if (addr >= slot.data_base &&
-            addr < slot.data_base + slot.data_capacity) {
-            return &slot;
-        }
-    }
-    return nullptr;
+    const std::size_t i = slotIndexContaining(addr);
+    return i < slots_.allocated() ? &slots_.at(i) : nullptr;
 }
 
 // vstream:hot

@@ -18,6 +18,7 @@
 #ifndef VSTREAM_CORE_FRAME_BUFFER_MANAGER_HH
 #define VSTREAM_CORE_FRAME_BUFFER_MANAGER_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -120,6 +121,9 @@ class FrameBufferManager
     const SurfacePoolStats &poolStats() const { return slots_.stats(); }
 
   private:
+    /** Index of the slot whose data region holds @p addr, or
+     * slots_.allocated() when none does. */
+    std::size_t slotIndexContaining(Addr addr) const;
     BufferSlot *slotContaining(Addr addr);
     const BufferSlot *slotContaining(Addr addr) const;
 
@@ -133,6 +137,9 @@ class FrameBufferManager
      * timing (and golden outputs) depend on.
      */
     SurfacePool<BufferSlot> slots_{"fbm.slots"};
+    /** Slot of the last slotIndexContaining() match (a lookup memo;
+     * it changes no observable state). */
+    mutable std::size_t last_slot_ = 0;
 };
 
 } // namespace vstream

@@ -1,5 +1,7 @@
 #include "mem/address_map.hh"
 
+#include <utility>
+
 #include "sim/logging.hh"
 
 namespace vstream
@@ -21,113 +23,66 @@ AddressMap::AddressMap(const DramConfig &cfg)
 {
     cfg.validate();
     burst_shift_ = log2OfPow2(cfg.bytesPerBurst());
-    channel_bits_ = log2OfPow2(cfg.channels);
     columns_per_row_ = cfg.row_bytes / cfg.bytesPerBurst();
-    column_bits_ = log2OfPow2(columns_per_row_);
-    bank_bits_ = log2OfPow2(cfg.banks_per_rank);
-    rank_bits_ = cfg.ranks_per_channel > 1
-                     ? log2OfPow2(cfg.ranks_per_channel)
-                     : 0;
     capacity_ = cfg.capacity_bytes;
     order_ = cfg.map_order;
-}
 
-std::array<AddressMap::Field, 4>
-AddressMap::fieldOrder() const
-{
-    // LSB-to-MSB order of the sub-row fields; the row always takes
-    // the remaining high bits.
+    // A power-of-two field of n values is the mask n - 1.
+    channel_.mask = cfg.channels - 1;
+    column_.mask = columns_per_row_ - 1;
+    bank_.mask = cfg.banks_per_rank - 1;
+    rank_.mask = cfg.ranks_per_channel - 1;
+
+    // Lay the sub-row fields out LSB-to-MSB above the burst offset;
+    // the row always takes the remaining high bits.
+    FieldPos *order[4] = {&channel_, &column_, &bank_, &rank_};
     switch (order_) {
       case AddrMapOrder::kRoRaBaCoCh:
-        return {Field::kChannel, Field::kColumn, Field::kBank,
-                Field::kRank};
+        break;
       case AddrMapOrder::kRoRaBaChCo:
-        return {Field::kColumn, Field::kChannel, Field::kBank,
-                Field::kRank};
+        std::swap(order[0], order[1]); // column, channel, bank, rank
+        break;
       case AddrMapOrder::kRoRaCoBaCh:
-        return {Field::kChannel, Field::kBank, Field::kColumn,
-                Field::kRank};
+        std::swap(order[1], order[2]); // channel, bank, column, rank
+        break;
     }
-    vs_panic("unreachable address-map order");
+    std::uint32_t shift = 0;
+    for (FieldPos *f : order) {
+        f->shift = shift;
+        shift += log2OfPow2(std::uint64_t{f->mask} + 1);
+    }
+    row_shift_ = shift;
 }
 
-std::uint32_t
-AddressMap::fieldBits(Field f) const
-{
-    switch (f) {
-      case Field::kChannel:
-        return channel_bits_;
-      case Field::kColumn:
-        return column_bits_;
-      case Field::kBank:
-        return bank_bits_;
-      case Field::kRank:
-        return rank_bits_;
-    }
-    return 0;
-}
-
+// vstream:hot
 DramCoord
 AddressMap::decompose(Addr addr) const
 {
-    Addr a = (addr % capacity_) >> burst_shift_;
+    // Simulated allocations sit below capacity_, so the 64-bit
+    // modulo is only paid by addresses that actually wrap.
+    const Addr a =
+        (addr < capacity_ ? addr : addr % capacity_) >> burst_shift_;
 
     DramCoord coord;
-    for (Field f : fieldOrder()) {
-        const std::uint32_t bits = fieldBits(f);
-        if (bits == 0) {
-            continue;
-        }
-        const auto value =
-            static_cast<std::uint32_t>(a & ((1u << bits) - 1));
-        a >>= bits;
-        switch (f) {
-          case Field::kChannel:
-            coord.channel = value;
-            break;
-          case Field::kColumn:
-            coord.column = value;
-            break;
-          case Field::kBank:
-            coord.bank = value;
-            break;
-          case Field::kRank:
-            coord.rank = value;
-            break;
-        }
-    }
-    coord.row = a;
+    coord.channel = static_cast<std::uint32_t>(a >> channel_.shift) &
+                    channel_.mask;
+    coord.column =
+        static_cast<std::uint32_t>(a >> column_.shift) & column_.mask;
+    coord.bank = static_cast<std::uint32_t>(a >> bank_.shift) & bank_.mask;
+    coord.rank = static_cast<std::uint32_t>(a >> rank_.shift) & rank_.mask;
+    coord.row = a >> row_shift_;
     return coord;
 }
 
 Addr
 AddressMap::compose(const DramCoord &coord) const
 {
-    Addr a = coord.row;
-    const auto order = fieldOrder();
-    // Re-insert the fields MSB-to-LSB (reverse of decompose).
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-        const std::uint32_t bits = fieldBits(*it);
-        if (bits == 0) {
-            continue;
-        }
-        std::uint32_t value = 0;
-        switch (*it) {
-          case Field::kChannel:
-            value = coord.channel;
-            break;
-          case Field::kColumn:
-            value = coord.column;
-            break;
-          case Field::kBank:
-            value = coord.bank;
-            break;
-          case Field::kRank:
-            value = coord.rank;
-            break;
-        }
-        a = (a << bits) | value;
-    }
+    const auto put = [](std::uint32_t value, FieldPos f) {
+        return static_cast<Addr>(value & f.mask) << f.shift;
+    };
+    const Addr a = (coord.row << row_shift_) | put(coord.rank, rank_) |
+                   put(coord.bank, bank_) | put(coord.column, column_) |
+                   put(coord.channel, channel_);
     return a << burst_shift_;
 }
 

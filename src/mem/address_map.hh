@@ -11,7 +11,6 @@
 #ifndef VSTREAM_MEM_ADDRESS_MAP_HH
 #define VSTREAM_MEM_ADDRESS_MAP_HH
 
-#include <array>
 #include <cstdint>
 
 #include "mem/dram_config.hh"
@@ -47,7 +46,8 @@ class AddressMap
     /** Decompose @p addr (wraps modulo capacity). */
     DramCoord decompose(Addr addr) const;
 
-    /** Recompose coordinates back to the canonical address. */
+    /** Recompose coordinates back to the canonical address (field
+     * bits beyond a field's width are dropped). */
     Addr compose(const DramCoord &coord) const;
 
     /** Columns (bursts) per row. */
@@ -56,26 +56,26 @@ class AddressMap
     AddrMapOrder order() const { return order_; }
 
   private:
-    enum class Field
+    /** Position of one sub-row field in the burst index. */
+    struct FieldPos
     {
-        kChannel,
-        kColumn,
-        kBank,
-        kRank,
+        std::uint32_t shift = 0;
+        /** Zero for an absent field (e.g. rank with one rank). */
+        std::uint32_t mask = 0;
     };
 
     static std::uint32_t log2OfPow2(std::uint64_t v);
-    std::array<Field, 4> fieldOrder() const;
-    std::uint32_t fieldBits(Field f) const;
 
     std::uint32_t burst_shift_;
-    std::uint32_t channel_bits_;
-    std::uint32_t column_bits_;
-    std::uint32_t bank_bits_;
-    std::uint32_t rank_bits_;
     std::uint64_t capacity_;
     std::uint32_t columns_per_row_;
     AddrMapOrder order_ = AddrMapOrder::kRoRaBaCoCh;
+    FieldPos channel_;
+    FieldPos column_;
+    FieldPos bank_;
+    FieldPos rank_;
+    /** The row takes every burst-index bit above the four fields. */
+    std::uint32_t row_shift_ = 0;
 };
 
 } // namespace vstream

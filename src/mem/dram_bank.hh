@@ -50,19 +50,54 @@ class DramBank
      *         the precharge energy; the precharge happened in the
      *         past, so it does not delay @p now).
      */
-    bool expireRow(Tick now, Tick timeout);
+    bool
+    expireRow(Tick now, Tick timeout)
+    {
+        if (!row_open_) {
+            return false;
+        }
+        if (now <= last_access_ || now - last_access_ <= timeout) {
+            return false;
+        }
+        // The controller closed the row at last_access_ + timeout; by
+        // `now` the precharge has long completed.
+        row_open_ = false;
+        return true;
+    }
 
     /** Latch @p row at @p when (after tRCD has been charged). */
-    void activate(std::uint64_t row, Tick when);
+    void
+    activate(std::uint64_t row, Tick when)
+    {
+        row_open_ = true;
+        open_row_ = row;
+        opened_at_ = when;
+        last_access_ = when;
+        ready_at_ = when;
+    }
 
     /** Close the row buffer; bank busy until @p ready. */
-    void precharge(Tick ready);
+    void
+    precharge(Tick ready)
+    {
+        row_open_ = false;
+        ready_at_ = ready;
+    }
 
     /** Record a column access completing at @p when. */
-    void touch(Tick when);
+    void
+    touch(Tick when)
+    {
+        if (when > last_access_) {
+            last_access_ = when;
+        }
+        if (when > ready_at_) {
+            ready_at_ = when;
+        }
+    }
 
     /** Reset to power-up state. */
-    void reset();
+    void reset() { *this = DramBank{}; }
 
   private:
     bool row_open_ = false;

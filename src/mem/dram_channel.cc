@@ -12,32 +12,6 @@ DramChannel::DramChannel(std::uint32_t ranks, std::uint32_t banks_per_rank)
     vs_assert(!banks_.empty(), "channel with zero banks");
 }
 
-DramBank &
-DramChannel::bank(std::uint32_t rank, std::uint32_t bank_idx)
-{
-    const std::size_t idx =
-        static_cast<std::size_t>(rank) * banks_per_rank_ + bank_idx;
-    vs_assert(idx < banks_.size(), "bank index out of range");
-    return banks_[idx];
-}
-
-const DramBank &
-DramChannel::bank(std::uint32_t rank, std::uint32_t bank_idx) const
-{
-    const std::size_t idx =
-        static_cast<std::size_t>(rank) * banks_per_rank_ + bank_idx;
-    vs_assert(idx < banks_.size(), "bank index out of range");
-    return banks_[idx];
-}
-
-Tick
-DramChannel::occupyBus(Tick earliest, Tick duration)
-{
-    const Tick start = std::max(earliest, bus_free_at_);
-    bus_free_at_ = start + duration;
-    return bus_free_at_;
-}
-
 void
 DramChannel::reset()
 {

@@ -6,10 +6,13 @@
 #ifndef VSTREAM_MEM_DRAM_CHANNEL_HH
 #define VSTREAM_MEM_DRAM_CHANNEL_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "mem/dram_bank.hh"
+#include "sim/logging.hh"
 #include "sim/ticks.hh"
 
 namespace vstream
@@ -22,8 +25,16 @@ class DramChannel
     DramChannel(std::uint32_t ranks, std::uint32_t banks_per_rank);
 
     /** Bank object for (rank, bank). */
-    DramBank &bank(std::uint32_t rank, std::uint32_t bank_idx);
-    const DramBank &bank(std::uint32_t rank, std::uint32_t bank_idx) const;
+    DramBank &
+    bank(std::uint32_t rank, std::uint32_t bank_idx)
+    {
+        return banks_[bankSlot(rank, bank_idx)];
+    }
+    const DramBank &
+    bank(std::uint32_t rank, std::uint32_t bank_idx) const
+    {
+        return banks_[bankSlot(rank, bank_idx)];
+    }
 
     /** Earliest tick the data bus is free. */
     Tick busFreeAt() const { return bus_free_at_; }
@@ -34,7 +45,13 @@ class DramChannel
      *
      * @return the tick the transfer completes.
      */
-    Tick occupyBus(Tick earliest, Tick duration);
+    Tick
+    occupyBus(Tick earliest, Tick duration)
+    {
+        const Tick start = std::max(earliest, bus_free_at_);
+        bus_free_at_ = start + duration;
+        return bus_free_at_;
+    }
 
     std::uint32_t bankCount() const
     {
@@ -45,6 +62,15 @@ class DramChannel
     void reset();
 
   private:
+    std::size_t
+    bankSlot(std::uint32_t rank, std::uint32_t bank_idx) const
+    {
+        const std::size_t idx =
+            static_cast<std::size_t>(rank) * banks_per_rank_ + bank_idx;
+        vs_assert(idx < banks_.size(), "bank index out of range");
+        return idx;
+    }
+
     std::uint32_t banks_per_rank_;
     std::vector<DramBank> banks_;
     Tick bus_free_at_ = 0;

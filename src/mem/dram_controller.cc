@@ -10,7 +10,8 @@ namespace vstream
 {
 
 DramController::DramController(const DramConfig &cfg)
-    : cfg_(cfg), map_(cfg_), energy_(cfg_)
+    : cfg_(cfg), map_(cfg_), energy_(cfg_),
+      burst_bytes_(cfg_.bytesPerBurst()), burst_time_(cfg_.burstTime())
 {
     cfg_.validate();
     channels_.reserve(cfg_.channels);
@@ -95,7 +96,7 @@ DramController::accessBurst(const DramCoord &coord, MemOp op, Requester r,
     // bus.  Writes use the same envelope (write latency differences
     // are second-order for this study).
     const Tick data_start = t + cfg_.t_cl;
-    const Tick finish = channel.occupyBus(data_start, cfg_.burstTime());
+    const Tick finish = channel.occupyBus(data_start, burst_time_);
     bank.touch(finish);
 
     // Closed-page: auto-precharge after the access; the next access
@@ -105,7 +106,7 @@ DramController::accessBurst(const DramCoord &coord, MemOp op, Requester r,
         bank.precharge(finish);
     }
 
-    energy_.recordBurst(r, op, cfg_.bytesPerBurst());
+    energy_.recordBurst(r, op, burst_bytes_);
     if (row_hit) {
         energy_.recordRowHit(r);
     }
@@ -220,16 +221,17 @@ DramController::access(const MemRequest &req, Tick now)
 {
     vs_assert(req.size > 0, "zero-size memory request");
 
-    const std::uint32_t burst_bytes = cfg_.bytesPerBurst();
-    const Addr first = req.addr / burst_bytes * burst_bytes;
-    const Addr last = (req.addr + req.size - 1) / burst_bytes * burst_bytes;
+    // bytesPerBurst() is a power of two (AddressMap checks it).
+    const Addr align = ~static_cast<Addr>(burst_bytes_ - 1);
+    const Addr first = req.addr & align;
+    const Addr last = (req.addr + req.size - 1) & align;
 
     const bool queue_writes =
         cfg_.write_queue_depth > 0 && req.op == MemOp::kWrite;
 
     MemResult result;
     Tick finish = now;
-    for (Addr a = first;; a += burst_bytes) {
+    for (Addr a = first;; a += burst_bytes_) {
         const DramCoord coord = map_.decompose(a);
         ++result.bursts;
 

@@ -115,6 +115,9 @@ class DramController
     DramConfig cfg_;
     AddressMap map_;
     DramEnergy energy_;
+    /** cfg_.bytesPerBurst() and cfg_.burstTime(), paid per burst. */
+    std::uint32_t burst_bytes_;
+    Tick burst_time_;
     std::vector<DramChannel> channels_;
     std::vector<std::vector<PendingWrite>> write_queues_;
     std::vector<Tick> next_refresh_;

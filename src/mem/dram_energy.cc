@@ -21,43 +21,6 @@ DramActivityCounts::operator+=(const DramActivityCounts &o)
 
 DramEnergy::DramEnergy(const DramConfig &cfg) : cfg_(cfg) {}
 
-std::size_t
-DramEnergy::index(Requester r)
-{
-    return static_cast<std::size_t>(r);
-}
-
-void
-DramEnergy::recordActivation(Requester r)
-{
-    ++per_requester_[index(r)].activations;
-}
-
-void
-DramEnergy::recordPrecharge(Requester r)
-{
-    ++per_requester_[index(r)].precharges;
-}
-
-void
-DramEnergy::recordBurst(Requester r, MemOp op, std::uint32_t bytes)
-{
-    auto &c = per_requester_[index(r)];
-    if (op == MemOp::kRead) {
-        ++c.read_bursts;
-        c.bytes_read += bytes;
-    } else {
-        ++c.write_bursts;
-        c.bytes_written += bytes;
-    }
-}
-
-void
-DramEnergy::recordRowHit(Requester r)
-{
-    ++per_requester_[index(r)].row_hits;
-}
-
 const DramActivityCounts &
 DramEnergy::counts(Requester r) const
 {

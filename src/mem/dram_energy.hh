@@ -43,13 +43,24 @@ class DramEnergy
     explicit DramEnergy(const DramConfig &cfg);
 
     /** Account one activation for @p r. */
-    void recordActivation(Requester r);
+    void recordActivation(Requester r) { ++at(r).activations; }
     /** Account one precharge for @p r. */
-    void recordPrecharge(Requester r);
+    void recordPrecharge(Requester r) { ++at(r).precharges; }
     /** Account one data burst for @p r. */
-    void recordBurst(Requester r, MemOp op, std::uint32_t bytes);
+    void
+    recordBurst(Requester r, MemOp op, std::uint32_t bytes)
+    {
+        DramActivityCounts &c = at(r);
+        if (op == MemOp::kRead) {
+            ++c.read_bursts;
+            c.bytes_read += bytes;
+        } else {
+            ++c.write_bursts;
+            c.bytes_written += bytes;
+        }
+    }
     /** Account one row-buffer hit for @p r. */
-    void recordRowHit(Requester r);
+    void recordRowHit(Requester r) { ++at(r).row_hits; }
 
     /** Counts for one requester. */
     const DramActivityCounts &counts(Requester r) const;
@@ -80,7 +91,11 @@ class DramEnergy
     void regStats(StatsRegistry &r, const std::string &prefix) const;
 
   private:
-    static std::size_t index(Requester r);
+    static std::size_t index(Requester r)
+    {
+        return static_cast<std::size_t>(r);
+    }
+    DramActivityCounts &at(Requester r) { return per_requester_[index(r)]; }
 
     // By value: a reference member dangles when built from a
     // temporary config (ASan stack-use-after-scope).

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "core/video_pipeline.hh"
 #include "mem/address_map.hh"
+#include "sim/random.hh"
 
 namespace vstream
 {
@@ -73,6 +75,87 @@ TEST_P(MapOrderSweep, DistinctAddressesDistinctCoords)
             seen.emplace(c.channel, c.rank, c.bank, c.row, c.column)
                 .second)
             << "aliased at " << a;
+    }
+}
+
+/**
+ * Field-by-field reference decomposition: wrap with a plain modulo,
+ * then peel each field off the burst index by dividing by its value
+ * count, LSB first, in the order the map's name spells MSB first.
+ */
+DramCoord
+referenceDecompose(const DramConfig &cfg, Addr addr)
+{
+    Addr a = (addr % cfg.capacity_bytes) / cfg.bytesPerBurst();
+    const auto take = [&a](std::uint64_t values) {
+        const auto v = static_cast<std::uint32_t>(a % values);
+        a /= values;
+        return v;
+    };
+    const std::uint64_t columns = cfg.row_bytes / cfg.bytesPerBurst();
+    DramCoord c;
+    switch (cfg.map_order) {
+      case AddrMapOrder::kRoRaBaCoCh:
+        c.channel = take(cfg.channels);
+        c.column = take(columns);
+        c.bank = take(cfg.banks_per_rank);
+        break;
+      case AddrMapOrder::kRoRaBaChCo:
+        c.column = take(columns);
+        c.channel = take(cfg.channels);
+        c.bank = take(cfg.banks_per_rank);
+        break;
+      case AddrMapOrder::kRoRaCoBaCh:
+        c.channel = take(cfg.channels);
+        c.bank = take(cfg.banks_per_rank);
+        c.column = take(columns);
+        break;
+    }
+    c.rank = take(cfg.ranks_per_channel);
+    c.row = a;
+    return c;
+}
+
+TEST_P(MapOrderSweep, DecomposeMatchesFieldByFieldReference)
+{
+    for (const std::uint32_t ranks : {1u, 2u}) {
+        // A power-of-two and a non-power-of-two capacity.
+        for (const std::uint64_t capacity : {64ULL << 20, 48ULL << 20}) {
+            DramConfig cfg = configFor(GetParam());
+            cfg.ranks_per_channel = ranks;
+            cfg.capacity_bytes = capacity;
+            const AddressMap map(cfg);
+
+            // Below capacity (no wrap), at and just past it, several
+            // capacities up, and at the top of the address space.
+            std::vector<Addr> addrs = {0,
+                                       31,
+                                       32,
+                                       capacity - 1,
+                                       capacity,
+                                       capacity + 32,
+                                       2 * capacity - 32,
+                                       7 * capacity + 4096 + 96,
+                                       ~Addr{0}};
+            Random rng(0xadd7ULL + ranks);
+            for (int i = 0; i < 4000; ++i) {
+                addrs.push_back(rng.uniformInt(0, capacity - 1));
+                addrs.push_back(rng.uniformInt(capacity, 16 * capacity));
+            }
+            for (const Addr a : addrs) {
+                const DramCoord got = map.decompose(a);
+                const DramCoord want = referenceDecompose(cfg, a);
+                ASSERT_EQ(got.channel, want.channel) << "addr " << a;
+                ASSERT_EQ(got.rank, want.rank) << "addr " << a;
+                ASSERT_EQ(got.bank, want.bank) << "addr " << a;
+                ASSERT_EQ(got.row, want.row) << "addr " << a;
+                ASSERT_EQ(got.column, want.column) << "addr " << a;
+                ASSERT_EQ(map.compose(got),
+                          a % capacity / cfg.bytesPerBurst() *
+                              cfg.bytesPerBurst())
+                    << "addr " << a;
+            }
+        }
     }
 }
 

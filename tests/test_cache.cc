@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
+#include <vector>
 
 #include "cache/set_assoc_cache.hh"
+#include "sim/random.hh"
 
 namespace vstream
 {
@@ -241,6 +244,287 @@ TEST_P(SizeSweep, MissRateMonotoneInSizeForLoopingPattern)
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SizeSweep,
                          ::testing::Values(16u, 32u, 64u, 128u));
+
+/**
+ * Naive reference for the documented cache policy: every lookup scans
+ * every way, and every hit refreshes the LRU stamp.  It shares no
+ * code with SetAssocCache; only the replacement RNG's seed
+ * (ReplacementState's default) is copied so Random victims line up.
+ */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(const CacheConfig &cfg)
+        : cfg_(cfg), sets_(cfg.numSets()), ways_(cfg.numLines()),
+          last_way_(sets_, 0), rng_(0x5eedULL)
+    {
+    }
+
+    CacheAccessSummary
+    access(Addr addr, std::uint32_t size, MemOp op)
+    {
+        CacheAccessSummary s;
+        const Addr first = addr / cfg_.line_bytes;
+        const Addr last = (addr + size - 1) / cfg_.line_bytes;
+        for (Addr ln = first; ln <= last; ++ln) {
+            ++s.lines;
+            if (accessLine(ln, op, s)) {
+                ++s.hits;
+                ++hits_;
+            } else {
+                ++s.misses;
+                ++misses_;
+            }
+        }
+        return s;
+    }
+
+    std::uint64_t
+    invalidateRange(Addr addr, std::uint64_t size)
+    {
+        if (size == 0) {
+            return 0;
+        }
+        const Addr first = addr / cfg_.line_bytes;
+        const Addr last = (addr + size - 1) / cfg_.line_bytes;
+        std::uint64_t n = 0;
+        for (Way &w : ways_) {
+            if (w.valid && w.line >= first && w.line <= last) {
+                w.valid = false;
+                w.dirty = false;
+                ++n;
+            }
+        }
+        return n;
+    }
+
+    void
+    invalidateAll()
+    {
+        for (Way &w : ways_) {
+            w.valid = false;
+            w.dirty = false;
+        }
+    }
+
+    std::vector<Addr>
+    flush()
+    {
+        std::vector<Addr> dirty;
+        for (Way &w : ways_) {
+            if (w.valid && w.dirty) {
+                dirty.push_back(w.line * cfg_.line_bytes);
+            }
+            w.valid = false;
+            w.dirty = false;
+        }
+        writebacks_ += dirty.size();
+        return dirty;
+    }
+
+    bool
+    contains(Addr addr) const
+    {
+        const Addr ln = addr / cfg_.line_bytes;
+        for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
+            const Way &way = ways_[index(ln % sets_, w)];
+            if (way.valid && way.line == ln) {
+                return true;
+            }
+        }
+        return false;
+    }
+
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+    std::uint64_t evictions_ = 0;
+    std::uint64_t writebacks_ = 0;
+    /** Hits on the way the set last hit or filled, and elsewhere. */
+    std::uint64_t repeat_way_hits_ = 0;
+    std::uint64_t other_way_hits_ = 0;
+
+  private:
+    struct Way
+    {
+        bool valid = false;
+        bool dirty = false;
+        Addr line = 0;
+        std::uint64_t stamp = 0;
+    };
+
+    std::size_t
+    index(Addr set, std::uint32_t way) const
+    {
+        return static_cast<std::size_t>(set) * cfg_.assoc + way;
+    }
+
+    bool
+    accessLine(Addr ln, MemOp op, CacheAccessSummary &s)
+    {
+        const Addr set = ln % sets_;
+        for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
+            Way &way = ways_[index(set, w)];
+            if (way.valid && way.line == ln) {
+                ++(last_way_[set] == w ? repeat_way_hits_
+                                       : other_way_hits_);
+                last_way_[set] = w;
+                if (cfg_.policy == ReplPolicy::kLru) {
+                    way.stamp = ++clock_;
+                }
+                if (op == MemOp::kWrite) {
+                    way.dirty = cfg_.write_back;
+                }
+                return true;
+            }
+        }
+        if (op == MemOp::kWrite && !cfg_.write_allocate) {
+            return false;
+        }
+        std::uint32_t victim = cfg_.assoc;
+        for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
+            if (!ways_[index(set, w)].valid) {
+                victim = w;
+                break;
+            }
+        }
+        if (victim == cfg_.assoc) {
+            if (cfg_.policy == ReplPolicy::kRandom) {
+                victim = static_cast<std::uint32_t>(
+                    rng_.uniformInt(0, cfg_.assoc - 1));
+            } else {
+                victim = 0;
+                for (std::uint32_t w = 1; w < cfg_.assoc; ++w) {
+                    if (ways_[index(set, w)].stamp <
+                        ways_[index(set, victim)].stamp) {
+                        victim = w;
+                    }
+                }
+            }
+            ++evictions_;
+            const Way &old = ways_[index(set, victim)];
+            if (old.dirty) {
+                ++writebacks_;
+                s.writebacks.push_back(old.line * cfg_.line_bytes);
+            }
+        }
+        last_way_[set] = victim;
+        Way &way = ways_[index(set, victim)];
+        way.valid = true;
+        way.line = ln;
+        way.dirty = op == MemOp::kWrite && cfg_.write_back;
+        if (cfg_.policy != ReplPolicy::kRandom) {
+            way.stamp = ++clock_;
+        }
+        s.fills.push_back(ln * cfg_.line_bytes);
+        return false;
+    }
+
+    CacheConfig cfg_;
+    std::uint32_t sets_;
+    std::vector<Way> ways_;
+    std::vector<std::uint32_t> last_way_;
+    std::uint64_t clock_ = 0;
+    Random rng_;
+};
+
+using DiffParam = std::tuple<ReplPolicy, std::uint32_t>;
+
+class CacheDifferential : public ::testing::TestWithParam<DiffParam>
+{
+};
+
+/**
+ * Differential replay: a seeded random trace of reads, writes,
+ * multi-line ranges and invalidations against ReferenceCache.  The
+ * trace revisits recent lines often (so hits land on the MRU way and
+ * on other ways) and strays far enough to force evictions.
+ */
+TEST_P(CacheDifferential, MatchesNaiveReferenceOnRandomTrace)
+{
+    const auto [policy, assoc] = GetParam();
+    // write-back + write-allocate, write-around, write-through.
+    for (int mode = 0; mode < 3; ++mode) {
+        CacheConfig cfg = tinyCache(2048, assoc, mode != 1);
+        cfg.policy = policy;
+        cfg.write_back = mode != 2;
+        SetAssocCache cache("c", cfg);
+        ReferenceCache ref(cfg);
+        CacheAccessSummary got;
+
+        Random rng(0xd1ffULL + mode * 131 + assoc);
+        const Addr space = 8 * cfg.size_bytes;
+        Addr cursor = 0;
+        for (int op = 0; op < 6000; ++op) {
+            const std::uint64_t kind = rng.uniformInt(0, 999);
+            if (kind < 10) {
+                // Up to twice the cache: exercises both the per-line
+                // and the whole-cache walk of invalidateRange.
+                const Addr at = rng.uniformInt(0, space - 1);
+                const std::uint64_t len =
+                    rng.uniformInt(0, 2 * cfg.size_bytes);
+                ASSERT_EQ(cache.invalidateRange(at, len),
+                          ref.invalidateRange(at, len))
+                    << "op " << op;
+                continue;
+            }
+            if (kind < 12) {
+                cache.invalidateAll();
+                ref.invalidateAll();
+                continue;
+            }
+            if (kind < 14) {
+                auto a = cache.flush();
+                auto b = ref.flush();
+                std::sort(a.begin(), a.end());
+                std::sort(b.begin(), b.end());
+                ASSERT_EQ(a, b) << "op " << op;
+                continue;
+            }
+            // Mostly near the last access, sometimes anywhere.
+            if (rng.uniformInt(0, 3) == 0) {
+                cursor = rng.uniformInt(0, space - 1);
+            } else {
+                cursor = (cursor + rng.uniformInt(0, 256)) % space;
+            }
+            const auto size =
+                static_cast<std::uint32_t>(rng.uniformInt(1, 300));
+            const MemOp mop =
+                rng.uniformInt(0, 3) == 0 ? MemOp::kWrite : MemOp::kRead;
+            cache.accessInto(cursor, size, mop, got);
+            const CacheAccessSummary want = ref.access(cursor, size, mop);
+            ASSERT_EQ(got.lines, want.lines) << "op " << op;
+            ASSERT_EQ(got.hits, want.hits) << "op " << op;
+            ASSERT_EQ(got.misses, want.misses) << "op " << op;
+            ASSERT_EQ(got.fills, want.fills) << "op " << op;
+            ASSERT_EQ(got.writebacks, want.writebacks) << "op " << op;
+        }
+
+        // The trace hit both the repeat way and the other ways (with
+        // one way there are no others), and evicted.
+        EXPECT_GT(ref.repeat_way_hits_, 1000u);
+        if (assoc > 1) {
+            EXPECT_GT(ref.other_way_hits_, 100u);
+        }
+        EXPECT_GT(ref.evictions_, 100u);
+        EXPECT_EQ(cache.hitCount(), ref.hits_);
+        EXPECT_EQ(cache.missCount(), ref.misses_);
+        EXPECT_EQ(cache.evictionCount(), ref.evictions_);
+        EXPECT_EQ(cache.writebackCount(), ref.writebacks_);
+        if (mode == 0) {
+            EXPECT_GT(ref.writebacks_, 0u);
+        }
+        for (Addr a = 0; a < space; a += cfg.line_bytes) {
+            ASSERT_EQ(cache.contains(a), ref.contains(a)) << "addr " << a;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesAndWays, CacheDifferential,
+    ::testing::Combine(::testing::Values(ReplPolicy::kLru,
+                                         ReplPolicy::kFifo,
+                                         ReplPolicy::kRandom),
+                       ::testing::Values(1u, 2u, 4u, 8u)));
 
 } // namespace
 } // namespace vstream

@@ -156,6 +156,47 @@ TEST(FrameBufferManager, RecycleClearsBlocks)
     EXPECT_FALSE(rig.fbm.loadBlock(slot.data_base));
 }
 
+TEST(FrameBufferManager, SlotMemoFollowsStoresAcrossSlots)
+{
+    // The block store remembers the last slot it matched; hopping
+    // between slots, recycling one, and probing just outside every
+    // data region must behave as a fresh scan would.
+    Rig rig;
+    BufferSlot &a = rig.fbm.acquire(0);
+    BufferSlot &b = rig.fbm.acquire(1);
+    ASSERT_NE(a.data_base, b.data_base);
+    const std::vector<std::uint8_t> a1(48, 0xa1), b1(48, 0xb1),
+        a2(48, 0xa2), a3(48, 0xa3);
+
+    rig.fbm.storeBlock(a.data_base, a1);
+    rig.fbm.storeBlock(b.data_base + 48, b1);
+    rig.fbm.storeBlock(a.data_base + 96, a2);
+    EXPECT_EQ(rig.fbm.loadBlock(a.data_base).toVector(), a1);
+    EXPECT_EQ(rig.fbm.loadBlock(b.data_base + 48).toVector(), b1);
+    EXPECT_EQ(rig.fbm.loadBlock(a.data_base + 96).toVector(), a2);
+
+    // Right after a hit in b: addresses in no slot's data region.
+    const Addr last_a = a.data_base + a.data_capacity - 48;
+    for (const Addr outside :
+         {b.data_base - 1, b.data_base + b.data_capacity,
+          a.data_base + a.data_capacity, a.meta_base, Addr{0xdeadbeef}}) {
+        ASSERT_TRUE(rig.fbm.loadBlock(b.data_base + 48));
+        EXPECT_FALSE(rig.fbm.loadBlock(outside)) << "addr " << outside;
+    }
+    EXPECT_FALSE(rig.fbm.loadBlock(last_a)); // in a, never stored
+
+    // Recycle a for another frame: its old blocks are gone, new ones
+    // land in the same region, and b is untouched.
+    rig.fbm.release(0);
+    BufferSlot &c = rig.fbm.acquire(2);
+    ASSERT_EQ(&c, &a);
+    EXPECT_FALSE(rig.fbm.loadBlock(a.data_base));
+    rig.fbm.storeBlock(c.data_base, a3);
+    EXPECT_EQ(rig.fbm.loadBlock(b.data_base + 48).toVector(), b1);
+    EXPECT_EQ(rig.fbm.loadBlock(c.data_base).toVector(), a3);
+    EXPECT_FALSE(rig.fbm.loadBlock(c.data_base + 96));
+}
+
 TEST(FrameBufferManagerDeath, StoreOutsideSlotsPanics)
 {
     Rig rig;
