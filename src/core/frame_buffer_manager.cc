@@ -1,5 +1,6 @@
 #include "core/frame_buffer_manager.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "sim/logging.hh"
@@ -11,7 +12,7 @@ FrameBufferManager::FrameBufferManager(MemorySystem &mem,
                                        std::uint32_t mab_count,
                                        std::uint32_t mab_bytes,
                                        std::uint64_t mach_dump_bytes)
-    : mem_(mem),
+    : mem_(mem), mab_count_(mab_count), mab_bytes_(mab_bytes),
       // Worst-case metadata: a 4 B pointer/digest stream and a 3 B
       // base stream (kept in disjoint halves with slack so the two
       // write-combining cursors never collide) plus the 1 bit/mab
@@ -21,6 +22,7 @@ FrameBufferManager::FrameBufferManager(MemorySystem &mem,
       data_capacity_(static_cast<std::uint64_t>(mab_count) * mab_bytes),
       mach_dump_capacity_(mach_dump_bytes)
 {
+    vs_assert(mab_bytes_ > 0, "zero-byte mabs");
 }
 
 BufferSlot &
@@ -33,6 +35,7 @@ FrameBufferManager::acquire(std::uint64_t frame_index)
     BufferSlot &slot = slots_.acquire([this] {
         BufferSlot fresh;
         fresh.arena.reserve(data_capacity_);
+        fresh.blocks.resize(mab_count_);
         fresh.meta_base = mem_.allocate(meta_capacity_, "fb.meta");
         fresh.data_base = mem_.allocate(data_capacity_, "fb.data");
         fresh.mach_dump_base =
@@ -47,7 +50,7 @@ FrameBufferManager::acquire(std::uint64_t frame_index)
     slot.in_use = true;
     slot.frame_index = frame_index;
     slot.arena.clear();
-    slot.block_index.clear();
+    slot.block_count = 0;
     return slot;
 }
 
@@ -132,23 +135,70 @@ FrameBufferManager::storeBlock(Addr addr,
     BufferSlot *slot = slotContaining(addr);
     vs_assert(slot != nullptr,
               "block store outside any frame buffer: addr=", addr);
-    const auto size = static_cast<std::uint32_t>(bytes.size());
-    std::uint64_t *packed = slot->block_index.find(addr);
-    if (packed != nullptr &&
-        static_cast<std::uint32_t>(*packed) == size) {
-        // Same-size overwrite: reuse the existing arena slab.
-        std::memcpy(slot->arena.data() + (*packed >> 32), bytes.data(),
-                    size);
+    const auto off = static_cast<std::uint32_t>(addr - slot->data_base);
+    const std::size_t n = slot->block_count;
+    if (n == slot->blocks.size() ||
+        (n > 0 && slot->blocks[n - 1].region_off >= off)) {
+        storeOutOfOrder(*slot, off, bytes);
         return;
     }
-    const std::uint64_t off = slot->arena.size();
+    slot->blocks[n] = {off, static_cast<std::uint32_t>(slot->arena.size()),
+                       static_cast<std::uint32_t>(bytes.size())};
+    slot->block_count = n + 1;
     slot->arena.insert(slot->arena.end(), bytes.begin(), bytes.end());
-    const std::uint64_t entry = (off << 32) | size;
-    if (packed != nullptr) {
-        *packed = entry; // old slab becomes frame-local garbage
-    } else {
-        slot->block_index[addr] = entry;
+}
+
+// vstream:allow(no-hotpath-alloc) reached only by out-of-order or
+// repeated stores, which the writebacks never make
+void
+FrameBufferManager::storeOutOfOrder(BufferSlot &slot, std::uint32_t off,
+                                    const std::vector<std::uint8_t> &bytes)
+{
+    const auto size = static_cast<std::uint32_t>(bytes.size());
+    const auto begin = slot.blocks.begin();
+    const auto end = begin + static_cast<std::ptrdiff_t>(slot.block_count);
+    const auto it = std::lower_bound(
+        begin, end, off,
+        [](const BlockEntry &e, std::uint32_t o) { return e.region_off < o; });
+    const bool stored = it != end && it->region_off == off;
+    if (stored && it->size == size) {
+        // Same-size overwrite: reuse the existing arena slab.
+        std::memcpy(slot.arena.data() + it->arena_off, bytes.data(), size);
+        return;
     }
+    const BlockEntry entry{off, static_cast<std::uint32_t>(slot.arena.size()),
+                           size};
+    slot.arena.insert(slot.arena.end(), bytes.begin(), bytes.end());
+    if (stored) {
+        *it = entry; // the old slab becomes frame-local garbage
+        return;
+    }
+    // A new block below the last one: insert it in order, dropping
+    // one unused tail entry if there is one.
+    const bool spare = slot.block_count < slot.blocks.size();
+    slot.blocks.insert(it, entry);
+    if (spare) {
+        slot.blocks.pop_back();
+    }
+    ++slot.block_count;
+}
+
+// vstream:hot
+const BlockEntry *
+FrameBufferManager::findBlock(const BufferSlot &slot, std::uint32_t off) const
+{
+    const BlockEntry *begin = slot.blocks.data();
+    const BlockEntry *end = begin + slot.block_count;
+    // Blocks of a whole mab each sit at entry off / mab size (every
+    // layout but the DCC-compacted one): try that before searching.
+    const std::size_t direct = off / mab_bytes_;
+    if (direct < slot.block_count && begin[direct].region_off == off) {
+        return begin + direct;
+    }
+    const BlockEntry *it = std::lower_bound(
+        begin, end, off,
+        [](const BlockEntry &e, std::uint32_t o) { return e.region_off < o; });
+    return it != end && it->region_off == off ? it : nullptr;
 }
 
 // vstream:hot
@@ -159,12 +209,12 @@ FrameBufferManager::loadBlock(Addr addr) const
     if (slot == nullptr) {
         return {};
     }
-    const std::uint64_t *packed = slot->block_index.find(addr);
-    if (packed == nullptr) {
+    const BlockEntry *e =
+        findBlock(*slot, static_cast<std::uint32_t>(addr - slot->data_base));
+    if (e == nullptr) {
         return {};
     }
-    return {slot->arena.data() + (*packed >> 32),
-            static_cast<std::uint32_t>(*packed)};
+    return {slot->arena.data() + e->arena_off, e->size};
 }
 
 std::uint32_t

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/flat_table.hh"
 #include "core/surface_pool.hh"
 #include "mem/memory_system.hh"
 
@@ -49,6 +48,16 @@ struct StoredBlock
     }
 };
 
+/** Where one stored block of a slot lives. */
+struct BlockEntry
+{
+    /** Block address minus the slot's data_base. */
+    std::uint32_t region_off = 0;
+    /** Offset of the block's bytes in the slot's arena. */
+    std::uint32_t arena_off = 0;
+    std::uint32_t size = 0;
+};
+
 /** One reusable frame-buffer slot. */
 struct BufferSlot
 {
@@ -61,14 +70,16 @@ struct BufferSlot
     bool in_use = false;
     std::uint64_t frame_index = 0;
     /**
-     * Simulated contents: blocks append into one frame-sized arena
-     * and block_index maps the block address to (offset << 32 | size)
-     * within it.  Replaces the old per-block
-     * unordered_map<Addr, vector<uint8_t>> whose every store paid a
-     * node plus a vector allocation.
+     * Simulated contents: blocks append into one frame-sized arena,
+     * and the first block_count entries of blocks index them in
+     * increasing region offset.  blocks is sized to the frame's mab
+     * count when the slot is created; the writebacks store each block
+     * once, in address order, so a store is an append that never
+     * grows it.
      */
     std::vector<std::uint8_t> arena;
-    FlatMap<Addr, std::uint64_t> block_index;
+    std::vector<BlockEntry> blocks;
+    std::size_t block_count = 0;
 };
 
 /** Pool of frame buffers plus the simulated block store. */
@@ -121,6 +132,14 @@ class FrameBufferManager
     const SurfacePoolStats &poolStats() const { return slots_.stats(); }
 
   private:
+    /** storeBlock() of a block below the slot's last, over a stored
+     * one, or past the index's initial size: the exact slow path. */
+    static void storeOutOfOrder(BufferSlot &slot, std::uint32_t off,
+                                const std::vector<std::uint8_t> &bytes);
+    /** Entry of @p slot at region offset @p off, or nullptr. */
+    const BlockEntry *findBlock(const BufferSlot &slot,
+                                std::uint32_t off) const;
+
     /** Index of the slot whose data region holds @p addr, or
      * slots_.allocated() when none does. */
     std::size_t slotIndexContaining(Addr addr) const;
@@ -128,6 +147,8 @@ class FrameBufferManager
     const BufferSlot *slotContaining(Addr addr) const;
 
     MemorySystem &mem_;
+    std::uint32_t mab_count_;
+    std::uint32_t mab_bytes_;
     std::uint64_t meta_capacity_;
     std::uint64_t data_capacity_;
     std::uint64_t mach_dump_capacity_;

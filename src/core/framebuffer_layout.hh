@@ -49,10 +49,12 @@ enum class MabStorage : std::uint8_t
     kInterDigest,
 };
 
-/** Per-mab record the display walks during scan-out. */
+/**
+ * Per-mab record the display walks during scan-out.  Fields are in
+ * falling alignment so the record packs into 16 bytes.
+ */
 struct MabRecord
 {
-    MabStorage storage = MabStorage::kUnique;
     /** Address of the block bytes (not meaningful for kInterDigest
      * unless the MACH buffer misses and the dump is consulted). */
     Addr data_addr = 0;
@@ -60,7 +62,9 @@ struct MabRecord
     std::uint32_t digest = 0;
     /** gab base to re-add during reconstruction. */
     Pixel base;
+    MabStorage storage = MabStorage::kUnique;
 };
+static_assert(sizeof(MabRecord) == 16, "MabRecord should pack to 16 B");
 
 /** The complete description of one decoded frame in memory. */
 class FrameLayout

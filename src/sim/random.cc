@@ -16,17 +16,6 @@ splitMix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-namespace
-{
-
-inline std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 Random::Random(std::uint64_t seed_value)
 {
     seed(seed_value);
@@ -41,29 +30,6 @@ Random::seed(std::uint64_t seed_value)
     }
     have_spare_ = false;
     spare_ = 0.0;
-}
-
-std::uint64_t
-Random::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-double
-Random::uniform()
-{
-    // 53 bits of mantissa, standard conversion.
-    return (next() >> 11) * 0x1.0p-53;
 }
 
 double
@@ -86,18 +52,6 @@ Random::uniformInt(std::uint64_t lo, std::uint64_t hi)
         v = next();
     } while (v >= limit);
     return lo + v % span;
-}
-
-bool
-Random::chance(double p)
-{
-    if (p <= 0.0) {
-        return false;
-    }
-    if (p >= 1.0) {
-        return true;
-    }
-    return uniform() < p;
 }
 
 double

@@ -37,10 +37,29 @@ class Random
     void seed(std::uint64_t seed);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 bits of mantissa, standard conversion.
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
@@ -53,7 +72,17 @@ class Random
     std::uint64_t uniformInt(std::uint64_t lo, std::uint64_t hi);
 
     /** Bernoulli trial: true with probability @p p. */
-    bool chance(double p);
+    bool
+    chance(double p)
+    {
+        if (p <= 0.0) {
+            return false;
+        }
+        if (p >= 1.0) {
+            return true;
+        }
+        return uniform() < p;
+    }
 
     /** Standard normal deviate (Marsaglia polar method). */
     double gaussian();
@@ -67,10 +96,20 @@ class Random
      */
     double logNormal(double mu, double sigma);
 
-    /** Geometric-ish burst length in [1, cap]. */
+    /**
+     * Geometric-ish burst length in [1, cap].  Out of line on
+     * purpose: inlining its loop into the content generator made
+     * generation slower on gcc -O2.
+     */
     std::uint64_t burstLength(double continue_prob, std::uint64_t cap);
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::array<std::uint64_t, 4> s_;
     bool have_spare_ = false;
     double spare_ = 0.0;

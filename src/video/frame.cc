@@ -1,6 +1,7 @@
 #include "video/frame.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "hash/crc.hh"
 #include "sim/logging.hh"
@@ -42,6 +43,19 @@ Frame::reinit(std::uint64_t index, FrameType type, std::uint32_t mabs_x,
     }
     complexity_ = 1.0;
     encoded_bytes_ = 0;
+}
+
+// vstream:hot
+void
+Frame::assignFlat(const std::uint8_t *pixels, const MabOrigin *origins)
+{
+    const std::size_t size =
+        static_cast<std::size_t>(mab_dim_) * mab_dim_ * kBytesPerPixel;
+    for (Macroblock &m : mabs_) {
+        std::memcpy(m.bytes().data(), pixels, size);
+        pixels += size;
+    }
+    std::copy(origins, origins + origins_.size(), origins_.begin());
 }
 
 std::uint64_t

@@ -45,6 +45,13 @@ class Frame
     void reinit(std::uint64_t index, FrameType type, std::uint32_t mabs_x,
                 std::uint32_t mabs_y, std::uint32_t mab_dim);
 
+    /**
+     * Overwrite every mab's bytes and origin from flat planes: mab i
+     * is the mab-size bytes at @p pixels + i * mab size, its origin
+     * @p origins[i].  The geometry must already be set (reinit()).
+     */
+    void assignFlat(const std::uint8_t *pixels, const MabOrigin *origins);
+
     std::uint64_t index() const { return index_; }
     FrameType type() const { return type_; }
     std::uint32_t mabsX() const { return mabs_x_; }

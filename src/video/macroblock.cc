@@ -115,21 +115,9 @@ Macroblock
 Macroblock::fromGradient(const Macroblock &gab, const Pixel &p)
 {
     Macroblock mab(gab.dim_);
-    fromGradientInto(gab, p, mab);
+    gradientAdd(mab.bytes_.data(), gab.bytes_.data(), gab.bytes_.size(),
+                p);
     return mab;
-}
-
-// vstream:hot
-// vstream:allow(no-hotpath-alloc) sizes caller scratch once; the
-// resize is a no-op on every later frame (callers keep the scratch)
-void
-Macroblock::fromGradientInto(const Macroblock &gab, const Pixel &p,
-                             Macroblock &out)
-{
-    out.dim_ = gab.dim_;
-    out.bytes_.resize(gab.bytes_.size());
-    gradientAdd(out.bytes_.data(), gab.bytes_.data(),
-                gab.bytes_.size(), p);
 }
 
 Macroblock
@@ -139,19 +127,6 @@ Macroblock::shifted(std::uint8_t dr, std::uint8_t dg, std::uint8_t db) const
     gradientAdd(out.bytes_.data(), bytes_.data(), bytes_.size(),
                 Pixel{dr, dg, db});
     return out;
-}
-
-// vstream:hot
-// vstream:allow(no-hotpath-alloc) sizes caller scratch once; the
-// resize is a no-op on every later frame (callers keep the scratch)
-void
-Macroblock::shiftedInto(std::uint8_t dr, std::uint8_t dg, std::uint8_t db,
-                        Macroblock &out) const
-{
-    out.dim_ = dim_;
-    out.bytes_.resize(bytes_.size());
-    gradientAdd(out.bytes_.data(), bytes_.data(), bytes_.size(),
-                Pixel{dr, dg, db});
 }
 
 bool

@@ -86,24 +86,10 @@ class Macroblock
     /** Reconstruct a mab from its gradient block and base pixel. */
     static Macroblock fromGradient(const Macroblock &gab, const Pixel &p);
 
-    /**
-     * In-place reconstruction into @p out, reusing its storage — the
-     * scan-out workhorse of FrameReconstructor in GAB mode.
-     */
-    static void fromGradientInto(const Macroblock &gab, const Pixel &p,
-                                 Macroblock &out);
-
     /** Add a constant offset to every pixel (wrap-around); the result
      * has the same gradient block but a different base. */
     Macroblock shifted(std::uint8_t dr, std::uint8_t dg,
                        std::uint8_t db) const;
-
-    /**
-     * In-place variant of shifted(): write into @p out, reusing its
-     * storage.  @p out may alias this block (exact overlap only).
-     */
-    void shiftedInto(std::uint8_t dr, std::uint8_t dg, std::uint8_t db,
-                     Macroblock &out) const;
 
     bool operator==(const Macroblock &o) const;
     bool operator!=(const Macroblock &o) const { return !(*this == o); }

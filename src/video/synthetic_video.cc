@@ -2,15 +2,348 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <future>
+#include <mutex>
+#include <vector>
 
 #include "sim/logging.hh"
+#include "sim/random.hh"
 #include "video/gop.hh"
+#include "video/pixel_kernels.hh"
 
 namespace vstream
 {
 
+/**
+ * Frames as flat planes: frame f lives in plane f % count, its mabs
+ * back to back in pixels and one origin per mab in origins.
+ */
+struct SyntheticVideo::Planes
+{
+    /** What a Frame carries besides its pixels and origins. */
+    struct Meta
+    {
+        FrameType type = FrameType::kI;
+        double complexity = 1.0;
+        std::uint64_t encoded_bytes = 0;
+    };
+
+    Planes(const VideoProfile &p, std::uint64_t plane_count)
+        : mab_count(p.mabsPerFrame()),
+          mab_bytes(p.mab_dim * p.mab_dim * kBytesPerPixel),
+          count(plane_count),
+          pixels(plane_count * mab_count * mab_bytes),
+          origins(plane_count * mab_count), meta(plane_count)
+    {
+    }
+
+    std::uint8_t *
+    pixelsOf(std::uint64_t frame)
+    {
+        return pixels.data() +
+               (frame % count) * mab_count * mab_bytes;
+    }
+    const std::uint8_t *
+    pixelsOf(std::uint64_t frame) const
+    {
+        return pixels.data() +
+               (frame % count) * mab_count * mab_bytes;
+    }
+    MabOrigin *
+    originsOf(std::uint64_t frame)
+    {
+        return origins.data() + (frame % count) * mab_count;
+    }
+    const MabOrigin *
+    originsOf(std::uint64_t frame) const
+    {
+        return origins.data() + (frame % count) * mab_count;
+    }
+
+    std::uint64_t mab_count;
+    std::uint64_t mab_bytes;
+    std::uint64_t count;
+    std::vector<std::uint8_t> pixels;
+    std::vector<MabOrigin> origins;
+    std::vector<Meta> meta;
+};
+
+/**
+ * The content model: draws frame after frame into planes that hold
+ * at least the inter_window frames before the one being drawn.
+ */
+class SyntheticVideo::Generator
+{
+  public:
+    /** @p profile carries the mab_dim-rescaled rates. */
+    explicit Generator(const VideoProfile &profile);
+
+    /** Restart from frame 0 (same content). */
+    void reset();
+
+    /** Draw the next frame into its plane of @p planes. */
+    void generate(Planes &planes);
+
+  private:
+    Pixel paletteColor();
+    /** Index of an earlier mab of the current frame to copy from
+     * (locality-biased). */
+    std::uint32_t intraSource(std::uint32_t i);
+    /** A mab of a recent window frame, near position @p i. */
+    const std::uint8_t *windowMabNear(const Planes &planes,
+                                      std::uint64_t idx, std::uint32_t i);
+
+    VideoProfile p_;
+    GopStructure gop_;
+    Random rng_;
+    std::uint64_t next_ = 0;
+    /** The frames just before next_ that inter copies may read
+     * (cleared by scene cuts, capped at inter_window). */
+    std::uint64_t win_size_ = 0;
+    /** Ramp patterns (gradient blocks with zero base), back to back. */
+    std::vector<std::uint8_t> ramps_;
+};
+
+SyntheticVideo::Generator::Generator(const VideoProfile &profile)
+    : p_(profile), gop_(profile.gop_pattern), rng_(profile.seed)
+{
+    // Pre-build the ramp palette: gradient patterns shared by smooth
+    // blocks.  Bases vary per block, so these collide only under gab.
+    const std::uint32_t dim = p_.mab_dim;
+    Random ramp_rng(p_.seed ^ 0x52414d50ULL);
+    ramps_.reserve(static_cast<std::size_t>(p_.ramp_palette) * dim * dim *
+                   kBytesPerPixel);
+    for (std::uint32_t r = 0; r < p_.ramp_palette; ++r) {
+        const auto dx = static_cast<std::uint8_t>(ramp_rng.uniformInt(0, 6));
+        const auto dy = static_cast<std::uint8_t>(ramp_rng.uniformInt(0, 6));
+        for (std::uint32_t y = 0; y < dim; ++y) {
+            for (std::uint32_t x = 0; x < dim; ++x) {
+                const auto v = static_cast<std::uint8_t>(x * dx + y * dy);
+                ramps_.insert(ramps_.end(), kBytesPerPixel, v);
+            }
+        }
+    }
+}
+
+void
+SyntheticVideo::Generator::reset()
+{
+    rng_.seed(p_.seed);
+    next_ = 0;
+    win_size_ = 0;
+}
+
+Pixel
+SyntheticVideo::Generator::paletteColor()
+{
+    // Quantized palette so the same colour recurs across the video.
+    // Heavily skewed toward colour 0 (black): letterbox bars, dark
+    // scenes and test-card fields dominate real pure-colour content,
+    // which is what concentrates matches on a single digest
+    // (paper Fig. 9b).
+    const std::uint64_t idx =
+        rng_.chance(0.25) ? 0 : rng_.uniformInt(0, p_.color_palette - 1);
+    std::uint64_t h = idx * 0x9e3779b97f4a7c15ULL + p_.seed;
+    h = splitMix64(h);
+    return Pixel{static_cast<std::uint8_t>(h),
+                 static_cast<std::uint8_t>(h >> 8),
+                 static_cast<std::uint8_t>(h >> 16)};
+}
+
+std::uint32_t
+SyntheticVideo::Generator::intraSource(std::uint32_t i)
+{
+    vs_assert(i > 0, "no earlier mab to copy");
+    if (rng_.chance(p_.intra_locality)) {
+        // Spatially near: a short geometric hop backwards.
+        const std::uint64_t reach =
+            std::min<std::uint64_t>(p_.locality_reach, i);
+        const std::uint64_t d = rng_.burstLength(0.97, reach);
+        return i - static_cast<std::uint32_t>(d);
+    }
+    return static_cast<std::uint32_t>(rng_.uniformInt(0, i - 1));
+}
+
+const std::uint8_t *
+SyntheticVideo::Generator::windowMabNear(const Planes &planes,
+                                         std::uint64_t idx, std::uint32_t i)
+{
+    vs_assert(win_size_ > 0, "no window frame to copy from");
+    // Bias toward recent frames: the paper finds matches beyond 16
+    // frames are <1%, and most inter matches are near.
+    const std::uint64_t back = std::min<std::uint64_t>(
+        rng_.burstLength(0.6, win_size_) - 1, win_size_ - 1);
+    const std::uint64_t frame = idx - 1 - back;
+
+    // Mostly the co-located block (still content / slow pans), with
+    // a small motion offset; occasionally anywhere in the frame.
+    const std::uint64_t count = planes.mab_count;
+    std::uint64_t mab_idx;
+    if (rng_.chance(p_.intra_locality)) {
+        const std::int64_t off =
+            static_cast<std::int64_t>(rng_.uniformInt(0, 64)) - 32;
+        mab_idx = static_cast<std::uint64_t>(std::clamp<std::int64_t>(
+            static_cast<std::int64_t>(i) + off, 0,
+            static_cast<std::int64_t>(count) - 1));
+    } else {
+        mab_idx = rng_.uniformInt(0, count - 1);
+    }
+    return planes.pixelsOf(frame) + mab_idx * planes.mab_bytes;
+}
+
+// vstream:hot
+void
+SyntheticVideo::Generator::generate(Planes &planes)
+{
+    const std::uint64_t idx = next_++;
+    vs_assert(planes.count > std::min<std::uint64_t>(idx, p_.inter_window),
+              "planes cannot hold the copy window");
+    const std::uint64_t count = planes.mab_count;
+    const std::uint64_t size = planes.mab_bytes;
+    std::uint8_t *frame = planes.pixelsOf(idx);
+    MabOrigin *origins = planes.originsOf(idx);
+    Planes::Meta &meta = planes.meta[idx % planes.count];
+    meta.type = gop_.frameType(idx);
+
+    // Scene cut: clear the copy window so following frames start
+    // fresh (drives the I-frame-heavy trailer workloads).
+    if (idx > 0 && rng_.chance(p_.scene_change_rate)) {
+        win_size_ = 0;
+    }
+
+    // Static frame: a verbatim repeat of the previous frame (the
+    // content class that checksum-based display schemes eliminate).
+    if (idx > 0 && win_size_ > 0 && rng_.chance(p_.static_frame_rate)) {
+        std::memcpy(frame, planes.pixelsOf(idx - 1), count * size);
+        std::fill(origins, origins + count, MabOrigin::kInterCopy);
+        meta.complexity = 0.6; // repeats decode cheaply
+        meta.encoded_bytes = static_cast<std::uint64_t>(
+            p_.mabsPerFrame() * p_.encoded_bytes_per_mab * 0.2);
+        win_size_ = std::min<std::uint64_t>(win_size_ + 1, p_.inter_window);
+        return;
+    }
+
+    // Per-frame decode complexity: lognormal with unit mean, capped.
+    // (I frames' larger decode effort is modelled by the cost model's
+    // per-type weights, not here.)
+    const double mu = -0.5 * p_.complexity_sigma * p_.complexity_sigma;
+    const double complexity = std::min(
+        rng_.logNormal(mu, p_.complexity_sigma), p_.complexity_cap);
+    meta.complexity = complexity;
+    const double i_size_factor = meta.type == FrameType::kI ? 3.0 : 1.0;
+    meta.encoded_bytes = static_cast<std::uint64_t>(
+        p_.mabsPerFrame() * p_.encoded_bytes_per_mab * i_size_factor *
+        complexity);
+
+    const double p_intra = p_.intra_match_rate;
+    const double p_inter = p_intra + p_.inter_match_rate;
+    const double p_grad = p_inter + p_.gradient_shift_rate;
+
+    for (std::uint32_t i = 0; i < count; ++i) {
+        const double r = rng_.uniform();
+        std::uint8_t *mab = frame + i * size;
+
+        if (r < p_intra && i > 0) {
+            std::memcpy(mab, frame + intraSource(i) * size, size);
+            origins[i] = MabOrigin::kIntraCopy;
+        } else if (r < p_inter && win_size_ > 0) {
+            std::memcpy(mab, windowMabNear(planes, idx, i), size);
+            origins[i] = MabOrigin::kInterCopy;
+        } else if (r < p_grad && i > 0) {
+            // Same gradient, different base: pick an earlier mab of
+            // this frame and shift all pixels by a non-zero constant.
+            const std::uint8_t *src = frame + intraSource(i) * size;
+            const auto dr = static_cast<std::uint8_t>(rng_.uniformInt(1, 255));
+            const auto dg = static_cast<std::uint8_t>(rng_.uniformInt(0, 255));
+            const auto db = static_cast<std::uint8_t>(rng_.uniformInt(0, 255));
+            gradientAdd(mab, src, size, Pixel{dr, dg, db});
+            origins[i] = MabOrigin::kGradientShift;
+        } else if (rng_.chance(p_.pure_color_rate)) {
+            const Pixel c = paletteColor();
+            for (std::uint64_t b = 0; b < size; b += kBytesPerPixel) {
+                mab[b] = c.r;
+                mab[b + 1] = c.g;
+                mab[b + 2] = c.b;
+            }
+            origins[i] = MabOrigin::kPureColor;
+        } else if (rng_.chance(p_.smooth_rate)) {
+            const std::uint64_t ramp =
+                rng_.uniformInt(0, std::uint64_t{p_.ramp_palette} - 1);
+            gradientAdd(mab, ramps_.data() + ramp * size, size,
+                        paletteColor());
+            origins[i] = MabOrigin::kGradientShift;
+        } else {
+            // Draw through a local copy: stores to mab may alias the
+            // member state, which would pin it in memory.
+            Random rng = rng_;
+            for (std::uint64_t b = 0; b < size; ++b) {
+                mab[b] = static_cast<std::uint8_t>(rng.next());
+            }
+            rng_ = rng;
+            origins[i] = MabOrigin::kUnique;
+        }
+    }
+
+    win_size_ = std::min<std::uint64_t>(win_size_ + 1, p_.inter_window);
+}
+
+/** The process-wide content cache: the last video generated in full
+ * (or being generated), keyed on the profile its caller passed in. */
+struct SyntheticVideo::Cache
+{
+    using Entry = std::shared_future<std::shared_ptr<const Planes>>;
+
+    std::mutex mutex;
+    VideoProfile cached_profile; // vstream:guarded_by(mutex)
+    Entry cached_planes; // vstream:guarded_by(mutex)
+};
+
+std::shared_ptr<const SyntheticVideo::Planes>
+SyntheticVideo::sharedPlanes(const VideoProfile &key,
+                             const VideoProfile &scaled)
+{
+    static Cache cache;
+    Cache::Entry cached;
+    std::promise<std::shared_ptr<const Planes>> build;
+    {
+        const std::lock_guard<std::mutex> lock(cache.mutex);
+        if (cache.cached_planes.valid() && cache.cached_profile == key) {
+            cached = cache.cached_planes;
+        } else {
+            // Claim the entry before generating, dropping the old
+            // video: a sweep that moves on holds one video, not two,
+            // and parallel units of the new one wait for this build
+            // instead of repeating it.
+            cache.cached_profile = key;
+            cache.cached_planes = build.get_future().share();
+        }
+    }
+    if (cached.valid()) {
+        return cached.get();
+    }
+    // Generate outside the lock, so threads building different videos
+    // do not wait on each other.
+    auto planes = std::make_shared<Planes>(scaled, scaled.frame_count);
+    Generator gen(scaled);
+    for (std::uint32_t f = 0; f < scaled.frame_count; ++f) {
+        gen.generate(*planes);
+    }
+    build.set_value(planes);
+    return planes;
+}
+
+std::uint64_t
+SyntheticVideo::frameBytes(const VideoProfile &profile)
+{
+    const std::uint64_t mab_bytes =
+        static_cast<std::uint64_t>(profile.mab_dim) * profile.mab_dim *
+        kBytesPerPixel;
+    return profile.mabsPerFrame() * (mab_bytes + sizeof(MabOrigin));
+}
+
 SyntheticVideo::SyntheticVideo(const VideoProfile &profile)
-    : profile_(profile), rng_(profile.seed)
+    : profile_(profile)
 {
     profile_.validate();
 
@@ -45,134 +378,27 @@ SyntheticVideo::SyntheticVideo(const VideoProfile &profile)
         }
     }
 
-    // Pre-build the ramp palette: gradient patterns shared by smooth
-    // blocks.  Bases vary per block, so these collide only under gab.
-    Random ramp_rng(profile_.seed ^ 0x52414d50ULL);
-    for (std::uint32_t r = 0; r < profile_.ramp_palette; ++r) {
-        Macroblock gab(profile_.mab_dim);
-        const auto dx = static_cast<std::uint8_t>(ramp_rng.uniformInt(0, 6));
-        const auto dy = static_cast<std::uint8_t>(ramp_rng.uniformInt(0, 6));
-        for (std::uint32_t y = 0; y < profile_.mab_dim; ++y) {
-            for (std::uint32_t x = 0; x < profile_.mab_dim; ++x) {
-                const auto v =
-                    static_cast<std::uint8_t>(x * dx + y * dy);
-                gab.setPixel(y * profile_.mab_dim + x, Pixel{v, v, v});
-            }
-        }
-        ramps_.push_back(gab);
+    if (profile_.frame_count * frameBytes(profile_) <= kSharedBudgetBytes) {
+        content_ = sharedPlanes(profile, profile_);
+    } else {
+        gen_ = std::make_unique<Generator>(profile_);
+        ring_ = std::make_unique<Planes>(profile_,
+                                         profile_.inter_window + 1ULL);
     }
 }
+
+SyntheticVideo::~SyntheticVideo() = default;
+SyntheticVideo::SyntheticVideo(SyntheticVideo &&) noexcept = default;
+SyntheticVideo &
+SyntheticVideo::operator=(SyntheticVideo &&) noexcept = default;
 
 void
 SyntheticVideo::reset()
 {
-    rng_.seed(profile_.seed);
     next_index_ = 0;
-    win_next_ = 0;
-    win_size_ = 0;
-}
-
-const Frame &
-SyntheticVideo::windowAt(std::size_t i) const
-{
-    vs_assert(i < win_size_, "window index out of range");
-    const std::size_t cap = profile_.inter_window;
-    return window_ring_[(win_next_ + cap - win_size_ + i) % cap];
-}
-
-// vstream:hot
-// vstream:allow(no-hotpath-alloc) warmup-only growth: the ring fills
-// to inter_window slots once, then recycles them by copy-assignment
-void
-SyntheticVideo::pushWindow(const Frame &frame)
-{
-    const std::size_t cap = profile_.inter_window;
-    if (window_ring_.size() < cap && win_next_ == window_ring_.size()) {
-        window_ring_.push_back(frame);
-        win_next_ = window_ring_.size() % cap;
-    } else {
-        window_ring_[win_next_] = frame;
-        win_next_ = (win_next_ + 1) % cap;
+    if (gen_ != nullptr) {
+        gen_->reset();
     }
-    win_size_ = std::min(win_size_ + 1, cap);
-}
-
-Pixel
-SyntheticVideo::paletteColor()
-{
-    // Quantized palette so the same colour recurs across the video.
-    // Heavily skewed toward colour 0 (black): letterbox bars, dark
-    // scenes and test-card fields dominate real pure-colour content,
-    // which is what concentrates matches on a single digest
-    // (paper Fig. 9b).
-    const std::uint64_t idx =
-        rng_.chance(0.25)
-            ? 0
-            : rng_.uniformInt(0, profile_.color_palette - 1);
-    std::uint64_t h = idx * 0x9e3779b97f4a7c15ULL + profile_.seed;
-    h = splitMix64(h);
-    return Pixel{static_cast<std::uint8_t>(h),
-                 static_cast<std::uint8_t>(h >> 8),
-                 static_cast<std::uint8_t>(h >> 16)};
-}
-
-// vstream:hot
-void
-SyntheticVideo::uniqueMabInto(Macroblock &mab)
-{
-    for (auto &byte : mab.bytes()) {
-        byte = static_cast<std::uint8_t>(rng_.next());
-    }
-}
-
-// vstream:hot
-void
-SyntheticVideo::smoothMabInto(Macroblock &mab)
-{
-    const auto ramp_idx = rng_.uniformInt(0, ramps_.size() - 1);
-    Macroblock::fromGradientInto(ramps_[ramp_idx], paletteColor(), mab);
-}
-
-std::uint32_t
-SyntheticVideo::intraSource(std::uint32_t i)
-{
-    vs_assert(i > 0, "no earlier mab to copy");
-    if (rng_.chance(profile_.intra_locality)) {
-        // Spatially near: a short geometric hop backwards.
-        const std::uint64_t reach =
-            std::min<std::uint64_t>(profile_.locality_reach, i);
-        const std::uint64_t d = rng_.burstLength(0.97, reach);
-        return i - static_cast<std::uint32_t>(d);
-    }
-    return static_cast<std::uint32_t>(rng_.uniformInt(0, i - 1));
-}
-
-const Macroblock &
-SyntheticVideo::windowMabNear(std::uint32_t i)
-{
-    vs_assert(win_size_ > 0, "no window frame to copy from");
-    // Bias toward recent frames: the paper finds matches beyond 16
-    // frames are <1%, and most inter matches are near.
-    const std::size_t which =
-        win_size_ - 1 -
-        std::min<std::size_t>(static_cast<std::size_t>(
-                                  rng_.burstLength(0.6, win_size_) - 1),
-                              win_size_ - 1);
-    const Frame &f = windowAt(which);
-
-    // Mostly the co-located block (still content / slow pans), with
-    // a small motion offset; occasionally anywhere in the frame.
-    std::uint64_t mab_idx;
-    if (rng_.chance(profile_.intra_locality)) {
-        const std::int64_t off =
-            static_cast<std::int64_t>(rng_.uniformInt(0, 64)) - 32;
-        std::int64_t idx = static_cast<std::int64_t>(i) + off;
-        idx = std::clamp<std::int64_t>(idx, 0, f.mabCount() - 1);
-        mab_idx = static_cast<std::uint64_t>(idx);
-    } else {
-        mab_idx = rng_.uniformInt(0, f.mabCount() - 1);
-    }
-    return f.mab(static_cast<std::uint32_t>(mab_idx));
 }
 
 Frame
@@ -188,94 +414,18 @@ void
 SyntheticVideo::nextFrameInto(Frame &out)
 {
     vs_assert(!done(), "video '", profile_.key, "' exhausted");
-
-    const GopStructure gop(profile_.gop_pattern);
     const std::uint64_t idx = next_index_++;
-
-    // Scene cut: clear the copy window so following frames start
-    // fresh (drives the I-frame-heavy trailer workloads).
-    if (idx > 0 && rng_.chance(profile_.scene_change_rate)) {
-        win_size_ = 0;
+    const Planes *planes = content_.get();
+    if (planes == nullptr) {
+        gen_->generate(*ring_);
+        planes = ring_.get();
     }
-
-    // Static frame: a verbatim repeat of the previous frame (the
-    // content class that checksum-based display schemes eliminate).
-    if (idx > 0 && win_size_ > 0 &&
-        rng_.chance(profile_.static_frame_rate)) {
-        const Frame &prev = windowAt(win_size_ - 1);
-        // Re-stamp the per-frame metadata for this position.
-        out.reinit(idx, gop.frameType(idx), profile_.mabsX(),
-                   profile_.mabsY(), profile_.mab_dim);
-        for (std::uint32_t i = 0; i < out.mabCount(); ++i) {
-            out.mab(i) = prev.mab(i);
-            out.setOrigin(i, MabOrigin::kInterCopy);
-        }
-        out.setComplexity(0.6); // repeats decode cheaply
-        out.setEncodedBytes(static_cast<std::uint64_t>(
-            profile_.mabsPerFrame() * profile_.encoded_bytes_per_mab *
-            0.2));
-        pushWindow(out);
-        return;
-    }
-
-    out.reinit(idx, gop.frameType(idx), profile_.mabsX(),
-               profile_.mabsY(), profile_.mab_dim);
-    Frame &frame = out;
-
-    // Per-frame decode complexity: lognormal with unit mean, capped.
-    const double mu =
-        -0.5 * profile_.complexity_sigma * profile_.complexity_sigma;
-    double complexity = rng_.logNormal(mu, profile_.complexity_sigma);
-    complexity = std::min(complexity, profile_.complexity_cap);
-    // (I frames' larger decode effort is modelled by the cost
-    // model's per-type weights, not here.)
-    frame.setComplexity(complexity);
-
-    const double i_size_factor =
-        (frame.type() == FrameType::kI) ? 3.0 : 1.0;
-    frame.setEncodedBytes(static_cast<std::uint64_t>(
-        profile_.mabsPerFrame() * profile_.encoded_bytes_per_mab *
-        i_size_factor * complexity));
-
-    const double p_intra = profile_.intra_match_rate;
-    const double p_inter = p_intra + profile_.inter_match_rate;
-    const double p_grad = p_inter + profile_.gradient_shift_rate;
-
-    for (std::uint32_t i = 0; i < frame.mabCount(); ++i) {
-        const double r = rng_.uniform();
-
-        if (r < p_intra && i > 0) {
-            const auto src = intraSource(i);
-            frame.mab(i) = frame.mab(src);
-            frame.setOrigin(i, MabOrigin::kIntraCopy);
-        } else if (r < p_inter && win_size_ > 0) {
-            frame.mab(i) = windowMabNear(i);
-            frame.setOrigin(i, MabOrigin::kInterCopy);
-        } else if (r < p_grad && i > 0) {
-            // Same gradient, different base: pick an earlier mab of
-            // this frame and shift all pixels by a non-zero constant.
-            const auto src = intraSource(i);
-            const auto dr = static_cast<std::uint8_t>(
-                rng_.uniformInt(1, 255));
-            const auto dg = static_cast<std::uint8_t>(
-                rng_.uniformInt(0, 255));
-            const auto db = static_cast<std::uint8_t>(
-                rng_.uniformInt(0, 255));
-            frame.mab(src).shiftedInto(dr, dg, db, frame.mab(i));
-            frame.setOrigin(i, MabOrigin::kGradientShift);
-        } else if (rng_.chance(profile_.pure_color_rate)) {
-            frame.mab(i).fill(paletteColor());
-            frame.setOrigin(i, MabOrigin::kPureColor);
-        } else if (rng_.chance(profile_.smooth_rate)) {
-            smoothMabInto(frame.mab(i));
-            frame.setOrigin(i, MabOrigin::kGradientShift);
-        } else {
-            uniqueMabInto(frame.mab(i));
-            frame.setOrigin(i, MabOrigin::kUnique);
-        }
-    }
-
-    pushWindow(frame);
+    const Planes::Meta &meta = planes->meta[idx % planes->count];
+    out.reinit(idx, meta.type, profile_.mabsX(), profile_.mabsY(),
+               profile_.mab_dim);
+    out.assignFlat(planes->pixelsOf(idx), planes->originsOf(idx));
+    out.setComplexity(meta.complexity);
+    out.setEncodedBytes(meta.encoded_bytes);
 }
 
 } // namespace vstream

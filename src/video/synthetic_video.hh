@@ -8,15 +8,25 @@
  * "gradient" repeats that only the gab representation can catch,
  * pure-colour and smooth-ramp blocks, and unique noise blocks.
  * Deterministic for a given profile (seed included).
+ *
+ * Content is generated into flat frame planes (the mabs of a frame
+ * back to back, mab_dim * mab_dim * 3 bytes each), so the inter-copy
+ * window is simply the earlier planes.  A video whose planes fit
+ * kSharedBudgetBytes is generated in full and kept, read-only, in a
+ * process-wide single-entry cache, so SyntheticVideos built for the
+ * same profile one after another share one generation (the
+ * simulator's own content cache: a figure that plays one video under
+ * six schemes in a row generates it once).  A larger video streams
+ * through a private ring of inter_window + 1 planes instead.  Both run the same generator,
+ * so the frames they emit are byte-identical.
  */
 
 #ifndef VSTREAM_VIDEO_SYNTHETIC_VIDEO_HH
 #define VSTREAM_VIDEO_SYNTHETIC_VIDEO_HH
 
 #include <cstdint>
-#include <vector>
+#include <memory>
 
-#include "sim/random.hh"
 #include "video/frame.hh"
 #include "video/video_profile.hh"
 
@@ -27,7 +37,18 @@ namespace vstream
 class SyntheticVideo
 {
   public:
+    /**
+     * Largest video (frame_count planes of pixels plus origins) that
+     * is generated in full and shared; 16 MiB holds a 48-frame
+     * 256x144 video (5.4 MB) with room to spare, while a 48-frame
+     * 512x288 one (21 MB) streams through the private ring.
+     */
+    static constexpr std::uint64_t kSharedBudgetBytes = 16ULL << 20;
+
     explicit SyntheticVideo(const VideoProfile &profile);
+    ~SyntheticVideo();
+    SyntheticVideo(SyntheticVideo &&) noexcept;
+    SyntheticVideo &operator=(SyntheticVideo &&) noexcept;
 
     /** All frames emitted? */
     bool done() const { return next_index_ >= profile_.frame_count; }
@@ -37,9 +58,9 @@ class SyntheticVideo
 
     /**
      * Generate the next frame into @p out, reusing its storage
-     * (fatal when done()).  Identical content and rng consumption to
-     * nextFrame(); the serving hot path uses this with a recycled
-     * scratch frame so steady-state generation never allocates.
+     * (fatal when done()).  Identical content to nextFrame(); the
+     * serving hot path uses this with a recycled scratch frame so
+     * steady-state generation never allocates.
      */
     void nextFrameInto(Frame &out);
 
@@ -48,39 +69,37 @@ class SyntheticVideo
     /** Restart the stream from frame 0 (same content). */
     void reset();
 
+    /** The generator's profile: the caller's, with the similarity
+     * rates rescaled for mab_dim. */
     const VideoProfile &profile() const { return profile_; }
 
-  private:
-    Pixel paletteColor();
-    void uniqueMabInto(Macroblock &mab);
-    void smoothMabInto(Macroblock &mab);
-    /** Index of an earlier mab of the current frame to copy from
-     * (locality-biased). */
-    std::uint32_t intraSource(std::uint32_t i);
-    /** A mab from a recent window frame, near position @p i. */
-    const Macroblock &windowMabNear(std::uint32_t i);
+    /** True when the frames come from the shared, fully generated
+     * planes rather than a private ring. */
+    bool sharesContent() const { return content_ != nullptr; }
 
-    /** Frame @p i of the logical window, 0 = oldest. */
-    const Frame &windowAt(std::size_t i) const;
-    /** Copy @p frame into the window ring as the newest entry. */
-    void pushWindow(const Frame &frame);
+    /** Flat bytes of one frame: pixel plane plus origin plane. */
+    static std::uint64_t frameBytes(const VideoProfile &profile);
+
+  private:
+    struct Planes;
+    class Generator;
+    struct Cache;
+
+    /** The complete planes of @p scaled, from the process-wide
+     * single-entry cache keyed on the caller's profile @p key; a
+     * miss builds them, and callers of the same key meanwhile wait
+     * for that build. */
+    static std::shared_ptr<const Planes>
+    sharedPlanes(const VideoProfile &key, const VideoProfile &scaled);
 
     VideoProfile profile_;
-    Random rng_;
     std::uint64_t next_index_ = 0;
-    /**
-     * Ring of the most recent inter_window frames.  Slots grow once
-     * up to profile_.inter_window and are then recycled by
-     * copy-assignment (which reuses macroblock storage), so the
-     * steady-state window never allocates.  win_size_ is the live
-     * logical window (reset on scene cuts), win_next_ the slot the
-     * next frame lands in.
-     */
-    std::vector<Frame> window_ring_;
-    std::size_t win_next_ = 0;
-    std::size_t win_size_ = 0;
-    /** Cached ramp patterns (gradient blocks with zero base). */
-    std::vector<Macroblock> ramps_;
+    /** Shared mode: every frame, generated once, read-only. */
+    std::shared_ptr<const Planes> content_;
+    /** Ring mode: the generator and the inter_window + 1 planes it
+     * writes each frame into before it is emitted. */
+    std::unique_ptr<Generator> gen_;
+    std::unique_ptr<Planes> ring_;
 };
 
 } // namespace vstream

@@ -111,6 +111,9 @@ struct VideoProfile
 
     /** Abort on inconsistent parameters. */
     void validate() const;
+
+    /** Every knob equal: same profile, same video. */
+    bool operator==(const VideoProfile &) const = default;
 };
 
 } // namespace vstream

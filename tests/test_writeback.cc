@@ -197,6 +197,88 @@ TEST(FrameBufferManager, SlotMemoFollowsStoresAcrossSlots)
     EXPECT_FALSE(rig.fbm.loadBlock(c.data_base + 96));
 }
 
+TEST(FrameBufferManager, OutOfOrderStoresStayExact)
+{
+    // The writebacks store in address order; any other order takes
+    // the slow path and must read back the same.
+    Rig rig(8);
+    BufferSlot &slot = rig.fbm.acquire(0);
+    const Addr base = slot.data_base;
+    const std::vector<std::uint8_t> b0(48, 0x10), b1(48, 0x11),
+        b2(48, 0x12), b3(48, 0x13), b5(48, 0x15);
+    rig.fbm.storeBlock(base + 5 * 48, b5);
+    rig.fbm.storeBlock(base + 1 * 48, b1);
+    rig.fbm.storeBlock(base + 3 * 48, b3);
+    rig.fbm.storeBlock(base, b0);
+    rig.fbm.storeBlock(base + 2 * 48, b2);
+    for (const auto &[off, want] :
+         std::vector<std::pair<Addr, std::vector<std::uint8_t>>>{
+             {0, b0}, {48, b1}, {96, b2}, {144, b3}, {240, b5}}) {
+        ASSERT_TRUE(rig.fbm.loadBlock(base + off)) << "offset " << off;
+        EXPECT_EQ(rig.fbm.loadBlock(base + off).toVector(), want)
+            << "offset " << off;
+    }
+    EXPECT_FALSE(rig.fbm.loadBlock(base + 4 * 48));
+    EXPECT_FALSE(rig.fbm.loadBlock(base + 6 * 48));
+}
+
+TEST(FrameBufferManager, SameAddressStoreOverwrites)
+{
+    Rig rig(8);
+    BufferSlot &slot = rig.fbm.acquire(0);
+    const Addr base = slot.data_base;
+    rig.fbm.storeBlock(base, std::vector<std::uint8_t>(48, 1));
+    rig.fbm.storeBlock(base + 48, std::vector<std::uint8_t>(48, 2));
+
+    // Same size: in place.  Different size: the new bytes win.
+    rig.fbm.storeBlock(base, std::vector<std::uint8_t>(48, 3));
+    EXPECT_EQ(rig.fbm.loadBlock(base).toVector(),
+              std::vector<std::uint8_t>(48, 3));
+    rig.fbm.storeBlock(base + 48, std::vector<std::uint8_t>(12, 4));
+    EXPECT_EQ(rig.fbm.loadBlock(base + 48).toVector(),
+              std::vector<std::uint8_t>(12, 4));
+    EXPECT_EQ(rig.fbm.loadBlock(base).toVector(),
+              std::vector<std::uint8_t>(48, 3));
+
+    // The index still appends in order after the rewrites.
+    rig.fbm.storeBlock(base + 96, std::vector<std::uint8_t>(48, 5));
+    EXPECT_EQ(rig.fbm.loadBlock(base + 96).toVector(),
+              std::vector<std::uint8_t>(48, 5));
+}
+
+TEST(FrameBufferManager, MoreBlocksThanMabsStillIndexed)
+{
+    // Compacted (DCC) blocks sit closer than a mab apart, so a frame
+    // may hold more blocks than the index was first sized for.
+    Rig rig(4);
+    BufferSlot &slot = rig.fbm.acquire(0);
+    for (std::uint8_t i = 0; i < 12; ++i) {
+        rig.fbm.storeBlock(slot.data_base + i * 16U,
+                           std::vector<std::uint8_t>(48, i));
+    }
+    for (std::uint8_t i = 0; i < 12; ++i) {
+        EXPECT_EQ(rig.fbm.loadBlock(slot.data_base + i * 16U).toVector(),
+                  std::vector<std::uint8_t>(48, i));
+    }
+}
+
+TEST(FrameBufferManager, UnalignedOffsetsMiss)
+{
+    Rig rig(8);
+    BufferSlot &slot = rig.fbm.acquire(0);
+    const Addr base = slot.data_base;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        rig.fbm.storeBlock(base + i * 48, std::vector<std::uint8_t>(48, 7));
+    }
+    // Inside stored blocks, between them, and past the last one; each
+    // probed after a hit so the lookup memo points next door.
+    for (const Addr off : {Addr{1}, Addr{47}, Addr{49}, Addr{95},
+                           Addr{100}, Addr{191}, Addr{193}, Addr{240}}) {
+        ASSERT_TRUE(rig.fbm.loadBlock(base + (off / 48) * 48 % 192));
+        EXPECT_FALSE(rig.fbm.loadBlock(base + off)) << "offset " << off;
+    }
+}
+
 TEST(FrameBufferManagerDeath, StoreOutsideSlotsPanics)
 {
     Rig rig;

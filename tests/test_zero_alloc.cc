@@ -24,6 +24,7 @@
 #include <unistd.h>
 
 #include "core/video_pipeline.hh"
+#include "video/synthetic_video.hh"
 
 namespace
 {
@@ -213,6 +214,42 @@ TEST(ZeroAlloc, BaselineSteadyStateAllocatesNothing)
 TEST(ZeroAlloc, RaceToSleepSteadyStateAllocatesNothing)
 {
     expectZeroAllocSteadyState(Scheme::kRaceToSleep, 1);
+}
+
+/** Frames drawn from @p video into a recycled scratch frame after the
+ * first (which sizes the scratch) allocate nothing. */
+void
+expectZeroAllocFrames(SyntheticVideo &video)
+{
+    Frame scratch;
+    video.nextFrameInto(scratch);
+    const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+    std::uint32_t frames = 0;
+    while (!video.done() && frames < 64) {
+        video.nextFrameInto(scratch);
+        ++frames;
+    }
+    EXPECT_EQ(frames, 64u);
+    EXPECT_EQ(g_news.load(std::memory_order_relaxed) - before, 0u)
+        << (video.sharesContent() ? "shared planes" : "private ring");
+}
+
+TEST(ZeroAlloc, SharedContentMaterializeAllocatesNothing)
+{
+    SyntheticVideo video(steadyProfile(96));
+    ASSERT_TRUE(video.sharesContent());
+    expectZeroAllocFrames(video);
+}
+
+TEST(ZeroAlloc, RingGenerationAllocatesNothing)
+{
+    VideoProfile p = steadyProfile(96);
+    p.frame_count = static_cast<std::uint32_t>(
+        SyntheticVideo::kSharedBudgetBytes / SyntheticVideo::frameBytes(p) +
+        1);
+    SyntheticVideo video(p);
+    ASSERT_FALSE(video.sharesContent());
+    expectZeroAllocFrames(video);
 }
 
 } // namespace
