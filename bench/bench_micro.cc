@@ -120,21 +120,13 @@ BM_GradientTransform(benchmark::State &state)
 }
 BENCHMARK(BM_GradientTransform);
 
-/** Per-kernel gradient transform: state.range(0) indexes
- * availableGradientKernels(); range(1) is the payload size (48 B =
- * one 4x4 mab, 768 B = one 16x16 mab, 3 KB = four 16x16 mabs). */
+/** Gradient transform (the mab -> gab subtract); range(0) is the
+ * payload size (48 B = one 4x4 mab, 768 B = one 16x16 mab, 3 KB =
+ * four 16x16 mabs). */
 void
-BM_GradientKernel(benchmark::State &state)
+BM_GradientSub(benchmark::State &state)
 {
-    const std::vector<GradientKernel> kernels =
-        availableGradientKernels();
-    if (static_cast<std::size_t>(state.range(0)) >= kernels.size()) {
-        state.SkipWithError("kernel not available on this host");
-        return;
-    }
-    const GradientKernel kernel =
-        kernels[static_cast<std::size_t>(state.range(0))];
-    const std::size_t len = static_cast<std::size_t>(state.range(1));
+    const std::size_t len = static_cast<std::size_t>(state.range(0));
     Random rng(8);
     std::vector<std::uint8_t> src(len);
     for (auto &b : src) {
@@ -143,32 +135,21 @@ BM_GradientKernel(benchmark::State &state)
     std::vector<std::uint8_t> dst(len);
     const Pixel base{201, 45, 96};
     for (auto _ : state) {
-        gradientSubWith(kernel, dst.data(), src.data(), len, base);
+        gradientSub(dst.data(), src.data(), len, base);
         benchmark::DoNotOptimize(dst.data());
         benchmark::ClobberMemory();
     }
     state.SetBytesProcessed(static_cast<std::int64_t>(
         state.iterations() * len));
-    state.SetLabel(gradientKernelName(kernel));
 }
-BENCHMARK(BM_GradientKernel)
-    ->ArgsProduct({benchmark::CreateDenseRange(0, 2, 1),
-                   {48, 768, 3072}});
+BENCHMARK(BM_GradientSub)->Arg(48)->Arg(768)->Arg(3072);
 
-/** Per-kernel block-equality probe on identical blocks (the MACH
- * verify-on-hit worst case: every byte is compared). */
+/** Block-equality probe on identical blocks (the MACH verify-on-hit
+ * worst case: every byte is compared). */
 void
-BM_SimilarityKernel(benchmark::State &state)
+BM_BlockEqual(benchmark::State &state)
 {
-    const std::vector<SimilarityKernel> kernels =
-        availableSimilarityKernels();
-    if (static_cast<std::size_t>(state.range(0)) >= kernels.size()) {
-        state.SkipWithError("kernel not available on this host");
-        return;
-    }
-    const SimilarityKernel kernel =
-        kernels[static_cast<std::size_t>(state.range(0))];
-    const std::size_t len = static_cast<std::size_t>(state.range(1));
+    const std::size_t len = static_cast<std::size_t>(state.range(0));
     Random rng(9);
     std::vector<std::uint8_t> a(len);
     for (auto &b : a) {
@@ -176,15 +157,12 @@ BM_SimilarityKernel(benchmark::State &state)
     }
     std::vector<std::uint8_t> b = a;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            blockEqualWith(kernel, a.data(), b.data(), len));
+        benchmark::DoNotOptimize(blockEqual(a.data(), b.data(), len));
     }
     state.SetBytesProcessed(static_cast<std::int64_t>(
         state.iterations() * len));
-    state.SetLabel(similarityKernelName(kernel));
 }
-BENCHMARK(BM_SimilarityKernel)
-    ->ArgsProduct({benchmark::CreateDenseRange(0, 2, 1), {48, 768}});
+BENCHMARK(BM_BlockEqual)->Arg(48)->Arg(768);
 
 /** One frame of per-mab digests, block by block: the pre-batching
  * whole-frame digest cost BM_FrameDigestBatch is measured against. */

@@ -1,7 +1,6 @@
 #include "hash/crc.hh"
 
 #include <array>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -323,8 +322,7 @@ crc32BatchClmul(const std::uint8_t *const *blocks,
                 std::size_t block_len, std::size_t count,
                 std::uint32_t *out)
 {
-    if (!crc32HardwareAvailable() || block_len < 16 ||
-        block_len >= 64) {
+    if (block_len < 16 || block_len >= 64) {
         return false;
     }
     const std::size_t chunk =
@@ -423,35 +421,16 @@ kernelFn(CrcKernel k)
 }
 
 /**
- * Pick the dispatch target once, pre-main: the fastest available
- * kernel unless VSTREAM_CRC_IMPL forces one.  All kernels are
- * digest-identical, so the choice never affects simulation output.
+ * The dispatch target, picked once pre-main by CPU feature alone: the
+ * hardware kernel when the host has one, else slicing-by-8.  All
+ * kernels are digest-identical, so the choice never affects
+ * simulation output.
  */
-// All kernels produce identical digests (test_crc), so the env read
-// can select an implementation but never perturb simulation output.
-// vstream:allow(determinism-source) digest-equivalent dispatch
 CrcKernel
 resolveCrc32Kernel()
 {
-    const CrcKernel best = crc32HardwareAvailable()
-                               ? CrcKernel::kHardware
-                               : CrcKernel::kSlice8;
-    // Resolved once, pre-main, before any thread exists.
-    const char *force =
-        std::getenv("VSTREAM_CRC_IMPL"); // NOLINT(concurrency-mt-unsafe)
-    if (force == nullptr) {
-        return best;
-    }
-    if (std::strcmp(force, "reference") == 0) {
-        return CrcKernel::kReference;
-    }
-    if (std::strcmp(force, "slice8") == 0) {
-        return CrcKernel::kSlice8;
-    }
-    if (std::strcmp(force, "hw") == 0 && crc32HardwareAvailable()) {
-        return CrcKernel::kHardware;
-    }
-    return best;
+    return crc32HardwareAvailable() ? CrcKernel::kHardware
+                                    : CrcKernel::kSlice8;
 }
 
 const CrcKernel kActiveKernel = resolveCrc32Kernel();
@@ -631,19 +610,26 @@ void
 crc32Batch(const std::uint8_t *const *blocks, std::size_t block_len,
            std::size_t count, std::uint32_t *out)
 {
-    std::size_t i = 0;
-    // Honour a forced reference kernel (VSTREAM_CRC_IMPL) so the
-    // batch path measures what the override asked for; the digests
-    // are identical either way.
-    if (kActiveKernel == CrcKernel::kHardware &&
+    crc32BatchWith(kActiveKernel, blocks, block_len, count, out);
+}
+
+// vstream:hot
+void
+crc32BatchWith(CrcKernel k, const std::uint8_t *const *blocks,
+               std::size_t block_len, std::size_t count,
+               std::uint32_t *out)
+{
+    if (k == CrcKernel::kHardware &&
         crc32BatchClmul(blocks, block_len, count, out)) {
         return;
     }
-    // Long blocks under the hw kernel fold 64 B per CLMUL round;
-    // the per-block tail loop below routes them through it.
-    const bool hw_long =
-        kActiveKernel == CrcKernel::kHardware && block_len >= 64;
-    if (kActiveKernel != CrcKernel::kReference && !hw_long) {
+    std::size_t i = 0;
+    // Long blocks under the hw kernel fold 64 B per CLMUL round; the
+    // per-block tail loop below routes them through it.
+    const bool lanes =
+        k == CrcKernel::kSlice8 ||
+        (k == CrcKernel::kHardware && block_len < 64);
+    if (lanes) {
         for (; i + 4 <= count; i += 4) {
             std::uint32_t c[4] = {0xffffffffu, 0xffffffffu,
                                   0xffffffffu, 0xffffffffu};
@@ -654,8 +640,9 @@ crc32Batch(const std::uint8_t *const *blocks, std::size_t block_len,
             out[i + 3] = ~c[3];
         }
     }
+    const Crc32Fn fn = kernelFn(k);
     for (; i < count; ++i) {
-        out[i] = ~kActiveFn(0xffffffffu, blocks[i], block_len);
+        out[i] = ~fn(0xffffffffu, blocks[i], block_len);
     }
 }
 

@@ -8,8 +8,8 @@
  * detector (Sec. 6.3 of the paper).
  *
  * Both digests are the hot inner loop of MachWriteback::writeMab, so
- * update() dispatches at startup to the fastest digest-stable kernel
- * the host offers:
+ * update() dispatches at startup, by CPU feature alone, to the fastest
+ * kernel the host offers:
  *
  *   kReference  byte-at-a-time table walk (the original code; kept
  *               as the oracle the equivalence tests compare against)
@@ -24,7 +24,8 @@
  * _mm_crc32 instruction family implements CRC-32C (polynomial
  * 0x1EDC6F41), NOT IEEE, and cannot reproduce the repo's digests;
  * the x86 hardware path therefore folds with PCLMULQDQ instead.
- * VSTREAM_CRC_IMPL=reference|slice8|hw forces a kernel (tests).
+ * Each kernel is the only path on some host (or the test oracle);
+ * crc32Step and crc32BatchWith run any of them explicitly.
  */
 
 #ifndef VSTREAM_HASH_CRC_HH
@@ -67,15 +68,26 @@ std::uint16_t crc16Step(bool sliced, std::uint16_t state,
 
 /**
  * Batched CRC32 over @p count equal-length blocks (the whole-frame
- * digest path): four independent digest states advance in lockstep
- * through the slicing-by-8 tables, so the per-lookup latency that
- * serialises a single short-block CRC is hidden behind instruction-
- * level parallelism across blocks.  Each out[i] is bit-identical to
- * Crc32::compute(blocks[i], block_len).
+ * digest path) with the active kernel.  The hardware kernel folds
+ * each short block with CLMUL, whose independent chains overlap
+ * across blocks; slicing-by-8 advances four digest states in
+ * lockstep, so the per-lookup latency that serialises a single
+ * short-block CRC is hidden behind instruction-level parallelism.
+ * Each out[i] is bit-identical to Crc32::compute(blocks[i],
+ * block_len).
  */
 void crc32Batch(const std::uint8_t *const *blocks,
                 std::size_t block_len, std::size_t count,
                 std::uint32_t *out);
+
+/**
+ * crc32Batch with an explicit kernel (the test/bench hook): @p k must
+ * be one of availableCrc32Kernels().  kReference digests block by
+ * block; kSlice8 runs the four-lane interleave on every block length.
+ */
+void crc32BatchWith(CrcKernel k, const std::uint8_t *const *blocks,
+                    std::size_t block_len, std::size_t count,
+                    std::uint32_t *out);
 
 /** Batched CRC16-CCITT: the slicing-by-2 analogue of crc32Batch. */
 void crc16Batch(const std::uint8_t *const *blocks,

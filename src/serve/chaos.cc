@@ -1,10 +1,9 @@
 #include "serve/chaos.hh"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 
 #include "sim/logging.hh"
+#include "sim/spec_fields.hh"
 
 namespace vstream
 {
@@ -26,100 +25,8 @@ fleetFaultClassName(FleetFaultClass c)
 namespace
 {
 
-/** Largest double that still static_casts into a Tick; see
- * sim/fault_injector.cc for the full rationale (2^63, one
- * comparison, false for NaN/inf). */
-constexpr double kMaxTickDouble = 9223372036854775808.0; // 2^63
-
-/** Parse "250ms" / "1.5s" / "400us" / bare "250" (ms) into ticks. */
-bool
-tryParseTicks(const std::string &value, Tick &out, std::string &error)
-{
-    char *end = nullptr;
-    const double x = std::strtod(value.c_str(), &end);
-    if (end == value.c_str()) {
-        error = "bad time '" + value + "'";
-        return false;
-    }
-    const std::string unit(end);
-    double scale = static_cast<double>(sim_clock::ms);
-    if (unit == "ps") {
-        scale = static_cast<double>(sim_clock::ps);
-    } else if (unit == "ns") {
-        scale = static_cast<double>(sim_clock::ns);
-    } else if (unit == "us") {
-        scale = static_cast<double>(sim_clock::us);
-    } else if (unit == "ms" || unit.empty()) {
-        scale = static_cast<double>(sim_clock::ms);
-    } else if (unit == "s") {
-        scale = static_cast<double>(sim_clock::s);
-    } else {
-        error = "unknown time unit '" + unit + "'";
-        return false;
-    }
-    const double ticks = x * scale;
-    if (!(x >= 0.0) || !(ticks < kMaxTickDouble)) {
-        error = "time '" + value + "' is not a finite tick count";
-        return false;
-    }
-    out = static_cast<Tick>(ticks);
-    return true;
-}
-
-/** Plain digits only; see tryParseCount in sim/fault_injector.cc for
- * why strtoull alone is a trap on untrusted input. */
-bool
-tryParseCount(const std::string &value, std::uint64_t &out,
-              std::string &error)
-{
-    if (value.empty() ||
-        value.find_first_not_of("0123456789") != std::string::npos) {
-        error = "bad count '" + value + "'";
-        return false;
-    }
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(value.c_str(), &end, 10);
-    if (errno == ERANGE || end != value.c_str() + value.size()) {
-        error = "count '" + value + "' out of range";
-        return false;
-    }
-    out = v;
-    return true;
-}
-
-bool
-tryParseU32(const std::string &value, std::uint32_t &out,
-            std::string &error)
-{
-    std::uint64_t v = 0;
-    if (!tryParseCount(value, v, error)) {
-        return false;
-    }
-    if (v > 0xffffffffULL) {
-        error = "value '" + value + "' out of range";
-        return false;
-    }
-    out = static_cast<std::uint32_t>(v);
-    return true;
-}
-
-bool
-tryParseFactor(const std::string &value, double &out,
-               std::string &error)
-{
-    char *end = nullptr;
-    const double f = std::strtod(value.c_str(), &end);
-    // Inclusive-range form is false for NaN.
-    if (end == value.c_str() || *end != '\0' ||
-        !(f > 0.0 && f <= 1.0)) {
-        error = "bad factor '" + value + "' (need (0, 1])";
-        return false;
-    }
-    out = f;
-    return true;
-}
+constexpr spec_fields::RealField kFactor{"factor", 0.0, 1.0, true,
+                                         " (need (0, 1])"};
 
 } // namespace
 
@@ -134,47 +41,39 @@ tryParseFleetFaultRule(FleetFaultClass cls, const std::string &spec,
     bool have_shard = false;
     bool have_count = false;
 
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos) {
-            comma = spec.size();
-        }
-        const std::string field = spec.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (field.empty()) {
-            continue;
-        }
-        const std::size_t eq = field.find('=');
-        if (eq == std::string::npos) {
-            error = "field '" + field + "' is not key=value";
-            return false;
-        }
-        const std::string key = field.substr(0, eq);
-        const std::string value = field.substr(eq + 1);
-        bool ok = true;
-        if (key == "at") {
-            ok = tryParseTicks(value, rule.at, error);
-            have_at = true;
-        } else if (key == "shard") {
-            ok = tryParseU32(value, rule.shard, error);
-            have_shard = true;
-        } else if (key == "len") {
-            ok = tryParseTicks(value, rule.duration, error);
-        } else if (key == "factor") {
-            ok = tryParseFactor(value, rule.factor, error);
-        } else if (key == "count") {
-            ok = tryParseCount(value, rule.count, error);
-            have_count = true;
-        } else if (key == "mix") {
-            ok = tryParseU32(value, rule.mix, error);
-        } else {
-            error = "unknown key '" + key + "'";
-            return false;
-        }
-        if (!ok) {
-            return false;
-        }
+    const bool fields_ok = spec_fields::forEachField(
+        spec, error,
+        [&](const std::string &key, const std::string &value) {
+            if (key == "at") {
+                have_at = true;
+                return spec_fields::tryParseTicks(value, rule.at, error);
+            }
+            if (key == "shard") {
+                have_shard = true;
+                return spec_fields::tryParseU32(value, "value",
+                                                rule.shard, error);
+            }
+            if (key == "len") {
+                return spec_fields::tryParseTicks(
+                    value, rule.duration, error);
+            }
+            if (key == "factor") {
+                return spec_fields::tryParseReal(value, kFactor,
+                                                 rule.factor, error);
+            }
+            if (key == "count") {
+                have_count = true;
+                return spec_fields::tryParseCount(value, rule.count,
+                                                  error);
+            }
+            if (key == "mix") {
+                return spec_fields::tryParseU32(value, "value",
+                                                rule.mix, error);
+            }
+            return spec_fields::unknownKey(key, error);
+        });
+    if (!fields_ok) {
+        return false;
     }
 
     if (!have_at) {

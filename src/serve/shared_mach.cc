@@ -1,9 +1,7 @@
 #include "serve/shared_mach.hh"
 
-#include <cerrno>
-#include <cstdlib>
-
 #include "sim/logging.hh"
+#include "sim/spec_fields.hh"
 #include "video/pixel_kernels.hh"
 
 namespace vstream
@@ -59,42 +57,8 @@ DedupRecorder::take()
 namespace
 {
 
-/** Plain digits only; see tryParseCount in serve/chaos.cc. */
-bool
-tryParseCount(const std::string &value, std::uint64_t &out,
-              std::string &error)
-{
-    if (value.empty() ||
-        value.find_first_not_of("0123456789") != std::string::npos) {
-        error = "bad count '" + value + "'";
-        return false;
-    }
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(value.c_str(), &end, 10);
-    if (errno == ERANGE || end != value.c_str() + value.size()) {
-        error = "count '" + value + "' out of range";
-        return false;
-    }
-    out = v;
-    return true;
-}
-
-bool
-tryParseRate(const std::string &value, double &out, std::string &error)
-{
-    char *end = nullptr;
-    const double r = std::strtod(value.c_str(), &end);
-    // Inclusive-range form is false for NaN.
-    if (end == value.c_str() || *end != '\0' ||
-        !(r >= 0.0 && r <= 1.0)) {
-        error = "bad rate '" + value + "' (need [0, 1])";
-        return false;
-    }
-    out = r;
-    return true;
-}
+constexpr spec_fields::RealField kRate{"rate", 0.0, 1.0, false,
+                                       " (need [0, 1])"};
 
 } // namespace
 
@@ -105,47 +69,26 @@ tryParseDedupPoisonRule(const std::string &spec, DedupPoisonRule &out,
     DedupPoisonRule rule;
     bool have_rate = false;
 
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos) {
-            comma = spec.size();
-        }
-        const std::string field = spec.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (field.empty()) {
-            continue;
-        }
-        const std::size_t eq = field.find('=');
-        if (eq == std::string::npos) {
-            error = "field '" + field + "' is not key=value";
-            return false;
-        }
-        const std::string key = field.substr(0, eq);
-        const std::string value = field.substr(eq + 1);
-        bool ok = true;
-        if (key == "domain") {
-            std::uint64_t d = 0;
-            ok = tryParseCount(value, d, error);
-            if (ok && d > 0xffffffffULL) {
-                error = "domain '" + value + "' out of range";
-                return false;
+    const bool fields_ok = spec_fields::forEachField(
+        spec, error,
+        [&](const std::string &key, const std::string &value) {
+            if (key == "domain") {
+                return spec_fields::tryParseU32(value, "domain",
+                                                rule.domain, error);
             }
-            if (ok) {
-                rule.domain = static_cast<std::uint32_t>(d);
+            if (key == "rate") {
+                have_rate = true;
+                return spec_fields::tryParseReal(value, kRate,
+                                                 rule.rate, error);
             }
-        } else if (key == "rate") {
-            ok = tryParseRate(value, rule.rate, error);
-            have_rate = true;
-        } else if (key == "seed") {
-            ok = tryParseCount(value, rule.seed, error);
-        } else {
-            error = "unknown key '" + key + "'";
-            return false;
-        }
-        if (!ok) {
-            return false;
-        }
+            if (key == "seed") {
+                return spec_fields::tryParseCount(value, rule.seed,
+                                                  error);
+            }
+            return spec_fields::unknownKey(key, error);
+        });
+    if (!fields_ok) {
+        return false;
     }
 
     if (!have_rate) {

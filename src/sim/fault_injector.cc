@@ -1,9 +1,7 @@
 #include "sim/fault_injector.hh"
 
-#include <cerrno>
-#include <cstdlib>
-
 #include "sim/logging.hh"
+#include "sim/spec_fields.hh"
 #include "sim/stats_registry.hh"
 
 namespace vstream
@@ -28,92 +26,8 @@ faultClassName(FaultClass c)
 namespace
 {
 
-/**
- * Largest double guaranteed to static_cast into a Tick: the cast is
- * undefined behaviour the moment the (truncated) value cannot be
- * represented, so every float-to-tick conversion must stay strictly
- * below this.  2^63 is exactly representable as a double and leaves
- * the whole check in one comparison that is also false for NaN/inf.
- */
-constexpr double kMaxTickDouble = 9223372036854775808.0; // 2^63
-
-/** Parse "250ms" / "1.5s" / "400us" / bare "250" (ms) into ticks. */
-bool
-tryParseTicks(const std::string &value, Tick &out, std::string &error)
-{
-    char *end = nullptr;
-    const double x = std::strtod(value.c_str(), &end);
-    if (end == value.c_str()) {
-        error = "bad time '" + value + "'";
-        return false;
-    }
-    const std::string unit(end);
-    double scale = static_cast<double>(sim_clock::ms);
-    if (unit == "ps") {
-        scale = static_cast<double>(sim_clock::ps);
-    } else if (unit == "ns") {
-        scale = static_cast<double>(sim_clock::ns);
-    } else if (unit == "us") {
-        scale = static_cast<double>(sim_clock::us);
-    } else if (unit == "ms" || unit.empty()) {
-        scale = static_cast<double>(sim_clock::ms);
-    } else if (unit == "s") {
-        scale = static_cast<double>(sim_clock::s);
-    } else {
-        error = "unknown time unit '" + unit + "'";
-        return false;
-    }
-    // !(x >= 0) rejects NaN along with negatives, and the product
-    // bound rejects +inf and anything whose tick count would leave
-    // the Tick range (a hostile "1e300s" must not reach the cast).
-    const double ticks = x * scale;
-    if (!(x >= 0.0) || !(ticks < kMaxTickDouble)) {
-        error = "time '" + value + "' is not a finite tick count";
-        return false;
-    }
-    out = static_cast<Tick>(ticks);
-    return true;
-}
-
-bool
-tryParseProbability(const std::string &value, double &out,
-                    std::string &error)
-{
-    char *end = nullptr;
-    const double p = std::strtod(value.c_str(), &end);
-    // The inclusive-range form is false for NaN, which the old
-    // "p < 0 || p > 1" rejection let straight through.
-    if (end == value.c_str() || *end != '\0' ||
-        !(p >= 0.0 && p <= 1.0)) {
-        error = "bad probability '" + value + "'";
-        return false;
-    }
-    out = p;
-    return true;
-}
-
-bool
-tryParseCount(const std::string &value, std::uint64_t &out,
-              std::string &error)
-{
-    // strtoull's failure modes are all traps for untrusted input:
-    // "" and "abc" parse as 0, "-5" wraps to 2^64-5, and overflow
-    // clamps with errno nobody checks.  Accept plain digits only.
-    if (value.empty() ||
-        value.find_first_not_of("0123456789") != std::string::npos) {
-        error = "bad count '" + value + "'";
-        return false;
-    }
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (errno == ERANGE || end != value.c_str() + value.size()) {
-        error = "count '" + value + "' out of range";
-        return false;
-    }
-    out = v;
-    return true;
-}
+constexpr spec_fields::RealField kProbability{"probability", 0.0, 1.0,
+                                              false, ""};
 
 } // namespace
 
@@ -128,47 +42,40 @@ tryParseFaultRule(FaultClass cls, const std::string &spec,
     bool have_max = false;
     bool have_at = false;
 
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos) {
-            comma = spec.size();
-        }
-        const std::string field = spec.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (field.empty()) {
-            continue;
-        }
-        const std::size_t eq = field.find('=');
-        if (eq == std::string::npos) {
-            error = "field '" + field + "' is not key=value";
-            return false;
-        }
-        const std::string key = field.substr(0, eq);
-        const std::string value = field.substr(eq + 1);
-        bool ok = true;
-        if (key == "p") {
-            ok = tryParseProbability(value, rule.probability, error);
-            have_p = true;
-        } else if (key == "from") {
-            ok = tryParseTicks(value, rule.from, error);
-        } else if (key == "until") {
-            ok = tryParseTicks(value, rule.until, error);
-        } else if (key == "at") {
-            ok = tryParseTicks(value, rule.from, error);
-            have_at = true;
-        } else if (key == "max") {
-            ok = tryParseCount(value, rule.max_count, error);
-            have_max = true;
-        } else if (key == "len") {
-            ok = tryParseTicks(value, rule.duration, error);
-        } else {
-            error = "unknown key '" + key + "'";
-            return false;
-        }
-        if (!ok) {
-            return false;
-        }
+    const bool fields_ok = spec_fields::forEachField(
+        spec, error,
+        [&](const std::string &key, const std::string &value) {
+            if (key == "p") {
+                have_p = true;
+                return spec_fields::tryParseReal(
+                    value, kProbability, rule.probability, error);
+            }
+            if (key == "from") {
+                return spec_fields::tryParseTicks(value, rule.from,
+                                                  error);
+            }
+            if (key == "until") {
+                return spec_fields::tryParseTicks(value, rule.until,
+                                                  error);
+            }
+            if (key == "at") {
+                have_at = true;
+                return spec_fields::tryParseTicks(value, rule.from,
+                                                  error);
+            }
+            if (key == "max") {
+                have_max = true;
+                return spec_fields::tryParseCount(
+                    value, rule.max_count, error);
+            }
+            if (key == "len") {
+                return spec_fields::tryParseTicks(
+                    value, rule.duration, error);
+            }
+            return spec_fields::unknownKey(key, error);
+        });
+    if (!fields_ok) {
+        return false;
     }
 
     // "at=T" is a one-shot: fire exactly once, deterministically,

@@ -1,12 +1,11 @@
 #include "video/library.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 
 #include "core/flat_table.hh"
 #include "sim/logging.hh"
+#include "sim/spec_fields.hh"
 
 namespace vstream
 {
@@ -24,43 +23,8 @@ constexpr std::uint32_t kMaxTitles = 1u << 20;
  * degenerate to a one-title library. */
 constexpr double kMaxSkew = 16.0;
 
-/** Plain digits only; see tryParseCount in serve/chaos.cc for why
- * strtoull alone is a trap on untrusted input. */
-bool
-tryParseCount(const std::string &value, std::uint64_t &out,
-              std::string &error)
-{
-    if (value.empty() ||
-        value.find_first_not_of("0123456789") != std::string::npos) {
-        error = "bad count '" + value + "'";
-        return false;
-    }
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(value.c_str(), &end, 10);
-    if (errno == ERANGE || end != value.c_str() + value.size()) {
-        error = "count '" + value + "' out of range";
-        return false;
-    }
-    out = v;
-    return true;
-}
-
-bool
-tryParseSkew(const std::string &value, double &out, std::string &error)
-{
-    char *end = nullptr;
-    const double s = std::strtod(value.c_str(), &end);
-    // Inclusive-range form is false for NaN.
-    if (end == value.c_str() || *end != '\0' ||
-        !(s >= 0.0 && s <= kMaxSkew)) {
-        error = "bad skew '" + value + "' (need [0, 16])";
-        return false;
-    }
-    out = s;
-    return true;
-}
+constexpr spec_fields::RealField kSkew{"skew", 0.0, kMaxSkew, false,
+                                       " (need [0, 16])"};
 
 } // namespace
 
@@ -71,48 +35,35 @@ tryParseLibrarySpec(const std::string &spec, LibrarySpec &out,
     LibrarySpec lib;
     bool have_titles = false;
 
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos) {
-            comma = spec.size();
-        }
-        const std::string field = spec.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (field.empty()) {
-            continue;
-        }
-        const std::size_t eq = field.find('=');
-        if (eq == std::string::npos) {
-            error = "field '" + field + "' is not key=value";
-            return false;
-        }
-        const std::string key = field.substr(0, eq);
-        const std::string value = field.substr(eq + 1);
-        bool ok = true;
-        if (key == "titles") {
-            std::uint64_t n = 0;
-            ok = tryParseCount(value, n, error);
-            if (ok && (n == 0 || n > kMaxTitles)) {
-                error = "titles '" + value + "' outside [1, " +
-                        std::to_string(kMaxTitles) + "]";
-                return false;
-            }
-            if (ok) {
+    const bool fields_ok = spec_fields::forEachField(
+        spec, error,
+        [&](const std::string &key, const std::string &value) {
+            if (key == "titles") {
+                std::uint64_t n = 0;
+                if (!spec_fields::tryParseCount(value, n, error)) {
+                    return false;
+                }
+                if (n == 0 || n > kMaxTitles) {
+                    error = "titles '" + value + "' outside [1, " +
+                            std::to_string(kMaxTitles) + "]";
+                    return false;
+                }
                 lib.titles = static_cast<std::uint32_t>(n);
                 have_titles = true;
+                return true;
             }
-        } else if (key == "skew") {
-            ok = tryParseSkew(value, lib.skew, error);
-        } else if (key == "seed") {
-            ok = tryParseCount(value, lib.seed, error);
-        } else {
-            error = "unknown key '" + key + "'";
-            return false;
-        }
-        if (!ok) {
-            return false;
-        }
+            if (key == "skew") {
+                return spec_fields::tryParseReal(value, kSkew,
+                                                 lib.skew, error);
+            }
+            if (key == "seed") {
+                return spec_fields::tryParseCount(value, lib.seed,
+                                                  error);
+            }
+            return spec_fields::unknownKey(key, error);
+        });
+    if (!fields_ok) {
+        return false;
     }
 
     if (!have_titles) {

@@ -1,11 +1,9 @@
 #include "video/pixel_kernels.hh"
 
-#include <cstdlib>
 #include <cstring>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define VSTREAM_PIXEL_X86 1
-#include <immintrin.h>
+#if defined(__SSE2__)
+#include <emmintrin.h>
 #endif
 
 namespace vstream
@@ -14,13 +12,11 @@ namespace vstream
 namespace
 {
 
-// --- Gradient kernels -----------------------------------------------
-//
-// All kernels share one contract (pinned by Macroblock::gradientInto's
-// original scalar loop): exactly floor(len / 3) pixels are
+// The gradient contract is pinned by Macroblock::gradientInto's
+// original scalar loop: exactly floor(len / 3) pixels are
 // transformed; any 1-2 trailing bytes past the last full pixel are
 // left untouched in dst.  In the simulator len is always a multiple
-// of 3, but the equivalence tests exercise ragged tails too.
+// of 3, but the tests exercise ragged tails too.
 
 // vstream:hot
 void
@@ -44,16 +40,16 @@ gradientScalar(std::uint8_t *dst, const std::uint8_t *src,
     }
 }
 
-#ifdef VSTREAM_PIXEL_X86
+#if defined(__SSE2__)
 
 /**
- * The r,g,b base pattern repeated across 16-byte lanes: lcm(16, 3) =
- * 48 and lcm(32, 3) = 96, so three phase-rotated base vectors keep
- * the channel cycle in lockstep with the chunked loop.  The repeating
- * byte pattern has period 12 = lcm(4, 3), i.e. only three distinct
- * dwords, so the vectors are assembled register-side — building the
- * 96 B pattern in memory and reloading it cost a store-to-load
- * forwarding stall on every call, half the price of a 48 B mab.
+ * The r,g,b base pattern repeated across three 16-byte lanes: lcm(16,
+ * 3) = 48, so three phase-rotated base vectors keep the channel cycle
+ * in lockstep with the 48 B loop.  The repeating byte pattern has
+ * period 12 = lcm(4, 3), i.e. only three distinct dwords, so the
+ * vectors are assembled register-side — building the pattern in
+ * memory and reloading it cost a store-to-load forwarding stall on
+ * every call, half the price of a 48 B mab.
  */
 struct BasePhases
 {
@@ -81,76 +77,18 @@ makePhases(const Pixel &base)
     return ph;
 }
 
-// vstream:hot
-void
-gradientSse2(std::uint8_t *dst, const std::uint8_t *src,
-             std::size_t len, const Pixel &base, bool add)
-{
-    const BasePhases ph = makePhases(base);
-    const __m128i p0 = ph.p0;
-    const __m128i p1 = ph.p1;
-    const __m128i p2 = ph.p2;
-    std::size_t i = 0;
-    // Byte add/sub is exact mod-256 arithmetic in both scalar and
-    // vector form, so the chunked loop is identical by construction.
-    for (; i + 48 <= len; i += 48) {
-        const auto *s = reinterpret_cast<const __m128i *>(src + i);
-        auto *d = reinterpret_cast<__m128i *>(dst + i);
-        const __m128i a = _mm_loadu_si128(s);
-        const __m128i b = _mm_loadu_si128(s + 1);
-        const __m128i c = _mm_loadu_si128(s + 2);
-        if (add) {
-            _mm_storeu_si128(d, _mm_add_epi8(a, p0));
-            _mm_storeu_si128(d + 1, _mm_add_epi8(b, p1));
-            _mm_storeu_si128(d + 2, _mm_add_epi8(c, p2));
-        } else {
-            _mm_storeu_si128(d, _mm_sub_epi8(a, p0));
-            _mm_storeu_si128(d + 1, _mm_sub_epi8(b, p1));
-            _mm_storeu_si128(d + 2, _mm_sub_epi8(c, p2));
-        }
-    }
-    // 48 is a multiple of 3, so the tail re-enters at channel phase 0.
-    gradientScalar(dst + i, src + i, len - i, base, add);
-}
+#endif
 
 // vstream:hot
-__attribute__((target("avx2"))) void
-gradientAvx2(std::uint8_t *dst, const std::uint8_t *src,
-             std::size_t len, const Pixel &base, bool add)
+void
+gradient(std::uint8_t *dst, const std::uint8_t *src, std::size_t len,
+         const Pixel &base, bool add)
 {
-    // Below one 96 B chunk the 256-bit loop never runs, so delegate
-    // before touching a ymm register: loading the pattern would only
-    // dirty the upper lanes and tax the SSE2 tail with AVX-SSE
-    // transition penalties (~10x on a single 48 B mab).
-    if (len < 96) {
-        gradientSse2(dst, src, len, base, add);
-        return;
-    }
-    // The 96 B pattern is six 16-byte phases: 0,1,2,0,1,2.
-    const BasePhases ph = makePhases(base);
-    const __m256i p0 = _mm256_set_m128i(ph.p1, ph.p0);
-    const __m256i p1 = _mm256_set_m128i(ph.p0, ph.p2);
-    const __m256i p2 = _mm256_set_m128i(ph.p2, ph.p1);
     std::size_t i = 0;
-    for (; i + 96 <= len; i += 96) {
-        const auto *s = reinterpret_cast<const __m256i *>(src + i);
-        auto *d = reinterpret_cast<__m256i *>(dst + i);
-        const __m256i a = _mm256_loadu_si256(s);
-        const __m256i b = _mm256_loadu_si256(s + 1);
-        const __m256i c = _mm256_loadu_si256(s + 2);
-        if (add) {
-            _mm256_storeu_si256(d, _mm256_add_epi8(a, p0));
-            _mm256_storeu_si256(d + 1, _mm256_add_epi8(b, p1));
-            _mm256_storeu_si256(d + 2, _mm256_add_epi8(c, p2));
-        } else {
-            _mm256_storeu_si256(d, _mm256_sub_epi8(a, p0));
-            _mm256_storeu_si256(d + 1, _mm256_sub_epi8(b, p1));
-            _mm256_storeu_si256(d + 2, _mm256_sub_epi8(c, p2));
-        }
-    }
-    // 96 is a multiple of 48: at most one 48 B chunk remains, done
-    // here with VEX-encoded 128-bit ops — calling the legacy-SSE2
-    // helper with dirty ymm uppers would pay transition penalties.
+#if defined(__SSE2__)
+    const BasePhases ph = makePhases(base);
+    // Each chunk is loaded whole before it is stored, so dst == src
+    // (Macroblock::addBase) is safe.
     for (; i + 48 <= len; i += 48) {
         const auto *s = reinterpret_cast<const __m128i *>(src + i);
         auto *d = reinterpret_cast<__m128i *>(dst + i);
@@ -167,276 +105,19 @@ gradientAvx2(std::uint8_t *dst, const std::uint8_t *src,
             _mm_storeu_si128(d + 2, _mm_sub_epi8(c, ph.p2));
         }
     }
-    // The ragged sub-48 B tail re-enters at channel phase 0.
+#endif
+    // 48 is a multiple of 3, so the tail re-enters at channel phase 0.
     gradientScalar(dst + i, src + i, len - i, base, add);
 }
 
-bool
-gradientAvx2Available()
-{
-    return __builtin_cpu_supports("avx2");
-}
-
-#else
-
-void
-gradientSse2(std::uint8_t *dst, const std::uint8_t *src,
-             std::size_t len, const Pixel &base, bool add)
-{
-    gradientScalar(dst, src, len, base, add);
-}
-
-void
-gradientAvx2(std::uint8_t *dst, const std::uint8_t *src,
-             std::size_t len, const Pixel &base, bool add)
-{
-    gradientScalar(dst, src, len, base, add);
-}
-
-bool
-gradientAvx2Available()
-{
-    return false;
-}
-
-#endif
-
-bool
-gradientSse2Available()
-{
-#ifdef VSTREAM_PIXEL_X86
-    return true;
-#else
-    return false;
-#endif
-}
-
-using GradientFn = void (*)(std::uint8_t *, const std::uint8_t *,
-                            std::size_t, const Pixel &, bool);
-
-GradientFn
-gradientFn(GradientKernel k)
-{
-    switch (k) {
-      case GradientKernel::kScalar:
-        return gradientScalar;
-      case GradientKernel::kSse2:
-        return gradientSse2;
-      case GradientKernel::kAvx2:
-        return gradientAvx2;
-    }
-    return gradientScalar;
-}
-
-/**
- * Pick the dispatch target once, pre-main: the widest available
- * kernel unless VSTREAM_GRADIENT_IMPL forces one.  All kernels
- * transform bytes identically, so the choice never affects
- * simulation output.
- */
-// vstream:allow(determinism-source) digest-equivalent dispatch
-GradientKernel
-resolveGradientKernel()
-{
-    GradientKernel best = GradientKernel::kScalar;
-    if (gradientSse2Available()) {
-        best = GradientKernel::kSse2;
-    }
-    if (gradientAvx2Available()) {
-        best = GradientKernel::kAvx2;
-    }
-    // Resolved once, pre-main, before any thread exists.
-    const char *force = std::getenv(
-        "VSTREAM_GRADIENT_IMPL"); // NOLINT(concurrency-mt-unsafe)
-    if (force == nullptr) {
-        return best;
-    }
-    if (std::strcmp(force, "scalar") == 0) {
-        return GradientKernel::kScalar;
-    }
-    if (std::strcmp(force, "sse2") == 0 && gradientSse2Available()) {
-        return GradientKernel::kSse2;
-    }
-    if (std::strcmp(force, "avx2") == 0 && gradientAvx2Available()) {
-        return GradientKernel::kAvx2;
-    }
-    return best;
-}
-
-const GradientKernel kActiveGradientKernel = resolveGradientKernel();
-const GradientFn kActiveGradientFn = gradientFn(kActiveGradientKernel);
-
-// --- Similarity (block equality) kernels ----------------------------
-
-// vstream:hot
-bool
-equalScalar(const std::uint8_t *a, const std::uint8_t *b,
-            std::size_t len)
-{
-    for (std::size_t i = 0; i < len; ++i) {
-        if (a[i] != b[i]) {
-            return false;
-        }
-    }
-    return true;
-}
-
-// vstream:hot
-bool
-equalPacked64(const std::uint8_t *a, const std::uint8_t *b,
-              std::size_t len)
-{
-    while (len >= 8) {
-        std::uint64_t x;
-        std::uint64_t y;
-        std::memcpy(&x, a, 8);
-        std::memcpy(&y, b, 8);
-        if (x != y) {
-            return false;
-        }
-        a += 8;
-        b += 8;
-        len -= 8;
-    }
-    return equalScalar(a, b, len);
-}
-
-#ifdef VSTREAM_PIXEL_X86
-
-// vstream:hot
-bool
-equalSimd(const std::uint8_t *a, const std::uint8_t *b,
-          std::size_t len)
-{
-    while (len >= 16) {
-        const __m128i x = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(a));
-        const __m128i y = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(b));
-        if (_mm_movemask_epi8(_mm_cmpeq_epi8(x, y)) != 0xffff) {
-            return false;
-        }
-        a += 16;
-        b += 16;
-        len -= 16;
-    }
-    return equalPacked64(a, b, len);
-}
-
-bool
-similaritySimdAvailable()
-{
-    return true;
-}
-
-#else
-
-bool
-equalSimd(const std::uint8_t *a, const std::uint8_t *b,
-          std::size_t len)
-{
-    return equalPacked64(a, b, len);
-}
-
-bool
-similaritySimdAvailable()
-{
-    return false;
-}
-
-#endif
-
-using EqualFn = bool (*)(const std::uint8_t *, const std::uint8_t *,
-                         std::size_t);
-
-EqualFn
-similarityFn(SimilarityKernel k)
-{
-    switch (k) {
-      case SimilarityKernel::kScalar:
-        return equalScalar;
-      case SimilarityKernel::kPacked64:
-        return equalPacked64;
-      case SimilarityKernel::kSimd:
-        return equalSimd;
-    }
-    return equalScalar;
-}
-
-// A boolean equality probe cannot perturb output whichever kernel
-// computes it; the env read only selects an implementation.
-// vstream:allow(determinism-source) digest-equivalent dispatch
-SimilarityKernel
-resolveSimilarityKernel()
-{
-    const SimilarityKernel best = similaritySimdAvailable()
-                                      ? SimilarityKernel::kSimd
-                                      : SimilarityKernel::kPacked64;
-    // Resolved once, pre-main, before any thread exists.
-    const char *force = std::getenv(
-        "VSTREAM_SIMILARITY_IMPL"); // NOLINT(concurrency-mt-unsafe)
-    if (force == nullptr) {
-        return best;
-    }
-    if (std::strcmp(force, "scalar") == 0) {
-        return SimilarityKernel::kScalar;
-    }
-    if (std::strcmp(force, "packed64") == 0) {
-        return SimilarityKernel::kPacked64;
-    }
-    if (std::strcmp(force, "simd") == 0 && similaritySimdAvailable()) {
-        return SimilarityKernel::kSimd;
-    }
-    return best;
-}
-
-const SimilarityKernel kActiveSimilarityKernel =
-    resolveSimilarityKernel();
-const EqualFn kActiveEqualFn = similarityFn(kActiveSimilarityKernel);
-
 } // namespace
-
-// --- Public API -----------------------------------------------------
-
-const char *
-gradientKernelName(GradientKernel k)
-{
-    switch (k) {
-      case GradientKernel::kScalar:
-        return "scalar";
-      case GradientKernel::kSse2:
-        return "sse2";
-      case GradientKernel::kAvx2:
-        return "avx2";
-    }
-    return "unknown";
-}
-
-std::vector<GradientKernel>
-availableGradientKernels()
-{
-    std::vector<GradientKernel> out{GradientKernel::kScalar};
-    if (gradientSse2Available()) {
-        out.push_back(GradientKernel::kSse2);
-    }
-    if (gradientAvx2Available()) {
-        out.push_back(GradientKernel::kAvx2);
-    }
-    return out;
-}
-
-GradientKernel
-activeGradientKernel()
-{
-    return kActiveGradientKernel;
-}
 
 // vstream:hot
 void
 gradientSub(std::uint8_t *dst, const std::uint8_t *src,
             std::size_t len, const Pixel &base)
 {
-    kActiveGradientFn(dst, src, len, base, /*add=*/false);
+    gradient(dst, src, len, base, /*add=*/false);
 }
 
 // vstream:hot
@@ -444,54 +125,7 @@ void
 gradientAdd(std::uint8_t *dst, const std::uint8_t *src,
             std::size_t len, const Pixel &base)
 {
-    kActiveGradientFn(dst, src, len, base, /*add=*/true);
-}
-
-void
-gradientSubWith(GradientKernel k, std::uint8_t *dst,
-                const std::uint8_t *src, std::size_t len,
-                const Pixel &base)
-{
-    gradientFn(k)(dst, src, len, base, /*add=*/false);
-}
-
-void
-gradientAddWith(GradientKernel k, std::uint8_t *dst,
-                const std::uint8_t *src, std::size_t len,
-                const Pixel &base)
-{
-    gradientFn(k)(dst, src, len, base, /*add=*/true);
-}
-
-const char *
-similarityKernelName(SimilarityKernel k)
-{
-    switch (k) {
-      case SimilarityKernel::kScalar:
-        return "scalar";
-      case SimilarityKernel::kPacked64:
-        return "packed64";
-      case SimilarityKernel::kSimd:
-        return "simd";
-    }
-    return "unknown";
-}
-
-std::vector<SimilarityKernel>
-availableSimilarityKernels()
-{
-    std::vector<SimilarityKernel> out{SimilarityKernel::kScalar,
-                                      SimilarityKernel::kPacked64};
-    if (similaritySimdAvailable()) {
-        out.push_back(SimilarityKernel::kSimd);
-    }
-    return out;
-}
-
-SimilarityKernel
-activeSimilarityKernel()
-{
-    return kActiveSimilarityKernel;
+    gradient(dst, src, len, base, /*add=*/true);
 }
 
 // vstream:hot
@@ -499,14 +133,9 @@ bool
 blockEqual(const std::uint8_t *a, const std::uint8_t *b,
            std::size_t len)
 {
-    return kActiveEqualFn(a, b, len);
-}
-
-bool
-blockEqualWith(SimilarityKernel k, const std::uint8_t *a,
-               const std::uint8_t *b, std::size_t len)
-{
-    return similarityFn(k)(a, b, len);
+    // memcmp's pointers must be valid even for zero bytes, and an
+    // empty block may come with null pointers.
+    return len == 0 || std::memcmp(a, b, len) == 0;
 }
 
 // vstream:hot
@@ -515,7 +144,7 @@ blockEqual(const std::vector<std::uint8_t> &a,
            const std::vector<std::uint8_t> &b)
 {
     return a.size() == b.size() &&
-           kActiveEqualFn(a.data(), b.data(), a.size());
+           blockEqual(a.data(), b.data(), a.size());
 }
 
 } // namespace vstream

@@ -1,29 +1,22 @@
 /**
  * @file
- * Runtime-dispatched pixel kernels for the per-mab hot loops.
- *
- * Two families, both following the CRC dispatch pattern of
- * hash/crc.hh (registry of digest-stable kernels, resolved once
- * pre-main, forceable through a VSTREAM_*_IMPL env variable, and
- * byte-identical output no matter which kernel runs):
+ * The per-mab pixel kernels: one implementation per job.
  *
  *  - **Gradient transform** (`gradientSub` / `gradientAdd`): the
  *    wrap-around per-byte subtract/add of a base pixel whose channel
- *    cycles r,g,b (Macroblock::gradientInto / fromGradient).  The
- *    SIMD kernels exploit lcm(16, 3) = 48: three rotated 16-byte base
- *    vectors cover every phase of the 3-byte pattern, so SSE2
- *    processes 16 pixels (48 bytes) per iteration and AVX2 32 pixels
- *    (96 bytes).  Byte subtraction is exact mod-256 arithmetic in
- *    both scalar and vector form, so the kernels are identical by
- *    construction.  VSTREAM_GRADIENT_IMPL=scalar|sse2|avx2.
+ *    cycles r,g,b (Macroblock::gradientInto / fromGradient).  Where
+ *    the compiler targets SSE2 (baseline on x86-64) a 16-pixel loop
+ *    is compiled in: lcm(16, 3) = 48, so three rotated 16-byte base
+ *    vectors cover every phase of the 3-byte pattern and one
+ *    iteration transforms exactly one 48 B (4x4) mab.  The scalar
+ *    loop takes the sub-48 B tail, and the whole length on other
+ *    hosts.  Byte subtraction is exact mod-256 arithmetic in both
+ *    forms, so the bytes never depend on which loop ran.
  *
- *  - **Similarity compare** (`blockEqual`): the block-equality probe
- *    behind MACH verify-on-hit, the collider forge check and
- *    Macroblock::operator==.  Variants: byte-at-a-time scalar, packed
- *    uint64 loads, and 16-byte SSE2 compare+movemask.  A boolean
- *    cannot drift, so equivalence is trivial; the kernels exist for
- *    the verify-on-hit path where every MACH hit pays a full-block
- *    compare.  VSTREAM_SIMILARITY_IMPL=scalar|packed64|simd.
+ *  - **Block equality** (`blockEqual`): the probe behind MACH
+ *    verify-on-hit, the collider forge check and
+ *    Macroblock::operator==.  It is `std::memcmp`, which beats
+ *    hand-written packed and SSE2 compares at both 48 B and 768 B.
  */
 
 #ifndef VSTREAM_VIDEO_PIXEL_KERNELS_HH
@@ -38,26 +31,11 @@
 namespace vstream
 {
 
-/** One gradient-transform implementation; see file comment. */
-enum class GradientKernel : std::uint8_t
-{
-    kScalar = 0,
-    kSse2,
-    kAvx2,
-};
-
-/** Human-readable kernel name ("scalar", "sse2", "avx2"). */
-const char *gradientKernelName(GradientKernel k);
-
-/** Gradient kernels usable on this host, scalar first. */
-std::vector<GradientKernel> availableGradientKernels();
-
-/** The kernel gradientSub/gradientAdd dispatch to at startup. */
-GradientKernel activeGradientKernel();
-
 /**
- * dst[i] = src[i] - base-channel(i mod 3), mod 256, for @p len bytes
- * (the mab -> gab transform).  Runs the startup-selected kernel.
+ * dst[i] = src[i] - base-channel(i mod 3), mod 256, for the
+ * floor(@p len / 3) whole pixels (the mab -> gab transform); any 1-2
+ * ragged trailing bytes of dst are left untouched.  @p dst may equal
+ * @p src.
  */
 void gradientSub(std::uint8_t *dst, const std::uint8_t *src,
                  std::size_t len, const Pixel &base);
@@ -66,38 +44,12 @@ void gradientSub(std::uint8_t *dst, const std::uint8_t *src,
 void gradientAdd(std::uint8_t *dst, const std::uint8_t *src,
                  std::size_t len, const Pixel &base);
 
-/** Explicit-kernel variants (test/bench hooks). */
-void gradientSubWith(GradientKernel k, std::uint8_t *dst,
-                     const std::uint8_t *src, std::size_t len,
-                     const Pixel &base);
-void gradientAddWith(GradientKernel k, std::uint8_t *dst,
-                     const std::uint8_t *src, std::size_t len,
-                     const Pixel &base);
-
-/** One block-equality implementation; see file comment. */
-enum class SimilarityKernel : std::uint8_t
-{
-    kScalar = 0,
-    kPacked64,
-    kSimd,
-};
-
-/** Human-readable kernel name ("scalar", "packed64", "simd"). */
-const char *similarityKernelName(SimilarityKernel k);
-
-/** Similarity kernels usable on this host, scalar first. */
-std::vector<SimilarityKernel> availableSimilarityKernels();
-
-/** The kernel blockEqual dispatches to at startup. */
-SimilarityKernel activeSimilarityKernel();
-
-/** True when the @p len bytes at @p a and @p b are identical. */
+/**
+ * True when the @p len bytes at @p a and @p b are identical.  Either
+ * pointer may be null when @p len is 0.
+ */
 bool blockEqual(const std::uint8_t *a, const std::uint8_t *b,
                 std::size_t len);
-
-/** Explicit-kernel variant (test/bench hook). */
-bool blockEqualWith(SimilarityKernel k, const std::uint8_t *a,
-                    const std::uint8_t *b, std::size_t len);
 
 /** Vector convenience: sizes then contents. */
 bool blockEqual(const std::vector<std::uint8_t> &a,

@@ -1,11 +1,10 @@
 /**
  * @file
- * Kernel-equivalence tests for the runtime-dispatched pixel kernels
- * (video/pixel_kernels.hh) and the batched digest paths
- * (hash/hasher.hh).  Every SIMD variant must produce bytes identical
- * to the scalar reference at every size, alignment and tail shape -
- * the digest-stability contract that lets VSTREAM_*_IMPL switch
- * kernels without perturbing simulation output.
+ * Equivalence tests for the pixel kernels (video/pixel_kernels.hh)
+ * and the batched digest paths (hash/hasher.hh, hash/crc.hh).  The
+ * SSE2 gradient loop and every CRC kernel must produce bytes
+ * identical to a scalar reference at every size, alignment and tail
+ * shape, so simulation output never depends on the host.
  */
 
 #include <gtest/gtest.h>
@@ -13,9 +12,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
+#include "hash/crc.hh"
 #include "hash/hasher.hh"
 #include "video/pixel.hh"
 #include "video/pixel_kernels.hh"
@@ -57,141 +56,94 @@ referenceSub(std::uint8_t *dst, const std::uint8_t *src,
     }
 }
 
-// Sizes exercise empty input, sub-vector tails, the SSE2 48-byte and
-// AVX2 96-byte strides exactly, one-off tails around both strides,
-// non-multiple-of-3 lengths, and full 16x16x3 macroblocks.
+// Sizes exercise empty input, sub-48 B lengths that run the scalar
+// loop end to end, the 48-byte SSE2 stride exactly and with one-off
+// tails, non-multiple-of-3 lengths, and full 16x16x3 macroblocks.
 const std::size_t kSizes[] = {0,  1,  2,  3,  15,  16,  17,  47,
                               48, 49, 95, 96, 97,  100, 192, 300,
                               767, 768, 769, 3072};
 
-TEST(GradientKernels, RegistryListsScalarFirstAndActiveIsAvailable)
-{
-    const auto kernels = availableGradientKernels();
-    ASSERT_FALSE(kernels.empty());
-    EXPECT_EQ(kernels.front(), GradientKernel::kScalar);
-    bool active_listed = false;
-    for (GradientKernel k : kernels) {
-        EXPECT_NE(std::string(gradientKernelName(k)), "");
-        active_listed |= k == activeGradientKernel();
-    }
-    EXPECT_TRUE(active_listed);
-}
-
 TEST(GradientKernels, SubMatchesScalarReferenceAtEverySizeAndOffset)
 {
     const Pixel base{211, 3, 97};
-    for (GradientKernel k : availableGradientKernels()) {
-        for (std::size_t len : kSizes) {
-            // Offsets walk the buffers off 16-byte alignment so the
-            // unaligned-load path is exercised too.
-            for (std::size_t off : {std::size_t{0}, std::size_t{1},
-                                    std::size_t{7}}) {
-                const auto backing = patternBytes(len + off, len);
-                const std::uint8_t *src = backing.data() + off;
-                // 0xEE sentinels pin the untouched-ragged-tail
-                // contract as well as the transformed prefix.
-                std::vector<std::uint8_t> want(len, 0xEE);
-                referenceSub(want.data(), src, len, base);
-                std::vector<std::uint8_t> got_backing(len + off, 0xEE);
-                gradientSubWith(k, got_backing.data() + off, src, len,
-                                base);
-                EXPECT_EQ(std::vector<std::uint8_t>(
-                              got_backing.begin() +
-                                  static_cast<std::ptrdiff_t>(off),
-                              got_backing.end()),
-                          want)
-                    << gradientKernelName(k) << " len " << len
-                    << " off " << off;
-            }
+    for (std::size_t len : kSizes) {
+        // Offsets walk the buffers off 16-byte alignment so the
+        // unaligned-load path is exercised too.
+        for (std::size_t off :
+             {std::size_t{0}, std::size_t{1}, std::size_t{7}}) {
+            const auto backing = patternBytes(len + off, len);
+            const std::uint8_t *src = backing.data() + off;
+            // 0xEE sentinels pin the untouched-ragged-tail contract
+            // as well as the transformed prefix.
+            std::vector<std::uint8_t> want(len, 0xEE);
+            referenceSub(want.data(), src, len, base);
+            std::vector<std::uint8_t> got_backing(len + off, 0xEE);
+            gradientSub(got_backing.data() + off, src, len, base);
+            EXPECT_EQ(std::vector<std::uint8_t>(
+                          got_backing.begin() +
+                              static_cast<std::ptrdiff_t>(off),
+                          got_backing.end()),
+                      want)
+                << "len " << len << " off " << off;
         }
     }
 }
 
-TEST(GradientKernels, AddInvertsSubForEveryKernelPair)
+TEST(GradientKernels, AddInvertsSub)
 {
     const Pixel base{17, 255, 128};
-    for (GradientKernel sub_k : availableGradientKernels()) {
-        for (GradientKernel add_k : availableGradientKernels()) {
-            for (std::size_t len : kSizes) {
-                const auto src = patternBytes(len, 77 + len);
-                std::vector<std::uint8_t> gab(len);
-                gradientSubWith(sub_k, gab.data(), src.data(), len,
-                                base);
-                std::vector<std::uint8_t> back(len);
-                gradientAddWith(add_k, back.data(), gab.data(), len,
-                                base);
-                // Only whole pixels round-trip; a ragged tail is
-                // untouched by both transforms.
-                const std::size_t full = len / 3 * 3;
-                EXPECT_TRUE(std::equal(back.begin(),
-                                       back.begin() +
-                                           static_cast<std::ptrdiff_t>(
-                                               full),
-                                       src.begin()))
-                    << gradientKernelName(sub_k) << " -> "
-                    << gradientKernelName(add_k) << " len " << len;
-            }
-        }
+    for (std::size_t len : kSizes) {
+        const auto src = patternBytes(len, 77 + len);
+        std::vector<std::uint8_t> gab(len);
+        gradientSub(gab.data(), src.data(), len, base);
+        std::vector<std::uint8_t> back(len);
+        gradientAdd(back.data(), gab.data(), len, base);
+        // Only whole pixels round-trip; a ragged tail is untouched
+        // by both transforms.
+        const std::size_t full = len / 3 * 3;
+        EXPECT_TRUE(std::equal(
+            back.begin(),
+            back.begin() + static_cast<std::ptrdiff_t>(full),
+            src.begin()))
+            << "len " << len;
     }
 }
 
 TEST(GradientKernels, ExactAliasInPlaceMatchesOutOfPlace)
 {
-    // Macroblock::addBase runs the kernels with dst == src; every
-    // kernel must load each chunk before storing it.
+    // Macroblock::addBase runs gradientAdd with dst == src; both
+    // transforms must load each chunk before storing it.
     const Pixel base{5, 250, 77};
-    for (GradientKernel k : availableGradientKernels()) {
-        for (std::size_t len : kSizes) {
-            const auto src = patternBytes(len, 13 * len + 1);
-            // In-place leaves the ragged tail holding src bytes.
-            std::vector<std::uint8_t> want = src;
-            referenceSub(want.data(), src.data(), len, base);
-            std::vector<std::uint8_t> in_place = src;
-            gradientSubWith(k, in_place.data(), in_place.data(), len,
-                            base);
-            EXPECT_EQ(in_place, want)
-                << gradientKernelName(k) << " len " << len;
-        }
+    for (std::size_t len : kSizes) {
+        const auto src = patternBytes(len, 13 * len + 1);
+        // In-place leaves the ragged tail holding src bytes.
+        std::vector<std::uint8_t> want = src;
+        referenceSub(want.data(), src.data(), len, base);
+        std::vector<std::uint8_t> in_place = src;
+        gradientSub(in_place.data(), in_place.data(), len, base);
+        EXPECT_EQ(in_place, want) << "sub len " << len;
+        gradientAdd(in_place.data(), in_place.data(), len, base);
+        EXPECT_EQ(in_place, src) << "add len " << len;
     }
 }
 
-TEST(SimilarityKernels, RegistryListsScalarFirstAndActiveIsAvailable)
+TEST(SimilarityKernels, DetectEqualAndSingleByteDifferingBlocks)
 {
-    const auto kernels = availableSimilarityKernels();
-    ASSERT_FALSE(kernels.empty());
-    EXPECT_EQ(kernels.front(), SimilarityKernel::kScalar);
-    bool active_listed = false;
-    for (SimilarityKernel k : kernels) {
-        EXPECT_NE(std::string(similarityKernelName(k)), "");
-        active_listed |= k == activeSimilarityKernel();
-    }
-    EXPECT_TRUE(active_listed);
-}
-
-TEST(SimilarityKernels, AgreeOnEqualAndSingleByteDifferingBlocks)
-{
-    for (SimilarityKernel k : availableSimilarityKernels()) {
-        EXPECT_TRUE(blockEqualWith(k, nullptr, nullptr, 0))
-            << similarityKernelName(k);
-        for (std::size_t len :
-             {std::size_t{1}, std::size_t{7}, std::size_t{8},
-              std::size_t{9}, std::size_t{15}, std::size_t{16},
-              std::size_t{17}, std::size_t{48}, std::size_t{768}}) {
-            const auto a = patternBytes(len, len);
-            std::vector<std::uint8_t> b = a;
-            EXPECT_TRUE(blockEqualWith(k, a.data(), b.data(), len))
-                << similarityKernelName(k) << " len " << len;
-            // Flip one byte at the head, tail, middle and every
-            // vector-boundary-straddling position.
-            for (std::size_t p :
-                 {std::size_t{0}, len / 2, len - 1}) {
-                b = a;
-                b[p] ^= 0x80;
-                EXPECT_FALSE(
-                    blockEqualWith(k, a.data(), b.data(), len))
-                    << similarityKernelName(k) << " len " << len
-                    << " flip " << p;
-            }
+    EXPECT_TRUE(blockEqual(nullptr, nullptr, 0));
+    for (std::size_t len :
+         {std::size_t{1}, std::size_t{7}, std::size_t{8},
+          std::size_t{9}, std::size_t{15}, std::size_t{16},
+          std::size_t{17}, std::size_t{48}, std::size_t{768}}) {
+        const auto a = patternBytes(len, len);
+        std::vector<std::uint8_t> b = a;
+        EXPECT_TRUE(blockEqual(a.data(), b.data(), len))
+            << "len " << len;
+        // Flip one byte at the head, middle and tail.
+        for (std::size_t p : {std::size_t{0}, len / 2, len - 1}) {
+            b = a;
+            b[p] ^= 0x80;
+            EXPECT_FALSE(blockEqual(a.data(), b.data(), len))
+                << "len " << len << " flip " << p;
         }
     }
 }
@@ -238,6 +190,38 @@ TEST(BatchDigests, MatchPerBlockDigestsAtEveryCountAndKind)
         for (std::size_t i = 0; i < count; ++i) {
             EXPECT_EQ(aux[i], auxDigest16(blocks[i], kBlockLen))
                 << "aux count " << count << " block " << i;
+        }
+    }
+}
+
+TEST(BatchDigests, EveryCrc32KernelMatchesReference)
+{
+    // Only the active kernel runs inside digest32Batch, so each
+    // available kernel's batch path (the portable four-lane slice8
+    // interleave included) is checked here explicitly, at one 4x4
+    // and one 16x16 mab size.
+    for (std::size_t block_len : {std::size_t{48}, std::size_t{768}}) {
+        for (std::size_t count = 1; count <= 13; ++count) {
+            std::vector<std::vector<std::uint8_t>> storage;
+            std::vector<const std::uint8_t *> blocks;
+            for (std::size_t i = 0; i < count; ++i) {
+                storage.push_back(
+                    patternBytes(block_len, 2000 + 31 * i + block_len));
+                blocks.push_back(storage.back().data());
+            }
+            for (CrcKernel k : availableCrc32Kernels()) {
+                std::vector<std::uint32_t> got(count, 0);
+                crc32BatchWith(k, blocks.data(), block_len, count,
+                               got.data());
+                for (std::size_t i = 0; i < count; ++i) {
+                    EXPECT_EQ(got[i],
+                              ~crc32Step(CrcKernel::kReference,
+                                         0xffffffffu, blocks[i],
+                                         block_len))
+                        << crcKernelName(k) << " len " << block_len
+                        << " count " << count << " block " << i;
+                }
+            }
         }
     }
 }

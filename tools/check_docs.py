@@ -10,6 +10,10 @@ Enforced rules (registered as the `vstream_docs` ctest and run by
     existing file or directory in the repo.
  3. Every anchor (`file.md#section` or `#section`) resolves to a
     heading in the target file, using GitHub's slug rules.
+ 4. Every `VSTREAM_*` name a doc mentions is live: an environment
+    variable some source file reads (a quoted "VSTREAM_..." literal
+    in C++ or Python outside tools/) or a CMake option / cache
+    variable.  Names ending in `_HH` are header guards and exempt.
 
 Checked set: README.md, DESIGN.md, EXPERIMENTS.md, ROADMAP.md and
 every docs/*.md.  External links (http/https/mailto) are ignored;
@@ -21,15 +25,26 @@ Usage: tools/check_docs.py [--root DIR]   (exit 0 = clean)
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
 import re
 import sys
+import tempfile
 
 # Inline markdown links: [text](target).  Good enough for this
 # repo's hand-written docs; reference-style links are not used.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 CODE_FENCE_RE = re.compile(r"^(```|~~~)")
+KNOB_RE = re.compile(r"\bVSTREAM_[A-Z0-9_]+")
+ENV_READ_RE = re.compile(r"[\"'](VSTREAM_[A-Z0-9_]+)[\"']")
+CMAKE_KNOB_RE = re.compile(
+    r"(?:option\(\s*(VSTREAM_[A-Z0-9_]+))|"
+    r"(?:set\(\s*(VSTREAM_[A-Z0-9_]+)\b[^)]*\bCACHE\b)")
+# Where env reads live.  tools/ is excluded: its self-tests carry
+# fixture names that must not count as live knobs.
+CODE_SUFFIXES = (".cc", ".hh", ".cpp", ".h", ".py")
+SKIP_DIRS = ("tools",)
 
 # Root-level docs that participate in link checking.  CHANGES.md is
 # an append-only log and ISSUE/PAPER/SNIPPETS are driver-managed
@@ -97,6 +112,50 @@ def links(path: pathlib.Path) -> list[tuple[int, str]]:
     return out
 
 
+def source_files(root: pathlib.Path, suffixes) -> list[pathlib.Path]:
+    out = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        if pathlib.Path(dirpath) == root:
+            # Build trees, VCS metadata and tools/ never count.
+            dirnames[:] = [d for d in dirnames
+                           if not d.startswith((".", "build"))
+                           and d not in SKIP_DIRS]
+        for name in filenames:
+            if name.endswith(suffixes):
+                out.append(pathlib.Path(dirpath) / name)
+    return out
+
+
+def live_knobs(root: pathlib.Path) -> set[str]:
+    """Env vars read by the code plus CMake options/cache vars."""
+    names: set[str] = set()
+    for path in source_files(root, CODE_SUFFIXES):
+        names.update(ENV_READ_RE.findall(
+            path.read_text(encoding="utf-8", errors="replace")))
+    for path in source_files(root, ("CMakeLists.txt", ".cmake")):
+        for m in CMAKE_KNOB_RE.finditer(path.read_text(
+                encoding="utf-8", errors="replace")):
+            names.add(m.group(1) or m.group(2))
+    return names
+
+
+def stale_knobs(root: pathlib.Path,
+                files: list[pathlib.Path]) -> list[str]:
+    errors: list[str] = []
+    live = live_knobs(root)
+    for f in files:
+        rel = f.relative_to(root)
+        for lineno, line in enumerate(
+                f.read_text(encoding="utf-8").splitlines(), 1):
+            for name in KNOB_RE.findall(line):
+                if name.endswith("_HH") or name in live:
+                    continue
+                errors.append(f"{rel}:{lineno}: '{name}' is neither "
+                              f"an env var read in the tree nor a "
+                              f"CMake option")
+    return errors
+
+
 def check(root: pathlib.Path) -> list[str]:
     errors: list[str] = []
     files = md_files(root)
@@ -149,6 +208,9 @@ def check(root: pathlib.Path) -> list[str]:
         if rel not in referenced_docs:
             errors.append(f"README.md: docs file '{rel}' is never "
                           f"referenced")
+
+    # Rule 4: no doc names a knob the code no longer has.
+    errors += stale_knobs(root, files)
     return errors
 
 
@@ -157,6 +219,25 @@ def self_test() -> int:
     assert github_slug("The `--shards` flag") == "the---shards-flag"
     assert github_slug("A / B (C)") == "a--b-c"
     assert github_slug("vstream-soak-1") == "vstream-soak-1"
+
+    # Rule 4 on a fixture tree: one live env var, one CMake option,
+    # one cache variable, a header guard, and one stale name.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        (root / "src").mkdir()
+        (root / "src" / "knob.cc").write_text(
+            'const char *v = std::getenv("VSTREAM_LIVE_ENV");\n')
+        (root / "CMakeLists.txt").write_text(
+            'option(VSTREAM_LIVE_OPT "doc" OFF)\n'
+            'set(VSTREAM_LIVE_CACHE 1 CACHE STRING "doc")\n')
+        (root / "README.md").write_text(
+            "`VSTREAM_LIVE_ENV=1`, `-DVSTREAM_LIVE_OPT=ON`,\n"
+            "`VSTREAM_LIVE_CACHE`, `VSTREAM_SRC_KNOB_HH`,\n"
+            "and the removed `VSTREAM_STALE_IMPL`.\n")
+        errors = check(root)
+        assert len(errors) == 1, errors
+        assert errors[0].startswith("README.md:3: 'VSTREAM_STALE_IMPL'"), \
+            errors
     print("check_docs self-test OK")
     return 0
 
