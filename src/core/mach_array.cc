@@ -11,14 +11,18 @@
 namespace vstream
 {
 
-MachArray::MachArray(const MachConfig &cfg) : cfg_(cfg)
+MachArray::MachArray(const MachConfig &cfg, std::uint64_t max_lookups)
+    : cfg_(cfg)
 {
     cfg_.validate();
     ring_.reserve(cfg_.num_machs);
     ring_.emplace_back(cfg_);
     // Pre-size the Fig. 9b match tracker so steady-state lookups
-    // never rehash it (see MachConfig::match_track_reserve).
-    match_counts_.reserve(cfg_.match_track_reserve);
+    // never rehash it (see MachConfig::match_track_reserve).  Each
+    // hit counts one digest, so a playback never tracks more
+    // distinct digests than it makes lookups.
+    match_counts_.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+        cfg_.match_track_reserve, max_lookups)));
     if (cfg_.co_mach) {
         co_mach_ = std::make_unique<CoMach>(cfg_);
     }

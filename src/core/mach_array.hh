@@ -87,7 +87,13 @@ struct MachStats
 class MachArray
 {
   public:
-    explicit MachArray(const MachConfig &cfg);
+    /**
+     * @param max_lookups lookups the array can ever see (frames x
+     *        mabs per frame of the video played); the match tracker
+     *        reserves no more distinct digests than that.
+     */
+    explicit MachArray(const MachConfig &cfg,
+                       std::uint64_t max_lookups = UINT64_MAX);
 
     /**
      * Start a new frame: freeze the current MACH into the history

@@ -60,6 +60,8 @@ struct MachConfig
      * keeps steady-state serving allocation-free for digest
      * populations up to this size; larger populations grow the table
      * geometrically (a handful of rehashes over a whole playback).
+     * A pipeline reserves no more than its video's frames x mabs per
+     * frame, the most distinct digests it can ever count.
      */
     std::size_t match_track_reserve = 16384;
 

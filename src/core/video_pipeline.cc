@@ -183,7 +183,9 @@ struct Playback
             queue.setTraceSink(trace);
         }
         if (c.scheme.mach) {
-            machs = std::make_unique<MachArray>(c.mach);
+            machs = std::make_unique<MachArray>(
+                c.mach, static_cast<std::uint64_t>(frames) *
+                            c.profile.mabsPerFrame());
             wb = std::make_unique<MachWriteback>(
                 mem, fbm, *machs, c.scheme.layout, c.scheme.dcc);
         } else {

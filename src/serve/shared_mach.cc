@@ -1,5 +1,7 @@
 #include "serve/shared_mach.hh"
 
+#include <cstring>
+
 #include "sim/logging.hh"
 #include "sim/spec_fields.hh"
 #include "video/pixel_kernels.hh"
@@ -18,13 +20,30 @@ DedupRecord::totalWrites() const
 }
 
 void
+DedupRecord::append(std::uint32_t digest, std::uint16_t aux,
+                    std::uint32_t writes,
+                    std::span<const std::uint8_t> truth)
+{
+    vs_assert(arena.size() + truth.size() <= UINT32_MAX,
+              "dedup record arena exceeds 4 GiB");
+    DedupBlock b;
+    b.digest = digest;
+    b.aux = aux;
+    b.writes = writes;
+    b.offset = static_cast<std::uint32_t>(arena.size());
+    b.len = static_cast<std::uint32_t>(truth.size());
+    arena.insert(arena.end(), truth.begin(), truth.end());
+    blocks.push_back(b);
+}
+
+void
 DedupRecorder::observe(std::uint32_t digest, std::uint16_t aux,
                        const std::vector<std::uint8_t> &truth)
 {
     const std::uint64_t key = dedupKey(digest, aux);
     if (const std::uint32_t *idx = index_.find(key)) {
         DedupBlock &b = rec_.blocks[*idx];
-        if (!blockEqual(b.truth, truth)) {
+        if (!blockEqual(rec_.truth(b), truth)) {
             // Organic collision inside one session: two different
             // blocks share a (digest, aux).  Citing either from the
             // shared tier would be a latent false hit, so neither is
@@ -37,12 +56,7 @@ DedupRecorder::observe(std::uint32_t digest, std::uint16_t aux,
     }
     index_[key] =
         static_cast<std::uint32_t>(rec_.blocks.size());
-    DedupBlock b;
-    b.digest = digest;
-    b.aux = aux;
-    b.writes = 1;
-    b.truth = truth;
-    rec_.blocks.push_back(std::move(b));
+    rec_.append(digest, aux, 1, truth);
 }
 
 DedupRecord
@@ -181,6 +195,51 @@ SharedMachTier::domainAt(std::uint32_t domain) const
     return domains_[domain];
 }
 
+std::uint32_t
+SharedMachTier::insert(Domain &d, std::uint64_t key,
+                       std::span<const std::uint8_t> truth,
+                       std::uint32_t refs)
+{
+    std::uint32_t slot;
+    if (!d.free_slots.empty()) {
+        slot = d.free_slots.back();
+        d.free_slots.pop_back();
+    } else {
+        slot = static_cast<std::uint32_t>(d.slab.size());
+        d.slab.emplace_back();
+    }
+    Entry &e = d.slab[slot];
+    const auto len = static_cast<std::uint32_t>(truth.size());
+    if (e.cap < len) {
+        // A fresh slot, or one whose old region is too small (only
+        // a domain mixing block sizes ever abandons a region).
+        e.offset = d.arena.size();
+        e.cap = len;
+        d.arena.resize(d.arena.size() + len);
+    }
+    if (len > 0) {
+        std::memcpy(d.arena.data() + e.offset, truth.data(), len);
+    }
+    e.key = key;
+    e.epoch = d.stats.epoch;
+    e.refs = refs;
+    e.len = len;
+    e.used = true;
+    d.index[key] = slot;
+    d.have_last_insert = true;
+    d.last_insert = key;
+    return slot;
+}
+
+void
+SharedMachTier::freeSlot(Domain &d, std::uint32_t slot)
+{
+    Entry &e = d.slab[slot];
+    d.index.erase(e.key);
+    e.used = false;
+    d.free_slots.push_back(slot);
+}
+
 void
 SharedMachTier::tripBreaker(Domain &d)
 {
@@ -191,11 +250,9 @@ SharedMachTier::tripBreaker(Domain &d)
     d.cooldown_left = cfg_.quarantine_consults;
     // Unreferenced entries reclaim immediately; referenced ones are
     // now stale (unciteable) and drain via release().
-    for (auto it = d.resident.begin(); it != d.resident.end();) {
-        if (it->second.refs == 0) {
-            it = d.resident.erase(it);
-        } else {
-            ++it;
+    for (std::uint32_t s = 0; s < d.slab.size(); ++s) {
+        if (d.slab[s].used && d.slab[s].refs == 0) {
+            freeSlot(d, s);
         }
     }
 }
@@ -209,7 +266,7 @@ SharedMachTier::publish(std::uint32_t domain, const DedupRecord &rec,
     DedupSettle settle;
 
     for (const DedupBlock &b : rec.blocks) {
-        const std::uint64_t size = b.truth.size();
+        const std::uint64_t size = b.len;
         if (d.cooldown_left > 0) {
             // Quarantined: the domain ignores consults until the
             // cooldown drains; every write stays a real write.
@@ -240,19 +297,23 @@ SharedMachTier::publish(std::uint32_t domain, const DedupRecord &rec,
             }
         }
 
-        auto it = d.resident.find(key);
-        if (it != d.resident.end() &&
-            it->second.epoch == d.stats.epoch) {
-            if (blockEqual(it->second.truth, b.truth)) {
+        const std::uint32_t *found = d.index.find(key);
+        if (found != nullptr &&
+            d.slab[*found].epoch == d.stats.epoch) {
+            const std::uint32_t slot = *found;
+            Entry &e = d.slab[slot];
+            const std::span<const std::uint8_t> stored{
+                d.arena.data() + e.offset, e.len};
+            if (blockEqual(stored, rec.truth(b))) {
                 // Verified shared hit: every write of this block is
                 // elided from the DRAM accounting.
                 settle.shared_hits += b.writes;
                 settle.bytes_elided += b.writes * size;
                 d.stats.shared_hits += b.writes;
                 d.stats.bytes_elided += b.writes * size;
-                ++it->second.refs;
+                ++e.refs;
                 lease.keys.push_back(
-                    DedupLeaseKey{key, it->second.epoch});
+                    DedupLeaseKey{key, e.epoch, slot});
             } else {
                 // Verify-on-hit byte compare failed: fail closed (no
                 // citation, no insert) and feed the breaker.
@@ -262,19 +323,17 @@ SharedMachTier::publish(std::uint32_t domain, const DedupRecord &rec,
                     tripBreaker(d);
                 }
             }
-        } else if (it != d.resident.end()) {
+        } else if (found != nullptr) {
             // The slot holds a stale-epoch entry still draining its
             // refs; nothing can publish or cite here until it
             // reclaims.
             settle.blocked_writes += b.writes;
             d.stats.blocked_writes += b.writes;
         } else {
-            Entry e;
-            e.truth = b.truth;
-            e.epoch = d.stats.epoch;
-            e.refs = 1;
-            d.resident.emplace(key, std::move(e));
-            lease.keys.push_back(DedupLeaseKey{key, d.stats.epoch});
+            const std::uint32_t slot =
+                insert(d, key, rec.truth(b), /*refs=*/1);
+            lease.keys.push_back(
+                DedupLeaseKey{key, d.stats.epoch, slot});
             ++settle.unique_published;
             ++d.stats.unique_published;
             // The session's own repeat writes of this block are
@@ -283,8 +342,6 @@ SharedMachTier::publish(std::uint32_t domain, const DedupRecord &rec,
             settle.bytes_elided += (b.writes - 1) * size;
             d.stats.self_hits += b.writes - 1;
             d.stats.bytes_elided += (b.writes - 1) * size;
-            d.have_last_insert = true;
-            d.last_insert = key;
         }
     }
     return settle;
@@ -295,20 +352,20 @@ SharedMachTier::release(const DedupLease &lease)
 {
     Domain &d = domainAt(lease.domain);
     for (const DedupLeaseKey &lk : lease.keys) {
-        auto it = d.resident.find(lk.key);
-        if (it == d.resident.end() ||
-            it->second.epoch != lk.epoch) {
+        if (lk.slot >= d.slab.size()) {
+            continue; // the slab was wiped and has not regrown
+        }
+        Entry &e = d.slab[lk.slot];
+        if (!e.used || e.key != lk.key || e.epoch != lk.epoch) {
             // Wiped (crash) or replaced under a newer epoch: the
             // lease was voided with the entry.
             continue;
         }
-        vs_assert(it->second.refs > 0,
-                  "dedup release underflows a refcount");
-        --it->second.refs;
-        if (it->second.refs == 0 &&
-            it->second.epoch != d.stats.epoch) {
+        vs_assert(e.refs > 0, "dedup release underflows a refcount");
+        --e.refs;
+        if (e.refs == 0 && e.epoch != d.stats.epoch) {
             // Quarantined epoch fully drained: reclaim.
-            d.resident.erase(it);
+            freeSlot(d, lk.slot);
         }
     }
 }
@@ -320,19 +377,12 @@ SharedMachTier::republish(std::uint32_t domain,
     Domain &d = domainAt(domain);
     for (const DedupBlock &b : rec.blocks) {
         const std::uint64_t key = dedupKey(b.digest, b.aux);
-        auto it = d.resident.find(key);
-        if (it != d.resident.end()) {
+        if (d.index.find(key) != nullptr) {
             // First journal entry wins; a differing-content later
             // block stays out (fail closed).
             continue;
         }
-        Entry e;
-        e.truth = b.truth;
-        e.epoch = d.stats.epoch;
-        e.refs = 0;
-        d.resident.emplace(key, std::move(e));
-        d.have_last_insert = true;
-        d.last_insert = key;
+        insert(d, key, rec.truth(b), /*refs=*/0);
     }
 }
 
@@ -340,7 +390,10 @@ void
 SharedMachTier::wipeDomain(std::uint32_t domain)
 {
     Domain &d = domainAt(domain);
-    d.resident.clear();
+    d.slab.clear();
+    d.free_slots.clear();
+    d.arena.clear();
+    d.index.clear();
     ++d.stats.epoch;
     d.window_consults = 0;
     d.window_false = 0;
@@ -368,15 +421,17 @@ SharedMachTier::totals() const
 std::uint64_t
 SharedMachTier::entries(std::uint32_t domain) const
 {
-    return domainAt(domain).resident.size();
+    return domainAt(domain).index.size();
 }
 
 std::uint64_t
 SharedMachTier::liveRefs(std::uint32_t domain) const
 {
     std::uint64_t refs = 0;
-    for (const auto &kv : domainAt(domain).resident) {
-        refs += kv.second.refs;
+    for (const Entry &e : domainAt(domain).slab) {
+        if (e.used) {
+            refs += e.refs;
+        }
     }
     return refs;
 }
@@ -386,8 +441,8 @@ SharedMachTier::staleEntries(std::uint32_t domain) const
 {
     const Domain &d = domainAt(domain);
     std::uint64_t n = 0;
-    for (const auto &kv : d.resident) {
-        if (kv.second.epoch != d.stats.epoch) {
+    for (const Entry &e : d.slab) {
+        if (e.used && e.epoch != d.stats.epoch) {
             ++n;
         }
     }

@@ -38,7 +38,7 @@
 #define VSTREAM_SERVE_SHARED_MACH_HH
 
 #include <cstdint>
-#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,22 +48,27 @@ namespace vstream
 {
 
 /** One distinct block a session materialized: the original (unforged)
- * digest/aux as seen by MachArray::insertUnique, the ground-truth
- * bytes, and how many times the session wrote a block with this
- * identity. */
+ * digest/aux as seen by MachArray::insertUnique, where its
+ * ground-truth bytes sit in the owning record's arena, and how many
+ * times the session wrote a block with this identity. */
 struct DedupBlock
 {
     std::uint32_t digest = 0;
     std::uint16_t aux = 0;
     /** insertUnique calls with this (digest, aux) and these bytes. */
     std::uint32_t writes = 0;
-    std::vector<std::uint8_t> truth;
+    /** The bytes are DedupRecord::arena[offset, offset + len). */
+    std::uint32_t offset = 0;
+    std::uint32_t len = 0;
 };
 
-/** The per-session materialization log, in first-write order. */
+/** The per-session materialization log, in first-write order.  All
+ * truth bytes share one arena, so a log allocates as it grows, not
+ * once per block. */
 struct DedupRecord
 {
     std::vector<DedupBlock> blocks;
+    std::vector<std::uint8_t> arena;
     /** Writes whose (digest, aux) matched an earlier block with
      * *different* bytes - an organic collision; counted and excluded
      * from dedup rather than risking a wrong citation. */
@@ -74,6 +79,18 @@ struct DedupRecord
         return !blocks.empty() || skipped_collisions != 0;
     }
     std::uint64_t totalWrites() const;
+
+    /** Log a new block identity whose bytes are @p truth. */
+    void append(std::uint32_t digest, std::uint16_t aux,
+                std::uint32_t writes,
+                std::span<const std::uint8_t> truth);
+
+    /** The ground-truth bytes of @p b, one of this record's blocks. */
+    std::span<const std::uint8_t>
+    truth(const DedupBlock &b) const
+    {
+        return {arena.data() + b.offset, b.len};
+    }
 };
 
 /**
@@ -163,13 +180,16 @@ struct DedupSettle
     DedupSettle &operator+=(const DedupSettle &o);
 };
 
-/** One citation a session holds: which key, and the epoch of the
- * entry when the ref was taken (a trip mid-publish means one lease
- * can span epochs). */
+/** One citation a session holds: which key, the epoch of the entry
+ * when the ref was taken (a trip mid-publish means one lease can span
+ * epochs), and the slab slot the entry occupies.  The ref pins the
+ * entry to its slot until a wipe, so release() checks the slot and
+ * never looks the key up. */
 struct DedupLeaseKey
 {
     std::uint64_t key = 0;
     std::uint64_t epoch = 0;
+    std::uint32_t slot = 0;
 };
 
 /** Every refcount a session holds against its domain; released when
@@ -266,19 +286,43 @@ class SharedMachTier
     const DedupConfig &config() const { return cfg_; }
 
   private:
+    /** One slab slot: a resident block whose bytes are the domain
+     * arena's [offset, offset + len). */
     struct Entry
     {
-        std::vector<std::uint8_t> truth;
+        std::uint64_t key = 0;
         std::uint64_t epoch = 0;
+        std::uint64_t offset = 0;
         std::uint32_t refs = 0;
+        std::uint32_t len = 0;
+        /** Arena bytes reserved at offset; a reused slot keeps its
+         * region whenever the new block fits. */
+        std::uint32_t cap = 0;
+        bool used = false;
     };
 
+    /**
+     * One fault domain's tier, in flat memory: a slab of entries
+     * with a free list, one byte arena for every entry's truth, and
+     * a key -> slot index.  Nothing reads these in an order that
+     * reaches output: the traversals (trip reclaim, liveRefs,
+     * staleEntries) are sums or per-entry decisions, and which slot
+     * or arena offset a block lands in is never observable.
+     */
     struct Domain
     {
-        /** Resident blocks; std::map for deterministic iteration
-         * order on the serial settle path. */
+        /** Entries; a freed slot is reused before the slab grows. */
         // vstream:shard_local
-        std::map<std::uint64_t, Entry> resident;
+        std::vector<Entry> slab;
+        /** Unused slab slots, reused last-freed first. */
+        // vstream:shard_local
+        std::vector<std::uint32_t> free_slots;
+        /** Every entry's truth bytes, back to back. */
+        // vstream:shard_local
+        std::vector<std::uint8_t> arena;
+        /** Resident key -> slab slot. */
+        // vstream:shard_local
+        FlatMap<std::uint64_t, std::uint32_t> index;
         /** Cumulative aggregates (survive wipes). */
         // vstream:shard_local
         DedupDomainStats stats;
@@ -302,6 +346,12 @@ class SharedMachTier
         DedupPoisonRule poison;
     };
 
+    /** Insert @p key with @p truth at the current epoch; the slot. */
+    std::uint32_t insert(Domain &d, std::uint64_t key,
+                         std::span<const std::uint8_t> truth,
+                         std::uint32_t refs);
+    /** Drop the entry in @p slot and put the slot on the free list. */
+    void freeSlot(Domain &d, std::uint32_t slot);
     void tripBreaker(Domain &d);
     Domain &domainAt(std::uint32_t domain);
     const Domain &domainAt(std::uint32_t domain) const;

@@ -140,8 +140,8 @@ blockEqual(const std::uint8_t *a, const std::uint8_t *b,
 
 // vstream:hot
 bool
-blockEqual(const std::vector<std::uint8_t> &a,
-           const std::vector<std::uint8_t> &b)
+blockEqual(std::span<const std::uint8_t> a,
+           std::span<const std::uint8_t> b)
 {
     return a.size() == b.size() &&
            blockEqual(a.data(), b.data(), a.size());

@@ -24,7 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "video/pixel.hh"
 
@@ -51,9 +51,10 @@ void gradientAdd(std::uint8_t *dst, const std::uint8_t *src,
 bool blockEqual(const std::uint8_t *a, const std::uint8_t *b,
                 std::size_t len);
 
-/** Vector convenience: sizes then contents. */
-bool blockEqual(const std::vector<std::uint8_t> &a,
-                const std::vector<std::uint8_t> &b);
+/** Whole-block convenience (vectors, arena views): sizes then
+ * contents. */
+bool blockEqual(std::span<const std::uint8_t> a,
+                std::span<const std::uint8_t> b);
 
 } // namespace vstream
 

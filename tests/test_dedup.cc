@@ -10,8 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/arrivals.hh"
@@ -22,6 +26,7 @@
 #include "serve/shard.hh"
 #include "serve/shared_mach.hh"
 #include "sim/json_writer.hh"
+#include "sim/random.hh"
 #include "sim/stats_snapshot.hh"
 #include "video/library.hh"
 
@@ -200,7 +205,7 @@ TEST(DedupRecorder, OrganicCollisionsAreExcluded)
     const DedupRecord &r = rec.record();
     ASSERT_EQ(r.blocks.size(), 1u);
     EXPECT_EQ(r.blocks[0].writes, 1u);
-    EXPECT_EQ(r.blocks[0].truth, bytes(0xaa));
+    EXPECT_TRUE(std::ranges::equal(r.truth(r.blocks[0]), bytes(0xaa)));
     EXPECT_EQ(r.skipped_collisions, 1u);
 }
 
@@ -220,24 +225,29 @@ TEST(DedupRecorder, TakeResetsTheLog)
 // SharedMachTier mechanics
 // ---------------------------------------------------------------------
 
-DedupRecord
-record(std::initializer_list<DedupBlock> blocks)
+/** One block identity for record(): digest, fill byte, writes. */
+struct TestBlock
 {
-    DedupRecord r;
-    r.blocks = blocks;
-    return r;
-}
+    std::uint32_t digest = 0;
+    std::uint8_t fill = 0;
+    std::uint32_t writes = 1;
+};
 
-DedupBlock
+TestBlock
 block(std::uint32_t digest, std::uint8_t fill,
       std::uint32_t writes = 1)
 {
-    DedupBlock b;
-    b.digest = digest;
-    b.aux = 0;
-    b.writes = writes;
-    b.truth = bytes(fill);
-    return b;
+    return TestBlock{digest, fill, writes};
+}
+
+DedupRecord
+record(std::initializer_list<TestBlock> blocks)
+{
+    DedupRecord r;
+    for (const TestBlock &b : blocks) {
+        r.append(b.digest, 0, b.writes, bytes(b.fill));
+    }
+    return r;
 }
 
 TEST(SharedMachTier, SharedAndSelfHitsElideWriteBytes)
@@ -420,6 +430,466 @@ TEST(SharedMachTier, ResetStatsPreservesEpochs)
     EXPECT_EQ(tier.domainStats(0).epoch, 1u); // structural
     EXPECT_EQ(tier.domainStats(0).trips, 0u);
     EXPECT_EQ(tier.domainStats(0).consults, 0u);
+}
+
+TEST(SharedMachTier, LengthMismatchFailsVerifyOnHit)
+{
+    SharedMachTier tier(DedupConfig{}, 1);
+    DedupRecord small;
+    small.append(0x1, 0, 1, bytes(0xaa, 48));
+    DedupLease a;
+    tier.publish(0, small, a);
+
+    // Same identity and fill, 768 B instead of 48 B: the byte
+    // compare checks sizes first and demotes the consult.
+    DedupRecord large;
+    large.append(0x1, 0, 1, bytes(0xaa, 768));
+    DedupLease b;
+    const DedupSettle s = tier.publish(0, large, b);
+    EXPECT_EQ(s.false_hits, 1u);
+    EXPECT_EQ(s.shared_hits, 0u);
+    EXPECT_TRUE(b.empty());
+}
+
+TEST(SharedMachTier, ReleaseAfterWipeSkipsTheReusedSlot)
+{
+    SharedMachTier tier(DedupConfig{}, 1);
+    DedupLease before;
+    tier.publish(0, record({block(0x1, 0xaa)}), before);
+    tier.wipeDomain(0);
+
+    // The same identity publishes again into the same slot, now
+    // under epoch 1.
+    DedupLease after;
+    tier.publish(0, record({block(0x1, 0xaa)}), after);
+    ASSERT_EQ(before.keys.size(), 1u);
+    ASSERT_EQ(after.keys.size(), 1u);
+    EXPECT_EQ(after.keys[0].slot, before.keys[0].slot);
+    EXPECT_EQ(after.keys[0].key, before.keys[0].key);
+    EXPECT_EQ(tier.liveRefs(0), 1u);
+
+    // The pre-wipe lease cites the slot at epoch 0: a no-op, not a
+    // release of the new entry's ref.
+    tier.release(before);
+    EXPECT_EQ(tier.liveRefs(0), 1u);
+    EXPECT_EQ(tier.entries(0), 1u);
+    tier.release(after);
+    EXPECT_EQ(tier.liveRefs(0), 0u);
+    EXPECT_EQ(tier.entries(0), 1u);
+}
+
+// ---------------------------------------------------------------------
+// SharedMachTier vs a std::map reference model
+// ---------------------------------------------------------------------
+
+/**
+ * The tier as one std::map of owned byte vectors per domain, every
+ * lease key looked up again at release: the layout the flat tier
+ * replaced, kept as the differential oracle.
+ */
+class MapTier
+{
+  public:
+    struct Lease
+    {
+        std::uint32_t domain = 0;
+        /** (key, epoch) per acquired ref. */
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> keys;
+    };
+
+    MapTier(const DedupConfig &cfg, std::uint32_t domains)
+        : cfg_(cfg), domains_(domains)
+    {
+        for (const DedupPoisonRule &rule : cfg_.poison) {
+            domains_[rule.domain].poison = rule;
+        }
+    }
+
+    DedupSettle
+    publish(std::uint32_t domain, const DedupRecord &rec, Lease &lease)
+    {
+        Domain &d = domains_[domain];
+        lease.domain = domain;
+        DedupSettle settle;
+        for (const DedupBlock &b : rec.blocks) {
+            const std::span<const std::uint8_t> t = rec.truth(b);
+            const std::vector<std::uint8_t> truth(t.begin(), t.end());
+            const std::uint64_t size = truth.size();
+            if (d.cooldown_left > 0) {
+                --d.cooldown_left;
+                settle.blocked_writes += b.writes;
+                d.stats.blocked_writes += b.writes;
+                continue;
+            }
+            ++d.stats.consults;
+            if (++d.window_consults > cfg_.breaker_window) {
+                d.window_consults = 1;
+                d.window_false = 0;
+            }
+            std::uint64_t key = dedupKey(b.digest, b.aux);
+            if (d.poison.rate > 0.0 && d.have_last_insert &&
+                d.last_insert != key) {
+                const std::uint64_t draw = mixHash(
+                    d.poison.seed ^ mixHash(key) ^
+                    (d.stats.consults * 0x9e3779b97f4a7c15ULL));
+                const double x =
+                    static_cast<double>(draw >> 11) * 0x1.0p-53;
+                if (x < d.poison.rate) {
+                    key = d.last_insert;
+                }
+            }
+            auto it = d.resident.find(key);
+            if (it != d.resident.end() &&
+                it->second.epoch == d.stats.epoch) {
+                if (it->second.truth == truth) {
+                    settle.shared_hits += b.writes;
+                    settle.bytes_elided += b.writes * size;
+                    d.stats.shared_hits += b.writes;
+                    d.stats.bytes_elided += b.writes * size;
+                    ++it->second.refs;
+                    lease.keys.emplace_back(key, it->second.epoch);
+                } else {
+                    ++settle.false_hits;
+                    ++d.stats.false_hits;
+                    if (++d.window_false >= cfg_.breaker_false_hits) {
+                        trip(d);
+                    }
+                }
+            } else if (it != d.resident.end()) {
+                settle.blocked_writes += b.writes;
+                d.stats.blocked_writes += b.writes;
+            } else {
+                d.resident[key] = Entry{truth, d.stats.epoch, 1};
+                lease.keys.emplace_back(key, d.stats.epoch);
+                ++settle.unique_published;
+                ++d.stats.unique_published;
+                settle.self_hits += b.writes - 1;
+                settle.bytes_elided += (b.writes - 1) * size;
+                d.stats.self_hits += b.writes - 1;
+                d.stats.bytes_elided += (b.writes - 1) * size;
+                d.have_last_insert = true;
+                d.last_insert = key;
+            }
+        }
+        return settle;
+    }
+
+    void
+    release(const Lease &lease)
+    {
+        Domain &d = domains_[lease.domain];
+        for (const auto &[key, epoch] : lease.keys) {
+            auto it = d.resident.find(key);
+            if (it == d.resident.end() || it->second.epoch != epoch) {
+                continue;
+            }
+            --it->second.refs;
+            if (it->second.refs == 0 &&
+                it->second.epoch != d.stats.epoch) {
+                d.resident.erase(it);
+            }
+        }
+    }
+
+    void
+    republish(std::uint32_t domain, const DedupRecord &rec)
+    {
+        Domain &d = domains_[domain];
+        for (const DedupBlock &b : rec.blocks) {
+            const std::uint64_t key = dedupKey(b.digest, b.aux);
+            if (d.resident.count(key) != 0) {
+                continue;
+            }
+            const std::span<const std::uint8_t> t = rec.truth(b);
+            d.resident[key] =
+                Entry{{t.begin(), t.end()}, d.stats.epoch, 0};
+            d.have_last_insert = true;
+            d.last_insert = key;
+        }
+    }
+
+    void
+    wipeDomain(std::uint32_t domain)
+    {
+        Domain &d = domains_[domain];
+        d.resident.clear();
+        ++d.stats.epoch;
+        d.window_consults = 0;
+        d.window_false = 0;
+        d.cooldown_left = 0;
+        d.have_last_insert = false;
+        d.last_insert = 0;
+    }
+
+    void
+    resetStats()
+    {
+        for (Domain &d : domains_) {
+            const std::uint64_t epoch = d.stats.epoch;
+            d.stats = DedupDomainStats{};
+            d.stats.epoch = epoch;
+        }
+    }
+
+    const DedupDomainStats &
+    domainStats(std::uint32_t domain) const
+    {
+        return domains_[domain].stats;
+    }
+
+    std::uint64_t
+    entries(std::uint32_t domain) const
+    {
+        return domains_[domain].resident.size();
+    }
+
+    std::uint64_t
+    liveRefs(std::uint32_t domain) const
+    {
+        std::uint64_t refs = 0;
+        for (const auto &kv : domains_[domain].resident) {
+            refs += kv.second.refs;
+        }
+        return refs;
+    }
+
+    std::uint64_t
+    staleEntries(std::uint32_t domain) const
+    {
+        const Domain &d = domains_[domain];
+        std::uint64_t n = 0;
+        for (const auto &kv : d.resident) {
+            n += kv.second.epoch != d.stats.epoch ? 1 : 0;
+        }
+        return n;
+    }
+
+    bool
+    quarantined(std::uint32_t domain) const
+    {
+        return domains_[domain].cooldown_left > 0;
+    }
+
+  private:
+    struct Entry
+    {
+        std::vector<std::uint8_t> truth;
+        std::uint64_t epoch = 0;
+        std::uint32_t refs = 0;
+    };
+
+    struct Domain
+    {
+        std::map<std::uint64_t, Entry> resident;
+        DedupDomainStats stats;
+        std::uint64_t window_consults = 0;
+        std::uint64_t window_false = 0;
+        std::uint64_t cooldown_left = 0;
+        std::uint64_t last_insert = 0;
+        bool have_last_insert = false;
+        DedupPoisonRule poison;
+    };
+
+    void
+    trip(Domain &d)
+    {
+        ++d.stats.trips;
+        ++d.stats.epoch;
+        d.window_consults = 0;
+        d.window_false = 0;
+        d.cooldown_left = cfg_.quarantine_consults;
+        for (auto it = d.resident.begin(); it != d.resident.end();) {
+            it = it->second.refs == 0 ? d.resident.erase(it)
+                                      : std::next(it);
+        }
+    }
+
+    DedupConfig cfg_;
+    std::vector<Domain> domains_;
+};
+
+void
+expectSameSettle(const DedupSettle &a, const DedupSettle &b)
+{
+    EXPECT_EQ(a.shared_hits, b.shared_hits);
+    EXPECT_EQ(a.self_hits, b.self_hits);
+    EXPECT_EQ(a.bytes_elided, b.bytes_elided);
+    EXPECT_EQ(a.unique_published, b.unique_published);
+    EXPECT_EQ(a.false_hits, b.false_hits);
+    EXPECT_EQ(a.blocked_writes, b.blocked_writes);
+}
+
+/** Every observable of every domain agrees; false on the first
+ * difference so a failing sequence stops early. */
+bool
+sameTier(const SharedMachTier &flat, const MapTier &ref)
+{
+    for (std::uint32_t d = 0; d < flat.domains(); ++d) {
+        const DedupDomainStats &a = flat.domainStats(d);
+        const DedupDomainStats &b = ref.domainStats(d);
+        const bool same =
+            a.epoch == b.epoch && a.trips == b.trips &&
+            a.consults == b.consults && a.false_hits == b.false_hits &&
+            a.shared_hits == b.shared_hits &&
+            a.self_hits == b.self_hits &&
+            a.bytes_elided == b.bytes_elided &&
+            a.unique_published == b.unique_published &&
+            a.blocked_writes == b.blocked_writes &&
+            flat.entries(d) == ref.entries(d) &&
+            flat.liveRefs(d) == ref.liveRefs(d) &&
+            flat.staleEntries(d) == ref.staleEntries(d) &&
+            flat.quarantined(d) == ref.quarantined(d);
+        EXPECT_TRUE(same) << "domain " << d;
+        if (!same) {
+            return false;
+        }
+    }
+    return true;
+}
+
+/** Identity i's honest bytes.  Domain 1 mixes block sizes: odd
+ * identities are 768 B (a 16x16 mab), even ones 48 B. */
+std::vector<std::uint8_t>
+honestBytes(std::uint32_t domain, std::uint32_t i)
+{
+    const std::size_t len = domain == 1 && i % 2 == 1 ? 768 : 48;
+    std::vector<std::uint8_t> b(len, static_cast<std::uint8_t>(i));
+    b[len - 1] = static_cast<std::uint8_t>(0x5a ^ i);
+    return b;
+}
+
+/** A record of distinct identities drawn from a small universe, so
+ * sessions collide often; a few blocks carry forged bytes (another
+ * fill, or the right fill at the other size). */
+DedupRecord
+randomRecord(Random &rng, std::uint32_t domain)
+{
+    constexpr std::uint32_t kIdentities = 24;
+    DedupRecord rec;
+    std::vector<bool> taken(kIdentities, false);
+    const std::uint64_t n = rng.uniformInt(1, 6);
+    for (std::uint64_t k = 0; k < n; ++k) {
+        const auto i = static_cast<std::uint32_t>(
+            rng.uniformInt(0, kIdentities - 1));
+        if (taken[i]) {
+            continue; // a recorder never logs an identity twice
+        }
+        taken[i] = true;
+        std::vector<std::uint8_t> truth = honestBytes(domain, i);
+        if (rng.chance(0.1)) {
+            truth.assign(truth.size(), 0xee);
+        } else if (rng.chance(0.05)) {
+            truth.assign(truth.size() == 48 ? 768 : 48,
+                         static_cast<std::uint8_t>(i));
+        }
+        rec.append(i * 0x9e37u, static_cast<std::uint16_t>(i % 3),
+                   static_cast<std::uint32_t>(rng.uniformInt(1, 4)),
+                   truth);
+    }
+    return rec;
+}
+
+/** One seeded op sequence against both tiers; false on the first
+ * divergence. */
+bool
+runDifferential(std::uint64_t seed)
+{
+    Random rng(seed);
+    DedupConfig cfg;
+    cfg.enabled = true;
+    cfg.breaker_window = rng.uniformInt(4, 64);
+    cfg.breaker_false_hits = rng.uniformInt(1, 4);
+    cfg.quarantine_consults = rng.uniformInt(0, 8);
+    const auto domains =
+        static_cast<std::uint32_t>(rng.uniformInt(2, 3));
+    if (rng.chance(0.6)) {
+        DedupPoisonRule poison;
+        poison.domain =
+            static_cast<std::uint32_t>(rng.uniformInt(0, domains - 1));
+        poison.rate = rng.chance(0.5) ? 1.0 : 0.3;
+        poison.seed = rng.next();
+        cfg.poison.push_back(poison);
+    }
+    SharedMachTier flat(cfg, domains);
+    MapTier ref(cfg, domains);
+
+    struct Held
+    {
+        DedupLease flat;
+        MapTier::Lease ref;
+    };
+    std::vector<Held> held;
+
+    const auto releaseAt = [&](std::size_t i) {
+        flat.release(held[i].flat);
+        ref.release(held[i].ref);
+        held[i] = std::move(held.back());
+        held.pop_back();
+    };
+
+    for (int op = 0; op < 160; ++op) {
+        const auto domain =
+            static_cast<std::uint32_t>(rng.uniformInt(0, domains - 1));
+        const std::uint64_t what = rng.uniformInt(0, 99);
+        if (what < 50) {
+            const DedupRecord rec = randomRecord(rng, domain);
+            Held h;
+            const DedupSettle a = flat.publish(domain, rec, h.flat);
+            const DedupSettle b = ref.publish(domain, rec, h.ref);
+            expectSameSettle(a, b);
+            EXPECT_EQ(h.flat.keys.size(), h.ref.keys.size());
+            for (std::size_t k = 0; k < h.flat.keys.size() &&
+                                    k < h.ref.keys.size();
+                 ++k) {
+                EXPECT_EQ(h.flat.keys[k].key, h.ref.keys[k].first);
+                EXPECT_EQ(h.flat.keys[k].epoch, h.ref.keys[k].second);
+            }
+            held.push_back(std::move(h));
+        } else if (what < 85) {
+            if (!held.empty()) {
+                // Release in shuffled order, not publish order.
+                releaseAt(static_cast<std::size_t>(
+                    rng.uniformInt(0, held.size() - 1)));
+            }
+        } else if (what < 92) {
+            const DedupRecord rec = randomRecord(rng, domain);
+            flat.republish(domain, rec);
+            ref.republish(domain, rec);
+        } else if (what < 97) {
+            flat.wipeDomain(domain);
+            ref.wipeDomain(domain);
+        } else {
+            flat.resetStats();
+            ref.resetStats();
+        }
+        if (::testing::Test::HasFailure() || !sameTier(flat, ref)) {
+            ADD_FAILURE() << "seed " << seed << " diverged at op "
+                          << op;
+            return false;
+        }
+    }
+    while (!held.empty()) {
+        releaseAt(static_cast<std::size_t>(
+            rng.uniformInt(0, held.size() - 1)));
+        if (!sameTier(flat, ref)) {
+            ADD_FAILURE() << "seed " << seed << " diverged draining";
+            return false;
+        }
+    }
+    for (std::uint32_t d = 0; d < domains; ++d) {
+        EXPECT_EQ(flat.liveRefs(d), 0u);
+        EXPECT_EQ(flat.staleEntries(d), 0u);
+    }
+    return true;
+}
+
+TEST(SharedMachTierDifferential, MatchesMapModelOverSeededOps)
+{
+    for (std::uint64_t seed = 1; seed <= 1200; ++seed) {
+        if (!runDifferential(seed)) {
+            break;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -14,6 +14,10 @@ Enforced rules (registered as the `vstream_docs` ctest and run by
     variable some source file reads (a quoted "VSTREAM_..." literal
     in C++ or Python outside tools/) or a CMake option / cache
     variable.  Names ending in `_HH` are header guards and exempt.
+ 5. docs/PERFORMANCE.md's kernel table names, in its CRC32 row,
+    exactly the kernels `availableCrc32Kernels()` can return: the
+    `CrcKernel` enumerators that function lists, read from
+    src/hash/crc.cc and named through `crcKernelName()`.
 
 Checked set: README.md, DESIGN.md, EXPERIMENTS.md, ROADMAP.md and
 every docs/*.md.  External links (http/https/mailto) are ignored;
@@ -45,6 +49,13 @@ CMAKE_KNOB_RE = re.compile(
 # fixture names that must not count as live knobs.
 CODE_SUFFIXES = (".cc", ".hh", ".cpp", ".h", ".py")
 SKIP_DIRS = ("tools",)
+
+CRC_SOURCE = pathlib.Path("src/hash/crc.cc")
+KERNEL_TABLE_DOC = pathlib.Path("docs/PERFORMANCE.md")
+CRC_NAME_CASE_RE = re.compile(
+    r"case\s+CrcKernel::(k\w+)\s*:\s*return\s+\"([^\"]+)\"")
+CRC_ENUMERATOR_RE = re.compile(r"CrcKernel::(k\w+)")
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
 
 # Root-level docs that participate in link checking.  CHANGES.md is
 # an append-only log and ISSUE/PAPER/SNIPPETS are driver-managed
@@ -156,6 +167,57 @@ def stale_knobs(root: pathlib.Path,
     return errors
 
 
+def function_body(source: str, name: str) -> str:
+    """Text between the braces of the definition of @p name (the
+    first `name(...)` followed by `{`), or "" when absent."""
+    m = re.search(rf"\b{re.escape(name)}\s*\([^;{{]*?\)\s*\{{",
+                  source)
+    if not m:
+        return ""
+    depth, start = 1, m.end()
+    for i in range(start, len(source)):
+        if source[i] == "{":
+            depth += 1
+        elif source[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return source[start:i]
+    return ""
+
+
+def crc_kernel_table(root: pathlib.Path) -> list[str]:
+    """Rule 5; silent when the tree has no CRC source or no table."""
+    src, doc = root / CRC_SOURCE, root / KERNEL_TABLE_DOC
+    if not src.is_file() or not doc.is_file():
+        return []
+    code = src.read_text(encoding="utf-8")
+    names = dict(CRC_NAME_CASE_RE.findall(
+        function_body(code, "crcKernelName")))
+    enumerators = CRC_ENUMERATOR_RE.findall(
+        function_body(code, "availableCrc32Kernels"))
+    if not names or not enumerators:
+        return [f"{CRC_SOURCE}: cannot read crcKernelName() or "
+                f"availableCrc32Kernels()"]
+    unnamed = sorted(set(enumerators) - names.keys())
+    if unnamed:
+        return [f"{CRC_SOURCE}: availableCrc32Kernels() returns "
+                f"{', '.join(unnamed)} with no crcKernelName() case"]
+    code_kernels = {names[e] for e in enumerators}
+
+    for lineno, line in enumerate(
+            doc.read_text(encoding="utf-8").splitlines(), 1):
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) < 2 or not cells[0].startswith("CRC32"):
+            continue
+        doc_kernels = set(CODE_SPAN_RE.findall(cells[1]))
+        if doc_kernels == code_kernels:
+            return []
+        return [f"{KERNEL_TABLE_DOC}:{lineno}: CRC32 row names "
+                f"{sorted(doc_kernels)}, but availableCrc32Kernels() "
+                f"can return {sorted(code_kernels)}"]
+    return [f"{KERNEL_TABLE_DOC}: no CRC32 row in the kernel table"]
+
+
 def check(root: pathlib.Path) -> list[str]:
     errors: list[str] = []
     files = md_files(root)
@@ -211,6 +273,8 @@ def check(root: pathlib.Path) -> list[str]:
 
     # Rule 4: no doc names a knob the code no longer has.
     errors += stale_knobs(root, files)
+    # Rule 5: the kernel table matches the CRC dispatch.
+    errors += crc_kernel_table(root)
     return errors
 
 
@@ -238,6 +302,40 @@ def self_test() -> int:
         assert len(errors) == 1, errors
         assert errors[0].startswith("README.md:3: 'VSTREAM_STALE_IMPL'"), \
             errors
+
+    # Rule 5 on a fixture tree: a table row in step with the CRC
+    # dispatch, then the same row after a kernel was deleted.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        (root / "src" / "hash").mkdir(parents=True)
+        (root / "docs").mkdir()
+        (root / "src" / "hash" / "crc.cc").write_text(
+            "const char *\ncrcKernelName(CrcKernel k)\n{\n"
+            "    switch (k) {\n"
+            "      case CrcKernel::kReference:\n"
+            "        return \"reference\";\n"
+            "      case CrcKernel::kHardware:\n"
+            "        return \"hw\";\n    }\n}\n"
+            "std::vector<CrcKernel>\navailableCrc32Kernels()\n{\n"
+            "    std::vector<CrcKernel> out{CrcKernel::kReference};\n"
+            "    if (hw()) {\n"
+            "        out.push_back(CrcKernel::kHardware);\n    }\n"
+            "    return out;\n}\n")
+        (root / "README.md").write_text(
+            "[perf](docs/PERFORMANCE.md)\n")
+        row = ("| CRC32 digest (`src/hash/crc.cc`) | `reference`, "
+               "{} (PCLMUL fold) | CPUID | tests |\n")
+        table = ("| Family | Kernels | Selected by | Pinned by |\n"
+                 "|---|---|---|---|\n")
+        doc = root / "docs" / "PERFORMANCE.md"
+        doc.write_text(table + row.format("`hw`"))
+        assert check(root) == [], check(root)
+        doc.write_text(table + row.format("`slice8`, `hw`"))
+        errors = check(root)
+        assert len(errors) == 1, errors
+        assert errors[0].startswith("docs/PERFORMANCE.md:3: CRC32 row"), \
+            errors
+        assert "'slice8'" in errors[0], errors
     print("check_docs self-test OK")
     return 0
 
