@@ -267,6 +267,49 @@ BM_DramAccess(benchmark::State &state)
 }
 BENCHMARK(BM_DramAccess);
 
+/** A dependent chain of range(0) 64 B line reads streaming through
+ * DRAM: DramController::readRun against the same lines through
+ * access() one at a time (the reference).  Items are lines. */
+void
+BM_DramReadRun(benchmark::State &state)
+{
+    const auto n = static_cast<std::uint32_t>(state.range(0));
+    DramController ctrl{DramConfig{}};
+    Tick t = 0;
+    Addr a = 0;
+    for (auto _ : state) {
+        const MemResult r =
+            ctrl.readRun(a, n, 64, Requester::kDisplayController, t);
+        benchmark::DoNotOptimize(r);
+        t = r.finish_tick;
+        a = (a + n * 64ULL) % (64ULL << 20);
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_DramReadRun)->Arg(8)->Arg(64);
+
+void
+BM_DramReadRunPerLine(benchmark::State &state)
+{
+    const auto n = static_cast<std::uint32_t>(state.range(0));
+    DramController ctrl{DramConfig{}};
+    Tick t = 0;
+    Addr a = 0;
+    for (auto _ : state) {
+        for (std::uint32_t i = 0; i < n; ++i) {
+            const MemResult r = ctrl.access(
+                MemRequest{a, 64, MemOp::kRead,
+                           Requester::kDisplayController},
+                t);
+            benchmark::DoNotOptimize(r);
+            t = r.finish_tick;
+            a = (a + 64) % (64ULL << 20);
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_DramReadRunPerLine)->Arg(8)->Arg(64);
+
 void
 BM_CacheAccess(benchmark::State &state)
 {

@@ -58,6 +58,7 @@ bool
 SetAssocCache::accessSlow(std::uint32_t set, std::uint64_t tag, MemOp op,
                           CacheAccessSummary &summary)
 {
+    ++mutations_;
     for (std::uint32_t w = 0; w < ways_; ++w) {
         Line &l = line(set, w);
         if (l.valid && l.tag == tag) {
@@ -125,6 +126,23 @@ SetAssocCache::accessInto(Addr addr, std::uint32_t size, MemOp op,
     summary.fills.clear();
     const Addr first = addr >> line_shift_;
     const Addr last = (addr + size - 1) >> line_shift_;
+    const bool read = op == MemOp::kRead;
+    if (read) {
+        // Nothing but MRU-way hits since this region was last read,
+        // when each of its lines was its set's MRU way: every line
+        // hits the MRU way again, which changes no state.
+        for (const RegionMemo &m : memo_) {
+            if (m.first == first && m.last == last &&
+                m.mutations == mutations_) {
+                summary.lines = static_cast<std::uint32_t>(last - first + 1);
+                summary.hits = summary.lines;
+                summary.misses = 0;
+                hits_ += summary.lines;
+                ++memo_hits_;
+                return;
+            }
+        }
+    }
     std::uint32_t hits = 0;
     for (Addr ln = first; ln <= last; ++ln) {
         const std::uint32_t set = setOf(ln);
@@ -146,6 +164,12 @@ SetAssocCache::accessInto(Addr addr, std::uint32_t size, MemOp op,
     summary.misses = summary.lines - hits;
     hits_ += summary.hits;
     misses_ += summary.misses;
+    // A read leaves each of its lines as its set's MRU way, unless a
+    // later line of the region maps to the same set.
+    if (read && last - first < sets_) {
+        memo_[memo_next_] = RegionMemo{first, last, mutations_};
+        memo_next_ ^= 1;
+    }
 }
 
 bool
@@ -166,6 +190,7 @@ SetAssocCache::contains(Addr addr) const
 void
 SetAssocCache::invalidateAll()
 {
+    ++mutations_;
     for (auto &l : lines_) {
         l.valid = false;
         l.dirty = false;
@@ -175,6 +200,7 @@ SetAssocCache::invalidateAll()
 std::uint64_t
 SetAssocCache::invalidateRange(Addr addr, std::uint64_t size)
 {
+    ++mutations_;
     if (size == 0) {
         return 0;
     }
@@ -221,6 +247,7 @@ SetAssocCache::invalidateRange(Addr addr, std::uint64_t size)
 std::vector<Addr>
 SetAssocCache::flush()
 {
+    ++mutations_;
     std::vector<Addr> dirty_lines;
     for (std::uint32_t set = 0; set < sets_; ++set) {
         for (std::uint32_t w = 0; w < ways_; ++w) {

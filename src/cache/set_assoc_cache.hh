@@ -12,6 +12,7 @@
 #ifndef VSTREAM_CACHE_SET_ASSOC_CACHE_HH
 #define VSTREAM_CACHE_SET_ASSOC_CACHE_HH
 
+#include <array>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -62,6 +63,12 @@ class SetAssocCache
      */
     void accessInto(Addr addr, std::uint32_t size, MemOp op,
                     CacheAccessSummary &summary);
+
+    /**
+     * Reads answered by the region memo without walking their lines
+     * (a diagnostic of the fast path, not a model stat).
+     */
+    std::uint64_t memoHits() const { return memo_hits_; }
 
     /** Probe without updating any state. */
     bool contains(Addr addr) const;
@@ -124,6 +131,17 @@ class SetAssocCache
     bool accessSlow(std::uint32_t set, std::uint64_t tag, MemOp op,
                     CacheAccessSummary &summary);
 
+    /**
+     * A read region [first, last] (line numbers) whose every line was
+     * its set's MRU way when mutations_ read @c mutations.
+     */
+    struct RegionMemo
+    {
+        Addr first = 0;
+        Addr last = 0;
+        std::uint64_t mutations = ~std::uint64_t(0);
+    };
+
     std::string name_;
     CacheConfig cfg_;
     std::uint32_t sets_;
@@ -139,6 +157,17 @@ class SetAssocCache
      */
     std::vector<std::uint32_t> mru_;
     ReplacementState repl_;
+    /**
+     * Bumped by every change to tags, valid bits, the MRU ways or the
+     * replacement state: accessSlow, invalidation and flush.  Only an
+     * MRU-way hit leaves it alone, and that changes nothing a read
+     * can observe (a write hit only sets the dirty bit).
+     */
+    std::uint64_t mutations_ = 0;
+    /** The last two read regions; see accessInto. */
+    std::array<RegionMemo, 2> memo_{};
+    std::uint32_t memo_next_ = 0;
+    std::uint64_t memo_hits_ = 0;
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -36,13 +36,9 @@ VideoDecoder::readThroughCache(Addr addr, std::uint32_t size, Tick now,
     CacheAccessSummary &s = access_scratch_;
     cache_->accessInto(lo, static_cast<std::uint32_t>(hi - lo),
                        MemOp::kRead, s);
-    Tick t = now;
-    for (Addr fill : s.fills) {
-        const MemResult r = mem_.read(fill, cfg_.cache.line_bytes,
-                                      Requester::kVideoDecoder, t);
-        *stall += r.finish_tick - t;
-        t = r.finish_tick;
-    }
+    const Tick t = mem_.readLines(s.fills, cfg_.cache.line_bytes,
+                                  Requester::kVideoDecoder, now);
+    *stall += t - now;
     return t;
 }
 

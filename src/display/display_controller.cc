@@ -33,16 +33,18 @@ DisplayController::streamRead(Addr base, std::uint64_t bytes, Tick now,
     // Sequential stream: one 64 B request per line, issued
     // back-to-back (the DC prefetches through a deep FIFO).
     constexpr std::uint32_t kLine = 64;
-    Tick t = now;
-    for (std::uint64_t off = 0; off < bytes; off += kLine) {
-        const auto size = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(kLine, bytes - off));
-        const MemResult r = mem_.read(base + off, size,
-                                      Requester::kDisplayController, t);
-        t = r.finish_tick;
-        ++stats.dram_requests;
-        stats.bytes_read += size;
+    const auto lines = static_cast<std::uint32_t>(bytes / kLine);
+    const auto tail = static_cast<std::uint32_t>(bytes % kLine);
+    Tick t = mem_.readRun(base, lines, kLine,
+                          Requester::kDisplayController, now)
+                 .finish_tick;
+    if (tail > 0) {
+        t = mem_.read(base + bytes - tail, tail,
+                      Requester::kDisplayController, t)
+                .finish_tick;
     }
+    stats.dram_requests += lines + (tail > 0 ? 1 : 0);
+    stats.bytes_read += bytes;
     return t;
 }
 
@@ -50,41 +52,32 @@ Tick
 DisplayController::fetchBlock(Addr addr, std::uint32_t size, Tick now,
                               ScanStats &stats)
 {
-    Tick t = now;
-    const std::uint32_t span =
-        display_cache_ ? display_cache_->lineSpan(addr, size)
-                       : (static_cast<std::uint32_t>(
-                             (addr + size - 1) / 64 - addr / 64 + 1));
-    if (span > 1) {
-        ++stats.fragmented_fetches;
-    }
-
     if (display_cache_) {
         const std::vector<Addr> &fills =
             display_cache_->accessInto(addr, size, access_scratch_);
+        const std::uint32_t span = access_scratch_.lines;
+        const std::uint32_t line = display_cache_->config().line_bytes;
+        if (span > 1) {
+            ++stats.fragmented_fetches;
+        }
         stats.display_cache_hits += span - fills.size();
         stats.display_cache_misses += fills.size();
-        for (Addr line : fills) {
-            const MemResult r = mem_.read(
-                line, display_cache_->config().line_bytes,
-                Requester::kDisplayController, t);
-            t = r.finish_tick;
-            ++stats.dram_requests;
-            stats.bytes_read += display_cache_->config().line_bytes;
-        }
-    } else {
-        // No display cache: every line of the block hits DRAM.
-        const Addr first = addr / 64 * 64;
-        for (std::uint32_t i = 0; i < span; ++i) {
-            const MemResult r = mem_.read(first + i * 64ULL, 64,
-                                          Requester::kDisplayController,
-                                          t);
-            t = r.finish_tick;
-            ++stats.dram_requests;
-            stats.bytes_read += 64;
-        }
+        stats.dram_requests += fills.size();
+        stats.bytes_read += fills.size() * line;
+        return mem_.readLines(fills, line, Requester::kDisplayController,
+                              now);
     }
-    return t;
+    // No display cache: every line of the block hits DRAM.
+    const auto span =
+        static_cast<std::uint32_t>((addr + size - 1) / 64 - addr / 64 + 1);
+    if (span > 1) {
+        ++stats.fragmented_fetches;
+    }
+    stats.dram_requests += span;
+    stats.bytes_read += span * 64ULL;
+    return mem_.readRun(addr / 64 * 64, span, 64,
+                        Requester::kDisplayController, now)
+        .finish_tick;
 }
 
 StoredBlock

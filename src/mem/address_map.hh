@@ -53,6 +53,26 @@ class AddressMap
     /** Columns (bursts) per row. */
     std::uint32_t columnsPerRow() const { return columns_per_row_; }
 
+    /**
+     * Bytes covered by the fields below the column (the sub-column
+     * stride): stepping an address by a multiple of it leaves every
+     * sub-column field unchanged and only advances the column.
+     */
+    Addr subColumnBytes() const
+    {
+        return Addr{1} << (burst_shift_ + column_.shift);
+    }
+
+    /**
+     * Bytes of one column span: an aligned range over which only the
+     * column and the fields below it vary, so every address in it
+     * maps to the same row of the same banks.
+     */
+    Addr spanBytes() const { return subColumnBytes() * columns_per_row_; }
+
+    /** Addresses at or above this wrap (see decompose()). */
+    std::uint64_t capacity() const { return capacity_; }
+
     AddrMapOrder order() const { return order_; }
 
   private:

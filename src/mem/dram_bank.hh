@@ -96,6 +96,18 @@ class DramBank
         }
     }
 
+    /**
+     * Move the last column access and the ready tick @p d ticks
+     * later: the net effect of a steady run of row hits that repeats
+     * the bank's last access pattern every @p d ticks.
+     */
+    void
+    advance(Tick d)
+    {
+        last_access_ += d;
+        ready_at_ += d;
+    }
+
     /** Reset to power-up state. */
     void reset() { *this = DramBank{}; }
 

@@ -53,6 +53,10 @@ class DramChannel
         return bus_free_at_;
     }
 
+    /** Move the bus-free tick @p d ticks later (see
+     * DramBank::advance). */
+    void advanceBus(Tick d) { bus_free_at_ += d; }
+
     std::uint32_t bankCount() const
     {
         return static_cast<std::uint32_t>(banks_.size());

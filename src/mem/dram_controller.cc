@@ -20,6 +20,9 @@ DramController::DramController(const DramConfig &cfg)
     }
     write_queues_.resize(static_cast<std::size_t>(cfg_.channels) *
                          cfg_.ranks_per_channel * cfg_.banks_per_rank);
+    for (auto &q : write_queues_) {
+        q.reserve(cfg_.write_queue_depth);
+    }
     next_refresh_.assign(cfg_.channels, cfg_.t_refi);
 }
 
@@ -155,8 +158,14 @@ void
 DramController::setFaultInjector(FaultInjector *faults)
 {
     faults_ = faults;
-    jitter_state_ = faults != nullptr
-                        ? faults->config().seed ^ 0xd2a0b0ffULL
+    seedJitter();
+}
+
+void
+DramController::seedJitter()
+{
+    jitter_state_ = faults_ != nullptr
+                        ? faults_->config().seed ^ 0xd2a0b0ffULL
                         : 0;
 }
 
@@ -238,6 +247,9 @@ DramController::access(const MemRequest &req, Tick now)
         if (queue_writes) {
             // Posted write: enqueue and drain in batches.
             auto &queue = write_queues_[bankIndex(coord)];
+            // The queue is reserved to the depth at construction and
+            // drained on reaching it, so this never grows it.
+            // vstream:allow(no-hotpath-alloc) capacity reserved above
             queue.push_back(PendingWrite{coord, req.requester});
             if (queue.size() >= cfg_.write_queue_depth) {
                 drainBank(bankIndex(coord), now);
@@ -245,8 +257,12 @@ DramController::access(const MemRequest &req, Tick now)
         } else {
             bool row_hit = false;
             bool activated = false;
-            const Tick burst_finish = burstWithRetry(
-                coord, req.op, req.requester, now, row_hit, activated);
+            const Tick burst_finish =
+                faults_ == nullptr
+                    ? accessBurst(coord, req.op, req.requester, now,
+                                  row_hit, activated)
+                    : burstWithRetry(coord, req.op, req.requester, now,
+                                     row_hit, activated);
             finish = std::max(finish, burst_finish);
             if (row_hit) {
                 ++result.row_hits;
@@ -261,6 +277,133 @@ DramController::access(const MemRequest &req, Tick now)
     }
     result.finish_tick = finish;
     return result;
+}
+
+std::uint32_t
+DramController::linesInSpan(Addr addr, std::uint32_t n,
+                            std::uint32_t line_bytes) const
+{
+    const Addr span = map_.spanBytes();
+    const Addr end = std::min<Addr>((addr & ~(span - 1)) + span,
+                                    map_.capacity());
+    if (addr >= end) {
+        return 0;
+    }
+    return static_cast<std::uint32_t>(
+        std::min<Addr>(n, (end - addr) / line_bytes));
+}
+
+// vstream:hot
+MemResult
+DramController::readRun(Addr base, std::uint32_t n,
+                        std::uint32_t line_bytes, Requester r, Tick now)
+{
+    vs_assert(line_bytes > 0, "zero-size read run line");
+
+    MemResult total;
+    total.finish_tick = now;
+    const auto readLine = [&](Addr a) {
+        const MemResult res = access(
+            MemRequest{a, line_bytes, MemOp::kRead, r}, total.finish_tick);
+        total.finish_tick = res.finish_tick;
+        total.bursts += res.bursts;
+        total.row_hits += res.row_hits;
+        total.activations += res.activations;
+        return res;
+    };
+
+    // Only open-page lines that cover whole sub-column strides repeat
+    // one bank pattern line after line inside a column span.
+    const bool repeatable = cfg_.page_policy == PagePolicy::kOpenPage &&
+                            line_bytes % map_.subColumnBytes() == 0 &&
+                            cfg_.channels <= 64;
+    std::uint32_t i = 0;
+    while (i < n) {
+        const Addr a = base + static_cast<Addr>(i) * line_bytes;
+        const std::uint32_t span_lines =
+            repeatable ? linesInSpan(a, n - i, line_bytes) : 0;
+        readLine(a);
+        ++i;
+        if (span_lines < 3) {
+            continue;
+        }
+        const Tick f0 = total.finish_tick;
+        const std::uint64_t refreshes = refreshes_;
+        const std::uint64_t retries = retries_;
+        const std::uint64_t abandoned = abandoned_;
+        const MemResult line1 = readLine(a + line_bytes);
+        ++i;
+        if (line1.row_hits != line1.bursts || refreshes_ != refreshes ||
+            retries_ != retries || abandoned_ != abandoned) {
+            continue;
+        }
+        const Tick f1 = total.finish_tick;
+        const std::uint32_t m = chargeSteadyLines(
+            a + line_bytes, span_lines - 2, line1.bursts, f1 - f0, f1, r);
+        total.finish_tick += static_cast<Tick>(m) * (f1 - f0);
+        total.bursts += m * line1.bursts;
+        total.row_hits += m * line1.bursts;
+        i += m;
+    }
+    return total;
+}
+
+std::uint32_t
+DramController::chargeSteadyLines(Addr line1, std::uint32_t max_lines,
+                                  std::uint32_t bursts, Tick d, Tick f1,
+                                  Requester r)
+{
+    // Line 1 left every bank it used ready and every bus it used free
+    // by f1, its issue tick plus d.  So line k >= 2, issued at
+    // f1 + (k - 2) d, meets the same state shifted by (k - 1) d, as
+    // long as its rows are still open (the row timeout measures the
+    // same idle gap line 2 sees) and no refresh lands before it
+    // issues.  Line 1 covers every sub-column value once within its
+    // first `sub` bursts, so those name each bank it used exactly
+    // once.
+    const Addr first = line1 & ~static_cast<Addr>(burst_bytes_ - 1);
+    const auto sub =
+        static_cast<std::uint32_t>(map_.subColumnBytes() / burst_bytes_);
+    std::uint64_t m = max_lines;
+    std::uint64_t used_channels = 0;
+    for (std::uint32_t j = 0; j < sub; ++j) {
+        const DramCoord c =
+            map_.decompose(first + static_cast<Addr>(j) * burst_bytes_);
+        const DramBank &bank = channels_[c.channel].bank(c.rank, c.bank);
+        if (f1 - bank.lastAccess() > cfg_.row_open_timeout) {
+            return 0;
+        }
+        if (cfg_.refresh_enabled) {
+            const Tick next = next_refresh_[c.channel];
+            if (next <= f1) {
+                return 0;
+            }
+            m = std::min<std::uint64_t>(m, (next - f1 + d - 1) / d);
+        }
+        used_channels |= std::uint64_t{1} << c.channel;
+    }
+    // Every skipped burst would have consulted the injector at its
+    // completion, somewhere in (f1, f1 + m d].
+    if (faults_ != nullptr &&
+        faults_->mayInject(FaultClass::kDramTimeout, f1 + 1,
+                           f1 + static_cast<Tick>(m) * d + 1)) {
+        return 0;
+    }
+
+    const Tick shift = static_cast<Tick>(m) * d;
+    for (std::uint32_t j = 0; j < sub; ++j) {
+        const DramCoord c =
+            map_.decompose(first + static_cast<Addr>(j) * burst_bytes_);
+        channels_[c.channel].bank(c.rank, c.bank).advance(shift);
+    }
+    for (std::uint32_t c = 0; c < cfg_.channels; ++c) {
+        if ((used_channels >> c) & 1) {
+            channels_[c].advanceBus(shift);
+        }
+    }
+    energy_.recordReadHits(r, m * bursts, burst_bytes_);
+    closed_form_lines_ += m;
+    return static_cast<std::uint32_t>(m);
 }
 
 void
@@ -292,8 +435,9 @@ DramController::reset()
     }
     next_refresh_.assign(cfg_.channels, cfg_.t_refi);
     refreshes_ = 0;
-    retries_ = 0;
-    abandoned_ = 0;
+    closed_form_lines_ = 0;
+    resetFaultStats();
+    seedJitter();
     energy_.reset();
 }
 

@@ -2,14 +2,24 @@
  * @file
  * Open-page DRAM controller (transaction-level timing).
  *
- * Requests are serviced burst-by-burst against per-bank row-buffer
- * state.  The model is transaction-level rather than cycle-level: a
- * request arrives with its issue tick, the controller walks the
- * affected banks/columns, charges tRP/tRCD/tCL/tBurst as applicable,
- * arbitrates the per-channel data bus, applies the row-open timeout
- * (starvation bound), and returns the completion tick plus row-hit
- * statistics.  This is the granularity at which the paper's
- * Act/Pre-vs-burst energy argument (Sec. 3.2, Fig. 5) operates.
+ * A request is split into bursts and each burst is timed against
+ * per-bank row-buffer state.  The model is transaction-level rather
+ * than cycle-level: a request arrives with its issue tick, the
+ * controller walks the affected banks/columns, charges
+ * tRP/tRCD/tCL/tBurst as applicable, arbitrates the per-channel data
+ * bus, applies the row-open timeout (starvation bound), and returns
+ * the completion tick plus row-hit statistics.  This is the
+ * granularity at which the paper's Act/Pre-vs-burst energy argument
+ * (Sec. 3.2, Fig. 5) operates.
+ *
+ * A dependent chain of line reads (readRun) is charged in closed form
+ * once it settles into row hits inside one column span: every further
+ * line repeats the previous one shifted by a constant, so its bank,
+ * bus and ledger effects are applied in one step instead of burst by
+ * burst.  The result is exactly what the per-line access() loop
+ * produces; wherever that cannot be shown (closed page, a refresh or
+ * an armed timeout fault ahead, a span boundary), readRun falls back
+ * to access().
  */
 
 #ifndef VSTREAM_MEM_DRAM_CONTROLLER_HH
@@ -46,6 +56,19 @@ class DramController
      */
     MemResult access(const MemRequest &req, Tick now);
 
+    /**
+     * Read @p n lines of @p line_bytes starting at @p base as a
+     * dependent chain: line i is issued when line i - 1 completes,
+     * the first at @p now.  Exactly equivalent to calling access() on
+     * each line in turn; steady row-hit stretches are charged in
+     * closed form (see the file comment).
+     *
+     * @return the last line's completion tick (@p now when n is 0)
+     *         and burst statistics summed over all lines.
+     */
+    MemResult readRun(Addr base, std::uint32_t n,
+                      std::uint32_t line_bytes, Requester r, Tick now);
+
     /** Drain every pending posted write (end of simulation). */
     void flushWrites(Tick now);
 
@@ -71,6 +94,12 @@ class DramController
     std::uint64_t abandonedCount() const { return abandoned_; }
     /** Total ticks spent backing off before burst re-issues. */
     Tick backoffTicks() const { return backoff_ticks_; }
+    /**
+     * Lines readRun charged in closed form rather than through
+     * access() (a diagnostic of the fast path, not a model stat).
+     */
+    std::uint64_t closedFormLines() const { return closed_form_lines_; }
+
     /** Zero the retry/abandon counters (stats reset, not state). */
     void resetFaultStats()
     {
@@ -84,7 +113,8 @@ class DramController
     DramEnergy &energy() { return energy_; }
     const DramEnergy &energy() const { return energy_; }
 
-    /** Reset bank/bus state and the energy ledger. */
+    /** Reset bank/bus state, the energy ledger, the fault counters
+     * and the backoff jitter stream. */
     void reset();
 
   private:
@@ -102,6 +132,29 @@ class DramController
      * timeouts. */
     Tick burstWithRetry(const DramCoord &coord, MemOp op, Requester r,
                         Tick now, bool &row_hit, bool &activated);
+
+    /**
+     * Closed-form tail of a read run.  Line 1 of the run, at
+     * @p line1, was @p bursts row hits with no refresh, retry or
+     * abandon and completed at @p f1, @p d after line 0.  Charges up
+     * to @p max_lines further lines of the same column span, each
+     * line 1 shifted by a multiple of @p d, as far as that can be
+     * shown to hold.
+     *
+     * @return lines charged (0 when none can be).
+     */
+    std::uint32_t chargeSteadyLines(Addr line1, std::uint32_t max_lines,
+                                    std::uint32_t bursts, Tick d, Tick f1,
+                                    Requester r);
+
+    /** Lines of @p line_bytes from @p addr (at most @p n) that stay
+     * inside the column span of @p addr and below capacity. */
+    std::uint32_t linesInSpan(Addr addr, std::uint32_t n,
+                              std::uint32_t line_bytes) const;
+
+    /** Restart the backoff jitter stream from the armed schedule's
+     * seed. */
+    void seedJitter();
 
     /** Stall @p t over any refresh window it lands in. */
     Tick applyRefresh(std::uint32_t channel, Tick t);
@@ -122,6 +175,7 @@ class DramController
     std::vector<std::vector<PendingWrite>> write_queues_;
     std::vector<Tick> next_refresh_;
     std::uint64_t refreshes_ = 0;
+    std::uint64_t closed_form_lines_ = 0;
     /** Backoff delay before the @p attempt-th re-issue (capped
      * exponential plus deterministic jitter). */
     Tick backoffDelay(std::uint32_t attempt);

@@ -61,6 +61,16 @@ class DramEnergy
     }
     /** Account one row-buffer hit for @p r. */
     void recordRowHit(Requester r) { ++at(r).row_hits; }
+    /** Account @p bursts read bursts of @p bytes each for @p r, every
+     * one a row-buffer hit (a closed-form read run). */
+    void
+    recordReadHits(Requester r, std::uint64_t bursts, std::uint32_t bytes)
+    {
+        DramActivityCounts &c = at(r);
+        c.read_bursts += bursts;
+        c.bytes_read += bursts * bytes;
+        c.row_hits += bursts;
+    }
 
     /** Counts for one requester. */
     const DramActivityCounts &counts(Requester r) const;

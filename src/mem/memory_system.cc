@@ -28,6 +28,33 @@ MemorySystem::read(Addr addr, std::uint32_t size, Requester r, Tick now)
 }
 
 MemResult
+MemorySystem::readRun(Addr base, std::uint32_t n, std::uint32_t line_bytes,
+                      Requester r, Tick now)
+{
+    request_count_ += n;
+    return ctrl_.readRun(base, n, line_bytes, r, now);
+}
+
+// vstream:hot
+Tick
+MemorySystem::readLines(std::span<const Addr> lines,
+                        std::uint32_t line_bytes, Requester r, Tick now)
+{
+    std::size_t i = 0;
+    while (i < lines.size()) {
+        std::size_t j = i + 1;
+        while (j < lines.size() && lines[j] == lines[j - 1] + line_bytes) {
+            ++j;
+        }
+        now = readRun(lines[i], static_cast<std::uint32_t>(j - i),
+                      line_bytes, r, now)
+                  .finish_tick;
+        i = j;
+    }
+    return now;
+}
+
+MemResult
 MemorySystem::write(Addr addr, std::uint32_t size, Requester r, Tick now)
 {
     return access(MemRequest{addr, size, MemOp::kWrite, r}, now);

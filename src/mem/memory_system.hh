@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <ostream>
+#include <span>
 #include <string>
 
 #include "mem/dram_controller.hh"
@@ -39,6 +40,25 @@ class MemorySystem : public SimObject
 
     /** Shorthand: read @p size bytes at @p addr. */
     MemResult read(Addr addr, std::uint32_t size, Requester r, Tick now);
+
+    /**
+     * Read @p n lines of @p line_bytes from @p base as a dependent
+     * chain (each line issued when the previous completes), one
+     * request per line.  Same result as @p n read() calls; see
+     * DramController::readRun.
+     */
+    MemResult readRun(Addr base, std::uint32_t n, std::uint32_t line_bytes,
+                      Requester r, Tick now);
+
+    /**
+     * Read @p lines (ascending line addresses, such as a cache's
+     * fills) as a dependent chain: each contiguous stretch goes
+     * through readRun.
+     *
+     * @return the completion tick of the last line (@p now if none).
+     */
+    Tick readLines(std::span<const Addr> lines, std::uint32_t line_bytes,
+                   Requester r, Tick now);
 
     /** Shorthand: write @p size bytes at @p addr. */
     MemResult write(Addr addr, std::uint32_t size, Requester r, Tick now);

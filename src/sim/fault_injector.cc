@@ -190,6 +190,20 @@ FaultInjector::shouldInject(FaultClass c, Tick now)
     return false;
 }
 
+bool
+FaultInjector::mayInject(FaultClass c, Tick from, Tick until) const
+{
+    for (std::size_t i = 0; i < cfg_.rules.size(); ++i) {
+        const FaultRule &rule = cfg_.rules[i];
+        if (rule.cls == c && rule.probability > 0.0 && from < until &&
+            from < rule.until && rule.from < until &&
+            rule_fired_[i] < rule.max_count) {
+            return true;
+        }
+    }
+    return false;
+}
+
 Tick
 FaultInjector::injectStall(Tick now)
 {

@@ -150,6 +150,18 @@ class FaultInjector : public SimObject
     bool shouldInject(FaultClass c, Tick now);
 
     /**
+     * Could an opportunity for class @p c at any tick in
+     * [@p from, @p until) inject or draw from the class's stream?
+     * True when a rule of that class with a non-zero probability is
+     * under its cap and its window overlaps the interval (even a
+     * losing draw advances the stream; a zero probability draws
+     * nothing).  A caller that skips every
+     * opportunity in an interval this answers false for leaves the
+     * schedule exactly as calling shouldInject would have.
+     */
+    bool mayInject(FaultClass c, Tick from, Tick until) const;
+
+    /**
      * Network-stall opportunity at @p now.
      *
      * @return the stall duration, or 0 when no rule fires.

@@ -519,6 +519,108 @@ TEST_P(CacheDifferential, MatchesNaiveReferenceOnRandomTrace)
     }
 }
 
+/**
+ * Differential replay aimed at the read-region memo: most reads
+ * repeat one of a few recent regions, interleaved with accesses to
+ * other sets, same-set conflicts that evict region lines, write hits
+ * inside regions, invalidateRange, invalidateAll and flush.  Every
+ * result must match ReferenceCache, and the memo must have answered
+ * a good share of the repeats.
+ */
+TEST_P(CacheDifferential, RepeatedReadRegionsMatchReference)
+{
+    const auto [policy, assoc] = GetParam();
+    for (int mode = 0; mode < 3; ++mode) {
+        CacheConfig cfg = tinyCache(2048, assoc, mode != 1);
+        cfg.policy = policy;
+        cfg.write_back = mode != 2;
+        SetAssocCache cache("c", cfg);
+        ReferenceCache ref(cfg);
+        CacheAccessSummary got;
+
+        const Addr sets = cfg.numSets();
+        const Addr space = 8 * cfg.size_bytes;
+        struct Region
+        {
+            Addr addr = 0;
+            std::uint32_t size = 1;
+        };
+        std::vector<Region> recent(3);
+        Random rng(0x4e90ULL + mode * 17 + assoc);
+        for (int op = 0; op < 6000; ++op) {
+            const std::uint64_t kind = rng.uniformInt(0, 99);
+            Region &region =
+                recent[rng.uniformInt(0, recent.size() - 1)];
+            if (kind < 2) {
+                const Addr at = rng.uniformInt(0, 1) == 0
+                                    ? region.addr
+                                    : rng.uniformInt(0, space - 1);
+                const std::uint64_t len = rng.uniformInt(1, 512);
+                ASSERT_EQ(cache.invalidateRange(at, len),
+                          ref.invalidateRange(at, len))
+                    << "op " << op;
+                continue;
+            }
+            if (kind < 3) {
+                cache.invalidateAll();
+                ref.invalidateAll();
+                continue;
+            }
+            if (kind < 4) {
+                auto a = cache.flush();
+                auto b = ref.flush();
+                std::sort(a.begin(), a.end());
+                std::sort(b.begin(), b.end());
+                ASSERT_EQ(a, b) << "op " << op;
+                continue;
+            }
+
+            Addr addr = region.addr;
+            std::uint32_t size = region.size;
+            MemOp mop = MemOp::kRead;
+            if (kind < 14) {
+                // A new region of up to a few lines.
+                region.addr = rng.uniformInt(0, space - 1);
+                region.size = static_cast<std::uint32_t>(
+                    rng.uniformInt(1, sets * cfg.line_bytes));
+                addr = region.addr;
+                size = region.size;
+            } else if (kind < 24) {
+                // Elsewhere: other sets, either direction.
+                addr = rng.uniformInt(0, space - 1);
+                size = static_cast<std::uint32_t>(rng.uniformInt(1, 200));
+                mop = rng.uniformInt(0, 1) ? MemOp::kWrite : MemOp::kRead;
+            } else if (kind < 34) {
+                // Same set as the region's first line, another tag.
+                addr = (region.addr + rng.uniformInt(1, 8) * sets *
+                                          cfg.line_bytes) %
+                       space;
+                size = static_cast<std::uint32_t>(rng.uniformInt(1, 64));
+                mop = rng.uniformInt(0, 1) ? MemOp::kWrite : MemOp::kRead;
+            } else if (kind < 42) {
+                // A write hit inside the region.
+                mop = MemOp::kWrite;
+            }
+            cache.accessInto(addr, size, mop, got);
+            const CacheAccessSummary want = ref.access(addr, size, mop);
+            ASSERT_EQ(got.lines, want.lines) << "op " << op;
+            ASSERT_EQ(got.hits, want.hits) << "op " << op;
+            ASSERT_EQ(got.misses, want.misses) << "op " << op;
+            ASSERT_EQ(got.fills, want.fills) << "op " << op;
+            ASSERT_EQ(got.writebacks, want.writebacks) << "op " << op;
+        }
+
+        EXPECT_GT(cache.memoHits(), 500u);
+        EXPECT_EQ(cache.hitCount(), ref.hits_);
+        EXPECT_EQ(cache.missCount(), ref.misses_);
+        EXPECT_EQ(cache.evictionCount(), ref.evictions_);
+        EXPECT_EQ(cache.writebackCount(), ref.writebacks_);
+        for (Addr a = 0; a < space; a += cfg.line_bytes) {
+            ASSERT_EQ(cache.contains(a), ref.contains(a)) << "addr " << a;
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     PoliciesAndWays, CacheDifferential,
     ::testing::Combine(::testing::Values(ReplPolicy::kLru,

@@ -264,6 +264,95 @@ TEST(FaultInjector, DisabledInjectorIsInert)
     EXPECT_EQ(inj.totals().injected, 0u);
 }
 
+TEST(FaultInjector, MayInjectWindowEdges)
+{
+    FaultConfig cfg;
+    FaultRule rule;
+    rule.cls = FaultClass::kDramTimeout;
+    rule.probability = 0.5;
+    rule.from = 100;
+    rule.until = 200;
+    cfg.rules.push_back(rule);
+    const FaultInjector inj("inj", nullptr, cfg);
+    const FaultClass c = FaultClass::kDramTimeout;
+
+    // [from, until) against the rule's [100, 200).
+    EXPECT_FALSE(inj.mayInject(c, 0, 100)); // ends exactly at from
+    EXPECT_TRUE(inj.mayInject(c, 0, 101));
+    EXPECT_TRUE(inj.mayInject(c, 99, 101));
+    EXPECT_TRUE(inj.mayInject(c, 100, 101));
+    EXPECT_TRUE(inj.mayInject(c, 199, 200));
+    EXPECT_TRUE(inj.mayInject(c, 199, 1000));
+    EXPECT_FALSE(inj.mayInject(c, 200, 1000)); // starts at until
+    EXPECT_FALSE(inj.mayInject(c, 500, 1000));
+    EXPECT_TRUE(inj.mayInject(c, 0, maxTick)); // covers the rule
+    EXPECT_FALSE(inj.mayInject(c, 150, 150)); // empty interval
+}
+
+TEST(FaultInjector, MayInjectMatchesShouldInjectOpportunities)
+{
+    // Wherever mayInject says no, shouldInject neither fires nor
+    // draws: skipping those opportunities leaves the stream intact.
+    FaultConfig cfg;
+    cfg.seed = 11;
+    cfg.rules.push_back(parseFaultRule(FaultClass::kDramTimeout,
+                                       "p=0.3,from=50ns,until=80ns"));
+    FaultInjector all("all", nullptr, cfg);
+    FaultInjector skip("skip", nullptr, cfg);
+    for (Tick t = 0; t < 150 * sim_clock::ns; t += 1000) {
+        const bool want = all.shouldInject(FaultClass::kDramTimeout, t);
+        if (skip.mayInject(FaultClass::kDramTimeout, t, t + 1)) {
+            ASSERT_EQ(skip.shouldInject(FaultClass::kDramTimeout, t),
+                      want);
+        } else {
+            ASSERT_FALSE(want) << "t=" << t;
+        }
+    }
+    EXPECT_GT(all.injected(FaultClass::kDramTimeout), 0u);
+    EXPECT_EQ(skip.injected(FaultClass::kDramTimeout),
+              all.injected(FaultClass::kDramTimeout));
+}
+
+TEST(FaultInjector, MayInjectFalseOnceRuleIsExhausted)
+{
+    FaultConfig cfg;
+    cfg.rules.push_back(
+        parseFaultRule(FaultClass::kDramTimeout, "p=1,max=2"));
+    FaultInjector inj("inj", nullptr, cfg);
+    const FaultClass c = FaultClass::kDramTimeout;
+    EXPECT_TRUE(inj.mayInject(c, 0, maxTick));
+    EXPECT_TRUE(inj.shouldInject(c, 10));
+    EXPECT_TRUE(inj.mayInject(c, 0, maxTick)); // one left
+    EXPECT_TRUE(inj.shouldInject(c, 20));
+    EXPECT_FALSE(inj.mayInject(c, 0, maxTick));
+    EXPECT_FALSE(inj.shouldInject(c, 30));
+}
+
+TEST(FaultInjector, MayInjectFalseWhenDisabled)
+{
+    const FaultInjector inj("inj", nullptr, FaultConfig{});
+    for (std::size_t k = 0; k < kNumFaultClasses; ++k) {
+        EXPECT_FALSE(
+            inj.mayInject(static_cast<FaultClass>(k), 0, maxTick));
+    }
+}
+
+TEST(FaultInjector, MayInjectIgnoresOtherClassesAndZeroProbability)
+{
+    FaultConfig cfg;
+    cfg.rules.push_back(
+        parseFaultRule(FaultClass::kDigestCollision, "p=1"));
+    cfg.rules.push_back(parseFaultRule(FaultClass::kTraceCorrupt, "p=1"));
+    cfg.rules.push_back(
+        parseFaultRule(FaultClass::kDramTimeout, "p=0"));
+    const FaultInjector inj("inj", nullptr, cfg);
+    EXPECT_FALSE(inj.mayInject(FaultClass::kDramTimeout, 0, maxTick));
+    EXPECT_FALSE(inj.mayInject(FaultClass::kNetworkStall, 0, maxTick));
+    EXPECT_TRUE(
+        inj.mayInject(FaultClass::kDigestCollision, 0, maxTick));
+    EXPECT_TRUE(inj.mayInject(FaultClass::kTraceCorrupt, 0, maxTick));
+}
+
 // ---- arrival model ---------------------------------------------------
 
 TEST(ArrivalModel, PrerollArrivesAtZeroRestIsMonotonic)

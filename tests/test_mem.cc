@@ -7,13 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "mem/address_map.hh"
 #include "mem/dram_bank.hh"
 #include "mem/dram_controller.hh"
 #include "mem/memory_system.hh"
 #include "sim/event_queue.hh"
+#include "sim/fault_injector.hh"
+#include "sim/random.hh"
 
 namespace vstream
 {
@@ -247,6 +253,48 @@ TEST(DramController, ResetClearsState)
     const auto r = ctrl.access(
         MemRequest{0, 32, MemOp::kRead, Requester::kVideoDecoder}, 0);
     EXPECT_EQ(r.activations, 1u); // cold again
+
+    // Fault counters and the backoff jitter stream restart as well: a
+    // reset controller whose injector is freshly seeded in place
+    // replays a fresh controller's retries and backoffs exactly.
+    FaultConfig fc;
+    fc.seed = 3;
+    fc.rules.push_back(
+        parseFaultRule(FaultClass::kDramTimeout, "p=0.7"));
+    const auto backoffs = [](DramController &c) {
+        std::vector<Tick> seq;
+        Tick t = 0;
+        for (Addr i = 0; i < 64; ++i) {
+            t = c.access(MemRequest{i * 4096, 32, MemOp::kRead,
+                                    Requester::kVideoDecoder},
+                         t)
+                    .finish_tick;
+            seq.push_back(c.backoffTicks());
+            seq.push_back(t);
+        }
+        return seq;
+    };
+    std::optional<FaultInjector> inj;
+    inj.emplace("inj", nullptr, fc);
+    ctrl.setFaultInjector(&*inj);
+    backoffs(ctrl);
+    EXPECT_GT(ctrl.retryCount(), 0u);
+    EXPECT_GT(ctrl.abandonedCount(), 0u);
+    EXPECT_GT(ctrl.backoffTicks(), 0u);
+    ctrl.reset();
+    EXPECT_EQ(ctrl.retryCount(), 0u);
+    EXPECT_EQ(ctrl.abandonedCount(), 0u);
+    EXPECT_EQ(ctrl.backoffTicks(), 0u);
+    EXPECT_EQ(ctrl.refreshCount(), 0u);
+    EXPECT_EQ(ctrl.closedFormLines(), 0u);
+
+    inj.emplace("inj", nullptr, fc); // same object, fresh streams
+    DramController fresh(smallConfig());
+    FaultInjector fresh_inj("fresh", nullptr, fc);
+    fresh.setFaultInjector(&fresh_inj);
+    EXPECT_EQ(backoffs(ctrl), backoffs(fresh));
+    EXPECT_EQ(ctrl.retryCount(), fresh.retryCount());
+    EXPECT_EQ(ctrl.abandonedCount(), fresh.abandonedCount());
 }
 
 TEST(MemorySystem, AllocateBumpsAndAligns)
@@ -310,6 +358,353 @@ TEST(DramController, StreamingBeatsScattered)
     const auto s = scattered.energy().totalCounts();
     EXPECT_LT(d.activations * 4, d.row_hits);
     EXPECT_GT(s.activations, s.row_hits);
+}
+
+// ---- read runs ------------------------------------------------------
+
+/** First difference between two controllers' observable state, or
+ * "" when they agree. */
+std::string
+stateDiff(const DramController &a, const DramController &b)
+{
+    std::ostringstream os;
+    for (std::size_t i = 0; i < 4; ++i) {
+        const auto r = static_cast<Requester>(i);
+        const DramActivityCounts &x = a.energy().counts(r);
+        const DramActivityCounts &y = b.energy().counts(r);
+        if (x.activations != y.activations ||
+            x.precharges != y.precharges ||
+            x.read_bursts != y.read_bursts ||
+            x.write_bursts != y.write_bursts ||
+            x.row_hits != y.row_hits || x.bytes_read != y.bytes_read ||
+            x.bytes_written != y.bytes_written) {
+            os << "counts of " << requesterName(r) << " differ: act "
+               << x.activations << "/" << y.activations << " pre "
+               << x.precharges << "/" << y.precharges << " rd "
+               << x.read_bursts << "/" << y.read_bursts << " hits "
+               << x.row_hits << "/" << y.row_hits;
+            return os.str();
+        }
+    }
+    if (a.refreshCount() != b.refreshCount() ||
+        a.retryCount() != b.retryCount() ||
+        a.abandonedCount() != b.abandonedCount() ||
+        a.backoffTicks() != b.backoffTicks() ||
+        a.pendingWrites() != b.pendingWrites()) {
+        os << "refresh/retry/abandon/backoff/pending differ: "
+           << a.refreshCount() << "/" << b.refreshCount() << " "
+           << a.retryCount() << "/" << b.retryCount() << " "
+           << a.abandonedCount() << "/" << b.abandonedCount() << " "
+           << a.backoffTicks() << "/" << b.backoffTicks() << " "
+           << a.pendingWrites() << "/" << b.pendingWrites();
+    }
+    return os.str();
+}
+
+std::string
+resultDiff(const MemResult &a, const MemResult &b)
+{
+    if (a.finish_tick == b.finish_tick && a.bursts == b.bursts &&
+        a.row_hits == b.row_hits && a.activations == b.activations) {
+        return "";
+    }
+    std::ostringstream os;
+    os << "finish " << a.finish_tick << "/" << b.finish_tick
+       << " bursts " << a.bursts << "/" << b.bursts << " hits "
+       << a.row_hits << "/" << b.row_hits << " act " << a.activations
+       << "/" << b.activations;
+    return os.str();
+}
+
+/** The reference readRun: each line through access(), chained. */
+MemResult
+readRunPerLine(DramController &c, Addr base, std::uint32_t n,
+               std::uint32_t line, Requester r, Tick now)
+{
+    MemResult total;
+    total.finish_tick = now;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const MemResult res = c.access(
+            MemRequest{base + static_cast<Addr>(i) * line, line,
+                       MemOp::kRead, r},
+            total.finish_tick);
+        total.finish_tick = res.finish_tick;
+        total.bursts += res.bursts;
+        total.row_hits += res.row_hits;
+        total.activations += res.activations;
+    }
+    return total;
+}
+
+enum class FaultMode
+{
+    kNone,
+    kFiresInsideRuns,
+    kExhausted,
+};
+
+/**
+ * Differential replay: seeded traces of read runs (n = 0..80, 32 B to
+ * 512 B lines, aligned and unaligned bases, crossing column spans and
+ * the capacity wrap) interleaved with single reads and (posted) writes
+ * to the same banks, against twin controllers.  One serves each run
+ * with readRun, the other line by line through access(); after every
+ * operation the results and every counter must agree, and a final
+ * probe read per bank must see the same bank state.
+ */
+TEST(DramReadRun, MatchesPerLineAccessOverSeededTraces)
+{
+    const AddrMapOrder orders[] = {AddrMapOrder::kRoRaBaCoCh,
+                                   AddrMapOrder::kRoRaBaChCo,
+                                   AddrMapOrder::kRoRaCoBaCh};
+    const PagePolicy pages[] = {PagePolicy::kOpenPage,
+                                PagePolicy::kClosedPage};
+    const FaultMode modes[] = {FaultMode::kNone,
+                               FaultMode::kFiresInsideRuns,
+                               FaultMode::kExhausted};
+    // 64 B and 128 B lines twice as often as 32 B and 512 B ones.
+    const std::uint32_t lines[] = {32, 64, 128, 64, 128, 512};
+    constexpr int kTracesPerConfig = 14;
+    constexpr int kOpsPerTrace = 40;
+
+    int traces = 0;
+    std::uint64_t closed_form = 0;
+    std::uint64_t closed_form_exhausted = 0;
+    std::uint64_t retries_inside = 0;
+    std::uint64_t refreshes = 0;
+    std::uint64_t seed = 1;
+    for (const AddrMapOrder order : orders) {
+    for (const PagePolicy page : pages) {
+    for (const bool refresh : {false, true}) {
+    for (const std::uint32_t wq : {0u, 4u}) {
+    for (const FaultMode mode : modes) {
+    for (int k = 0; k < kTracesPerConfig; ++k, ++seed) {
+        DramConfig cfg = smallConfig();
+        cfg.map_order = order;
+        cfg.page_policy = page;
+        cfg.refresh_enabled = refresh;
+        cfg.write_queue_depth = wq;
+        // Every fourth trace: a row timeout shorter than the gaps
+        // inside one line, so rows close between lines of a run.
+        if (k % 4 == 3) {
+            cfg.row_open_timeout = 15 * sim_clock::ns;
+        }
+        // Odd traces: a capacity that ends mid-span, so runs near the
+        // end wrap inside a column span.
+        if (k % 2 == 1) {
+            cfg.capacity_bytes += 2048;
+        }
+        SCOPED_TRACE(::testing::Message()
+                     << addrMapOrderName(order) << " "
+                     << pagePolicyName(page) << " refresh=" << refresh
+                     << " wq=" << wq << " mode="
+                     << static_cast<int>(mode) << " timeout="
+                     << cfg.row_open_timeout << " capacity="
+                     << cfg.capacity_bytes << " seed=" << seed);
+
+        FaultConfig fc;
+        fc.seed = seed;
+        if (mode == FaultMode::kFiresInsideRuns) {
+            fc.rules.push_back(parseFaultRule(
+                FaultClass::kDramTimeout, "p=0.05,from=3us,until=15us"));
+        } else if (mode == FaultMode::kExhausted) {
+            fc.rules.push_back(
+                parseFaultRule(FaultClass::kDramTimeout, "p=1,max=2"));
+        }
+        FaultInjector inj_a("a", nullptr, fc);
+        FaultInjector inj_b("b", nullptr, fc);
+        DramController a(cfg);
+        DramController b(cfg);
+        if (mode != FaultMode::kNone) {
+            a.setFaultInjector(&inj_a);
+            b.setFaultInjector(&inj_b);
+        }
+
+        Random rng(seed * 0x9e3779b97f4a7c15ULL);
+        const Addr space = 256 * 1024;
+        Tick t = 0;
+        for (int op = 0; op < kOpsPerTrace; ++op) {
+            SCOPED_TRACE(::testing::Message() << "op " << op);
+            if (rng.uniformInt(0, 3) == 0) {
+                // Idle gaps around the row-open timeout.
+                t += rng.uniformInt(0, 2 * cfg.row_open_timeout);
+            }
+            const auto r =
+                static_cast<Requester>(rng.uniformInt(0, 3));
+            const std::uint64_t kind = rng.uniformInt(0, 9);
+            MemResult ra;
+            MemResult rb;
+            if (kind < 6) {
+                const std::uint32_t line =
+                    lines[rng.uniformInt(0, std::size(lines) - 1)];
+                const auto n =
+                    static_cast<std::uint32_t>(rng.uniformInt(0, 80));
+                Addr base = rng.uniformInt(0, 7) == 0
+                                ? cfg.capacity_bytes -
+                                      rng.uniformInt(1, 8192)
+                                : rng.uniformInt(0, space - 1);
+                if (rng.uniformInt(0, 1) == 0) {
+                    base = base / line * line;
+                }
+                ra = a.readRun(base, n, line, r, t);
+                rb = readRunPerLine(b, base, n, line, r, t);
+            } else {
+                const Addr addr = rng.uniformInt(0, space - 1);
+                const bool write = kind >= 8;
+                const auto size = static_cast<std::uint32_t>(
+                    rng.uniformInt(1, write ? 256 : 128));
+                const MemRequest req{addr, size,
+                                     write ? MemOp::kWrite
+                                           : MemOp::kRead,
+                                     r};
+                ra = a.access(req, t);
+                rb = b.access(req, t);
+            }
+            ASSERT_EQ(resultDiff(ra, rb), "");
+            ASSERT_EQ(stateDiff(a, b), "");
+            // Mostly a dependent chain; sometimes the next request
+            // issues before this one completes.
+            if (rng.uniformInt(0, 3) != 0) {
+                t = ra.finish_tick;
+            }
+        }
+
+        a.flushWrites(t);
+        b.flushWrites(t);
+        ASSERT_EQ(stateDiff(a, b), "");
+        // One probe per bank, each to a row the trace may have left
+        // open, sees the same bank and bus state on both.
+        const AddressMap &map = a.addressMap();
+        for (std::uint32_t ch = 0; ch < cfg.channels; ++ch) {
+            for (std::uint32_t bank = 0; bank < cfg.banks_per_rank;
+                 ++bank) {
+                DramCoord c;
+                c.channel = ch;
+                c.bank = bank;
+                c.row = rng.uniformInt(0, 7);
+                const MemRequest probe{map.compose(c), 32, MemOp::kRead,
+                                       Requester::kOther};
+                ASSERT_EQ(resultDiff(a.access(probe, t),
+                                     b.access(probe, t)),
+                          "")
+                    << "probe ch" << ch << " bank" << bank;
+            }
+        }
+        ASSERT_EQ(stateDiff(a, b), "");
+
+        ++traces;
+        closed_form += a.closedFormLines();
+        if (mode == FaultMode::kExhausted) {
+            closed_form_exhausted += a.closedFormLines();
+        }
+        if (mode == FaultMode::kFiresInsideRuns) {
+            retries_inside += a.retryCount();
+        }
+        refreshes += a.refreshCount();
+        EXPECT_EQ(b.closedFormLines(), 0u);
+    }
+    }
+    }
+    }
+    }
+    }
+
+    EXPECT_GE(traces, 1000);
+    // The fast path, the faults and the refreshes all engaged.
+    EXPECT_GT(closed_form, 10000u);
+    EXPECT_GT(closed_form_exhausted, 1000u);
+    EXPECT_GT(retries_inside, 100u);
+    EXPECT_GT(refreshes, 100u);
+}
+
+TEST(DramReadRun, SteadyStreamIsChargedInClosedForm)
+{
+    // A default-config 64-line stream stays in one column span: two
+    // lines go through access(), the other 62 in closed form.  A
+    // silent fallback to per-line charging fails here.
+    DramController ctrl{DramConfig{}};
+    DramController ref{DramConfig{}};
+    const MemResult r =
+        ctrl.readRun(0, 64, 64, Requester::kDisplayController, 0);
+    const MemResult want =
+        readRunPerLine(ref, 0, 64, 64, Requester::kDisplayController, 0);
+    EXPECT_GE(ctrl.closedFormLines(), 60u);
+    EXPECT_EQ(resultDiff(r, want), "");
+    EXPECT_EQ(stateDiff(ctrl, ref), "");
+    EXPECT_EQ(r.bursts, 128u);
+    EXPECT_EQ(r.row_hits, 126u);
+}
+
+TEST(DramReadRun, FaultAtAnySkippedCompletionIsSeen)
+{
+    // A one-shot timeout at exactly one line's completion tick: the
+    // run must retry that line's bursts just as access() would, both
+    // at the first line charged in closed form and at the last.
+    DramController ref{DramConfig{}};
+    std::vector<Tick> finishes;
+    Tick t = 0;
+    for (Addr i = 0; i < 64; ++i) {
+        t = ref.access(MemRequest{i * 64, 64, MemOp::kRead,
+                                  Requester::kDisplayController},
+                       t)
+                .finish_tick;
+        finishes.push_back(t);
+    }
+    for (const Tick at : finishes) {
+        SCOPED_TRACE(::testing::Message() << "fault at " << at);
+        FaultConfig fc;
+        FaultRule rule;
+        rule.cls = FaultClass::kDramTimeout;
+        rule.probability = 1.0;
+        rule.from = at;
+        rule.until = at + 1;
+        rule.max_count = 1;
+        fc.rules.push_back(rule);
+        FaultInjector inj_a("a", nullptr, fc);
+        FaultInjector inj_b("b", nullptr, fc);
+        DramController a{DramConfig{}};
+        DramController b{DramConfig{}};
+        a.setFaultInjector(&inj_a);
+        b.setFaultInjector(&inj_b);
+        const MemResult ra =
+            a.readRun(0, 64, 64, Requester::kDisplayController, 0);
+        const MemResult rb = readRunPerLine(
+            b, 0, 64, 64, Requester::kDisplayController, 0);
+        ASSERT_EQ(resultDiff(ra, rb), "");
+        ASSERT_EQ(stateDiff(a, b), "");
+        EXPECT_EQ(a.retryCount(), 1u);
+    }
+}
+
+TEST(DramReadRun, EmptyRunIsFree)
+{
+    DramController ctrl(smallConfig());
+    const MemResult r =
+        ctrl.readRun(4096, 0, 64, Requester::kVideoDecoder, 777);
+    EXPECT_EQ(r.finish_tick, 777u);
+    EXPECT_EQ(r.bursts, 0u);
+    EXPECT_EQ(ctrl.energy().totalCounts().read_bursts, 0u);
+}
+
+TEST(MemorySystem, ReadLinesMatchesPerLineReads)
+{
+    EventQueue q;
+    MemorySystem a("a", &q, smallConfig());
+    MemorySystem b("b", &q, smallConfig());
+    // Three contiguous stretches, one crossing a column span.
+    const std::vector<Addr> lines = {0,    64,   128,  192,  1024,
+                                     4032, 4096, 4160, 4224, 9000};
+    const Tick got =
+        a.readLines(lines, 64, Requester::kVideoDecoder, 10);
+    Tick want = 10;
+    for (Addr l : lines) {
+        want = b.read(l, 64, Requester::kVideoDecoder, want).finish_tick;
+    }
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(a.requestCount(), lines.size());
+    EXPECT_EQ(b.requestCount(), lines.size());
+    EXPECT_EQ(stateDiff(a.controller(), b.controller()), "");
+    EXPECT_EQ(a.readLines({}, 64, Requester::kVideoDecoder, 5), 5u);
 }
 
 class BankTimeoutSweep : public ::testing::TestWithParam<Tick>
