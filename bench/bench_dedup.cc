@@ -28,6 +28,7 @@
 
 #include "bench_util.hh"
 #include "mem/dram_config.hh"
+#include "serve/cli_args.hh"
 #include "serve/placer.hh"
 #include "video/library.hh"
 
@@ -117,15 +118,23 @@ runPoint(const SweepPoint &pt, std::uint32_t n_sessions,
 int
 main(int argc, char **argv)
 {
+    unsigned n_jobs = defaultJobs();
+    std::uint32_t n_sessions = envU32("VSTREAM_DEDUP_SESSIONS", 600);
+    cli::parseFlags(argc, argv, [&](cli::Flag &f) {
+        if (f.is("--jobs")) {
+            n_jobs = parseJobs(f.next().c_str());
+        } else if (f.is("--sessions")) {
+            n_sessions = f.nextU32();
+        } else {
+            return false;
+        }
+        return true;
+    });
+
     header("Dedup sweep: shared-MACH traffic/energy saved vs "
            "library overlap",
            "content caching at fleet scale - the cross-session "
            "variant of the paper's content-cache recipe");
-
-    const unsigned n_jobs = jobs(argc, argv);
-    const std::uint32_t n_sessions = flagU32(
-        argc, argv, "--sessions",
-        envU32("VSTREAM_DEDUP_SESSIONS", 600));
 
     Report report("bench_dedup", "dedup",
                   "Shared-MACH dedup traffic/energy saved vs Zipf "

@@ -24,6 +24,7 @@
 
 #include "bench_util.hh"
 #include "core/video_pipeline.hh"
+#include "serve/cli_args.hh"
 #include "video/workloads.hh"
 
 int
@@ -35,7 +36,14 @@ main(int argc, char **argv)
     const std::uint32_t frames = envU32("VSTREAM_FRAMES", 120);
     const std::uint32_t width = envU32("VSTREAM_WIDTH", 0);
     const std::uint32_t height = envU32("VSTREAM_HEIGHT", 0);
-    const unsigned n_jobs = bench::jobs(argc, argv);
+    unsigned n_jobs = defaultJobs();
+    cli::parseFlags(argc, argv, [&](cli::Flag &f) {
+        if (!f.is("--jobs")) {
+            return false;
+        }
+        n_jobs = parseJobs(f.next().c_str());
+        return true;
+    });
 
     bench::Report rep("bench_fig11_energy", "Fig. 11",
                       "normalized energy, 16 videos x 6 schemes");

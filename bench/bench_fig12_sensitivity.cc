@@ -14,6 +14,7 @@
 #include "bench_util.hh"
 
 #include "hash/hasher.hh"
+#include "serve/cli_args.hh"
 
 namespace
 {
@@ -188,7 +189,14 @@ hashStudy(Report &rep, unsigned n_jobs)
 int
 main(int argc, char **argv)
 {
-    const unsigned n_jobs = vstream::bench::jobs(argc, argv);
+    unsigned n_jobs = defaultJobs();
+    cli::parseFlags(argc, argv, [&](cli::Flag &f) {
+        if (!f.is("--jobs")) {
+            return false;
+        }
+        n_jobs = parseJobs(f.next().c_str());
+        return true;
+    });
     header("Fig. 12: sensitivity studies",
            "8 MACHs, 2K-entry MACH buffer, 4x4 mabs, CRC32(+CRC16) "
            "are the chosen design points");

@@ -40,92 +40,41 @@
  * sessions (the same five mixes, scaled to ~0.4 s each) arrive via
  * a seeded Poisson process with mid-stream leaves, routed by the
  * Placer across N shards under one global budget, with stats folded
- * into O(shards) mergeable snapshots.  Fleet JSON carries neither
- * the shard nor the job count and is byte-identical at any value of
- * either (the CI shard-smoke job and tests/test_shard.cc assert
- * this); see docs/SERVING.md and docs/FORMATS.md.
+ * into O(shards) mergeable snapshots.  The fleet is the benchmark's
+ * (benchmark/workloads.hh, seed 0), so its fleet-churn and
+ * fleet-dedup workloads are this mode with the flags in
+ * benchmark/README.md.  Fleet JSON carries neither the shard nor the
+ * job count and is byte-identical at any value of either (the CI
+ * shard-smoke job and tests/test_shard.cc assert this); see
+ * docs/SERVING.md and docs/FORMATS.md.  The chaos, dedup and library
+ * flags need `--shards`; bad flags exit with status 2.
  */
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
 #include <memory>
-#include <sstream>
+#include <optional>
 
+#include "../benchmark/workloads.hh"
 #include "bench_util.hh"
+#include "serve/cli_args.hh"
 #include "serve/fleet_report.hh"
-#include "serve/placer.hh"
-#include "video/library.hh"
-#include "video/trace.hh"
 
 namespace
 {
 
 using namespace vstream;
 using namespace vstream::bench;
+using vbench::kMixNames;
+using vbench::kNumMixes;
 
-constexpr std::size_t kNumMixes = 5;
-const char *const kMixNames[kNumMixes] = {"clean", "stall", "dram",
-                                          "digest", "trace"};
-
-/** The soak's base video: tiny and short, so hundreds of sessions
- * fit in a CI smoke budget. */
-VideoProfile
-soakProfile(std::uint64_t id, std::uint32_t frames_n)
-{
-    VideoProfile p;
-    p.key = "S";
-    p.key += std::to_string(id);
-    p.width = 96;
-    p.height = 48;
-    p.frame_count = frames_n;
-    p.seed = 0x50a1u + id * 0x9e37u;
-    return p;
-}
-
-HealthConfig
-soakHealth()
-{
-    HealthConfig h;
-    h.window_vsyncs = 8;
-    h.degrade_drops = 3;
-    h.degrade_underruns = 2;
-    h.abandon_budget = 6;
-    h.quarantine_windows = 2;
-    h.recover_windows = 2;
-    h.evict_windows = 2;
-    return h;
-}
-
-BreakerConfig
-soakBreaker()
-{
-    BreakerConfig b;
-    b.false_hit_threshold = 0.02;
-    b.min_lookups = 32;
-    b.cooldown_base = static_cast<Tick>(100) * sim_clock::ms;
-    b.cooldown_cap = static_cast<Tick>(1) * sim_clock::s;
-    b.jitter_frac = 0.2;
-    return b;
-}
-
-/** A short intact ingest trace, serialized once and shared. */
-std::vector<std::uint8_t>
-makeTraceBlob()
-{
-    VideoProfile p;
-    p.key = "TB";
-    p.width = 32;
-    p.height = 16;
-    p.frame_count = 3;
-    p.seed = 777;
-    std::ostringstream os(std::ios::binary);
-    writeTrace(os, p);
-    const std::string s = os.str();
-    return {s.begin(), s.end()};
-}
-
-/** One session of mix @p mix (= id % kNumMixes). */
+/**
+ * One single-shard session of mix @p mix (= id % kNumMixes): the
+ * fleet's mixes at the soak's full 96x48 size, with fault windows
+ * spread over its longer playback.
+ */
 SessionConfig
 makeSession(std::uint64_t id, std::uint32_t frames_n,
             const std::vector<std::uint8_t> &intact_blob)
@@ -133,11 +82,11 @@ makeSession(std::uint64_t id, std::uint32_t frames_n,
     const std::size_t mix = id % kNumMixes;
     SessionConfig s;
     s.id = id;
-    s.health = soakHealth();
-    s.breaker = soakBreaker();
+    s.health = vbench::soakHealth();
+    s.breaker = vbench::soakBreaker();
 
     PipelineConfig &cfg = s.pipeline;
-    cfg.profile = soakProfile(id, frames_n);
+    cfg.profile = vbench::soakProfile(id, frames_n, /*seed=*/0);
     // Rotate the scheme so the fleet is heterogeneous; digest
     // sessions need a MACH to break.
     const Scheme schemes[] = {Scheme::kRaceToSleep, Scheme::kGab,
@@ -194,19 +143,6 @@ makeSession(std::uint64_t id, std::uint32_t frames_n,
     return s;
 }
 
-/** An arrival whose solo demand exceeds every budget. */
-SessionConfig
-makeWhale(std::uint64_t id)
-{
-    SessionConfig s;
-    s.id = id;
-    s.pipeline.profile = soakProfile(id, 48);
-    s.pipeline.profile.width = 1920;
-    s.pipeline.profile.height = 1080;
-    s.pipeline.scheme = SchemeConfig::make(Scheme::kRaceToSleep);
-    return s;
-}
-
 bool
 check(bool ok, const char *what, int &failures)
 {
@@ -219,186 +155,57 @@ check(bool ok, const char *what, int &failures)
 
 // ---- fleet mode -------------------------------------------------------
 
-/** Every 1000th arrival is a whale: globally rejected, never
- * rehearsed, so the rejection path stays exercised at fleet scale. */
-bool
-isFleetWhale(std::uint64_t id)
-{
-    return id % 1000 == 999;
-}
-
 /**
- * One fleet session: the five soak mixes scaled to ~0.4 s of
- * playback (24-32 frames at 48x24) so 100k rehearsals fit a
- * single-machine soak, with fault windows tightened to land inside
- * the shorter span.
- */
-SessionConfig
-makeFleetSession(const ArrivalEvent &a,
-                 const std::vector<std::uint8_t> &intact_blob,
-                 const ZipfLibrary *library)
-{
-    const std::uint64_t id = a.id;
-    if (isFleetWhale(id)) {
-        return makeWhale(id);
-    }
-    const std::size_t mix = a.mix % kNumMixes;
-    SessionConfig s;
-    s.id = id;
-    s.stats_group = kMixNames[mix];
-    s.health = soakHealth();
-    s.breaker = soakBreaker();
-    // Shorter cooldown so tripped breakers can re-probe (and
-    // recover) inside a ~0.4 s session.
-    s.breaker.cooldown_base = static_cast<Tick>(50) * sim_clock::ms;
-    s.breaker.cooldown_cap = static_cast<Tick>(200) * sim_clock::ms;
-
-    PipelineConfig &cfg = s.pipeline;
-    cfg.profile = soakProfile(id, 24 + (id / 7 % 3) * 4);
-    cfg.profile.width = 48;
-    cfg.profile.height = 24;
-    if (library != nullptr) {
-        // Bind the session to its Zipf-drawn title: sessions on the
-        // same title decode byte-identical content, which is what
-        // the shared MACH tier dedups across sessions.
-        library->applyTo(cfg.profile, library->sampleTitle(id));
-    }
-    const Scheme schemes[] = {Scheme::kRaceToSleep, Scheme::kGab,
-                              Scheme::kMab, Scheme::kBatching};
-    cfg.scheme = SchemeConfig::make(
-        mix == 3 ? Scheme::kGab : schemes[(id / kNumMixes) % 4]);
-    cfg.faults.seed = 0xfa0175eedULL;
-
-    switch (mix) {
-    case 0: // clean
-        break;
-    case 1: // arrival-stall storm
-        cfg.arrival.enabled = true;
-        cfg.arrival.bandwidth_mbps = 2.0;
-        cfg.arrival.jitter_frac = 0.2;
-        cfg.preroll_frames = 2;
-        cfg.arrival.seed = 0xa441 + id;
-        cfg.faults.rules.push_back(parseFaultRule(
-            FaultClass::kNetworkStall,
-            "p=0.35,from=1ms,until=25ms,len=60ms"));
-        s.health.quarantine_windows = 4;
-        break;
-    case 2: // DRAM timeout storm (abandon-budget exhaustion)
-        cfg.faults.dram_retry_limit = 2;
-        cfg.faults.rules.push_back(parseFaultRule(
-            FaultClass::kDramTimeout,
-            "p=0.6,from=50ms,until=350ms"));
-        break;
-    case 3: // MACH false-hit storm (breaker trip + recovery)
-        cfg.mach.verify_on_hit = true;
-        cfg.faults.rules.push_back(parseFaultRule(
-            FaultClass::kDigestCollision,
-            "p=0.25,from=20ms,until=200ms"));
-        break;
-    case 4: { // corrupted ingest trace
-        s.trace_blob = intact_blob;
-        const std::size_t off =
-            64 + (static_cast<std::size_t>(id) * 131) %
-                     (s.trace_blob.size() - 64);
-        s.trace_blob[off] ^= 0x5a;
-        break;
-    }
-    default:
-        break;
-    }
-    cfg.faults = cfg.faults.forSession(id);
-    return s;
-}
-
-/**
- * Fleet soak: Poisson arrivals with mid-stream leaves through the
- * Placer.  The emitted vstream-soak-1 JSON (mode "fleet") mentions
- * neither the shard nor the job count; both are placement/execution
- * detail outside the bytes.  With a ChaosConfig the same schedule
- * runs under shard crashes/brownouts, flash crowds, queue deadlines
- * and shedding; everything the chaos layer did lands in the report's
- * `recovery` block (docs/FORMATS.md).
+ * Fleet soak: the benchmark's fleet (Poisson arrivals with mid-stream
+ * leaves, every 1000th arrival an over-budget whale) through the
+ * Placer, plus what FleetSpec cannot express: repeatable chaos rules,
+ * shedding and dedup poisoning.  The emitted vstream-soak-1 JSON
+ * (mode "fleet") mentions neither the shard nor the job count; both
+ * are placement/execution detail outside the bytes.  Everything the
+ * chaos layer did lands in the report's `recovery` block
+ * (docs/FORMATS.md).
  */
 int
 runFleet(std::uint32_t n_sessions, std::uint32_t n_shards,
-         unsigned n_jobs, const ChaosConfig &chaos,
-         Tick queue_deadline, const DedupConfig &dedup,
-         const std::string &library_spec)
+         unsigned n_jobs, const cli::FleetFlags &flags)
 {
     const auto wall_start = std::chrono::steady_clock::now();
 
-    FleetConfig fleet;
-    fleet.serve.bandwidth_budget_mbps = 300.0;
-    fleet.serve.framebuffer_budget_bytes = 64ULL << 20;
-    fleet.serve.max_active = 224;
-    fleet.serve.queue_deadline = queue_deadline;
-    fleet.shards = n_shards;
-    fleet.jobs = n_jobs;
-    fleet.rebalance_period = static_cast<Tick>(1) * sim_clock::s;
-    fleet.chaos = chaos;
-    fleet.dedup = dedup;
-
-    std::unique_ptr<ZipfLibrary> library;
-    if (!library_spec.empty()) {
-        library = std::make_unique<ZipfLibrary>(
-            parseLibrarySpec(library_spec));
-    }
-
-    PoissonArrivalConfig pa;
-    pa.seed = 0xf1ee7ULL;
-    pa.rate_per_s = 550.0;
-    pa.count = n_sessions;
-    pa.leave_probability = 0.3;
-    pa.min_watch = static_cast<Tick>(100) * sim_clock::ms;
-    pa.max_watch = static_cast<Tick>(350) * sim_clock::ms;
-    pa.num_mixes = kNumMixes;
+    vbench::FleetSpec spec;
+    spec.sessions = n_sessions;
+    spec.shards = n_shards;
+    spec.checkpoint_period = flags.chaos.checkpoint_period;
+    spec.queue_deadline = flags.queue_deadline;
+    spec.dedup = flags.dedup.enabled;
+    spec.library = flags.library;
+    const std::unique_ptr<vbench::FleetInputs> in =
+        vbench::buildFleetInputs(spec, n_jobs, /*seed=*/0);
+    in->config.chaos.rules = flags.chaos.rules;
+    in->config.chaos.shed_depth = flags.chaos.shed_depth;
+    in->config.dedup.poison = flags.dedup.poison;
     // Flash crowds are offered load: they join the schedule before
-    // the Placer sees it, so whale counting and arrival totals
-    // cover them too.  With no flood rules this is the identity.
-    const std::vector<ArrivalEvent> arrivals =
-        withFlashCrowds(poissonArrivals(pa), fleet.chaos);
+    // the Placer sees it, so whale counting and arrival totals cover
+    // them too.  With no flood rules this is the identity.
+    in->arrivals = withFlashCrowds(std::move(in->arrivals),
+                                   in->config.chaos);
+    const std::vector<ArrivalEvent> &arrivals = in->arrivals;
 
-    const std::vector<std::uint8_t> intact_blob = makeTraceBlob();
-    Placer placer(fleet, [&](const ArrivalEvent &a) {
-        return makeFleetSession(a, intact_blob, library.get());
-    });
+    Placer placer(in->config,
+                  [&](const ArrivalEvent &a) { return in->session(a); });
     placer.run(arrivals);
 
     const StatsSnapshot fleet_stats = placer.fleetSnapshot();
     const RecoveryTotals &rec = placer.recovery();
-    std::uint64_t expected_whales = 0;
-    for (const ArrivalEvent &a : arrivals) {
-        if (isFleetWhale(a.id)) {
-            ++expected_whales;
-        }
+    const auto expected_whales = std::count_if(
+        arrivals.begin(), arrivals.end(),
+        [](const ArrivalEvent &a) { return vbench::isFleetWhale(a.id); });
+    const std::uint64_t failures =
+        vbench::fleetInvariantFailures(placer, arrivals, fleet_stats);
+    if (failures > 0) {
+        std::cout << "SOAK FAIL: " << failures
+                  << " fleet invariant(s) (vbench::"
+                     "fleetInvariantFailures)\n";
     }
-
-    int failures = 0;
-    check(placer.admitted() + placer.rejected() + rec.shed +
-                  rec.queue_timeouts ==
-              arrivals.size(),
-          "arrivals not all admitted/rejected/shed/timed out",
-          failures);
-    check(fleet_stats.count("sessions") == placer.admitted(),
-          "merged snapshot lost sessions", failures);
-    check(placer.rejected() == expected_whales,
-          "whales were not all rejected (or non-whales were)",
-          failures);
-    check(placer.queuedTotal() > 0,
-          "admission queue never engaged (raise the arrival rate)",
-          failures);
-    check(fleet_stats.count("state.evicted") > 0,
-          "no fleet session was ever evicted", failures);
-    check(fleet_stats.count("breaker.trips") > 0,
-          "no fleet breaker ever tripped", failures);
-    check(fleet_stats.count("leftEarly") > 0,
-          "no viewer ever left mid-stream", failures);
-    std::uint64_t absorbed = 0;
-    for (const Shard &sh : placer.shards()) {
-        absorbed += sh.absorbed();
-    }
-    check(absorbed == placer.admitted(),
-          "shard absorb count diverged from admissions", failures);
 
     // ---- console summary ----------------------------------------------
     std::cout << "fleet: " << n_sessions << " sessions, "
@@ -463,7 +270,7 @@ runFleet(std::uint32_t n_sessions, std::uint32_t n_shards,
                 .count();
         std::ofstream os(path);
         writeFleetReport(os, placer, "bench_soak", n_sessions, wall,
-                         static_cast<std::uint64_t>(failures));
+                         failures);
     }
     return failures == 0 ? 0 : 1;
 }
@@ -482,68 +289,40 @@ struct MixTally
 int
 main(int argc, char **argv)
 {
+    unsigned n_jobs = defaultJobs();
+    std::uint32_t n_shards = 0;
+    std::optional<std::uint32_t> sessions;
+    cli::FleetFlags flags;
+    cli::parseFlags(argc, argv, [&](cli::Flag &f) {
+        if (f.is("--jobs")) {
+            n_jobs = parseJobs(f.next().c_str());
+        } else if (f.is("--shards")) {
+            n_shards = f.nextU32();
+        } else if (f.is("--sessions")) {
+            sessions = f.nextU32();
+        } else {
+            return cli::fleetFlag(f, flags);
+        }
+        return true;
+    });
+    if (n_shards == 0 && !flags.first.empty()) {
+        cli::exitUsage(argv[0], flags.first + " needs --shards");
+    }
+
     header("Soak: mixed-fault session fleet through a single-shard "
            "Placer",
            "robustness extension - admission control, fault "
            "domains, circuit breakers under storm load");
 
-    const unsigned n_jobs = jobs(argc, argv);
-    const std::uint32_t n_shards = flagU32(argc, argv, "--shards", 0);
     if (n_shards > 0) {
         // Fleet mode: Poisson churn through the sharded Placer.
-        const std::uint32_t fleet_sessions = flagU32(
-            argc, argv, "--sessions",
-            envU32("VSTREAM_SOAK_SESSIONS", 2000));
-        // Chaos knobs (all default off; see serve/chaos.hh for the
-        // rule grammar).  Times on these flags are milliseconds.
-        ChaosConfig chaos;
-        for (const std::string &spec :
-             flagStrs(argc, argv, "--chaos-crash")) {
-            chaos.rules.push_back(parseFleetFaultRule(
-                FleetFaultClass::kShardCrash, spec));
-        }
-        for (const std::string &spec :
-             flagStrs(argc, argv, "--chaos-brownout")) {
-            chaos.rules.push_back(parseFleetFaultRule(
-                FleetFaultClass::kShardBrownout, spec));
-        }
-        for (const std::string &spec :
-             flagStrs(argc, argv, "--chaos-flood")) {
-            chaos.rules.push_back(parseFleetFaultRule(
-                FleetFaultClass::kFlashCrowd, spec));
-        }
-        chaos.checkpoint_period =
-            static_cast<Tick>(flagU32(argc, argv,
-                                      "--checkpoint-period", 0)) *
-            sim_clock::ms;
-        chaos.shed_depth = flagU32(argc, argv, "--shed-depth", 0);
-        const Tick queue_deadline =
-            static_cast<Tick>(
-                flagU32(argc, argv, "--queue-deadline", 0)) *
-            sim_clock::ms;
-        // Shared-MACH dedup knobs (default off; `--dedup off` runs
-        // are byte-identical to pre-dedup builds).
-        DedupConfig dedup;
-        const std::string dedup_mode =
-            flagStr(argc, argv, "--dedup", "off");
-        if (dedup_mode != "on" && dedup_mode != "off") {
-            std::cout << "bad --dedup value '" << dedup_mode
-                      << "' (need on|off)\n";
-            return 2;
-        }
-        dedup.enabled = dedup_mode == "on";
-        for (const std::string &spec :
-             flagStrs(argc, argv, "--dedup-poison")) {
-            dedup.poison.push_back(parseDedupPoisonRule(spec));
-        }
-        const std::string library_spec =
-            flagStr(argc, argv, "--library", "");
-        return runFleet(fleet_sessions, n_shards, n_jobs, chaos,
-                        queue_deadline, dedup, library_spec);
+        return runFleet(sessions.value_or(
+                            envU32("VSTREAM_SOAK_SESSIONS", 2000)),
+                        n_shards, n_jobs, flags);
     }
 
-    const std::uint32_t n_sessions = flagU32(
-        argc, argv, "--sessions", envU32("VSTREAM_SOAK_SESSIONS", 120));
+    const std::uint32_t n_sessions =
+        sessions.value_or(envU32("VSTREAM_SOAK_SESSIONS", 120));
     const std::uint32_t frames_n = frames(96);
     const auto wall_start = std::chrono::steady_clock::now();
 
@@ -553,7 +332,7 @@ main(int argc, char **argv)
     single.serve.max_active = 24;
     single.jobs = n_jobs;
 
-    const std::vector<std::uint8_t> intact_blob = makeTraceBlob();
+    const std::vector<std::uint8_t> intact_blob = vbench::makeTraceBlob();
 
     std::vector<SessionConfig> solo_copies;
     solo_copies.reserve(n_sessions);
@@ -583,7 +362,7 @@ main(int argc, char **argv)
     Placer placer(
         single,
         [&](const ArrivalEvent &a) {
-            return a.mix == kWhaleMix ? makeWhale(a.id)
+            return a.mix == kWhaleMix ? vbench::makeWhale(a.id, 0)
                                       : solo_copies[a.id];
         },
         [&](const SessionOutcome &o) { outcomes.push_back(o); });

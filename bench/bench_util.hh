@@ -60,83 +60,6 @@ videoMix()
     return {"V1", "V5", "V8", "V12"};
 }
 
-/**
- * Worker count for the bench: `--jobs N` / `--jobs=N` on the command
- * line wins, else the VSTREAM_JOBS environment default, else 1
- * (serial).  Results are merged in canonical input order either way,
- * so the output bytes never depend on this value.
- */
-inline unsigned
-jobs(int argc, char **argv)
-{
-    unsigned j = defaultJobs();
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--jobs" && i + 1 < argc) {
-            j = parseJobs(argv[++i]);
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            j = parseJobs(arg.c_str() + 7);
-        }
-    }
-    return j;
-}
-
-/** `--name N` / `--name=N` u32 flag; @p fallback when absent. */
-inline std::uint32_t
-flagU32(int argc, char **argv, const std::string &name,
-        std::uint32_t fallback)
-{
-    std::uint32_t v = fallback;
-    const std::string eq = name + "=";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == name && i + 1 < argc) {
-            v = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-        } else if (arg.rfind(eq, 0) == 0) {
-            v = static_cast<std::uint32_t>(
-                std::atoi(arg.c_str() + eq.size()));
-        }
-    }
-    return v;
-}
-
-/** `--name V` / `--name=V` string flag; @p fallback when absent
- * (last occurrence wins, matching flagU32). */
-inline std::string
-flagStr(int argc, char **argv, const std::string &name,
-        const std::string &fallback)
-{
-    std::string v = fallback;
-    const std::string eq = name + "=";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == name && i + 1 < argc) {
-            v = argv[++i];
-        } else if (arg.rfind(eq, 0) == 0) {
-            v = arg.substr(eq.size());
-        }
-    }
-    return v;
-}
-
-/** Every occurrence of `--name V` / `--name=V`, in order (for
- * repeatable flags like the chaos rule specs). */
-inline std::vector<std::string>
-flagStrs(int argc, char **argv, const std::string &name)
-{
-    std::vector<std::string> out;
-    const std::string eq = name + "=";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == name && i + 1 < argc) {
-            out.emplace_back(argv[++i]);
-        } else if (arg.rfind(eq, 0) == 0) {
-            out.push_back(arg.substr(eq.size()));
-        }
-    }
-    return out;
-}
-
 inline void
 header(const std::string &title, const std::string &paper_note)
 {

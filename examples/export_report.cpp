@@ -40,10 +40,15 @@ main(int argc, char **argv)
     }
     {
         std::ifstream in(trace_path, std::ios::binary);
-        const auto loaded = readTrace(in);
+        const TraceLoadResult loaded = loadTrace(in);
+        if (!loaded.ok()) {
+            std::cerr << "trace " << trace_path << ": "
+                      << traceErrorName(loaded.error) << "\n";
+            return 1;
+        }
         std::cout << "trace: " << trace_path << " ("
                   << std::filesystem::file_size(trace_path)
-                  << " bytes, " << loaded.size()
+                  << " bytes, " << loaded.frames.size()
                   << " frames, integrity verified)\n";
     }
 

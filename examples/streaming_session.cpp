@@ -23,30 +23,21 @@
  *     --fault-stall SPEC      network-stall rule, e.g.
  *                             "p=0.05,from=200ms,until=2s,len=120ms"
  *
- * Every value option also accepts the --opt=VALUE spelling.
+ * Every value option also accepts the --opt=VALUE spelling.  Bad
+ * input exits with status 2.
  */
 
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 
 #include "core/video_pipeline.hh"
+#include "serve/cli_args.hh"
 #include "video/workloads.hh"
 
 namespace
 {
 
 using namespace vstream;
-
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::cerr << "usage: " << argv0
-              << " [--video V1..V16] [--frames N]\n"
-                 "  [--arrival-jitter SIGMA] [--arrival-preroll N]\n"
-                 "  [--fault-seed N] [--fault-stall SPEC]\n";
-    std::exit(2);
-}
 
 struct SessionResult
 {
@@ -58,19 +49,17 @@ struct SessionResult
     FaultTotals faults;
 };
 
+/** @p cfg (jitter and faults from the flags) over a link of
+ * @p bandwidth_mbps with @p preroll frames buffered. */
 SessionResult
-runSession(const VideoProfile &profile, Scheme scheme,
-           double bandwidth_mbps, double jitter, std::uint32_t preroll,
-           const FaultConfig &faults)
+runSession(PipelineConfig cfg, const VideoProfile &profile,
+           Scheme scheme, double bandwidth_mbps, std::uint32_t preroll)
 {
-    PipelineConfig cfg;
     cfg.profile = profile;
     cfg.scheme = SchemeConfig::make(scheme);
     cfg.arrival.enabled = true;
     cfg.arrival.bandwidth_mbps = bandwidth_mbps;
-    cfg.arrival.jitter_frac = jitter;
     cfg.preroll_frames = preroll;
-    cfg.faults = faults;
     VideoPipeline pipe(std::move(cfg));
     const PipelineResult r = pipe.run();
     return SessionResult{r.totalEnergy() * 1e3, r.drops,  r.underruns,
@@ -84,51 +73,30 @@ int
 main(int argc, char **argv)
 {
     std::string key = "V5";
-    std::uint32_t frames = 180, preroll = 32;
-    double jitter = 0.3;
-    FaultConfig faults;
+    std::uint32_t frames = 180;
+    // The flags fill this per-session template.
+    PipelineConfig session;
+    session.arrival.jitter_frac = 0.3;
+    session.preroll_frames = 32;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        // Accept both "--opt VALUE" and "--opt=VALUE".
-        std::string inline_value;
-        bool has_inline = false;
-        const std::size_t eq = arg.find('=');
-        if (arg.size() > 2 && arg[0] == '-' && arg[1] == '-' &&
-            eq != std::string::npos) {
-            inline_value = arg.substr(eq + 1);
-            arg = arg.substr(0, eq);
-            has_inline = true;
-        }
-        auto next = [&]() -> std::string {
-            if (has_inline) {
-                return inline_value;
+    cli::parseFlags(
+        argc, argv,
+        [&](cli::Flag &f) {
+            if (f.is("--video")) {
+                key = f.next();
+            } else if (f.is("--frames")) {
+                frames = f.nextU32();
+            } else if (f.is("--arrival-jitter") ||
+                       f.is("--arrival-preroll") ||
+                       f.is("--fault-seed") || f.is("--fault-stall")) {
+                return cli::sessionFlag(f, session);
+            } else {
+                return false;
             }
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-            }
-            return argv[++i];
-        };
-        if (arg == "--video") {
-            key = next();
-        } else if (arg == "--frames") {
-            frames = static_cast<std::uint32_t>(
-                std::atoi(next().c_str()));
-        } else if (arg == "--arrival-jitter") {
-            jitter = std::atof(next().c_str());
-        } else if (arg == "--arrival-preroll") {
-            preroll = static_cast<std::uint32_t>(
-                std::atoi(next().c_str()));
-        } else if (arg == "--fault-seed") {
-            faults.seed = static_cast<std::uint64_t>(
-                std::atoll(next().c_str()));
-        } else if (arg == "--fault-stall") {
-            faults.rules.push_back(
-                parseFaultRule(FaultClass::kNetworkStall, next()));
-        } else {
-            usage(argv[0]);
-        }
-    }
+            return true;
+        });
+    const double jitter = session.arrival.jitter_frac;
+    const std::uint32_t preroll = session.preroll_frames;
 
     const VideoProfile profile = scaledWorkload(key, frames);
     std::cout << "streaming session: " << profile.key << " ("
@@ -146,9 +114,9 @@ main(int argc, char **argv)
     FaultTotals sweep_faults;
     for (double mbps : {0.5, 1.0, 2.0, 8.0, 40.0}) {
         const SessionResult base = runSession(
-            profile, Scheme::kBaseline, mbps, jitter, preroll, faults);
-        const SessionResult gab = runSession(
-            profile, Scheme::kGab, mbps, jitter, preroll, faults);
+            session, profile, Scheme::kBaseline, mbps, preroll);
+        const SessionResult gab =
+            runSession(session, profile, Scheme::kGab, mbps, preroll);
         sweep_faults.injected += base.faults.injected;
         sweep_faults.injected += gab.faults.injected;
         sweep_faults.recovered += base.faults.recovered;
@@ -177,7 +145,7 @@ main(int argc, char **argv)
               << "\n";
     for (std::uint32_t p : {2u, 4u, 8u, 16u, 32u, 64u}) {
         const SessionResult gab =
-            runSession(profile, Scheme::kGab, 2.0, jitter, p, faults);
+            runSession(session, profile, Scheme::kGab, 2.0, p);
         std::cout << std::left << std::setw(12) << p << std::right
                   << std::fixed << std::setprecision(1) << std::setw(12)
                   << gab.energy_mj << std::setw(9) << gab.drops

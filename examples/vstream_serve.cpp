@@ -16,18 +16,14 @@
  *     --video KEY           workload V1..V16 (default V8)
  *     --frames N            frames per session (default 300)
  *     --scheme X            L|B|R|S|M|G (default G)
- *     --batch N             batch depth (default 16)
- *     --bandwidth MBPS      aggregate DRAM budget (default 2000)
- *     --framebuffer MB      aggregate pool budget (default 64)
  *     --max-active N        concurrent-session cap (default 64)
- *     --no-queue            reject over-budget submissions outright
  *     --window N            health window, vsyncs (default 32)
- *     --verify-on-hit       byte-compare MACH hits
  *     --stats-json FILE     dump serve.* statistics as JSON
  *     --jobs N              rehearse sessions across N threads
  *                           (output identical at any job count)
  *
- * Fleet options (see docs/SERVING.md):
+ * Fleet options (all but --queue-deadline need --shards; see
+ * docs/SERVING.md):
  *     --shards N            route sessions across N shards under one
  *                           global budget (fleet mode; JSON is
  *                           byte-identical at any shard/job count)
@@ -35,6 +31,7 @@
  *     --leave-prob P        chance a viewer leaves mid-stream
  *     --arrival-trace FILE  replay a text arrival trace instead
  *                           (lines: <arrival_us> <watch_us> <mix>)
+ *     --queue-deadline MS   expire sessions queued this long
  *
  * Shared-MACH dedup options (see docs/ROBUSTNESS.md):
  *     --dedup on|off        consult the shared cross-session MACH
@@ -45,7 +42,7 @@
  *     --dedup-poison SPEC   forge digest collisions against one
  *                           domain: "domain=1,rate=0.25,seed=9"
  *
- * Chaos options (fleet mode only; see docs/ROBUSTNESS.md):
+ * Chaos options (need --shards; see docs/ROBUSTNESS.md):
  *     --chaos-crash SPEC    crash a shard: "at=500ms,shard=1"
  *     --chaos-brownout SPEC shrink a shard's budget slice:
  *                           "at=300ms,shard=0,len=500ms,factor=0.5"
@@ -53,25 +50,28 @@
  *                           "at=200ms,count=300,len=50ms[,mix=V8]"
  *     --checkpoint-period MS  shard checkpoint cadence (default:
  *                           on iff a crash rule is present)
- *     --queue-deadline MS   expire sessions queued this long
  *     --shed-depth N        shed arrivals once the wait queue holds N
  *
  * Robustness options (per-session; see docs/ROBUSTNESS.md):
  *     --arrival-bandwidth MBPS, --arrival-jitter SIGMA,
  *     --arrival-preroll N, --fault-seed N, --fault-retry N,
- *     --fault-stall SPEC, --fault-digest SPEC, --fault-dram SPEC
+ *     --fault-stall SPEC, --fault-digest SPEC, --fault-dram SPEC,
+ *     --verify-on-hit
  *   SPEC = "p=0.01,from=200ms,until=1.5s,max=3,len=250ms".
  *
- * Every value option also accepts the --opt=VALUE spelling.
+ * Every value option also accepts the --opt=VALUE spelling.  Bad
+ * input (an unknown flag, a malformed number or spec, a fleet or
+ * chaos flag without --shards) exits with status 2.
  */
 
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <memory>
 
+#include "serve/cli_args.hh"
 #include "serve/fleet_report.hh"
 #include "sim/parallel.hh"
 #include "sim/stats_registry.hh"
@@ -83,200 +83,83 @@ namespace
 
 using namespace vstream;
 
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::cerr << "usage: " << argv0
-              << " [--sessions N] [--video V1..V16] [--frames N]\n"
-                 "  [--scheme L|B|R|S|M|G] [--batch N]\n"
-                 "  [--bandwidth MBPS] [--framebuffer MB] "
-                 "[--max-active N] [--no-queue]\n"
-                 "  [--window N] [--verify-on-hit] "
-                 "[--stats-json FILE] [--jobs N]\n"
-                 "  [--shards N] [--arrival-rate R] "
-                 "[--leave-prob P] [--arrival-trace FILE]\n"
-                 "  [--dedup on|off] [--library SPEC] "
-                 "[--dedup-poison SPEC]\n"
-                 "  [--chaos-crash SPEC] [--chaos-brownout SPEC] "
-                 "[--chaos-flood SPEC]\n"
-                 "  [--checkpoint-period MS] [--queue-deadline MS] "
-                 "[--shed-depth N]\n"
-                 "  [--arrival-bandwidth MBPS] [--arrival-jitter S] "
-                 "[--arrival-preroll N]\n"
-                 "  [--fault-seed N] [--fault-retry N] "
-                 "[--fault-stall SPEC]\n"
-                 "  [--fault-digest SPEC] [--fault-dram SPEC]\n";
-    std::exit(2);
-}
-
-Scheme
-parseScheme(const std::string &s)
-{
-    if (s == "L") {
-        return Scheme::kBaseline;
-    }
-    if (s == "B") {
-        return Scheme::kBatching;
-    }
-    if (s == "R") {
-        return Scheme::kRacing;
-    }
-    if (s == "S") {
-        return Scheme::kRaceToSleep;
-    }
-    if (s == "M") {
-        return Scheme::kMab;
-    }
-    if (s == "G") {
-        return Scheme::kGab;
-    }
-    std::cerr << "unknown scheme '" << s << "'\n";
-    std::exit(2);
-}
+const spec_fields::RealField kRateField{
+    "rate", 0.0, std::numeric_limits<double>::max(), true,
+    " (need sessions/s > 0)"};
+const spec_fields::RealField kLeaveField{"probability", 0.0, 1.0, false,
+                                         " (need [0, 1])"};
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::uint32_t sessions = 8, frames = 300, batch = 16, window = 32;
+    std::uint32_t sessions = 8, frames = 300, window = 32;
     std::string video = "V8";
     Scheme scheme = Scheme::kGab;
-    ServeConfig serve;
-    double arrival_bandwidth = 0.0, arrival_jitter = 0.0;
-    std::uint32_t arrival_preroll = 0;
-    FaultConfig faults;
-    bool verify_on_hit = false;
     std::string stats_json_file;
-    unsigned n_jobs = defaultJobs();
     std::uint32_t shards = 0;
     double arrival_rate = 550.0, leave_prob = 0.0;
     std::string arrival_trace_file;
-    ChaosConfig chaos;
-    std::uint32_t shed_depth = 0;
-    DedupConfig dedup;
-    std::string library_spec;
+    // The last flag given that only fleet mode reads, else "".
+    std::string fleet_only;
+    // The per-session flags fill this template; the fleet flags fill
+    // `flags`.
+    PipelineConfig session;
+    cli::FleetFlags flags;
+    FleetConfig fleet;
+    fleet.jobs = defaultJobs();
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        // Accept both "--opt VALUE" and "--opt=VALUE".
-        std::string inline_value;
-        bool has_inline = false;
-        const std::size_t eq = arg.find('=');
-        if (arg.size() > 2 && arg[0] == '-' && arg[1] == '-' &&
-            eq != std::string::npos) {
-            inline_value = arg.substr(eq + 1);
-            arg = arg.substr(0, eq);
-            has_inline = true;
-        }
-        auto next = [&]() -> std::string {
-            if (has_inline) {
-                return inline_value;
+    cli::parseFlags(
+        argc, argv,
+        [&](cli::Flag &f) {
+            if (f.is("--sessions")) {
+                sessions = f.nextU32();
+            } else if (f.is("--video")) {
+                video = f.next();
+            } else if (f.is("--frames")) {
+                frames = f.nextU32();
+            } else if (f.is("--scheme")) {
+                scheme = f.nextScheme();
+            } else if (f.is("--max-active")) {
+                fleet.serve.max_active = f.nextU32();
+            } else if (f.is("--window")) {
+                window = f.nextU32();
+            } else if (f.is("--stats-json")) {
+                stats_json_file = f.next();
+            } else if (f.is("--jobs")) {
+                fleet.jobs = parseJobs(f.next().c_str());
+            } else if (f.is("--shards")) {
+                shards = f.nextU32();
+            } else if (f.is("--arrival-rate")) {
+                arrival_rate = f.nextReal(kRateField);
+                fleet_only = f.name();
+            } else if (f.is("--leave-prob")) {
+                leave_prob = f.nextReal(kLeaveField);
+                fleet_only = f.name();
+            } else if (f.is("--arrival-trace")) {
+                arrival_trace_file = f.next();
+                fleet_only = f.name();
+            } else {
+                return cli::sessionFlag(f, session) ||
+                       cli::fleetFlag(f, flags);
             }
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-            }
-            return argv[++i];
-        };
-        auto nextU32 = [&]() {
-            return static_cast<std::uint32_t>(
-                std::atoi(next().c_str()));
-        };
-        if (arg == "--sessions") {
-            sessions = nextU32();
-        } else if (arg == "--video") {
-            video = next();
-        } else if (arg == "--frames") {
-            frames = nextU32();
-        } else if (arg == "--scheme") {
-            scheme = parseScheme(next());
-        } else if (arg == "--batch") {
-            batch = nextU32();
-        } else if (arg == "--bandwidth") {
-            serve.bandwidth_budget_mbps = std::atof(next().c_str());
-        } else if (arg == "--framebuffer") {
-            serve.framebuffer_budget_bytes =
-                static_cast<std::uint64_t>(
-                    std::atoll(next().c_str())) <<
-                20;
-        } else if (arg == "--max-active") {
-            serve.max_active = nextU32();
-        } else if (arg == "--no-queue") {
-            serve.queue_when_full = false;
-        } else if (arg == "--window") {
-            window = nextU32();
-        } else if (arg == "--verify-on-hit") {
-            verify_on_hit = true;
-        } else if (arg == "--stats-json") {
-            stats_json_file = next();
-        } else if (arg == "--jobs") {
-            n_jobs = parseJobs(next().c_str());
-        } else if (arg == "--shards") {
-            shards = nextU32();
-        } else if (arg == "--arrival-rate") {
-            arrival_rate = std::atof(next().c_str());
-        } else if (arg == "--leave-prob") {
-            leave_prob = std::atof(next().c_str());
-        } else if (arg == "--arrival-trace") {
-            arrival_trace_file = next();
-        } else if (arg == "--dedup") {
-            const std::string v = next();
-            if (v != "on" && v != "off") {
-                std::cerr << "bad --dedup value '" << v
-                          << "' (need on|off)\n";
-                return 2;
-            }
-            dedup.enabled = v == "on";
-        } else if (arg == "--library") {
-            library_spec = next();
-        } else if (arg == "--dedup-poison") {
-            dedup.poison.push_back(parseDedupPoisonRule(next()));
-        } else if (arg == "--chaos-crash") {
-            chaos.rules.push_back(parseFleetFaultRule(
-                FleetFaultClass::kShardCrash, next()));
-        } else if (arg == "--chaos-brownout") {
-            chaos.rules.push_back(parseFleetFaultRule(
-                FleetFaultClass::kShardBrownout, next()));
-        } else if (arg == "--chaos-flood") {
-            chaos.rules.push_back(parseFleetFaultRule(
-                FleetFaultClass::kFlashCrowd, next()));
-        } else if (arg == "--checkpoint-period") {
-            chaos.checkpoint_period =
-                static_cast<Tick>(nextU32()) * sim_clock::ms;
-        } else if (arg == "--queue-deadline") {
-            serve.queue_deadline =
-                static_cast<Tick>(nextU32()) * sim_clock::ms;
-        } else if (arg == "--shed-depth") {
-            shed_depth = nextU32();
-        } else if (arg == "--arrival-bandwidth") {
-            arrival_bandwidth = std::atof(next().c_str());
-        } else if (arg == "--arrival-jitter") {
-            arrival_jitter = std::atof(next().c_str());
-        } else if (arg == "--arrival-preroll") {
-            arrival_preroll = nextU32();
-        } else if (arg == "--fault-seed") {
-            faults.seed = static_cast<std::uint64_t>(
-                std::atoll(next().c_str()));
-        } else if (arg == "--fault-retry") {
-            faults.dram_retry_limit = nextU32();
-        } else if (arg == "--fault-stall") {
-            faults.rules.push_back(
-                parseFaultRule(FaultClass::kNetworkStall, next()));
-        } else if (arg == "--fault-digest") {
-            faults.rules.push_back(
-                parseFaultRule(FaultClass::kDigestCollision, next()));
-        } else if (arg == "--fault-dram") {
-            faults.rules.push_back(
-                parseFaultRule(FaultClass::kDramTimeout, next()));
-        } else {
-            usage(argv[0]);
-        }
+            return true;
+        });
+    // Single-shard serving offers every session at tick 0, has one
+    // fault domain (dedup poison rules must target domain 0) and no
+    // chaos layer.
+    if (shards == 0 && !flags.first_chaos.empty()) {
+        fleet_only = flags.first_chaos;
+    }
+    if (shards == 0 && !fleet_only.empty()) {
+        cli::exitUsage(argv[0], fleet_only + " needs --shards");
     }
 
     std::unique_ptr<ZipfLibrary> library;
-    if (!library_spec.empty()) {
+    if (!flags.library.empty()) {
         library = std::make_unique<ZipfLibrary>(
-            parseLibrarySpec(library_spec));
+            parseLibrarySpec(flags.library));
     }
 
     // A template SessionConfig for session @p id, shared by the
@@ -285,6 +168,7 @@ main(int argc, char **argv)
         SessionConfig s;
         s.id = id;
         s.health.window_vsyncs = window;
+        s.pipeline = session;
         s.pipeline.profile = scaledWorkload(video, frames);
         if (library != nullptr) {
             // Library content: the Zipf draw decides the title, and
@@ -297,34 +181,20 @@ main(int argc, char **argv)
             s.pipeline.profile.seed +=
                 static_cast<std::uint32_t>(id) * 0x9e3779b9u;
         }
-        s.dedup_record = dedup.enabled;
-        s.pipeline.scheme = SchemeConfig::make(scheme, batch);
-        s.pipeline.mach.verify_on_hit = verify_on_hit;
-        s.pipeline.faults = faults.forSession(id);
-        if (arrival_bandwidth > 0.0) {
-            s.pipeline.arrival.enabled = true;
-            s.pipeline.arrival.bandwidth_mbps = arrival_bandwidth;
-            s.pipeline.arrival.jitter_frac = arrival_jitter;
-        }
-        if (arrival_preroll > 0) {
-            s.pipeline.preroll_frames = arrival_preroll;
-        }
+        s.dedup_record = flags.dedup.enabled;
+        s.pipeline.scheme = SchemeConfig::make(scheme);
+        s.pipeline.faults = session.faults.forSession(id);
         return s;
     };
 
-    // Without --shards this is single-shard serving: one fault
-    // domain (dedup poison rules must target domain 0), no chaos.
-    FleetConfig fleet;
-    fleet.serve = serve;
-    fleet.jobs = n_jobs;
-    fleet.dedup = dedup;
+    fleet.serve.queue_deadline = flags.queue_deadline;
+    fleet.dedup = flags.dedup;
 
     if (shards > 0) {
         const auto wall_start = std::chrono::steady_clock::now();
         fleet.shards = shards;
         fleet.rebalance_period = static_cast<Tick>(1) * sim_clock::s;
-        chaos.shed_depth = shed_depth;
-        fleet.chaos = chaos;
+        fleet.chaos = flags.chaos;
 
         std::vector<ArrivalEvent> arrivals;
         if (!arrival_trace_file.empty()) {
@@ -408,10 +278,10 @@ main(int argc, char **argv)
     std::cout << "vstream_serve: " << sessions << " sessions of "
               << video << " x " << frames << " frames, scheme "
               << schemeName(scheme) << "\n"
-              << "budgets: " << serve.bandwidth_budget_mbps
+              << "budgets: " << fleet.serve.bandwidth_budget_mbps
               << " MB/s, "
-              << (serve.framebuffer_budget_bytes >> 20)
-              << " MB frame buffers, max " << serve.max_active
+              << (fleet.serve.framebuffer_budget_bytes >> 20)
+              << " MB frame buffers, max " << fleet.serve.max_active
               << " active\n\n";
 
     // Every session arrives at tick 0; the admission queue meters

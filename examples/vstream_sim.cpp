@@ -43,18 +43,19 @@
  *   SPEC = "p=0.01,from=200ms,until=1.5s,max=3,len=250ms" or
  *   "at=1.2s" (one-shot).
  *
- * Every value option also accepts the --opt=VALUE spelling.
+ * Every value option also accepts the --opt=VALUE spelling.  Bad
+ * input (an unknown flag, a malformed number or spec) exits with
+ * status 2.
  * See docs/STATS.md and docs/TRACING.md for the output formats.
  */
 
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <memory>
 
 #include "core/video_pipeline.hh"
+#include "serve/cli_args.hh"
 #include "sim/trace_event.hh"
 #include "video/workloads.hh"
 
@@ -63,51 +64,6 @@ namespace
 
 using namespace vstream;
 
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::cerr << "usage: " << argv0
-              << " [--video V1..V16] [--frames N] [--width W] "
-                 "[--height H]\n"
-                 "  [--scheme L|B|R|S|M|G] [--batch N] [--dcc] "
-                 "[--co-mach] [--te] [--dvfs]\n"
-                 "  [--machs N] [--entries N] [--write-queue N]\n"
-                 "  [--stats FILE] [--stats-json FILE] "
-                 "[--stats-csv FILE]\n"
-                 "  [--trace-out FILE] [--csv FILE] [--seed N]\n"
-                 "  [--arrival-bandwidth MBPS] [--arrival-jitter S]\n"
-                 "  [--arrival-preroll N] [--fault-seed N]\n"
-                 "  [--fault-stall SPEC] [--fault-digest SPEC]\n"
-                 "  [--fault-dram SPEC] [--fault-trace SPEC]\n"
-                 "  [--fault-retry N] [--verify-on-hit]\n";
-    std::exit(2);
-}
-
-Scheme
-parseScheme(const std::string &s)
-{
-    if (s == "L") {
-        return Scheme::kBaseline;
-    }
-    if (s == "B") {
-        return Scheme::kBatching;
-    }
-    if (s == "R") {
-        return Scheme::kRacing;
-    }
-    if (s == "S") {
-        return Scheme::kRaceToSleep;
-    }
-    if (s == "M") {
-        return Scheme::kMab;
-    }
-    if (s == "G") {
-        return Scheme::kGab;
-    }
-    std::cerr << "unknown scheme '" << s << "'\n";
-    std::exit(2);
-}
-
 } // namespace
 
 int
@@ -115,112 +71,65 @@ main(int argc, char **argv)
 {
     std::string video = "V8";
     std::uint32_t frames = 300, width = 0, height = 0, batch = 16;
-    std::uint32_t machs = 8, entries = 256, write_queue = 0;
     Scheme scheme = Scheme::kGab;
     bool dcc = false, co_mach = false, te = false, dvfs = false;
     std::string stats_file, stats_json_file, stats_csv_file;
     std::string trace_file, csv_file;
     std::uint64_t seed = 0;
-    double arrival_bandwidth = 0.0, arrival_jitter = 0.0;
-    std::uint32_t arrival_preroll = 0;
-    FaultConfig faults;
-    bool verify_on_hit = false;
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        // Accept both "--opt VALUE" and "--opt=VALUE".
-        std::string inline_value;
-        bool has_inline = false;
-        const std::size_t eq = arg.find('=');
-        if (arg.size() > 2 && arg[0] == '-' && arg[1] == '-' &&
-            eq != std::string::npos) {
-            inline_value = arg.substr(eq + 1);
-            arg = arg.substr(0, eq);
-            has_inline = true;
-        }
-        auto next = [&]() -> std::string {
-            if (has_inline) {
-                return inline_value;
-            }
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-            }
-            return argv[++i];
-        };
-        auto nextU32 = [&]() {
-            return static_cast<std::uint32_t>(
-                std::atoi(next().c_str()));
-        };
-        if (arg == "--video") {
-            video = next();
-        } else if (arg == "--frames") {
-            frames = nextU32();
-        } else if (arg == "--width") {
-            width = nextU32();
-        } else if (arg == "--height") {
-            height = nextU32();
-        } else if (arg == "--scheme") {
-            scheme = parseScheme(next());
-        } else if (arg == "--batch") {
-            batch = nextU32();
-        } else if (arg == "--dcc") {
-            dcc = true;
-        } else if (arg == "--co-mach") {
-            co_mach = true;
-        } else if (arg == "--te") {
-            te = true;
-        } else if (arg == "--dvfs") {
-            dvfs = true;
-        } else if (arg == "--machs") {
-            machs = nextU32();
-        } else if (arg == "--entries") {
-            entries = nextU32();
-        } else if (arg == "--write-queue") {
-            write_queue = nextU32();
-        } else if (arg == "--stats") {
-            stats_file = next();
-        } else if (arg == "--stats-json") {
-            stats_json_file = next();
-        } else if (arg == "--stats-csv") {
-            stats_csv_file = next();
-        } else if (arg == "--trace-out") {
-            trace_file = next();
-        } else if (arg == "--csv") {
-            csv_file = next();
-        } else if (arg == "--seed") {
-            seed = static_cast<std::uint64_t>(
-                std::atoll(next().c_str()));
-        } else if (arg == "--arrival-bandwidth") {
-            arrival_bandwidth = std::atof(next().c_str());
-        } else if (arg == "--arrival-jitter") {
-            arrival_jitter = std::atof(next().c_str());
-        } else if (arg == "--arrival-preroll") {
-            arrival_preroll = nextU32();
-        } else if (arg == "--fault-seed") {
-            faults.seed = static_cast<std::uint64_t>(
-                std::atoll(next().c_str()));
-        } else if (arg == "--fault-stall") {
-            faults.rules.push_back(
-                parseFaultRule(FaultClass::kNetworkStall, next()));
-        } else if (arg == "--fault-digest") {
-            faults.rules.push_back(
-                parseFaultRule(FaultClass::kDigestCollision, next()));
-        } else if (arg == "--fault-dram") {
-            faults.rules.push_back(
-                parseFaultRule(FaultClass::kDramTimeout, next()));
-        } else if (arg == "--fault-trace") {
-            faults.rules.push_back(
-                parseFaultRule(FaultClass::kTraceCorrupt, next()));
-        } else if (arg == "--fault-retry") {
-            faults.dram_retry_limit = nextU32();
-        } else if (arg == "--verify-on-hit") {
-            verify_on_hit = true;
-        } else {
-            usage(argv[0]);
-        }
-    }
-
+    // Flags set the config directly; the profile and scheme are
+    // filled in once parsing is done.
     PipelineConfig cfg;
+
+    cli::parseFlags(
+        argc, argv,
+        [&](cli::Flag &f) {
+            if (f.is("--video")) {
+                video = f.next();
+            } else if (f.is("--frames")) {
+                frames = f.nextU32();
+            } else if (f.is("--width")) {
+                width = f.nextU32();
+            } else if (f.is("--height")) {
+                height = f.nextU32();
+            } else if (f.is("--scheme")) {
+                scheme = f.nextScheme();
+            } else if (f.is("--batch")) {
+                batch = f.nextU32();
+            } else if (f.is("--dcc")) {
+                dcc = true;
+            } else if (f.is("--co-mach")) {
+                co_mach = true;
+            } else if (f.is("--te")) {
+                te = true;
+            } else if (f.is("--dvfs")) {
+                dvfs = true;
+            } else if (f.is("--machs")) {
+                cfg.mach.num_machs = f.nextU32();
+            } else if (f.is("--entries")) {
+                cfg.mach.entries = f.nextU32();
+            } else if (f.is("--write-queue")) {
+                cfg.dram.write_queue_depth = f.nextU32();
+            } else if (f.is("--stats")) {
+                stats_file = f.next();
+            } else if (f.is("--stats-json")) {
+                stats_json_file = f.next();
+            } else if (f.is("--stats-csv")) {
+                stats_csv_file = f.next();
+            } else if (f.is("--trace-out")) {
+                trace_file = f.next();
+            } else if (f.is("--csv")) {
+                csv_file = f.next();
+            } else if (f.is("--seed")) {
+                seed = f.nextU64();
+            } else if (f.is("--fault-trace")) {
+                cli::addFaultRule(f, FaultClass::kTraceCorrupt,
+                                  cfg.faults);
+            } else {
+                return cli::sessionFlag(f, cfg);
+            }
+            return true;
+        });
+
     cfg.profile = scaledWorkload(video, frames, width, height);
     if (seed != 0) {
         cfg.profile.seed = seed;
@@ -230,20 +139,6 @@ main(int argc, char **argv)
     cfg.scheme.co_mach = co_mach;
     cfg.scheme.transaction_elimination = te;
     cfg.scheme.dvfs_slack = dvfs;
-    cfg.mach.num_machs = machs;
-    cfg.mach.entries = entries;
-    cfg.mach.verify_on_hit = verify_on_hit;
-    cfg.dram.write_queue_depth = write_queue;
-    cfg.faults = faults;
-    if (arrival_bandwidth > 0.0) {
-        cfg.arrival.enabled = true;
-        cfg.arrival.bandwidth_mbps = arrival_bandwidth;
-        cfg.arrival.jitter_frac = arrival_jitter;
-    }
-    if (arrival_preroll > 0) {
-        cfg.preroll_frames = arrival_preroll;
-        cfg.arrival.preroll_frames = arrival_preroll;
-    }
 
     std::unique_ptr<std::ofstream> stats_os, stats_json_os;
     std::unique_ptr<std::ofstream> stats_csv_os, csv_os;

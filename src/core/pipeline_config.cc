@@ -46,6 +46,19 @@ schemeName(Scheme s)
     return "?";
 }
 
+bool
+tryParseScheme(const std::string &key, Scheme &out)
+{
+    for (Scheme s : {Scheme::kBaseline, Scheme::kBatching, Scheme::kRacing,
+                     Scheme::kRaceToSleep, Scheme::kMab, Scheme::kGab}) {
+        if (schemeKey(s) == key) {
+            out = s;
+            return true;
+        }
+    }
+    return false;
+}
+
 SchemeConfig
 SchemeConfig::make(Scheme s, std::uint32_t batch_frames)
 {

@@ -45,6 +45,8 @@ enum class Scheme : std::uint8_t
 std::string schemeKey(Scheme s);
 /** Long name ("Race-to-Sleep", ...). */
 std::string schemeName(Scheme s);
+/** The scheme whose schemeKey() is @p key; false when none is. */
+bool tryParseScheme(const std::string &key, Scheme &out);
 
 /** Knob settings for one scheme. */
 struct SchemeConfig

@@ -113,17 +113,6 @@ tryParseDedupPoisonRule(const std::string &spec, DedupPoisonRule &out,
     return true;
 }
 
-DedupPoisonRule
-parseDedupPoisonRule(const std::string &spec)
-{
-    DedupPoisonRule rule;
-    std::string error;
-    if (!tryParseDedupPoisonRule(spec, rule, error)) {
-        vs_fatal("dedup poison spec '", spec, "': ", error);
-    }
-    return rule;
-}
-
 bool
 DedupSettle::any() const
 {

@@ -137,9 +137,6 @@ struct DedupPoisonRule
 bool tryParseDedupPoisonRule(const std::string &spec,
                              DedupPoisonRule &out, std::string &error);
 
-/** Parse-or-die wrapper for CLI use. */
-DedupPoisonRule parseDedupPoisonRule(const std::string &spec);
-
 /** Tier-wide configuration. */
 struct DedupConfig
 {

@@ -401,28 +401,4 @@ loadTrace(std::istream &is, TracePolicy policy, FaultInjector *faults)
     return result;
 }
 
-std::vector<Frame>
-readTrace(std::istream &is)
-{
-    TraceLoadResult result = loadTrace(is, TracePolicy::kFailClean);
-    switch (result.error) {
-      case TraceError::kNone:
-        break;
-      case TraceError::kBadMagic:
-        vs_fatal("not a vstream video trace (bad magic)");
-      case TraceError::kBadVersion:
-        vs_fatal("unsupported trace version");
-      case TraceError::kBadGeometry:
-        vs_fatal("degenerate trace geometry");
-      case TraceError::kTruncatedHeader:
-      case TraceError::kTruncatedFrame:
-      case TraceError::kCorruptRecord:
-        vs_fatal("truncated video trace (",
-                 traceErrorName(result.error), ")");
-      case TraceError::kBadCrc:
-        vs_fatal("video trace failed its integrity check");
-    }
-    return std::move(result.frames);
-}
-
 } // namespace vstream

@@ -200,13 +200,6 @@ TraceLoadResult loadTrace(std::istream &is,
                           TracePolicy policy = TracePolicy::kFailClean,
                           FaultInjector *faults = nullptr);
 
-/**
- * Convenience: load a whole trace into memory.
- *
- * @return frames, in display order (fatal on corruption).
- */
-std::vector<Frame> readTrace(std::istream &is);
-
 } // namespace vstream
 
 #endif // VSTREAM_VIDEO_TRACE_HH

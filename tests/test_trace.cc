@@ -35,7 +35,7 @@ TEST(Trace, RoundTripIsByteExact)
     writeTrace(buf, p);
 
     SyntheticVideo original(p);
-    const std::vector<Frame> loaded = readTrace(buf);
+    const std::vector<Frame> loaded = loadTrace(buf).frames;
     ASSERT_EQ(loaded.size(), p.frame_count);
 
     for (const Frame &got : loaded) {
@@ -74,7 +74,7 @@ TEST(Trace, IncrementalReaderMatchesBulk)
     writeTrace(b, p);
 
     TraceReader reader(a);
-    const std::vector<Frame> bulk = readTrace(b);
+    const std::vector<Frame> bulk = loadTrace(b).frames;
     std::size_t i = 0;
     while (!reader.done()) {
         const Frame f = reader.nextFrame();
@@ -102,16 +102,6 @@ TEST(Trace, CorruptionDetectedByTrailer)
     EXPECT_FALSE(reader.verifyTrailer());
 }
 
-TEST(Trace, TruncationIsFatal)
-{
-    const VideoProfile p = traceProfile(2);
-    std::stringstream buf;
-    writeTrace(buf, p);
-    std::string bytes = buf.str();
-    std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-    EXPECT_DEATH(readTrace(truncated), "truncated");
-}
-
 TEST(Trace, BadMagicIsRecoverable)
 {
     // The reader no longer aborts on junk input: it records the
@@ -121,12 +111,6 @@ TEST(Trace, BadMagicIsRecoverable)
     EXPECT_EQ(reader.error(), TraceError::kBadMagic);
     EXPECT_TRUE(reader.done());
     EXPECT_EQ(reader.frameCount(), 0u);
-}
-
-TEST(Trace, BadMagicStillFatalThroughReadTrace)
-{
-    std::stringstream junk("not a trace at all, sorry");
-    EXPECT_DEATH(readTrace(junk), "bad magic");
 }
 
 TEST(Trace, LoadTraceCleanStream)

@@ -18,6 +18,12 @@ Enforced rules (registered as the `vstream_docs` ctest and run by
     exactly the kernels `availableCrc32Kernels()` can return: the
     `CrcKernel` enumerators that function lists, read from
     src/hash/crc.cc and named through `crcKernelName()`.
+ 6. Every `--flag` that README.md or a docs/*.md file passes to
+    vstream_serve, vstream_sim or bench_soak - on a command line in
+    a code block, or in an inline code span that names the binary -
+    is one that binary accepts: a whole "--flag" string literal in
+    its source, or in the body of a shared flag table it calls
+    (`sessionFlag`/`fleetFlag` in src/serve/cli_args.cc).
 
 Checked set: README.md, DESIGN.md, EXPERIMENTS.md, ROADMAP.md and
 every docs/*.md.  External links (http/https/mailto) are ignored;
@@ -56,6 +62,20 @@ CRC_NAME_CASE_RE = re.compile(
     r"case\s+CrcKernel::(k\w+)\s*:\s*return\s+\"([^\"]+)\"")
 CRC_ENUMERATOR_RE = re.compile(r"CrcKernel::(k\w+)")
 CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+
+# Rule 6: the front ends whose flags the docs cite, and the shared
+# flag tables they may call.
+FLAG_BINARIES = {
+    "vstream_serve": pathlib.Path("examples/vstream_serve.cpp"),
+    "vstream_sim": pathlib.Path("examples/vstream_sim.cpp"),
+    "bench_soak": pathlib.Path("bench/bench_soak.cc"),
+}
+FLAG_TABLES_SOURCE = pathlib.Path("src/serve/cli_args.cc")
+FLAG_TABLES = ("sessionFlag", "fleetFlag")
+FLAG_LITERAL_RE = re.compile(r'"(--[a-z0-9][a-z0-9-]*)"')
+DOC_FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+# Where a shell command ends: a pipe, a separator or a comment.
+COMMAND_END_RE = re.compile(r"\||;|&&|\s#")
 
 # Root-level docs that participate in link checking.  CHANGES.md is
 # an append-only log and ISSUE/PAPER/SNIPPETS are driver-managed
@@ -218,6 +238,84 @@ def crc_kernel_table(root: pathlib.Path) -> list[str]:
     return [f"{KERNEL_TABLE_DOC}: no CRC32 row in the kernel table"]
 
 
+def accepted_flags(root: pathlib.Path) -> dict[str, set[str]]:
+    """Binary -> the flags its handler and flag tables accept; a
+    binary whose source is absent is left out."""
+    tables = root / FLAG_TABLES_SOURCE
+    table_code = tables.read_text(encoding="utf-8") \
+        if tables.is_file() else ""
+    out: dict[str, set[str]] = {}
+    for binary, rel in FLAG_BINARIES.items():
+        src = root / rel
+        if not src.is_file():
+            continue
+        code = src.read_text(encoding="utf-8")
+        flags = set(FLAG_LITERAL_RE.findall(code))
+        for table in FLAG_TABLES:
+            if re.search(rf"\b{table}\s*\(", code):
+                flags |= set(FLAG_LITERAL_RE.findall(
+                    function_body(table_code, table)))
+        out[binary] = flags
+    return out
+
+
+def cited_flags(path: pathlib.Path, binaries) -> list[tuple[int, str,
+                                                             str]]:
+    """(line, binary, flag) for each flag @p path passes to one of
+    @p binaries: command lines in fenced blocks (with backslash
+    continuations joined), and inline code spans outside them."""
+    name_re = re.compile(r"(?<![\w-])(" + "|".join(
+        re.escape(b) for b in sorted(binaries)) + r")(?![\w.-])")
+    out = []
+
+    def scan(lineno: int, text: str) -> None:
+        for m in name_re.finditer(text):
+            rest = text[m.end():]
+            end = COMMAND_END_RE.search(rest)
+            rest = rest[:end.start()] if end else rest
+            nxt = name_re.search(rest)
+            rest = rest[:nxt.start()] if nxt else rest
+            for flag in DOC_FLAG_RE.findall(rest):
+                out.append((lineno, m.group(1), flag))
+
+    in_fence = False
+    command, start = "", 0
+    for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), 1):
+        if CODE_FENCE_RE.match(line):
+            in_fence = not in_fence
+            continue
+        if not in_fence:
+            for span in CODE_SPAN_RE.findall(line):
+                scan(lineno, span)
+            continue
+        if not command:
+            start = lineno
+        if line.rstrip().endswith("\\"):
+            command += line.rstrip()[:-1] + " "
+            continue
+        scan(start, command + line)
+        command = ""
+    return out
+
+
+def doc_flags(root: pathlib.Path) -> list[str]:
+    """Rule 6; silent for binaries whose source is absent."""
+    accepted = accepted_flags(root)
+    if not accepted:
+        return []
+    errors = []
+    docs = [root / "README.md"] + sorted((root / "docs").glob("*.md"))
+    for doc in docs:
+        if not doc.is_file():
+            continue
+        for lineno, binary, flag in cited_flags(doc, accepted):
+            if flag not in accepted[binary]:
+                errors.append(f"{doc.relative_to(root)}:{lineno}: "
+                              f"{binary} does not accept '{flag}'")
+    return errors
+
+
 def check(root: pathlib.Path) -> list[str]:
     errors: list[str] = []
     files = md_files(root)
@@ -275,6 +373,8 @@ def check(root: pathlib.Path) -> list[str]:
     errors += stale_knobs(root, files)
     # Rule 5: the kernel table matches the CRC dispatch.
     errors += crc_kernel_table(root)
+    # Rule 6: every documented flag is one its binary accepts.
+    errors += doc_flags(root)
     return errors
 
 
@@ -336,6 +436,32 @@ def self_test() -> int:
         assert errors[0].startswith("docs/PERFORMANCE.md:3: CRC32 row"), \
             errors
         assert "'slice8'" in errors[0], errors
+
+    # Rule 6 on a fixture tree: a handler flag, a table flag, and a
+    # deleted flag cited both in a continued command and in a span.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        (root / "examples").mkdir()
+        (root / "src" / "serve").mkdir(parents=True)
+        (root / "examples" / "vstream_serve.cpp").write_text(
+            'if (f.is("--sessions")) {} else {\n'
+            '    return cli::fleetFlag(f, flags);\n}\n'
+            'const char *kUsage = " [--batch N]\\n";\n')
+        (root / "src" / "serve" / "cli_args.cc").write_text(
+            "bool\nsessionFlag(Flag &f)\n{\n"
+            '    return f.is("--verify-on-hit");\n}\n'
+            "bool\nfleetFlag(Flag &f, FleetFlags &out)\n{\n"
+            '    return f.is("--dedup");\n}\n')
+        (root / "README.md").write_text(
+            "```sh\n./build/examples/vstream_serve --sessions 3 \\\n"
+            "    --dedup=on --batch 4  # not --window\n```\n"
+            "Run `vstream_serve --verify-on-hit`; `--window` is "
+            "prose.\n")
+        errors = check(root)
+        assert errors == [
+            "README.md:2: vstream_serve does not accept '--batch'",
+            "README.md:5: vstream_serve does not accept "
+            "'--verify-on-hit'"], errors
     print("check_docs self-test OK")
     return 0
 
