@@ -31,11 +31,10 @@ int
 main(int argc, char **argv)
 {
     using namespace vstream;
-    using vstream::bench::envU32;
 
-    const std::uint32_t frames = envU32("VSTREAM_FRAMES", 120);
-    const std::uint32_t width = envU32("VSTREAM_WIDTH", 0);
-    const std::uint32_t height = envU32("VSTREAM_HEIGHT", 0);
+    const std::uint32_t frames = bench::frames(120);
+    const std::uint32_t width = bench::kEnvKnobs.width.value_or(0);
+    const std::uint32_t height = bench::kEnvKnobs.height.value_or(0);
     unsigned n_jobs = defaultJobs();
     cli::parseFlags(argc, argv, [&](cli::Flag &f) {
         if (!f.is("--jobs")) {

@@ -3,7 +3,9 @@
  * Shared helpers for the figure-reproduction benches.
  *
  * Every bench honours VSTREAM_FRAMES / VSTREAM_WIDTH / VSTREAM_HEIGHT
- * so the whole harness can be re-run at higher fidelity.
+ * so the whole harness can be re-run at higher fidelity.  Each is a
+ * plain decimal count (0 = the video's native length or size); any
+ * other value prints one line and exits with status 2.
  */
 
 #ifndef VSTREAM_BENCH_BENCH_UTIL_HH
@@ -14,6 +16,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -22,6 +25,7 @@
 #include "core/video_pipeline.hh"
 #include "sim/json_writer.hh"
 #include "sim/parallel.hh"
+#include "sim/spec_fields.hh"
 #include "video/workloads.hh"
 
 namespace vstream
@@ -29,18 +33,51 @@ namespace vstream
 namespace bench
 {
 
+/**
+ * Environment variable @p name as a 32-bit count; nullopt when unset.
+ * Fails closed: "abc", "-1" or an overflowing value prints
+ * "<name>: <error>" and exits with status 2.
+ */
+inline std::optional<std::uint32_t>
+parseEnvU32(const char *name)
+{
+    const char *v = std::getenv(name);
+    if (v == nullptr) {
+        return std::nullopt;
+    }
+    std::uint32_t out = 0;
+    std::string error;
+    if (!spec_fields::tryParseU32(v, "value", out, error)) {
+        std::cerr << name << ": " << error << "\n";
+        std::exit(2);
+    }
+    return out;
+}
+
 inline std::uint32_t
 envU32(const char *name, std::uint32_t fallback)
 {
-    const char *v = std::getenv(name);
-    return v != nullptr ? static_cast<std::uint32_t>(std::atoi(v))
-                        : fallback;
+    return parseEnvU32(name).value_or(fallback);
 }
+
+/**
+ * The frame-cap and resolution knobs, parsed during static
+ * initialisation: a bad value exits before main() generates any
+ * content, and never from a worker thread of a parallel sweep.
+ */
+struct EnvKnobs
+{
+    std::optional<std::uint32_t> frames = parseEnvU32("VSTREAM_FRAMES");
+    std::optional<std::uint32_t> width = parseEnvU32("VSTREAM_WIDTH");
+    std::optional<std::uint32_t> height = parseEnvU32("VSTREAM_HEIGHT");
+};
+
+inline const EnvKnobs kEnvKnobs{};
 
 inline std::uint32_t
 frames(std::uint32_t fallback = 96)
 {
-    return envU32("VSTREAM_FRAMES", fallback);
+    return kEnvKnobs.frames.value_or(fallback);
 }
 
 /** Profile for @p key at the bench resolution and frame cap. */
@@ -48,8 +85,8 @@ inline VideoProfile
 benchWorkload(const std::string &key, std::uint32_t fallback_frames = 96)
 {
     return scaledWorkload(key, frames(fallback_frames),
-                          envU32("VSTREAM_WIDTH", 0),
-                          envU32("VSTREAM_HEIGHT", 0));
+                          kEnvKnobs.width.value_or(0),
+                          kEnvKnobs.height.value_or(0));
 }
 
 /** A representative 4-video mix: test card, trailer, best case,

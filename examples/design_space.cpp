@@ -11,11 +11,11 @@
  * Usage: design_space [video-key] [frames]
  */
 
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 
 #include "core/video_pipeline.hh"
+#include "serve/cli_args.hh"
 #include "video/workloads.hh"
 
 namespace
@@ -43,7 +43,7 @@ main(int argc, char **argv)
 {
     const std::string key = argc > 1 ? argv[1] : "V8";
     const std::uint32_t frames =
-        argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 96;
+        cli::positionalU32(argc, argv, 2, "frames", 96);
     const VideoProfile profile = scaledWorkload(key, frames);
 
     std::cout << "MACH design space on " << profile.key << " ("

@@ -10,12 +10,12 @@
  * Usage: export_report [video-key] [frames] [output-dir]
  */
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 
 #include "core/video_pipeline.hh"
+#include "serve/cli_args.hh"
 #include "video/trace.hh"
 #include "video/workloads.hh"
 
@@ -26,7 +26,7 @@ main(int argc, char **argv)
 
     const std::string key = argc > 1 ? argv[1] : "V8";
     const std::uint32_t frames =
-        argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 60;
+        cli::positionalU32(argc, argv, 2, "frames", 60);
     const std::filesystem::path dir =
         argc > 3 ? argv[3] : std::filesystem::temp_directory_path();
 

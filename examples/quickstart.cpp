@@ -9,11 +9,11 @@
  *   frames     frame-count cap (default 120)
  */
 
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 
 #include "core/video_pipeline.hh"
+#include "serve/cli_args.hh"
 #include "video/workloads.hh"
 
 int
@@ -23,7 +23,7 @@ main(int argc, char **argv)
 
     const std::string key = argc > 1 ? argv[1] : "V8";
     const std::uint32_t frames =
-        argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 120;
+        cli::positionalU32(argc, argv, 2, "frames", 120);
 
     const VideoProfile profile = scaledWorkload(key, frames);
     std::cout << "video " << profile.key << " (" << profile.name

@@ -13,12 +13,12 @@
  * Usage: recorder_pipeline [video-key] [frames]
  */
 
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 
 #include "core/mach_array.hh"
 #include "core/writeback_stage.hh"
+#include "serve/cli_args.hh"
 #include "sim/event_queue.hh"
 #include "video/synthetic_video.hh"
 #include "video/workloads.hh"
@@ -30,7 +30,7 @@ main(int argc, char **argv)
 
     const std::string key = argc > 1 ? argv[1] : "V3";
     const std::uint32_t frames =
-        argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 120;
+        cli::positionalU32(argc, argv, 2, "frames", 120);
 
     // Camera footage resembles natural video; reuse a Table-1
     // profile as the sensor output.

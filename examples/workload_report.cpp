@@ -11,13 +11,13 @@
  * Usage: workload_report [frames] [keys...]
  */
 
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "core/video_pipeline.hh"
+#include "serve/cli_args.hh"
 #include "video/similarity.hh"
 #include "video/workloads.hh"
 
@@ -27,7 +27,7 @@ main(int argc, char **argv)
     using namespace vstream;
 
     const std::uint32_t frames =
-        argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 96;
+        cli::positionalU32(argc, argv, 1, "frames", 96);
 
     std::vector<std::string> keys;
     for (int i = 2; i < argc; ++i) {

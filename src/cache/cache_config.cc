@@ -5,20 +5,6 @@
 namespace vstream
 {
 
-std::string
-replPolicyName(ReplPolicy p)
-{
-    switch (p) {
-      case ReplPolicy::kLru:
-        return "lru";
-      case ReplPolicy::kFifo:
-        return "fifo";
-      case ReplPolicy::kRandom:
-        return "random";
-    }
-    return "?";
-}
-
 std::uint32_t
 CacheConfig::numLines() const
 {

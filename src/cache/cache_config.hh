@@ -7,22 +7,11 @@
 #define VSTREAM_CACHE_CACHE_CONFIG_HH
 
 #include <cstdint>
-#include <string>
 
 namespace vstream
 {
 
-/** Replacement policies supported by SetAssocCache. */
-enum class ReplPolicy
-{
-    kLru,
-    kFifo,
-    kRandom,
-};
-
-std::string replPolicyName(ReplPolicy p);
-
-/** Geometry and behaviour of a cache instance. */
+/** Geometry and behaviour of an LRU, write-back cache instance. */
 struct CacheConfig
 {
     /** Total data capacity, bytes. */
@@ -31,12 +20,9 @@ struct CacheConfig
     std::uint32_t line_bytes = 64;
     /** Ways per set; 1 = direct-mapped. */
     std::uint32_t assoc = 4;
-    ReplPolicy policy = ReplPolicy::kLru;
     /** Allocate lines on write misses? Streaming writers disable
      * this so frame writeback does not thrash the cache. */
     bool write_allocate = true;
-    /** Dirty lines written back on eviction (vs write-through). */
-    bool write_back = true;
 
     std::uint32_t numLines() const;
     std::uint32_t numSets() const;

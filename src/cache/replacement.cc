@@ -7,10 +7,8 @@
 namespace vstream
 {
 
-ReplacementState::ReplacementState(ReplPolicy policy, std::uint32_t sets,
-                                   std::uint32_t ways, std::uint64_t seed)
-    : policy_(policy), ways_(ways),
-      stamps_(static_cast<std::size_t>(sets) * ways, 0), rng_(seed)
+ReplacementState::ReplacementState(std::uint32_t sets, std::uint32_t ways)
+    : ways_(ways), stamps_(static_cast<std::size_t>(sets) * ways, 0)
 {
     vs_assert(sets > 0 && ways > 0, "empty replacement state");
 }
@@ -24,35 +22,19 @@ ReplacementState::stamp(std::uint32_t set, std::uint32_t way)
 void
 ReplacementState::touch(std::uint32_t set, std::uint32_t way)
 {
-    if (policy_ == ReplPolicy::kLru) {
-        stamp(set, way) = ++clock_;
-    }
-    // FIFO and Random ignore hits.
+    stamp(set, way) = ++clock_;
 }
 
 void
-ReplacementState::fill(std::uint32_t set, std::uint32_t way)
-{
-    if (policy_ != ReplPolicy::kRandom) {
-        stamp(set, way) = ++clock_;
-    }
-}
-
-void
-ReplacementState::reset(std::uint64_t seed)
+ReplacementState::reset()
 {
     std::fill(stamps_.begin(), stamps_.end(), 0);
     clock_ = 0;
-    rng_.seed(seed);
 }
 
 std::uint32_t
 ReplacementState::victim(std::uint32_t set)
 {
-    if (policy_ == ReplPolicy::kRandom) {
-        return static_cast<std::uint32_t>(rng_.uniformInt(0, ways_ - 1));
-    }
-
     std::uint32_t best = 0;
     std::uint64_t best_stamp = stamp(set, 0);
     for (std::uint32_t w = 1; w < ways_; ++w) {

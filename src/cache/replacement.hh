@@ -1,6 +1,6 @@
 /**
  * @file
- * Victim selection for one cache set.
+ * LRU victim selection for one cache set.
  */
 
 #ifndef VSTREAM_CACHE_REPLACEMENT_HH
@@ -9,14 +9,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "cache/cache_config.hh"
-#include "sim/random.hh"
-
 namespace vstream
 {
 
 /**
- * Per-way recency/insertion metadata for victim selection.
+ * Per-way LRU stamps for victim selection.
  *
  * One instance serves all sets of a cache; callers pass the slice of
  * way-state for the set being operated on.
@@ -24,35 +21,28 @@ namespace vstream
 class ReplacementState
 {
   public:
-    ReplacementState(ReplPolicy policy, std::uint32_t sets,
-                     std::uint32_t ways, std::uint64_t seed = 0x5eedULL);
+    ReplacementState(std::uint32_t sets, std::uint32_t ways);
 
-    /** Note a hit on (set, way). */
+    /** Note a hit on, or a fill into, (set, way): it becomes the
+     * set's most recently used way. */
     void touch(std::uint32_t set, std::uint32_t way);
-
-    /** Note a fill into (set, way). */
-    void fill(std::uint32_t set, std::uint32_t way);
 
     /** Choose the victim way in @p set (all ways assumed valid). */
     std::uint32_t victim(std::uint32_t set);
 
     /**
-     * Restore the freshly constructed state (stamps, clock, rng) so a
+     * Restore the freshly constructed state (stamps and clock) so a
      * recycled cache replays the exact victim sequence a new one
      * would.  Keeps the stamp storage.
      */
-    void reset(std::uint64_t seed = 0x5eedULL);
-
-    ReplPolicy policy() const { return policy_; }
+    void reset();
 
   private:
     std::uint64_t &stamp(std::uint32_t set, std::uint32_t way);
 
-    ReplPolicy policy_;
     std::uint32_t ways_;
     std::vector<std::uint64_t> stamps_;
     std::uint64_t clock_ = 0;
-    Random rng_;
 };
 
 } // namespace vstream

@@ -29,7 +29,7 @@ SetAssocCache::SetAssocCache(std::string name, const CacheConfig &cfg)
       ways_(cfg.assoc), line_shift_(log2u(cfg.line_bytes)),
       set_shift_(log2u(sets_)),
       lines_(static_cast<std::size_t>(cfg.numLines())), mru_(sets_, 0),
-      repl_(cfg.policy, sets_, ways_)
+      repl_(sets_, ways_)
 {
     cfg_.validate();
 }
@@ -65,7 +65,7 @@ SetAssocCache::accessSlow(std::uint32_t set, std::uint64_t tag, MemOp op,
             repl_.touch(set, w);
             mru_[set] = w;
             if (op == MemOp::kWrite) {
-                l.dirty = cfg_.write_back;
+                l.dirty = true;
             }
             return true;
         }
@@ -76,7 +76,7 @@ SetAssocCache::accessSlow(std::uint32_t set, std::uint64_t tag, MemOp op,
         return false;
     }
 
-    // Find an invalid way; otherwise evict the policy's victim.
+    // Find an invalid way; otherwise evict the LRU victim.
     std::uint32_t victim_way = ways_;
     for (std::uint32_t w = 0; w < ways_; ++w) {
         if (!line(set, w).valid) {
@@ -97,12 +97,12 @@ SetAssocCache::accessSlow(std::uint32_t set, std::uint64_t tag, MemOp op,
     Line &l = line(set, victim_way);
     l.valid = true;
     l.tag = tag;
-    l.dirty = (op == MemOp::kWrite) && cfg_.write_back;
-    repl_.fill(set, victim_way);
+    l.dirty = op == MemOp::kWrite;
+    repl_.touch(set, victim_way);
     mru_[set] = victim_way;
 
-    // A read miss fetches the line; so does a write miss, whether
-    // write-through or write-allocate (fetch-on-write).
+    // A read miss fetches the line; so does an allocating write miss
+    // (fetch-on-write).
     summary.fills.push_back(lineAddr(set, tag));
     return false;
 }
@@ -152,7 +152,7 @@ SetAssocCache::accessInto(Addr addr, std::uint32_t size, MemOp op,
         Line &m = line(set, mru_[set]);
         if (m.valid && m.tag == tag) {
             if (op == MemOp::kWrite) {
-                m.dirty = cfg_.write_back;
+                m.dirty = true;
             }
             ++hits;
         } else if (accessSlow(set, tag, op, summary)) {

@@ -37,8 +37,6 @@ struct CacheAccessSummary
     std::vector<Addr> writebacks;
     /** Line addresses that must be fetched from memory. */
     std::vector<Addr> fills;
-
-    bool allHit() const { return misses == 0; }
 };
 
 /** Tag-only set-associative cache. */
@@ -151,8 +149,8 @@ class SetAssocCache
     std::uint32_t set_shift_;
     std::vector<Line> lines_;
     /**
-     * Per set, the way last hit or filled.  Under LRU it holds the
-     * set's largest stamp, so a hit on it leaves the victim order
+     * Per set, the way last hit or filled.  It holds the set's
+     * largest LRU stamp, so a hit on it leaves the victim order
      * unchanged and skips ReplacementState::touch.
      */
     std::vector<std::uint32_t> mru_;

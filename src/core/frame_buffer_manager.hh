@@ -125,12 +125,6 @@ class FrameBufferManager
     /** Total DRAM footprint of the pool, bytes. */
     std::uint64_t poolBytes() const;
 
-    /** Per-slot worst-case decoded size (the data region size). */
-    std::uint64_t dataCapacity() const { return data_capacity_; }
-
-    /** The underlying slot pool's counters (recycle visibility). */
-    const SurfacePoolStats &poolStats() const { return slots_.stats(); }
-
   private:
     /** storeBlock() of a block below the slot's last, over a stored
      * one, or past the index's initial size: the exact slow path. */

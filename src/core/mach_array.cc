@@ -198,21 +198,6 @@ MachArray::current() const
     return ring_[cur_];
 }
 
-const MachCache &
-MachArray::historyAt(std::uint32_t age) const
-{
-    vs_assert(age >= 1 && age <= hist_count_,
-              "MACH history age out of range: ", age);
-    const std::size_t size = ring_.size();
-    return ring_[(cur_ + size - age) % size];
-}
-
-std::uint64_t
-MachArray::currentDumpBytes() const
-{
-    return ring_[cur_].dumpBytes();
-}
-
 std::vector<double>
 MachArray::topMatchShares(std::size_t k) const
 {

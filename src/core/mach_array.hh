@@ -122,7 +122,6 @@ class MachArray
      * against whatever survived in the caches.
      */
     void setBypass(bool on) { bypass_ = on; }
-    bool bypassed() const { return bypass_; }
 
     /** Attach @p obs to every future insertUnique() (empty function
      * detaches).  Purely observational: the array's own behaviour
@@ -148,12 +147,6 @@ class MachArray
     /** Number of frozen history MACHs currently held. */
     std::uint32_t historyDepth() const { return hist_count_; }
 
-    /** Frozen MACH @p age frames old (1 = previous frame). */
-    const MachCache &historyAt(std::uint32_t age) const;
-
-    /** Metadata image size of the current MACH when dumped. */
-    std::uint64_t currentDumpBytes() const;
-
     const MachStats &stats() const { return stats_; }
 
     /** Zero every counter registered by regStats(); the array
@@ -168,13 +161,6 @@ class MachArray
 
     /** Register lookup/hit/collision stats under @p prefix. */
     void regStats(StatsRegistry &r, const std::string &prefix) const;
-
-    /** Matches per digest (Fig. 9b's "top digests" distribution). */
-    const FlatMap<std::uint32_t, std::uint64_t> &
-    matchCounts() const
-    {
-        return match_counts_;
-    }
 
     /**
      * Shares of total matches contributed by the top @p k digests,

@@ -14,7 +14,7 @@ MachCache::MachCache(const MachConfig &cfg, std::uint32_t entries,
       sets_((entries ? entries : cfg.entries) / cfg.ways),
       ways_(cfg.ways), full_tags_(full_tags),
       entries_(static_cast<std::size_t>(sets_) * ways_),
-      repl_(ReplPolicy::kLru, sets_, ways_)
+      repl_(sets_, ways_)
 {
     vs_assert(sets_ > 0 && (sets_ & (sets_ - 1)) == 0,
               "MACH set count must be a power of two");
@@ -129,7 +129,7 @@ MachCache::insert(std::uint32_t digest, std::uint16_t aux, Addr ptr,
     if (!truth.empty()) {
         std::memcpy(truthAt(set, way), truth.data(), truth.size());
     }
-    repl_.fill(set, way);
+    repl_.touch(set, way);
 }
 
 void

@@ -84,12 +84,11 @@ class MachCache
 
     /** Freeze: further insert() calls panic. */
     void freeze() { frozen_ = true; }
-    bool frozen() const { return frozen_; }
 
     /**
      * Return to the freshly constructed state without releasing any
-     * storage: entries invalidated, freeze lifted, replacement state
-     * re-seeded.  The truth arena (whose stride is fixed for a whole
+     * storage: entries invalidated, freeze lifted, LRU stamps
+     * cleared.  The truth arena (whose stride is fixed for a whole
      * stream) is kept, so recycled frames insert with zero heap
      * allocation.
      */

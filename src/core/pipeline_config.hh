@@ -105,9 +105,6 @@ struct PipelineConfig
     /** Vsyncs between t = 0 and the first frame's deadline. */
     std::uint32_t startup_vsyncs = 4;
 
-    /** Verify every displayed frame against its source checksum. */
-    bool verify_display = true;
-
     // --- robustness -----------------------------------------------------
     /** Fault-injection schedule (empty = pristine world, zero cost). */
     FaultConfig faults;

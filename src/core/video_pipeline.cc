@@ -27,14 +27,6 @@ PipelineResult::s3Residency() const
                 : 0.0;
 }
 
-double
-PipelineResult::dropRate() const
-{
-    return frames ? static_cast<double>(drops) /
-                        static_cast<double>(frames)
-                  : 0.0;
-}
-
 VideoPipeline::VideoPipeline(PipelineConfig cfg) : cfg_(std::move(cfg))
 {
     cfg_.finalize();
@@ -689,7 +681,7 @@ VideoPipeline::stepVsync()
             const ScanStats scan = p.dc.scanOut(
                 *shown_layout, now,
                 shown != static_cast<std::int64_t>(v));
-            if (cfg_.verify_display && !scan.verified) {
+            if (!scan.verified) {
                 p.result.all_verified = false;
             }
             if (p.trace != nullptr) {
@@ -751,14 +743,6 @@ VideoPipeline::liveDramAbandoned() const
     vs_assert(p_ != nullptr,
               "start() must precede liveDramAbandoned()");
     return p_->mem.controller().abandonedCount();
-}
-
-std::uint64_t
-VideoPipeline::liveDramBytes() const
-{
-    vs_assert(p_ != nullptr, "start() must precede liveDramBytes()");
-    const DramActivityCounts c = p_->mem.energy().totalCounts();
-    return c.bytes_read + c.bytes_written;
 }
 
 PipelineResult

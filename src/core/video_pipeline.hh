@@ -48,12 +48,6 @@ struct FrameStateRecord
     double e_trans = 0.0;
     double e_sleep = 0.0;
     bool dropped = false;
-
-    Tick
-    stateTotal() const
-    {
-        return exec + slack + transition + s1 + s3;
-    }
 };
 
 /** Everything a bench needs from one simulated playback. */
@@ -104,8 +98,6 @@ struct PipelineResult
     double totalEnergy() const { return energy.total(); }
     /** Fraction of the span the decoder spent in S3. */
     double s3Residency() const;
-    /** Fraction of frames dropped. */
-    double dropRate() const;
 };
 
 struct Playback;
@@ -178,9 +170,6 @@ class VideoPipeline
 
     /** DRAM bursts abandoned so far (abandon-budget health input). */
     std::uint64_t liveDramAbandoned() const;
-
-    /** Bytes moved through DRAM so far (bandwidth accounting). */
-    std::uint64_t liveDramBytes() const;
 
     const PipelineConfig &config() const { return cfg_; }
 

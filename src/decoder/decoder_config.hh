@@ -31,9 +31,7 @@ struct DecoderConfig
         .size_bytes = 64 * 1024,
         .line_bytes = 64,
         .assoc = 4,
-        .policy = ReplPolicy::kLru,
         .write_allocate = false,
-        .write_back = true,
     };
 
     /** Ring buffer holding buffered encoded frames. */

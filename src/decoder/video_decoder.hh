@@ -72,7 +72,6 @@ class VideoDecoder : public SimObject
                                   FrameLayout &layout);
 
     SetAssocCache &cache() { return *cache_; }
-    const DecodeCostModel &costModel() const { return cost_; }
     const DecoderConfig &config() const { return cfg_; }
 
     void regStats(StatsRegistry &r) override;

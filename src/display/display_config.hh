@@ -38,9 +38,7 @@ struct DisplayConfig
         .size_bytes = 16 * 1024,
         .line_bytes = 64,
         .assoc = 1,
-        .policy = ReplPolicy::kLru,
         .write_allocate = false,
-        .write_back = false,
     };
 
     /** MACH buffer: 2K entries x 48 B = 96 KB. */

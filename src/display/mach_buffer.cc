@@ -9,7 +9,7 @@ namespace vstream
 MachBuffer::MachBuffer(std::uint32_t entries, std::uint32_t ways)
     : sets_(entries / ways), ways_(ways),
       store_(static_cast<std::size_t>(entries)),
-      repl_(ReplPolicy::kLru, sets_, ways_)
+      repl_(sets_, ways_)
 {
     vs_assert(sets_ > 0 && (sets_ & (sets_ - 1)) == 0,
               "MACH buffer set count must be a power of two");
@@ -82,7 +82,7 @@ MachBuffer::insert(std::uint32_t digest, const std::uint8_t *data,
     e.valid = true;
     e.digest = digest;
     e.block.assign(data, data + size);
-    repl_.fill(set, way);
+    repl_.touch(set, way);
     ++inserts_;
 }
 

@@ -36,9 +36,6 @@ class DramChannel
         return banks_[bankSlot(rank, bank_idx)];
     }
 
-    /** Earliest tick the data bus is free. */
-    Tick busFreeAt() const { return bus_free_at_; }
-
     /**
      * Occupy the bus for @p duration starting no earlier than
      * @p earliest.
@@ -56,11 +53,6 @@ class DramChannel
     /** Move the bus-free tick @p d ticks later (see
      * DramBank::advance). */
     void advanceBus(Tick d) { bus_free_at_ += d; }
-
-    std::uint32_t bankCount() const
-    {
-        return static_cast<std::uint32_t>(banks_.size());
-    }
 
     /** Reset all banks and the bus. */
     void reset();

@@ -95,15 +95,6 @@ struct DramConfig
      */
     std::uint32_t write_queue_depth = 0;
 
-    /**
-     * All-bank refresh modelling.  When enabled, each channel blocks
-     * for t_rfc every t_refi; disabled by default (refresh energy is
-     * folded into background_watts either way).
-     */
-    bool refresh_enabled = false;
-    Tick t_refi = 3900 * sim_clock::ns;
-    Tick t_rfc = 130 * sim_clock::ns;
-
     // --- energy -------------------------------------------------------
     /** Energy of one activate+precharge pair, picojoules. */
     double e_act_pre_pj = 4000.0;           // 4 nJ
@@ -111,7 +102,8 @@ struct DramConfig
     double e_read_burst_pj = 4200.0;        // ~16 pJ/bit I/O
     /** Energy of one write burst (32 B), picojoules. */
     double e_write_burst_pj = 4500.0;
-    /** Background (standby + refresh) power, watts. */
+    /** Background (standby + refresh) power, watts: refresh is not
+     * timed, its energy is folded in here. */
     double background_watts = 0.040;
 
     // --- derived ------------------------------------------------------

@@ -23,7 +23,6 @@ DramController::DramController(const DramConfig &cfg)
     for (auto &q : write_queues_) {
         q.reserve(cfg_.write_queue_depth);
     }
-    next_refresh_.assign(cfg_.channels, cfg_.t_refi);
 }
 
 std::size_t
@@ -37,35 +36,11 @@ DramController::bankIndex(const DramCoord &coord) const
 }
 
 Tick
-DramController::applyRefresh(std::uint32_t channel, Tick t)
-{
-    if (!cfg_.refresh_enabled) {
-        return t;
-    }
-    Tick &next = next_refresh_[channel];
-    if (t < next) {
-        return t;
-    }
-    // Jump to the refresh epoch containing t; refreshes the device
-    // performed while idle did not block anyone.
-    const std::uint64_t missed = (t - next) / cfg_.t_refi;
-    next += missed * cfg_.t_refi;
-    ++refreshes_;
-    if (t < next + cfg_.t_rfc) {
-        t = next + cfg_.t_rfc;
-    }
-    next += cfg_.t_refi;
-    return t;
-}
-
-Tick
 DramController::accessBurst(const DramCoord &coord, MemOp op, Requester r,
                             Tick now, bool &row_hit, bool &activated)
 {
     DramChannel &channel = channels_[coord.channel];
     DramBank &bank = channel.bank(coord.rank, coord.bank);
-
-    now = applyRefresh(coord.channel, now);
 
     // Starvation bound: rows idle past the timeout were closed by the
     // controller in the meantime.  The precharge is attributed to the
@@ -328,13 +303,12 @@ DramController::readRun(Addr base, std::uint32_t n,
             continue;
         }
         const Tick f0 = total.finish_tick;
-        const std::uint64_t refreshes = refreshes_;
         const std::uint64_t retries = retries_;
         const std::uint64_t abandoned = abandoned_;
         const MemResult line1 = readLine(a + line_bytes);
         ++i;
-        if (line1.row_hits != line1.bursts || refreshes_ != refreshes ||
-            retries_ != retries || abandoned_ != abandoned) {
+        if (line1.row_hits != line1.bursts || retries_ != retries ||
+            abandoned_ != abandoned) {
             continue;
         }
         const Tick f1 = total.finish_tick;
@@ -357,14 +331,13 @@ DramController::chargeSteadyLines(Addr line1, std::uint32_t max_lines,
     // by f1, its issue tick plus d.  So line k >= 2, issued at
     // f1 + (k - 2) d, meets the same state shifted by (k - 1) d, as
     // long as its rows are still open (the row timeout measures the
-    // same idle gap line 2 sees) and no refresh lands before it
-    // issues.  Line 1 covers every sub-column value once within its
-    // first `sub` bursts, so those name each bank it used exactly
-    // once.
+    // same idle gap line 2 sees).  Line 1 covers every sub-column
+    // value once within its first `sub` bursts, so those name each
+    // bank it used exactly once.
     const Addr first = line1 & ~static_cast<Addr>(burst_bytes_ - 1);
     const auto sub =
         static_cast<std::uint32_t>(map_.subColumnBytes() / burst_bytes_);
-    std::uint64_t m = max_lines;
+    const std::uint64_t m = max_lines;
     std::uint64_t used_channels = 0;
     for (std::uint32_t j = 0; j < sub; ++j) {
         const DramCoord c =
@@ -372,13 +345,6 @@ DramController::chargeSteadyLines(Addr line1, std::uint32_t max_lines,
         const DramBank &bank = channels_[c.channel].bank(c.rank, c.bank);
         if (f1 - bank.lastAccess() > cfg_.row_open_timeout) {
             return 0;
-        }
-        if (cfg_.refresh_enabled) {
-            const Tick next = next_refresh_[c.channel];
-            if (next <= f1) {
-                return 0;
-            }
-            m = std::min<std::uint64_t>(m, (next - f1 + d - 1) / d);
         }
         used_channels |= std::uint64_t{1} << c.channel;
     }
@@ -433,8 +399,6 @@ DramController::reset()
     for (auto &q : write_queues_) {
         q.clear();
     }
-    next_refresh_.assign(cfg_.channels, cfg_.t_refi);
-    refreshes_ = 0;
     closed_form_lines_ = 0;
     resetFaultStats();
     seedJitter();

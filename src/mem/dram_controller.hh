@@ -17,9 +17,9 @@
  * line repeats the previous one shifted by a constant, so its bank,
  * bus and ledger effects are applied in one step instead of burst by
  * burst.  The result is exactly what the per-line access() loop
- * produces; wherever that cannot be shown (closed page, a refresh or
- * an armed timeout fault ahead, a span boundary), readRun falls back
- * to access().
+ * produces; wherever that cannot be shown (closed page, an armed
+ * timeout fault ahead, a span boundary), readRun falls back to
+ * access().
  */
 
 #ifndef VSTREAM_MEM_DRAM_CONTROLLER_HH
@@ -74,9 +74,6 @@ class DramController
 
     /** Posted writes currently queued. */
     std::uint64_t pendingWrites() const;
-
-    /** All-bank refreshes performed (refresh_enabled only). */
-    std::uint64_t refreshCount() const { return refreshes_; }
 
     /**
      * Arm transient-fault injection (class kDramTimeout); nullptr
@@ -135,8 +132,8 @@ class DramController
 
     /**
      * Closed-form tail of a read run.  Line 1 of the run, at
-     * @p line1, was @p bursts row hits with no refresh, retry or
-     * abandon and completed at @p f1, @p d after line 0.  Charges up
+     * @p line1, was @p bursts row hits with no retry or abandon and
+     * completed at @p f1, @p d after line 0.  Charges up
      * to @p max_lines further lines of the same column span, each
      * line 1 shifted by a multiple of @p d, as far as that can be
      * shown to hold.
@@ -156,9 +153,6 @@ class DramController
      * seed. */
     void seedJitter();
 
-    /** Stall @p t over any refresh window it lands in. */
-    Tick applyRefresh(std::uint32_t channel, Tick t);
-
     /** Global bank index of @p coord. */
     std::size_t bankIndex(const DramCoord &coord) const;
 
@@ -173,8 +167,6 @@ class DramController
     Tick burst_time_;
     std::vector<DramChannel> channels_;
     std::vector<std::vector<PendingWrite>> write_queues_;
-    std::vector<Tick> next_refresh_;
-    std::uint64_t refreshes_ = 0;
     std::uint64_t closed_form_lines_ = 0;
     /** Backoff delay before the @p attempt-th re-issue (capped
      * exponential plus deterministic jitter). */

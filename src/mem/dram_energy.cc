@@ -81,12 +81,6 @@ DramEnergy::backgroundEnergy(Tick span) const
     return cfg_.background_watts * ticksToSeconds(span);
 }
 
-double
-DramEnergy::dynamicEnergyTotal() const
-{
-    return actPreEnergyTotal() + burstEnergyTotal();
-}
-
 void
 DramEnergy::reset()
 {

@@ -88,9 +88,6 @@ class DramEnergy
     /** Background energy across a window of @p span ticks. */
     double backgroundEnergy(Tick span) const;
 
-    /** Everything except background, joules. */
-    double dynamicEnergyTotal() const;
-
     void reset();
 
     /** Stats-reset alias for reset(): every registered counter and

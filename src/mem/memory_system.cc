@@ -82,35 +82,6 @@ MemorySystem::backgroundEnergy(Tick span) const
     return ctrl_.energy().backgroundEnergy(span);
 }
 
-std::uint64_t
-MemorySystem::bytesTransferred() const
-{
-    const DramActivityCounts c = ctrl_.energy().totalCounts();
-    return c.bytes_read + c.bytes_written;
-}
-
-double
-MemorySystem::avgBandwidthMBps(Tick span) const
-{
-    if (span == 0) {
-        return 0.0;
-    }
-    return static_cast<double>(bytesTransferred()) / 1e6 /
-           ticksToSeconds(span);
-}
-
-double
-MemorySystem::peakBandwidthMBps() const
-{
-    // One burst of bytesPerBurst() occupies the data bus for
-    // burstTime() ticks; all channels transfer in parallel.
-    const DramConfig &cfg = config();
-    const double per_channel =
-        static_cast<double>(cfg.bytesPerBurst()) / 1e6 /
-        ticksToSeconds(cfg.burstTime());
-    return per_channel * cfg.channels;
-}
-
 void
 MemorySystem::resetStats()
 {

@@ -97,17 +97,6 @@ class MemorySystem : public SimObject
     /** Total requests serviced. */
     std::uint64_t requestCount() const { return request_count_; }
 
-    // --- bandwidth accounting (serve-layer admission control) ---------
-
-    /** Bytes moved over the DRAM data bus so far (reads + writes). */
-    std::uint64_t bytesTransferred() const;
-
-    /** Average data-bus bandwidth over @p span ticks, MB/s. */
-    double avgBandwidthMBps(Tick span) const;
-
-    /** Theoretical peak data-bus bandwidth of this part, MB/s. */
-    double peakBandwidthMBps() const;
-
     void resetStats() override;
     void regStats(StatsRegistry &r) override;
 

@@ -191,20 +191,6 @@ FleetLadder::dwell(FleetHealth s, Tick now) const
     return d;
 }
 
-const char *
-fleetHealthName(FleetHealth s)
-{
-    switch (s) {
-      case FleetHealth::kHealthy:
-        return "healthy";
-      case FleetHealth::kBrownedOut:
-        return "brownedOut";
-      case FleetHealth::kShedding:
-        return "shedding";
-    }
-    return "?";
-}
-
 std::vector<ArrivalEvent>
 withFlashCrowds(std::vector<ArrivalEvent> base,
                 const ChaosConfig &chaos)

@@ -145,9 +145,6 @@ enum class FleetHealth : std::uint8_t
 
 constexpr std::size_t kNumFleetHealthStates = 3;
 
-/** Stable lower-case name ("healthy", "brownedOut", "shedding"). */
-const char *fleetHealthName(FleetHealth s);
-
 /** Dwell/transition bookkeeping for the fleet ladder (same shape as
  * HealthLadder; policy lives in the Placer). */
 class FleetLadder

@@ -129,6 +129,21 @@ Flag::finish(bool known, std::string &error) const
     return false;
 }
 
+std::uint32_t
+positionalU32(int argc, char **argv, int i, const char *what,
+              std::uint32_t fallback)
+{
+    if (i >= argc) {
+        return fallback;
+    }
+    std::uint32_t v = 0;
+    std::string error;
+    if (!spec_fields::tryParseU32(argv[i], "value", v, error)) {
+        exitUsage(argv[0], std::string(what) + ": " + error);
+    }
+    return v;
+}
+
 void
 exitUsage(const char *argv0, const std::string &error)
 {

@@ -88,6 +88,14 @@ forEachFlag(int argc, char **argv, std::string &error, OnFlag &&on_flag)
  * status 2. */
 [[noreturn]] void exitUsage(const char *argv0, const std::string &error);
 
+/**
+ * Positional count argv[@p i] ("<program> [key] [frames]"), or
+ * @p fallback when absent.  A value that is not a 32-bit count
+ * exits through exitUsage with "<what>: <error>".
+ */
+std::uint32_t positionalU32(int argc, char **argv, int i,
+                            const char *what, std::uint32_t fallback);
+
 /** forEachFlag, or exitUsage at the first error. */
 template <typename OnFlag>
 void

@@ -85,10 +85,6 @@ CircuitBreaker::onWindow(std::uint64_t lookups,
                          std::uint64_t false_hits, Tick now,
                          Random &rng)
 {
-    if (!cfg_.enabled) {
-        return false;
-    }
-
     if (state_ == State::kOpen) {
         // Bypassed: samples carry no verification signal; wait the
         // cooldown out, then re-probe with MACH re-enabled.

@@ -103,7 +103,6 @@ class HealthLadder
 /** Circuit-breaker knobs for the MACH verification path. */
 struct BreakerConfig
 {
-    bool enabled = true;
     /** Per-window falseHits/lookups rate that trips the breaker. */
     double false_hit_threshold = 0.02;
     /** Windows with fewer lookups than this are not judged. */

@@ -540,8 +540,7 @@ Placer::submitRehearsed(Pending &&p)
         admit(std::move(p), cur_tick_);
         return;
     }
-    if (cfg_.serve.queue_when_full &&
-        couldEverFit(p.bw_mbps, p.fb_bytes)) {
+    if (couldEverFit(p.bw_mbps, p.fb_bytes)) {
         // The shedding ladder: past the configured queue depth the
         // fleet drops arrivals outright instead of letting the
         // queue (and its deadline backlog) grow without bound.

@@ -87,9 +87,6 @@ struct ServeConfig
     std::uint64_t framebuffer_budget_bytes = 64ULL << 20;
     /** Hard cap on concurrently active sessions. */
     std::uint32_t max_active = 64;
-    /** Queue over-budget submissions instead of rejecting them
-     * (sessions that could never fit are always rejected). */
-    bool queue_when_full = true;
     /**
      * Admission-queue deadline in ticks (0 = wait forever, the
      * legacy behaviour).  A session still queued this long after
@@ -190,8 +187,6 @@ class Placer
 
     /** The recovery ledger; all-zero on a clean run. */
     const RecoveryTotals &recovery() const { return recovery_; }
-    /** Current fleet health (Healthy unless chaos degraded it). */
-    FleetHealth fleetHealth() const { return ladder_.state(); }
     const FleetLadder &fleetLadder() const { return ladder_; }
     /** Checkpoint rounds taken (each covers every shard). */
     std::uint64_t checkpointsTaken() const

@@ -105,7 +105,7 @@ Session::evaluateWindow(Tick now)
 {
     // Circuit breaker first: a false-hit storm is a verification
     // problem, not (yet) a playback problem.
-    if (pipeline_.hasMach() && cfg_.breaker.enabled) {
+    if (pipeline_.hasMach()) {
         const MachStats m = pipeline_.liveMachStats();
         const std::uint64_t d_lookups = m.lookups - last_lookups_;
         const std::uint64_t d_false = m.false_hits - last_false_hits_;

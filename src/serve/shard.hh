@@ -54,8 +54,6 @@ class Shard
      * frame-buffer reservation ratios (0 when idle). */
     double load() const;
 
-    double bwSliceMBps() const { return bw_slice_; }
-    double fbSliceBytes() const { return fb_slice_; }
     double bwReservedMBps() const { return bw_reserved_; }
     std::uint64_t fbReservedBytes() const { return fb_reserved_; }
     std::uint32_t active() const { return active_; }
@@ -68,9 +66,6 @@ class Shard
      * this).
      */
     void setBrownoutFactor(double f);
-
-    double brownoutFactor() const { return brownout_factor_; }
-    bool brownedOut() const { return brownout_factor_ < 1.0; }
 
     // --- stats ----------------------------------------------------------
 

@@ -3,9 +3,13 @@
  * Discrete-event simulation core.
  *
  * A minimal gem5-style event queue: events are scheduled at absolute
- * ticks and processed in (tick, priority, insertion-order) order.  The
- * pipeline driver uses it to interleave the decoder's wake-ups, the
- * display's vsync, and the streaming buffer refills on one timeline.
+ * ticks and processed in (tick, priority, insertion-order) order.
+ *
+ * No model schedules events: the pipeline advances its own clock
+ * frame by frame, and the fleet settles sessions on the Placer's
+ * timeline.  The queue stays only because benchmark/layer_replay.hh
+ * constructs one and passes it to the SimObject constructors; it goes
+ * when that replay stops doing so.
  */
 
 #ifndef VSTREAM_SIM_EVENT_QUEUE_HH

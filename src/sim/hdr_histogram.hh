@@ -76,12 +76,6 @@ class HdrHistogram
     void reset();
 
     unsigned unitBits() const { return unit_bits_; }
-    /** Buckets allocated so far (grows with the largest value). */
-    std::size_t bucketCount() const { return buckets_.size(); }
-    std::uint64_t bucketValue(std::size_t i) const
-    {
-        return buckets_[i];
-    }
 
     /** Bucket index for @p v (exposed for the boundary tests). */
     std::size_t bucketIndex(std::uint64_t v) const;

@@ -213,11 +213,4 @@ JsonWriter::value(bool v)
     os_ << (v ? "true" : "false");
 }
 
-void
-JsonWriter::nullValue()
-{
-    beforeValue();
-    os_ << "null";
-}
-
 } // namespace vstream

@@ -57,7 +57,6 @@ class JsonWriter
     void value(std::uint64_t v);
     void value(std::int64_t v);
     void value(bool v);
-    void nullValue();
 
     /** key() + value() in one call. */
     template <typename T>

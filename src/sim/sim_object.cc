@@ -2,9 +2,7 @@
 
 #include <utility>
 
-#include "sim/event_queue.hh"
 #include "sim/logging.hh"
-#include "sim/stats_registry.hh"
 
 namespace vstream
 {
@@ -16,13 +14,5 @@ SimObject::SimObject(std::string name, EventQueue *queue)
 }
 
 SimObject::~SimObject() = default;
-
-void
-SimObject::dumpStats(std::ostream &os)
-{
-    StatsRegistry r;
-    regStats(r);
-    r.dumpText(os);
-}
 
 } // namespace vstream

@@ -6,7 +6,6 @@
 #ifndef VSTREAM_SIM_SIM_OBJECT_HH
 #define VSTREAM_SIM_SIM_OBJECT_HH
 
-#include <ostream>
 #include <string>
 
 namespace vstream
@@ -18,12 +17,15 @@ class StatsRegistry;
 /**
  * A named component of the simulated SoC.
  *
- * SimObjects share one EventQueue and report statistics by
- * registering them into a StatsRegistry (regStats()); the registry
- * then drives every output format (text/JSON/CSV, see
- * sim/stats_registry.hh).  Construction order establishes the
- * component tree; the name is a dotted path such as "soc.vd.cache"
- * and every registered stat lives under it.
+ * SimObjects report statistics by registering them into a
+ * StatsRegistry (regStats()); the registry then drives every output
+ * format (text/JSON/CSV, see sim/stats_registry.hh).  Construction
+ * order establishes the component tree; the name is a dotted path
+ * such as "soc.vd.cache" and every registered stat lives under it.
+ *
+ * The EventQueue pointer is inert: no model schedules events.  The
+ * constructors keep taking it only because benchmark/layer_replay.hh
+ * builds its components with one (see sim/event_queue.hh).
  */
 class SimObject
 {
@@ -36,11 +38,9 @@ class SimObject
 
     const std::string &name() const { return name_; }
 
-    /** The shared timeline this object schedules on. */
+    /** The queue this object was constructed with (never scheduled
+     * on; see the class comment). */
     EventQueue *eventQueue() const { return queue_; }
-
-    /** Called once before simulation begins. */
-    virtual void startup() {}
 
     /** Reset statistics (not architectural state). */
     virtual void resetStats() {}
@@ -52,13 +52,6 @@ class SimObject
      * pointer).  The default registers nothing.
      */
     virtual void regStats(StatsRegistry &r) { (void)r; }
-
-    /**
-     * Pretty-print statistics: builds a private registry via
-     * regStats() and text-dumps it.  Not virtual - per-object stat
-     * content belongs in regStats() so that every exporter sees it.
-     */
-    void dumpStats(std::ostream &os);
 
   private:
     std::string name_;

@@ -1,73 +1,13 @@
 #include "sim/stats.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <iomanip>
-#include <limits>
 #include <utility>
-
-#include "sim/logging.hh"
 
 namespace vstream
 {
 namespace stats
 {
-
-Scalar::Scalar(std::string name, std::string desc)
-    : name_(std::move(name)), desc_(std::move(desc))
-{
-}
-
-Distribution::Distribution(std::string name, std::string desc)
-    : name_(std::move(name)), desc_(std::move(desc))
-{
-}
-
-void
-Distribution::sample(double v)
-{
-    if (count_ == 0) {
-        min_ = v;
-        max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    ++count_;
-    total_ += v;
-    const double delta = v - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (v - mean_);
-}
-
-void
-Distribution::reset()
-{
-    count_ = 0;
-    mean_ = 0.0;
-    m2_ = 0.0;
-    min_ = 0.0;
-    max_ = 0.0;
-    total_ = 0.0;
-}
-
-double
-Distribution::mean() const
-{
-    return count_ ? mean_ : 0.0;
-}
-
-double
-Distribution::variance() const
-{
-    return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
-double
-Distribution::stddev() const
-{
-    return std::sqrt(variance());
-}
 
 SampleSeries::SampleSeries(std::string name, std::string desc)
     : name_(std::move(name)), desc_(std::move(desc))
@@ -126,52 +66,6 @@ SampleSeries::sorted() const
     std::vector<double> copy = samples_;
     std::sort(copy.begin(), copy.end());
     return copy;
-}
-
-Histogram::Histogram(std::string name, double lo, double hi,
-                     std::size_t buckets, std::string desc)
-    : name_(std::move(name)), desc_(std::move(desc)), lo_(lo), hi_(hi),
-      width_((hi - lo) / static_cast<double>(buckets)),
-      buckets_(buckets, 0)
-{
-    vs_assert(hi > lo && buckets > 0, "bad histogram bounds");
-}
-
-void
-Histogram::sample(double v)
-{
-    ++count_;
-    if (v < lo_) {
-        ++underflow_;
-        return;
-    }
-    if (v >= hi_) {
-        ++overflow_;
-        return;
-    }
-    const auto idx = static_cast<std::size_t>((v - lo_) / width_);
-    ++buckets_[std::min(idx, buckets_.size() - 1)];
-}
-
-void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    underflow_ = 0;
-    overflow_ = 0;
-    count_ = 0;
-}
-
-double
-Histogram::bucketLow(std::size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i);
-}
-
-double
-Histogram::bucketHigh(std::size_t i) const
-{
-    return bucketLow(i) + width_;
 }
 
 void

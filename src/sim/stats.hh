@@ -2,8 +2,8 @@
  * @file
  * Lightweight statistics package.
  *
- * Three flavours cover the paper's reporting needs: Scalar counters,
- * streaming Distributions (mean/stddev/min/max), and SampleSeries,
+ * Components count in raw members and register them with
+ * StatsRegistry::addCallback; the one stat object is SampleSeries,
  * which retains every sample so the figure benches can print exact
  * CDFs (Fig. 2b-e, Fig. 4c-d).
  */
@@ -21,62 +21,7 @@ namespace vstream
 namespace stats
 {
 
-/** A named monotonically adjustable counter. */
-class Scalar
-{
-  public:
-    explicit Scalar(std::string name = "", std::string desc = "");
-
-    Scalar &operator+=(double v) { value_ += v; return *this; }
-    Scalar &operator++() { value_ += 1.0; return *this; }
-
-    void set(double v) { value_ = v; }
-    void reset() { value_ = 0.0; }
-
-    double value() const { return value_; }
-    const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
-
-  private:
-    std::string name_;
-    std::string desc_;
-    double value_ = 0.0;
-};
-
-/** Streaming distribution: O(1) memory, Welford mean/variance. */
-class Distribution
-{
-  public:
-    explicit Distribution(std::string name = "", std::string desc = "");
-
-    void sample(double v);
-    void reset();
-
-    std::uint64_t count() const { return count_; }
-    double mean() const;
-    double variance() const;
-    double stddev() const;
-    double min() const { return min_; }
-    double max() const { return max_; }
-    double total() const { return total_; }
-
-    const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
-
-  private:
-    std::string name_;
-    std::string desc_;
-    std::uint64_t count_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    double total_ = 0.0;
-};
-
-/**
- * Distribution that retains all samples, for percentiles and CDFs.
- */
+/** A series that retains all samples, for percentiles and CDFs. */
 class SampleSeries
 {
   public:
@@ -113,42 +58,6 @@ class SampleSeries
     std::string name_;
     std::string desc_;
     std::vector<double> samples_;
-};
-
-/** Fixed-width bucket histogram over [lo, hi). */
-class Histogram
-{
-  public:
-    Histogram(std::string name, double lo, double hi, std::size_t buckets,
-              std::string desc = "");
-
-    void sample(double v);
-    void reset();
-
-    std::uint64_t bucketCount(std::size_t i) const { return buckets_.at(i); }
-    std::size_t buckets() const { return buckets_.size(); }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t count() const { return count_; }
-    double bucketLow(std::size_t i) const;
-    double bucketHigh(std::size_t i) const;
-
-    double low() const { return lo_; }
-    double high() const { return hi_; }
-
-    const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
-
-  private:
-    std::string name_;
-    std::string desc_;
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t count_ = 0;
 };
 
 /** Print "name value  # desc" in fixed columns. */

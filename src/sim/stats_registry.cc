@@ -37,19 +37,8 @@ validStatName(const std::string &name)
 const char *
 StatsRegistry::kindName(Kind k)
 {
-    switch (k) {
-      case Kind::kScalar:
-        return "scalar";
-      case Kind::kCallback:
-        return "scalar"; // callbacks are scalars to every consumer
-      case Kind::kDistribution:
-        return "distribution";
-      case Kind::kSeries:
-        return "series";
-      case Kind::kHistogram:
-        return "histogram";
-    }
-    return "unknown";
+    // Callbacks are scalars to every consumer.
+    return k == Kind::kCallback ? "scalar" : "series";
 }
 
 StatsRegistry::Entry &
@@ -86,35 +75,11 @@ StatsRegistry::sortedEntries() const
 }
 
 void
-StatsRegistry::add(const std::string &name, stats::Scalar &s)
-{
-    Entry &e = insert(name, Kind::kScalar);
-    e.scalar = &s;
-    e.desc = s.desc();
-}
-
-void
-StatsRegistry::add(const std::string &name, stats::Distribution &d)
-{
-    Entry &e = insert(name, Kind::kDistribution);
-    e.dist = &d;
-    e.desc = d.desc();
-}
-
-void
 StatsRegistry::add(const std::string &name, stats::SampleSeries &s)
 {
     Entry &e = insert(name, Kind::kSeries);
     e.series = &s;
     e.desc = s.desc();
-}
-
-void
-StatsRegistry::add(const std::string &name, stats::Histogram &h)
-{
-    Entry &e = insert(name, Kind::kHistogram);
-    e.histogram = &h;
-    e.desc = h.desc();
 }
 
 void
@@ -150,79 +115,44 @@ StatsRegistry::value(const std::string &name) const
     const auto it = index_.find(name);
     vs_assert(it != index_.end(), "unknown stat '", name, "'");
     const Entry &e = *it->second;
-    switch (e.kind) {
-      case Kind::kScalar:
-        return e.scalar->value();
-      case Kind::kCallback:
-        return e.callback();
-      case Kind::kDistribution:
-        return e.dist->mean();
-      case Kind::kSeries:
-        return e.series->mean();
-      case Kind::kHistogram:
-        return static_cast<double>(e.histogram->count());
-    }
-    return 0.0;
+    return e.kind == Kind::kCallback ? e.callback() : e.series->mean();
 }
 
 std::vector<std::pair<std::string, double>>
 StatsRegistry::fields(const Entry &e)
 {
     std::vector<std::pair<std::string, double>> out;
-    out.reserve(8); // widest kind (series) exports eight fields
-    switch (e.kind) {
-      case Kind::kScalar:
-        out.emplace_back("value", e.scalar->value());
-        break;
-      case Kind::kCallback:
+    if (e.kind == Kind::kCallback) {
         out.emplace_back("value", e.callback());
-        break;
-      case Kind::kDistribution:
-        out.emplace_back("count",
-                         static_cast<double>(e.dist->count()));
-        out.emplace_back("total", e.dist->total());
-        out.emplace_back("mean", e.dist->mean());
-        out.emplace_back("stddev", e.dist->stddev());
-        out.emplace_back("min", e.dist->min());
-        out.emplace_back("max", e.dist->max());
-        break;
-      case Kind::kSeries:
-        out.emplace_back("count",
-                         static_cast<double>(e.series->count()));
-        out.emplace_back("total", e.series->total());
-        out.emplace_back("mean", e.series->mean());
-        out.emplace_back("p50", e.series->percentile(0.50));
-        out.emplace_back("p90", e.series->percentile(0.90));
-        out.emplace_back("p99", e.series->percentile(0.99));
-        out.emplace_back("min", e.series->percentile(0.0));
-        out.emplace_back("max", e.series->percentile(1.0));
-        break;
-      case Kind::kHistogram:
-        out.emplace_back("count",
-                         static_cast<double>(e.histogram->count()));
-        out.emplace_back("underflow",
-                         static_cast<double>(e.histogram->underflow()));
-        out.emplace_back("overflow",
-                         static_cast<double>(e.histogram->overflow()));
-        break;
+        return out;
     }
+    const stats::SampleSeries &s = *e.series;
+    out.reserve(8);
+    out.emplace_back("count", static_cast<double>(s.count()));
+    out.emplace_back("total", s.total());
+    out.emplace_back("mean", s.mean());
+    out.emplace_back("p50", s.percentile(0.50));
+    out.emplace_back("p90", s.percentile(0.90));
+    out.emplace_back("p99", s.percentile(0.99));
+    out.emplace_back("min", s.percentile(0.0));
+    out.emplace_back("max", s.percentile(1.0));
     return out;
 }
 
 void
 StatsRegistry::dumpText(std::ostream &os) const
 {
-    // One scratch line name reused across all aggregate entries so the
+    // One scratch line name reused across all series entries so the
     // dump loop does not allocate a fresh string per exported field.
     std::string scratch;
     for (const Entry *ep : sortedEntries()) {
         const Entry &e = *ep;
-        if (e.kind == Kind::kScalar || e.kind == Kind::kCallback) {
-            stats::printStat(os, e.name, fields(e).front().second, e.desc);
+        if (e.kind == Kind::kCallback) {
+            stats::printStat(os, e.name, e.callback(), e.desc);
             continue;
         }
-        // Aggregate kinds print one line per exported field, keeping
-        // the classic one-value-per-line text shape.
+        // A series prints one line per exported field, keeping the
+        // classic one-value-per-line text shape.
         for (const auto &[field, v] : fields(e)) {
             scratch.assign(e.name);
             scratch.append("::");
@@ -251,17 +181,6 @@ StatsRegistry::dumpJson(std::ostream &os) const
         for (const auto &[field, v] : fields(e)) {
             w.kv(field, v);
         }
-        if (e.kind == Kind::kHistogram) {
-            const stats::Histogram &h = *e.histogram;
-            w.kv("lo", h.low());
-            w.kv("hi", h.high());
-            w.key("buckets");
-            w.beginArray();
-            for (std::size_t i = 0; i < h.buckets(); ++i) {
-                w.value(h.bucketCount(i));
-            }
-            w.endArray();
-        }
         w.endObject();
     }
     w.endObject();
@@ -277,29 +196,6 @@ StatsRegistry::dumpCsv(std::ostream &os) const
         for (const auto &[field, v] : fields(e)) {
             os << e.name << ',' << kindName(e.kind) << ',' << field << ','
                << jsonNumber(v) << '\n';
-        }
-    }
-}
-
-void
-StatsRegistry::resetAll()
-{
-    for (Entry &e : pool_) {
-        switch (e.kind) {
-          case Kind::kScalar:
-            e.scalar->reset();
-            break;
-          case Kind::kCallback:
-            break; // owner resets the underlying counter
-          case Kind::kDistribution:
-            e.dist->reset();
-            break;
-          case Kind::kSeries:
-            e.series->reset();
-            break;
-          case Kind::kHistogram:
-            e.histogram->reset();
-            break;
         }
     }
 }

@@ -2,9 +2,9 @@
  * @file
  * Hierarchical statistics registry.
  *
- * Every stat-bearing component registers its Scalar / Distribution /
- * SampleSeries / Histogram stats (or a read-only callback over a raw
- * counter) under a hierarchical dotted name such as
+ * Every stat-bearing component registers a read-only callback over
+ * each raw counter (a scalar) and its SampleSeries under a
+ * hierarchical dotted name such as
  * "vd.cache.missRate" or "mem.dram.vd.activations".  The registry is
  * then the single source of truth for reporting: the text, JSON and
  * CSV exporters all walk the same entry list, so a stat registered
@@ -55,17 +55,14 @@ class StatsRegistry
     // registered object must outlive the registry (in practice both
     // live for one simulation run).
 
-    /** Register @p s under @p name (desc taken from the stat). */
-    void add(const std::string &name, stats::Scalar &s);
-    void add(const std::string &name, stats::Distribution &d);
+    /** Register @p s under @p name (desc taken from the series). */
     void add(const std::string &name, stats::SampleSeries &s);
-    void add(const std::string &name, stats::Histogram &h);
 
     /**
      * Register a read-only scalar over an existing raw counter.
      *
      * The owning component remains responsible for resetting the
-     * underlying counter (resetStats()); resetAll() skips callbacks.
+     * underlying counter (resetStats()).
      */
     void addCallback(const std::string &name, std::string desc,
                      std::function<double()> fn);
@@ -78,7 +75,7 @@ class StatsRegistry
     /** All registered names in hierarchical (lexicographic) order. */
     std::vector<std::string> names() const;
 
-    /** Value of a scalar/callback stat; panics on unknown name. */
+    /** Value of a scalar (a series' mean); panics on unknown name. */
     double value(const std::string &name) const;
 
     // --- exporters ------------------------------------------------------
@@ -92,30 +89,19 @@ class StatsRegistry
     /** "name,kind,field,value" rows, one row per exported field. */
     void dumpCsv(std::ostream &os) const;
 
-    // --- lifecycle ------------------------------------------------------
-
-    /** Reset every registered stat object (callbacks are skipped). */
-    void resetAll();
-
   private:
     enum class Kind : std::uint8_t
     {
-        kScalar,
         kCallback,
-        kDistribution,
         kSeries,
-        kHistogram,
     };
 
     struct Entry
     {
         std::string name;
-        Kind kind = Kind::kScalar;
+        Kind kind = Kind::kCallback;
         std::string desc;
-        stats::Scalar *scalar = nullptr;
-        stats::Distribution *dist = nullptr;
         stats::SampleSeries *series = nullptr;
-        stats::Histogram *histogram = nullptr;
         std::function<double()> callback;
     };
 

@@ -5,7 +5,6 @@
 #include "sim/byte_io.hh"
 #include "sim/json_writer.hh"
 #include "sim/logging.hh"
-#include "sim/stats_registry.hh"
 
 namespace vstream
 {
@@ -83,15 +82,6 @@ StatsSnapshot::hist(const std::string &name, unsigned unit_bits)
         it = hists_.emplace(name, HdrHistogram(unit_bits)).first;
     }
     return it->second;
-}
-
-void
-StatsSnapshot::captureScalars(const StatsRegistry &reg,
-                              const std::string &prefix)
-{
-    for (const std::string &name : reg.names()) {
-        addScalar(prefix + name, reg.value(name));
-    }
 }
 
 void

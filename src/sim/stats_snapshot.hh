@@ -35,7 +35,6 @@ namespace vstream
 {
 
 class JsonWriter;
-class StatsRegistry;
 
 /** Order-independent scalar aggregate (count/sum/min/max). */
 struct ScalarAgg
@@ -74,13 +73,6 @@ class StatsSnapshot
     /** Histogram @p name, created with @p unit_bits on first use. */
     HdrHistogram &hist(const std::string &name,
                        unsigned unit_bits = 7);
-
-    /**
-     * Fold every scalar/callback entry of @p reg into this snapshot
-     * as "<prefix><name>" scalar aggregates (one observation each).
-     */
-    void captureScalars(const StatsRegistry &reg,
-                        const std::string &prefix = "");
 
     // --- merging --------------------------------------------------------
 

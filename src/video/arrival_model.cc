@@ -63,7 +63,6 @@ ArrivalModel::ArrivalModel(const VideoProfile &profile,
             if (stall > 0) {
                 now += stall;
                 total_stall_ += stall;
-                ++stall_events_;
             }
         }
         arrivals_[i] = now;

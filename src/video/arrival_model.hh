@@ -70,10 +70,6 @@ class ArrivalModel
     /** Total injected stall time baked into the timeline. */
     Tick stallTicks() const { return total_stall_; }
 
-    /** Number of injected stalls baked into the timeline (the
-     * serve-layer health ladder counts a storm by this). */
-    std::uint64_t stallEvents() const { return stall_events_; }
-
     std::uint32_t frameCount() const
     {
         return static_cast<std::uint32_t>(arrivals_.size());
@@ -82,7 +78,6 @@ class ArrivalModel
   private:
     std::vector<Tick> arrivals_;
     Tick total_stall_ = 0;
-    std::uint64_t stall_events_ = 0;
 };
 
 } // namespace vstream

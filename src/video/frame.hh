@@ -67,7 +67,6 @@ class Frame
     const Macroblock &mabAt(std::uint32_t x, std::uint32_t y) const;
 
     MabOrigin origin(std::uint32_t i) const { return origins_.at(i); }
-    void setOrigin(std::uint32_t i, MabOrigin o) { origins_.at(i) = o; }
 
     /**
      * Per-frame decode complexity multiplier (lognormal across

@@ -77,12 +77,6 @@ Macroblock::digest(HashKind kind) const
     return digest32(kind, bytes_.data(), bytes_.size());
 }
 
-std::uint16_t
-Macroblock::auxDigest() const
-{
-    return auxDigest16(bytes_.data(), bytes_.size());
-}
-
 Macroblock
 Macroblock::gradient() const
 {

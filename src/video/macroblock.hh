@@ -64,9 +64,6 @@ class Macroblock
     /** 32-bit content digest under @p kind. */
     std::uint32_t digest(HashKind kind) const;
 
-    /** 16-bit auxiliary digest (CO-MACH). */
-    std::uint16_t auxDigest() const;
-
     /**
      * Gradient block: each byte minus the corresponding base channel,
      * wrap-around.  The first pixel of the result is always 0.

@@ -300,16 +300,6 @@ TraceReader::tryNextFrame()
     return frame;
 }
 
-Frame
-TraceReader::nextFrame()
-{
-    std::optional<Frame> frame = tryNextFrame();
-    if (!frame.has_value()) {
-        vs_fatal("truncated video trace in frame ", frames_read_);
-    }
-    return *std::move(frame);
-}
-
 bool
 TraceReader::verifyTrailer()
 {

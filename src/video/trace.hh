@@ -112,8 +112,6 @@ class TraceWriter
     /** Write the integrity trailer; no appends afterwards. */
     void finish();
 
-    std::uint32_t framesWritten() const { return frames_written_; }
-
   private:
     std::ostream &os_;
     std::uint32_t expected_frames_;
@@ -130,8 +128,7 @@ class TraceWriter
  *
  * Malformed input is recoverable: the constructor and tryNextFrame()
  * record an error() instead of aborting, and done() reports true once
- * the stream is unusable.  nextFrame() keeps the legacy fatal
- * behaviour for callers that treat damage as unrecoverable.
+ * the stream is unusable.
  */
 class TraceReader
 {
@@ -161,9 +158,6 @@ class TraceReader
      * @return nullopt on a truncated record (error() is then set).
      */
     std::optional<Frame> tryNextFrame();
-
-    /** Read the next frame (fatal when done or corrupt). */
-    Frame nextFrame();
 
     /**
      * After the last frame, validates the CRC trailer.

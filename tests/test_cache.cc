@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <tuple>
 #include <vector>
 
 #include "cache/set_assoc_cache.hh"
@@ -83,20 +82,6 @@ TEST(Cache, LruEvictsOldest)
     EXPECT_EQ(c.evictionCount(), 1u);
 }
 
-TEST(Cache, FifoIgnoresTouches)
-{
-    CacheConfig cfg = tinyCache(1024, 2);
-    cfg.policy = ReplPolicy::kFifo;
-    SetAssocCache c("c", cfg);
-    const Addr set_stride = 8 * 64;
-    c.access(0, 64, MemOp::kRead);            // A
-    c.access(set_stride, 64, MemOp::kRead);   // B
-    c.access(0, 64, MemOp::kRead);            // touch A (ignored)
-    c.access(2 * set_stride, 64, MemOp::kRead); // evicts A (oldest)
-    EXPECT_FALSE(c.contains(0));
-    EXPECT_TRUE(c.contains(set_stride));
-}
-
 TEST(Cache, WriteNoAllocateBypasses)
 {
     SetAssocCache c("c", tinyCache(1024, 2, /*write_alloc=*/false));
@@ -126,17 +111,6 @@ TEST(Cache, CleanEvictionNoWriteback)
     SetAssocCache c("c", tinyCache(1024, 1));
     const Addr set_stride = 16 * 64;
     c.access(0, 64, MemOp::kRead);
-    const auto s = c.access(set_stride, 64, MemOp::kRead);
-    EXPECT_TRUE(s.writebacks.empty());
-}
-
-TEST(Cache, WriteThroughNeverDirty)
-{
-    CacheConfig cfg = tinyCache(1024, 1);
-    cfg.write_back = false;
-    SetAssocCache c("c", cfg);
-    c.access(0, 64, MemOp::kWrite);
-    const Addr set_stride = 16 * 64;
     const auto s = c.access(set_stride, 64, MemOp::kRead);
     EXPECT_TRUE(s.writebacks.empty());
 }
@@ -248,15 +222,14 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SizeSweep,
 /**
  * Naive reference for the documented cache policy: every lookup scans
  * every way, and every hit refreshes the LRU stamp.  It shares no
- * code with SetAssocCache; only the replacement RNG's seed
- * (ReplacementState's default) is copied so Random victims line up.
+ * code with SetAssocCache.
  */
 class ReferenceCache
 {
   public:
     explicit ReferenceCache(const CacheConfig &cfg)
         : cfg_(cfg), sets_(cfg.numSets()), ways_(cfg.numLines()),
-          last_way_(sets_, 0), rng_(0x5eedULL)
+          last_way_(sets_, 0)
     {
     }
 
@@ -368,11 +341,9 @@ class ReferenceCache
                 ++(last_way_[set] == w ? repeat_way_hits_
                                        : other_way_hits_);
                 last_way_[set] = w;
-                if (cfg_.policy == ReplPolicy::kLru) {
-                    way.stamp = ++clock_;
-                }
+                way.stamp = ++clock_;
                 if (op == MemOp::kWrite) {
-                    way.dirty = cfg_.write_back;
+                    way.dirty = true;
                 }
                 return true;
             }
@@ -388,16 +359,11 @@ class ReferenceCache
             }
         }
         if (victim == cfg_.assoc) {
-            if (cfg_.policy == ReplPolicy::kRandom) {
-                victim = static_cast<std::uint32_t>(
-                    rng_.uniformInt(0, cfg_.assoc - 1));
-            } else {
-                victim = 0;
-                for (std::uint32_t w = 1; w < cfg_.assoc; ++w) {
-                    if (ways_[index(set, w)].stamp <
-                        ways_[index(set, victim)].stamp) {
-                        victim = w;
-                    }
+            victim = 0;
+            for (std::uint32_t w = 1; w < cfg_.assoc; ++w) {
+                if (ways_[index(set, w)].stamp <
+                    ways_[index(set, victim)].stamp) {
+                    victim = w;
                 }
             }
             ++evictions_;
@@ -411,10 +377,8 @@ class ReferenceCache
         Way &way = ways_[index(set, victim)];
         way.valid = true;
         way.line = ln;
-        way.dirty = op == MemOp::kWrite && cfg_.write_back;
-        if (cfg_.policy != ReplPolicy::kRandom) {
-            way.stamp = ++clock_;
-        }
+        way.dirty = op == MemOp::kWrite;
+        way.stamp = ++clock_;
         s.fills.push_back(ln * cfg_.line_bytes);
         return false;
     }
@@ -424,12 +388,10 @@ class ReferenceCache
     std::vector<Way> ways_;
     std::vector<std::uint32_t> last_way_;
     std::uint64_t clock_ = 0;
-    Random rng_;
 };
 
-using DiffParam = std::tuple<ReplPolicy, std::uint32_t>;
-
-class CacheDifferential : public ::testing::TestWithParam<DiffParam>
+/** Parameter: associativity. */
+class CacheDifferential : public ::testing::TestWithParam<std::uint32_t>
 {
 };
 
@@ -441,12 +403,10 @@ class CacheDifferential : public ::testing::TestWithParam<DiffParam>
  */
 TEST_P(CacheDifferential, MatchesNaiveReferenceOnRandomTrace)
 {
-    const auto [policy, assoc] = GetParam();
-    // write-back + write-allocate, write-around, write-through.
-    for (int mode = 0; mode < 3; ++mode) {
-        CacheConfig cfg = tinyCache(2048, assoc, mode != 1);
-        cfg.policy = policy;
-        cfg.write_back = mode != 2;
+    const std::uint32_t assoc = GetParam();
+    // Write-allocate, then write-around.
+    for (int mode = 0; mode < 2; ++mode) {
+        const CacheConfig cfg = tinyCache(2048, assoc, mode == 0);
         SetAssocCache cache("c", cfg);
         ReferenceCache ref(cfg);
         CacheAccessSummary got;
@@ -510,9 +470,7 @@ TEST_P(CacheDifferential, MatchesNaiveReferenceOnRandomTrace)
         EXPECT_EQ(cache.missCount(), ref.misses_);
         EXPECT_EQ(cache.evictionCount(), ref.evictions_);
         EXPECT_EQ(cache.writebackCount(), ref.writebacks_);
-        if (mode == 0) {
-            EXPECT_GT(ref.writebacks_, 0u);
-        }
+        EXPECT_GT(ref.writebacks_, 0u);
         for (Addr a = 0; a < space; a += cfg.line_bytes) {
             ASSERT_EQ(cache.contains(a), ref.contains(a)) << "addr " << a;
         }
@@ -529,11 +487,10 @@ TEST_P(CacheDifferential, MatchesNaiveReferenceOnRandomTrace)
  */
 TEST_P(CacheDifferential, RepeatedReadRegionsMatchReference)
 {
-    const auto [policy, assoc] = GetParam();
-    for (int mode = 0; mode < 3; ++mode) {
-        CacheConfig cfg = tinyCache(2048, assoc, mode != 1);
-        cfg.policy = policy;
-        cfg.write_back = mode != 2;
+    const std::uint32_t assoc = GetParam();
+    // Write-allocate, then write-around.
+    for (int mode = 0; mode < 2; ++mode) {
+        const CacheConfig cfg = tinyCache(2048, assoc, mode == 0);
         SetAssocCache cache("c", cfg);
         ReferenceCache ref(cfg);
         CacheAccessSummary got;
@@ -621,12 +578,8 @@ TEST_P(CacheDifferential, RepeatedReadRegionsMatchReference)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    PoliciesAndWays, CacheDifferential,
-    ::testing::Combine(::testing::Values(ReplPolicy::kLru,
-                                         ReplPolicy::kFifo,
-                                         ReplPolicy::kRandom),
-                       ::testing::Values(1u, 2u, 4u, 8u)));
+INSTANTIATE_TEST_SUITE_P(Ways, CacheDifferential,
+                         ::testing::Values(1u, 2u, 4u, 8u));
 
 } // namespace
 } // namespace vstream

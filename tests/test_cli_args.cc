@@ -315,5 +315,26 @@ TEST(CliArgsDeath, ParseFlagsExitsWithOneLine)
                 "^tool: unknown flag '--shard'\n$");
 }
 
+TEST(CliArgs, PositionalCountKeepsEveryValidValue)
+{
+    std::string prog = "tool", key = "V8", zero = "0", max = "4294967295";
+    char *argv[] = {prog.data(), key.data(), zero.data(), max.data()};
+    EXPECT_EQ(cli::positionalU32(2, argv, 2, "frames", 96), 96u);
+    EXPECT_EQ(cli::positionalU32(3, argv, 2, "frames", 96), 0u);
+    EXPECT_EQ(cli::positionalU32(4, argv, 3, "frames", 96),
+              4294967295u);
+}
+
+TEST(CliArgsDeath, PositionalCountFailsClosed)
+{
+    for (const char *bad : {"abc", "-1", "12x", "4294967296"}) {
+        std::string prog = "/path/to/tool", value = bad;
+        char *argv[] = {prog.data(), value.data()};
+        EXPECT_EXIT(cli::positionalU32(2, argv, 1, "frames", 96),
+                    ::testing::ExitedWithCode(2), "^tool: frames: ")
+            << bad;
+    }
+}
+
 } // namespace
 } // namespace vstream

@@ -53,7 +53,6 @@ dcCacheConfig()
     cfg.line_bytes = 64;
     cfg.assoc = 1;
     cfg.write_allocate = false;
-    cfg.write_back = false;
     return cfg;
 }
 

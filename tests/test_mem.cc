@@ -285,7 +285,6 @@ TEST(DramController, ResetClearsState)
     EXPECT_EQ(ctrl.retryCount(), 0u);
     EXPECT_EQ(ctrl.abandonedCount(), 0u);
     EXPECT_EQ(ctrl.backoffTicks(), 0u);
-    EXPECT_EQ(ctrl.refreshCount(), 0u);
     EXPECT_EQ(ctrl.closedFormLines(), 0u);
 
     inj.emplace("inj", nullptr, fc); // same object, fresh streams
@@ -386,13 +385,11 @@ stateDiff(const DramController &a, const DramController &b)
             return os.str();
         }
     }
-    if (a.refreshCount() != b.refreshCount() ||
-        a.retryCount() != b.retryCount() ||
+    if (a.retryCount() != b.retryCount() ||
         a.abandonedCount() != b.abandonedCount() ||
         a.backoffTicks() != b.backoffTicks() ||
         a.pendingWrites() != b.pendingWrites()) {
-        os << "refresh/retry/abandon/backoff/pending differ: "
-           << a.refreshCount() << "/" << b.refreshCount() << " "
+        os << "retry/abandon/backoff/pending differ: "
            << a.retryCount() << "/" << b.retryCount() << " "
            << a.abandonedCount() << "/" << b.abandonedCount() << " "
            << a.backoffTicks() << "/" << b.backoffTicks() << " "
@@ -471,18 +468,15 @@ TEST(DramReadRun, MatchesPerLineAccessOverSeededTraces)
     std::uint64_t closed_form = 0;
     std::uint64_t closed_form_exhausted = 0;
     std::uint64_t retries_inside = 0;
-    std::uint64_t refreshes = 0;
     std::uint64_t seed = 1;
     for (const AddrMapOrder order : orders) {
     for (const PagePolicy page : pages) {
-    for (const bool refresh : {false, true}) {
     for (const std::uint32_t wq : {0u, 4u}) {
     for (const FaultMode mode : modes) {
     for (int k = 0; k < kTracesPerConfig; ++k, ++seed) {
         DramConfig cfg = smallConfig();
         cfg.map_order = order;
         cfg.page_policy = page;
-        cfg.refresh_enabled = refresh;
         cfg.write_queue_depth = wq;
         // Every fourth trace: a row timeout shorter than the gaps
         // inside one line, so rows close between lines of a run.
@@ -496,8 +490,7 @@ TEST(DramReadRun, MatchesPerLineAccessOverSeededTraces)
         }
         SCOPED_TRACE(::testing::Message()
                      << addrMapOrderName(order) << " "
-                     << pagePolicyName(page) << " refresh=" << refresh
-                     << " wq=" << wq << " mode="
+                     << pagePolicyName(page) << " wq=" << wq << " mode="
                      << static_cast<int>(mode) << " timeout="
                      << cfg.row_open_timeout << " capacity="
                      << cfg.capacity_bytes << " seed=" << seed);
@@ -600,21 +593,19 @@ TEST(DramReadRun, MatchesPerLineAccessOverSeededTraces)
         if (mode == FaultMode::kFiresInsideRuns) {
             retries_inside += a.retryCount();
         }
-        refreshes += a.refreshCount();
         EXPECT_EQ(b.closedFormLines(), 0u);
     }
     }
     }
     }
     }
-    }
 
-    EXPECT_GE(traces, 1000);
-    // The fast path, the faults and the refreshes all engaged.
+    // 3 map orders x 2 page policies x 2 queue depths x 3 fault modes.
+    EXPECT_EQ(traces, 36 * kTracesPerConfig);
+    // The fast path and the faults both engaged.
     EXPECT_GT(closed_form, 10000u);
     EXPECT_GT(closed_form_exhausted, 1000u);
     EXPECT_GT(retries_inside, 100u);
-    EXPECT_GT(refreshes, 100u);
 }
 
 TEST(DramReadRun, SteadyStreamIsChargedInClosedForm)

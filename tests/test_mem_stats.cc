@@ -10,6 +10,7 @@
 
 #include "mem/memory_system.hh"
 #include "sim/event_queue.hh"
+#include "sim/stats_registry.hh"
 
 namespace vstream
 {
@@ -25,8 +26,10 @@ TEST(MemStats, DumpListsRequesters)
     mem.read(0, 64, Requester::kVideoDecoder, 0);
     mem.write(4096, 64, Requester::kDisplayController, 0);
 
+    StatsRegistry r;
+    mem.regStats(r);
     std::ostringstream os;
-    mem.dumpStats(os);
+    r.dumpText(os);
     const std::string out = os.str();
     EXPECT_NE(out.find("mem.requests"), std::string::npos);
     EXPECT_NE(out.find("dram.vd.activations"), std::string::npos);

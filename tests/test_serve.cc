@@ -281,19 +281,6 @@ TEST(Admission, QueuesOverBudgetAndDrainsFifo)
     EXPECT_LE(start2, start3);
 }
 
-TEST(Admission, NoQueueModeRejectsInstead)
-{
-    const double demand =
-        Session::demandMBps(tinySession(0).pipeline);
-    ServeConfig cfg;
-    cfg.bandwidth_budget_mbps = 1.5 * demand;
-    cfg.queue_when_full = false;
-    const ServeRun run = serveAll(cfg, {tinySession(0), tinySession(1)});
-    EXPECT_EQ(run.admitted, 1u);
-    EXPECT_EQ(run.rejected, 1u);
-    EXPECT_EQ(run.outcomes.size(), 1u);
-}
-
 TEST(Admission, MaxActiveCapQueues)
 {
     ServeConfig cfg;

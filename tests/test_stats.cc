@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <sstream>
 
 #include "sim/stats.hh"
@@ -14,69 +13,6 @@ namespace vstream
 {
 namespace
 {
-
-TEST(Scalar, AccumulatesAndResets)
-{
-    stats::Scalar s("s", "a counter");
-    s += 2.5;
-    ++s;
-    EXPECT_DOUBLE_EQ(s.value(), 3.5);
-    s.set(10.0);
-    EXPECT_DOUBLE_EQ(s.value(), 10.0);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
-    EXPECT_EQ(s.name(), "s");
-}
-
-TEST(Distribution, EmptyIsZero)
-{
-    stats::Distribution d;
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
-}
-
-TEST(Distribution, WelfordMatchesDirect)
-{
-    stats::Distribution d;
-    const double vals[] = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-    double sum = 0.0;
-    for (double v : vals) {
-        d.sample(v);
-        sum += v;
-    }
-    const double mean = sum / 8.0;
-    double m2 = 0.0;
-    for (double v : vals) {
-        m2 += (v - mean) * (v - mean);
-    }
-    EXPECT_EQ(d.count(), 8u);
-    EXPECT_DOUBLE_EQ(d.mean(), mean);
-    EXPECT_NEAR(d.variance(), m2 / 7.0, 1e-12);
-    EXPECT_DOUBLE_EQ(d.min(), 2.0);
-    EXPECT_DOUBLE_EQ(d.max(), 9.0);
-    EXPECT_DOUBLE_EQ(d.total(), sum);
-}
-
-TEST(Distribution, SingleSample)
-{
-    stats::Distribution d;
-    d.sample(-3.5);
-    EXPECT_DOUBLE_EQ(d.mean(), -3.5);
-    EXPECT_DOUBLE_EQ(d.variance(), 0.0);
-    EXPECT_DOUBLE_EQ(d.min(), -3.5);
-    EXPECT_DOUBLE_EQ(d.max(), -3.5);
-}
-
-TEST(Distribution, ResetClears)
-{
-    stats::Distribution d;
-    d.sample(1.0);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    d.sample(5.0);
-    EXPECT_DOUBLE_EQ(d.min(), 5.0);
-}
 
 TEST(SampleSeries, PercentilesOnSortedCopy)
 {
@@ -119,42 +55,6 @@ TEST(SampleSeries, SortedIsAscendingAndPreservesSource)
     const auto sorted = s.sorted();
     EXPECT_EQ(sorted, (std::vector<double>{1.0, 2.0, 3.0}));
     EXPECT_EQ(s.samples()[0], 3.0); // original order untouched
-}
-
-TEST(Histogram, BucketsAndBounds)
-{
-    stats::Histogram h("h", 0.0, 10.0, 5);
-    for (double v : {0.0, 1.9, 2.0, 5.5, 9.99}) {
-        h.sample(v);
-    }
-    h.sample(-1.0);  // underflow
-    h.sample(10.0);  // overflow (hi is exclusive)
-    h.sample(100.0); // overflow
-
-    EXPECT_EQ(h.count(), 8u);
-    EXPECT_EQ(h.bucketCount(0), 2u); // [0,2)
-    EXPECT_EQ(h.bucketCount(1), 1u); // [2,4)
-    EXPECT_EQ(h.bucketCount(2), 1u); // [4,6)
-    EXPECT_EQ(h.bucketCount(3), 0u);
-    EXPECT_EQ(h.bucketCount(4), 1u); // [8,10)
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_DOUBLE_EQ(h.bucketLow(2), 4.0);
-    EXPECT_DOUBLE_EQ(h.bucketHigh(2), 6.0);
-}
-
-TEST(Histogram, ResetClears)
-{
-    stats::Histogram h("h", 0.0, 1.0, 2);
-    h.sample(0.5);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.bucketCount(1), 0u);
-}
-
-TEST(HistogramDeath, BadBoundsFatal)
-{
-    EXPECT_DEATH(stats::Histogram("bad", 1.0, 1.0, 4), "");
 }
 
 TEST(PrintStat, FormatsNameValueDesc)

@@ -9,6 +9,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
@@ -196,42 +197,45 @@ class JsonParser
 TEST(StatsRegistry, RegistersAndReadsEveryKind)
 {
     StatsRegistry r;
-    stats::Scalar s("", "a counter");
-    s.set(42.0);
-    stats::Distribution d("", "a distribution");
-    d.sample(1.0);
-    d.sample(3.0);
+    std::uint64_t counter = 42;
     stats::SampleSeries series("", "a series");
     series.sample(5.0);
-    stats::Histogram h("", 0.0, 10.0, 5, "a histogram");
-    h.sample(2.5);
+    series.sample(7.0);
 
-    r.add("a.scalar", s);
-    r.add("a.dist", d);
+    r.addCallback("a.cb", "a callback",
+                  [&counter] { return static_cast<double>(counter); });
     r.add("a.series", series);
-    r.add("a.hist", h);
-    r.addCallback("a.cb", "a callback", [] { return 7.0; });
 
-    EXPECT_EQ(r.size(), 5u);
-    EXPECT_TRUE(r.contains("a.scalar"));
+    EXPECT_EQ(r.size(), 2u);
+    EXPECT_TRUE(r.contains("a.cb"));
     EXPECT_FALSE(r.contains("a.missing"));
-    EXPECT_DOUBLE_EQ(r.value("a.scalar"), 42.0);
-    EXPECT_DOUBLE_EQ(r.value("a.cb"), 7.0);
+    EXPECT_DOUBLE_EQ(r.value("a.cb"), 42.0);
+    // The registry reads the counter at query time, not at
+    // registration.
+    counter = 43;
+    EXPECT_DOUBLE_EQ(r.value("a.cb"), 43.0);
+    // A series reads as its mean.
+    EXPECT_DOUBLE_EQ(r.value("a.series"), 6.0);
 }
 
 TEST(StatsRegistryDeathTest, DuplicateNamePanics)
 {
     StatsRegistry r;
-    stats::Scalar a, b;
-    r.add("dup.name", a);
-    EXPECT_DEATH(r.add("dup.name", b), "duplicate stat registration");
+    stats::SampleSeries s;
+    r.addCallback("dup.name", "", [] { return 1.0; });
+    EXPECT_DEATH(r.add("dup.name", s), "duplicate stat registration");
+    EXPECT_DEATH(r.addCallback("dup.name", "", [] { return 2.0; }),
+                 "duplicate stat registration");
 }
 
 TEST(StatsRegistryDeathTest, InvalidNamePanics)
 {
     StatsRegistry r;
-    stats::Scalar s;
-    EXPECT_DEATH(r.add("bad name with spaces", s), "stat name");
+    stats::SampleSeries s;
+    EXPECT_DEATH(r.addCallback("bad name with spaces", "",
+                               [] { return 0.0; }),
+                 "stat name");
+    EXPECT_DEATH(r.add("bad-dash", s), "stat name");
 }
 
 TEST(StatsRegistry, ValidatesNames)
@@ -253,12 +257,12 @@ TEST(StatsRegistry, ValidatesNames)
 TEST(StatsRegistry, DumpTextIsHierarchicallyOrdered)
 {
     StatsRegistry r;
-    stats::Scalar s1, s2, s3, s4;
+    const auto zero = [] { return 0.0; };
     // Registered deliberately out of order.
-    r.add("vd.framesDecoded", s1);
-    r.add("dc.framesShown", s2);
-    r.add("vd.cache.hits", s3);
-    r.add("mem.requests", s4);
+    r.addCallback("vd.framesDecoded", "", zero);
+    r.addCallback("dc.framesShown", "", zero);
+    r.addCallback("vd.cache.hits", "", zero);
+    r.addCallback("mem.requests", "", zero);
 
     std::ostringstream os;
     r.dumpText(os);
@@ -280,18 +284,13 @@ TEST(StatsRegistry, DumpTextIsHierarchicallyOrdered)
 TEST(StatsRegistry, JsonRoundTrips)
 {
     StatsRegistry r;
-    stats::Scalar s("", "frames fully decoded");
-    s.set(96.0);
     stats::SampleSeries series("", "per-frame decode time, ms");
     series.sample(4.0);
     series.sample(8.0);
     series.sample(6.0);
-    stats::Distribution d("", "burst sizes");
-    d.sample(64.0);
-    d.sample(128.0);
-    r.add("vd.framesDecoded", s);
+    r.addCallback("vd.framesDecoded", "frames fully decoded",
+                  [] { return 96.0; });
     r.add("pipeline.frameExecMs", series);
-    r.add("mem.burstBytes", d);
     r.addCallback("vd.cache.missRate", "read miss rate",
                   [] { return 0.25; });
 
@@ -307,7 +306,7 @@ TEST(StatsRegistry, JsonRoundTrips)
     const JsonValue *stats_obj = root.find("stats");
     ASSERT_NE(stats_obj, nullptr);
     ASSERT_EQ(stats_obj->kind, JsonValue::Kind::kObject);
-    EXPECT_EQ(stats_obj->object.size(), 4u);
+    EXPECT_EQ(stats_obj->object.size(), 3u);
 
     const JsonValue *frames = stats_obj->find("vd.framesDecoded");
     ASSERT_NE(frames, nullptr);
@@ -319,19 +318,13 @@ TEST(StatsRegistry, JsonRoundTrips)
     ASSERT_NE(exec, nullptr);
     EXPECT_EQ(exec->find("kind")->str, "series");
     EXPECT_DOUBLE_EQ(exec->find("count")->number, 3.0);
+    EXPECT_DOUBLE_EQ(exec->find("total")->number, 18.0);
     EXPECT_DOUBLE_EQ(exec->find("mean")->number, 6.0);
     EXPECT_DOUBLE_EQ(exec->find("min")->number, 4.0);
     EXPECT_DOUBLE_EQ(exec->find("max")->number, 8.0);
 
-    const JsonValue *burst = stats_obj->find("mem.burstBytes");
-    ASSERT_NE(burst, nullptr);
-    EXPECT_EQ(burst->find("kind")->str, "distribution");
-    EXPECT_DOUBLE_EQ(burst->find("total")->number, 192.0);
-
     const JsonValue *miss = stats_obj->find("vd.cache.missRate");
     ASSERT_NE(miss, nullptr);
-    // Callbacks export as plain scalars - consumers don't care how
-    // the value was produced.
     EXPECT_EQ(miss->find("kind")->str, "scalar");
     EXPECT_DOUBLE_EQ(miss->find("value")->number, 0.25);
 }
@@ -339,9 +332,7 @@ TEST(StatsRegistry, JsonRoundTrips)
 TEST(StatsRegistry, CsvHasOneRowPerField)
 {
     StatsRegistry r;
-    stats::Scalar s;
-    s.set(3.0);
-    r.add("x.count", s);
+    r.addCallback("x.count", "", [] { return 3.0; });
 
     std::ostringstream os;
     r.dumpCsv(os);
@@ -352,47 +343,6 @@ TEST(StatsRegistry, CsvHasOneRowPerField)
     ASSERT_TRUE(std::getline(lines, line));
     EXPECT_EQ(line, "x.count,scalar,value,3");
     EXPECT_FALSE(std::getline(lines, line));
-}
-
-TEST(StatsRegistry, ResetThenDumpIsAllZeros)
-{
-    StatsRegistry r;
-    stats::Scalar s;
-    s.set(17.0);
-    stats::Distribution d;
-    d.sample(5.0);
-    stats::SampleSeries series;
-    series.sample(1.0);
-    stats::Histogram h("", 0.0, 4.0, 4);
-    h.sample(1.5);
-    r.add("z.scalar", s);
-    r.add("z.dist", d);
-    r.add("z.series", series);
-    r.add("z.hist", h);
-
-    r.resetAll();
-
-    std::ostringstream os;
-    r.dumpJson(os);
-    const JsonValue root = JsonParser(os.str()).parse();
-    const JsonValue *stats_obj = root.find("stats");
-    ASSERT_NE(stats_obj, nullptr);
-    for (const auto &[name, entry] : stats_obj->object) {
-        for (const auto &[field, value] : entry.object) {
-            if (field == "lo" || field == "hi") {
-                continue; // histogram bounds survive a reset
-            }
-            if (value.kind == JsonValue::Kind::kNumber) {
-                EXPECT_DOUBLE_EQ(value.number, 0.0)
-                    << name << "." << field
-                    << " nonzero after resetAll";
-            } else if (value.kind == JsonValue::Kind::kArray) {
-                for (const JsonValue &b : value.array) {
-                    EXPECT_DOUBLE_EQ(b.number, 0.0);
-                }
-            }
-        }
-    }
 }
 
 // ------------------------------------------------------------------

@@ -77,9 +77,10 @@ TEST(Trace, IncrementalReaderMatchesBulk)
     const std::vector<Frame> bulk = loadTrace(b).frames;
     std::size_t i = 0;
     while (!reader.done()) {
-        const Frame f = reader.nextFrame();
+        const std::optional<Frame> f = reader.tryNextFrame();
+        ASSERT_TRUE(f.has_value());
         ASSERT_LT(i, bulk.size());
-        EXPECT_EQ(f.contentChecksum(), bulk[i].contentChecksum());
+        EXPECT_EQ(f->contentChecksum(), bulk[i].contentChecksum());
         ++i;
     }
     EXPECT_TRUE(reader.verifyTrailer());
@@ -97,7 +98,7 @@ TEST(Trace, CorruptionDetectedByTrailer)
     std::stringstream corrupt(bytes);
     TraceReader reader(corrupt);
     while (!reader.done()) {
-        reader.nextFrame();
+        ASSERT_TRUE(reader.tryNextFrame().has_value());
     }
     EXPECT_FALSE(reader.verifyTrailer());
 }
@@ -246,11 +247,12 @@ TEST(Trace, OddSizedRecordsRoundTrip)
     SyntheticVideo original(p);
     std::uint32_t frames = 0;
     while (!reader.done()) {
-        const Frame got = reader.nextFrame();
+        const std::optional<Frame> got = reader.tryNextFrame();
+        ASSERT_TRUE(got.has_value());
         const Frame want = original.nextFrame();
-        EXPECT_EQ(got.contentChecksum(), want.contentChecksum());
-        EXPECT_DOUBLE_EQ(got.complexity(), want.complexity());
-        EXPECT_EQ(got.encodedBytes(), want.encodedBytes());
+        EXPECT_EQ(got->contentChecksum(), want.contentChecksum());
+        EXPECT_DOUBLE_EQ(got->complexity(), want.complexity());
+        EXPECT_EQ(got->encodedBytes(), want.encodedBytes());
         ++frames;
     }
     EXPECT_EQ(frames, 5u);

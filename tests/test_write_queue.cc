@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the DRAM controller's posted-write queue and refresh
- * modelling.
+ * Tests for the DRAM controller's posted-write queue.
  */
 
 #include <gtest/gtest.h>
@@ -128,71 +127,6 @@ TEST(WriteQueue, ReadsUnaffected)
     EXPECT_EQ(r.bursts, 2u);
     EXPECT_GT(r.finish_tick, 0u);
     EXPECT_EQ(ctrl.pendingWrites(), 0u);
-}
-
-TEST(Refresh, DisabledByDefault)
-{
-    DramController ctrl(baseConfig());
-    Tick t = 0;
-    for (int i = 0; i < 100; ++i) {
-        t = ctrl.access(MemRequest{static_cast<Addr>(i) * 64, 32,
-                                   MemOp::kRead,
-                                   Requester::kVideoDecoder},
-                        t)
-                .finish_tick;
-    }
-    EXPECT_EQ(ctrl.refreshCount(), 0u);
-}
-
-TEST(Refresh, BlocksOncePerEpoch)
-{
-    DramConfig cfg = baseConfig();
-    cfg.refresh_enabled = true;
-    DramController ctrl(cfg);
-
-    // An access inside the first refresh window gets pushed past it.
-    const Tick inside = cfg.t_refi + cfg.t_rfc / 2;
-    const MemResult r = ctrl.access(
-        MemRequest{0, 32, MemOp::kRead, Requester::kVideoDecoder},
-        inside);
-    EXPECT_GE(r.finish_tick, cfg.t_refi + cfg.t_rfc);
-    EXPECT_EQ(ctrl.refreshCount(), 1u);
-
-    // Another access in the same epoch is not blocked again.
-    const MemResult r2 = ctrl.access(
-        MemRequest{64, 32, MemOp::kRead, Requester::kVideoDecoder},
-        r.finish_tick);
-    EXPECT_EQ(ctrl.refreshCount(), 1u);
-    EXPECT_GT(r2.finish_tick, r.finish_tick);
-}
-
-TEST(Refresh, IdleEpochsDoNotBlockLateAccesses)
-{
-    DramConfig cfg = baseConfig();
-    cfg.refresh_enabled = true;
-    DramController ctrl(cfg);
-    // Arrive long after many refresh windows; only the current
-    // window can block.
-    const Tick late = 100 * cfg.t_refi + cfg.t_rfc + 1;
-    const MemResult r = ctrl.access(
-        MemRequest{0, 32, MemOp::kRead, Requester::kVideoDecoder},
-        late);
-    // No stall beyond the normal access envelope.
-    EXPECT_LE(r.finish_tick,
-              late + cfg.t_rcd + cfg.t_cl + cfg.burstTime());
-}
-
-TEST(Refresh, ResetRestartsSchedule)
-{
-    DramConfig cfg = baseConfig();
-    cfg.refresh_enabled = true;
-    DramController ctrl(cfg);
-    ctrl.access(MemRequest{0, 32, MemOp::kRead,
-                           Requester::kVideoDecoder},
-                2 * cfg.t_refi);
-    EXPECT_GT(ctrl.refreshCount(), 0u);
-    ctrl.reset();
-    EXPECT_EQ(ctrl.refreshCount(), 0u);
 }
 
 } // namespace

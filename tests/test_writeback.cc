@@ -12,6 +12,7 @@
 #include "core/frame_buffer_manager.hh"
 #include "core/writeback_stage.hh"
 #include "sim/event_queue.hh"
+#include "sim/random.hh"
 #include "video/synthetic_video.hh"
 
 namespace vstream

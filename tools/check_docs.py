@@ -24,6 +24,9 @@ Enforced rules (registered as the `vstream_docs` ctest and run by
     is one that binary accepts: a whole "--flag" string literal in
     its source, or in the body of a shared flag table it calls
     (`sessionFlag`/`fleetFlag` in src/serve/cli_args.cc).
+ 7. README.md, DESIGN.md and docs/*.md do not name a switch or stat
+    kind the code no longer has (REMOVED_NAMES), except on a line
+    that records the removal ("removed in PR N").
 
 Checked set: README.md, DESIGN.md, EXPERIMENTS.md, ROADMAP.md and
 every docs/*.md.  External links (http/https/mailto) are ignored;
@@ -76,6 +79,16 @@ FLAG_LITERAL_RE = re.compile(r'"(--[a-z0-9][a-z0-9-]*)"')
 DOC_FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 # Where a shell command ends: a pipe, a separator or a comment.
 COMMAND_END_RE = re.compile(r"\||;|&&|\s#")
+
+# Rule 7: names deleted from the code, and the marker that lets a
+# line record their removal.
+REMOVED_NAMES = ("refresh_enabled", "ReplPolicy", "stats::Scalar",
+                 "stats::Distribution", "stats::Histogram",
+                 "queue_when_full", "verify_display")
+REMOVED_NAME_RE = re.compile(
+    r"(?<![\w:])(" + "|".join(re.escape(n) for n in REMOVED_NAMES) +
+    r")(?!\w)")
+REMOVAL_RECORD_RE = re.compile(r"removed in PR \d+", re.IGNORECASE)
 
 # Root-level docs that participate in link checking.  CHANGES.md is
 # an append-only log and ISSUE/PAPER/SNIPPETS are driver-managed
@@ -184,6 +197,24 @@ def stale_knobs(root: pathlib.Path,
                 errors.append(f"{rel}:{lineno}: '{name}' is neither "
                               f"an env var read in the tree nor a "
                               f"CMake option")
+    return errors
+
+
+def removed_names(root: pathlib.Path) -> list[str]:
+    errors: list[str] = []
+    files = [root / "README.md", root / "DESIGN.md"]
+    files += sorted((root / "docs").glob("*.md"))
+    for f in files:
+        if not f.is_file():
+            continue
+        rel = f.relative_to(root)
+        for lineno, line in enumerate(
+                f.read_text(encoding="utf-8").splitlines(), 1):
+            if REMOVAL_RECORD_RE.search(line):
+                continue
+            for m in REMOVED_NAME_RE.finditer(line):
+                errors.append(f"{rel}:{lineno}: '{m.group(1)}' was "
+                              f"removed from the code")
     return errors
 
 
@@ -375,6 +406,8 @@ def check(root: pathlib.Path) -> list[str]:
     errors += crc_kernel_table(root)
     # Rule 6: every documented flag is one its binary accepts.
     errors += doc_flags(root)
+    # Rule 7: no doc names a removed switch or stat kind.
+    errors += removed_names(root)
     return errors
 
 
@@ -462,6 +495,23 @@ def self_test() -> int:
             "README.md:2: vstream_serve does not accept '--batch'",
             "README.md:5: vstream_serve does not accept "
             "'--verify-on-hit'"], errors
+
+    # Rule 7 on a fixture tree: a removed name in prose, the same
+    # name on a line that records its removal, and a longer
+    # identifier that merely contains one.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        (root / "docs").mkdir()
+        (root / "README.md").write_text(
+            "[stats](docs/STATS.md)\n")
+        (root / "docs" / "STATS.md").write_text(
+            "Register a `stats::Histogram` here.\n"
+            "`ReplPolicy` and FIFO (removed in PR 19).\n"
+            "`my_verify_display_flag` is unrelated.\n")
+        errors = check(root)
+        assert errors == [
+            "docs/STATS.md:1: 'stats::Histogram' was removed from "
+            "the code"], errors
     print("check_docs self-test OK")
     return 0
 

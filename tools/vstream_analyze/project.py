@@ -18,6 +18,10 @@ EXTENSIONS = ('.cc', '.hh', '.h', '.cpp')
 
 SCAN_TOPS = ('src', 'tests', 'bench', 'examples', 'fuzz')
 
+# Scanned for references only: no rule reports on these files, but a
+# name they use counts as used (unreferenced-function).
+REF_TOPS = ('benchmark',)
+
 INCLUDE_RE = re.compile(r'#\s*include\s*(" +")', )
 INCLUDE_CODE_RE = re.compile(r'#\s*include\s*"( *)"')
 
@@ -108,23 +112,26 @@ class Project:
         self.by_simple = {}    # name -> [FunctionDef]
         self.by_qualified = {}  # Class::name -> [FunctionDef]
         self.annotations = {}  # field name -> [Annotation]
+        self.ref_files = {}    # rel -> SourceFile (REF_TOPS)
 
     # -- loading ---------------------------------------------------------
 
-    @classmethod
-    def load(cls, root, rels=None):
-        proj = cls(root)
-        if rels is None:
-            rels = []
-            for top in SCAN_TOPS:
-                base = os.path.join(root, top)
-                if not os.path.isdir(base):
-                    continue
-                for dirpath, _, names in sorted(os.walk(base)):
-                    for name in sorted(names):
-                        if name.endswith(EXTENSIONS):
-                            rels.append(os.path.relpath(
-                                os.path.join(dirpath, name), root))
+    @staticmethod
+    def _walk(root, tops):
+        rels = []
+        for top in tops:
+            base = os.path.join(root, top)
+            if not os.path.isdir(base):
+                continue
+            for dirpath, _, names in sorted(os.walk(base)):
+                for name in sorted(names):
+                    if name.endswith(EXTENSIONS):
+                        rels.append(os.path.relpath(
+                            os.path.join(dirpath, name), root))
+        return rels
+
+    @staticmethod
+    def _read_into(root, rels, table):
         for rel in rels:
             path = os.path.join(root, rel)
             try:
@@ -133,8 +140,16 @@ class Project:
                     raw = f.read()
             except OSError:
                 continue
-            proj.files[rel.replace(os.sep, '/')] = \
-                SourceFile(rel.replace(os.sep, '/'), raw)
+            rel = rel.replace(os.sep, '/')
+            table[rel] = SourceFile(rel, raw)
+
+    @classmethod
+    def load(cls, root, rels=None):
+        proj = cls(root)
+        if rels is None:
+            rels = cls._walk(root, SCAN_TOPS)
+        cls._read_into(root, rels, proj.files)
+        cls._read_into(root, cls._walk(root, REF_TOPS), proj.ref_files)
         proj._build_includes()
         proj._build_functions()
         proj._build_annotations()

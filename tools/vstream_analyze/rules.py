@@ -14,7 +14,8 @@ suppression should carry a reason (docs/ANALYSIS.md).
 import re
 
 from .model import Finding, match_lines
-from .project import find_matching
+from .project import CONTROL_KEYWORDS, FUNC_NAME_RE, find_matching
+from . import lexer
 
 # Rule ids, in the order --list-rules prints them.
 RULE_IDS = (
@@ -36,6 +37,7 @@ RULE_IDS = (
     'stats-hygiene',
     'bounded-queue',
     'surface-pool-discipline',
+    'unreferenced-function',
 )
 
 
@@ -187,13 +189,13 @@ def class_body(code, open_pos):
 def check_stats_pairing(ctx, sf):
     for m in SIMOBJECT_CLASS_RE.finditer(sf.code):
         body = class_body(sf.code, m.end())
-        dumps = re.search(r'\b(dumpStats|regStats)\s*\(', body)
+        regs = re.search(r'\bregStats\s*\(', body)
         resets = re.search(r'\bresetStats\s*\(', body)
-        if dumps and not resets:
+        if regs and not resets:
             ctx.emit(sf, sf.line_of(m.start()), 'stats-reset-pairing',
-                     'SimObject subclass %s overrides %s but not '
+                     'SimObject subclass %s overrides regStats but not '
                      'resetStats; stale counters survive a stats '
-                     'reset' % (m.group(1), dumps.group(1)))
+                     'reset' % m.group(1))
 
 
 PRINT_STAT_RE = re.compile(
@@ -767,6 +769,151 @@ def check_shared_state_guarded(ctx, sf):
 
 
 # ===================================================================
+# unreferenced-function: no library API without a caller
+# ===================================================================
+
+IDENT_RE = re.compile(r'(?<![\w])[A-Za-z_]\w*')
+NAMESPACE_HEAD_RE = re.compile(r'\bnamespace\b')
+CLASS_HEAD_RE = re.compile(
+    r'\b(?:class|struct|union)\s+[A-Za-z_]\w*[^()]*$')
+ENUM_HEAD_RE = re.compile(r'\benum\b')
+# What may follow a declaration's parameter list.
+DECL_TRAILER_RE = re.compile(
+    r'\s*(?:;|\{|=|->|&|\[\[|const\b|noexcept\b|override\b|'
+    r'final\b|volatile\b|requires\b)')
+# The token before a declared name ends its return type: a word, a
+# pointer or reference mark, or a template's closing bracket.
+PREV_TOKEN_RE = re.compile(r'(\w+|[*&>])\s*$')
+# Words that end an expression, not a declaration's return type.
+NOT_TYPE_WORDS = frozenset(('return', 'new', 'else', 'case', 'throw',
+                            'co_return', 'co_yield', 'do'))
+
+
+def _declaration_scope(code):
+    """bytearray: 1 where an offset sits at namespace or class scope
+    (outside any function body, initializer, enum, parenthesis or
+    preprocessor line), 0 elsewhere."""
+    ok = bytearray(len(code))
+    closed = []  # per open brace: True unless namespace/class scope
+    n_closed = 0
+    paren = 0
+    stmt_start = 0
+    in_pp = False
+    line_start = True
+    for i, c in enumerate(code):
+        if line_start and c not in ' \t':
+            in_pp = c == '#'
+            line_start = False
+        if c == '\n':
+            # A preprocessor line continues past a trailing backslash.
+            if not (in_pp and code[i - 1:i] == '\\'):
+                in_pp = False
+            line_start = True
+        elif c == '{':
+            head = code[stmt_start:i]
+            is_open = paren == 0 and not ENUM_HEAD_RE.search(head) and (
+                NAMESPACE_HEAD_RE.search(head) or
+                CLASS_HEAD_RE.search(head))
+            closed.append(not is_open)
+            n_closed += 0 if is_open else 1
+            stmt_start = i + 1
+        elif c == '}':
+            if closed and closed.pop():
+                n_closed -= 1
+            stmt_start = i + 1
+        elif c == ';':
+            stmt_start = i + 1
+        elif c == '(':
+            paren += 1
+        elif c == ')':
+            paren -= 1
+        if not in_pp and paren == 0 and n_closed == 0:
+            ok[i] = 1
+    return ok
+
+
+def _header_declarations(project, sf):
+    """[(class or None, name, offset of the name)] for every function
+    a src/ header declares or defines inline, minus constructors,
+    destructors, operators, overrides and deleted/defaulted
+    members."""
+    code = sf.code
+    scope = _declaration_scope(code)
+    spans = project._class_spans(sf)
+    out = []
+    for m in FUNC_NAME_RE.finditer(code):
+        name = m.group(1)
+        if not scope[m.start()] or '::' in name or name.startswith('~'):
+            continue
+        if name in lexer.KEYWORDS or name in CONTROL_KEYWORDS:
+            continue
+        prev = PREV_TOKEN_RE.search(code, max(0, m.start() - 256),
+                                    m.start())
+        if not prev or prev.group(1) in NOT_TYPE_WORDS:
+            continue
+        close = find_matching(code, m.end() - 1, '(', ')')
+        if close < 0 or not DECL_TRAILER_RE.match(code, close):
+            continue
+        stop = min((p for p in (code.find(';', close),
+                                code.find('{', close)) if p >= 0),
+                   default=len(code))
+        trailer = code[close:stop]
+        if re.search(r'\b(?:override|final)\b', trailer) or \
+                re.search(r'=\s*(?:delete|default)\b', trailer):
+            continue
+        cls = project._enclosing_class(spans, m.start())
+        if cls == name:
+            continue
+        out.append((cls, name, m.start()))
+    return out
+
+
+def _name_offset(code, fn):
+    m = re.compile(r'\b%s\s*\(' % re.escape(fn.name)).search(
+        code, fn.start)
+    return m.start() if m else fn.start
+
+
+def check_unreferenced_function(ctx):
+    """A function a src/ header declares must be named somewhere
+    other than its own declarations and definitions: in src/, the
+    benches, examples, tests, fuzz harnesses, or (references only)
+    benchmark/.  Name-based, so overloads and same-named methods
+    share their references; it errs toward silence."""
+    project = ctx.project
+    decls = {}  # (cls, name) -> [(sf, offset)]
+    for rel, sf in sorted(project.files.items()):
+        if rel.startswith('src/') and rel.endswith('.hh'):
+            for cls, name, off in _header_declarations(project, sf):
+                decls.setdefault((cls, name), []).append((sf, off))
+    if not decls:
+        return
+    wanted = {name for _, name in decls}
+    uses = {}  # name -> {(rel, offset)}
+    for table in (project.files, project.ref_files):
+        for rel, sf in table.items():
+            for m in IDENT_RE.finditer(sf.code):
+                if m.group(0) in wanted:
+                    uses.setdefault(m.group(0), set()).add(
+                        (rel, m.start()))
+    for (cls, name), sites in sorted(
+            decls.items(),
+            key=lambda kv: (kv[1][0][0].rel, kv[1][0][1])):
+        own = {(sf.rel, off) for sf, off in sites}
+        for fn in project.by_simple.get(name, ()):
+            if fn.cls == cls:
+                own.add((fn.sf.rel, _name_offset(fn.sf.code, fn)))
+        if uses.get(name, set()) - own:
+            continue
+        sf, off = sites[0]
+        ctx.emit(sf, sf.line_of(off), 'unreferenced-function',
+                 '%s is declared here but nothing in src/, bench/, '
+                 'examples/, tests/, fuzz/ or benchmark/ names it; '
+                 'delete it or suppress with a reason'
+                 % ('%s::%s' % (cls, name) if cls else name))
+
+
+# ===================================================================
 # Rule sets per directory
 # ===================================================================
 
@@ -822,6 +969,7 @@ SCAN_DIRS = {
 PROJECT_CHECKS = [
     check_hotpath_propagation,
     check_stats_hygiene,
+    check_unreferenced_function,
 ]
 
 

@@ -203,6 +203,28 @@ BadTier::publish(int key)
 }
 '''
 
+BAD_UNREF = '''\
+#ifndef VSTREAM_CORE_BAD_UNREF_HH
+#define VSTREAM_CORE_BAD_UNREF_HH
+class Dead
+{
+  public:
+    // Named by its declaration and definition only:
+    // unreferenced-function must fire.
+    int neverCalled() const;
+};
+#endif
+'''
+
+BAD_UNREF_IMPL = '''\
+#include "core/bad_unref.hh"
+int
+Dead::neverCalled() const
+{
+    return 1;
+}
+'''
+
 # -- good inputs: zero findings expected -----------------------------
 
 GOOD_HEADER = '''\
@@ -394,6 +416,45 @@ GoodTier::publish(int key)
 }
 '''
 
+GOOD_UNREF = '''\
+#ifndef VSTREAM_CORE_GOOD_UNREF_HH
+#define VSTREAM_CORE_GOOD_UNREF_HH
+class Base
+{
+  public:
+    Base();
+    virtual ~Base();
+    virtual void hook();
+    bool operator==(const Base &o) const;
+};
+class Derived : public Base
+{
+  public:
+    // An override is reached through Base: never flagged.
+    void hook() override;
+};
+// Named by good_refs.cc below: never flagged.
+int calledFunction(int x);
+#endif
+'''
+
+# Callers for every function the good headers declare, so that
+# unreferenced-function stays silent on them.
+GOOD_REFS = '''\
+#include "core/good.hh"
+#include "core/good_unref.hh"
+#include "sim/parallel.hh"
+int
+useEverything(Base &b)
+{
+    b.hook();
+    parallelForDecl();
+    j(3);
+    return calledFunction(sep()) + static_cast<int>(k("", 0)) +
+           (s() != r()) + i(nullptr, 0, nullptr);
+}
+'''
+
 STUB_FLAT_TABLE = '''\
 #ifndef VSTREAM_CORE_FLAT_TABLE_HH
 #define VSTREAM_CORE_FLAT_TABLE_HH
@@ -408,6 +469,8 @@ BAD_FILES = {
     'src/core/bad_stats.cc': BAD_STATS,
     'src/core/bad_queue.cc': BAD_QUEUE,
     'src/core/bad_shared.cc': BAD_SHARED,
+    'src/core/bad_unref.hh': BAD_UNREF,
+    'src/core/bad_unref.cc': BAD_UNREF_IMPL,
 }
 
 GOOD_FILES = {
@@ -418,6 +481,8 @@ GOOD_FILES = {
     'src/core/good_ordered.cc': GOOD_ORDERED,
     'src/core/good_queue.cc': GOOD_QUEUE,
     'src/core/good_shared.cc': GOOD_SHARED,
+    'src/core/good_unref.hh': GOOD_UNREF,
+    'tests/good_refs.cc': GOOD_REFS,
 }
 
 STUB_FILES = {
