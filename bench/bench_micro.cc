@@ -334,7 +334,8 @@ BM_DccCompress(benchmark::State &state)
     }
     std::size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(dccCompress(mabs[i++ % mabs.size()]));
+        benchmark::DoNotOptimize(
+            dccCompress(mabs[i++ % mabs.size()].bytes()));
     }
 }
 BENCHMARK(BM_DccCompress);

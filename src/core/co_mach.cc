@@ -20,14 +20,14 @@ CoMach::beginFrame()
 
 MachProbe
 CoMach::lookup(std::uint32_t digest, std::uint16_t aux,
-               const std::vector<std::uint8_t> &truth)
+               std::span<const std::uint8_t> truth)
 {
     return cache_->lookup(digest, aux, truth);
 }
 
 void
 CoMach::insert(std::uint32_t digest, std::uint16_t aux, Addr ptr,
-               const std::vector<std::uint8_t> &truth)
+               std::span<const std::uint8_t> truth)
 {
     ++inserts_;
     cache_->insert(digest, aux, ptr, truth);

@@ -30,11 +30,11 @@ class CoMach
 
     /** Probe with the full 48-bit tag. */
     MachProbe lookup(std::uint32_t digest, std::uint16_t aux,
-                     const std::vector<std::uint8_t> &truth);
+                     std::span<const std::uint8_t> truth);
 
     /** Insert a collided block. */
     void insert(std::uint32_t digest, std::uint16_t aux, Addr ptr,
-                const std::vector<std::uint8_t> &truth);
+                std::span<const std::uint8_t> truth);
 
     /** Blocks inserted since construction (collision count proxy). */
     std::uint64_t insertCount() const { return inserts_; }

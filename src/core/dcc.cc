@@ -25,22 +25,25 @@ signedBits(int v)
 } // namespace
 
 DccResult
-dccCompress(const Macroblock &mab)
+dccCompress(std::span<const std::uint8_t> block)
 {
-    const Pixel base = mab.base();
-    const std::uint32_t n = mab.pixelCount();
+    const std::uint8_t *base = block.data();
+    const std::size_t size = block.size();
 
     std::uint32_t bits_r = 0, bits_g = 0, bits_b = 0;
-    for (std::uint32_t i = 1; i < n; ++i) {
-        const Pixel p = mab.pixel(i);
-        bits_r = std::max(bits_r, signedBits(static_cast<int>(p.r) -
-                                             static_cast<int>(base.r)));
-        bits_g = std::max(bits_g, signedBits(static_cast<int>(p.g) -
-                                             static_cast<int>(base.g)));
-        bits_b = std::max(bits_b, signedBits(static_cast<int>(p.b) -
-                                             static_cast<int>(base.b)));
+    for (std::size_t b = kBytesPerPixel; b < size; b += kBytesPerPixel) {
+        bits_r = std::max(bits_r, signedBits(static_cast<int>(block[b]) -
+                                             static_cast<int>(base[0])));
+        bits_g = std::max(bits_g,
+                          signedBits(static_cast<int>(block[b + 1]) -
+                                     static_cast<int>(base[1])));
+        bits_b = std::max(bits_b,
+                          signedBits(static_cast<int>(block[b + 2]) -
+                                     static_cast<int>(base[2])));
     }
 
+    const auto n = static_cast<std::uint32_t>(size / kBytesPerPixel);
+    const auto raw_bytes = static_cast<std::uint32_t>(size);
     const std::uint32_t header = 2;  // 3x 4-bit widths + mode flag
     const std::uint32_t payload_bits =
         (n - 1) * (bits_r + bits_g + bits_b);
@@ -48,12 +51,12 @@ dccCompress(const Macroblock &mab)
         header + kBytesPerPixel + (payload_bits + 7) / 8;
 
     DccResult result;
-    if (packed < mab.sizeBytes()) {
+    if (packed < raw_bytes) {
         result.compressed = true;
         result.compressed_bytes = packed;
     } else {
         result.compressed = false;
-        result.compressed_bytes = mab.sizeBytes() + 1;
+        result.compressed_bytes = raw_bytes + 1;
     }
     return result;
 }

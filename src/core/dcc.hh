@@ -14,8 +14,9 @@
 #define VSTREAM_CORE_DCC_HH
 
 #include <cstdint>
+#include <span>
 
-#include "video/macroblock.hh"
+#include "video/pixel.hh"
 
 namespace vstream
 {
@@ -38,14 +39,14 @@ struct DccResult
 };
 
 /**
- * Compress @p mab with base+delta packing.
+ * Compress the RGB block @p block with base+delta packing.
  *
  * Uses the block's first pixel as the base; each remaining pixel
  * stores three signed deltas packed at the per-channel maximum bit
  * width.  A 1-byte header records the widths.  Falls back to raw
  * storage when packing would not shrink the block.
  */
-DccResult dccCompress(const Macroblock &mab);
+DccResult dccCompress(std::span<const std::uint8_t> block);
 
 } // namespace vstream
 

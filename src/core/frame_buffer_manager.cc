@@ -130,7 +130,7 @@ FrameBufferManager::slotContaining(Addr addr) const
 // vstream:hot
 void
 FrameBufferManager::storeBlock(Addr addr,
-                               const std::vector<std::uint8_t> &bytes)
+                               std::span<const std::uint8_t> bytes)
 {
     BufferSlot *slot = slotContaining(addr);
     vs_assert(slot != nullptr,
@@ -152,7 +152,7 @@ FrameBufferManager::storeBlock(Addr addr,
 // repeated stores, which the writebacks never make
 void
 FrameBufferManager::storeOutOfOrder(BufferSlot &slot, std::uint32_t off,
-                                    const std::vector<std::uint8_t> &bytes)
+                                    std::span<const std::uint8_t> bytes)
 {
     const auto size = static_cast<std::uint32_t>(bytes.size());
     const auto begin = slot.blocks.begin();

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/surface_pool.hh"
@@ -108,7 +109,7 @@ class FrameBufferManager
     const BufferSlot *find(std::uint64_t frame_index) const;
 
     /** Record block bytes at @p addr (must fall inside some slot). */
-    void storeBlock(Addr addr, const std::vector<std::uint8_t> &bytes);
+    void storeBlock(Addr addr, std::span<const std::uint8_t> bytes);
 
     /** Fetch block bytes at @p addr; empty view when nothing stored. */
     StoredBlock loadBlock(Addr addr) const;
@@ -129,7 +130,7 @@ class FrameBufferManager
     /** storeBlock() of a block below the slot's last, over a stored
      * one, or past the index's initial size: the exact slow path. */
     static void storeOutOfOrder(BufferSlot &slot, std::uint32_t off,
-                                const std::vector<std::uint8_t> &bytes);
+                                std::span<const std::uint8_t> bytes);
     /** Entry of @p slot at region offset @p off, or nullptr. */
     const BlockEntry *findBlock(const BufferSlot &slot,
                                 std::uint32_t off) const;

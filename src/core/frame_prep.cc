@@ -1,0 +1,113 @@
+#include "core/frame_prep.hh"
+
+#include "sim/logging.hh"
+
+namespace vstream
+{
+
+// vstream:hot
+void
+prepareFrame(SyntheticVideo &video, const MachConfig *mach,
+             PreparedFrame &out)
+{
+    video.nextFrameInto(out.frame);
+    if (mach != nullptr) {
+        prepareMachRepr(out.frame, *mach, out.mach);
+    }
+}
+
+FramePrep::FramePrep(const VideoProfile &profile, const MachConfig *mach,
+                     bool ahead)
+    : video_(profile), has_mach_(mach != nullptr),
+      mach_(mach != nullptr ? *mach : MachConfig{}),
+      frames_(video_.profile().frame_count),
+      threaded_(ahead && !video_.sharesContent())
+{
+    if (!threaded_) {
+        return;
+    }
+    // Size both buffers here, so the helper never allocates and its
+    // frames come from the consumer's heap.
+    const VideoProfile &p = video_.profile();
+    for (PreparedFrame &slot : slots_) {
+        slot.frame.reinit(0, FrameType::kI, p.mabsX(), p.mabsY(),
+                          p.mab_dim);
+        if (has_mach_) {
+            slot.mach.sizeFor(p.mabsPerFrame(),
+                           p.mab_dim * p.mab_dim * kBytesPerPixel, mach_);
+        }
+    }
+    helper_ = std::thread([this] { run(); });
+}
+
+FramePrep::~FramePrep()
+{
+    stop();
+}
+
+void
+FramePrep::run()
+{
+    for (std::uint64_t k = 0; k < frames_; ++k) {
+        {
+            std::unique_lock<std::mutex> lock(mu_);
+            cv_.wait(lock,
+                     [&] { return stopping_ || k < released_ + 2; });
+            if (stopping_) {
+                return;
+            }
+        }
+        prepareFrame(video_, has_mach_ ? &mach_ : nullptr, slots_[k % 2]);
+        {
+            const std::lock_guard<std::mutex> lock(mu_);
+            prepared_ = k + 1;
+        }
+        cv_.notify_all();
+    }
+}
+
+const PreparedFrame &
+FramePrep::take(std::uint64_t index)
+{
+    vs_assert(index == next_take_ && index < frames_,
+              "frames must be taken in order: expected ", next_take_,
+              ", got ", index);
+    ++next_take_;
+    if (!threaded()) {
+        prepareFrame(video_, has_mach_ ? &mach_ : nullptr, slots_[0]);
+        return slots_[0];
+    }
+    std::unique_lock<std::mutex> lock(mu_);
+    vs_assert(!stopping_, "take() from a stopped frame-preparation stage");
+    cv_.wait(lock, [&] { return index < prepared_; });
+    return slots_[index % 2];
+}
+
+void
+FramePrep::release(std::uint64_t index)
+{
+    if (!threaded()) {
+        return;
+    }
+    {
+        const std::lock_guard<std::mutex> lock(mu_);
+        released_ = index + 1;
+    }
+    cv_.notify_all();
+}
+
+void
+FramePrep::stop()
+{
+    if (!helper_.joinable()) {
+        return;
+    }
+    {
+        const std::lock_guard<std::mutex> lock(mu_);
+        stopping_ = true;
+    }
+    cv_.notify_all();
+    helper_.join();
+}
+
+} // namespace vstream

@@ -1,0 +1,126 @@
+/**
+ * @file
+ * Frame preparation: the content-only work done for a frame before the
+ * decoder model sees it.
+ *
+ * Preparing a frame draws it from the SyntheticVideo (its CRC32 comes
+ * with it, taken once when the plane was generated) and, for schemes
+ * with a MACH, computes its MACH representation: the gab bytes in
+ * gradient mode, the primary digest of every block and, with CO-MACH,
+ * the CRC16 aux.  None of it depends on simulated time, so it can run
+ * ahead of the decode loop.
+ *
+ * FramePrep is the pipeline's preparation stage.  A streamed video
+ * (one that does not share its content, SyntheticVideo::sharesContent)
+ * played by its own caller gets a helper thread that prepares frame
+ * k+1 while the consumer simulates frame k, handing frames over
+ * through a double buffer.  A shared-content video, and every session
+ * a serving scheduler steps (VideoPipeline::Driver::kScheduler),
+ * prepares each frame inline when it is taken.
+ * Both call prepareFrame(), so the frames and representations are the
+ * same bytes either way.
+ */
+
+#ifndef VSTREAM_CORE_FRAME_PREP_HH
+#define VSTREAM_CORE_FRAME_PREP_HH
+
+#include <array>
+#include <condition_variable>
+#include <cstdint>
+#include <mutex>
+#include <thread>
+
+#include "core/mach_config.hh"
+#include "core/writeback_stage.hh"
+#include "video/frame.hh"
+#include "video/synthetic_video.hh"
+
+namespace vstream
+{
+
+/** One prepared frame: the frame and, with a MACH, its representation. */
+struct PreparedFrame
+{
+    Frame frame;
+    MachRepr mach;
+};
+
+/** Draw @p video's next frame into @p out and, when @p mach is not
+ * null, prepare its MACH representation under *@p mach. */
+void prepareFrame(SyntheticVideo &video, const MachConfig *mach,
+                  PreparedFrame &out);
+
+/**
+ * The pipeline's frame-preparation stage over one video.
+ *
+ * Frames are taken in order, 0 to frame_count - 1.  take(i) returns
+ * frame i prepared; release(i) hands its buffer back once nothing reads
+ * it any more.  A streamed video prepared ahead runs a helper thread,
+ * started by the constructor, that stays at most one frame ahead of the consumer: the
+ * two buffers hold the frame being simulated and the next one.  stop()
+ * (also run by the destructor) joins the helper; a stopped stage must
+ * not be taken from again.
+ */
+class FramePrep
+{
+  public:
+    /**
+     * @param profile the video to play
+     * @param mach    MACH config the representations follow (copied),
+     *                or nullptr for a scheme without a MACH
+     * @param ahead   prepare a streamed video on a helper thread; when
+     *                false (or the content is shared) prepare inline
+     */
+    FramePrep(const VideoProfile &profile, const MachConfig *mach,
+              bool ahead);
+    ~FramePrep();
+
+    FramePrep(const FramePrep &) = delete;
+    FramePrep &operator=(const FramePrep &) = delete;
+
+    /** Frame @p index, prepared; blocks until the helper has it. */
+    const PreparedFrame &take(std::uint64_t index);
+
+    /** Done with frame @p index: its buffer may be reused. */
+    void release(std::uint64_t index);
+
+    /** Stop and join the helper (idempotent; inline mode: no-op). */
+    void stop();
+
+    /** True when a helper thread prepares the frames. */
+    bool threaded() const { return threaded_; }
+
+  private:
+    /** The helper thread's body: prepare every frame in order.  The
+     * buffers are sized before it starts, so it allocates nothing,
+     * and a broken invariant panics: nothing can escape the thread. */
+    void run();
+
+    SyntheticVideo video_;
+    bool has_mach_;
+    MachConfig mach_;
+    std::uint64_t frames_;
+    /** Streamed video prepared ahead: a helper prepares the frames. */
+    bool threaded_;
+    /** Frame i lives in slots_[i % 2] (inline mode uses slots_[0]).
+     * Ownership passes by the counters below: the helper writes slot
+     * k % 2 only while k < released_ + 2, the consumer reads it only
+     * while k < prepared_. */
+    std::array<PreparedFrame, 2> slots_;
+    /** Next index take() expects (consumer side only). */
+    std::uint64_t next_take_ = 0;
+
+    std::mutex mu_;
+    std::condition_variable cv_;
+    /** Frames the helper has finished: [0, prepared_). */
+    std::uint64_t prepared_ = 0; // vstream:guarded_by(mu_)
+    /** Frames the consumer has released: [0, released_). */
+    std::uint64_t released_ = 0; // vstream:guarded_by(mu_)
+    /** Set by stop(): the helper leaves at its next wait. */
+    bool stopping_ = false; // vstream:guarded_by(mu_)
+    std::thread helper_;
+};
+
+} // namespace vstream
+
+#endif // VSTREAM_CORE_FRAME_PREP_HH

@@ -53,7 +53,7 @@ MachArray::beginFrame()
 
 MachLookupResult
 MachArray::lookup(std::uint32_t digest, std::uint16_t aux,
-                  const std::vector<std::uint8_t> &truth, Tick now)
+                  std::span<const std::uint8_t> truth, Tick now)
 {
     ++stats_.lookups;
     MachLookupResult result;
@@ -164,7 +164,7 @@ MachArray::lookup(std::uint32_t digest, std::uint16_t aux,
 
 void
 MachArray::insertUnique(std::uint32_t digest, std::uint16_t aux, Addr ptr,
-                        const std::vector<std::uint8_t> &truth,
+                        std::span<const std::uint8_t> truth,
                         bool collided)
 {
     if (bypass_) {
@@ -183,7 +183,9 @@ MachArray::insertUnique(std::uint32_t digest, std::uint16_t aux, Addr ptr,
         have_collider_ = true;
         collider_digest_ = digest;
         collider_aux_ = aux;
-        collider_truth_ = truth;
+        // The block size is fixed per stream, so after the first copy
+        // vstream:allow(no-hotpath-alloc) this reuses its capacity
+        collider_truth_.assign(truth.begin(), truth.end());
     }
     if (collided && co_mach_) {
         co_mach_->insert(digest, aux, ptr, truth);

@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <vector>
 
 #include "core/co_mach.hh"
@@ -41,7 +42,7 @@ class StatsRegistry;
  */
 using MachWriteObserver =
     std::function<void(std::uint32_t digest, std::uint16_t aux,
-                       const std::vector<std::uint8_t> &truth)>;
+                       std::span<const std::uint8_t> truth)>;
 
 /** Combined outcome of searching all MACHs. */
 struct MachLookupResult
@@ -108,7 +109,7 @@ class MachArray
      *        clock for FaultClass::kDigestCollision.
      */
     MachLookupResult lookup(std::uint32_t digest, std::uint16_t aux,
-                            const std::vector<std::uint8_t> &truth,
+                            std::span<const std::uint8_t> truth,
                             Tick now = 0);
 
     /** Arm digest-collision injection (nullptr disables it). */
@@ -138,7 +139,7 @@ class MachArray
      * that preceded this call detected a digest collision.
      */
     void insertUnique(std::uint32_t digest, std::uint16_t aux, Addr ptr,
-                      const std::vector<std::uint8_t> &truth,
+                      std::span<const std::uint8_t> truth,
                       bool collided);
 
     /** The MACH of the frame being decoded. */

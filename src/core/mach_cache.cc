@@ -58,7 +58,7 @@ MachCache::truthAt(std::uint32_t set, std::uint32_t way) const
 
 MachProbe
 MachCache::lookup(std::uint32_t digest, std::uint16_t aux,
-                  const std::vector<std::uint8_t> &truth)
+                  std::span<const std::uint8_t> truth)
 {
     MachProbe probe;
     const std::uint32_t set = setOf(digest);
@@ -95,7 +95,7 @@ MachCache::lookup(std::uint32_t digest, std::uint16_t aux,
 
 void
 MachCache::insert(std::uint32_t digest, std::uint16_t aux, Addr ptr,
-                  const std::vector<std::uint8_t> &truth)
+                  std::span<const std::uint8_t> truth)
 {
     vs_assert(!frozen_, "insert into a frozen MACH");
 

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cache/replacement.hh"
@@ -76,11 +77,11 @@ class MachCache
      * @param truth  actual block bytes, for collision accounting.
      */
     MachProbe lookup(std::uint32_t digest, std::uint16_t aux,
-                     const std::vector<std::uint8_t> &truth);
+                     std::span<const std::uint8_t> truth);
 
     /** Insert a mapping digest -> ptr (evicts LRU if needed). */
     void insert(std::uint32_t digest, std::uint16_t aux, Addr ptr,
-                const std::vector<std::uint8_t> &truth);
+                std::span<const std::uint8_t> truth);
 
     /** Freeze: further insert() calls panic. */
     void freeze() { frozen_ = true; }

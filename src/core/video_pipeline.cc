@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/frame_prep.hh"
 #include "core/surface_pool.hh"
 #include "decoder/video_decoder.hh"
 #include "sim/event_queue.hh"
@@ -14,7 +15,6 @@
 #include "sim/stats_registry.hh"
 #include "sim/trace_event.hh"
 #include "video/arrival_model.hh"
-#include "video/synthetic_video.hh"
 
 namespace vstream
 {
@@ -87,7 +87,13 @@ struct Playback
     VideoDecoder vd;
     DisplayController dc;
     SleepGovernor governor;
-    SyntheticVideo video;
+    /** The MACH writeback, when the scheme has one: it is offered
+     * each frame's prepared representation. */
+    MachWriteback *mach_wb = nullptr;
+    /** Frame preparation: a helper thread for a streamed video the
+     * pipeline's own caller steps, inline otherwise.  Created after
+     * machs (it follows their config). */
+    std::unique_ptr<FramePrep> prep;
 
     // Robustness plumbing (both null in a pristine run: the fault
     // paths stay untaken and results are bit-identical to the seed).
@@ -109,9 +115,6 @@ struct Playback
     std::vector<Tick> finishes;
     SurfacePool<FrameLayout> layout_pool{"pipeline.layouts"};
     std::vector<FrameLayout *> layouts;
-    /** Recycled scratch the generator writes each frame into, so
-     * steady-state decode allocates no frame storage. */
-    Frame frame_scratch;
     std::vector<BufferSlot *> slot_of;
     LiveSlotRing live_slots;
     Tick decoder_free = 0;
@@ -138,7 +141,7 @@ struct Playback
 
     PipelineResult result;
 
-    explicit Playback(const PipelineConfig &c)
+    Playback(const PipelineConfig &c, bool prepare_ahead)
         : cfg(c), mem("mem", &queue, c.dram),
           fbm(mem, c.profile.mabsPerFrame(),
               c.profile.mab_dim * c.profile.mab_dim * kBytesPerPixel,
@@ -148,7 +151,7 @@ struct Playback
                   : 0),
           vd("vd", &queue, mem, c.decoder, c.profile),
           dc("dc", &queue, mem, fbm, c.display),
-          governor(c.decoder.power), video(c.profile),
+          governor(c.decoder.power),
           frames(c.profile.frame_count),
           period(c.profile.framePeriodTicks()),
           t0(static_cast<Tick>(c.startup_vsyncs) *
@@ -178,8 +181,10 @@ struct Playback
             machs = std::make_unique<MachArray>(
                 c.mach, static_cast<std::uint64_t>(frames) *
                             c.profile.mabsPerFrame());
-            wb = std::make_unique<MachWriteback>(
+            auto mach_writeback = std::make_unique<MachWriteback>(
                 mem, fbm, *machs, c.scheme.layout, c.scheme.dcc);
+            mach_wb = mach_writeback.get();
+            wb = std::move(mach_writeback);
         } else {
             wb = std::make_unique<LinearWriteback>(mem, fbm);
         }
@@ -200,6 +205,9 @@ struct Playback
             arrivals = std::make_unique<ArrivalModel>(c.profile, acfg,
                                                       faults.get());
         }
+
+        prep = std::make_unique<FramePrep>(
+            c.profile, machs ? &machs->config() : nullptr, prepare_ahead);
 
         finishes.assign(frames, maxTick);
         slot_of.assign(frames, nullptr);
@@ -414,8 +422,11 @@ struct Playback
             live_slots.pop_front();
         }
 
-        video.nextFrameInto(frame_scratch);
-        const Frame &frame = frame_scratch;
+        const PreparedFrame &prepared = prep->take(i);
+        const Frame &frame = prepared.frame;
+        if (mach_wb != nullptr) {
+            mach_wb->offerPrepared(&prepared.mach);
+        }
         BufferSlot &slot = fbm.acquire(i);
         slot_of[i] = &slot;
         live_slots.push_back(i);
@@ -438,6 +449,7 @@ struct Playback
         const FrameDecodeResult r =
             vd.decodeFrame(frame, *wb, slot, prev, start, layout);
         wb->finishFrame(r.finish);
+        prep->release(i);
         layouts.push_back(&layout);
 
         if (cfg.scheme.dvfs_slack) {
@@ -588,11 +600,18 @@ struct Playback
 };
 
 void
-VideoPipeline::start()
+VideoPipeline::start(Driver driver)
 {
     vs_assert(!ran_, "a VideoPipeline may only simulate once");
     ran_ = true;
-    p_ = std::make_unique<Playback>(cfg_);
+    p_ = std::make_unique<Playback>(cfg_, driver == Driver::kOwn);
+}
+
+bool
+VideoPipeline::preparesAhead() const
+{
+    vs_assert(p_ != nullptr, "start() must precede preparesAhead()");
+    return p_->prep->threaded();
 }
 
 bool
@@ -763,6 +782,7 @@ VideoPipeline::finish()
     finished_ = true;
     Playback &p = *p_;
     const std::uint32_t n = p.frames;
+    p.prep->stop();
 
     // Close the decoder's final idle window.  A session terminated
     // early (quarantine/eviction) closes at its last processed vsync

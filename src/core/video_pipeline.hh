@@ -128,8 +128,25 @@ class VideoPipeline
 
     // --- stepwise interface (multi-session serving) -------------------
 
+    /** Who steps a pipeline: decides where its frames are prepared
+     * (core/frame_prep.hh). */
+    enum class Driver
+    {
+        /** Its own caller, one pipeline at a time (run(), a bench): a
+         * streamed video prepares the next frame on a helper thread. */
+        kOwn,
+        /** A serving scheduler interleaving many sessions on its
+         * workers: frames are prepared inline, so a fleet starts no
+         * thread per session to compete with those workers. */
+        kScheduler,
+    };
+
     /** Allocate the substrates; must precede the first stepVsync(). */
-    void start();
+    void start(Driver driver = Driver::kOwn);
+
+    /** True when a helper thread prepares this playback's frames
+     * (valid between start() and destruction). */
+    bool preparesAhead() const;
 
     /** All vsyncs processed (finish() may be called)? */
     bool stepDone() const;

@@ -1,8 +1,11 @@
 #include "core/writeback_stage.hh"
 
+#include <algorithm>
+
 #include "core/dcc.hh"
 #include "hash/hasher.hh"
 #include "sim/logging.hh"
+#include "video/pixel_kernels.hh"
 
 namespace vstream
 {
@@ -84,6 +87,58 @@ LinearWriteback::finishFrame(Tick now)
 }
 
 // ---------------------------------------------------------------------
+// MachRepr
+// ---------------------------------------------------------------------
+
+// vstream:allow(no-hotpath-alloc) sizes the storage on the first frame
+// of a stream; every later call is a no-op at the fixed mab count
+void
+MachRepr::sizeFor(std::uint32_t mabs, std::uint32_t block_size,
+                   const MachConfig &cfg)
+{
+    block_bytes = block_size;
+    gabs.resize(cfg.use_gradient
+                    ? static_cast<std::size_t>(mabs) * block_size
+                    : 0);
+    digests.resize(mabs);
+    auxes.resize(cfg.co_mach ? mabs : 0);
+}
+
+// vstream:hot
+void
+prepareMachRepr(const Frame &frame, const MachConfig &cfg, MachRepr &out)
+{
+    const std::uint32_t count = frame.mabCount();
+    const std::uint32_t size = frame.mab(0).sizeBytes();
+    out.sizeFor(count, size, cfg);
+    out.frame_index = frame.index();
+
+    // Gab transform and digests a chunk at a time, so each chunk's
+    // blocks are still in cache when the batched kernels read them.
+    constexpr std::uint32_t kChunk = 256;
+    const std::uint8_t *blocks[kChunk];
+    for (std::uint32_t first = 0; first < count; first += kChunk) {
+        const std::uint32_t n = std::min(kChunk, count - first);
+        for (std::uint32_t j = 0; j < n; ++j) {
+            const Macroblock &mab = frame.mab(first + j);
+            if (cfg.use_gradient) {
+                std::uint8_t *gab =
+                    out.gabs.data() +
+                    static_cast<std::size_t>(first + j) * size;
+                gradientSub(gab, mab.bytes().data(), size, mab.base());
+                blocks[j] = gab;
+            } else {
+                blocks[j] = mab.bytes().data();
+            }
+        }
+        digest32Batch(cfg.hash, blocks, size, n, out.digests.data() + first);
+        if (cfg.co_mach) {
+            auxDigest16Batch(blocks, size, n, out.auxes.data() + first);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // MachWriteback
 // ---------------------------------------------------------------------
 
@@ -138,34 +193,14 @@ MachWriteback::beginFrame(const Frame &frame, BufferSlot &slot, Tick now,
     frame_meta_bytes_ = 0;
     last_tick_ = now;
 
-    // Whole-frame precompute: run the gab transform over every mab,
-    // then digest all blocks in one batched dispatch call instead of
-    // re-entering the hash kernel per mab.  The scratch vectors size
-    // themselves on the first frame (the mab count is fixed for a
-    // stream) and are reused allocation-free afterwards.
-    const MachConfig &cfg = machs_.config();
-    const bool gab_mode = cfg.use_gradient;
-    const std::uint32_t count = frame.mabCount();
+    // The whole frame's gab bytes and digests: prepared ahead when
+    // the caller offered them for this frame, else here.
     frame_ = &frame;
-    // vstream:allow(no-hotpath-alloc) first-frame sizing only; every
-    // later resize is a no-op at the stream's fixed mab count
-    gabs_.resize(gab_mode ? count : 0);
-    block_ptrs_.resize(count);
-    digests_.resize(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        if (gab_mode) {
-            frame.mab(i).gradientInto(gabs_[i]);
-            block_ptrs_[i] = gabs_[i].bytes().data();
-        } else {
-            block_ptrs_[i] = frame.mab(i).bytes().data();
-        }
-    }
-    digest32Batch(cfg.hash, block_ptrs_.data(), mab_bytes_, count,
-                  digests_.data());
-    if (cfg.co_mach) {
-        auxes_.resize(count);
-        auxDigest16Batch(block_ptrs_.data(), mab_bytes_, count,
-                         auxes_.data());
+    if (offered_ != nullptr && offered_->frame_index == frame.index()) {
+        repr_ = offered_;
+    } else {
+        prepareMachRepr(frame, machs_.config(), own_);
+        repr_ = &own_;
     }
 }
 
@@ -181,18 +216,18 @@ MachWriteback::writeMab(const Macroblock &mab, std::uint32_t idx, Tick now)
     const bool gab_mode = cfg.use_gradient;
 
     // Representation stored in memory: the gab in gradient mode.
-    // Both the gab bytes and the digests were precomputed for the
-    // whole frame by beginFrame()'s batched pass.
-    const Macroblock &repr = gab_mode ? gabs_[idx] : mab;
-    const std::uint32_t digest = digests_[idx];
-    const std::uint16_t aux = cfg.co_mach ? auxes_[idx] : 0;
+    const std::span<const std::uint8_t> repr =
+        gab_mode ? repr_->gab(idx)
+                 : std::span<const std::uint8_t>(mab.bytes());
+    const std::uint32_t digest = repr_->digests[idx];
+    const std::uint16_t aux = cfg.co_mach ? repr_->auxes[idx] : 0;
 
     MabRecord &rec = layout_->record(idx);
     rec.digest = digest;
     rec.base = mab.base();
 
     const MachLookupResult hit =
-        machs_.lookup(digest, aux, repr.bytes(), now);
+        machs_.lookup(digest, aux, repr, now);
 
     ++totals_.mabs;
 
@@ -226,16 +261,16 @@ MachWriteback::writeMab(const Macroblock &mab, std::uint32_t idx, Tick now)
 
     // No match: append the block to the compacted data region.
     const Addr addr = slot_->data_base + frame_data_bytes_;
-    std::uint32_t stored_bytes = repr.sizeBytes();
+    const auto repr_bytes = static_cast<std::uint32_t>(repr.size());
+    std::uint32_t stored_bytes = repr_bytes;
     if (use_dcc_) {
         const DccResult dcc = dccCompress(repr);
-        totals_.dcc_saved_bytes +=
-            repr.sizeBytes() > dcc.compressed_bytes
-                ? repr.sizeBytes() - dcc.compressed_bytes
-                : 0;
-        stored_bytes = std::min(dcc.compressed_bytes, repr.sizeBytes());
+        totals_.dcc_saved_bytes += repr_bytes > dcc.compressed_bytes
+                                       ? repr_bytes - dcc.compressed_bytes
+                                       : 0;
+        stored_bytes = std::min(dcc.compressed_bytes, repr_bytes);
     }
-    fbm_.storeBlock(addr, repr.bytes());
+    fbm_.storeBlock(addr, repr);
 
     rec.storage = MabStorage::kUnique;
     rec.data_addr = addr;
@@ -252,8 +287,7 @@ MachWriteback::writeMab(const Macroblock &mab, std::uint32_t idx, Tick now)
         frame_meta_bytes_ += cfg.base_bytes;
     }
 
-    machs_.insertUnique(digest, aux, addr, repr.bytes(),
-                        hit.collision_detected);
+    machs_.insertUnique(digest, aux, addr, repr, hit.collision_detected);
     ++totals_.unique_blocks;
     last_tick_ = now;
 }
@@ -310,6 +344,8 @@ MachWriteback::finishFrame(Tick now)
     layout_ = nullptr;
     slot_ = nullptr;
     frame_ = nullptr;
+    offered_ = nullptr;
+    repr_ = nullptr;
 }
 
 } // namespace vstream

@@ -10,12 +10,17 @@
  *    appended to a compacted data region while matches store only a
  *    pointer or digest plus (in gab mode) the 3 B base
  *    (layouts Fig. 9c(ii)/(iii)), with CO-MACH and DCC options.
+ *
+ * MachWriteback reads each frame's MachRepr (gab bytes, digests,
+ * auxes), which depends on the content only; the pipeline prepares
+ * it ahead of the decode (core/frame_prep.hh).
  */
 
 #ifndef VSTREAM_CORE_WRITEBACK_STAGE_HH
 #define VSTREAM_CORE_WRITEBACK_STAGE_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/coalescing_buffer.hh"
@@ -109,6 +114,45 @@ class LinearWriteback : public WritebackStage
     Tick last_tick_ = 0;
 };
 
+/**
+ * The MACH representation of one frame: what MachWriteback looks up,
+ * stores and inserts for each mab.  All storage is flat and reused
+ * from frame to frame.
+ */
+struct MachRepr
+{
+    static constexpr std::uint64_t kNoFrame = UINT64_MAX;
+
+    /** Index of the frame this was prepared from (kNoFrame: none). */
+    std::uint64_t frame_index = kNoFrame;
+    /** Bytes per block (one mab). */
+    std::uint32_t block_bytes = 0;
+    /** Gradient mode: every mab's gab, back to back; else empty. */
+    std::vector<std::uint8_t> gabs;
+    /** Primary digest of every block under MachConfig::hash. */
+    std::vector<std::uint32_t> digests;
+    /** CO-MACH: CRC16 aux of every block; else empty. */
+    std::vector<std::uint16_t> auxes;
+
+    /** Size the storage for @p mabs blocks of @p block_size bytes
+     * under @p cfg (a no-op once sized for the stream). */
+    void sizeFor(std::uint32_t mabs, std::uint32_t block_size,
+                 const MachConfig &cfg);
+
+    /** Gab bytes of mab @p i (gradient mode only). */
+    std::span<const std::uint8_t>
+    gab(std::uint32_t i) const
+    {
+        return {gabs.data() + static_cast<std::size_t>(i) * block_bytes,
+                block_bytes};
+    }
+};
+
+/** Compute @p frame's MACH representation under @p cfg into @p out.
+ * A pure function of the frame's bytes and the config. */
+void prepareMachRepr(const Frame &frame, const MachConfig &cfg,
+                     MachRepr &out);
+
 /** MACH-compacted layouts (ii)/(iii). */
 class MachWriteback : public WritebackStage
 {
@@ -130,6 +174,15 @@ class MachWriteback : public WritebackStage
 
     MachArray &machs() { return machs_; }
 
+    /**
+     * Offer a representation prepared ahead of the decode (the
+     * pipeline's FramePrep).  beginFrame() uses it when it carries
+     * that frame's index and prepares inline otherwise; the offer
+     * lasts until finishFrame().  @p repr must stay untouched until
+     * then.
+     */
+    void offerPrepared(const MachRepr *repr) { offered_ = repr; }
+
   private:
     MemorySystem &mem_;
     FrameBufferManager &fbm_;
@@ -148,17 +201,15 @@ class MachWriteback : public WritebackStage
     std::uint64_t frame_meta_bytes_ = 0;
     Tick last_tick_ = 0;
 
-    /**
-     * Whole-frame precompute, filled by beginFrame() and consumed by
-     * writeMab(idx): the gab transform of every mab plus all primary
-     * (and, with CO-MACH, auxiliary) digests from one batched
-     * dispatch call.  All storage is reused across frames.
-     */
+    /** The frame given to beginFrame(). */
     const Frame *frame_ = nullptr;
-    std::vector<Macroblock> gabs_;
-    std::vector<const std::uint8_t *> block_ptrs_;
-    std::vector<std::uint32_t> digests_;
-    std::vector<std::uint16_t> auxes_;
+    /** Prepared ahead by the caller (offerPrepared()), or null. */
+    const MachRepr *offered_ = nullptr;
+    /** The current frame's gab bytes, digests and auxes: offered_
+     * when it matches the frame, else own_. */
+    const MachRepr *repr_ = nullptr;
+    /** Inline preparation, reused across frames. */
+    MachRepr own_;
 };
 
 } // namespace vstream

@@ -37,7 +37,7 @@ Session::start()
 {
     vs_assert(!started_, "a session may only start once");
     started_ = true;
-    pipeline_.start();
+    pipeline_.start(VideoPipeline::Driver::kScheduler);
 
     // Dedup recording observes unique-block writes into a private
     // per-session log; the shared tier itself is only consulted
@@ -45,7 +45,7 @@ Session::start()
     if (cfg_.dedup_record && pipeline_.hasMach()) {
         pipeline_.setMachWriteObserver(
             [this](std::uint32_t digest, std::uint16_t aux,
-                   const std::vector<std::uint8_t> &truth) {
+                   std::span<const std::uint8_t> truth) {
                 dedup_recorder_.observe(digest, aux, truth);
             });
     }

@@ -38,7 +38,7 @@ DedupRecord::append(std::uint32_t digest, std::uint16_t aux,
 
 void
 DedupRecorder::observe(std::uint32_t digest, std::uint16_t aux,
-                       const std::vector<std::uint8_t> &truth)
+                       std::span<const std::uint8_t> truth)
 {
     const std::uint64_t key = dedupKey(digest, aux);
     if (const std::uint32_t *idx = index_.find(key)) {

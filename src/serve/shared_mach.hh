@@ -103,7 +103,7 @@ class DedupRecorder
   public:
     /** MachWriteObserver entry point. */
     void observe(std::uint32_t digest, std::uint16_t aux,
-                 const std::vector<std::uint8_t> &truth);
+                 std::span<const std::uint8_t> truth);
 
     /** Move the log out (the recorder resets to empty). */
     DedupRecord take();

@@ -43,11 +43,13 @@ Frame::reinit(std::uint64_t index, FrameType type, std::uint32_t mabs_x,
     }
     complexity_ = 1.0;
     encoded_bytes_ = 0;
+    has_checksum_ = false;
 }
 
 // vstream:hot
 void
-Frame::assignFlat(const std::uint8_t *pixels, const MabOrigin *origins)
+Frame::assignFlat(const std::uint8_t *pixels, const MabOrigin *origins,
+                  std::uint32_t checksum)
 {
     const std::size_t size =
         static_cast<std::size_t>(mab_dim_) * mab_dim_ * kBytesPerPixel;
@@ -56,6 +58,8 @@ Frame::assignFlat(const std::uint8_t *pixels, const MabOrigin *origins)
         pixels += size;
     }
     std::copy(origins, origins + origins_.size(), origins_.begin());
+    checksum_ = checksum;
+    has_checksum_ = true;
 }
 
 std::uint64_t
@@ -74,6 +78,7 @@ Frame::mab(std::uint32_t i) const
 Macroblock &
 Frame::mab(std::uint32_t i)
 {
+    has_checksum_ = false;
     return mabs_.at(i);
 }
 
@@ -87,6 +92,9 @@ Frame::mabAt(std::uint32_t x, std::uint32_t y) const
 std::uint32_t
 Frame::contentChecksum() const
 {
+    if (has_checksum_) {
+        return checksum_;
+    }
     Crc32 crc;
     for (const auto &m : mabs_) {
         crc.update(m.bytes().data(), m.bytes().size());

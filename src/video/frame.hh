@@ -48,9 +48,12 @@ class Frame
     /**
      * Overwrite every mab's bytes and origin from flat planes: mab i
      * is the mab-size bytes at @p pixels + i * mab size, its origin
-     * @p origins[i].  The geometry must already be set (reinit()).
+     * @p origins[i].  @p checksum is the CRC32 of those pixel bytes,
+     * kept for contentChecksum().  The geometry must already be set
+     * (reinit()).
      */
-    void assignFlat(const std::uint8_t *pixels, const MabOrigin *origins);
+    void assignFlat(const std::uint8_t *pixels, const MabOrigin *origins,
+                    std::uint32_t checksum);
 
     std::uint64_t index() const { return index_; }
     FrameType type() const { return type_; }
@@ -63,6 +66,7 @@ class Frame
     std::uint64_t decodedBytes() const;
 
     const Macroblock &mab(std::uint32_t i) const;
+    /** Mutable mab; drops the checksum kept by assignFlat(). */
     Macroblock &mab(std::uint32_t i);
     const Macroblock &mabAt(std::uint32_t x, std::uint32_t y) const;
 
@@ -79,7 +83,10 @@ class Frame
     std::uint64_t encodedBytes() const { return encoded_bytes_; }
     void setEncodedBytes(std::uint64_t b) { encoded_bytes_ = b; }
 
-    /** CRC32 over all pixel data (round-trip verification). */
+    /**
+     * CRC32 over all pixel data (round-trip verification): the value
+     * assignFlat() was given, else computed over the mabs.
+     */
     std::uint32_t contentChecksum() const;
 
   private:
@@ -90,6 +97,9 @@ class Frame
     std::uint32_t mab_dim_ = 0;
     double complexity_ = 1.0;
     std::uint64_t encoded_bytes_ = 0;
+    /** contentChecksum() as assignFlat() set it, when has_checksum_. */
+    std::uint32_t checksum_ = 0;
+    bool has_checksum_ = false;
     std::vector<Macroblock> mabs_;
     std::vector<MabOrigin> origins_;
 };

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <vector>
 
+#include "hash/crc.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "video/gop.hh"
@@ -27,6 +28,8 @@ struct SyntheticVideo::Planes
         FrameType type = FrameType::kI;
         double complexity = 1.0;
         std::uint64_t encoded_bytes = 0;
+        /** CRC32 of the frame's pixel plane (Frame::contentChecksum). */
+        std::uint32_t checksum = 0;
     };
 
     Planes(const VideoProfile &p, std::uint64_t plane_count)
@@ -82,10 +85,14 @@ class SyntheticVideo::Generator
     /** Restart from frame 0 (same content). */
     void reset();
 
-    /** Draw the next frame into its plane of @p planes. */
+    /** Draw the next frame into its plane of @p planes, then
+     * checksum the plane. */
     void generate(Planes &planes);
 
   private:
+    /** Draw frame @p idx's pixels, origins and meta (bar checksum). */
+    void draw(Planes &planes, std::uint64_t idx);
+
     Pixel paletteColor();
     /** Index of an earlier mab of the current frame to copy from
      * (locality-biased). */
@@ -199,6 +206,17 @@ SyntheticVideo::Generator::generate(Planes &planes)
     const std::uint64_t idx = next_++;
     vs_assert(planes.count > std::min<std::uint64_t>(idx, p_.inter_window),
               "planes cannot hold the copy window");
+    draw(planes, idx);
+    // One CRC over the contiguous plane equals the per-mab CRC a
+    // Frame would compute: CRC32 streams across block boundaries.
+    planes.meta[idx % planes.count].checksum = Crc32::compute(
+        planes.pixelsOf(idx), planes.mab_count * planes.mab_bytes);
+}
+
+// vstream:hot
+void
+SyntheticVideo::Generator::draw(Planes &planes, std::uint64_t idx)
+{
     const std::uint64_t count = planes.mab_count;
     const std::uint64_t size = planes.mab_bytes;
     std::uint8_t *frame = planes.pixelsOf(idx);
@@ -381,9 +399,12 @@ SyntheticVideo::SyntheticVideo(const VideoProfile &profile)
     if (profile_.frame_count * frameBytes(profile_) <= kSharedBudgetBytes) {
         content_ = sharedPlanes(profile, profile_);
     } else {
+        // The copy window needs inter_window earlier planes plus the
+        // one being drawn, and never more planes than frames.
         gen_ = std::make_unique<Generator>(profile_);
-        ring_ = std::make_unique<Planes>(profile_,
-                                         profile_.inter_window + 1ULL);
+        ring_ = std::make_unique<Planes>(
+            profile_, std::min<std::uint64_t>(profile_.frame_count,
+                                              profile_.inter_window + 1ULL));
     }
 }
 
@@ -423,7 +444,8 @@ SyntheticVideo::nextFrameInto(Frame &out)
     const Planes::Meta &meta = planes->meta[idx % planes->count];
     out.reinit(idx, meta.type, profile_.mabsX(), profile_.mabsY(),
                profile_.mab_dim);
-    out.assignFlat(planes->pixelsOf(idx), planes->originsOf(idx));
+    out.assignFlat(planes->pixelsOf(idx), planes->originsOf(idx),
+                   meta.checksum);
     out.setComplexity(meta.complexity);
     out.setEncodedBytes(meta.encoded_bytes);
 }

@@ -17,8 +17,10 @@
  * same profile one after another share one generation (the
  * simulator's own content cache: a figure that plays one video under
  * six schemes in a row generates it once).  A larger video streams
- * through a private ring of inter_window + 1 planes instead.  Both run the same generator,
- * so the frames they emit are byte-identical.
+ * through a private ring of min(frame_count, inter_window + 1)
+ * planes instead.  Both run the same generator, so the frames they
+ * emit are byte-identical.  Each plane's CRC32 is taken once, when
+ * it is generated, and travels with the frame.
  */
 
 #ifndef VSTREAM_VIDEO_SYNTHETIC_VIDEO_HH
@@ -96,8 +98,9 @@ class SyntheticVideo
     std::uint64_t next_index_ = 0;
     /** Shared mode: every frame, generated once, read-only. */
     std::shared_ptr<const Planes> content_;
-    /** Ring mode: the generator and the inter_window + 1 planes it
-     * writes each frame into before it is emitted. */
+    /** Ring mode: the generator and the min(frame_count,
+     * inter_window + 1) planes it writes each frame into before it is
+     * emitted. */
     std::unique_ptr<Generator> gen_;
     std::unique_ptr<Planes> ring_;
 };

@@ -8,6 +8,7 @@
 
 #include "core/dcc.hh"
 #include "sim/random.hh"
+#include "video/macroblock.hh"
 
 namespace vstream
 {
@@ -24,7 +25,7 @@ pure(std::uint8_t r, std::uint8_t g, std::uint8_t b)
 
 TEST(Dcc, PureColorCompressesToHeaderPlusBase)
 {
-    const DccResult r = dccCompress(pure(120, 0, 255));
+    const DccResult r = dccCompress(pure(120, 0, 255).bytes());
     EXPECT_TRUE(r.compressed);
     // 2 B header + 3 B base + 0 payload bits.
     EXPECT_EQ(r.compressed_bytes, 5u);
@@ -38,7 +39,7 @@ TEST(Dcc, SmallDeltasPackTightly)
         const auto v = static_cast<std::uint8_t>(100 + (i % 2));
         m.setPixel(i, Pixel{v, v, v});
     }
-    const DccResult r = dccCompress(m);
+    const DccResult r = dccCompress(m.bytes());
     EXPECT_TRUE(r.compressed);
     // Delta of 1 -> 2 signed bits per channel; 15 pixels * 6 bits.
     EXPECT_EQ(r.compressed_bytes, 2u + 3u + (15u * 6u + 7u) / 8u);
@@ -53,7 +54,7 @@ TEST(Dcc, RandomNoiseIsIncompressible)
         for (auto &b : m.bytes()) {
             b = static_cast<std::uint8_t>(rng.next());
         }
-        const DccResult r = dccCompress(m);
+        const DccResult r = dccCompress(m.bytes());
         if (!r.compressed) {
             // Raw fallback: original size plus the mode byte.
             EXPECT_EQ(r.compressed_bytes, 49u);
@@ -72,7 +73,7 @@ TEST(Dcc, GradientRampCompresses)
             m.setPixel(y * 4 + x, Pixel{v, v, v});
         }
     }
-    const DccResult r = dccCompress(m);
+    const DccResult r = dccCompress(m.bytes());
     EXPECT_TRUE(r.compressed);
     // Max delta 15 -> 5 signed bits/channel: 34 of 48 bytes.
     EXPECT_LT(r.ratio(48), 0.75);
@@ -86,7 +87,7 @@ TEST(Dcc, NeverLargerThanRawPlusHeader)
         for (auto &b : m.bytes()) {
             b = static_cast<std::uint8_t>(rng.next());
         }
-        const DccResult r = dccCompress(m);
+        const DccResult r = dccCompress(m.bytes());
         EXPECT_LE(r.compressed_bytes, 49u);
         EXPECT_GE(r.compressed_bytes, 5u);
     }
@@ -97,7 +98,7 @@ TEST(Dcc, LargerBlocksAmortizeTheBase)
     // 8x8 pure-colour block: still 5 bytes.
     Macroblock m(8);
     m.fill(Pixel{1, 2, 3});
-    const DccResult r = dccCompress(m);
+    const DccResult r = dccCompress(m.bytes());
     EXPECT_EQ(r.compressed_bytes, 5u);
     EXPECT_LT(r.ratio(m.sizeBytes()), 0.03);
 }

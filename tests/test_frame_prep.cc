@@ -1,0 +1,347 @@
+/**
+ * @file
+ * Tests for the pipeline's frame-preparation stage (core/frame_prep.hh):
+ * a streamed video's helper thread prepares the same bytes as inline
+ * preparation, streamed pipelines keep their pinned results, every way
+ * a pipeline can end joins the helper, and scheduled sessions start
+ * none.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <filesystem>
+#include <system_error>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/frame_prep.hh"
+#include "core/video_pipeline.hh"
+#include "serve/session.hh"
+#include "video/trace.hh"
+#include "video/workloads.hh"
+
+namespace vstream
+{
+namespace
+{
+
+/** @p p stretched past the shared budget, so it streams. */
+VideoProfile
+overBudget(VideoProfile p)
+{
+    p.frame_count = static_cast<std::uint32_t>(
+        SyntheticVideo::kSharedBudgetBytes / SyntheticVideo::frameBytes(p) +
+        1);
+    return p;
+}
+
+/** Frames compared per case: the 18th reuses the first ring plane. */
+constexpr std::uint64_t kComparedFrames = 18;
+
+/** Every mab's bytes back to back, then every origin. */
+std::vector<std::uint8_t>
+flat(const Frame &f)
+{
+    std::vector<std::uint8_t> out;
+    for (std::uint32_t i = 0; i < f.mabCount(); ++i) {
+        const auto &b = f.mab(i).bytes();
+        out.insert(out.end(), b.begin(), b.end());
+    }
+    for (std::uint32_t i = 0; i < f.mabCount(); ++i) {
+        out.push_back(static_cast<std::uint8_t>(f.origin(i)));
+    }
+    return out;
+}
+
+/** Expect @p got (from the helper) to equal @p want (inline), byte
+ * for byte: frame, origins, checksum and MACH representation. */
+void
+expectSamePrepared(const PreparedFrame &got, const PreparedFrame &want,
+                   const std::string &what)
+{
+    const Frame &g = got.frame;
+    const Frame &w = want.frame;
+    ASSERT_EQ(g.index(), w.index()) << what;
+    ASSERT_EQ(g.type(), w.type()) << what;
+    const double gc = g.complexity();
+    const double wc = w.complexity();
+    ASSERT_EQ(std::memcmp(&gc, &wc, sizeof(double)), 0) << what;
+    ASSERT_EQ(g.encodedBytes(), w.encodedBytes()) << what;
+    ASSERT_EQ(g.mabCount(), w.mabCount()) << what;
+    ASSERT_TRUE(flat(g) == flat(w)) << what << " frame " << g.index();
+    ASSERT_EQ(g.contentChecksum(), w.contentChecksum()) << what;
+
+    ASSERT_EQ(got.mach.frame_index, g.index()) << what;
+    ASSERT_EQ(got.mach.frame_index, want.mach.frame_index) << what;
+    ASSERT_EQ(got.mach.block_bytes, want.mach.block_bytes) << what;
+    ASSERT_EQ(got.mach.gabs, want.mach.gabs) << what;
+    ASSERT_EQ(got.mach.digests, want.mach.digests) << what;
+    ASSERT_EQ(got.mach.auxes, want.mach.auxes) << what;
+}
+
+TEST(FramePrep, HelperEqualsInlinePreparation)
+{
+    const HashKind hashes[] = {HashKind::kCrc32, HashKind::kMd5,
+                               HashKind::kSha1};
+    for (const VideoProfile &t : workloadTable()) {
+        for (const std::uint32_t dim : {2U, 4U, 8U}) {
+            VideoProfile p = scaledWorkload(t.key, 40, 48, 24);
+            p.mab_dim = dim;
+            p = overBudget(p);
+            for (const bool co_mach : {false, true}) {
+                for (const HashKind hash : hashes) {
+                    MachConfig cfg;
+                    cfg.use_gradient = true;
+                    cfg.co_mach = co_mach;
+                    cfg.hash = hash;
+                    const std::string what =
+                        t.key + "/mab" + std::to_string(dim) +
+                        (co_mach ? "/co" : "") + "/" + hashKindName(hash);
+
+                    FramePrep prep(p, &cfg, true);
+                    ASSERT_TRUE(prep.threaded()) << what;
+                    SyntheticVideo video(p);
+                    PreparedFrame want;
+                    for (std::uint64_t i = 0; i < kComparedFrames; ++i) {
+                        prepareFrame(video, &cfg, want);
+                        const PreparedFrame &got = prep.take(i);
+                        expectSamePrepared(got, want, what);
+                        prep.release(i);
+                    }
+                    // The carried checksum is the CRC32 a frame
+                    // recomputes from its mabs once they are touched.
+                    Frame copy = want.frame;
+                    (void)copy.mab(0);
+                    ASSERT_EQ(copy.contentChecksum(),
+                              want.frame.contentChecksum())
+                        << what;
+                    // Destroyed mid-stream: the helper is joined.
+                }
+            }
+        }
+    }
+}
+
+TEST(FramePrep, RawBlocksAndNoMach)
+{
+    // Without the gab transform the representation holds digests of
+    // the mabs themselves; without a MACH nothing but the frame.
+    const VideoProfile p = overBudget(scaledWorkload("V3", 40, 128, 72));
+    MachConfig raw;
+    raw.co_mach = true;
+    FramePrep with_mach(p, &raw, true);
+    FramePrep no_mach(p, nullptr, true);
+    SyntheticVideo video(p);
+    PreparedFrame want;
+    for (std::uint64_t i = 0; i < kComparedFrames; ++i) {
+        prepareFrame(video, &raw, want);
+        EXPECT_TRUE(want.mach.gabs.empty());
+        expectSamePrepared(with_mach.take(i), want, "raw");
+        with_mach.release(i);
+        const PreparedFrame &bare = no_mach.take(i);
+        EXPECT_EQ(bare.frame.contentChecksum(), want.frame.contentChecksum());
+        EXPECT_EQ(bare.mach.frame_index, MachRepr::kNoFrame);
+        no_mach.release(i);
+    }
+}
+
+TEST(FramePrep, NotAheadPreparesInline)
+{
+    // A streamed video prepared without the helper (a scheduled
+    // session's pipeline) yields the same frames on the caller.
+    const VideoProfile p = overBudget(scaledWorkload("V8", 40, 40, 48));
+    MachConfig cfg;
+    cfg.use_gradient = true;
+    cfg.co_mach = true;
+    FramePrep prep(p, &cfg, false);
+    EXPECT_FALSE(prep.threaded());
+    SyntheticVideo video(p);
+    PreparedFrame want;
+    for (std::uint64_t i = 0; i < kComparedFrames; ++i) {
+        prepareFrame(video, &cfg, want);
+        expectSamePrepared(prep.take(i), want, "not ahead");
+        prep.release(i);
+    }
+}
+
+TEST(FramePrep, SharedContentPreparesInline)
+{
+    const VideoProfile p = scaledWorkload("V5", 24, 128, 72);
+    MachConfig cfg;
+    cfg.use_gradient = true;
+    FramePrep prep(p, &cfg, true);
+    EXPECT_FALSE(prep.threaded());
+    SyntheticVideo video(p);
+    PreparedFrame want;
+    for (std::uint64_t i = 0; i < p.frame_count; ++i) {
+        prepareFrame(video, &cfg, want);
+        expectSamePrepared(prep.take(i), want, "shared");
+        prep.release(i);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Streamed pipelines keep their results
+// ---------------------------------------------------------------------
+
+/** V8 at 512x288 over 40 frames: 18 MB of planes, so it streams. */
+VideoProfile
+streamedV8()
+{
+    return scaledWorkload("V8", 40, 512, 288);
+}
+
+std::uint64_t
+fnv(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** FNV-1a of the stats JSON and the headline result fields of one
+ * streamed playback under @p scheme. */
+std::uint64_t
+streamedDigest(Scheme scheme)
+{
+    PipelineConfig cfg;
+    cfg.profile = streamedV8();
+    cfg.scheme = SchemeConfig::make(scheme);
+    std::ostringstream json;
+    cfg.stats_json = &json;
+    VideoPipeline vp(std::move(cfg));
+    const PipelineResult r = vp.run();
+    EXPECT_TRUE(r.all_verified);
+    std::ostringstream res;
+    res.precision(17);
+    res << r.frames << ' ' << r.drops << ' ' << r.span << ' '
+        << r.totalEnergy() << ' ' << r.writeback.totalBytes() << ' '
+        << r.writeback.unique_blocks << ' ' << r.writeback.intra_matches
+        << ' ' << r.writeback.inter_matches << ' ' << r.mach.lookups << ' '
+        << r.mach.hits() << ' ' << r.dram_total.bytes_read << ' '
+        << r.dram_total.bytes_written << ' ' << r.display_cache_hits << ' '
+        << r.mach_buffer_hits;
+    return fnv(json.str()) ^ (fnv(res.str()) * 31);
+}
+
+TEST(FramePrep, StreamedPipelinesArePinned)
+{
+    ASSERT_FALSE(SyntheticVideo(streamedV8()).sharesContent());
+    // Digests of the pipeline before the preparation stage existed.
+    EXPECT_EQ(streamedDigest(Scheme::kGab), 0x2c30fdb914844b93ULL);
+    EXPECT_EQ(streamedDigest(Scheme::kBaseline), 0x956adaa94b9bfd35ULL);
+}
+
+// ---------------------------------------------------------------------
+// Lifecycle: every ending joins the helper; sessions start none
+// ---------------------------------------------------------------------
+
+/** A streamed 256x144 playback of @p frames frames. */
+PipelineConfig
+streamedConfig(std::uint32_t frames = 160)
+{
+    PipelineConfig cfg;
+    cfg.profile = scaledWorkload("V2", frames, 256, 144);
+    cfg.scheme = SchemeConfig::make(Scheme::kGab);
+    return cfg;
+}
+
+TEST(FramePrep, PipelineLifecycleJoinsHelper)
+{
+    ASSERT_FALSE(SyntheticVideo(streamedConfig().profile).sharesContent());
+    {
+        VideoPipeline never_started(streamedConfig());
+    }
+    for (const std::uint32_t vsyncs : {0U, 1U, 37U}) {
+        VideoPipeline vp(streamedConfig());
+        vp.start();
+        ASSERT_TRUE(vp.preparesAhead());
+        for (std::uint32_t v = 0; v < vsyncs; ++v) {
+            vp.stepVsync();
+        }
+        // Destroyed mid-playback, with the helper possibly ahead.
+    }
+    {
+        VideoPipeline vp(streamedConfig());
+        vp.start();
+        for (int v = 0; v < 20; ++v) {
+            vp.stepVsync();
+        }
+        // finish() before the end: the early-termination path.
+        const PipelineResult r = vp.finish();
+        EXPECT_EQ(r.frames, 160U);
+    }
+    {
+        VideoPipeline vp(streamedConfig());
+        const PipelineResult r = vp.run();
+        EXPECT_TRUE(r.all_verified);
+    }
+}
+
+/** Threads of this process, or 0 where /proc does not list them. */
+std::size_t
+threadCount()
+{
+    std::error_code ec;
+    std::size_t n = 0;
+    for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+         !ec && it != end; it.increment(ec)) {
+        ++n;
+    }
+    return ec ? 0 : n;
+}
+
+TEST(FramePrep, ScheduledSessionsPrepareInline)
+{
+    // A serving scheduler steps many sessions on its own workers, so
+    // a streamed session's pipeline starts no helper thread.
+    {
+        VideoPipeline vp(streamedConfig());
+        vp.start(VideoPipeline::Driver::kScheduler);
+        EXPECT_FALSE(vp.preparesAhead());
+        vp.stepVsync();
+    }
+    SessionConfig cfg;
+    cfg.pipeline = streamedConfig();
+    ASSERT_FALSE(SyntheticVideo(cfg.pipeline.profile).sharesContent());
+    Session s(cfg);
+    const std::size_t before = threadCount();
+    s.start();
+    s.stepVsync();
+    if (before == 0) {
+        GTEST_SKIP() << "no /proc/self/task to count threads in";
+    }
+    EXPECT_EQ(threadCount(), before);
+}
+
+TEST(FramePrep, SessionEndingsFinishCleanly)
+{
+    SessionConfig leave;
+    leave.pipeline = streamedConfig();
+    leave.leave_after = leave.pipeline.profile.framePeriodTicks() * 30;
+    const RehearsedSession left = rehearseSession(leave);
+    EXPECT_TRUE(left.outcome.left_early);
+
+    // A damaged ingest trace quarantines at start; one window later
+    // the session is evicted.
+    std::ostringstream os(std::ios::binary);
+    writeTrace(os, scaledWorkload("V2", 4, 64, 32));
+    std::string blob = os.str();
+    blob[blob.size() / 2] = static_cast<char>(blob[blob.size() / 2] ^ 0xff);
+    SessionConfig evict;
+    evict.pipeline = streamedConfig();
+    evict.trace_blob.assign(blob.begin(), blob.end());
+    evict.health.evict_windows = 1;
+    const RehearsedSession evicted = rehearseSession(evict);
+    EXPECT_EQ(evicted.outcome.final_state, HealthState::kEvicted);
+    EXPECT_LT(evicted.outcome.end_tick,
+              evict.pipeline.profile.framePeriodTicks() * 150);
+}
+
+} // namespace
+} // namespace vstream

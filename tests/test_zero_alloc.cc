@@ -158,10 +158,11 @@ constexpr int kWarmupVsyncs = 240;
 constexpr int kMeasuredVsyncs = 96;
 
 void
-expectZeroAllocSteadyState(Scheme scheme, std::uint32_t batch)
+expectZeroAllocSteadyState(Scheme scheme, std::uint32_t batch,
+                           std::uint32_t frames = 420)
 {
     PipelineConfig cfg;
-    cfg.profile = steadyProfile(420);
+    cfg.profile = steadyProfile(frames);
     cfg.scheme = SchemeConfig::make(scheme, batch);
     VideoPipeline vp(std::move(cfg));
     vp.start();
@@ -196,7 +197,7 @@ expectZeroAllocSteadyState(Scheme scheme, std::uint32_t batch)
         vp.stepVsync();
     }
     const PipelineResult r = vp.finish();
-    EXPECT_EQ(r.frames, 420u);
+    EXPECT_EQ(r.frames, frames);
 }
 
 TEST(ZeroAlloc, GabServingSteadyStateAllocatesNothing)
@@ -204,6 +205,18 @@ TEST(ZeroAlloc, GabServingSteadyStateAllocatesNothing)
     // The full paper stack: MACH + gradient + pointer-digest layout
     // + display cache + MACH buffer - the widest hot path there is.
     expectZeroAllocSteadyState(Scheme::kGab, 8);
+}
+
+TEST(ZeroAlloc, StreamedGabSteadyStateAllocatesNothing)
+{
+    // A video past the shared budget streams: its frames come from
+    // the preparation helper thread, whose allocations count too.
+    const auto frames = static_cast<std::uint32_t>(
+        SyntheticVideo::kSharedBudgetBytes /
+            SyntheticVideo::frameBytes(steadyProfile(1)) +
+        1);
+    ASSERT_FALSE(SyntheticVideo(steadyProfile(frames)).sharesContent());
+    expectZeroAllocSteadyState(Scheme::kGab, 8, frames);
 }
 
 TEST(ZeroAlloc, BaselineSteadyStateAllocatesNothing)
