@@ -28,7 +28,7 @@ plainDccBytes(const VideoProfile &p)
     while (!video.done()) {
         const Frame f = video.nextFrame();
         for (std::uint32_t i = 0; i < f.mabCount(); ++i) {
-            bytes += dccCompress(f.mab(i).bytes()).compressed_bytes;
+            bytes += dccCompress(f.mabBytes(i)).compressed_bytes;
         }
     }
     return bytes;

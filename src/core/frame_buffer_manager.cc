@@ -217,6 +217,35 @@ FrameBufferManager::loadBlock(Addr addr) const
     return {slot->arena.data() + e->arena_off, e->size};
 }
 
+// vstream:hot
+StoredBlock
+FrameBufferManager::loadRun(Addr addr, std::uint64_t bytes) const
+{
+    const BufferSlot *slot = slotContaining(addr);
+    if (slot == nullptr) {
+        return {};
+    }
+    const auto off = static_cast<std::uint32_t>(addr - slot->data_base);
+    const BlockEntry *e = findBlock(*slot, off);
+    if (e == nullptr) {
+        return {};
+    }
+    const BlockEntry *end = slot->blocks.data() + slot->block_count;
+    std::uint64_t covered = 0;
+    for (const BlockEntry *b = e; b != end && covered < bytes; ++b) {
+        if (b->region_off != off + covered ||
+            b->arena_off != e->arena_off + covered) {
+            return {};
+        }
+        covered += b->size;
+    }
+    if (covered != bytes) {
+        return {};
+    }
+    return {slot->arena.data() + e->arena_off,
+            static_cast<std::uint32_t>(bytes)};
+}
+
 std::uint32_t
 FrameBufferManager::slotsInUse() const
 {

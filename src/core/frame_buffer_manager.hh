@@ -114,6 +114,14 @@ class FrameBufferManager
     /** Fetch block bytes at @p addr; empty view when nothing stored. */
     StoredBlock loadBlock(Addr addr) const;
 
+    /**
+     * View of the @p bytes stored from @p addr on, when the blocks
+     * covering them sit back to back both in the slot's region and in
+     * its arena (a linear frame's whole data region); empty view
+     * otherwise.
+     */
+    StoredBlock loadRun(Addr addr, std::uint64_t bytes) const;
+
     /** Slots ever allocated (== peak simultaneous buffers). */
     std::uint32_t slotsAllocated() const
     {

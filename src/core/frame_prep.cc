@@ -30,8 +30,8 @@ FramePrep::FramePrep(const VideoProfile &profile, const MachConfig *mach,
     // frames come from the consumer's heap.
     const VideoProfile &p = video_.profile();
     for (PreparedFrame &slot : slots_) {
-        slot.frame.reinit(0, FrameType::kI, p.mabsX(), p.mabsY(),
-                          p.mab_dim);
+        slot.frame = Frame(0, FrameType::kI, p.mabsX(), p.mabsY(),
+                           p.mab_dim);
         if (has_mach_) {
             slot.mach.sizeFor(p.mabsPerFrame(),
                            p.mab_dim * p.mab_dim * kBytesPerPixel, mach_);

@@ -12,11 +12,10 @@ namespace vstream
 {
 
 MachArray::MachArray(const MachConfig &cfg, std::uint64_t max_lookups)
-    : cfg_(cfg)
+    // Validated before the ring is sized from it.
+    : cfg_((cfg.validate(), cfg)),
+      ring_(cfg_, cfg_.entries, cfg_.num_machs, /*full_tags=*/false)
 {
-    cfg_.validate();
-    ring_.reserve(cfg_.num_machs);
-    ring_.emplace_back(cfg_);
     // Pre-size the Fig. 9b match tracker so steady-state lookups
     // never rehash it (see MachConfig::match_track_reserve).  Each
     // hit counts one digest, so a playback never tracks more
@@ -24,30 +23,18 @@ MachArray::MachArray(const MachConfig &cfg, std::uint64_t max_lookups)
     match_counts_.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
         cfg_.match_track_reserve, max_lookups)));
     if (cfg_.co_mach) {
-        co_mach_ = std::make_unique<CoMach>(cfg_);
+        co_mach_.emplace(cfg_, cfg_.co_mach_entries, 1, /*full_tags=*/true);
     }
 }
 
 void
 MachArray::beginFrame()
 {
-    if (ring_[cur_].validCount() > 0 || hist_count_ > 0) {
-        ring_[cur_].freeze();
-        if (ring_.size() < cfg_.num_machs) {
-            // vstream:allow(no-hotpath-alloc) warmup-only growth: the
-            // ring reaches num_machs caches within the first frames
-            // and recycles in place forever after
-            ring_.emplace_back(cfg_);
-            cur_ = ring_.size() - 1;
-        } else {
-            cur_ = (cur_ + 1) % ring_.size();
-            ring_[cur_].recycle();
-        }
-        const std::uint32_t cap = cfg_.num_machs - 1;
-        hist_count_ = hist_count_ < cap ? hist_count_ + 1 : cap;
+    if (ring_.validCount() > 0 || ring_.history() > 0) {
+        ring_.advance();
     }
     if (co_mach_) {
-        co_mach_->beginFrame();
+        co_mach_->advance();
     }
 }
 
@@ -81,33 +68,14 @@ MachArray::lookup(std::uint32_t digest, std::uint16_t aux,
     }
 
     // Current frame first (intra), then history newest-to-oldest.
-    MachProbe probe = ring_[cur_].lookup(digest, aux, truth);
-    if (probe.collision_detected) {
-        result.collision_detected = true;
-    }
+    MachProbe probe = ring_.lookup(digest, aux, truth);
+    result.collision_detected = probe.collision_detected;
     if (probe.hit) {
         result.hit = true;
-        result.inter = false;
-        result.frame_age = 0;
+        result.inter = probe.age > 0;
+        result.frame_age = probe.age;
         result.ptr = probe.ptr;
         result.collision_undetected = probe.collision_undetected;
-    } else {
-        const std::size_t size = ring_.size();
-        for (std::uint32_t age = 1; age <= hist_count_; ++age) {
-            MachCache &mach = ring_[(cur_ + size - age) % size];
-            probe = mach.lookup(digest, aux, truth);
-            if (probe.collision_detected) {
-                result.collision_detected = true;
-            }
-            if (probe.hit) {
-                result.hit = true;
-                result.inter = true;
-                result.frame_age = age;
-                result.ptr = probe.ptr;
-                result.collision_undetected = probe.collision_undetected;
-                break;
-            }
-        }
     }
 
     // CO-MACH covers the current frame's collided blocks.
@@ -188,16 +156,11 @@ MachArray::insertUnique(std::uint32_t digest, std::uint16_t aux, Addr ptr,
         collider_truth_.assign(truth.begin(), truth.end());
     }
     if (collided && co_mach_) {
+        ++co_mach_inserts_;
         co_mach_->insert(digest, aux, ptr, truth);
         return;
     }
-    ring_[cur_].insert(digest, aux, ptr, truth);
-}
-
-const MachCache &
-MachArray::current() const
-{
-    return ring_[cur_];
+    ring_.insert(digest, aux, ptr, truth);
 }
 
 std::vector<double>

@@ -3,8 +3,9 @@
  * The array of per-frame MACHs held by the video decoder.
  *
  * The decoder keeps the MACH of the frame being decoded plus the
- * frozen MACHs of the previous num_machs-1 frames; a lookup searches
- * all of them (and CO-MACH when enabled).  A hit in the current
+ * frozen MACHs of the previous num_machs-1 frames, all in one
+ * set-major MachTable; a lookup searches all of them at once (and
+ * CO-MACH, a one-slot table, when enabled).  A hit in the current
  * frame's MACH is an intra-match, a hit in an older MACH an
  * inter-match - the distinction decides whether the frame-buffer
  * layout stores a pointer or a digest (Sec. 5.1).
@@ -15,14 +16,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <optional>
 #include <ostream>
 #include <span>
 #include <vector>
 
-#include "core/co_mach.hh"
 #include "core/flat_table.hh"
-#include "core/mach_cache.hh"
+#include "core/mach_table.hh"
 #include "sim/ticks.hh"
 
 namespace vstream
@@ -98,7 +98,8 @@ class MachArray
 
     /**
      * Start a new frame: freeze the current MACH into the history
-     * (dropping the oldest beyond num_machs-1) and clear CO-MACH.
+     * (recycling the oldest beyond num_machs-1) and clear CO-MACH.
+     * A current MACH still empty with no history stays current.
      */
     void beginFrame();
 
@@ -142,11 +143,12 @@ class MachArray
                       std::span<const std::uint8_t> truth,
                       bool collided);
 
-    /** The MACH of the frame being decoded. */
-    const MachCache &current() const;
+    /** The ring of per-frame MACHs; its validCount() and
+     * forEachValid() see the frame being decoded. */
+    const MachTable &ring() const { return ring_; }
 
     /** Number of frozen history MACHs currently held. */
-    std::uint32_t historyDepth() const { return hist_count_; }
+    std::uint32_t historyDepth() const { return ring_.history(); }
 
     const MachStats &stats() const { return stats_; }
 
@@ -155,10 +157,8 @@ class MachArray
     void resetStats() { stats_ = MachStats{}; }
 
     const MachConfig &config() const { return cfg_; }
-    std::uint64_t coMachInserts() const
-    {
-        return co_mach_ ? co_mach_->insertCount() : 0;
-    }
+    /** Blocks inserted into CO-MACH (its collision count proxy). */
+    std::uint64_t coMachInserts() const { return co_mach_inserts_; }
 
     /** Register lookup/hit/collision stats under @p prefix. */
     void regStats(StatsRegistry &r, const std::string &prefix) const;
@@ -173,16 +173,15 @@ class MachArray
     MachConfig cfg_;
     FlatMap<std::uint32_t, std::uint64_t> match_counts_;
     /**
-     * Fixed ring of at most num_machs caches: ring_[cur_] is the
-     * frame being decoded and age-a history lives at
-     * (cur_ - a) mod ring_.size().  Advancing a frame recycles the
-     * aged-out cache in place, so frame boundaries perform zero heap
-     * allocation once the ring is full.
+     * The num_machs per-frame MACHs.  Advancing a frame recycles the
+     * aged-out slot in place, so frame boundaries perform no heap
+     * allocation.
      */
-    std::vector<MachCache> ring_;
-    std::size_t cur_ = 0;
-    std::uint32_t hist_count_ = 0;
-    std::unique_ptr<CoMach> co_mach_;
+    MachTable ring_;
+    /** CO-MACH (Sec. 6.3): the current frame's collided blocks under
+     * their full 48-bit tags, cleared at every frame boundary. */
+    std::optional<MachTable> co_mach_;
+    std::uint64_t co_mach_inserts_ = 0;
     MachStats stats_;
     FaultInjector *faults_ = nullptr;
     MachWriteObserver write_observer_;

@@ -40,7 +40,7 @@ LinearWriteback::beginFrame(const Frame &frame, BufferSlot &slot, Tick now,
                             FrameLayout &layout)
 {
     slot_ = &slot;
-    mab_bytes_ = frame.mab(0).sizeBytes();
+    mab_bytes_ = frame.mabSizeBytes();
     layout.reinit(frame.index(), LayoutKind::kLinear, frame.mabCount(),
                   mab_bytes_, /*gradient_mode=*/false);
     layout_ = &layout;
@@ -109,9 +109,10 @@ void
 prepareMachRepr(const Frame &frame, const MachConfig &cfg, MachRepr &out)
 {
     const std::uint32_t count = frame.mabCount();
-    const std::uint32_t size = frame.mab(0).sizeBytes();
+    const std::uint32_t size = frame.mabSizeBytes();
     out.sizeFor(count, size, cfg);
     out.frame_index = frame.index();
+    const std::uint8_t *plane = frame.plane().data();
 
     // Gab transform and digests a chunk at a time, so each chunk's
     // blocks are still in cache when the batched kernels read them.
@@ -120,15 +121,14 @@ prepareMachRepr(const Frame &frame, const MachConfig &cfg, MachRepr &out)
     for (std::uint32_t first = 0; first < count; first += kChunk) {
         const std::uint32_t n = std::min(kChunk, count - first);
         for (std::uint32_t j = 0; j < n; ++j) {
-            const Macroblock &mab = frame.mab(first + j);
+            const std::size_t off =
+                static_cast<std::size_t>(first + j) * size;
             if (cfg.use_gradient) {
-                std::uint8_t *gab =
-                    out.gabs.data() +
-                    static_cast<std::size_t>(first + j) * size;
-                gradientSub(gab, mab.bytes().data(), size, mab.base());
+                std::uint8_t *gab = out.gabs.data() + off;
+                gradientSub(gab, plane + off, size, frame.mabBase(first + j));
                 blocks[j] = gab;
             } else {
-                blocks[j] = mab.bytes().data();
+                blocks[j] = plane + off;
             }
         }
         digest32Batch(cfg.hash, blocks, size, n, out.digests.data() + first);
@@ -172,7 +172,7 @@ MachWriteback::beginFrame(const Frame &frame, BufferSlot &slot, Tick now,
                           FrameLayout &layout)
 {
     slot_ = &slot;
-    mab_bytes_ = frame.mab(0).sizeBytes();
+    mab_bytes_ = frame.mabSizeBytes();
     machs_.beginFrame();
     layout.reinit(frame.index(), layout_kind_, frame.mabCount(),
                   mab_bytes_, machs_.config().use_gradient);
@@ -210,7 +210,7 @@ MachWriteback::writeMab(const Macroblock &mab, std::uint32_t idx, Tick now)
 {
     vs_assert(layout_ != nullptr, "writeMab outside a frame");
     vs_assert(frame_ != nullptr && idx < frame_->mabCount() &&
-                  &mab == &frame_->mab(idx),
+                  blockEqual(mab.bytes(), frame_->mabBytes(idx)),
               "writeMab must walk the frame given to beginFrame");
     const MachConfig &cfg = machs_.config();
     const bool gab_mode = cfg.use_gradient;
@@ -322,8 +322,8 @@ MachWriteback::finishFrame(Tick now)
         // no-op once the recycled layout has reached cfg.entries
         dump.reserve(cfg.entries);
         dump.clear();
-        machs_.current().forEachValid([&](const MachEntry &e) {
-            dump.emplace_back(e.digest, e.ptr);
+        machs_.ring().forEachValid([&](std::uint32_t digest, Addr ptr) {
+            dump.emplace_back(digest, ptr);
         });
         const std::uint64_t dump_bytes =
             dump.size() * (cfg.digest_bytes + cfg.pointer_bytes);

@@ -10,9 +10,6 @@ DecoderConfig::validate() const
 {
     power.validate();
     cache.validate();
-    if (encoded_ring_bytes < (1 << 16)) {
-        vs_fatal("encoded ring too small");
-    }
     if (cost.jitter < 0.0 || cost.jitter >= 1.0) {
         vs_fatal("per-mab jitter must be in [0, 1)");
     }

@@ -35,7 +35,7 @@ struct DecoderConfig
     };
 
     /** Ring buffer holding buffered encoded frames. */
-    std::uint64_t encoded_ring_bytes = 8ULL << 20;
+    static constexpr std::uint64_t kEncodedRingBytes = 8ULL << 20;
 
     /**
      * Motion-vector reach of P/B reference reads, in mabs.  Small
@@ -48,9 +48,12 @@ struct DecoderConfig
      * the MC reference fetcher bring data in dense bursts of this
      * size, so their DRAM accesses row-hit within a burst; Act/Pre
      * behaviour is then dominated by the decoder's *write* stream,
-     * whose spacing is what racing improves (Sec. 3.2).
+     * whose spacing is what racing improves (Sec. 3.2).  A power of
+     * two, so read regions round with a mask.
      */
-    std::uint32_t read_prefetch_bytes = 512;
+    static constexpr std::uint32_t kReadPrefetchBytes = 512;
+    static_assert((kReadPrefetchBytes & (kReadPrefetchBytes - 1)) == 0,
+                  "the read-prefetch granularity must be a power of two");
 
     void validate() const;
 };

@@ -1,5 +1,6 @@
 #include "decoder/video_decoder.hh"
 
+#include <span>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -18,8 +19,8 @@ VideoDecoder::VideoDecoder(std::string name, EventQueue *queue,
     cfg_.validate();
     cache_ = std::make_unique<SetAssocCache>(this->name() + ".cache",
                                              cfg_.cache);
-    encoded_region_ =
-        mem_.allocate(cfg_.encoded_ring_bytes, "vd.encoded_ring");
+    encoded_region_ = mem_.allocate(DecoderConfig::kEncodedRingBytes,
+                                    "vd.encoded_ring");
 }
 
 Tick
@@ -29,9 +30,10 @@ VideoDecoder::readThroughCache(Addr addr, std::uint32_t size, Tick now,
     // Widen the access to the prefetch granularity: the read engines
     // (bitstream DMA, MC fetcher) fill whole aligned regions in one
     // dense burst, so fills of one region row-hit each other.
-    const Addr pf = cfg_.read_prefetch_bytes;
-    const Addr lo = addr / pf * pf;
-    const Addr hi = (addr + size + pf - 1) / pf * pf;
+    const Addr mask = ~Addr{DecoderConfig::kReadPrefetchBytes - 1};
+    const Addr lo = addr & mask;
+    const Addr hi = (addr + size + DecoderConfig::kReadPrefetchBytes - 1) &
+                    mask;
 
     CacheAccessSummary &s = access_scratch_;
     cache_->accessInto(lo, static_cast<std::uint32_t>(hi - lo),
@@ -45,10 +47,13 @@ VideoDecoder::readThroughCache(Addr addr, std::uint32_t size, Tick now,
 Tick
 VideoDecoder::readEncoded(std::uint64_t bytes, Tick now, Tick *stall)
 {
-    // Sequential walk of the encoded ring through the VD cache.
-    const Addr addr =
-        encoded_region_ + encoded_cursor_ % cfg_.encoded_ring_bytes;
+    // Sequential walk of the encoded ring through the VD cache; the
+    // cursor stays wrapped into the ring.
+    const Addr addr = encoded_region_ + encoded_cursor_;
     encoded_cursor_ += bytes;
+    while (encoded_cursor_ >= DecoderConfig::kEncodedRingBytes) {
+        encoded_cursor_ -= DecoderConfig::kEncodedRingBytes;
+    }
     return readThroughCache(addr, static_cast<std::uint32_t>(bytes), now,
                             stall);
 }
@@ -129,8 +134,11 @@ VideoDecoder::decodeFrame(const Frame &frame, WritebackStage &wb,
                             jitter_factor);
         t += cyclesToTicks(static_cast<std::uint64_t>(cycles), hz);
 
-        // 4. Writeback (posted; does not stall the pipeline).
-        wb.writeMab(frame.mab(i), i, t);
+        // 4. Writeback (posted; does not stall the pipeline) of the
+        //    reconstructed block.
+        const std::span<const std::uint8_t> bytes = frame.mabBytes(i);
+        recon_.assignBytes(frame.mabDim(), bytes.data(), bytes.size());
+        wb.writeMab(recon_, i, t);
     }
 
     result.finish = t;

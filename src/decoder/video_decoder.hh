@@ -99,7 +99,13 @@ class VideoDecoder : public SimObject
     std::unique_ptr<SetAssocCache> cache_;
 
     Addr encoded_region_ = 0;
+    /** Offset of the next encoded read in the ring, always below
+     * DecoderConfig::kEncodedRingBytes. */
     std::uint64_t encoded_cursor_ = 0;
+
+    /** The reconstruction buffer: each decoded mab is assembled here
+     * and handed to the writeback stage (reused, zero-alloc). */
+    Macroblock recon_;
 
     /** Reused cache-access scratch: readThroughCache runs per mab
      * and must not construct fresh summary vectors each call. */

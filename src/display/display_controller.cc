@@ -167,10 +167,9 @@ DisplayController::scanOut(const FrameLayout &layout, Tick now,
         return stats;
     }
 
-    // vstream:allow(no-hotpath-alloc) first-frame sizing only; later
-    // scan-outs reuse the reconstructed-mab scratch storage
-    std::vector<Macroblock> &shown = shown_scratch_;
-    shown.resize(layout.mabCount());
+    // The shown frame is verified from the blocks as fetched: each
+    // is folded into the frame CRC straight from storage.
+    ShownFrameCrc shown;
 
     if (layout.kind() == LayoutKind::kLinear) {
         // Baseline: stream the whole decoded frame.
@@ -178,13 +177,12 @@ DisplayController::scanOut(const FrameLayout &layout, Tick now,
             static_cast<std::uint64_t>(layout.mabCount()) *
             layout.mabBytes();
         t = streamRead(layout.dataBase(), frame_bytes, t, stats);
-        for (std::uint32_t i = 0; i < layout.mabCount(); ++i) {
-            const StoredBlock stored =
-                fbm_.loadBlock(layout.record(i).data_addr);
-            vs_assert(stored, "linear block missing");
-            FrameReconstructor::rebuildMabInto(stored, layout.record(i),
-                                               false, shown[i]);
-        }
+        // Record i sits at dataBase() + i * mabBytes(), stored in
+        // order: the frame is one run.
+        const StoredBlock all = fbm_.loadRun(layout.dataBase(), frame_bytes);
+        vs_assert(all, "linear frame ", layout.frameIndex(),
+                  " is not stored back to back");
+        shown.add(all, layout.record(0), false);
     } else {
         // Metadata stream: pointers/digests (+ bases + bitmap).
         t = streamRead(layout.metaBase(), layout.metaBytes(), t, stats);
@@ -214,20 +212,22 @@ DisplayController::scanOut(const FrameLayout &layout, Tick now,
             if (rec.storage == MabStorage::kInterDigest && mach_buffer_) {
                 ++stats.digest_records;
                 if (const auto *hit = mach_buffer_->lookup(rec.digest)) {
-                    stored = {hit->data(),
-                              static_cast<std::uint32_t>(hit->size())};
                     ++stats.mach_buffer_hits;
-                } else {
-                    ++stats.mach_buffer_misses;
-                    stored =
-                        resolveDigestMiss(layout, rec.digest, t, stats);
-                    if (!stored) {
-                        // Dump aged out too: fall back to the block
-                        // pointer the record still carries.
-                        t = fetchBlock(rec.data_addr,
-                                       layout.mabBytes(), t, stats);
-                        stored = fbm_.loadBlock(rec.data_addr);
-                    }
+                    // A later insert in this scan may overwrite the
+                    // entry: fold its bytes now.
+                    shown.addNow({hit->data(),
+                                  static_cast<std::uint32_t>(hit->size())},
+                                 rec, layout.gradientMode());
+                    continue;
+                }
+                ++stats.mach_buffer_misses;
+                stored = resolveDigestMiss(layout, rec.digest, t, stats);
+                if (!stored) {
+                    // Dump aged out too: fall back to the block
+                    // pointer the record still carries.
+                    t = fetchBlock(rec.data_addr, layout.mabBytes(), t,
+                                   stats);
+                    stored = fbm_.loadBlock(rec.data_addr);
                 }
             } else {
                 ++stats.pointer_records;
@@ -245,13 +245,13 @@ DisplayController::scanOut(const FrameLayout &layout, Tick now,
             vs_assert(stored,
                       "display could not locate block for mab ", i,
                       " of frame ", layout.frameIndex());
-            FrameReconstructor::rebuildMabInto(
-                stored, rec, layout.gradientMode(), shown[i]);
+            shown.add(stored, rec, layout.gradientMode());
         }
     }
 
     stats.finish = t;
-    const std::uint32_t shown_sum = FrameReconstructor::checksum(shown);
+    const std::uint32_t shown_sum = shown.digest();
+    stats.shown_checksum = shown_sum;
     stats.verified = shown_sum == layout.sourceChecksum();
     on_screen_checksum_ = layout.sourceChecksum();
     totals_.pixel_digest =

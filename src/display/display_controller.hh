@@ -28,7 +28,6 @@
 #include "display/mach_buffer.hh"
 #include "mem/memory_system.hh"
 #include "sim/sim_object.hh"
-#include "video/macroblock.hh"
 
 namespace vstream
 {
@@ -48,6 +47,9 @@ struct ScanStats
     std::uint64_t digest_records = 0;
     std::uint64_t pointer_records = 0;
     std::uint64_t fragmented_fetches = 0;
+    /** CRC32 of the frame as shown, folded from the fetched blocks
+     * (0 for an eliminated scan). */
+    std::uint32_t shown_checksum = 0;
     /** Frame checksum matched the decode-time checksum. */
     bool verified = false;
     /** Scan skipped entirely (transaction elimination). */
@@ -153,7 +155,6 @@ class DisplayController : public SimObject
     std::size_t dump_count_ = 0;
 
     // Scratch reused across scan-outs (zero-alloc steady state).
-    std::vector<Macroblock> shown_scratch_;
     FlatSet<std::uint32_t> dump_digest_scratch_;
     CacheAccessSummary access_scratch_;
 

@@ -1,7 +1,9 @@
 #include "display/frame_reconstructor.hh"
 
-#include "hash/crc.hh"
+#include <algorithm>
+
 #include "sim/logging.hh"
+#include "video/pixel_kernels.hh"
 
 namespace vstream
 {
@@ -20,17 +22,6 @@ Macroblock
 FrameReconstructor::rebuildMab(const StoredBlock &stored,
                                const MabRecord &rec, bool gradient_mode)
 {
-    Macroblock out(1);
-    rebuildMabInto(stored, rec, gradient_mode, out);
-    return out;
-}
-
-// vstream:hot
-void
-FrameReconstructor::rebuildMabInto(const StoredBlock &stored,
-                                   const MabRecord &rec,
-                                   bool gradient_mode, Macroblock &out)
-{
     // Infer the block dimension from the stored byte count.
     std::uint32_t dim = 1;
     while (static_cast<std::size_t>(dim) * dim * kBytesPerPixel <
@@ -41,20 +32,56 @@ FrameReconstructor::rebuildMabInto(const StoredBlock &stored,
                   stored.size,
               "stored block is not a square pixel block");
 
-    out.assignBytes(dim, stored.data, stored.size);
+    Macroblock out(dim, stored.toVector());
     if (gradient_mode) {
         out.addBase(rec.base);
+    }
+    return out;
+}
+
+// vstream:hot
+void
+ShownFrameCrc::flushRun()
+{
+    if (run_len_ > 0) {
+        crc_.update(run_, run_len_);
+    }
+    run_ = nullptr;
+    run_len_ = 0;
+}
+
+// vstream:hot
+void
+ShownFrameCrc::add(const StoredBlock &stored, const MabRecord &rec,
+                   bool gradient_mode)
+{
+    if (!gradient_mode) {
+        if (run_ != nullptr && run_ + run_len_ == stored.data) {
+            run_len_ += stored.size;
+        } else {
+            flushRun();
+            run_ = stored.data;
+            run_len_ = stored.size;
+        }
+        return;
+    }
+    flushRun();
+    // Whole pixels per chunk (768 = 256 * 3), so the base's channel
+    // phase restarts with each chunk exactly as it runs on.
+    constexpr std::size_t kChunk = 768;
+    std::uint8_t block[kChunk];
+    for (std::size_t off = 0; off < stored.size; off += kChunk) {
+        const std::size_t n = std::min(kChunk, stored.size - off);
+        gradientAdd(block, stored.data + off, n, rec.base);
+        crc_.update(block, n);
     }
 }
 
 std::uint32_t
-FrameReconstructor::checksum(const std::vector<Macroblock> &mabs)
+ShownFrameCrc::digest()
 {
-    Crc32 crc;
-    for (const auto &m : mabs) {
-        crc.update(m.bytes().data(), m.bytes().size());
-    }
-    return crc.digest();
+    flushRun();
+    return crc_.digest();
 }
 
 } // namespace vstream

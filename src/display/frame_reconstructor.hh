@@ -12,11 +12,13 @@
 #ifndef VSTREAM_DISPLAY_FRAME_RECONSTRUCTOR_HH
 #define VSTREAM_DISPLAY_FRAME_RECONSTRUCTOR_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "core/frame_buffer_manager.hh"
 #include "core/framebuffer_layout.hh"
+#include "hash/crc.hh"
 #include "video/macroblock.hh"
 
 namespace vstream
@@ -40,21 +42,47 @@ class FrameReconstructor
     static Macroblock rebuildMab(const StoredBlock &stored,
                                  const MabRecord &rec,
                                  bool gradient_mode);
+};
 
-    /**
-     * Zero-alloc variant: rebuild into @p out, reusing its storage —
-     * the per-mab workhorse of DisplayController::scanOut.
-     */
-    static void rebuildMabInto(const StoredBlock &stored,
-                               const MabRecord &rec, bool gradient_mode,
-                               Macroblock &out);
+/**
+ * CRC32 of a shown frame, folded straight from the stored blocks in
+ * display order - the same CRC the decoder took over the source
+ * plane, without rebuilding the frame.
+ *
+ * A raw block is folded in place, and a run of blocks that sit back
+ * to back in storage (the linear layout's whole frame, a pointer
+ * layout's consecutive unique blocks) goes into one update.  A gab
+ * has its base re-added into a stack block first.
+ */
+class ShownFrameCrc
+{
+  public:
+    /** Fold the next mab of the frame from frame-buffer storage; its
+     * bytes must stay unchanged until digest() (a scan-out stores
+     * nothing, so they do). */
+    void add(const StoredBlock &stored, const MabRecord &rec,
+             bool gradient_mode);
 
-    /**
-     * Checksum a sequence of reconstructed mabs (same CRC the decoder
-     * used on the source frame).
-     */
-    static std::uint32_t
-    checksum(const std::vector<Macroblock> &mabs);
+    /** Fold the next mab from storage that may change before
+     * digest() (a MACH-buffer entry): folded at once. */
+    void
+    addNow(const StoredBlock &stored, const MabRecord &rec,
+           bool gradient_mode)
+    {
+        add(stored, rec, gradient_mode);
+        flushRun();
+    }
+
+    /** CRC32 of every mab added so far. */
+    std::uint32_t digest();
+
+  private:
+    /** Fold the pending run of contiguous raw blocks. */
+    void flushRun();
+
+    Crc32 crc_;
+    const std::uint8_t *run_ = nullptr;
+    std::size_t run_len_ = 0;
 };
 
 } // namespace vstream

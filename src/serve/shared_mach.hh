@@ -5,7 +5,7 @@
  * ROADMAP's top open item: at fleet scale thousands of sessions
  * decode the same popular titles, so a block one session already
  * materialized does not need a second 48 B DRAM write.  This tier
- * sits *above* the per-session MachArray/MachCache and is the first
+ * sits *above* the per-session MachArray and is the first
  * state in the codebase that crosses a session boundary, which makes
  * its design as much about containment as caching:
  *

@@ -46,11 +46,15 @@ Random::uniformInt(std::uint64_t lo, std::uint64_t hi)
     if (span == 0) { // [0, 2^64-1]: full range
         return next();
     }
-    const std::uint64_t limit = ~std::uint64_t(0) - (~std::uint64_t(0) % span);
-    std::uint64_t v;
-    do {
+    // Reject draws at or above limit = kMax - kMax % span to keep the
+    // result unbiased.  limit > kMax - span, so only a draw in the top
+    // span values can be rejected; the division that finds limit runs
+    // only for those.
+    constexpr std::uint64_t kMax = ~std::uint64_t(0);
+    std::uint64_t v = next();
+    while (v > kMax - span && v >= kMax - kMax % span) {
         v = next();
-    } while (v >= limit);
+    }
     return lo + v % span;
 }
 

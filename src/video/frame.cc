@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "hash/crc.hh"
 #include "sim/logging.hh"
@@ -11,18 +12,13 @@ namespace vstream
 
 Frame::Frame(std::uint64_t index, FrameType type, std::uint32_t mabs_x,
              std::uint32_t mabs_y, std::uint32_t mab_dim)
-    : index_(index), type_(type), mabs_x_(mabs_x), mabs_y_(mabs_y),
-      mab_dim_(mab_dim),
-      mabs_(static_cast<std::size_t>(mabs_x) * mabs_y, Macroblock(mab_dim)),
-      origins_(static_cast<std::size_t>(mabs_x) * mabs_y,
-               MabOrigin::kUnique)
 {
-    vs_assert(mabs_x_ > 0 && mabs_y_ > 0, "empty frame");
+    reinit(index, type, mabs_x, mabs_y, mab_dim);
+    pixels_.assign(decodedBytes(), 0);
+    origins_.assign(mabCount(), MabOrigin::kUnique);
 }
 
 // vstream:hot
-// vstream:allow(no-hotpath-alloc) geometry changes only on the first
-// call (or a profile switch); the steady-state path reuses storage
 void
 Frame::reinit(std::uint64_t index, FrameType type, std::uint32_t mabs_x,
               std::uint32_t mabs_y, std::uint32_t mab_dim)
@@ -30,34 +26,46 @@ Frame::reinit(std::uint64_t index, FrameType type, std::uint32_t mabs_x,
     vs_assert(mabs_x > 0 && mabs_y > 0, "empty frame");
     index_ = index;
     type_ = type;
-    if (mabs_x_ != mabs_x || mabs_y_ != mabs_y || mab_dim_ != mab_dim) {
-        const std::size_t count =
-            static_cast<std::size_t>(mabs_x) * mabs_y;
-        mabs_.assign(count, Macroblock(mab_dim));
-        origins_.assign(count, MabOrigin::kUnique);
-        mabs_x_ = mabs_x;
-        mabs_y_ = mabs_y;
-        mab_dim_ = mab_dim;
-    } else {
-        std::fill(origins_.begin(), origins_.end(), MabOrigin::kUnique);
-    }
+    mabs_x_ = mabs_x;
+    mabs_y_ = mabs_y;
+    mab_dim_ = mab_dim;
     complexity_ = 1.0;
     encoded_bytes_ = 0;
     has_checksum_ = false;
+    view_pixels_ = nullptr;
+    view_origins_ = nullptr;
+    view_owner_.reset();
 }
 
 // vstream:hot
+// vstream:allow(no-hotpath-alloc) sizes the owned plane on the first
+// frame of a geometry; every later call copies into that storage
 void
 Frame::assignFlat(const std::uint8_t *pixels, const MabOrigin *origins,
                   std::uint32_t checksum)
 {
-    const std::size_t size =
-        static_cast<std::size_t>(mab_dim_) * mab_dim_ * kBytesPerPixel;
-    for (Macroblock &m : mabs_) {
-        std::memcpy(m.bytes().data(), pixels, size);
-        pixels += size;
-    }
+    pixels_.resize(decodedBytes());
+    origins_.resize(mabCount());
+    std::memcpy(pixels_.data(), pixels, pixels_.size());
     std::copy(origins, origins + origins_.size(), origins_.begin());
+    view_pixels_ = nullptr;
+    view_origins_ = nullptr;
+    view_owner_.reset();
+    checksum_ = checksum;
+    has_checksum_ = true;
+}
+
+// vstream:hot
+void
+Frame::viewShared(std::shared_ptr<const void> owner,
+                  const std::uint8_t *pixels, const MabOrigin *origins,
+                  std::uint32_t checksum)
+{
+    vs_assert(owner != nullptr && pixels != nullptr && origins != nullptr,
+              "shared view without planes");
+    view_owner_ = std::move(owner);
+    view_pixels_ = pixels;
+    view_origins_ = origins;
     checksum_ = checksum;
     has_checksum_ = true;
 }
@@ -65,28 +73,66 @@ Frame::assignFlat(const std::uint8_t *pixels, const MabOrigin *origins,
 std::uint64_t
 Frame::decodedBytes() const
 {
-    return static_cast<std::uint64_t>(mabCount()) * mab_dim_ * mab_dim_ *
-           kBytesPerPixel;
+    return static_cast<std::uint64_t>(mabCount()) * mabSizeBytes();
 }
 
-const Macroblock &
+std::span<const std::uint8_t>
+Frame::mabBytes(std::uint32_t i) const
+{
+    vs_assert(i < mabCount(), "mab index out of range");
+    const std::uint32_t size = mabSizeBytes();
+    return {planeData() + static_cast<std::size_t>(i) * size, size};
+}
+
+Pixel
+Frame::mabBase(std::uint32_t i) const
+{
+    const std::uint8_t *p = mabBytes(i).data();
+    return Pixel{p[0], p[1], p[2]};
+}
+
+Macroblock
 Frame::mab(std::uint32_t i) const
 {
-    return mabs_.at(i);
+    const std::span<const std::uint8_t> b = mabBytes(i);
+    return Macroblock(mab_dim_, std::vector<std::uint8_t>(b.begin(), b.end()));
 }
 
-Macroblock &
-Frame::mab(std::uint32_t i)
+void
+Frame::makeOwned()
 {
+    if (view_pixels_ != nullptr) {
+        pixels_.assign(view_pixels_, view_pixels_ + decodedBytes());
+        origins_.assign(view_origins_, view_origins_ + mabCount());
+        view_pixels_ = nullptr;
+        view_origins_ = nullptr;
+        view_owner_.reset();
+    }
+    vs_assert(pixels_.size() == decodedBytes() &&
+                  origins_.size() == mabCount(),
+              "frame has no content to modify");
+}
+
+void
+Frame::setMab(std::uint32_t i, std::span<const std::uint8_t> bytes)
+{
+    vs_assert(i < mabCount(), "mab index out of range");
+    vs_assert(bytes.size() == mabSizeBytes(),
+              "mab byte count does not match the frame's mab size");
+    // @p bytes may view the shared plane makeOwned() lets go of, or
+    // this frame's own mab i.
+    const std::shared_ptr<const void> keep = view_owner_;
+    makeOwned();
+    std::memmove(pixels_.data() + static_cast<std::size_t>(i) * bytes.size(),
+                 bytes.data(), bytes.size());
     has_checksum_ = false;
-    return mabs_.at(i);
 }
 
-const Macroblock &
-Frame::mabAt(std::uint32_t x, std::uint32_t y) const
+MabOrigin
+Frame::origin(std::uint32_t i) const
 {
-    vs_assert(x < mabs_x_ && y < mabs_y_, "mab coordinates out of range");
-    return mabs_[static_cast<std::size_t>(y) * mabs_x_ + x];
+    vs_assert(i < mabCount(), "mab index out of range");
+    return view_origins_ != nullptr ? view_origins_[i] : origins_[i];
 }
 
 std::uint32_t
@@ -95,11 +141,7 @@ Frame::contentChecksum() const
     if (has_checksum_) {
         return checksum_;
     }
-    Crc32 crc;
-    for (const auto &m : mabs_) {
-        crc.update(m.bytes().data(), m.bytes().size());
-    }
-    return crc.digest();
+    return Crc32::compute(planeData(), decodedBytes());
 }
 
 } // namespace vstream

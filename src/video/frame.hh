@@ -1,12 +1,20 @@
 /**
  * @file
- * A decoded video frame: a grid of macroblocks plus decode metadata.
+ * A decoded video frame: one pixel plane plus decode metadata.
+ *
+ * The plane holds the frame's macroblocks back to back (mab i is the
+ * mab-size bytes at i * mab size), with one origin per mab beside
+ * it.  A frame either owns its plane or views planes shared with the
+ * content generator, holding a reference that keeps them alive; mab
+ * i is a view into whichever plane the frame reads.
  */
 
 #ifndef VSTREAM_VIDEO_FRAME_HH
 #define VSTREAM_VIDEO_FRAME_HH
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "video/gop.hh"
@@ -30,29 +38,41 @@ enum class MabOrigin : std::uint8_t
 class Frame
 {
   public:
-    /** Empty shell; call reinit() before use.  Exists so generators
-     * can keep a recycled scratch frame (zero-alloc steady state). */
+    /** Empty shell; give it content with reinit() plus assignFlat()
+     * or viewShared().  Exists so generators can keep a recycled
+     * scratch frame (zero-alloc steady state). */
     Frame() = default;
 
+    /** A frame that owns an all-black plane, every origin kUnique. */
     Frame(std::uint64_t index, FrameType type, std::uint32_t mabs_x,
           std::uint32_t mabs_y, std::uint32_t mab_dim);
 
     /**
-     * Re-stamp this frame for a new position in the stream, reusing
-     * the macroblock storage when the geometry is unchanged.  Resets
-     * complexity, encoded bytes, and all origins.
+     * Re-stamp this frame for a new position in the stream: index,
+     * type and geometry; complexity and encoded bytes reset.  Drops
+     * any shared view; the content must then come from assignFlat()
+     * or viewShared().  Allocates nothing: an owned plane keeps its
+     * storage for the next assignFlat().
      */
     void reinit(std::uint64_t index, FrameType type, std::uint32_t mabs_x,
                 std::uint32_t mabs_y, std::uint32_t mab_dim);
 
     /**
-     * Overwrite every mab's bytes and origin from flat planes: mab i
-     * is the mab-size bytes at @p pixels + i * mab size, its origin
-     * @p origins[i].  @p checksum is the CRC32 of those pixel bytes,
-     * kept for contentChecksum().  The geometry must already be set
-     * (reinit()).
+     * Copy the pixel plane and origins into this frame's own storage
+     * (one copy each; storage is reused once sized).  @p checksum is
+     * the CRC32 of the pixel bytes, kept for contentChecksum().  The
+     * geometry must already be set (reinit()).
      */
     void assignFlat(const std::uint8_t *pixels, const MabOrigin *origins,
+                    std::uint32_t checksum);
+
+    /**
+     * Read @p pixels and @p origins in place, without copying; @p
+     * owner keeps them alive for as long as this frame (or a copy of
+     * it) views them.  The geometry must already be set (reinit()).
+     */
+    void viewShared(std::shared_ptr<const void> owner,
+                    const std::uint8_t *pixels, const MabOrigin *origins,
                     std::uint32_t checksum);
 
     std::uint64_t index() const { return index_; }
@@ -61,16 +81,37 @@ class Frame
     std::uint32_t mabsY() const { return mabs_y_; }
     std::uint32_t mabCount() const { return mabs_x_ * mabs_y_; }
     std::uint32_t mabDim() const { return mab_dim_; }
+    /** Bytes of one mab. */
+    std::uint32_t mabSizeBytes() const
+    {
+        return mab_dim_ * mab_dim_ * kBytesPerPixel;
+    }
 
     /** Decoded size of the full frame in bytes. */
     std::uint64_t decodedBytes() const;
 
-    const Macroblock &mab(std::uint32_t i) const;
-    /** Mutable mab; drops the checksum kept by assignFlat(). */
-    Macroblock &mab(std::uint32_t i);
-    const Macroblock &mabAt(std::uint32_t x, std::uint32_t y) const;
+    /** The whole pixel plane, mab after mab. */
+    std::span<const std::uint8_t> plane() const
+    {
+        return {planeData(), static_cast<std::size_t>(decodedBytes())};
+    }
 
-    MabOrigin origin(std::uint32_t i) const { return origins_.at(i); }
+    /** Bytes of mab @p i: a view into the plane. */
+    std::span<const std::uint8_t> mabBytes(std::uint32_t i) const;
+
+    /** First (top-left) pixel of mab @p i: its gab base. */
+    Pixel mabBase(std::uint32_t i) const;
+
+    /** A copy of mab @p i (tests and offline tools; the decode path
+     * reads mabBytes()). */
+    Macroblock mab(std::uint32_t i) const;
+
+    /** Overwrite mab @p i with @p bytes (one mab's worth); moves a
+     * shared view into owned storage first and drops the checksum
+     * kept by assignFlat(). */
+    void setMab(std::uint32_t i, std::span<const std::uint8_t> bytes);
+
+    MabOrigin origin(std::uint32_t i) const;
 
     /**
      * Per-frame decode complexity multiplier (lognormal across
@@ -85,11 +126,24 @@ class Frame
 
     /**
      * CRC32 over all pixel data (round-trip verification): the value
-     * assignFlat() was given, else computed over the mabs.
+     * assignFlat() or viewShared() was given, else computed over the
+     * plane.
      */
     std::uint32_t contentChecksum() const;
 
+    /** True when the frame reads shared planes (it owns no pixels). */
+    bool viewsShared() const { return view_pixels_ != nullptr; }
+
   private:
+    const std::uint8_t *
+    planeData() const
+    {
+        return view_pixels_ != nullptr ? view_pixels_ : pixels_.data();
+    }
+    /** Give the frame an owned plane of its geometry, copying a
+     * shared view into it (setMab()'s path). */
+    void makeOwned();
+
     std::uint64_t index_ = 0;
     FrameType type_ = FrameType::kI;
     std::uint32_t mabs_x_ = 0;
@@ -100,8 +154,13 @@ class Frame
     /** contentChecksum() as assignFlat() set it, when has_checksum_. */
     std::uint32_t checksum_ = 0;
     bool has_checksum_ = false;
-    std::vector<Macroblock> mabs_;
+    /** Owned plane and origins (unused while viewing shared ones). */
+    std::vector<std::uint8_t> pixels_;
     std::vector<MabOrigin> origins_;
+    /** Shared planes viewed in place, and their keep-alive owner. */
+    const std::uint8_t *view_pixels_ = nullptr;
+    const MabOrigin *view_origins_ = nullptr;
+    std::shared_ptr<const void> view_owner_;
 };
 
 } // namespace vstream

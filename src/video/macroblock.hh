@@ -44,7 +44,7 @@ class Macroblock
     void setPixel(std::uint32_t i, const Pixel &p);
 
     /** First (top-left) pixel; the gab base. */
-    Pixel base() const { return pixel(0); }
+    Pixel base() const { return Pixel{bytes_[0], bytes_[1], bytes_[2]}; }
 
     const std::vector<std::uint8_t> &bytes() const { return bytes_; }
     std::vector<std::uint8_t> &bytes() { return bytes_; }

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <deque>
+#include <span>
+#include <vector>
 
 #include "core/flat_table.hh"
 #include "sim/logging.hh"
+#include "video/pixel_kernels.hh"
 #include "video/synthetic_video.hh"
 
 namespace vstream
@@ -52,7 +55,7 @@ namespace
  */
 // vstream:hot
 std::uint64_t
-keyOf(const std::vector<std::uint8_t> &bytes)
+keyOf(std::span<const std::uint8_t> bytes)
 {
     std::uint64_t h = 0xcbf29ce484222325ull;
     for (const std::uint8_t b : bytes) {
@@ -115,7 +118,7 @@ analyzeSimilarity(const VideoProfile &profile, std::uint32_t max_frames,
         static_cast<std::uint64_t>(p.mab_dim) * p.mab_dim *
         kBytesPerPixel;
 
-    Macroblock gab_scratch(p.mab_dim);
+    std::vector<std::uint8_t> gab_scratch(mab_bytes);
 
     while (!video.done()) {
         const Frame frame = video.nextFrame();
@@ -129,10 +132,11 @@ analyzeSimilarity(const VideoProfile &profile, std::uint32_t max_frames,
 
         for (std::uint32_t i = 0; i < frame.mabCount(); ++i) {
             ++report.mabs;
-            const Macroblock &mab = frame.mab(i);
-            mab.gradientInto(gab_scratch);
-            const std::uint64_t mk = keyOf(mab.bytes());
-            const std::uint64_t gk = keyOf(gab_scratch.bytes());
+            const std::span<const std::uint8_t> mab = frame.mabBytes(i);
+            gradientSub(gab_scratch.data(), mab.data(), mab.size(),
+                        frame.mabBase(i));
+            const std::uint64_t mk = keyOf(mab);
+            const std::uint64_t gk = keyOf(gab_scratch);
 
             // --- exact (mab) matching ------------------------------
             // Single pass: insert() reports whether the key was

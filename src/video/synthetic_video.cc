@@ -444,8 +444,16 @@ SyntheticVideo::nextFrameInto(Frame &out)
     const Planes::Meta &meta = planes->meta[idx % planes->count];
     out.reinit(idx, meta.type, profile_.mabsX(), profile_.mabsY(),
                profile_.mab_dim);
-    out.assignFlat(planes->pixelsOf(idx), planes->originsOf(idx),
-                   meta.checksum);
+    if (content_ != nullptr) {
+        // Shared planes are read-only and live as long as a frame
+        // holds them: view them in place.
+        out.viewShared(content_, planes->pixelsOf(idx),
+                       planes->originsOf(idx), meta.checksum);
+    } else {
+        // The ring plane is redrawn frames later: copy it out.
+        out.assignFlat(planes->pixelsOf(idx), planes->originsOf(idx),
+                       meta.checksum);
+    }
     out.setComplexity(meta.complexity);
     out.setEncodedBytes(meta.encoded_bytes);
 }

@@ -20,7 +20,9 @@
  * through a private ring of min(frame_count, inter_window + 1)
  * planes instead.  Both run the same generator, so the frames they
  * emit are byte-identical.  Each plane's CRC32 is taken once, when
- * it is generated, and travels with the frame.
+ * it is generated, and travels with the frame.  A shared-content
+ * frame views its plane in place (Frame::viewShared); a streamed one
+ * copies it out of the ring in one memcpy.
  */
 
 #ifndef VSTREAM_VIDEO_SYNTHETIC_VIDEO_HH

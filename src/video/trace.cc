@@ -186,13 +186,11 @@ TraceWriter::append(const Frame &frame)
              static_cast<std::uint8_t>(frame.type()));
     writePod(os_, running_crc_state_, frame.complexity());
     writePod(os_, running_crc_state_, frame.encodedBytes());
-    for (std::uint32_t i = 0; i < frame.mabCount(); ++i) {
-        const auto &bytes = frame.mab(i).bytes();
-        os_.write(reinterpret_cast<const char *>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
-        running_crc_state_ =
-            crcUpdate(running_crc_state_, bytes.data(), bytes.size());
-    }
+    const std::span<const std::uint8_t> plane = frame.plane();
+    os_.write(reinterpret_cast<const char *>(plane.data()),
+              static_cast<std::streamsize>(plane.size()));
+    running_crc_state_ =
+        crcUpdate(running_crc_state_, plane.data(), plane.size());
     ++frames_written_;
 }
 
@@ -294,7 +292,7 @@ TraceReader::tryNextFrame()
         }
         running_crc_state_ =
             crcUpdate(running_crc_state_, buf.data(), buf.size());
-        frame.mab(i) = Macroblock(mab_dim_, buf);
+        frame.setMab(i, buf);
     }
     ++frames_read_;
     return frame;

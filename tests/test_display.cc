@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "core/mach_array.hh"
@@ -16,6 +17,7 @@
 #include "display/frame_reconstructor.hh"
 #include "display/mach_buffer.hh"
 #include "sim/event_queue.hh"
+#include "sim/fault_injector.hh"
 #include "sim/random.hh"
 
 namespace vstream
@@ -165,16 +167,35 @@ TEST(FrameReconstructor, GabSharedAcrossBases)
               shifted);
 }
 
-TEST(FrameReconstructor, ChecksumMatchesFrameChecksum)
+TEST(ShownFrameCrc, MatchesFrameChecksum)
 {
     Random rng(12);
-    std::vector<Macroblock> mabs;
     Frame f(0, FrameType::kI, 4, 1, 4);
     for (std::uint32_t i = 0; i < 4; ++i) {
-        f.mab(i) = randomMab(rng);
-        mabs.push_back(f.mab(i));
+        f.setMab(i, randomMab(rng).bytes());
     }
-    EXPECT_EQ(FrameReconstructor::checksum(mabs), f.contentChecksum());
+    // Raw blocks one by one, and the whole plane as one stored run.
+    ShownFrameCrc apart;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        const auto b = f.mab(i).bytes();
+        apart.addNow({b.data(), static_cast<std::uint32_t>(b.size())},
+                     MabRecord{}, false);
+    }
+    EXPECT_EQ(apart.digest(), f.contentChecksum());
+    ShownFrameCrc run;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        run.add({f.mabBytes(i).data(), 48}, MabRecord{}, false);
+    }
+    EXPECT_EQ(run.digest(), f.contentChecksum());
+    // Gabs get their base re-added.
+    ShownFrameCrc gabs;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        const Macroblock gab = f.mab(i).gradient();
+        MabRecord rec;
+        rec.base = f.mabBase(i);
+        gabs.add({gab.bytes().data(), 48}, rec, true);
+    }
+    EXPECT_EQ(gabs.digest(), f.contentChecksum());
 }
 
 TEST(FrameReconstructorDeath, NonSquareBlockPanics)
@@ -211,7 +232,7 @@ makeFrame(const std::vector<Macroblock> &mabs, std::uint64_t idx)
     Frame f(idx, FrameType::kI,
             static_cast<std::uint32_t>(mabs.size()), 1, 4);
     for (std::uint32_t i = 0; i < mabs.size(); ++i) {
-        f.mab(i) = mabs[i];
+        f.setMab(i, mabs[i].bytes());
     }
     return f;
 }
@@ -317,6 +338,159 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Bool(),
                        ::testing::Values(LayoutKind::kPointer,
                                          LayoutKind::kPointerDigest)));
+
+/** One scan-out configuration: layout, gab mode, MACH buffer, and
+ * whether frames 3 and 5 are written under forged digest collisions. */
+struct ScanCase
+{
+    LayoutKind kind;
+    bool gradient;
+    bool mach_buffer;
+    bool forge;
+};
+
+/** CRC32 of @p layout's frame rebuilt mab by mab from the blocks its
+ * records point at. */
+std::uint32_t
+rebuiltCrc(const FrameLayout &layout, const FrameBufferManager &fbm)
+{
+    Crc32 crc;
+    for (std::uint32_t i = 0; i < layout.mabCount(); ++i) {
+        const MabRecord &rec = layout.record(i);
+        const Macroblock m = FrameReconstructor::rebuildMab(
+            fbm.loadBlock(rec.data_addr), rec, layout.gradientMode());
+        crc.update(m.bytes().data(), m.bytes().size());
+    }
+    return crc.digest();
+}
+
+class ShownChecksum : public ::testing::TestWithParam<ScanCase>
+{
+};
+
+TEST_P(ShownChecksum, FoldedFromStorageEqualsRebuiltFrame)
+{
+    const ScanCase c = GetParam();
+    DisplayRig rig(16, true, c.mach_buffer);
+    DisplayController dc("dc", &rig.queue, rig.mem, rig.fbm, rig.dcfg);
+
+    MachConfig mcfg;
+    mcfg.use_gradient = c.gradient;
+    MachArray machs(mcfg);
+    FaultConfig fcfg;
+    if (c.forge) {
+        FaultRule rule;
+        rule.cls = FaultClass::kDigestCollision;
+        rule.probability = 1.0;
+        rule.from = 3000;
+        rule.until = 4000;
+        fcfg.rules.push_back(rule);
+        FaultRule late = rule;
+        late.from = 5000;
+        late.until = 6000;
+        fcfg.rules.push_back(late);
+    }
+    FaultInjector faults("faults", nullptr, fcfg);
+    machs.setFaultInjector(&faults);
+    std::unique_ptr<WritebackStage> wb;
+    if (c.kind == LayoutKind::kLinear) {
+        wb = std::make_unique<LinearWriteback>(rig.mem, rig.fbm);
+    } else {
+        wb = std::make_unique<MachWriteback>(rig.mem, rig.fbm, machs,
+                                             c.kind);
+    }
+
+    // Repeats, constant-offset repeats and pure colours, so the MACH
+    // layouts mix unique blocks with intra and inter matches.
+    Random rng(21);
+    std::vector<Macroblock> pool;
+    for (int i = 0; i < 4; ++i) {
+        pool.push_back(randomMab(rng));
+        pool.push_back(pool.back().shifted(5, 6, 7));
+        pool.push_back(pure(static_cast<std::uint8_t>(40 * i)));
+    }
+    std::vector<FrameLayout> layouts(6);
+    std::uint64_t failures = 0;
+    for (std::uint32_t f = 0; f < layouts.size(); ++f) {
+        std::vector<Macroblock> mabs;
+        for (int i = 0; i < 16; ++i) {
+            mabs.push_back(pool[rng.uniformInt(0, pool.size() - 1)]);
+        }
+        const Frame frame = makeFrame(mabs, f);
+        const Tick now = 1000ull * f;
+        FrameLayout &layout = layouts[f];
+        wb->beginFrame(frame, rig.fbm.acquire(f), now, layout);
+        for (std::uint32_t i = 0; i < frame.mabCount(); ++i) {
+            wb->writeMab(frame.mab(i), i, now);
+        }
+        wb->finishFrame(now);
+        // Frame 4's decode-time checksum is damaged: it must fail
+        // verification however the blocks are folded.
+        const bool damaged = f == 4;
+        if (damaged) {
+            layout.setSourceChecksum(layout.sourceChecksum() ^ 1u);
+        }
+
+        const ScanStats s = dc.scanOut(layout, now);
+        const std::uint32_t want = rebuiltCrc(layout, rig.fbm);
+        EXPECT_EQ(s.shown_checksum, want) << "frame " << f;
+        EXPECT_EQ(s.verified, want == layout.sourceChecksum())
+            << "frame " << f;
+        const bool forged = c.forge && (f == 3 || f == 5);
+        if (!forged && !damaged) {
+            EXPECT_TRUE(s.verified) << "frame " << f;
+        }
+        failures += s.verified ? 0 : 1;
+    }
+    EXPECT_EQ(dc.totals().verify_failures, failures);
+    // The damaged frame, plus both forged ones when collisions were
+    // forged (they show a collider's block).
+    EXPECT_EQ(failures, c.forge ? 3u : 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, ShownChecksum,
+    ::testing::Values(
+        ScanCase{LayoutKind::kLinear, false, false, false},
+        ScanCase{LayoutKind::kPointer, false, false, true},
+        ScanCase{LayoutKind::kPointer, true, false, true},
+        ScanCase{LayoutKind::kPointerDigest, false, false, true},
+        ScanCase{LayoutKind::kPointerDigest, true, false, true},
+        ScanCase{LayoutKind::kPointerDigest, false, true, false},
+        ScanCase{LayoutKind::kPointerDigest, true, true, false}));
+
+TEST(DisplayController, MachBufferHitSurvivesLaterInsert)
+{
+    // A one-entry MACH buffer: frame 1 shows X from the buffer, then
+    // its unique block Y replaces that entry while the scan is still
+    // folding the frame CRC.  X's bytes must already be folded.
+    DisplayRig rig(2, true, true);
+    rig.dcfg.mach_buffer_entries = 1;
+    rig.dcfg.mach_buffer_ways = 1;
+    DisplayController dc("dc", &rig.queue, rig.mem, rig.fbm, rig.dcfg);
+    MachConfig mcfg;
+    MachArray machs(mcfg);
+    MachWriteback wb(rig.mem, rig.fbm, machs, LayoutKind::kPointerDigest);
+    Random rng(22);
+    const Macroblock w = randomMab(rng);
+    const Macroblock x = randomMab(rng);
+    const Macroblock y = randomMab(rng);
+    std::vector<FrameLayout> layouts(2);
+    const std::vector<std::vector<Macroblock>> frames = {{w, x}, {x, y}};
+    for (std::uint32_t f = 0; f < 2; ++f) {
+        const Frame frame = makeFrame(frames[f], f);
+        wb.beginFrame(frame, rig.fbm.acquire(f), 1000ull * f, layouts[f]);
+        for (std::uint32_t i = 0; i < 2; ++i) {
+            wb.writeMab(frame.mab(i), i, 1000ull * f);
+        }
+        wb.finishFrame(1000ull * f);
+        const ScanStats s = dc.scanOut(layouts[f], 1000ull * f);
+        EXPECT_TRUE(s.verified) << "frame " << f;
+        if (f == 1) {
+            EXPECT_EQ(s.mach_buffer_hits, 1u);
+        }
+    }
+}
 
 TEST(DisplayController, DisplayCacheCutsRepeatFetches)
 {

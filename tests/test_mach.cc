@@ -1,20 +1,28 @@
 /**
  * @file
- * Tests for the MACH content cache: per-frame caches, the 8-deep
- * array, LRU within sets, intra/inter classification, digest-match
- * bookkeeping, and the CO-MACH collision detector (including a real
- * brute-forced CRC32 collision).
+ * Tests for the MACH content cache: the set-major table of per-frame
+ * MACHs, the 8-deep array, LRU within sets, intra/inter
+ * classification, digest-match bookkeeping, the CO-MACH collision
+ * detector (including a real brute-forced CRC32 collision), and a
+ * differential check of the whole array against a frame-by-frame
+ * reference model over seeded op sequences.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <functional>
+#include <map>
+#include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "core/co_mach.hh"
 #include "core/mach_array.hh"
-#include "core/mach_cache.hh"
+#include "core/mach_table.hh"
 #include "hash/crc.hh"
+#include "sim/fault_injector.hh"
 #include "sim/random.hh"
 
 namespace vstream
@@ -38,6 +46,22 @@ smallConfig()
     return cfg;
 }
 
+/** One per-frame MACH: a one-slot table. */
+MachTable
+single(const MachConfig &cfg, bool full_tags = false)
+{
+    return MachTable(cfg, cfg.entries, 1, full_tags);
+}
+
+/** The current slot's entries as (digest, ptr), in dump order. */
+std::vector<std::pair<std::uint32_t, Addr>>
+dumpOf(const MachTable &t)
+{
+    std::vector<std::pair<std::uint32_t, Addr>> out;
+    t.forEachValid([&](std::uint32_t d, Addr p) { out.emplace_back(d, p); });
+    return out;
+}
+
 TEST(MachConfig, DefaultsMatchPaperDesignPoint)
 {
     MachConfig cfg;
@@ -55,10 +79,10 @@ TEST(MachConfigDeath, BadGeometry)
     EXPECT_DEATH(cfg.validate(), "power of two");
 }
 
-TEST(MachCache, InsertThenLookup)
+TEST(MachTable, InsertThenLookup)
 {
     const MachConfig cfg = smallConfig();
-    MachCache cache(cfg);
+    MachTable cache = single(cfg);
     const auto truth = blockOf(7);
     cache.insert(0x1234, 0, 0xf00, truth);
     const MachProbe p = cache.lookup(0x1234, 0, truth);
@@ -68,16 +92,16 @@ TEST(MachCache, InsertThenLookup)
     EXPECT_EQ(cache.validCount(), 1u);
 }
 
-TEST(MachCache, MissOnAbsentDigest)
+TEST(MachTable, MissOnAbsentDigest)
 {
-    MachCache cache(smallConfig());
+    MachTable cache = single(smallConfig());
     EXPECT_FALSE(cache.lookup(0xdead, 0, blockOf(1)).hit);
 }
 
-TEST(MachCache, LruEvictionWithinSet)
+TEST(MachTable, LruEvictionWithinSet)
 {
     const MachConfig cfg = smallConfig(); // 4 sets, 4 ways
-    MachCache cache(cfg);
+    MachTable cache = single(cfg);
     const std::uint32_t sets = cfg.sets();
     // Five digests mapping to set 0.
     for (std::uint32_t i = 0; i < 5; ++i) {
@@ -93,10 +117,10 @@ TEST(MachCache, LruEvictionWithinSet)
     }
 }
 
-TEST(MachCache, LookupRefreshesLru)
+TEST(MachTable, LookupRefreshesLru)
 {
     const MachConfig cfg = smallConfig();
-    MachCache cache(cfg);
+    MachTable cache = single(cfg);
     const std::uint32_t sets = cfg.sets();
     for (std::uint32_t i = 0; i < 4; ++i) {
         cache.insert(i * sets, 0, i,
@@ -109,22 +133,22 @@ TEST(MachCache, LookupRefreshesLru)
     EXPECT_FALSE(cache.lookup(sets, 0, blockOf(1)).hit);
 }
 
-TEST(MachCache, UndetectedCollisionFlagged)
+TEST(MachTable, UndetectedCollisionFlagged)
 {
     // Same digest, different content, no CO-MACH: the probe hits the
     // wrong block and reports collision_undetected.
-    MachCache cache(smallConfig());
+    MachTable cache = single(smallConfig());
     cache.insert(0xabcd, 0, 1, blockOf(1));
     const MachProbe p = cache.lookup(0xabcd, 0, blockOf(2));
     EXPECT_TRUE(p.hit);
     EXPECT_TRUE(p.collision_undetected);
 }
 
-TEST(MachCache, CoMachAuxDetectsCollision)
+TEST(MachTable, CoMachAuxDetectsCollision)
 {
     MachConfig cfg = smallConfig();
     cfg.co_mach = true;
-    MachCache cache(cfg);
+    MachTable cache = single(cfg);
     cache.insert(0xabcd, /*aux=*/0x11, 1, blockOf(1));
     // Same CRC32, different CRC16: detected, treated as a miss.
     const MachProbe p = cache.lookup(0xabcd, 0x22, blockOf(2));
@@ -132,32 +156,54 @@ TEST(MachCache, CoMachAuxDetectsCollision)
     EXPECT_TRUE(p.collision_detected);
 }
 
-TEST(MachCache, FullTagsCompareAux)
+TEST(MachTable, FullTagsCompareAux)
 {
     MachConfig cfg = smallConfig();
-    MachCache cache(cfg, cfg.entries, /*full_tags=*/true);
+    MachTable cache = single(cfg, /*full_tags=*/true);
     cache.insert(0xabcd, 0x11, 1, blockOf(1));
     EXPECT_FALSE(cache.lookup(0xabcd, 0x22, blockOf(2)).hit);
     EXPECT_TRUE(cache.lookup(0xabcd, 0x11, blockOf(1)).hit);
 }
 
-TEST(MachCacheDeath, FrozenInsertPanics)
+TEST(MachTableDeath, TruthSizeIsFixed)
 {
-    MachCache cache(smallConfig());
-    cache.freeze();
-    EXPECT_DEATH(cache.insert(1, 0, 1, blockOf(1)), "frozen");
+    MachTable cache = single(smallConfig());
+    cache.insert(1, 0, 1, blockOf(1));
+    EXPECT_DEATH(cache.insert(2, 0, 2, blockOf(2, 12)), "truth size");
 }
 
-TEST(MachCache, DumpBytesCountsValidEntries)
+TEST(MachTable, DumpListsValidEntriesSetBySet)
 {
-    const MachConfig cfg = smallConfig();
-    MachCache cache(cfg);
-    EXPECT_EQ(cache.dumpBytes(), 0u);
-    cache.insert(1, 0, 10, blockOf(1));
-    cache.insert(2, 0, 20, blockOf(2));
-    EXPECT_EQ(cache.dumpBytes(),
-              2u * (cfg.digest_bytes + cfg.pointer_bytes));
-    EXPECT_EQ(cache.validEntries().size(), 2u);
+    const MachConfig cfg = smallConfig(); // 4 sets
+    MachTable cache = single(cfg);
+    EXPECT_EQ(cache.validCount(), 0u);
+    cache.insert(6, 0, 60, blockOf(6)); // set 2
+    cache.insert(1, 0, 10, blockOf(1)); // set 1
+    cache.insert(2, 0, 20, blockOf(2)); // set 2, way 1
+    EXPECT_EQ(cache.validCount(), 3u);
+    const std::vector<std::pair<std::uint32_t, Addr>> want = {
+        {1, 10}, {6, 60}, {2, 20}};
+    EXPECT_EQ(dumpOf(cache), want);
+    cache.advance(); // one slot: recycled in place
+    EXPECT_EQ(cache.validCount(), 0u);
+    EXPECT_TRUE(dumpOf(cache).empty());
+}
+
+TEST(MachTable, FrozenSlotsAnswerByAge)
+{
+    MachConfig cfg = smallConfig();
+    MachTable ring(cfg, cfg.entries, 3, false);
+    ring.insert(5, 0, 50, blockOf(5));
+    ring.advance();
+    ring.insert(9, 0, 90, blockOf(9));
+    ring.advance();
+    EXPECT_EQ(ring.history(), 2u);
+    EXPECT_EQ(ring.lookup(5, 0, blockOf(5)).age, 2u);
+    EXPECT_EQ(ring.lookup(9, 0, blockOf(9)).age, 1u);
+    ring.advance(); // the oldest slot (digest 5) is recycled
+    EXPECT_EQ(ring.history(), 2u);
+    EXPECT_FALSE(ring.lookup(5, 0, blockOf(5)).hit);
+    EXPECT_EQ(ring.lookup(9, 0, blockOf(9)).age, 2u);
 }
 
 TEST(MachArray, IntraVsInterClassification)
@@ -240,16 +286,16 @@ TEST(MachArray, MissesCounted)
 }
 
 /**
- * Trace equivalence for the flat-table/arena MachCache: replay a
+ * Trace equivalence for one slot of the table: replay a
  * recorded random trace against an independent map-based LRU model
  * of the documented policy and demand identical per-op hits, misses
  * and evictions.  This pins the open-addressing tables and the truth
  * arena to the exact behaviour of the original node-based storage.
  */
-TEST(MachCache, FlatTablesMatchReferenceModelOnRandomTrace)
+TEST(MachTable, OneSlotMatchesReferenceModelOnRandomTrace)
 {
     const MachConfig cfg = smallConfig();
-    MachCache cache(cfg);
+    MachTable cache = single(cfg);
     const std::uint32_t sets = cfg.sets();
 
     // Reference model: per set, tags in LRU order (front = LRU).
@@ -359,12 +405,13 @@ TEST(CoMach, PerFrameReset)
 {
     MachConfig cfg = smallConfig();
     cfg.co_mach = true;
-    CoMach co(cfg);
-    co.insert(0x1, 0x2, 99, blockOf(5));
-    EXPECT_TRUE(co.lookup(0x1, 0x2, blockOf(5)).hit);
-    co.beginFrame();
-    EXPECT_FALSE(co.lookup(0x1, 0x2, blockOf(5)).hit);
-    EXPECT_EQ(co.insertCount(), 1u);
+    MachArray arr(cfg);
+    arr.beginFrame();
+    arr.insertUnique(0x1, 0x2, 99, blockOf(5), true);
+    EXPECT_TRUE(arr.lookup(0x1, 0x2, blockOf(5)).hit);
+    arr.beginFrame();
+    EXPECT_FALSE(arr.lookup(0x1, 0x2, blockOf(5)).hit);
+    EXPECT_EQ(arr.coMachInserts(), 1u);
 }
 
 TEST(MachArray, CollidedInsertGoesToCoMach)
@@ -445,7 +492,7 @@ TEST_P(MachWaySweep, CapacityIsEntriesRegardlessOfWays)
     cfg.entries = 64;
     cfg.ways = GetParam();
     cfg.validate();
-    MachCache cache(cfg);
+    MachTable cache = single(cfg);
     // Insert exactly `entries` digests with distinct set indices
     // spread uniformly: all must be resident.
     for (std::uint32_t i = 0; i < cfg.entries; ++i) {
@@ -456,6 +503,412 @@ TEST_P(MachWaySweep, CapacityIsEntriesRegardlessOfWays)
 
 INSTANTIATE_TEST_SUITE_P(Ways, MachWaySweep,
                          ::testing::Values(1u, 2u, 4u, 8u));
+
+// ---------------------------------------------------------------------
+// Differential check against a frame-by-frame reference
+// ---------------------------------------------------------------------
+
+/**
+ * Reference MachArray written from the paper's description, sharing
+ * no code with src/core: one cache object per frame, kept newest
+ * first and probed frame by frame; each set a list of ways filled in
+ * order, LRU by per-cache stamps (touched on every hit, frozen or
+ * not).  CO-MACH is one more such cache with 48-bit tags, emptied at
+ * every frame boundary.
+ */
+class RefMachArray
+{
+  public:
+    RefMachArray(const MachConfig &cfg, FaultInjector *faults)
+        : cfg_(cfg), faults_(faults)
+    {
+        frames_.push_front(fresh(cfg_.entries));
+        if (cfg_.co_mach) {
+            co_ = fresh(cfg_.co_mach_entries);
+        }
+    }
+
+    void setBypass(bool on) { bypass_ = on; }
+
+    void
+    beginFrame()
+    {
+        if (valid(frames_.front()) > 0 || frames_.size() > 1) {
+            frames_.push_front(fresh(cfg_.entries));
+            if (frames_.size() > cfg_.num_machs) {
+                frames_.pop_back();
+            }
+        }
+        if (cfg_.co_mach) {
+            co_ = fresh(cfg_.co_mach_entries);
+        }
+    }
+
+    MachLookupResult
+    lookup(std::uint32_t digest, std::uint16_t aux,
+           const std::vector<std::uint8_t> &truth, Tick now)
+    {
+        ++stats_.lookups;
+        MachLookupResult r;
+        if (bypass_) {
+            ++stats_.bypassed_lookups;
+            ++stats_.misses;
+            return r;
+        }
+        bool forged = false;
+        if (faults_ != nullptr && have_collider_ &&
+            collider_truth_ != truth &&
+            faults_->shouldInject(FaultClass::kDigestCollision, now)) {
+            digest = collider_digest_;
+            aux = collider_aux_;
+            forged = true;
+        }
+        for (std::size_t age = 0; age < frames_.size(); ++age) {
+            if (probe(frames_[age], digest, aux, truth, false, r)) {
+                r.inter = age > 0;
+                r.frame_age = static_cast<std::uint32_t>(age);
+                break;
+            }
+        }
+        if (!r.hit && cfg_.co_mach) {
+            MachLookupResult c;
+            if (probe(co_, digest, aux, truth, true, c)) {
+                r.hit = true;
+                r.ptr = c.ptr;
+                r.collision_undetected = c.collision_undetected;
+            }
+        }
+        if (forged && r.hit && r.collision_undetected) {
+            ++stats_.injected_collisions;
+        }
+        if (cfg_.verify_on_hit && r.hit && r.collision_undetected) {
+            ++stats_.false_hits;
+            if (faults_ != nullptr && forged) {
+                faults_->noteRecovered(FaultClass::kDigestCollision);
+            }
+            r = MachLookupResult{.collision_detected = r.collision_detected};
+        }
+        if (r.hit) {
+            ++(r.inter ? stats_.inter_hits : stats_.intra_hits);
+            ++matches_[digest];
+        } else {
+            ++stats_.misses;
+        }
+        stats_.collisions_detected += r.collision_detected ? 1 : 0;
+        stats_.collisions_undetected += r.collision_undetected ? 1 : 0;
+        return r;
+    }
+
+    void
+    insertUnique(std::uint32_t digest, std::uint16_t aux, Addr ptr,
+                 const std::vector<std::uint8_t> &truth, bool collided)
+    {
+        if (bypass_) {
+            return;
+        }
+        ++stats_.inserts;
+        if (faults_ != nullptr) {
+            have_collider_ = true;
+            collider_digest_ = digest;
+            collider_aux_ = aux;
+            collider_truth_ = truth;
+        }
+        if (collided && cfg_.co_mach) {
+            ++co_inserts_;
+            insert(co_, digest, aux, ptr, truth);
+            return;
+        }
+        insert(frames_.front(), digest, aux, ptr, truth);
+    }
+
+    std::vector<double>
+    topMatchShares(std::size_t k) const
+    {
+        std::vector<std::uint64_t> counts;
+        std::uint64_t total = 0;
+        for (const auto &[digest, n] : matches_) {
+            counts.push_back(n);
+            total += n;
+        }
+        std::sort(counts.rbegin(), counts.rend());
+        std::vector<double> out;
+        for (std::size_t i = 0; i < k && i < counts.size(); ++i) {
+            out.push_back(static_cast<double>(counts[i]) /
+                          static_cast<double>(total));
+        }
+        return out;
+    }
+
+    /** The current frame's cache, set by set, way by way. */
+    std::vector<std::pair<std::uint32_t, Addr>>
+    dump() const
+    {
+        std::vector<std::pair<std::uint32_t, Addr>> out;
+        for (const auto &set : frames_.front().sets) {
+            for (const Entry &e : set) {
+                out.emplace_back(e.digest, e.ptr);
+            }
+        }
+        return out;
+    }
+
+    std::uint32_t validCount() const { return valid(frames_.front()); }
+    std::uint32_t
+    historyDepth() const
+    {
+        return static_cast<std::uint32_t>(frames_.size() - 1);
+    }
+    const MachStats &stats() const { return stats_; }
+    std::uint64_t coMachInserts() const { return co_inserts_; }
+
+  private:
+    struct Entry
+    {
+        std::uint32_t digest;
+        std::uint16_t aux;
+        Addr ptr;
+        std::vector<std::uint8_t> truth;
+        std::uint64_t stamp;
+    };
+    struct Cache
+    {
+        std::vector<std::vector<Entry>> sets;
+        std::uint64_t clock = 0;
+    };
+
+    Cache
+    fresh(std::uint32_t entries) const
+    {
+        Cache c;
+        c.sets.resize(entries / cfg_.ways);
+        return c;
+    }
+
+    static std::uint32_t
+    valid(const Cache &c)
+    {
+        std::size_t n = 0;
+        for (const auto &set : c.sets) {
+            n += set.size();
+        }
+        return static_cast<std::uint32_t>(n);
+    }
+
+    bool
+    probe(Cache &c, std::uint32_t digest, std::uint16_t aux,
+          const std::vector<std::uint8_t> &truth, bool full_tags,
+          MachLookupResult &r)
+    {
+        for (Entry &e : c.sets[digest % c.sets.size()]) {
+            if (e.digest != digest) {
+                continue;
+            }
+            if (e.aux != aux && (full_tags || cfg_.co_mach)) {
+                r.collision_detected = r.collision_detected || !full_tags;
+                continue;
+            }
+            r.hit = true;
+            r.ptr = e.ptr;
+            r.collision_undetected = e.truth != truth;
+            e.stamp = ++c.clock;
+            return true;
+        }
+        return false;
+    }
+
+    void
+    insert(Cache &c, std::uint32_t digest, std::uint16_t aux, Addr ptr,
+           const std::vector<std::uint8_t> &truth)
+    {
+        auto &set = c.sets[digest % c.sets.size()];
+        Entry e{digest, aux, ptr, truth, ++c.clock};
+        if (set.size() < cfg_.ways) {
+            set.push_back(std::move(e));
+            return;
+        }
+        std::size_t victim = 0;
+        for (std::size_t w = 1; w < set.size(); ++w) {
+            if (set[w].stamp < set[victim].stamp) {
+                victim = w;
+            }
+        }
+        set[victim] = std::move(e);
+    }
+
+    MachConfig cfg_;
+    FaultInjector *faults_;
+    std::deque<Cache> frames_;
+    Cache co_;
+    std::uint64_t co_inserts_ = 0;
+    MachStats stats_;
+    std::map<std::uint32_t, std::uint64_t> matches_;
+    bool bypass_ = false;
+    bool have_collider_ = false;
+    std::uint32_t collider_digest_ = 0;
+    std::uint16_t collider_aux_ = 0;
+    std::vector<std::uint8_t> collider_truth_;
+};
+
+::testing::AssertionResult
+sameResult(const MachLookupResult &a, const MachLookupResult &b)
+{
+    if (a.hit == b.hit && a.inter == b.inter &&
+        a.frame_age == b.frame_age && a.ptr == b.ptr &&
+        a.collision_detected == b.collision_detected &&
+        a.collision_undetected == b.collision_undetected) {
+        return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+           << "table {hit " << a.hit << " inter " << a.inter << " age "
+           << a.frame_age << " ptr " << a.ptr << " det "
+           << a.collision_detected << " undet " << a.collision_undetected
+           << "} vs reference {hit " << b.hit << " inter " << b.inter
+           << " age " << b.frame_age << " ptr " << b.ptr << " det "
+           << b.collision_detected << " undet " << b.collision_undetected
+           << "}";
+}
+
+::testing::AssertionResult
+sameStats(const MachStats &a, const MachStats &b)
+{
+    const std::vector<std::uint64_t> x = {
+        a.lookups, a.intra_hits, a.inter_hits, a.misses,
+        a.collisions_detected, a.collisions_undetected, a.inserts,
+        a.injected_collisions, a.false_hits, a.bypassed_lookups};
+    const std::vector<std::uint64_t> y = {
+        b.lookups, b.intra_hits, b.inter_hits, b.misses,
+        b.collisions_detected, b.collisions_undetected, b.inserts,
+        b.injected_collisions, b.false_hits, b.bypassed_lookups};
+    if (x == y) {
+        return ::testing::AssertionSuccess();
+    }
+    auto failure = ::testing::AssertionFailure() << "stats differ:";
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        failure << " [" << i << "] " << x[i] << " vs " << y[i];
+    }
+    return failure;
+}
+
+/**
+ * 1,200 seeded op sequences over random geometries (1-8 sets, 1-8
+ * ways including 3, 1-17 frames so some tables exceed 64 entries per
+ * set), CO-MACH, verify-on-hit and forged collisions on and off:
+ * lookups (a miss inserts, as the writeback does), bare inserts that
+ * duplicate digests, frame starts and bypass toggles, over a small
+ * block palette whose digests and auxes collide across differing
+ * bytes.  Every result, the stats after every op, the current frame's
+ * dump at every frame start, and the Fig. 9b shares must match.
+ */
+TEST(MachArray, MatchesFrameByFrameReferenceOnSeededSequences)
+{
+    MachStats seen; // coverage across all sequences
+    std::uint64_t wide = 0, deep_hits = 0;
+    for (std::uint64_t seq = 0; seq < 1200; ++seq) {
+        Random rng(0x3ac4 + seq * 7919);
+        MachConfig cfg;
+        const std::uint32_t ways[] = {1, 2, 3, 4, 8};
+        const std::uint32_t machs[] = {1, 2, 3, 8, 17};
+        cfg.ways = ways[rng.uniformInt(0, 4)];
+        cfg.entries = cfg.ways * (1u << rng.uniformInt(0, 3));
+        cfg.num_machs = machs[rng.uniformInt(0, 4)];
+        cfg.co_mach = rng.chance(0.5);
+        cfg.co_mach_entries = cfg.ways * (1u << rng.uniformInt(0, 2));
+        cfg.verify_on_hit = rng.chance(0.3);
+        wide += cfg.num_machs * cfg.ways > 64 ? 1 : 0;
+
+        FaultConfig fcfg;
+        fcfg.seed = seq;
+        if (rng.chance(0.4)) {
+            FaultRule rule;
+            rule.cls = FaultClass::kDigestCollision;
+            rule.probability = 0.25;
+            fcfg.rules.push_back(rule);
+        }
+        std::unique_ptr<FaultInjector> fa, fb;
+        if (fcfg.enabled()) {
+            fa = std::make_unique<FaultInjector>("fa", nullptr, fcfg);
+            fb = std::make_unique<FaultInjector>("fb", nullptr, fcfg);
+        }
+        MachArray arr(cfg);
+        arr.setFaultInjector(fa.get());
+        RefMachArray ref(cfg, fb.get());
+
+        const auto palette = rng.uniformInt(4, 40);
+        for (std::uint32_t op = 0; op < 250; ++op) {
+            const double u = rng.uniform();
+            if (u < 0.08) {
+                arr.beginFrame();
+                ref.beginFrame();
+                std::vector<std::pair<std::uint32_t, Addr>> dump;
+                arr.ring().forEachValid([&](std::uint32_t d, Addr p) {
+                    dump.emplace_back(d, p);
+                });
+                ASSERT_EQ(dump, ref.dump()) << "seq " << seq << " op " << op;
+                ASSERT_EQ(arr.historyDepth(), ref.historyDepth());
+                continue;
+            }
+            if (u < 0.10) {
+                const bool on = rng.chance(0.3);
+                arr.setBypass(on);
+                ref.setBypass(on);
+                continue;
+            }
+            // Digests mostly follow the content; some collide with a
+            // neighbour's.  Auxes collide every fifth fill.
+            const auto fill = static_cast<std::uint8_t>(
+                rng.uniformInt(0, palette));
+            const std::vector<std::uint8_t> truth = blockOf(fill, 12);
+            const std::uint32_t key =
+                rng.chance(0.15) ? fill + 1u : static_cast<std::uint32_t>(fill);
+            const std::uint32_t digest = key * 0x9e3779b1u;
+            const auto aux = static_cast<std::uint16_t>(
+                cfg.co_mach ? fill % 5 : 0);
+            const Addr ptr = 48ull * op;
+            const Tick now = 1000ull * op;
+            if (u < 0.15) {
+                arr.insertUnique(digest, aux, ptr, truth, false);
+                ref.insertUnique(digest, aux, ptr, truth, false);
+            } else {
+                const MachLookupResult a = arr.lookup(digest, aux, truth, now);
+                const MachLookupResult b = ref.lookup(digest, aux, truth, now);
+                ASSERT_TRUE(sameResult(a, b)) << "seq " << seq << " op " << op;
+                deep_hits += a.hit && a.frame_age > 1 ? 1 : 0;
+                if (!a.hit) {
+                    arr.insertUnique(digest, aux, ptr, truth,
+                                     a.collision_detected);
+                    ref.insertUnique(digest, aux, ptr, truth,
+                                     b.collision_detected);
+                }
+            }
+            ASSERT_TRUE(sameStats(arr.stats(), ref.stats()))
+                << "seq " << seq << " op " << op;
+            ASSERT_EQ(arr.ring().validCount(), ref.validCount());
+        }
+        ASSERT_EQ(arr.topMatchShares(8), ref.topMatchShares(8))
+            << "seq " << seq;
+        ASSERT_EQ(arr.coMachInserts(), ref.coMachInserts());
+        if (fa) {
+            ASSERT_EQ(fa->totals().injected, fb->totals().injected);
+            ASSERT_EQ(fa->totals().recovered, fb->totals().recovered);
+        }
+        const MachStats &st = arr.stats();
+        seen.inter_hits += st.inter_hits;
+        seen.collisions_detected += st.collisions_detected;
+        seen.collisions_undetected += st.collisions_undetected;
+        seen.injected_collisions += st.injected_collisions;
+        seen.false_hits += st.false_hits;
+        seen.bypassed_lookups += st.bypassed_lookups;
+    }
+    // Every mechanism was exercised.
+    EXPECT_GT(wide, 0u);
+    EXPECT_GT(deep_hits, 0u);
+    EXPECT_GT(seen.inter_hits, 0u);
+    EXPECT_GT(seen.collisions_detected, 0u);
+    EXPECT_GT(seen.collisions_undetected, 0u);
+    EXPECT_GT(seen.injected_collisions, 0u);
+    EXPECT_GT(seen.false_hits, 0u);
+    EXPECT_GT(seen.bypassed_lookups, 0u);
+}
 
 } // namespace
 } // namespace vstream

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "video/synthetic_video.hh"
@@ -48,6 +49,10 @@ TEST(Trace, RoundTripIsByteExact)
         for (std::uint32_t i = 0; i < got.mabCount(); ++i) {
             ASSERT_EQ(got.mab(i), want.mab(i));
         }
+        // The loaded frame owns one plane equal to the generator's.
+        EXPECT_FALSE(got.viewsShared());
+        ASSERT_TRUE(std::equal(got.plane().begin(), got.plane().end(),
+                               want.plane().begin(), want.plane().end()));
     }
 }
 

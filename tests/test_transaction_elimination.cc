@@ -67,7 +67,9 @@ TEST(TransactionElimination, SkipsIdenticalScan)
     LinearWriteback wb(mem, fbm);
     Frame f(0, FrameType::kI, 8, 1, 4);
     for (std::uint32_t i = 0; i < 8; ++i) {
-        f.mab(i).fill(Pixel{static_cast<std::uint8_t>(i), 0, 0});
+        Macroblock m(4);
+        m.fill(Pixel{static_cast<std::uint8_t>(i), 0, 0});
+        f.setMab(i, m.bytes());
     }
     BufferSlot &slot = fbm.acquire(0);
     FrameLayout layout;

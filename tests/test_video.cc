@@ -134,9 +134,14 @@ TEST(Frame, GeometryAndChecksum)
     EXPECT_EQ(f.mabCount(), 32u);
     EXPECT_EQ(f.decodedBytes(), 32u * 48u);
     const auto c0 = f.contentChecksum();
-    f.mab(7).fill(Pixel{9, 9, 9});
+    Macroblock m(4);
+    m.fill(Pixel{9, 9, 9});
+    f.setMab(7, m.bytes());
     EXPECT_NE(f.contentChecksum(), c0);
-    EXPECT_EQ(&f.mabAt(7, 0), &f.mab(7));
+    EXPECT_EQ(f.mab(7), m);
+    // Mab i is a view into the one plane.
+    EXPECT_EQ(f.mabBytes(7).data(), f.plane().data() + 7 * 48);
+    EXPECT_EQ(f.mabBase(7), (Pixel{9, 9, 9}));
 }
 
 TEST(Gop, PatternParsing)

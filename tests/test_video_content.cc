@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -36,7 +37,7 @@ struct FrameImage
           encoded_bytes(f.encodedBytes())
     {
         for (std::uint32_t i = 0; i < f.mabCount(); ++i) {
-            const auto &b = f.mab(i).bytes();
+            const auto b = f.mabBytes(i);
             bytes.insert(bytes.end(), b.begin(), b.end());
             origins.push_back(f.origin(i));
         }
@@ -108,7 +109,7 @@ videoDigest(const VideoProfile &p)
         h = fnv(h, &c, sizeof(c));
         h = fnv(h, &e, sizeof(e));
         for (std::uint32_t i = 0; i < f.mabCount(); ++i) {
-            h = fnv(h, f.mab(i).bytes().data(), f.mab(i).bytes().size());
+            h = fnv(h, f.mabBytes(i).data(), f.mabBytes(i).size());
             const auto o = static_cast<unsigned char>(f.origin(i));
             h = fnv(h, &o, 1);
         }
@@ -163,6 +164,46 @@ TEST(VideoContent, SharedPlanesEqualPrivateRing)
         }
         EXPECT_TRUE(shared.done()) << name;
         EXPECT_FALSE(ring.done()) << name;
+    }
+}
+
+TEST(VideoContent, FramesAreViewsIntoOnePlane)
+{
+    const VideoProfile p = variants().front().second;
+    SyntheticVideo shared(p);
+    SyntheticVideo ring(overBudget(p));
+    const std::uint32_t size = p.mab_dim * p.mab_dim * kBytesPerPixel;
+    for (std::uint32_t k = 0; k < 3; ++k) {
+        const Frame a = shared.nextFrame();
+        const Frame b = ring.nextFrame();
+        EXPECT_TRUE(a.viewsShared());
+        EXPECT_FALSE(b.viewsShared());
+        // The ring frame's copied plane equals the shared plane.
+        ASSERT_EQ(a.plane().size(), a.decodedBytes());
+        ASSERT_TRUE(std::equal(a.plane().begin(), a.plane().end(),
+                               b.plane().begin(), b.plane().end()));
+        for (std::uint32_t i = 0; i < a.mabCount(); ++i) {
+            for (const Frame *f : {&a, &b}) {
+                const auto bytes = f->mabBytes(i);
+                ASSERT_EQ(bytes.data(), f->plane().data() + i * size);
+                ASSERT_EQ(bytes.size(), size);
+                ASSERT_EQ(f->mabBase(i),
+                          (Pixel{bytes[0], bytes[1], bytes[2]}));
+            }
+        }
+        // A copy views the same plane; writing a mab of it moves the
+        // copy (only) to its own storage.
+        Frame c = a;
+        EXPECT_EQ(c.plane().data(), a.plane().data());
+        const std::vector<std::uint8_t> black(size, 0);
+        c.setMab(0, black);
+        EXPECT_FALSE(c.viewsShared());
+        EXPECT_NE(c.plane().data(), a.plane().data());
+        EXPECT_TRUE(std::equal(black.begin(), black.end(),
+                               c.mabBytes(0).begin()));
+        EXPECT_TRUE(std::equal(a.plane().begin() + size, a.plane().end(),
+                               c.plane().begin() + size));
+        EXPECT_EQ(c.origin(1), a.origin(1));
     }
 }
 

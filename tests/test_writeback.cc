@@ -39,7 +39,7 @@ frameOfMabs(const std::vector<Macroblock> &mabs, std::uint64_t index = 0)
     Frame f(index, FrameType::kI,
             static_cast<std::uint32_t>(mabs.size()), 1, mabs[0].dim());
     for (std::uint32_t i = 0; i < mabs.size(); ++i) {
-        f.mab(i) = mabs[i];
+        f.setMab(i, mabs[i].bytes());
     }
     return f;
 }

@@ -254,6 +254,23 @@ TEST(ZeroAlloc, SharedContentMaterializeAllocatesNothing)
     expectZeroAllocFrames(video);
 }
 
+TEST(ZeroAlloc, SharedContentFrameOwnsNoPixels)
+{
+    SyntheticVideo video(steadyProfile(96));
+    ASSERT_TRUE(video.sharesContent());
+    // Not even the first frame into a fresh shell allocates: it views
+    // the shared planes in place.
+    Frame f;
+    const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+    video.nextFrameInto(f);
+    EXPECT_EQ(g_news.load(std::memory_order_relaxed) - before, 0u);
+    EXPECT_TRUE(f.viewsShared());
+    SyntheticVideo again(steadyProfile(96));
+    Frame g;
+    again.nextFrameInto(g);
+    EXPECT_EQ(g.plane().data(), f.plane().data());
+}
+
 TEST(ZeroAlloc, RingGenerationAllocatesNothing)
 {
     VideoProfile p = steadyProfile(96);
