@@ -13,7 +13,6 @@
 #include "core/dcc.hh"
 #include "core/frame_buffer_manager.hh"
 #include "core/mach_array.hh"
-#include "core/surface_pool.hh"
 #include "hash/crc.hh"
 #include "hash/hasher.hh"
 #include "mem/dram_controller.hh"
@@ -362,7 +361,7 @@ BM_FrameBufferWrite(benchmark::State &state)
     for (auto _ : state) {
         BufferSlot &slot = fbm.acquire(frame);
         for (std::uint32_t i = 0; i < kMabs; ++i) {
-            fbm.storeBlock(slot.data_base + i * kMabBytes, blocks[i]);
+            fbm.storeBlock(slot, slot.data_base + i * kMabBytes, blocks[i]);
         }
         benchmark::DoNotOptimize(fbm.loadBlock(slot.data_base));
         fbm.release(frame);
@@ -405,38 +404,6 @@ BM_SyntheticFrameInto(benchmark::State &state)
         state.iterations() * p.mabsPerFrame()));
 }
 BENCHMARK(BM_SyntheticFrameInto);
-
-/** Steady-state borrow/return churn through the recycled pool,
- * against constructing an equivalent surface fresh each time
- * (BM_SurfaceFreshAlloc): the allocator cost the pool removes. */
-void
-BM_SurfacePoolAcquireRelease(benchmark::State &state)
-{
-    SurfacePool<std::vector<std::uint8_t>> pool("bm");
-    // Warmup construction: one 16x16x3-byte surface.
-    {
-        auto &s = pool.acquire(
-            [] { return std::vector<std::uint8_t>(768); });
-        pool.release(s);
-    }
-    for (auto _ : state) {
-        auto &s = pool.acquire();
-        benchmark::DoNotOptimize(s.data());
-        pool.release(s);
-    }
-}
-BENCHMARK(BM_SurfacePoolAcquireRelease);
-
-void
-BM_SurfaceFreshAlloc(benchmark::State &state)
-{
-    for (auto _ : state) {
-        std::vector<std::uint8_t> s(768);
-        benchmark::DoNotOptimize(s.data());
-        benchmark::ClobberMemory();
-    }
-}
-BENCHMARK(BM_SurfaceFreshAlloc);
 
 /** Fan-out dispatch cost through the persistent pool at range(0)
  * workers (64 trivial units), against BM_ThreadSpawnJoin's

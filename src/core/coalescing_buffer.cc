@@ -1,38 +1,32 @@
 #include "core/coalescing_buffer.hh"
 
-#include <utility>
-
 #include "sim/logging.hh"
 
 namespace vstream
 {
 
-CoalescingBuffer::CoalescingBuffer(std::string name, std::uint32_t capacity,
-                                   WriteSink sink)
-    : name_(std::move(name)), capacity_(capacity), sink_(std::move(sink))
-{
-    vs_assert(capacity_ > 0, "coalescing buffer needs capacity");
-    vs_assert(sink_ != nullptr, "coalescing buffer needs a sink");
-}
-
 void
 CoalescingBuffer::rebase(Addr region_base)
 {
-    vs_assert(filled_ == 0,
-              "rebase of '", name_, "' with unflushed bytes");
+    vs_assert(filled_ == 0, "coalescing buffer rebased with unflushed bytes");
     cursor_ = region_base;
+}
+
+void
+CoalescingBuffer::issue(std::uint32_t size, Tick now)
+{
+    mem_.write(cursor_, size, Requester::kVideoDecoder, now);
+    ++requests_;
+    cursor_ += size;
 }
 
 void
 CoalescingBuffer::append(std::uint32_t bytes, Tick now)
 {
-    bytes_appended_ += bytes;
     filled_ += bytes;
-    while (filled_ >= capacity_) {
-        sink_(cursor_, capacity_, now);
-        ++writes_issued_;
-        cursor_ += capacity_;
-        filled_ -= capacity_;
+    while (filled_ >= kBytes) {
+        issue(kBytes, now);
+        filled_ -= kBytes;
     }
 }
 
@@ -40,9 +34,7 @@ void
 CoalescingBuffer::flush(Tick now)
 {
     if (filled_ > 0) {
-        sink_(cursor_, filled_, now);
-        ++writes_issued_;
-        cursor_ += filled_;
+        issue(filled_, now);
         filled_ = 0;
     }
 }

@@ -13,10 +13,8 @@
 #define VSTREAM_CORE_COALESCING_BUFFER_HH
 
 #include <cstdint>
-#include <functional>
-#include <string>
 
-#include "mem/mem_request.hh"
+#include "mem/memory_system.hh"
 #include "sim/ticks.hh"
 
 namespace vstream
@@ -25,46 +23,40 @@ namespace vstream
 /**
  * One write-combining buffer appending into a contiguous region.
  *
- * The owner supplies a sink invoked with (addr, size, now) whenever a
- * full buffer (or the final partial one) is written out.
+ * Each full buffer (or the final partial one) is written to memory
+ * as one video-decoder request, counted in the owner's @p requests.
  */
 class CoalescingBuffer
 {
   public:
-    using WriteSink =
-        std::function<void(Addr addr, std::uint32_t size, Tick now)>;
+    /** Bytes combined into one memory transaction. */
+    static constexpr std::uint32_t kBytes = 64;
 
-    CoalescingBuffer(std::string name, std::uint32_t capacity,
-                     WriteSink sink);
+    CoalescingBuffer(MemorySystem &mem, std::uint64_t &requests)
+        : mem_(mem), requests_(requests)
+    {
+    }
 
     /** Start appending at @p region_base (e.g. a new frame). */
     void rebase(Addr region_base);
 
-    /** Append @p bytes at time @p now; may trigger a sink write. */
+    /** Append @p bytes at time @p now; may write a full buffer. */
     void append(std::uint32_t bytes, Tick now);
 
     /** Write out any residue (frame end). */
     void flush(Tick now);
 
-    /** Total payload bytes appended. */
-    std::uint64_t bytesAppended() const { return bytes_appended_; }
-
-    /** Memory write transactions issued. */
-    std::uint64_t writesIssued() const { return writes_issued_; }
-
     /** Next address to be written (region usage). */
     Addr cursor() const { return cursor_; }
 
-    const std::string &name() const { return name_; }
-
   private:
-    std::string name_;
-    std::uint32_t capacity_;
-    WriteSink sink_;
+    /** Write @p size bytes at the cursor and advance it. */
+    void issue(std::uint32_t size, Tick now);
+
+    MemorySystem &mem_;
+    std::uint64_t &requests_;
     Addr cursor_ = 0;
     std::uint32_t filled_ = 0;
-    std::uint64_t bytes_appended_ = 0;
-    std::uint64_t writes_issued_ = 0;
 };
 
 } // namespace vstream

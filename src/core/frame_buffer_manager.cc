@@ -1,7 +1,6 @@
 #include "core/frame_buffer_manager.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "sim/logging.hh"
 
@@ -28,159 +27,94 @@ FrameBufferManager::FrameBufferManager(MemorySystem &mem,
 BufferSlot &
 FrameBufferManager::acquire(std::uint64_t frame_index)
 {
-    // The pool recycles the lowest-indexed free slot (preserving the
-    // historical first-free scan order) or constructs a new one; the
-    // make callback runs only on growth, so the DRAM regions are
-    // allocated exactly once per slot.
-    BufferSlot &slot = slots_.acquire([this] {
-        BufferSlot fresh;
-        fresh.arena.reserve(data_capacity_);
-        fresh.blocks.resize(mab_count_);
-        fresh.meta_base = mem_.allocate(meta_capacity_, "fb.meta");
-        fresh.data_base = mem_.allocate(data_capacity_, "fb.data");
-        fresh.mach_dump_base =
+    BufferSlot *slot = nullptr;
+    for (BufferSlot &s : slots_) {
+        if (!s.in_use) {
+            slot = &s;
+            break;
+        }
+    }
+    if (slot == nullptr) {
+        // Growth is the one place a slot is built: its DRAM regions
+        // are allocated exactly once, and steady state recycles.
+        slot = &slots_.emplace_back();
+        slot->arena.reserve(data_capacity_);
+        slot->blocks.resize(mab_count_);
+        slot->meta_base = mem_.allocate(meta_capacity_, "fb.meta");
+        slot->data_base = mem_.allocate(data_capacity_, "fb.data");
+        slot->mach_dump_base =
             mach_dump_capacity_
                 ? mem_.allocate(mach_dump_capacity_, "fb.machdump")
                 : 0;
-        fresh.meta_capacity = meta_capacity_;
-        fresh.data_capacity = data_capacity_;
-        fresh.mach_dump_capacity = mach_dump_capacity_;
-        return fresh;
-    });
-    slot.in_use = true;
-    slot.frame_index = frame_index;
-    slot.arena.clear();
-    slot.block_count = 0;
-    return slot;
+        slot->meta_capacity = meta_capacity_;
+        slot->data_capacity = data_capacity_;
+        slot->mach_dump_capacity = mach_dump_capacity_;
+    }
+    slot->in_use = true;
+    slot->frame_index = frame_index;
+    slot->arena.clear();
+    slot->block_count = 0;
+    return *slot;
 }
 
 void
 FrameBufferManager::release(std::uint64_t frame_index)
 {
-    for (std::size_t i = 0; i < slots_.allocated(); ++i) {
-        BufferSlot &slot = slots_.at(i);
-        if (slot.in_use && slot.frame_index == frame_index) {
-            slot.in_use = false;
-            slots_.release(slot);
-            return;
-        }
+    if (BufferSlot *slot = find(frame_index)) {
+        slot->in_use = false;
     }
 }
 
 BufferSlot *
 FrameBufferManager::find(std::uint64_t frame_index)
 {
-    for (std::size_t i = 0; i < slots_.allocated(); ++i) {
-        BufferSlot &slot = slots_.at(i);
+    for (BufferSlot &slot : slots_) {
         if (slot.in_use && slot.frame_index == frame_index) {
             return &slot;
         }
     }
     return nullptr;
-}
-
-const BufferSlot *
-FrameBufferManager::find(std::uint64_t frame_index) const
-{
-    for (std::size_t i = 0; i < slots_.allocated(); ++i) {
-        const BufferSlot &slot = slots_.at(i);
-        if (slot.in_use && slot.frame_index == frame_index) {
-            return &slot;
-        }
-    }
-    return nullptr;
-}
-
-std::size_t
-FrameBufferManager::slotIndexContaining(Addr addr) const
-{
-    const auto holds = [this, addr](std::size_t i) {
-        const BufferSlot &slot = slots_.at(i);
-        return addr >= slot.data_base &&
-               addr < slot.data_base + slot.data_capacity;
-    };
-    // Blocks arrive in runs within one slot; data ranges are disjoint
-    // and never move, so the last match is checked first.
-    if (last_slot_ < slots_.allocated() && holds(last_slot_)) {
-        return last_slot_;
-    }
-    for (std::size_t i = 0; i < slots_.allocated(); ++i) {
-        if (holds(i)) {
-            last_slot_ = i;
-            return i;
-        }
-    }
-    return slots_.allocated();
-}
-
-BufferSlot *
-FrameBufferManager::slotContaining(Addr addr)
-{
-    const std::size_t i = slotIndexContaining(addr);
-    return i < slots_.allocated() ? &slots_.at(i) : nullptr;
 }
 
 const BufferSlot *
 FrameBufferManager::slotContaining(Addr addr) const
 {
-    const std::size_t i = slotIndexContaining(addr);
-    return i < slots_.allocated() ? &slots_.at(i) : nullptr;
+    const auto holds = [addr](const BufferSlot &slot) {
+        return addr >= slot.data_base &&
+               addr < slot.data_base + slot.data_capacity;
+    };
+    // Blocks are read in runs within one slot; data ranges are
+    // disjoint and never move, so the last match is checked first.
+    if (last_slot_ < slots_.size() && holds(slots_[last_slot_])) {
+        return &slots_[last_slot_];
+    }
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        if (holds(slots_[i])) {
+            last_slot_ = i;
+            return &slots_[i];
+        }
+    }
+    return nullptr;
 }
 
 // vstream:hot
 void
-FrameBufferManager::storeBlock(Addr addr,
+FrameBufferManager::storeBlock(BufferSlot &slot, Addr addr,
                                std::span<const std::uint8_t> bytes)
 {
-    BufferSlot *slot = slotContaining(addr);
-    vs_assert(slot != nullptr,
-              "block store outside any frame buffer: addr=", addr);
-    const auto off = static_cast<std::uint32_t>(addr - slot->data_base);
-    const std::size_t n = slot->block_count;
-    if (n == slot->blocks.size() ||
-        (n > 0 && slot->blocks[n - 1].region_off >= off)) {
-        storeOutOfOrder(*slot, off, bytes);
-        return;
-    }
-    slot->blocks[n] = {off, static_cast<std::uint32_t>(slot->arena.size()),
-                       static_cast<std::uint32_t>(bytes.size())};
-    slot->block_count = n + 1;
-    slot->arena.insert(slot->arena.end(), bytes.begin(), bytes.end());
-}
-
-// vstream:allow(no-hotpath-alloc) reached only by out-of-order or
-// repeated stores, which the writebacks never make
-void
-FrameBufferManager::storeOutOfOrder(BufferSlot &slot, std::uint32_t off,
-                                    std::span<const std::uint8_t> bytes)
-{
-    const auto size = static_cast<std::uint32_t>(bytes.size());
-    const auto begin = slot.blocks.begin();
-    const auto end = begin + static_cast<std::ptrdiff_t>(slot.block_count);
-    const auto it = std::lower_bound(
-        begin, end, off,
-        [](const BlockEntry &e, std::uint32_t o) { return e.region_off < o; });
-    const bool stored = it != end && it->region_off == off;
-    if (stored && it->size == size) {
-        // Same-size overwrite: reuse the existing arena slab.
-        std::memcpy(slot.arena.data() + it->arena_off, bytes.data(), size);
-        return;
-    }
-    const BlockEntry entry{off, static_cast<std::uint32_t>(slot.arena.size()),
-                           size};
+    vs_assert(addr >= slot.data_base &&
+                  addr < slot.data_base + slot.data_capacity,
+              "block store outside its frame buffer: addr=", addr);
+    const auto off = static_cast<std::uint32_t>(addr - slot.data_base);
+    const std::size_t n = slot.block_count;
+    vs_assert(n < slot.blocks.size() &&
+                  (n == 0 || slot.blocks[n - 1].region_off < off),
+              "block stored out of order or past the mab count: offset ",
+              off, " after ", n, " blocks");
+    slot.blocks[n] = {off, static_cast<std::uint32_t>(slot.arena.size()),
+                      static_cast<std::uint32_t>(bytes.size())};
+    slot.block_count = n + 1;
     slot.arena.insert(slot.arena.end(), bytes.begin(), bytes.end());
-    if (stored) {
-        *it = entry; // the old slab becomes frame-local garbage
-        return;
-    }
-    // A new block below the last one: insert it in order, dropping
-    // one unused tail entry if there is one.
-    const bool spare = slot.block_count < slot.blocks.size();
-    slot.blocks.insert(it, entry);
-    if (spare) {
-        slot.blocks.pop_back();
-    }
-    ++slot.block_count;
 }
 
 // vstream:hot
@@ -246,16 +180,10 @@ FrameBufferManager::loadRun(Addr addr, std::uint64_t bytes) const
             static_cast<std::uint32_t>(bytes)};
 }
 
-std::uint32_t
-FrameBufferManager::slotsInUse() const
-{
-    return static_cast<std::uint32_t>(slots_.stats().live);
-}
-
 std::uint64_t
 FrameBufferManager::poolBytes() const
 {
-    return static_cast<std::uint64_t>(slots_.allocated()) *
+    return static_cast<std::uint64_t>(slots_.size()) *
            (meta_capacity_ + data_capacity_ + mach_dump_capacity_);
 }
 

@@ -20,10 +20,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <span>
 #include <vector>
 
-#include "core/surface_pool.hh"
+#include "core/framebuffer_layout.hh"
 #include "mem/memory_system.hh"
 
 namespace vstream
@@ -59,7 +60,11 @@ struct BlockEntry
     std::uint32_t size = 0;
 };
 
-/** One reusable frame-buffer slot. */
+/**
+ * One reusable frame-buffer slot: the DRAM regions of one decoded
+ * frame, the frame's layout, and the bytes stored in it.  A slot (and
+ * with it the layout's record and dump capacity) is recycled whole.
+ */
 struct BufferSlot
 {
     Addr meta_base = 0;
@@ -81,6 +86,8 @@ struct BufferSlot
     std::vector<std::uint8_t> arena;
     std::vector<BlockEntry> blocks;
     std::size_t block_count = 0;
+    /** Where the held frame's mabs live; the writeback fills it. */
+    FrameLayout layout;
 };
 
 /** Pool of frame buffers plus the simulated block store. */
@@ -97,8 +104,12 @@ class FrameBufferManager
                        std::uint32_t mab_bytes,
                        std::uint64_t mach_dump_bytes);
 
-    /** Acquire a slot for @p frame_index (recycles a free slot or
-     * grows the pool). */
+    /**
+     * Acquire a slot for @p frame_index: the lowest-indexed free slot,
+     * or a new one when all are held.  The DRAM address assignment
+     * (and with it every simulated timing) depends on this order.
+     * The reference stays valid for the manager's lifetime.
+     */
     BufferSlot &acquire(std::uint64_t frame_index);
 
     /** Release the slot holding @p frame_index (no-op if absent). */
@@ -106,10 +117,14 @@ class FrameBufferManager
 
     /** Slot currently holding @p frame_index, or nullptr. */
     BufferSlot *find(std::uint64_t frame_index);
-    const BufferSlot *find(std::uint64_t frame_index) const;
 
-    /** Record block bytes at @p addr (must fall inside some slot). */
-    void storeBlock(Addr addr, std::span<const std::uint8_t> bytes);
+    /**
+     * Record block bytes at @p addr in @p slot's data region.  Each
+     * block of a frame is stored once, above the previous one (the
+     * order both writebacks write in); anything else panics.
+     */
+    void storeBlock(BufferSlot &slot, Addr addr,
+                    std::span<const std::uint8_t> bytes);
 
     /** Fetch block bytes at @p addr; empty view when nothing stored. */
     StoredBlock loadBlock(Addr addr) const;
@@ -125,28 +140,18 @@ class FrameBufferManager
     /** Slots ever allocated (== peak simultaneous buffers). */
     std::uint32_t slotsAllocated() const
     {
-        return static_cast<std::uint32_t>(slots_.allocated());
+        return static_cast<std::uint32_t>(slots_.size());
     }
-
-    /** Slots currently holding live frames. */
-    std::uint32_t slotsInUse() const;
 
     /** Total DRAM footprint of the pool, bytes. */
     std::uint64_t poolBytes() const;
 
   private:
-    /** storeBlock() of a block below the slot's last, over a stored
-     * one, or past the index's initial size: the exact slow path. */
-    static void storeOutOfOrder(BufferSlot &slot, std::uint32_t off,
-                                std::span<const std::uint8_t> bytes);
     /** Entry of @p slot at region offset @p off, or nullptr. */
     const BlockEntry *findBlock(const BufferSlot &slot,
                                 std::uint32_t off) const;
 
-    /** Index of the slot whose data region holds @p addr, or
-     * slots_.allocated() when none does. */
-    std::size_t slotIndexContaining(Addr addr) const;
-    BufferSlot *slotContaining(Addr addr);
+    /** Slot whose data region holds @p addr, or nullptr. */
     const BufferSlot *slotContaining(Addr addr) const;
 
     MemorySystem &mem_;
@@ -155,14 +160,11 @@ class FrameBufferManager
     std::uint64_t meta_capacity_;
     std::uint64_t data_capacity_;
     std::uint64_t mach_dump_capacity_;
-    /**
-     * Slot-stable recycled pool; lowest-index-first acquisition
-     * preserves the DRAM address assignment order the simulated
-     * timing (and golden outputs) depend on.
-     */
-    SurfacePool<BufferSlot> slots_{"fbm.slots"};
-    /** Slot of the last slotIndexContaining() match (a lookup memo;
-     * it changes no observable state). */
+    /** Every slot ever made, in acquisition order; a deque, so
+     * growth never moves a slot a caller holds. */
+    std::deque<BufferSlot> slots_;
+    /** Index of the last slotContaining() match (a lookup memo; it
+     * changes no observable state). */
     mutable std::size_t last_slot_ = 0;
 };
 

@@ -24,9 +24,6 @@ MachConfig::validate() const
     if (pointer_bytes == 0 || digest_bytes == 0) {
         vs_fatal("metadata field widths must be non-zero");
     }
-    if (coalesce_bytes == 0 || (coalesce_bytes & (coalesce_bytes - 1)) != 0) {
-        vs_fatal("coalesce_bytes must be a power of two");
-    }
 }
 
 } // namespace vstream

@@ -51,9 +51,6 @@ struct MachConfig
     std::uint32_t base_bytes = 3;
     std::uint32_t digest_bytes = 4;
 
-    /** Coalescing-buffer size for metadata write combining. */
-    std::uint32_t coalesce_bytes = 64;
-
     /**
      * Pre-sized capacity of the per-digest match-count table that
      * feeds the Fig. 9b top-match shares.  Reserving it up front

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/frame_prep.hh"
-#include "core/surface_pool.hh"
 #include "decoder/video_decoder.hh"
 #include "sim/event_queue.hh"
 #include "sim/fault_injector.hh"
@@ -33,47 +32,6 @@ VideoPipeline::VideoPipeline(PipelineConfig cfg) : cfg_(std::move(cfg))
 }
 
 VideoPipeline::~VideoPipeline() = default;
-
-/**
- * Fixed-capacity FIFO of frame indices backed by a vector ring.  The
- * live-slot window is bounded by pool_cap, so unlike a deque it never
- * churns allocator nodes in steady state.
- */
-struct LiveSlotRing
-{
-    std::vector<std::uint64_t> buf;
-    std::size_t head = 0;
-    std::size_t count = 0;
-
-    void init(std::size_t cap) { buf.assign(cap, 0); }
-    bool empty() const { return count == 0; }
-    std::size_t size() const { return count; }
-    std::uint64_t front() const { return buf[head]; }
-    std::uint64_t back() const
-    {
-        return buf[(head + count - 1) % buf.size()];
-    }
-    std::uint64_t operator[](std::size_t i) const
-    {
-        return buf[(head + i) % buf.size()];
-    }
-
-    void
-    push_back(std::uint64_t v)
-    {
-        vs_assert(count < buf.size(), "live-slot ring overflow");
-        buf[(head + count) % buf.size()] = v;
-        ++count;
-    }
-
-    void
-    pop_front()
-    {
-        vs_assert(count > 0, "pop from empty live-slot ring");
-        head = (head + 1) % buf.size();
-        --count;
-    }
-};
 
 /** Mutable state of one playback simulation. */
 struct Playback
@@ -109,14 +67,14 @@ struct Playback
     std::uint32_t pool_cap;
     bool baseline_pacing;
 
-    // Decode bookkeeping.  Layouts are borrowed from a recycled pool
-    // sized by the live-slot window, so steady-state decode performs
-    // no layout allocation; a recycled frame's pointer goes null.
+    // Decode bookkeeping.  Frames [oldest, decoded) hold a buffer
+    // slot; each is released, oldest first, once its hold time
+    // (releaseTick) has passed.
     std::vector<Tick> finishes;
-    SurfacePool<FrameLayout> layout_pool{"pipeline.layouts"};
-    std::vector<FrameLayout *> layouts;
-    std::vector<BufferSlot *> slot_of;
-    LiveSlotRing live_slots;
+    std::uint32_t oldest = 0;
+    /** Slot of the last decoded frame: the next frame's reference.
+     * Slots never move, so it stays valid after a release. */
+    const BufferSlot *prev_slot = nullptr;
     Tick decoder_free = 0;
     std::uint32_t decoded = 0;
     // Vsync-loop state (lives here so the stepwise interface can
@@ -210,9 +168,6 @@ struct Playback
             c.profile, machs ? &machs->config() : nullptr, prepare_ahead);
 
         finishes.assign(frames, maxTick);
-        slot_of.assign(frames, nullptr);
-        layouts.reserve(frames);
-        live_slots.init(pool_cap);
         frame_exec_ms.reserve(frames);
         frame_slack_ms.reserve(frames);
         result.frame_records.resize(frames);
@@ -265,10 +220,10 @@ struct Playback
     Tick
     slotFreeTick() const
     {
-        if (live_slots.size() < pool_cap) {
+        if (decoded - oldest < pool_cap) {
             return 0;
         }
-        return releaseTick(live_slots.front());
+        return releaseTick(oldest);
     }
 
     /** Earliest tick a whole batch's worth of slots is free: the
@@ -277,16 +232,13 @@ struct Playback
     Tick
     batchSlotFreeTick() const
     {
-        const std::uint64_t need =
-            live_slots.size() + cfg.scheme.batch;
+        const std::uint64_t live = decoded - oldest;
+        const std::uint64_t need = live + cfg.scheme.batch;
         if (need <= pool_cap) {
             return 0;
         }
-        const std::uint64_t kth = need - pool_cap - 1;
-        if (kth >= live_slots.size()) {
-            return releaseTick(live_slots.back());
-        }
-        return releaseTick(live_slots[kth]);
+        const std::uint64_t kth = std::min(need - pool_cap, live) - 1;
+        return releaseTick(oldest + kth);
     }
 
     /** Earliest allowed start of decoding frame @p i. */
@@ -392,35 +344,18 @@ struct Playback
         }
     }
 
-    /** Return a recycled frame's layout to the pool (bounds host
-     * memory on long runs; the frame can no longer be shown). */
-    void
-    dropLayoutPayload(std::uint64_t j)
-    {
-        if (j < layouts.size() && layouts[j] != nullptr) {
-            layout_pool.release(*layouts[j]);
-            layouts[j] = nullptr;
-        }
-    }
-
     /** Decode frame @p i starting no earlier than @p start. */
     void
     decodeOne(std::uint32_t i, Tick start)
     {
-        // Recycle every slot whose hold time has expired; block on
-        // the pool if it is still full.
-        while (!live_slots.empty() &&
-               releaseTick(live_slots.front()) <= start) {
-            fbm.release(live_slots.front());
-            dropLayoutPayload(live_slots.front());
-            live_slots.pop_front();
+        // Recycle every slot whose hold time has expired.  nextStart()
+        // waited for the oldest one when the pool was full.
+        while (oldest < decoded && releaseTick(oldest) <= start) {
+            fbm.release(oldest);
+            ++oldest;
         }
-        while (live_slots.size() >= pool_cap) {
-            start = std::max(start, releaseTick(live_slots.front()));
-            fbm.release(live_slots.front());
-            dropLayoutPayload(live_slots.front());
-            live_slots.pop_front();
-        }
+        vs_assert(decoded - oldest < pool_cap,
+                  "decode of frame ", i, " with every buffer held");
 
         const PreparedFrame &prepared = prep->take(i);
         const Frame &frame = prepared.frame;
@@ -428,11 +363,6 @@ struct Playback
             mach_wb->offerPrepared(&prepared.mach);
         }
         BufferSlot &slot = fbm.acquire(i);
-        slot_of[i] = &slot;
-        live_slots.push_back(i);
-
-        const BufferSlot *prev =
-            i > 0 ? slot_of[i - 1] : nullptr;
 
         // History-based DVFS: drop to the low P-state when the EWMA
         // of recent decode times predicts comfortable slack.
@@ -445,12 +375,11 @@ struct Playback
                                  : VdFrequency::kHigh);
         }
 
-        FrameLayout &layout = layout_pool.acquire();
-        const FrameDecodeResult r =
-            vd.decodeFrame(frame, *wb, slot, prev, start, layout);
+        const FrameDecodeResult r = vd.decodeFrame(
+            frame, *wb, slot, prev_slot, start, slot.layout);
         wb->finishFrame(r.finish);
         prep->release(i);
-        layouts.push_back(&layout);
+        prev_slot = &slot;
 
         if (cfg.scheme.dvfs_slack) {
             const double low_equiv_s =
@@ -693,12 +622,12 @@ VideoPipeline::stepVsync()
             shown + 2 + static_cast<std::int64_t>(p.window) <=
             static_cast<std::int64_t>(v);
         if (!stale) {
-            FrameLayout *shown_layout =
-                p.layouts[static_cast<std::size_t>(shown)];
-            vs_assert(shown_layout != nullptr,
-                      "scan-out of a recycled layout");
+            const BufferSlot *shown_slot =
+                p.fbm.find(static_cast<std::uint64_t>(shown));
+            vs_assert(shown_slot != nullptr,
+                      "scan-out of a recycled buffer");
             const ScanStats scan = p.dc.scanOut(
-                *shown_layout, now,
+                shown_slot->layout, now,
                 shown != static_cast<std::int64_t>(v));
             if (!scan.verified) {
                 p.result.all_verified = false;

@@ -26,18 +26,13 @@ WritebackTotals::savings(std::uint32_t mab_bytes) const
 // ---------------------------------------------------------------------
 
 LinearWriteback::LinearWriteback(MemorySystem &mem, FrameBufferManager &fbm)
-    : mem_(mem), fbm_(fbm),
-      data_buf_("wb.linear.data", 64,
-                [this](Addr addr, std::uint32_t size, Tick now) {
-                    mem_.write(addr, size, Requester::kVideoDecoder, now);
-                    ++totals_.dram_write_requests;
-                })
+    : fbm_(fbm), data_buf_(mem, totals_.dram_write_requests)
 {
 }
 
 void
-LinearWriteback::beginFrame(const Frame &frame, BufferSlot &slot, Tick now,
-                            FrameLayout &layout)
+LinearWriteback::beginFrame(const Frame &frame, BufferSlot &slot,
+                            Tick /*now*/, FrameLayout &layout)
 {
     slot_ = &slot;
     mab_bytes_ = frame.mabSizeBytes();
@@ -48,7 +43,6 @@ LinearWriteback::beginFrame(const Frame &frame, BufferSlot &slot, Tick now,
     layout_->setMetaBase(slot.meta_base);
     layout_->setSourceChecksum(frame.contentChecksum());
     data_buf_.rebase(slot.data_base);
-    last_tick_ = now;
 }
 
 // vstream:hot
@@ -59,7 +53,7 @@ LinearWriteback::writeMab(const Macroblock &mab, std::uint32_t idx,
     vs_assert(layout_ != nullptr, "writeMab outside a frame");
     const Addr addr =
         slot_->data_base + static_cast<Addr>(idx) * mab_bytes_;
-    fbm_.storeBlock(addr, mab.bytes());
+    fbm_.storeBlock(*slot_, addr, mab.bytes());
 
     MabRecord &rec = layout_->record(idx);
     rec.storage = MabStorage::kUnique;
@@ -70,7 +64,6 @@ LinearWriteback::writeMab(const Macroblock &mab, std::uint32_t idx,
     ++totals_.mabs;
     ++totals_.unique_blocks;
     totals_.data_bytes += mab.sizeBytes();
-    last_tick_ = now;
 }
 
 void
@@ -146,30 +139,17 @@ MachWriteback::MachWriteback(MemorySystem &mem, FrameBufferManager &fbm,
                              MachArray &machs, LayoutKind layout_kind,
                              bool use_dcc)
     : mem_(mem), fbm_(fbm), machs_(machs), layout_kind_(layout_kind),
-      use_dcc_(use_dcc),
-      data_buf_("wb.mach.data", machs.config().coalesce_bytes,
-                [this](Addr addr, std::uint32_t size, Tick now) {
-                    mem_.write(addr, size, Requester::kVideoDecoder, now);
-                    ++totals_.dram_write_requests;
-                }),
-      meta_buf_("wb.mach.meta", machs.config().coalesce_bytes,
-                [this](Addr addr, std::uint32_t size, Tick now) {
-                    mem_.write(addr, size, Requester::kVideoDecoder, now);
-                    ++totals_.dram_write_requests;
-                }),
-      base_buf_("wb.mach.base", machs.config().coalesce_bytes,
-                [this](Addr addr, std::uint32_t size, Tick now) {
-                    mem_.write(addr, size, Requester::kVideoDecoder, now);
-                    ++totals_.dram_write_requests;
-                })
+      use_dcc_(use_dcc), data_buf_(mem, totals_.dram_write_requests),
+      meta_buf_(mem, totals_.dram_write_requests),
+      base_buf_(mem, totals_.dram_write_requests)
 {
     vs_assert(layout_kind_ != LayoutKind::kLinear,
               "MachWriteback requires a pointer-based layout");
 }
 
 void
-MachWriteback::beginFrame(const Frame &frame, BufferSlot &slot, Tick now,
-                          FrameLayout &layout)
+MachWriteback::beginFrame(const Frame &frame, BufferSlot &slot,
+                          Tick /*now*/, FrameLayout &layout)
 {
     slot_ = &slot;
     mab_bytes_ = frame.mabSizeBytes();
@@ -191,7 +171,6 @@ MachWriteback::beginFrame(const Frame &frame, BufferSlot &slot, Tick now,
 
     frame_data_bytes_ = 0;
     frame_meta_bytes_ = 0;
-    last_tick_ = now;
 
     // The whole frame's gab bytes and digests: prepared ahead when
     // the caller offered them for this frame, else here.
@@ -255,7 +234,6 @@ MachWriteback::writeMab(const Macroblock &mab, std::uint32_t idx, Tick now)
         } else {
             ++totals_.intra_matches;
         }
-        last_tick_ = now;
         return;
     }
 
@@ -270,7 +248,7 @@ MachWriteback::writeMab(const Macroblock &mab, std::uint32_t idx, Tick now)
                                        : 0;
         stored_bytes = std::min(dcc.compressed_bytes, repr_bytes);
     }
-    fbm_.storeBlock(addr, repr);
+    fbm_.storeBlock(*slot_, addr, repr);
 
     rec.storage = MabStorage::kUnique;
     rec.data_addr = addr;
@@ -289,7 +267,6 @@ MachWriteback::writeMab(const Macroblock &mab, std::uint32_t idx, Tick now)
 
     machs_.insertUnique(digest, aux, addr, repr, hit.collision_detected);
     ++totals_.unique_blocks;
-    last_tick_ = now;
 }
 
 void

@@ -105,13 +105,11 @@ class LinearWriteback : public WritebackStage
     void finishFrame(Tick now) override;
 
   private:
-    MemorySystem &mem_;
     FrameBufferManager &fbm_;
     CoalescingBuffer data_buf_;
     FrameLayout *layout_ = nullptr;
     BufferSlot *slot_ = nullptr;
     std::uint32_t mab_bytes_ = 0;
-    Tick last_tick_ = 0;
 };
 
 /**
@@ -199,7 +197,6 @@ class MachWriteback : public WritebackStage
     std::uint32_t mab_bytes_ = 0;
     std::uint64_t frame_data_bytes_ = 0;
     std::uint64_t frame_meta_bytes_ = 0;
-    Tick last_tick_ = 0;
 
     /** The frame given to beginFrame(). */
     const Frame *frame_ = nullptr;

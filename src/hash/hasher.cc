@@ -22,21 +22,6 @@ hashKindName(HashKind kind)
     return "unknown";
 }
 
-HashKind
-hashKindFromName(const std::string &name)
-{
-    if (name == "crc32") {
-        return HashKind::kCrc32;
-    }
-    if (name == "md5") {
-        return HashKind::kMd5;
-    }
-    if (name == "sha1") {
-        return HashKind::kSha1;
-    }
-    vs_fatal("unknown hash kind '", name, "'");
-}
-
 std::uint32_t
 digest32(HashKind kind, const void *data, std::size_t len)
 {

@@ -28,9 +28,6 @@ enum class HashKind
 /** Human-readable name ("crc32", "md5", "sha1"). */
 std::string hashKindName(HashKind kind);
 
-/** Parse a name back to a HashKind; fatal on unknown names. */
-HashKind hashKindFromName(const std::string &name);
-
 /** Compute the 32-bit digest of a buffer under the given hash. */
 std::uint32_t digest32(HashKind kind, const void *data, std::size_t len);
 

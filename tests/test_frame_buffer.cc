@@ -1,0 +1,171 @@
+/**
+ * @file
+ * Tests for the frame-buffer slot pool (core/frame_buffer_manager.hh):
+ * lowest-indexed-free acquisition (the order the DRAM address
+ * assignment, and with it every simulated timing, depends on),
+ * slot references that survive growth, no growth under steady
+ * churn, recycled layouts that keep their capacity, and the
+ * store-order assert.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
+
+#include "core/frame_buffer_manager.hh"
+#include "sim/event_queue.hh"
+
+namespace vstream
+{
+namespace
+{
+
+constexpr std::uint32_t kMabs = 16;
+constexpr std::uint32_t kMabBytes = 48;
+
+struct Rig
+{
+    EventQueue queue;
+    MemorySystem mem;
+    FrameBufferManager fbm;
+
+    Rig()
+        : mem("mem", &queue, DramConfig{}),
+          fbm(mem, kMabs, kMabBytes, 4096)
+    {
+    }
+};
+
+TEST(FrameBufferPool, AcquireReturnsLowestIndexedFreeSlot)
+{
+    Rig rig;
+    BufferSlot &s0 = rig.fbm.acquire(0);
+    BufferSlot &s1 = rig.fbm.acquire(1);
+    BufferSlot &s2 = rig.fbm.acquire(2);
+    ASSERT_EQ(rig.fbm.slotsAllocated(), 3u);
+
+    // Slots take their DRAM regions in acquisition order: each new
+    // slot's data region sits above the previous one's.
+    EXPECT_LT(s0.data_base, s1.data_base);
+    EXPECT_LT(s1.data_base, s2.data_base);
+    EXPECT_EQ(s0.data_capacity,
+              static_cast<std::uint64_t>(kMabs) * kMabBytes);
+
+    // Free slots 0 and 2: the next acquires hand them back in index
+    // order (0 first), not in release order, with their regions.
+    rig.fbm.release(2);
+    rig.fbm.release(0);
+    const Addr data0 = s0.data_base;
+    const Addr data2 = s2.data_base;
+    BufferSlot &r3 = rig.fbm.acquire(3);
+    BufferSlot &r4 = rig.fbm.acquire(4);
+    EXPECT_EQ(&r3, &s0);
+    EXPECT_EQ(r3.data_base, data0);
+    EXPECT_EQ(&r4, &s2);
+    EXPECT_EQ(r4.data_base, data2);
+    EXPECT_EQ(rig.fbm.find(3), &s0);
+    EXPECT_EQ(rig.fbm.find(4), &s2);
+    EXPECT_EQ(rig.fbm.find(0), nullptr);
+    EXPECT_EQ(rig.fbm.find(2), nullptr);
+
+    // All slots held again: the next acquire grows a fresh slot,
+    // above every earlier region.
+    BufferSlot &grown = rig.fbm.acquire(5);
+    EXPECT_EQ(rig.fbm.slotsAllocated(), 4u);
+    EXPECT_GT(grown.data_base, data2);
+    EXPECT_EQ(&s1, rig.fbm.find(1));
+}
+
+TEST(FrameBufferPool, SlotReferencesSurviveGrowth)
+{
+    Rig rig;
+    std::vector<BufferSlot *> held;
+    std::vector<Addr> bases;
+    for (std::uint64_t f = 0; f < 100; ++f) {
+        BufferSlot &slot = rig.fbm.acquire(f);
+        held.push_back(&slot);
+        bases.push_back(slot.data_base);
+        const std::vector<std::uint8_t> bytes(
+            kMabBytes, static_cast<std::uint8_t>(f));
+        rig.fbm.storeBlock(slot, slot.data_base, bytes);
+    }
+    // Growth to 100 slots moved no earlier slot or its bytes.
+    for (std::uint64_t f = 0; f < 100; ++f) {
+        EXPECT_EQ(rig.fbm.find(f), held[f]);
+        EXPECT_EQ(held[f]->data_base, bases[f]);
+        EXPECT_EQ(held[f]->frame_index, f);
+        EXPECT_EQ(rig.fbm.loadBlock(bases[f]).toVector(),
+                  std::vector<std::uint8_t>(
+                      kMabBytes, static_cast<std::uint8_t>(f)));
+    }
+    EXPECT_EQ(rig.fbm.slotsAllocated(), 100u);
+}
+
+TEST(FrameBufferPool, SteadyChurnMakesNoNewSlot)
+{
+    Rig rig;
+    // Warmup: a high-water mark of 8 frames held at once.
+    for (std::uint64_t f = 0; f < 8; ++f) {
+        rig.fbm.acquire(f);
+    }
+    const std::uint64_t dram = rig.mem.allocatedBytes();
+    const std::uint64_t pool = rig.fbm.poolBytes();
+
+    // A sliding window of 1..8 live frames: every acquire recycles,
+    // and no DRAM region is allocated after warmup.
+    std::uint64_t oldest = 0;
+    for (std::uint64_t f = 8; f < 400; ++f) {
+        const std::uint64_t live = 1 + f % 8;
+        while (f - oldest >= live) {
+            rig.fbm.release(oldest++);
+        }
+        rig.fbm.acquire(f);
+        ASSERT_EQ(rig.fbm.slotsAllocated(), 8u) << "frame " << f;
+    }
+    EXPECT_EQ(rig.mem.allocatedBytes(), dram);
+    EXPECT_EQ(rig.fbm.poolBytes(), pool);
+}
+
+TEST(FrameBufferPool, RecycledSlotKeepsLayoutCapacity)
+{
+    Rig rig;
+    BufferSlot &slot = rig.fbm.acquire(0);
+    slot.layout.reinit(0, LayoutKind::kPointerDigest, kMabs, kMabBytes,
+                       /*gradient_mode=*/true);
+    auto &dump = slot.layout.machDumpMutable();
+    dump.reserve(64);
+    dump.emplace_back(7u, Addr{0x40});
+    const std::size_t dump_cap = dump.capacity();
+    rig.fbm.storeBlock(slot, slot.data_base,
+                       std::vector<std::uint8_t>(kMabBytes, 1));
+    const std::size_t arena_cap = slot.arena.capacity();
+    rig.fbm.release(0);
+
+    // The next frame gets the same slot: its blocks are gone, but the
+    // layout's dump and the arena keep the storage they had.
+    BufferSlot &again = rig.fbm.acquire(1);
+    ASSERT_EQ(&again, &slot);
+    EXPECT_EQ(again.block_count, 0u);
+    EXPECT_FALSE(rig.fbm.loadBlock(again.data_base));
+    EXPECT_EQ(again.arena.capacity(), arena_cap);
+    again.layout.reinit(1, LayoutKind::kPointerDigest, kMabs, kMabBytes,
+                        /*gradient_mode=*/true);
+    EXPECT_EQ(again.layout.frameIndex(), 1u);
+    EXPECT_EQ(again.layout.mabCount(), kMabs);
+    EXPECT_EQ(again.layout.machDumpMutable().capacity(), dump_cap);
+}
+
+TEST(FrameBufferPoolDeath, StoreOutOfAddressOrderPanics)
+{
+    Rig rig;
+    BufferSlot &slot = rig.fbm.acquire(0);
+    rig.fbm.storeBlock(slot, slot.data_base + kMabBytes,
+                       std::vector<std::uint8_t>(kMabBytes, 1));
+    EXPECT_DEATH(rig.fbm.storeBlock(slot, slot.data_base,
+                                    std::vector<std::uint8_t>(kMabBytes, 2)),
+                 "out of order");
+}
+
+} // namespace
+} // namespace vstream

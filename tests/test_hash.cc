@@ -257,19 +257,6 @@ TEST(Sha1, MillionAs)
               "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
 }
 
-TEST(Hasher, KindNamesRoundTrip)
-{
-    for (HashKind k :
-         {HashKind::kCrc32, HashKind::kMd5, HashKind::kSha1}) {
-        EXPECT_EQ(hashKindFromName(hashKindName(k)), k);
-    }
-}
-
-TEST(Hasher, UnknownNameIsFatal)
-{
-    EXPECT_DEATH(hashKindFromName("fnv"), "unknown hash kind");
-}
-
 TEST(Hasher, Digest32MatchesUnderlying)
 {
     const char *data = "gradient block";

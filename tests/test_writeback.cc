@@ -58,53 +58,75 @@ pure(std::uint8_t r, std::uint8_t g, std::uint8_t b)
 
 TEST(CoalescingBuffer, IssuesOnlyWhenFull)
 {
-    std::vector<std::pair<Addr, std::uint32_t>> writes;
-    CoalescingBuffer buf("t", 64,
-                         [&](Addr a, std::uint32_t s, Tick) {
-                             writes.emplace_back(a, s);
-                         });
-    buf.rebase(1000);
+    Rig rig;
+    std::uint64_t requests = 0;
+    CoalescingBuffer buf(rig.mem, requests);
+    buf.rebase(1024);
     for (int i = 0; i < 15; ++i) {
-        buf.append(4, 0); // 60 bytes: below capacity
+        buf.append(4, 0); // 60 bytes: below one transaction
     }
-    EXPECT_TRUE(writes.empty());
+    EXPECT_EQ(requests, 0u);
+    EXPECT_EQ(rig.mem.requestCount(), 0u);
     buf.append(4, 0); // 64th byte
-    ASSERT_EQ(writes.size(), 1u);
-    EXPECT_EQ(writes[0], std::make_pair(Addr(1000), 64u));
-    EXPECT_EQ(buf.cursor(), 1064u);
+    EXPECT_EQ(requests, 1u);
+    EXPECT_EQ(rig.mem.requestCount(), 1u);
+    EXPECT_EQ(buf.cursor(), 1088u);
+    rig.mem.flushWrites(0);
+    EXPECT_EQ(rig.mem.energy()
+                  .counts(Requester::kVideoDecoder)
+                  .bytes_written,
+              64u);
 }
 
 TEST(CoalescingBuffer, FlushWritesResidue)
 {
-    std::vector<std::uint32_t> sizes;
-    CoalescingBuffer buf("t", 64,
-                         [&](Addr, std::uint32_t s, Tick) {
-                             sizes.push_back(s);
-                         });
+    Rig rig;
+    std::uint64_t requests = 0;
+    CoalescingBuffer buf(rig.mem, requests);
     buf.rebase(0);
     buf.append(10, 0);
     buf.flush(0);
     buf.flush(0); // second flush is a no-op
-    EXPECT_EQ(sizes, (std::vector<std::uint32_t>{10}));
-    EXPECT_EQ(buf.bytesAppended(), 10u);
-    EXPECT_EQ(buf.writesIssued(), 1u);
+    EXPECT_EQ(requests, 1u);
+    EXPECT_EQ(rig.mem.requestCount(), 1u);
+    EXPECT_EQ(buf.cursor(), 10u);
 }
 
 TEST(CoalescingBuffer, LargeAppendSplits)
 {
-    int writes = 0;
-    CoalescingBuffer buf("t", 64,
-                         [&](Addr, std::uint32_t, Tick) { ++writes; });
+    Rig rig;
+    std::uint64_t requests = 0;
+    CoalescingBuffer buf(rig.mem, requests);
     buf.rebase(0);
-    buf.append(200, 0); // 3 full buffers + 8 residue
-    EXPECT_EQ(writes, 3);
+    buf.append(200, 0); // 3 full transactions + 8 residue
+    EXPECT_EQ(requests, 3u);
     buf.flush(0);
-    EXPECT_EQ(writes, 4);
+    EXPECT_EQ(requests, 4u);
+    EXPECT_EQ(rig.mem.requestCount(), 4u);
+    EXPECT_EQ(buf.cursor(), 200u);
+}
+
+TEST(CoalescingBuffer, BuffersShareTheOwnersRequestCount)
+{
+    Rig rig;
+    std::uint64_t requests = 0;
+    CoalescingBuffer a(rig.mem, requests);
+    CoalescingBuffer b(rig.mem, requests);
+    a.rebase(0);
+    b.rebase(4096);
+    a.append(64, 0);
+    b.append(70, 0);
+    a.flush(0);
+    b.flush(0);
+    EXPECT_EQ(requests, 3u);
+    EXPECT_EQ(rig.mem.requestCount(), 3u);
 }
 
 TEST(CoalescingBufferDeath, RebaseWithResiduePanics)
 {
-    CoalescingBuffer buf("t", 64, [](Addr, std::uint32_t, Tick) {});
+    Rig rig;
+    std::uint64_t requests = 0;
+    CoalescingBuffer buf(rig.mem, requests);
     buf.rebase(0);
     buf.append(1, 0);
     EXPECT_DEATH(buf.rebase(64), "unflushed");
@@ -123,7 +145,7 @@ TEST(FrameBufferManager, AcquireReleaseRecycles)
     BufferSlot &b = rig.fbm.acquire(1);
     EXPECT_EQ(b.data_base, data0); // recycled slot
     EXPECT_EQ(rig.fbm.slotsAllocated(), 1u);
-    EXPECT_EQ(rig.fbm.slotsInUse(), 1u);
+    EXPECT_EQ(rig.fbm.find(1), &b);
 }
 
 TEST(FrameBufferManager, GrowsWhenAllBusy)
@@ -140,7 +162,7 @@ TEST(FrameBufferManager, BlockStoreRoundTrip)
     Rig rig;
     BufferSlot &slot = rig.fbm.acquire(0);
     const std::vector<std::uint8_t> bytes(48, 0x5a);
-    rig.fbm.storeBlock(slot.data_base + 96, bytes);
+    rig.fbm.storeBlock(slot, slot.data_base + 96, bytes);
     const StoredBlock loaded = rig.fbm.loadBlock(slot.data_base + 96);
     ASSERT_TRUE(loaded);
     EXPECT_EQ(loaded.toVector(), bytes);
@@ -151,7 +173,7 @@ TEST(FrameBufferManager, RecycleClearsBlocks)
 {
     Rig rig;
     BufferSlot &slot = rig.fbm.acquire(0);
-    rig.fbm.storeBlock(slot.data_base, std::vector<std::uint8_t>(48, 1));
+    rig.fbm.storeBlock(slot, slot.data_base, std::vector<std::uint8_t>(48, 1));
     rig.fbm.release(0);
     rig.fbm.acquire(5);
     EXPECT_FALSE(rig.fbm.loadBlock(slot.data_base));
@@ -159,9 +181,9 @@ TEST(FrameBufferManager, RecycleClearsBlocks)
 
 TEST(FrameBufferManager, SlotMemoFollowsStoresAcrossSlots)
 {
-    // The block store remembers the last slot it matched; hopping
-    // between slots, recycling one, and probing just outside every
-    // data region must behave as a fresh scan would.
+    // Loads remember the last slot they matched; hopping between
+    // slots, recycling one, and probing just outside every data
+    // region must behave as a fresh scan would.
     Rig rig;
     BufferSlot &a = rig.fbm.acquire(0);
     BufferSlot &b = rig.fbm.acquire(1);
@@ -169,9 +191,9 @@ TEST(FrameBufferManager, SlotMemoFollowsStoresAcrossSlots)
     const std::vector<std::uint8_t> a1(48, 0xa1), b1(48, 0xb1),
         a2(48, 0xa2), a3(48, 0xa3);
 
-    rig.fbm.storeBlock(a.data_base, a1);
-    rig.fbm.storeBlock(b.data_base + 48, b1);
-    rig.fbm.storeBlock(a.data_base + 96, a2);
+    rig.fbm.storeBlock(a, a.data_base, a1);
+    rig.fbm.storeBlock(b, b.data_base + 48, b1);
+    rig.fbm.storeBlock(a, a.data_base + 96, a2);
     EXPECT_EQ(rig.fbm.loadBlock(a.data_base).toVector(), a1);
     EXPECT_EQ(rig.fbm.loadBlock(b.data_base + 48).toVector(), b1);
     EXPECT_EQ(rig.fbm.loadBlock(a.data_base + 96).toVector(), a2);
@@ -192,75 +214,49 @@ TEST(FrameBufferManager, SlotMemoFollowsStoresAcrossSlots)
     BufferSlot &c = rig.fbm.acquire(2);
     ASSERT_EQ(&c, &a);
     EXPECT_FALSE(rig.fbm.loadBlock(a.data_base));
-    rig.fbm.storeBlock(c.data_base, a3);
+    rig.fbm.storeBlock(c, c.data_base, a3);
     EXPECT_EQ(rig.fbm.loadBlock(b.data_base + 48).toVector(), b1);
     EXPECT_EQ(rig.fbm.loadBlock(c.data_base).toVector(), a3);
     EXPECT_FALSE(rig.fbm.loadBlock(c.data_base + 96));
 }
 
-TEST(FrameBufferManager, OutOfOrderStoresStayExact)
+TEST(FrameBufferManagerDeath, StoreBelowTheLastBlockPanics)
 {
-    // The writebacks store in address order; any other order takes
-    // the slow path and must read back the same.
+    // The writebacks store each block once, in address order.
     Rig rig(8);
     BufferSlot &slot = rig.fbm.acquire(0);
     const Addr base = slot.data_base;
-    const std::vector<std::uint8_t> b0(48, 0x10), b1(48, 0x11),
-        b2(48, 0x12), b3(48, 0x13), b5(48, 0x15);
-    rig.fbm.storeBlock(base + 5 * 48, b5);
-    rig.fbm.storeBlock(base + 1 * 48, b1);
-    rig.fbm.storeBlock(base + 3 * 48, b3);
-    rig.fbm.storeBlock(base, b0);
-    rig.fbm.storeBlock(base + 2 * 48, b2);
-    for (const auto &[off, want] :
-         std::vector<std::pair<Addr, std::vector<std::uint8_t>>>{
-             {0, b0}, {48, b1}, {96, b2}, {144, b3}, {240, b5}}) {
-        ASSERT_TRUE(rig.fbm.loadBlock(base + off)) << "offset " << off;
-        EXPECT_EQ(rig.fbm.loadBlock(base + off).toVector(), want)
-            << "offset " << off;
-    }
-    EXPECT_FALSE(rig.fbm.loadBlock(base + 4 * 48));
-    EXPECT_FALSE(rig.fbm.loadBlock(base + 6 * 48));
+    rig.fbm.storeBlock(slot, base + 5 * 48, std::vector<std::uint8_t>(48, 1));
+    EXPECT_DEATH(rig.fbm.storeBlock(slot, base + 48,
+                                    std::vector<std::uint8_t>(48, 2)),
+                 "out of order");
 }
 
-TEST(FrameBufferManager, SameAddressStoreOverwrites)
+TEST(FrameBufferManagerDeath, StoreOverAStoredBlockPanics)
 {
     Rig rig(8);
     BufferSlot &slot = rig.fbm.acquire(0);
     const Addr base = slot.data_base;
-    rig.fbm.storeBlock(base, std::vector<std::uint8_t>(48, 1));
-    rig.fbm.storeBlock(base + 48, std::vector<std::uint8_t>(48, 2));
-
-    // Same size: in place.  Different size: the new bytes win.
-    rig.fbm.storeBlock(base, std::vector<std::uint8_t>(48, 3));
-    EXPECT_EQ(rig.fbm.loadBlock(base).toVector(),
-              std::vector<std::uint8_t>(48, 3));
-    rig.fbm.storeBlock(base + 48, std::vector<std::uint8_t>(12, 4));
-    EXPECT_EQ(rig.fbm.loadBlock(base + 48).toVector(),
-              std::vector<std::uint8_t>(12, 4));
-    EXPECT_EQ(rig.fbm.loadBlock(base).toVector(),
-              std::vector<std::uint8_t>(48, 3));
-
-    // The index still appends in order after the rewrites.
-    rig.fbm.storeBlock(base + 96, std::vector<std::uint8_t>(48, 5));
-    EXPECT_EQ(rig.fbm.loadBlock(base + 96).toVector(),
-              std::vector<std::uint8_t>(48, 5));
+    rig.fbm.storeBlock(slot, base, std::vector<std::uint8_t>(48, 1));
+    rig.fbm.storeBlock(slot, base + 48, std::vector<std::uint8_t>(48, 2));
+    EXPECT_DEATH(rig.fbm.storeBlock(slot, base + 48,
+                                    std::vector<std::uint8_t>(48, 3)),
+                 "out of order");
 }
 
-TEST(FrameBufferManager, MoreBlocksThanMabsStillIndexed)
+TEST(FrameBufferManagerDeath, MoreBlocksThanMabsPanics)
 {
-    // Compacted (DCC) blocks sit closer than a mab apart, so a frame
-    // may hold more blocks than the index was first sized for.
+    // Compacted (DCC) blocks sit closer than a mab apart, but a frame
+    // still stores at most one block per mab.
     Rig rig(4);
     BufferSlot &slot = rig.fbm.acquire(0);
-    for (std::uint8_t i = 0; i < 12; ++i) {
-        rig.fbm.storeBlock(slot.data_base + i * 16U,
-                           std::vector<std::uint8_t>(48, i));
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        rig.fbm.storeBlock(slot, slot.data_base + i * 16U,
+                           std::vector<std::uint8_t>(48, 1));
     }
-    for (std::uint8_t i = 0; i < 12; ++i) {
-        EXPECT_EQ(rig.fbm.loadBlock(slot.data_base + i * 16U).toVector(),
-                  std::vector<std::uint8_t>(48, i));
-    }
+    EXPECT_DEATH(rig.fbm.storeBlock(slot, slot.data_base + 4 * 16U,
+                                    std::vector<std::uint8_t>(48, 1)),
+                 "out of order");
 }
 
 TEST(FrameBufferManager, UnalignedOffsetsMiss)
@@ -269,7 +265,8 @@ TEST(FrameBufferManager, UnalignedOffsetsMiss)
     BufferSlot &slot = rig.fbm.acquire(0);
     const Addr base = slot.data_base;
     for (std::uint32_t i = 0; i < 4; ++i) {
-        rig.fbm.storeBlock(base + i * 48, std::vector<std::uint8_t>(48, 7));
+        rig.fbm.storeBlock(slot, base + i * 48,
+                           std::vector<std::uint8_t>(48, 7));
     }
     // Inside stored blocks, between them, and past the last one; each
     // probed after a hit so the lookup memo points next door.
@@ -280,12 +277,16 @@ TEST(FrameBufferManager, UnalignedOffsetsMiss)
     }
 }
 
-TEST(FrameBufferManagerDeath, StoreOutsideSlotsPanics)
+TEST(FrameBufferManagerDeath, StoreOutsideTheSlotPanics)
 {
     Rig rig;
-    EXPECT_DEATH(rig.fbm.storeBlock(0xdeadbeef,
-                                    std::vector<std::uint8_t>(48, 1)),
-                 "outside any frame buffer");
+    BufferSlot &a = rig.fbm.acquire(0);
+    BufferSlot &b = rig.fbm.acquire(1);
+    const std::vector<std::uint8_t> bytes(48, 1);
+    EXPECT_DEATH(rig.fbm.storeBlock(a, b.data_base, bytes),
+                 "outside its frame buffer");
+    EXPECT_DEATH(rig.fbm.storeBlock(a, a.data_base + a.data_capacity, bytes),
+                 "outside its frame buffer");
 }
 
 TEST(FrameBufferManager, FindBySlotIndex)

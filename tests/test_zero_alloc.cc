@@ -4,10 +4,10 @@
  *
  * This binary replaces the global allocation functions with counting
  * wrappers, warms a stepwise pipeline past every amortised growth
- * phase (surface pools, window/dump rings, MACH tables, DRAM queues,
+ * phase (frame-buffer slots, window/dump rings, MACH tables, DRAM queues,
  * event-queue storage), and then asserts that a window of further
  * vsyncs performs *zero* heap allocations - the acceptance criterion
- * the SurfacePool / ring-buffer / scratch-reuse rewrites exist for.
+ * the slot-recycling / ring-buffer / scratch-reuse rewrites exist for.
  * The simulation is fully deterministic, so the allocation count in
  * the measured window is a stable, reproducible quantity.
  */

@@ -320,13 +320,13 @@ def check_hotpath_alloc(ctx, sf):
 
 
 # ===================================================================
-# surface-pool-discipline: hot paths take buffers from the pool
+# surface-pool-discipline: hot paths reuse storage they already own
 # ===================================================================
 
 # Raw C allocators evade the C++-centric no-hotpath-alloc detectors
-# entirely; in this codebase every hot-path buffer comes from a
-# recycled SurfacePool or a member scratch, so a malloc-family call
-# in a hot body is always a pool bypass.
+# entirely; in this codebase every hot-path buffer is recycled
+# storage (a frame-buffer slot, a ring entry) or a member scratch,
+# so a malloc-family call in a hot body is always a bypass.
 MALLOC_FAMILY_RE = re.compile(
     r'(?<![\w.>:])(malloc|calloc|realloc|aligned_alloc|strdup)\s*\(')
 # A hot body declaring an owning local container allocates on every
@@ -341,7 +341,7 @@ LOCAL_CONTAINER_RE = re.compile(
 
 def check_surface_pool(ctx, sf):
     """Zero-alloc serving discipline: a // vstream:hot body must not
-    source buffers outside the SurfacePool/member-scratch pattern."""
+    source buffers outside recycled storage or member scratch."""
     for tok in sf.comments():
         if not HOT_MARK_RE.search(tok.text):
             continue
@@ -358,15 +358,16 @@ def check_surface_pool(ctx, sf):
         for m in MALLOC_FAMILY_RE.finditer(body):
             ctx.emit(sf, sf.line_of(brace + m.start()),
                      'surface-pool-discipline',
-                     '%s() inside a // vstream:hot function bypasses '
-                     'the SurfacePool tier; acquire a recycled '
-                     'surface or use a member scratch' % m.group(1))
+                     '%s() inside a // vstream:hot function allocates '
+                     'on every call; reuse recycled storage (a '
+                     'frame-buffer slot, a ring entry) or a member '
+                     'scratch' % m.group(1))
         for m in LOCAL_CONTAINER_RE.finditer(body):
             ctx.emit(sf, sf.line_of(brace + m.start()),
                      'surface-pool-discipline',
                      'owning local std::%s in a // vstream:hot '
-                     'function allocates on every call; bind a '
-                     'SurfacePool slot or a member scratch by '
+                     'function allocates on every call; bind '
+                     'recycled storage or a member scratch by '
                      'reference instead' % m.group(1))
 
 

@@ -93,7 +93,7 @@ void hotKernel(std::vector<int> &v)
 // vstream:hot
 void hotRawBuffer(std::size_t n)
 {
-    // malloc bypasses the SurfacePool tier, and the owning local
+    // malloc bypasses recycled storage, and the owning local
     // vector allocates on every call: surface-pool-discipline.
     char *raw = static_cast<char *>(malloc(n));
     std::vector<char> scratch;
