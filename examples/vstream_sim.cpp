@@ -36,7 +36,6 @@
  *     --fault-stall SPEC        network-stall rule (needs len=...)
  *     --fault-digest SPEC       MACH digest-collision rule
  *     --fault-dram SPEC         DRAM burst-timeout rule
- *     --fault-trace SPEC        trace-record corruption rule
  *     --fault-retry N           DRAM retry budget (default 3)
  *     --verify-on-hit           byte-compare MACH hits (catches
  *                               collisions at a 48 B re-read cost)
@@ -121,9 +120,6 @@ main(int argc, char **argv)
                 csv_file = f.next();
             } else if (f.is("--seed")) {
                 seed = f.nextU64();
-            } else if (f.is("--fault-trace")) {
-                cli::addFaultRule(f, FaultClass::kTraceCorrupt,
-                                  cfg.faults);
             } else {
                 return cli::sessionFlag(f, cfg);
             }

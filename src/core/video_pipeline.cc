@@ -435,26 +435,6 @@ struct Playback
                        static_cast<double>(c.activations));
     }
 
-    /** Zero every counter regStats() registers, recursing into the
-     * sub-objects.  Architectural state (buffers, MACH contents,
-     * schedule position) is untouched. */
-    void
-    resetStats()
-    {
-        vd.resetStats();
-        dc.resetStats();
-        mem.resetStats();
-        if (machs) {
-            machs->resetStats();
-        }
-        if (faults) {
-            faults->resetStats();
-        }
-        frame_exec_ms.reset();
-        frame_slack_ms.reset();
-        result = PipelineResult{};
-    }
-
     /** Register every stat of this playback into @p r. */
     void
     regStats(StatsRegistry &r)

@@ -18,7 +18,8 @@ DisplayController::DisplayController(std::string name, EventQueue *queue,
 {
     cfg_.validate();
     if (cfg_.use_display_cache) {
-        display_cache_ = std::make_unique<DisplayCache>(cfg_.display_cache);
+        display_cache_ = std::make_unique<SetAssocCache>(
+            "dc.displayCache", cfg_.display_cache);
     }
     if (cfg_.use_mach_buffer) {
         mach_buffer_ = std::make_unique<MachBuffer>(
@@ -53,8 +54,9 @@ DisplayController::fetchBlock(Addr addr, std::uint32_t size, Tick now,
                               ScanStats &stats)
 {
     if (display_cache_) {
-        const std::vector<Addr> &fills =
-            display_cache_->accessInto(addr, size, access_scratch_);
+        display_cache_->accessInto(addr, size, MemOp::kRead,
+                                   access_scratch_);
+        const std::vector<Addr> &fills = access_scratch_.fills;
         const std::uint32_t span = access_scratch_.lines;
         const std::uint32_t line = display_cache_->config().line_bytes;
         if (span > 1) {

@@ -23,7 +23,6 @@
 #include "core/flat_table.hh"
 #include "core/frame_buffer_manager.hh"
 #include "core/framebuffer_layout.hh"
-#include "display/display_cache.hh"
 #include "display/display_config.hh"
 #include "display/mach_buffer.hh"
 #include "mem/memory_system.hh"
@@ -105,7 +104,7 @@ class DisplayController : public SimObject
 
     const DisplayConfig &config() const { return cfg_; }
     const DisplayTotals &totals() const { return totals_; }
-    DisplayCache *displayCache() { return display_cache_.get(); }
+    SetAssocCache *displayCache() { return display_cache_.get(); }
     MachBuffer *machBuffer() { return mach_buffer_.get(); }
 
     /** Frame period in ticks. */
@@ -141,7 +140,11 @@ class DisplayController : public SimObject
     MemorySystem &mem_;
     FrameBufferManager &fbm_;
     DisplayConfig cfg_;
-    std::unique_ptr<DisplayCache> display_cache_;
+    /** The display cache (Sec. 5.1): a small line cache at the DC
+     * that recovers the locality pointer indirection destroys -
+     * repeated intra-matches and the second halves of fragmented
+     * (line-straddling) block fetches hit here, not in DRAM. */
+    std::unique_ptr<SetAssocCache> display_cache_;
     std::unique_ptr<MachBuffer> mach_buffer_;
 
     /**

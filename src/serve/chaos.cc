@@ -169,28 +169,6 @@ ChaosConfig::validate(std::uint32_t shards) const
     }
 }
 
-void
-FleetLadder::transitionTo(FleetHealth next, Tick now)
-{
-    vs_assert(now >= entered_, "fleet ladder clock moved backwards");
-    dwell_[static_cast<std::size_t>(state_)] += now - entered_;
-    entered_ = now;
-    state_ = next;
-    ++transitions_;
-}
-
-Tick
-FleetLadder::dwell(FleetHealth s, Tick now) const
-{
-    Tick d = dwell_[static_cast<std::size_t>(s)];
-    if (s == state_) {
-        vs_assert(now >= entered_,
-                  "fleet ladder clock moved backwards");
-        d += now - entered_;
-    }
-    return d;
-}
-
 std::vector<ArrivalEvent>
 withFlashCrowds(std::vector<ArrivalEvent> base,
                 const ChaosConfig &chaos)

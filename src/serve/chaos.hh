@@ -8,7 +8,8 @@
  *
  *   - *crash*: a shard loses everything resident - its in-flight
  *     sessions and any stats absorbed since its last checkpoint.
- *     The Placer restores the last ShardSnapshot, deterministically
+ *     The shard rolls back to its last checkpoint (an in-memory copy
+ *     of its stats, serve/shard.hh), the Placer deterministically
  *     replays the journaled finishes taken since, and fails the
  *     orphaned in-flight sessions over to surviving shards under the
  *     unchanged global budget.
@@ -18,7 +19,7 @@
  *     is stats-neutral by construction, like rebalancing.
  *   - *flood*: a flash crowd - a burst of extra arrivals injected
  *     into the schedule at a point in time, stressing the admission
- *     queue and the shedding ladder.
+ *     queue, its deadline and load shedding.
  *
  * Rules use the FaultInjector spec grammar (key=value, comma
  * separated; time suffixes ps/ns/us/ms/s, bare numbers are ms):
@@ -98,7 +99,7 @@ FleetFaultRule parseFleetFaultRule(FleetFaultClass cls,
 struct ChaosConfig
 {
     /**
-     * Take a ShardSnapshot of every shard each this many ticks
+     * Checkpoint every shard's stats each this many ticks
      * (0 = only the implicit tick-0 checkpoint).  Shorter periods
      * bound replay work after a crash; longer periods bound
      * checkpoint overhead (docs/ROBUSTNESS.md discusses the
@@ -107,64 +108,16 @@ struct ChaosConfig
     Tick checkpoint_period = 0;
     /**
      * Shed arrivals outright once the admission queue holds this
-     * many sessions (0 = never shed).  The fleet ladder reports
-     * Shedding while the queue is at or past this depth.
+     * many sessions (0 = never shed).
      */
     std::uint64_t shed_depth = 0;
     /** Fault rules, applied at their `at` ticks. */
     std::vector<FleetFaultRule> rules;
 
-    /** Any behaviour beyond the inert baseline configured? */
-    bool
-    enabled() const
-    {
-        return checkpoint_period > 0 || shed_depth > 0 ||
-               !rules.empty();
-    }
-
     bool anyRuleFor(FleetFaultClass c) const;
 
     /** Die on rules that cannot apply to a @p shards-wide fleet. */
     void validate(std::uint32_t shards) const;
-};
-
-/**
- * Fleet-level health, mirroring the per-session ladder shape
- * (serve/health.hh) one level up: the fleet degrades and recovers as
- * a unit instead of crashing.
- */
-enum class FleetHealth : std::uint8_t
-{
-    /** All shards at full slices, queue below the shed depth. */
-    kHealthy = 0,
-    /** At least one shard browned out. */
-    kBrownedOut,
-    /** Admission queue at the shed depth; arrivals are dropped. */
-    kShedding,
-};
-
-constexpr std::size_t kNumFleetHealthStates = 3;
-
-/** Dwell/transition bookkeeping for the fleet ladder (same shape as
- * HealthLadder; policy lives in the Placer). */
-class FleetLadder
-{
-  public:
-    FleetHealth state() const { return state_; }
-
-    /** Move to @p next at time @p now, closing the current dwell. */
-    void transitionTo(FleetHealth next, Tick now);
-
-    std::uint64_t transitions() const { return transitions_; }
-
-    /** Total ticks spent in @p s; @p now closes the open dwell. */
-    Tick dwell(FleetHealth s, Tick now) const;
-
-  private:
-    FleetHealth state_ = FleetHealth::kHealthy;
-    Tick entered_ = 0;
-    std::uint64_t transitions_ = 0;
-    Tick dwell_[kNumFleetHealthStates] = {};
 };
 
 /** The recovery ledger: what the chaos layer did to this run.  All

@@ -22,6 +22,18 @@ const spec_fields::RealField kJitterField{"jitter", 0.0, 2.0, false,
                                           " (need [0, 2])"};
 
 void
+addFaultRule(Flag &f, FaultClass cls, FaultConfig &faults)
+{
+    FaultRule rule;
+    std::string error;
+    if (tryParseFaultRule(cls, f.next(), rule, error)) {
+        faults.rules.push_back(rule);
+    } else {
+        f.fail(error);
+    }
+}
+
+void
 addChaosRule(Flag &f, FleetFaultClass cls, ChaosConfig &chaos)
 {
     FleetFaultRule rule;
@@ -154,18 +166,6 @@ exitUsage(const char *argv0, const std::string &error)
     // it exits with the CLI convention's status 2, not vs_fatal's 1.
     // vstream:allow(logging-discipline)
     std::exit(2);
-}
-
-void
-addFaultRule(Flag &f, FaultClass cls, FaultConfig &faults)
-{
-    FaultRule rule;
-    std::string error;
-    if (tryParseFaultRule(cls, f.next(), rule, error)) {
-        faults.rules.push_back(rule);
-    } else {
-        f.fail(error);
-    }
 }
 
 bool

@@ -107,9 +107,6 @@ parseFlags(int argc, char **argv, OnFlag &&on_flag)
     }
 }
 
-/** Append @p f's value, a @p cls rule spec, to @p faults. */
-void addFaultRule(Flag &f, FaultClass cls, FaultConfig &faults);
-
 /**
  * The per-session flags, applied to @p cfg: --arrival-bandwidth
  * MBPS (> 0 turns the arrival model on), --arrival-jitter SIGMA,

@@ -67,14 +67,13 @@ Placer::Placer(FleetConfig cfg, SessionFactory factory,
     }
 
     // Chaos wiring.  With no crash rules and no checkpoint period
-    // the journals and checkpoints stay empty and none of the new
-    // event sources ever fires: the layer is inert.
+    // the journals stay empty, no shard is checkpointed and none of
+    // the new event sources ever fires: the layer is inert.
     journaling_ =
         cfg_.chaos.anyRuleFor(FleetFaultClass::kShardCrash);
     checkpointing_ =
         journaling_ || cfg_.chaos.checkpoint_period > 0;
     journals_.resize(cfg_.shards);
-    checkpoints_.resize(cfg_.shards);
     brownout_depth_.assign(cfg_.shards, 0);
     if (cfg_.chaos.checkpoint_period > 0) {
         next_checkpoint_ = cfg_.chaos.checkpoint_period;
@@ -330,17 +329,12 @@ Placer::expireFront()
     }
     waiting_.pop_front();
     ++recovery_.queue_timeouts;
-    updateFleetHealth();
 }
 
 void
 Placer::takeCheckpoint(std::uint32_t shard)
 {
-    ShardSnapshot snap;
-    snap.tick = cur_tick_;
-    snap.absorbed = shards_[shard].absorbed();
-    snap.stats = shards_[shard].snapshot();
-    checkpoints_[shard] = serializeShardSnapshot(snap);
+    shards_[shard].checkpoint();
     // Everything up to here is inside the checkpoint; the journal
     // restarts empty.
     journals_[shard].clear();
@@ -366,7 +360,6 @@ Placer::applyChaos(const ChaosEvent &ev)
         ++recovery_.brownouts;
         ++brownout_depth_[ev.shard];
         shards_[ev.shard].setBrownoutFactor(ev.factor);
-        updateFleetHealth();
         break;
       case ChaosEvent::Kind::kBrownoutEnd:
         vs_assert(brownout_depth_[ev.shard] > 0,
@@ -374,7 +367,6 @@ Placer::applyChaos(const ChaosEvent &ev)
         if (--brownout_depth_[ev.shard] == 0) {
             shards_[ev.shard].setBrownoutFactor(1.0);
         }
-        updateFleetHealth();
         break;
     }
 }
@@ -383,8 +375,10 @@ void
 Placer::crashShard(std::uint32_t shard)
 {
     ++recovery_.crashes;
+    // Zero the shard and roll it back to its last checkpoint.
     Shard &sh = shards_[shard];
-    sh.crashReset();
+    sh.crash();
+    recovery_.restored += sh.absorbed();
     if (dedup_) {
         // The crashed shard's fault domain dies with it: every entry
         // drops, outstanding leases become void, and the epoch bump
@@ -392,20 +386,6 @@ Placer::crashShard(std::uint32_t shard)
         // untouched - blast radius by construction.
         dedup_->wipeDomain(shard);
     }
-
-    // Restore the last checkpoint *through the wire format*, so
-    // every recovery exercises the real serialization path.
-    vs_assert(!checkpoints_[shard].empty(),
-              "shard crashed before the tick-0 checkpoint");
-    ShardSnapshot snap;
-    std::string error;
-    if (!tryDeserializeShardSnapshot(checkpoints_[shard].data(),
-                                     checkpoints_[shard].size(),
-                                     snap, error)) {
-        vs_panic("shard ", shard, " checkpoint corrupt: ", error);
-    }
-    sh.restore(snap.stats, snap.absorbed);
-    recovery_.restored += snap.absorbed;
 
     // Replay the finishes journaled since that checkpoint.  The
     // factory is pure and rehearsal hermetic, so each replayed
@@ -450,29 +430,6 @@ Placer::crashShard(std::uint32_t shard)
     // Re-checkpoint immediately: a second crash of this shard must
     // restore to *this* state, not double-replay the old journal.
     takeCheckpoint(shard);
-}
-
-void
-Placer::updateFleetHealth()
-{
-    if (!cfg_.chaos.enabled()) {
-        return;
-    }
-    FleetHealth want = FleetHealth::kHealthy;
-    if (cfg_.chaos.shed_depth > 0 &&
-        waiting_.size() >= cfg_.chaos.shed_depth) {
-        want = FleetHealth::kShedding;
-    } else {
-        for (const std::uint32_t depth : brownout_depth_) {
-            if (depth > 0) {
-                want = FleetHealth::kBrownedOut;
-                break;
-            }
-        }
-    }
-    if (want != ladder_.state()) {
-        ladder_.transitionTo(want, cur_tick_);
-    }
 }
 
 void
@@ -530,7 +487,6 @@ Placer::drainWaiting()
         waiting_.pop_front();
         admit(std::move(p), cur_tick_);
     }
-    updateFleetHealth();
 }
 
 void
@@ -541,13 +497,12 @@ Placer::submitRehearsed(Pending &&p)
         return;
     }
     if (couldEverFit(p.bw_mbps, p.fb_bytes)) {
-        // The shedding ladder: past the configured queue depth the
+        // Load shedding: past the configured queue depth the
         // fleet drops arrivals outright instead of letting the
         // queue (and its deadline backlog) grow without bound.
         if (cfg_.chaos.shed_depth > 0 &&
             waiting_.size() >= cfg_.chaos.shed_depth) {
             ++recovery_.shed;
-            updateFleetHealth();
             return;
         }
         ++queued_;
@@ -555,7 +510,6 @@ Placer::submitRehearsed(Pending &&p)
         waiting_.push_back(std::move(p));
         peak_waiting_ = std::max<std::uint64_t>(peak_waiting_,
                                                 waiting_.size());
-        updateFleetHealth();
         return;
     }
     ++rejected_;

@@ -31,17 +31,17 @@
  *    O(sessions).
  *
  *  - *Faults are recoverable.*  With a ChaosConfig (serve/chaos.hh)
- *    the Placer periodically checkpoints each shard's durable state
- *    as a ShardSnapshot and journals finishes between checkpoints.
- *    A shard crash restores the last checkpoint, deterministically
- *    replays the journal (the factory must be a pure function of
- *    the arrival for this - both shipped harnesses are), and fails
- *    in-flight sessions over to surviving shards under the same
- *    global budget.  Because merge order cannot reach the bytes, a
- *    recovered run's fleet report equals the unfailed run's, modulo
- *    the explicit `recovery` block.  With chaos off the whole layer
- *    is inert and the report is byte-identical to the pre-chaos
- *    stack.
+ *    the Placer periodically has each shard checkpoint its stats
+ *    (Shard::checkpoint, an in-memory copy) and journals finishes
+ *    between checkpoints.  A shard crash rolls the shard back to its
+ *    last checkpoint, deterministically replays the journal (the
+ *    factory must be a pure function of the arrival for this - both
+ *    shipped harnesses are), and fails in-flight sessions over to
+ *    surviving shards under the same global budget.  Because merge
+ *    order cannot reach the bytes, a recovered run's fleet report
+ *    equals the unfailed run's, modulo the explicit `recovery`
+ *    block.  With chaos off the whole layer is inert and the report
+ *    is byte-identical to the pre-chaos stack.
  *
  * Callers that need per-session outcomes (the single-shard soak and
  * vstream_serve's per-session table) pass an OutcomeObserver; fleet
@@ -72,7 +72,6 @@
 #include "serve/chaos.hh"
 #include "serve/shard.hh"
 #include "serve/shared_mach.hh"
-#include "serve/snapshot.hh"
 
 namespace vstream
 {
@@ -187,7 +186,6 @@ class Placer
 
     /** The recovery ledger; all-zero on a clean run. */
     const RecoveryTotals &recovery() const { return recovery_; }
-    const FleetLadder &fleetLadder() const { return ladder_; }
     /** Checkpoint rounds taken (each covers every shard). */
     std::uint64_t checkpointsTaken() const
     {
@@ -310,7 +308,6 @@ class Placer
     void crashShard(std::uint32_t shard);
     /** Least-loaded shard excluding @p crashed (failover target). */
     std::uint32_t pickSurvivor(std::uint32_t crashed) const;
-    void updateFleetHealth();
 
     FleetConfig cfg_;
     SessionFactory factory_;
@@ -335,9 +332,6 @@ class Placer
     /** Per-shard finish journals since the last checkpoint (only
      * populated when crash rules exist). */
     std::vector<std::vector<JournalEntry>> journals_;
-    /** Per-shard serialized ShardSnapshot documents - kept as wire
-     * bytes so every restore exercises the real format. */
-    std::vector<std::vector<std::uint8_t>> checkpoints_;
     /** Active brownouts per shard (overlaps nest). */
     std::vector<std::uint32_t> brownout_depth_;
     /** Chaos rules expanded and sorted by tick. */
@@ -360,7 +354,6 @@ class Placer
     bool journaling_ = false;
     bool checkpointing_ = false;
     RecoveryTotals recovery_;
-    FleetLadder ladder_;
     bool ran_ = false;
 };
 

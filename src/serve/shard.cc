@@ -70,20 +70,23 @@ Shard::load() const
 }
 
 void
-Shard::crashReset()
+Shard::checkpoint()
 {
-    bw_reserved_ = 0.0;
-    fb_reserved_ = 0;
-    active_ = 0;
-    absorbed_ = 0;
-    snapshot_ = StatsSnapshot{};
+    checkpointed_ = true;
+    checkpoint_absorbed_ = absorbed_;
+    checkpoint_ = snapshot_;
 }
 
 void
-Shard::restore(const StatsSnapshot &stats, std::uint64_t absorbed)
+Shard::crash()
 {
-    snapshot_ = stats;
-    absorbed_ = absorbed;
+    vs_assert(checkpointed_,
+              "shard crashed before the tick-0 checkpoint");
+    bw_reserved_ = 0.0;
+    fb_reserved_ = 0;
+    active_ = 0;
+    absorbed_ = checkpoint_absorbed_;
+    snapshot_ = checkpoint_;
 }
 
 void

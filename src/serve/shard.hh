@@ -19,6 +19,12 @@
  * the Placer scattered sessions across them: the shard-count
  * invariance test (tests/test_shard.cc, CI shard-smoke) rests on
  * this file staying arithmetic-exact.
+ *
+ * Crash recovery (serve/chaos.hh) rests on the same exactness: a
+ * shard keeps a copy of its stats and absorb count from its last
+ * checkpoint(), and crash() rolls back to that copy.  Reservations
+ * are not checkpointed - they describe in-flight sessions, which a
+ * crash by definition loses; the Placer re-homes those by failover.
  */
 
 #ifndef VSTREAM_SERVE_SHARD_HH
@@ -98,19 +104,21 @@ class Shard
     const StatsSnapshot &snapshot() const { return snapshot_; }
     std::uint64_t absorbed() const { return absorbed_; }
 
-    // --- crash/restore (serve/chaos.hh) ---------------------------------
+    // --- checkpoint/crash (serve/chaos.hh) ------------------------------
+
+    /** Save the current stats and absorb count as the state a crash
+     * rolls back to. */
+    void checkpoint();
 
     /**
-     * Lose everything resident: reservations, active count, stats,
-     * the absorb counter.  Slices and the brownout factor survive -
-     * they are the Placer's placement policy, not shard state.  The
-     * Placer follows up with restore() + failover.
+     * Lose everything resident - reservations, the active count, and
+     * every outcome absorbed since the last checkpoint() - by rolling
+     * the stats and absorb count back to that checkpoint.  Slices and
+     * the brownout factor survive: they are the Placer's placement
+     * policy, not shard state.  The Placer follows up with journal
+     * replay + failover.
      */
-    void crashReset();
-
-    /** Adopt a checkpoint's stats and absorb count (after
-     * crashReset; see serve/snapshot.hh). */
-    void restore(const StatsSnapshot &stats, std::uint64_t absorbed);
+    void crash();
 
   private:
     std::uint32_t id_;
@@ -123,6 +131,11 @@ class Shard
     std::uint64_t absorbed_ = 0;
     // vstream:shard_local
     StatsSnapshot snapshot_;
+    /** The last checkpoint(): stats and absorb count. */
+    bool checkpointed_ = false;
+    std::uint64_t checkpoint_absorbed_ = 0;
+    // vstream:shard_local
+    StatsSnapshot checkpoint_;
 };
 
 } // namespace vstream

@@ -3,7 +3,6 @@
 #include <bit>
 #include <cmath>
 
-#include "sim/byte_io.hh"
 #include "sim/logging.hh"
 
 namespace vstream
@@ -175,73 +174,6 @@ HdrHistogram::operator==(const HdrHistogram &other) const
             return false;
         }
     }
-    return true;
-}
-
-void
-HdrHistogram::serialize(std::vector<std::uint8_t> &out) const
-{
-    byte_io::putU32(out, unit_bits_);
-    byte_io::putU64(out, count_);
-    byte_io::putU64(out, sum_);
-    // min()/max() normalize the empty case to 0, matching the state
-    // operator== compares.
-    byte_io::putU64(out, min());
-    byte_io::putU64(out, max());
-    byte_io::putU64(out, buckets_.size());
-    for (const std::uint64_t b : buckets_) {
-        byte_io::putU64(out, b);
-    }
-}
-
-bool
-HdrHistogram::tryDeserialize(const std::uint8_t *&p,
-                             const std::uint8_t *end,
-                             std::string &error)
-{
-    const std::uint8_t *cursor = p;
-    std::uint32_t unit_bits = 0;
-    std::uint64_t count = 0;
-    std::uint64_t sum = 0;
-    std::uint64_t mn = 0;
-    std::uint64_t mx = 0;
-    std::uint64_t n_buckets = 0;
-    if (!byte_io::getU32(cursor, end, unit_bits) ||
-        !byte_io::getU64(cursor, end, count) ||
-        !byte_io::getU64(cursor, end, sum) ||
-        !byte_io::getU64(cursor, end, mn) ||
-        !byte_io::getU64(cursor, end, mx) ||
-        !byte_io::getU64(cursor, end, n_buckets)) {
-        error = "histogram header truncated";
-        return false;
-    }
-    if (unit_bits < 2 || unit_bits > 20) {
-        error = "histogram unit_bits out of range";
-        return false;
-    }
-    // The announced bucket count must fit the remaining payload
-    // before any allocation happens (8 bytes per bucket).
-    if (n_buckets > static_cast<std::uint64_t>(end - cursor) / 8) {
-        error = "histogram bucket count exceeds payload";
-        return false;
-    }
-    std::vector<std::uint64_t> buckets;
-    buckets.reserve(static_cast<std::size_t>(n_buckets));
-    for (std::uint64_t i = 0; i < n_buckets; ++i) {
-        std::uint64_t b = 0;
-        if (!byte_io::getU64(cursor, end, b)) {
-            error = "histogram buckets truncated";
-            return false;
-        }
-        buckets.push_back(b);
-    }
-    unit_bits_ = unit_bits;
-    count_ = count;
-    sum_ = sum;
-    min_ = mn;
-    max_ = mx;
-    buckets_ = std::move(buckets);
-    p = cursor;
     return true;
 }
 

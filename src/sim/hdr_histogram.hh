@@ -23,7 +23,6 @@
 #define VSTREAM_SIM_HDR_HISTOGRAM_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace vstream
@@ -85,26 +84,6 @@ class HdrHistogram
     std::uint64_t bucketLowerBound(std::size_t index) const;
 
     bool operator==(const HdrHistogram &other) const;
-
-    // --- checkpoint serialization ---------------------------------------
-
-    /**
-     * Append this histogram's exact state to @p out (little-endian;
-     * every field is an integer, so the round trip is bit-identical
-     * and a restored histogram merges exactly like the original).
-     * Part of the ShardSnapshot checkpoint format
-     * (serve/snapshot.hh).
-     */
-    void serialize(std::vector<std::uint8_t> &out) const;
-
-    /**
-     * Rebuild a histogram from the cursor @p p (advanced past the
-     * payload on success).  Fail-closed: returns false with a
-     * diagnostic in @p error on truncation or a malformed field,
-     * leaving @p p and *this untouched.
-     */
-    bool tryDeserialize(const std::uint8_t *&p,
-                        const std::uint8_t *end, std::string &error);
 
   private:
     unsigned unit_bits_;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "sim/byte_io.hh"
 #include "sim/json_writer.hh"
 #include "sim/logging.hh"
 
@@ -159,107 +158,6 @@ StatsSnapshot::dumpJson(JsonWriter &jw) const
     }
     jw.endObject();
     jw.endObject();
-}
-
-namespace
-{
-
-/** Stat names are short dotted paths; anything longer is hostile. */
-constexpr std::uint32_t kMaxStatName = 4096;
-
-} // namespace
-
-void
-StatsSnapshot::serialize(std::vector<std::uint8_t> &out) const
-{
-    byte_io::putU64(out, counters_.size());
-    for (const auto &[name, n] : counters_) {
-        byte_io::putString(out, name);
-        byte_io::putU64(out, n);
-    }
-    byte_io::putU64(out, scalars_.size());
-    for (const auto &[name, agg] : scalars_) {
-        byte_io::putString(out, name);
-        byte_io::putU64(out, agg.count);
-        byte_io::putI64(out, agg.sum_fp);
-        byte_io::putF64(out, agg.min);
-        byte_io::putF64(out, agg.max);
-    }
-    byte_io::putU64(out, hists_.size());
-    for (const auto &[name, h] : hists_) {
-        byte_io::putString(out, name);
-        h.serialize(out);
-    }
-}
-
-bool
-StatsSnapshot::tryDeserialize(const std::uint8_t *&p,
-                              const std::uint8_t *end,
-                              std::string &error)
-{
-    const std::uint8_t *cursor = p;
-    std::map<std::string, std::uint64_t> counters;
-    std::map<std::string, ScalarAgg> scalars;
-    std::map<std::string, HdrHistogram> hists;
-
-    std::uint64_t n_counters = 0;
-    if (!byte_io::getU64(cursor, end, n_counters)) {
-        error = "snapshot counter table truncated";
-        return false;
-    }
-    for (std::uint64_t i = 0; i < n_counters; ++i) {
-        std::string name;
-        std::uint64_t v = 0;
-        if (!byte_io::getString(cursor, end, name, kMaxStatName) ||
-            !byte_io::getU64(cursor, end, v)) {
-            error = "snapshot counter entry truncated";
-            return false;
-        }
-        counters[name] = v;
-    }
-
-    std::uint64_t n_scalars = 0;
-    if (!byte_io::getU64(cursor, end, n_scalars)) {
-        error = "snapshot scalar table truncated";
-        return false;
-    }
-    for (std::uint64_t i = 0; i < n_scalars; ++i) {
-        std::string name;
-        ScalarAgg agg;
-        if (!byte_io::getString(cursor, end, name, kMaxStatName) ||
-            !byte_io::getU64(cursor, end, agg.count) ||
-            !byte_io::getI64(cursor, end, agg.sum_fp) ||
-            !byte_io::getF64(cursor, end, agg.min) ||
-            !byte_io::getF64(cursor, end, agg.max)) {
-            error = "snapshot scalar entry truncated";
-            return false;
-        }
-        scalars[name] = agg;
-    }
-
-    std::uint64_t n_hists = 0;
-    if (!byte_io::getU64(cursor, end, n_hists)) {
-        error = "snapshot histogram table truncated";
-        return false;
-    }
-    for (std::uint64_t i = 0; i < n_hists; ++i) {
-        std::string name;
-        HdrHistogram h;
-        if (!byte_io::getString(cursor, end, name, kMaxStatName)) {
-            error = "snapshot histogram name truncated";
-            return false;
-        }
-        if (!h.tryDeserialize(cursor, end, error)) {
-            return false;
-        }
-        hists.emplace(name, std::move(h));
-    }
-
-    counters_ = std::move(counters);
-    scalars_ = std::move(scalars);
-    hists_ = std::move(hists);
-    p = cursor;
-    return true;
 }
 
 } // namespace vstream

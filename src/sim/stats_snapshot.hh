@@ -19,7 +19,9 @@
  *     sum of any permutation of contributions is bit-equal;
  *   - histograms are integer bucket counts (see sim/hdr_histogram.hh).
  * The resulting JSON (docs/FORMATS.md, "merged-shard snapshot") is
- * byte-identical at any --shards and --jobs count.
+ * byte-identical at any --shards and --jobs count.  A snapshot is a
+ * plain value, so a shard's crash checkpoint is simply a copy of one
+ * (serve/shard.hh).
  */
 
 #ifndef VSTREAM_SIM_STATS_SNAPSHOT_HH
@@ -112,27 +114,6 @@ class StatsSnapshot
      * lexicographic; see docs/FORMATS.md for the field layout.
      */
     void dumpJson(JsonWriter &jw) const;
-
-    // --- checkpoint serialization ---------------------------------------
-
-    /**
-     * Append the snapshot's exact state to @p out: counters,
-     * fixed-point scalar aggregates (int64 sums, doubles as IEEE-754
-     * bit patterns), and histograms, each in lexicographic key
-     * order.  Because every field is integer-exact, serialize ->
-     * deserialize -> serialize yields the same bytes, and a restored
-     * snapshot merges exactly like the original (the ShardSnapshot
-     * checkpoint contract; serve/snapshot.hh).
-     */
-    void serialize(std::vector<std::uint8_t> &out) const;
-
-    /**
-     * Rebuild from the cursor @p p (advanced past the payload on
-     * success).  Fail-closed: false with a diagnostic in @p error on
-     * truncation or malformed fields; *this is then unchanged.
-     */
-    bool tryDeserialize(const std::uint8_t *&p,
-                        const std::uint8_t *end, std::string &error);
 
   private:
     // Ordered maps: dump order is the key order, independent of

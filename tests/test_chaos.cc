@@ -1,10 +1,10 @@
 /**
  * @file
- * Fleet fault-tolerance tests: ShardSnapshot wire-format round trips,
- * the chaos rule grammar, flash-crowd schedule injection, and the
- * headline recovery contract - a crashed-and-recovered fleet report
- * equals the unfailed run's report modulo the explicit `recovery`
- * block, at every crash position and any shard/job count.
+ * Fleet fault-tolerance tests: a shard's checkpoint and crash
+ * rollback, the chaos rule grammar, flash-crowd schedule injection,
+ * and the headline recovery contract - a crashed-and-recovered
+ * fleet report equals the unfailed run's report modulo the explicit
+ * `recovery` block, at every crash position and any shard/job count.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "serve/fleet_report.hh"
 #include "serve/placer.hh"
 #include "serve/shard.hh"
-#include "serve/snapshot.hh"
 
 namespace vstream
 {
@@ -92,7 +91,7 @@ struct FleetRun
     std::uint64_t queued = 0;
     std::uint64_t rejected = 0;
     std::uint64_t checkpoints = 0;
-    Tick shed_dwell = 0;
+    std::uint64_t peak_waiting = 0;
     double bw_reserved_after = 0.0;
     std::uint64_t fb_reserved_after = 0;
     std::uint64_t absorbed_total = 0;
@@ -116,8 +115,7 @@ runFleet(const FleetConfig &cfg,
     r.queued = placer.queuedTotal();
     r.rejected = placer.rejected();
     r.checkpoints = placer.checkpointsTaken();
-    r.shed_dwell = placer.fleetLadder().dwell(FleetHealth::kShedding,
-                                              placer.endTick());
+    r.peak_waiting = placer.peakWaiting();
     for (const Shard &s : placer.shards()) {
         r.bw_reserved_after += s.bwReservedMBps();
         r.fb_reserved_after += s.fbReservedBytes();
@@ -162,81 +160,59 @@ crashRule(Tick at, std::uint32_t shard)
 }
 
 // ---------------------------------------------------------------------
-// ShardSnapshot wire format
+// Shard checkpoint and crash rollback
 // ---------------------------------------------------------------------
 
-TEST(ShardSnapshot, RoundTripIsBitIdentical)
+SessionOutcome
+shardOutcome(std::uint64_t i)
+{
+    SessionOutcome o;
+    o.id = i;
+    o.group = i % 2 == 0 ? "even" : "odd";
+    o.final_state =
+        i == 3 ? HealthState::kEvicted : HealthState::kHealthy;
+    o.breaker_trips = i;
+    o.left_early = i == 4;
+    o.start_offset = i * 10 * sim_clock::ms;
+    o.end_tick = (i + 20) * 10 * sim_clock::ms;
+    return o;
+}
+
+TEST(ShardCheckpoint, CrashRollsBackToTheCheckpoint)
 {
     Shard s(0);
     for (std::uint64_t i = 0; i < 5; ++i) {
-        SessionOutcome o;
-        o.id = i;
-        o.group = i % 2 == 0 ? "even" : "odd";
-        o.final_state =
-            i == 3 ? HealthState::kEvicted : HealthState::kHealthy;
-        o.breaker_trips = i;
-        o.left_early = i == 4;
-        o.start_offset = i * 10 * sim_clock::ms;
-        o.end_tick = (i + 20) * 10 * sim_clock::ms;
-        s.absorb(o);
+        s.absorb(shardOutcome(i));
     }
-    ShardSnapshot snap;
-    snap.tick = 250 * sim_clock::ms;
-    snap.absorbed = s.absorbed();
-    snap.stats = s.snapshot();
+    s.checkpoint();
+    const StatsSnapshot saved = s.snapshot();
+    ASSERT_EQ(s.absorbed(), 5u);
 
-    const std::vector<std::uint8_t> bytes =
-        serializeShardSnapshot(snap);
-    ShardSnapshot back;
-    std::string error;
-    ASSERT_TRUE(tryDeserializeShardSnapshot(bytes.data(),
-                                            bytes.size(), back,
-                                            error))
-        << error;
-    EXPECT_EQ(back, snap);
-    // serialize(deserialize(bytes)) == bytes: the integer-exact
-    // foundation of the recovery-equality guarantee.
-    EXPECT_EQ(serializeShardSnapshot(back), bytes);
+    // Work after the checkpoint: more outcomes and a reservation.
+    for (std::uint64_t i = 5; i < 9; ++i) {
+        s.absorb(shardOutcome(i));
+    }
+    s.reserve(10.0, 4096);
+    ASSERT_NE(s.snapshot(), saved);
+
+    s.crash();
+    EXPECT_EQ(s.snapshot(), saved);
+    EXPECT_EQ(s.absorbed(), 5u);
+    EXPECT_EQ(s.active(), 0u);
+    EXPECT_EQ(s.bwReservedMBps(), 0.0);
+    EXPECT_EQ(s.fbReservedBytes(), 0u);
+
+    // A second crash with nothing absorbed in between restores the
+    // same state.
+    s.crash();
+    EXPECT_EQ(s.snapshot(), saved);
+    EXPECT_EQ(s.absorbed(), 5u);
 }
 
-TEST(ShardSnapshot, DeserializeFailsClosed)
+TEST(ShardCheckpointDeathTest, CrashBeforeAnyCheckpointPanics)
 {
-    ShardSnapshot snap;
-    snap.tick = 7;
-    snap.absorbed = 0;
-    std::vector<std::uint8_t> bytes = serializeShardSnapshot(snap);
-    ShardSnapshot out;
-    std::string error;
-
-    // Bad magic.
-    std::vector<std::uint8_t> bad = bytes;
-    bad[0] = 'X';
-    EXPECT_FALSE(tryDeserializeShardSnapshot(bad.data(), bad.size(),
-                                             out, error));
-    EXPECT_NE(error.find("magic"), std::string::npos) << error;
-
-    // Unknown version.
-    bad = bytes;
-    bad[4] = 0xff;
-    EXPECT_FALSE(tryDeserializeShardSnapshot(bad.data(), bad.size(),
-                                             out, error));
-
-    // Truncation at every length: none may crash or accept.
-    for (std::size_t n = 0; n < bytes.size(); ++n) {
-        EXPECT_FALSE(tryDeserializeShardSnapshot(bytes.data(), n,
-                                                 out, error))
-            << "accepted truncation to " << n << " bytes";
-    }
-
-    // Trailing bytes: a checkpoint is a whole document.
-    bad = bytes;
-    bad.push_back(0);
-    EXPECT_FALSE(tryDeserializeShardSnapshot(bad.data(), bad.size(),
-                                             out, error));
-    EXPECT_NE(error.find("trailing"), std::string::npos) << error;
-
-    // out untouched through all the failures.
-    EXPECT_EQ(out, ShardSnapshot{});
+    Shard s(0);
+    EXPECT_DEATH(s.crash(), "before the tick-0 checkpoint");
 }
 
 // ---------------------------------------------------------------------
@@ -361,11 +337,15 @@ TEST(ChaosRecovery, CrashAtEveryBoundaryEqualsUnfailedRun)
 
     // Sweep the crash tick across checkpoint boundaries, mid-interval
     // points, and the exact boundary tick (checkpoint ranks before
-    // crash at the same tick, so that crash loses nothing).
+    // crash at the same tick, so that crash loses nothing).  At
+    // 2150 ms shard 1 has finished a session since its last
+    // checkpoint, so that crash must replay the journal.
     const Tick period = 100 * sim_clock::ms;
+    std::uint64_t replayed = 0;
     for (const Tick at :
          {period, period + 1, 250 * sim_clock::ms, 3 * period,
-          777 * sim_clock::ms, 2 * sim_clock::s}) {
+          777 * sim_clock::ms, 2 * sim_clock::s,
+          2150 * sim_clock::ms}) {
         FleetConfig cfg = chaosConfig(4, 1);
         cfg.chaos.checkpoint_period = period;
         cfg.chaos.rules.push_back(crashRule(at, 1));
@@ -385,7 +365,9 @@ TEST(ChaosRecovery, CrashAtEveryBoundaryEqualsUnfailedRun)
                   clean.admitted)
             << "at=" << at;
         EXPECT_GT(crashed.checkpoints, 0u);
+        replayed += crashed.recovery.replayed;
     }
+    EXPECT_GT(replayed, 0u) << "no crash position replayed a journal";
 }
 
 TEST(ChaosRecovery, FailoverConservesTheGlobalBudget)
@@ -462,7 +444,7 @@ TEST(ChaosRecovery, SheddingBoundsTheQueue)
     cfg.chaos.shed_depth = 4;
     const FleetRun r = runFleet(cfg, arrivals);
     EXPECT_GT(r.recovery.shed, 0u);
-    EXPECT_GT(r.shed_dwell, 0u);
+    EXPECT_LE(r.peak_waiting, cfg.chaos.shed_depth);
     // Accounting still closes with shed arrivals in the ledger.
     EXPECT_EQ(r.admitted + r.rejected + r.recovery.shed,
               arrivals.size());

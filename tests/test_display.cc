@@ -12,7 +12,6 @@
 
 #include "core/mach_array.hh"
 #include "core/writeback_stage.hh"
-#include "display/display_cache.hh"
 #include "display/display_controller.hh"
 #include "display/frame_reconstructor.hh"
 #include "display/mach_buffer.hh"
@@ -44,7 +43,7 @@ randomMab(Random &rng)
 }
 
 // ---------------------------------------------------------------------
-// DisplayCache
+// Display cache (a SetAssocCache at the DC)
 // ---------------------------------------------------------------------
 
 CacheConfig
@@ -60,30 +59,31 @@ dcCacheConfig()
 
 TEST(DisplayCache, SecondFetchOfSameLineHits)
 {
-    DisplayCache dc(dcCacheConfig());
-    EXPECT_EQ(dc.access(0, 48).size(), 1u);
-    EXPECT_TRUE(dc.access(0, 48).empty());
+    SetAssocCache dc("dc.displayCache", dcCacheConfig());
+    EXPECT_EQ(dc.access(0, 48, MemOp::kRead).fills.size(), 1u);
+    EXPECT_TRUE(dc.access(0, 48, MemOp::kRead).fills.empty());
     EXPECT_EQ(dc.hitCount(), 1u);
 }
 
 TEST(DisplayCache, LineSpanDetectsFragmentation)
 {
-    DisplayCache dc(dcCacheConfig());
+    SetAssocCache dc("dc.displayCache", dcCacheConfig());
     // 48 B at offset 0 fits one line; at offset 32 it straddles two
     // (the paper's >45% fragmented pointer fetches).
-    EXPECT_EQ(dc.lineSpan(0, 48), 1u);
-    EXPECT_EQ(dc.lineSpan(32, 48), 2u);
-    EXPECT_EQ(dc.lineSpan(48, 48), 2u);
-    EXPECT_EQ(dc.lineSpan(16, 48), 1u);
+    EXPECT_EQ(dc.access(0, 48, MemOp::kRead).lines, 1u);
+    EXPECT_EQ(dc.access(32, 48, MemOp::kRead).lines, 2u);
+    EXPECT_EQ(dc.access(48, 48, MemOp::kRead).lines, 2u);
+    EXPECT_EQ(dc.access(16, 48, MemOp::kRead).lines, 1u);
 }
 
 TEST(DisplayCache, PartialHitOnStraddle)
 {
-    DisplayCache dc(dcCacheConfig());
-    dc.access(0, 64); // line 0 cached
-    const auto fills = dc.access(32, 48); // needs lines 0 and 1
-    EXPECT_EQ(fills.size(), 1u);
-    EXPECT_EQ(fills[0], 64u);
+    SetAssocCache dc("dc.displayCache", dcCacheConfig());
+    dc.access(0, 64, MemOp::kRead); // line 0 cached
+    // Needs lines 0 and 1; only line 1 is fetched.
+    const CacheAccessSummary s = dc.access(32, 48, MemOp::kRead);
+    ASSERT_EQ(s.fills.size(), 1u);
+    EXPECT_EQ(s.fills[0], 64u);
 }
 
 // ---------------------------------------------------------------------

@@ -84,7 +84,9 @@ COMMAND_END_RE = re.compile(r"\||;|&&|\s#")
 # line record their removal.
 REMOVED_NAMES = ("refresh_enabled", "ReplPolicy", "stats::Scalar",
                  "stats::Distribution", "stats::Histogram",
-                 "queue_when_full", "verify_display")
+                 "queue_when_full", "verify_display", "ShardSnapshot",
+                 "FleetLadder", "FleetHealth", "byte_io",
+                 "DisplayCache")
 REMOVED_NAME_RE = re.compile(
     r"(?<![\w:])(" + "|".join(re.escape(n) for n in REMOVED_NAMES) +
     r")(?!\w)")

@@ -661,8 +661,19 @@ def _members_registered(code, body_start, body_end):
     return out
 
 
+def _header_classes(project):
+    """Names of the classes and structs defined in a src/ header."""
+    names = set()
+    for rel, sf in project.files.items():
+        if rel.startswith('src/') and rel.endswith(('.hh', '.h')):
+            names.update(name for name, _, _ in
+                         project._class_spans(sf))
+    return names
+
+
 def check_stats_hygiene(ctx):
     project = ctx.project
+    header_classes = _header_classes(project)
     reg_defs = [f for f in project.functions
                 if f.name == 'regStats' and f.cls]
     for fn in reg_defs:
@@ -674,6 +685,11 @@ def check_stats_hygiene(ctx):
         resets = project.by_qualified.get(
             '%s::resetStats' % fn.cls, [])
         if not resets:
+            if fn.cls not in header_classes:
+                # A class local to one .cc file can only be reset
+                # from that file; with no reset there is no caller
+                # to miss it.
+                continue
             ctx.emit(fn.sf, fn.line, 'stats-hygiene',
                      '%s::regStats registers stats but no '
                      '%s::resetStats is defined anywhere in the '

@@ -125,7 +125,11 @@ BadShard::run(unsigned jobs)
 }
 '''
 
-BAD_STATS = '''\
+# BadStatsA is declared in a header, so any TU could reset it: it
+# must define resetStats.
+BAD_STATS_HEADER = '''\
+#ifndef VSTREAM_CORE_BAD_STATS_HH
+#define VSTREAM_CORE_BAD_STATS_HH
 #include "sim/stats_registry.hh"
 class BadStatsA
 {
@@ -134,6 +138,11 @@ class BadStatsA
   private:
     std::uint64_t hits_ = 0;
 };
+#endif
+'''
+
+BAD_STATS = '''\
+#include "core/bad_stats.hh"
 void
 BadStatsA::regStats(StatsRegistry &r)
 {
@@ -360,6 +369,26 @@ GoodStats::resetStats()
 }
 '''
 
+# A class local to one .cc file can only be reset from that file; with
+# no resetStats there is nothing to demand one.
+GOOD_LOCAL_STATS = '''\
+#include "sim/stats_registry.hh"
+namespace
+{
+struct LocalRun
+{
+    std::uint64_t frames = 0;
+    void
+    regStats(StatsRegistry &r)
+    {
+        r.addCallback("run.frames", "frames", [this] {
+            return static_cast<double>(frames);
+        });
+    }
+};
+} // namespace
+'''
+
 GOOD_ORDERED = '''\
 #include "sim/stats_registry.hh"
 #include "core/flat_table.hh"
@@ -466,6 +495,7 @@ BAD_FILES = {
     'src/core/bad.hh': BAD_HEADER,
     'src/core/bad_hot.cc': BAD_HOT,
     'src/core/bad_lock.cc': BAD_LOCK,
+    'src/core/bad_stats.hh': BAD_STATS_HEADER,
     'src/core/bad_stats.cc': BAD_STATS,
     'src/core/bad_queue.cc': BAD_QUEUE,
     'src/core/bad_shared.cc': BAD_SHARED,
@@ -478,6 +508,7 @@ GOOD_FILES = {
     'src/core/good_hot.cc': GOOD_HOT,
     'src/core/good_lock.cc': GOOD_LOCK,
     'src/core/good_stats.cc': GOOD_STATS,
+    'src/core/good_local_stats.cc': GOOD_LOCAL_STATS,
     'src/core/good_ordered.cc': GOOD_ORDERED,
     'src/core/good_queue.cc': GOOD_QUEUE,
     'src/core/good_shared.cc': GOOD_SHARED,
@@ -569,6 +600,11 @@ def run():
             print('self-test: unknown rule id %s' % f.rule,
                   file=sys.stderr)
             ok = False
+    if not any(f.rule == 'stats-hygiene' and
+               'BadStatsA::regStats' in f.message for f in findings):
+        print('self-test: stats-hygiene missed the header class '
+              'with no resetStats', file=sys.stderr)
+        ok = False
     for f in good_hits:
         print('self-test: false positive on clean input: %s' % f,
               file=sys.stderr)
