@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "cache/set_assoc_cache.hh"
@@ -322,6 +323,58 @@ BM_CacheAccess(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheAccess);
+
+/**
+ * The decoder's reads through its region-mode VD cache (64 KB, 4
+ * ways, 512 B regions): per 256x144 mab, an encoded-stream read and a
+ * motion-compensation read within 8 mabs of the same mab of the
+ * previous frame, each widened to whole regions and tried as an MRU
+ * hit first; once per frame, the slot being written is invalidated.
+ * Items are region reads.
+ */
+void
+BM_VdRegionRead(benchmark::State &state)
+{
+    CacheConfig cfg;
+    cfg.size_bytes = 64 * 1024;
+    cfg.write_allocate = false;
+    constexpr Addr kRegion = 512;
+    SetAssocCache cache("bm", cfg, kRegion / cfg.line_bytes);
+    CacheAccessSummary scratch;
+    constexpr std::uint32_t kMabs = 576;
+    constexpr std::uint32_t kMabBytes = 192;
+    constexpr Addr kRing = 8ULL << 20;
+    constexpr Addr kSlotBytes = Addr{kMabs} * kMabBytes;
+    const Addr slots[2] = {kRing + 64, kRing + 64 + kSlotBytes + kRegion};
+    const auto readRegions = [&](Addr addr, std::uint32_t size) {
+        const Addr lo = addr & ~(kRegion - 1);
+        const auto widened = static_cast<std::uint32_t>(
+            ((addr + size + kRegion - 1) & ~(kRegion - 1)) - lo);
+        if (!cache.tryMruReadHit(lo, widened)) {
+            cache.accessInto(lo, widened, MemOp::kRead, scratch);
+        }
+    };
+    Addr encoded = 0;
+    std::uint32_t mab = 0;
+    std::uint32_t frame = 0;
+    for (auto _ : state) {
+        readRegions(encoded % kRing, 96);
+        encoded += 96;
+        const std::int64_t ref = std::clamp<std::int64_t>(
+            std::int64_t{mab} + (mab * 7) % 17 - 8, 0, kMabs - 1);
+        readRegions(
+            slots[(frame + 1) & 1] + static_cast<Addr>(ref) * kMabBytes,
+            kMabBytes);
+        if (++mab == kMabs) {
+            mab = 0;
+            ++frame;
+            cache.invalidateRange(slots[frame & 1], kSlotBytes);
+        }
+    }
+    benchmark::DoNotOptimize(cache.hitCount());
+    state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_VdRegionRead);
 
 void
 BM_DccCompress(benchmark::State &state)

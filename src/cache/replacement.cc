@@ -26,6 +26,12 @@ ReplacementState::touch(std::uint32_t set, std::uint32_t way)
 }
 
 void
+ReplacementState::copySet(std::uint32_t from, std::uint32_t to)
+{
+    std::copy_n(&stamp(from, 0), ways_, &stamp(to, 0));
+}
+
+void
 ReplacementState::reset()
 {
     std::fill(stamps_.begin(), stamps_.end(), 0);

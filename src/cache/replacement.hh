@@ -30,6 +30,15 @@ class ReplacementState
     /** Choose the victim way in @p set (all ways assumed valid). */
     std::uint32_t victim(std::uint32_t set);
 
+    /** Give set @p to the stamps of set @p from (its victim order). */
+    void copySet(std::uint32_t from, std::uint32_t to);
+
+    /** Stamp of (set, way): a larger stamp is more recently used. */
+    std::uint64_t stampOf(std::uint32_t set, std::uint32_t way) const
+    {
+        return stamps_[static_cast<std::size_t>(set) * ways_ + way];
+    }
+
     /**
      * Restore the freshly constructed state (stamps and clock) so a
      * recycled cache replays the exact victim sequence a new one

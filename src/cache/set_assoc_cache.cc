@@ -1,5 +1,6 @@
 #include "cache/set_assoc_cache.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -24,14 +25,23 @@ log2u(std::uint64_t v)
 
 } // namespace
 
-SetAssocCache::SetAssocCache(std::string name, const CacheConfig &cfg)
+SetAssocCache::SetAssocCache(std::string name, const CacheConfig &cfg,
+                             std::uint32_t region_lines)
     : name_(std::move(name)), cfg_(cfg), sets_(cfg.numSets()),
       ways_(cfg.assoc), line_shift_(log2u(cfg.line_bytes)),
       set_shift_(log2u(sets_)),
       lines_(static_cast<std::size_t>(cfg.numLines())), mru_(sets_, 0),
-      repl_(sets_, ways_)
+      repl_(sets_, ways_), region_(region_lines),
+      region_shift_(log2u(region_lines)),
+      region_byte_mask_((Addr{region_lines} << line_shift_) - 1)
 {
     cfg_.validate();
+    vs_assert(region_ > 0 && (region_ & (region_ - 1)) == 0 &&
+                  region_ <= sets_,
+              "cache region of ", region_,
+              " lines must be a power of two no larger than ", sets_,
+              " sets");
+    lockstep_.assign(sets_ >> region_shift_, 1);
 }
 
 Addr
@@ -40,25 +50,12 @@ SetAssocCache::lineAddr(std::uint32_t set, std::uint64_t tag) const
     return ((tag << set_shift_) | set) << line_shift_;
 }
 
-SetAssocCache::Line &
-SetAssocCache::line(std::uint32_t set, std::uint32_t way)
-{
-    return lines_[static_cast<std::size_t>(set) * ways_ + way];
-}
-
-const SetAssocCache::Line &
-SetAssocCache::line(std::uint32_t set, std::uint32_t way) const
-{
-    return lines_[static_cast<std::size_t>(set) * ways_ + way];
-}
-
 // vstream:allow(no-hotpath-alloc) appends into the caller's reused
 // summary scratch; its vectors keep their capacity across accesses
 bool
 SetAssocCache::accessSlow(std::uint32_t set, std::uint64_t tag, MemOp op,
-                          CacheAccessSummary &summary)
+                          CacheAccessSummary &summary, std::uint32_t span)
 {
-    ++mutations_;
     for (std::uint32_t w = 0; w < ways_; ++w) {
         Line &l = line(set, w);
         if (l.valid && l.tag == tag) {
@@ -87,10 +84,13 @@ SetAssocCache::accessSlow(std::uint32_t set, std::uint64_t tag, MemOp op,
     if (victim_way == ways_) {
         victim_way = repl_.victim(set);
         Line &v = line(set, victim_way);
-        ++evictions_;
+        evictions_ += span;
         if (v.dirty) {
-            ++writebacks_;
-            summary.writebacks.push_back(lineAddr(set, v.tag));
+            writebacks_ += span;
+            const Addr wb = lineAddr(set, v.tag);
+            for (std::uint32_t i = 0; i < span; ++i) {
+                summary.writebacks.push_back(wb + (Addr{i} << line_shift_));
+            }
         }
     }
 
@@ -103,8 +103,59 @@ SetAssocCache::accessSlow(std::uint32_t set, std::uint64_t tag, MemOp op,
 
     // A read miss fetches the line; so does an allocating write miss
     // (fetch-on-write).
-    summary.fills.push_back(lineAddr(set, tag));
+    const Addr fill = lineAddr(set, tag);
+    for (std::uint32_t i = 0; i < span; ++i) {
+        summary.fills.push_back(fill + (Addr{i} << line_shift_));
+    }
     return false;
+}
+
+void
+SetAssocCache::copyOut(std::uint32_t group)
+{
+    const std::uint32_t base = group << region_shift_;
+    const auto from = lines_.begin() +
+                      static_cast<std::ptrdiff_t>(base) * ways_;
+    for (std::uint32_t set = base + 1; set < base + region_; ++set) {
+        std::copy(from, from + ways_, &line(set, 0));
+        mru_[set] = mru_[base];
+        repl_.copySet(base, set);
+    }
+    lockstep_[group] = 0;
+}
+
+bool
+SetAssocCache::groupAgrees(std::uint32_t group) const
+{
+    // The MRU way needs no comparison: when valid it is the set's
+    // newest valid way, which the LRU order already fixes, and when
+    // invalid nothing reads it before the next touch resets it.
+    // Invalid ways' stamps are never read either: victim() runs only
+    // on a full set, and a fill takes a fresh stamp.
+    const std::uint32_t base = group << region_shift_;
+    for (std::uint32_t set = base + 1; set < base + region_; ++set) {
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            const Line &a = line(base, w);
+            const Line &b = line(set, w);
+            if (a.valid != b.valid ||
+                (a.valid && (a.tag != b.tag || a.dirty != b.dirty))) {
+                return false;
+            }
+        }
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (!line(base, w).valid) {
+                continue;
+            }
+            for (std::uint32_t v = w + 1; v < ways_; ++v) {
+                if (line(base, v).valid &&
+                    (repl_.stampOf(base, w) < repl_.stampOf(base, v)) !=
+                        (repl_.stampOf(set, w) < repl_.stampOf(set, v))) {
+                    return false;
+                }
+            }
+        }
+    }
+    return true;
 }
 
 CacheAccessSummary
@@ -126,57 +177,50 @@ SetAssocCache::accessInto(Addr addr, std::uint32_t size, MemOp op,
     summary.fills.clear();
     const Addr first = addr >> line_shift_;
     const Addr last = (addr + size - 1) >> line_shift_;
-    const bool read = op == MemOp::kRead;
-    if (read) {
-        // Nothing but MRU-way hits since this region was last read,
-        // when each of its lines was its set's MRU way: every line
-        // hits the MRU way again, which changes no state.
-        for (const RegionMemo &m : memo_) {
-            if (m.first == first && m.last == last &&
-                m.mutations == mutations_) {
-                summary.lines = static_cast<std::uint32_t>(last - first + 1);
-                summary.hits = summary.lines;
-                summary.misses = 0;
-                hits_ += summary.lines;
-                ++memo_hits_;
-                return;
-            }
-        }
-    }
     std::uint32_t hits = 0;
-    for (Addr ln = first; ln <= last; ++ln) {
+    // One region (or the part of it inside the access) at a time: its
+    // lines share a tag and fall in consecutive sets of one group.
+    for (Addr ln = first; ln <= last;) {
+        const Addr end = std::min(last, ln | (region_ - 1));
+        const auto n = static_cast<std::uint32_t>(end - ln + 1);
         const std::uint32_t set = setOf(ln);
+        const std::uint32_t group = set >> region_shift_;
         const std::uint64_t tag = tagOf(ln);
-        // MRU-way first: the common hit needs neither a scan nor a
-        // replacement update (see mru_).
-        Line &m = line(set, mru_[set]);
-        if (m.valid && m.tag == tag) {
-            if (op == MemOp::kWrite) {
-                m.dirty = true;
+        if (n == region_ && lockstep_[group]) {
+            ++lockstep_accesses_;
+            if (accessSet(set, tag, op, summary, region_)) {
+                hits += region_;
             }
-            ++hits;
-        } else if (accessSlow(set, tag, op, summary)) {
-            ++hits;
+        } else {
+            if (lockstep_[group]) {
+                copyOut(group);
+            }
+            for (std::uint32_t i = 0; i < n; ++i) {
+                if (accessSet(set + i, tag, op, summary, 1)) {
+                    ++hits;
+                }
+            }
+            if (n == region_) {
+                lockstep_[group] = groupAgrees(group) ? 1 : 0;
+            }
         }
+        ln = end + 1;
     }
     summary.lines = static_cast<std::uint32_t>(last - first + 1);
     summary.hits = hits;
     summary.misses = summary.lines - hits;
     hits_ += summary.hits;
     misses_ += summary.misses;
-    // A read leaves each of its lines as its set's MRU way, unless a
-    // later line of the region maps to the same set.
-    if (read && last - first < sets_) {
-        memo_[memo_next_] = RegionMemo{first, last, mutations_};
-        memo_next_ ^= 1;
-    }
 }
 
 bool
 SetAssocCache::contains(Addr addr) const
 {
     const Addr ln = addr >> line_shift_;
-    const std::uint32_t set = setOf(ln);
+    std::uint32_t set = setOf(ln);
+    if (lockstep_[set >> region_shift_]) {
+        set &= ~(region_ - 1); // the group's first set holds its state
+    }
     const std::uint64_t tag = tagOf(ln);
     for (std::uint32_t w = 0; w < ways_; ++w) {
         const Line &l = line(set, w);
@@ -190,17 +234,16 @@ SetAssocCache::contains(Addr addr) const
 void
 SetAssocCache::invalidateAll()
 {
-    ++mutations_;
     for (auto &l : lines_) {
         l.valid = false;
         l.dirty = false;
     }
+    std::fill(lockstep_.begin(), lockstep_.end(), 1);
 }
 
 std::uint64_t
 SetAssocCache::invalidateRange(Addr addr, std::uint64_t size)
 {
-    ++mutations_;
     if (size == 0) {
         return 0;
     }
@@ -211,6 +254,11 @@ SetAssocCache::invalidateRange(Addr addr, std::uint64_t size)
     // For ranges larger than the cache, walking the cache itself is
     // cheaper than walking the address range.
     if (last - first + 1 >= lines_.size()) {
+        for (std::uint32_t group = 0; group < lockstep_.size(); ++group) {
+            if (region_ > 1 && lockstep_[group]) {
+                copyOut(group);
+            }
+        }
         for (std::uint32_t set = 0; set < sets_; ++set) {
             for (std::uint32_t w = 0; w < ways_; ++w) {
                 Line &l = line(set, w);
@@ -232,6 +280,9 @@ SetAssocCache::invalidateRange(Addr addr, std::uint64_t size)
     for (Addr ln = first; ln <= last; ++ln) {
         const std::uint32_t set = setOf(ln);
         const std::uint64_t tag = tagOf(ln);
+        if (region_ > 1 && lockstep_[set >> region_shift_]) {
+            copyOut(set >> region_shift_);
+        }
         for (std::uint32_t w = 0; w < ways_; ++w) {
             Line &l = line(set, w);
             if (l.valid && l.tag == tag) {
@@ -247,18 +298,19 @@ SetAssocCache::invalidateRange(Addr addr, std::uint64_t size)
 std::vector<Addr>
 SetAssocCache::flush()
 {
-    ++mutations_;
     std::vector<Addr> dirty_lines;
     for (std::uint32_t set = 0; set < sets_; ++set) {
+        const std::uint32_t holder = lockstep_[set >> region_shift_]
+                                         ? set & ~(region_ - 1)
+                                         : set;
         for (std::uint32_t w = 0; w < ways_; ++w) {
-            Line &l = line(set, w);
+            const Line &l = line(holder, w);
             if (l.valid && l.dirty) {
                 dirty_lines.push_back(lineAddr(set, l.tag));
             }
-            l.valid = false;
-            l.dirty = false;
         }
     }
+    invalidateAll();
     writebacks_ += dirty_lines.size();
     return dirty_lines;
 }

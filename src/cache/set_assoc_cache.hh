@@ -7,12 +7,20 @@
  * cache.  The model tracks tags and dirty bits only; data correctness
  * is the client's concern (the simulator keeps pixel data in Frame
  * objects).
+ *
+ * Region mode (the decoder's cache): a region is an aligned run of
+ * region_lines lines, and it falls in region_lines consecutive sets,
+ * a group.  While a group is in lockstep, all of its sets hold the
+ * same state and only the group's first set stores it, so an access
+ * to a whole region makes one check for all of its lines.  The
+ * results (hits, misses, fills, writebacks, evictions) are exactly
+ * those of the per-line walk; docs/PERFORMANCE.md "VD reads by
+ * region" gives the argument.
  */
 
 #ifndef VSTREAM_CACHE_SET_ASSOC_CACHE_HH
 #define VSTREAM_CACHE_SET_ASSOC_CACHE_HH
 
-#include <array>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -43,7 +51,12 @@ struct CacheAccessSummary
 class SetAssocCache
 {
   public:
-    SetAssocCache(std::string name, const CacheConfig &cfg);
+    /**
+     * @param region_lines lines per region: a power of two no larger
+     *     than the set count; 1 (the default) is the per-line cache.
+     */
+    SetAssocCache(std::string name, const CacheConfig &cfg,
+                  std::uint32_t region_lines = 1);
 
     /**
      * Access [addr, addr+size) with operation @p op.
@@ -63,10 +76,39 @@ class SetAssocCache
                     CacheAccessSummary &summary);
 
     /**
-     * Reads answered by the region memo without walking their lines
-     * (a diagnostic of the fast path, not a model stat).
+     * Read of whole regions [addr, addr+size) that hits the MRU way
+     * of every region, each on a lockstep group: counts the hits and
+     * returns true.  A read hit on the MRU way changes no other
+     * state, so on false nothing has changed and the caller goes
+     * through accessInto().
      */
-    std::uint64_t memoHits() const { return memo_hits_; }
+    // vstream:hot
+    bool tryMruReadHit(Addr addr, std::uint32_t size)
+    {
+        if (size == 0 || ((addr | size) & region_byte_mask_) != 0) {
+            return false;
+        }
+        const Addr first = addr >> line_shift_;
+        const Addr end = (addr + size) >> line_shift_;
+        for (Addr ln = first; ln < end; ln += region_) {
+            const std::uint32_t set = setOf(ln);
+            const Line &m = line(set, mru_[set]);
+            if (!lockstep_[set >> region_shift_] || !m.valid ||
+                m.tag != tagOf(ln)) {
+                return false;
+            }
+        }
+        hits_ += end - first;
+        lockstep_accesses_ += (end - first) >> region_shift_;
+        return true;
+    }
+
+    /**
+     * Whole-region accesses made by one check on a lockstep group
+     * (with one-line regions, every line access): a diagnostic of the
+     * region fast path, not a model stat.
+     */
+    std::uint64_t lockstepAccesses() const { return lockstep_accesses_; }
 
     /** Probe without updating any state. */
     bool contains(Addr addr) const;
@@ -118,27 +160,54 @@ class SetAssocCache
     }
     std::uint64_t tagOf(Addr ln) const { return ln >> set_shift_; }
     Addr lineAddr(std::uint32_t set, std::uint64_t tag) const;
-    Line &line(std::uint32_t set, std::uint32_t way);
-    const Line &line(std::uint32_t set, std::uint32_t way) const;
+    Line &line(std::uint32_t set, std::uint32_t way)
+    {
+        return lines_[static_cast<std::size_t>(set) * ways_ + way];
+    }
+    const Line &line(std::uint32_t set, std::uint32_t way) const
+    {
+        return lines_[static_cast<std::size_t>(set) * ways_ + way];
+    }
 
     /**
-     * Access one line whose set's MRU way did not match: scan the
-     * other ways, else miss (and maybe fill).  Returns hit; may add
-     * to @p summary.
+     * Access tag @p tag in @p set, standing for @p span consecutive
+     * sets of identical state (1, or a whole lockstep group): MRU way
+     * first, then accessSlow().  Returns hit.
+     */
+    bool accessSet(std::uint32_t set, std::uint64_t tag, MemOp op,
+                   CacheAccessSummary &summary, std::uint32_t span)
+    {
+        // MRU-way first: the common hit needs neither a scan nor a
+        // replacement update (see mru_).
+        Line &m = line(set, mru_[set]);
+        if (m.valid && m.tag == tag) {
+            if (op == MemOp::kWrite) {
+                m.dirty = true;
+            }
+            return true;
+        }
+        return accessSlow(set, tag, op, summary, span);
+    }
+
+    /**
+     * Access whose set's MRU way did not match: scan the other ways,
+     * else miss (and maybe fill).  Evictions and writebacks count
+     * @p span times, and writebacks and fills expand to the span's
+     * consecutive line addresses in ascending order.  Returns hit.
      */
     bool accessSlow(std::uint32_t set, std::uint64_t tag, MemOp op,
-                    CacheAccessSummary &summary);
+                    CacheAccessSummary &summary, std::uint32_t span);
+
+    /** Give every set of lockstep group @p group the state of its
+     * first set, and take the group out of lockstep. */
+    void copyOut(std::uint32_t group);
 
     /**
-     * A read region [first, last] (line numbers) whose every line was
-     * its set's MRU way when mutations_ read @c mutations.
+     * Whether every set of @p group behaves as its first set: the
+     * same valid bits, the same tag and dirty bit on each valid way,
+     * and the same LRU order over the valid ways.
      */
-    struct RegionMemo
-    {
-        Addr first = 0;
-        Addr last = 0;
-        std::uint64_t mutations = ~std::uint64_t(0);
-    };
+    bool groupAgrees(std::uint32_t group) const;
 
     std::string name_;
     CacheConfig cfg_;
@@ -155,17 +224,15 @@ class SetAssocCache
      */
     std::vector<std::uint32_t> mru_;
     ReplacementState repl_;
-    /**
-     * Bumped by every change to tags, valid bits, the MRU ways or the
-     * replacement state: accessSlow, invalidation and flush.  Only an
-     * MRU-way hit leaves it alone, and that changes nothing a read
-     * can observe (a write hit only sets the dirty bit).
-     */
-    std::uint64_t mutations_ = 0;
-    /** The last two read regions; see accessInto. */
-    std::array<RegionMemo, 2> memo_{};
-    std::uint32_t memo_next_ = 0;
-    std::uint64_t memo_hits_ = 0;
+    /** Lines (and sets) per region, a power of two, and its log2. */
+    std::uint32_t region_;
+    std::uint32_t region_shift_;
+    /** Region bytes - 1: region-aligned addresses have none of it. */
+    Addr region_byte_mask_;
+    /** Per group of region_ sets: 1 while only its first set holds
+     * state (always 1 with one-line regions). */
+    std::vector<std::uint8_t> lockstep_;
+    std::uint64_t lockstep_accesses_ = 0;
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -48,6 +48,18 @@ mixHash(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
+/** Power-of-two slot count (at least 16) that holds @p n entries
+ * under a 3/4 load factor. */
+constexpr std::size_t
+flatCapacityFor(std::size_t n)
+{
+    std::size_t want = 16;
+    while (want * 3 < n * 4) {
+        want <<= 1;
+    }
+    return want;
+}
+
 /**
  * Flat open-addressing map from an integer key to a value.
  * Per-entry erase leaves a tombstone; clear() drops everything.
@@ -86,10 +98,7 @@ class FlatMap
     void
     reserve(std::size_t n)
     {
-        std::size_t want = 16;
-        while (want * 3 < n * 4) { // keep load factor under 3/4
-            want <<= 1;
-        }
+        const std::size_t want = flatCapacityFor(n);
         if (want > slots_.size()) {
             rehash(want);
         }
@@ -289,6 +298,111 @@ class FlatSet
 
   private:
     FlatMap<Key, bool> map_;
+};
+
+/**
+ * Flat counter of 32-bit keys: one 8-byte word per slot, the key in
+ * its low half and the count in its high half (a zero word is an
+ * empty slot), so a table reserved for 16,384 keys takes 256 KB where
+ * a FlatMap<std::uint32_t, std::uint64_t> takes 768 KB.  A count that
+ * would pass @c carry_at moves that many into a spill map, which
+ * stays empty (and allocates nothing) until then: counts are exact
+ * however long the run.
+ */
+class FlatCounter
+{
+  public:
+    /** @param carry_at the most a slot counts before carrying (tests
+     *     lower it to reach the spill map). */
+    explicit FlatCounter(std::uint32_t carry_at = UINT32_MAX)
+        : carry_at_(carry_at)
+    {
+        vs_assert(carry_at > 0, "flat counter needs a positive carry");
+    }
+
+    /** Distinct keys counted. */
+    std::size_t size() const { return size_; }
+
+    /** Pre-size so @p n keys insert without rehashing. */
+    void
+    reserve(std::size_t n)
+    {
+        const std::size_t want = flatCapacityFor(n);
+        if (want > slots_.size()) {
+            rehash(want);
+        }
+    }
+
+    /** Count one more of @p key. */
+    // vstream:hot
+    void
+    add(std::uint32_t key)
+    {
+        if ((size_ + 1) * 4 > slots_.size() * 3) {
+            rehash(slots_.empty() ? 16 : slots_.size() * 2);
+        }
+        const std::size_t mask = slots_.size() - 1;
+        std::size_t i = static_cast<std::size_t>(mixHash(key)) & mask;
+        while (slots_[i] != 0) {
+            if (static_cast<std::uint32_t>(slots_[i]) == key) {
+                if ((slots_[i] >> 32) == carry_at_) {
+                    carried_[key] += carry_at_;
+                    slots_[i] = kOne | key;
+                } else {
+                    slots_[i] += kOne;
+                }
+                return;
+            }
+            i = (i + 1) & mask;
+        }
+        slots_[i] = kOne | key;
+        ++size_;
+    }
+
+    /** Visit every key as fn(key, count); unspecified order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (const std::uint64_t w : slots_) {
+            if (w == 0) {
+                continue;
+            }
+            const auto key = static_cast<std::uint32_t>(w);
+            const std::uint64_t *carried = carried_.find(key);
+            fn(key, (w >> 32) + (carried ? *carried : 0));
+        }
+    }
+
+  private:
+    static constexpr std::uint64_t kOne = std::uint64_t{1} << 32;
+
+    // vstream:allow(no-hotpath-alloc) add() grows the table only past
+    // what reserve() sized it for
+    void
+    rehash(std::size_t capacity)
+    {
+        std::vector<std::uint64_t> old = std::move(slots_);
+        slots_.assign(capacity, 0);
+        const std::size_t mask = capacity - 1;
+        for (const std::uint64_t w : old) {
+            if (w == 0) {
+                continue;
+            }
+            std::size_t i = static_cast<std::size_t>(
+                                mixHash(static_cast<std::uint32_t>(w))) &
+                            mask;
+            while (slots_[i] != 0) {
+                i = (i + 1) & mask;
+            }
+            slots_[i] = w;
+        }
+    }
+
+    std::uint32_t carry_at_;
+    std::vector<std::uint64_t> slots_;
+    std::size_t size_ = 0;
+    FlatMap<std::uint32_t, std::uint64_t> carried_;
 };
 
 } // namespace vstream

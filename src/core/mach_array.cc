@@ -117,7 +117,7 @@ MachArray::lookup(std::uint32_t digest, std::uint16_t aux,
         } else {
             ++stats_.intra_hits;
         }
-        ++match_counts_[digest];
+        match_counts_.add(digest);
     } else {
         ++stats_.misses;
     }

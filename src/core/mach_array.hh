@@ -171,7 +171,7 @@ class MachArray
 
   private:
     MachConfig cfg_;
-    FlatMap<std::uint32_t, std::uint64_t> match_counts_;
+    FlatCounter match_counts_;
     /**
      * The num_machs per-frame MACHs.  Advancing a frame recycles the
      * aged-out slot in place, so frame boundaries perform no heap

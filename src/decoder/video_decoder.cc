@@ -10,6 +10,26 @@
 namespace vstream
 {
 
+namespace
+{
+
+/**
+ * Lines per read region of the VD cache: every read is widened to
+ * whole kReadPrefetchBytes regions, so the cache checks one tag per
+ * region when a region is a power-of-two number of lines no larger
+ * than the set count, and walks lines otherwise.
+ */
+std::uint32_t
+readRegionLines(const CacheConfig &cache)
+{
+    const std::uint32_t lines =
+        DecoderConfig::kReadPrefetchBytes / cache.line_bytes;
+    const bool pow2 = lines > 0 && (lines & (lines - 1)) == 0;
+    return pow2 && lines <= cache.numSets() ? lines : 1;
+}
+
+} // namespace
+
 VideoDecoder::VideoDecoder(std::string name, EventQueue *queue,
                            MemorySystem &mem, const DecoderConfig &cfg,
                            const VideoProfile &profile)
@@ -17,8 +37,8 @@ VideoDecoder::VideoDecoder(std::string name, EventQueue *queue,
       profile_(profile), cost_(profile, cfg.power, cfg.cost)
 {
     cfg_.validate();
-    cache_ = std::make_unique<SetAssocCache>(this->name() + ".cache",
-                                             cfg_.cache);
+    cache_ = std::make_unique<SetAssocCache>(
+        this->name() + ".cache", cfg_.cache, readRegionLines(cfg_.cache));
     encoded_region_ = mem_.allocate(DecoderConfig::kEncodedRingBytes,
                                     "vd.encoded_ring");
 }
@@ -35,9 +55,12 @@ VideoDecoder::readThroughCache(Addr addr, std::uint32_t size, Tick now,
     const Addr hi = (addr + size + DecoderConfig::kReadPrefetchBytes - 1) &
                     mask;
 
+    const auto widened = static_cast<std::uint32_t>(hi - lo);
+    if (cache_->tryMruReadHit(lo, widened)) {
+        return now; // all hits: no fills to fetch
+    }
     CacheAccessSummary &s = access_scratch_;
-    cache_->accessInto(lo, static_cast<std::uint32_t>(hi - lo),
-                       MemOp::kRead, s);
+    cache_->accessInto(lo, widened, MemOp::kRead, s);
     const Tick t = mem_.readLines(s.fills, cfg_.cache.line_bytes,
                                   Requester::kVideoDecoder, now);
     *stall += t - now;

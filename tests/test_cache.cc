@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cache/set_assoc_cache.hh"
@@ -390,6 +392,27 @@ class ReferenceCache
     std::uint64_t clock_ = 0;
 };
 
+/**
+ * A read goes the way VideoDecoder::readThroughCache sends it: the
+ * whole-region MRU-hit check first, accessInto() when that fails.
+ * Writes go straight to accessInto().
+ */
+void
+accessLikeDecoder(SetAssocCache &cache, Addr addr, std::uint32_t size,
+                  MemOp op, CacheAccessSummary &got)
+{
+    const std::uint64_t hits = cache.hitCount();
+    if (op == MemOp::kRead && cache.tryMruReadHit(addr, size)) {
+        got.lines = static_cast<std::uint32_t>(cache.hitCount() - hits);
+        got.hits = got.lines;
+        got.misses = 0;
+        got.fills.clear();
+        got.writebacks.clear();
+        return;
+    }
+    cache.accessInto(addr, size, op, got);
+}
+
 /** Parameter: associativity. */
 class CacheDifferential : public ::testing::TestWithParam<std::uint32_t>
 {
@@ -478,12 +501,13 @@ TEST_P(CacheDifferential, MatchesNaiveReferenceOnRandomTrace)
 }
 
 /**
- * Differential replay aimed at the read-region memo: most reads
- * repeat one of a few recent regions, interleaved with accesses to
- * other sets, same-set conflicts that evict region lines, write hits
- * inside regions, invalidateRange, invalidateAll and flush.  Every
- * result must match ReferenceCache, and the memo must have answered
- * a good share of the repeats.
+ * Differential replay aimed at region mode (four-line regions, or one
+ * group of every set when there are fewer): most reads repeat one of
+ * a few recent regions, interleaved with accesses to other sets,
+ * same-set conflicts that evict region lines, write hits inside
+ * regions, invalidateRange, invalidateAll and flush.  Every result
+ * must match ReferenceCache, and lockstep groups must have answered a
+ * good share of the repeats.
  */
 TEST_P(CacheDifferential, RepeatedReadRegionsMatchReference)
 {
@@ -491,7 +515,10 @@ TEST_P(CacheDifferential, RepeatedReadRegionsMatchReference)
     // Write-allocate, then write-around.
     for (int mode = 0; mode < 2; ++mode) {
         const CacheConfig cfg = tinyCache(2048, assoc, mode == 0);
-        SetAssocCache cache("c", cfg);
+        const std::uint32_t region_lines =
+            std::min<std::uint32_t>(4, cfg.numSets());
+        const Addr region_bytes = Addr{region_lines} * cfg.line_bytes;
+        SetAssocCache cache("c", cfg, region_lines);
         ReferenceCache ref(cfg);
         CacheAccessSummary got;
 
@@ -536,10 +563,18 @@ TEST_P(CacheDifferential, RepeatedReadRegionsMatchReference)
             std::uint32_t size = region.size;
             MemOp mop = MemOp::kRead;
             if (kind < 14) {
-                // A new region of up to a few lines.
-                region.addr = rng.uniformInt(0, space - 1);
-                region.size = static_cast<std::uint32_t>(
-                    rng.uniformInt(1, sets * cfg.line_bytes));
+                // A new region of up to a few lines, or (3 in 4) one
+                // or two whole aligned regions.
+                if (rng.uniformInt(0, 3) == 0) {
+                    region.addr = rng.uniformInt(0, space - 1);
+                    region.size = static_cast<std::uint32_t>(
+                        rng.uniformInt(1, sets * cfg.line_bytes));
+                } else {
+                    region.addr = rng.uniformInt(0, space - 1) &
+                                  ~(region_bytes - 1);
+                    region.size = static_cast<std::uint32_t>(
+                        rng.uniformInt(1, 2) * region_bytes);
+                }
                 addr = region.addr;
                 size = region.size;
             } else if (kind < 24) {
@@ -554,11 +589,16 @@ TEST_P(CacheDifferential, RepeatedReadRegionsMatchReference)
                        space;
                 size = static_cast<std::uint32_t>(rng.uniformInt(1, 64));
                 mop = rng.uniformInt(0, 1) ? MemOp::kWrite : MemOp::kRead;
+            }
+            if (kind >= 14 && kind < 34 && rng.uniformInt(0, 3) != 0) {
+                // Three in four of those as one whole region.
+                addr &= ~(region_bytes - 1);
+                size = static_cast<std::uint32_t>(region_bytes);
             } else if (kind < 42) {
                 // A write hit inside the region.
                 mop = MemOp::kWrite;
             }
-            cache.accessInto(addr, size, mop, got);
+            accessLikeDecoder(cache, addr, size, mop, got);
             const CacheAccessSummary want = ref.access(addr, size, mop);
             ASSERT_EQ(got.lines, want.lines) << "op " << op;
             ASSERT_EQ(got.hits, want.hits) << "op " << op;
@@ -567,7 +607,7 @@ TEST_P(CacheDifferential, RepeatedReadRegionsMatchReference)
             ASSERT_EQ(got.writebacks, want.writebacks) << "op " << op;
         }
 
-        EXPECT_GT(cache.memoHits(), 500u);
+        EXPECT_GT(cache.lockstepAccesses(), 500u);
         EXPECT_EQ(cache.hitCount(), ref.hits_);
         EXPECT_EQ(cache.missCount(), ref.misses_);
         EXPECT_EQ(cache.evictionCount(), ref.evictions_);
@@ -580,6 +620,179 @@ TEST_P(CacheDifferential, RepeatedReadRegionsMatchReference)
 
 INSTANTIATE_TEST_SUITE_P(Ways, CacheDifferential,
                          ::testing::Values(1u, 2u, 4u, 8u));
+
+/** Parameter: (cache KB, ways, line bytes). */
+class RegionDifferential
+    : public ::testing::TestWithParam<
+          std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>>
+{
+};
+
+/**
+ * Differential replay of VD-shaped traces through a region-mode cache
+ * with 512 B regions (the decoder's read-prefetch granularity):
+ *
+ *  - per mab, an encoded-stream read walking a ring and (outside I
+ *    frames) a motion-compensation read near the same mab of the
+ *    previous frame's slot, each widened to one or two whole regions
+ *    and sent the decoder's way (accessLikeDecoder);
+ *  - once per frame, the invalidation of the slot being written, at a
+ *    64 B-aligned base that is not region-aligned: the whole slot,
+ *    larger than the cache, or a quarter of it;
+ *  - now and then partial invalidateRange at 64 B-aligned edges (a
+ *    few larger than the cache), an unwidened read, whole-region
+ *    writes, invalidateAll and flush.
+ *
+ * Every op must match ReferenceCache: the summary (lines, hits,
+ * misses, fills, writebacks), the invalidation count, the flushed
+ * lines in order, and every counter; at the end, contains() over the
+ * whole address space.
+ */
+TEST_P(RegionDifferential, VdTraceMatchesReference)
+{
+    const auto [kb, assoc, line_bytes] = GetParam();
+    const std::uint32_t region_lines = 512 / line_bytes;
+    const Addr region_bytes = 512;
+    // Write-around (the VD cache), then write-allocate.
+    for (int mode = 0; mode < 2; ++mode) {
+        CacheConfig cfg;
+        cfg.size_bytes = std::uint64_t{kb} * 1024;
+        cfg.line_bytes = line_bytes;
+        cfg.assoc = assoc;
+        cfg.write_allocate = mode == 1;
+        SetAssocCache cache("vd", cfg, region_lines);
+        ReferenceCache ref(cfg);
+        CacheAccessSummary got;
+
+        // An encoded ring of twice the cache, then three frame slots
+        // a little over the cache each, every base 64 B past a region
+        // boundary.
+        const Addr ring_bytes = 2 * cfg.size_bytes;
+        const Addr slot_bytes = cfg.size_bytes + 3 * 64;
+        const auto slotBase = [&](std::uint64_t i) {
+            return ring_bytes + 64 + i * (slot_bytes + region_bytes);
+        };
+        const Addr space = slotBase(3);
+        const std::uint32_t mab_bytes = 768;
+        const std::uint64_t mabs = slot_bytes / mab_bytes;
+
+        // Widen [addr, addr + size) to whole regions.
+        const auto widen = [&](Addr addr, std::uint64_t size) {
+            const Addr lo = addr & ~(region_bytes - 1);
+            const Addr hi =
+                (addr + size + region_bytes - 1) & ~(region_bytes - 1);
+            return std::pair<Addr, std::uint32_t>(
+                lo, static_cast<std::uint32_t>(hi - lo));
+        };
+        int op = 0;
+        const auto check = [&](const CacheAccessSummary &want) {
+            ASSERT_EQ(got.lines, want.lines) << "op " << op;
+            ASSERT_EQ(got.hits, want.hits) << "op " << op;
+            ASSERT_EQ(got.misses, want.misses) << "op " << op;
+            ASSERT_EQ(got.fills, want.fills) << "op " << op;
+            ASSERT_EQ(got.writebacks, want.writebacks) << "op " << op;
+        };
+
+        Random rng(0x5e9aULL + kb * 7 + assoc * 131 + line_bytes + mode);
+        Addr enc_cursor = 0;
+        const auto counters = [&] {
+            ASSERT_EQ(cache.hitCount(), ref.hits_) << "op " << op;
+            ASSERT_EQ(cache.missCount(), ref.misses_) << "op " << op;
+            ASSERT_EQ(cache.evictionCount(), ref.evictions_) << "op " << op;
+            ASSERT_EQ(cache.writebackCount(), ref.writebacks_)
+                << "op " << op;
+        };
+        // At least six frames and 3,000 mabs.
+        const std::uint64_t frames = std::max<std::uint64_t>(
+            6, (3000 + mabs - 1) / mabs);
+        for (std::uint64_t frame = 0; frame < frames; ++frame) {
+            // The slot this frame writes is invalidated: all of it
+            // (more than the cache), or now and then a quarter (line
+            // by line).
+            const Addr slot = slotBase(frame % 3);
+            const Addr prev = slotBase((frame + 2) % 3);
+            const std::uint64_t len =
+                frame % 3 == 2 ? slot_bytes / 4 : slot_bytes;
+            ASSERT_EQ(cache.invalidateRange(slot, len),
+                      ref.invalidateRange(slot, len));
+            for (std::uint64_t mab = 0; mab < mabs; ++mab, ++op) {
+                // This mab's slice of the encoded stream.
+                const std::uint64_t bytes = rng.uniformInt(20, 700);
+                const auto [elo, esize] =
+                    widen(enc_cursor % ring_bytes, bytes);
+                enc_cursor += bytes;
+                accessLikeDecoder(cache, elo, esize, MemOp::kRead, got);
+                check(ref.access(elo, esize, MemOp::kRead));
+
+                // Its MC reference, within 8 mabs in the previous
+                // frame's slot (I frames have none).
+                if (frame % 3 != 0) {
+                    const std::uint64_t at =
+                        std::min(mabs - 1, mab + rng.uniformInt(0, 16));
+                    const auto [rlo, rsize] = widen(
+                        prev + (at > 8 ? at - 8 : 0) * mab_bytes,
+                        mab_bytes);
+                    accessLikeDecoder(cache, rlo, rsize, MemOp::kRead,
+                                      got);
+                    check(ref.access(rlo, rsize, MemOp::kRead));
+                }
+
+                const std::uint64_t kind = rng.uniformInt(0, 999);
+                if (kind < 50) {
+                    // Whole-region writes into either slot.
+                    const Addr at =
+                        (kind < 25 ? slot : prev) +
+                        rng.uniformInt(0, slot_bytes - 1024);
+                    const auto [wlo, wsize] = widen(at, 1 + kind % 600);
+                    cache.accessInto(wlo, wsize, MemOp::kWrite, got);
+                    check(ref.access(wlo, wsize, MemOp::kWrite));
+                } else if (kind < 100) {
+                    // An unwidened read of a few lines.
+                    const Addr at = rng.uniformInt(0, space - 1);
+                    const auto size = static_cast<std::uint32_t>(
+                        rng.uniformInt(1, 300));
+                    accessLikeDecoder(cache, at, size, MemOp::kRead, got);
+                    check(ref.access(at, size, MemOp::kRead));
+                } else if (kind < 120) {
+                    // 64 B-aligned edges: within a region or across a
+                    // few, now and then more than the whole cache.
+                    const Addr at =
+                        rng.uniformInt(0, space - 1) & ~Addr{63};
+                    const std::uint64_t ilen =
+                        kind < 118 ? 64 * rng.uniformInt(1, 24)
+                                   : cfg.size_bytes +
+                                         64 * rng.uniformInt(0, 64);
+                    ASSERT_EQ(cache.invalidateRange(at, ilen),
+                              ref.invalidateRange(at, ilen))
+                        << "op " << op;
+                } else if (kind < 121) {
+                    cache.invalidateAll();
+                    ref.invalidateAll();
+                } else if (kind < 122) {
+                    ASSERT_EQ(cache.flush(), ref.flush()) << "op " << op;
+                }
+                counters();
+                if (HasFatalFailure()) {
+                    return;
+                }
+            }
+        }
+
+        // The trace evicted, wrote back and ran the one-check path.
+        EXPECT_GT(ref.evictions_, 0u);
+        EXPECT_GT(ref.writebacks_, 0u);
+        EXPECT_GT(cache.lockstepAccesses(), 500u);
+        for (Addr a = 0; a < space; a += cfg.line_bytes) {
+            ASSERT_EQ(cache.contains(a), ref.contains(a)) << "addr " << a;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RegionGeometry, RegionDifferential,
+    ::testing::Combine(::testing::Values(32u, 64u, 512u),
+                       ::testing::Values(1u, 4u, 8u, 16u),
+                       ::testing::Values(32u, 64u, 128u)));
 
 } // namespace
 } // namespace vstream

@@ -7,6 +7,9 @@
  * determinism contract pins byte-identical stats output — so these
  * tests also nail the exact growth points the insert-only seed had.
  *
+ * FlatCounter (the MACH match tracker) must count exactly what a
+ * std::map would, through growth and through its spill map.
+ *
  * Run under the asan-ubsan preset these double as lifetime checks
  * for the move-based rehash and the value-release on erase.
  */
@@ -14,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -241,6 +245,44 @@ TEST(FlatSet, InsertEraseChurn)
     }
     EXPECT_EQ(s.size(), 0u);
     EXPECT_EQ(s.capacity(), 16u);
+}
+
+/**
+ * Seeded keys with a skewed mix (a few hot keys, many cold ones, key
+ * 0 among them) through FlatCounter against std::map: the default
+ * carry, and a carry of 3 that sends the hot keys through the spill
+ * map many times.
+ */
+TEST(FlatCounter, CountsMatchMapThroughGrowthAndCarries)
+{
+    for (const std::uint32_t carry_at : {UINT32_MAX, 3u}) {
+        FlatCounter c(carry_at);
+        std::map<std::uint32_t, std::uint64_t> want;
+        std::uint64_t x = 0x9e37;
+        for (int i = 0; i < 20000; ++i) {
+            x = mixHash(x);
+            const auto key = static_cast<std::uint32_t>(
+                x % 4 == 0 ? x % 5 : x % 3000);
+            c.add(key);
+            ++want[key];
+        }
+        EXPECT_EQ(c.size(), want.size());
+        std::map<std::uint32_t, std::uint64_t> got;
+        c.forEach([&](std::uint32_t key, std::uint64_t n) {
+            EXPECT_TRUE(got.emplace(key, n).second) << key;
+        });
+        EXPECT_EQ(got, want);
+    }
+}
+
+TEST(FlatCounter, EmptyVisitsNothing)
+{
+    FlatCounter c;
+    c.reserve(100);
+    int visits = 0;
+    c.forEach([&](std::uint32_t, std::uint64_t) { ++visits; });
+    EXPECT_EQ(visits, 0);
+    EXPECT_EQ(c.size(), 0u);
 }
 
 } // namespace

@@ -86,7 +86,7 @@ REMOVED_NAMES = ("refresh_enabled", "ReplPolicy", "stats::Scalar",
                  "stats::Distribution", "stats::Histogram",
                  "queue_when_full", "verify_display", "ShardSnapshot",
                  "FleetLadder", "FleetHealth", "byte_io",
-                 "DisplayCache")
+                 "DisplayCache", "memoHits", "RegionMemo")
 REMOVED_NAME_RE = re.compile(
     r"(?<![\w:])(" + "|".join(re.escape(n) for n in REMOVED_NAMES) +
     r")(?!\w)")
