@@ -47,7 +47,10 @@ makeDedupSession(const ArrivalEvent &a, const ZipfLibrary &library)
     s.id = id;
     s.stats_group = "dedup";
     PipelineConfig &cfg = s.pipeline;
-    cfg.profile.key = "D" + std::to_string(id);
+    // assign + append: "D" + to_string warns -Wrestrict at -O3
+    // (GCC 12), see ZipfLibrary::applyTo.
+    cfg.profile.key.assign(1, 'D');
+    cfg.profile.key.append(std::to_string(id));
     cfg.profile.width = 48;
     cfg.profile.height = 24;
     cfg.profile.frame_count =

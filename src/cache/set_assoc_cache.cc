@@ -122,6 +122,7 @@ SetAssocCache::copyOut(std::uint32_t group)
         repl_.copySet(base, set);
     }
     lockstep_[group] = 0;
+    ++copy_outs_;
 }
 
 bool
@@ -214,14 +215,8 @@ SetAssocCache::accessInto(Addr addr, std::uint32_t size, MemOp op,
 }
 
 bool
-SetAssocCache::contains(Addr addr) const
+SetAssocCache::holdsTag(std::uint32_t set, std::uint64_t tag) const
 {
-    const Addr ln = addr >> line_shift_;
-    std::uint32_t set = setOf(ln);
-    if (lockstep_[set >> region_shift_]) {
-        set &= ~(region_ - 1); // the group's first set holds its state
-    }
-    const std::uint64_t tag = tagOf(ln);
     for (std::uint32_t w = 0; w < ways_; ++w) {
         const Line &l = line(set, w);
         if (l.valid && l.tag == tag) {
@@ -229,6 +224,32 @@ SetAssocCache::contains(Addr addr) const
         }
     }
     return false;
+}
+
+std::uint32_t
+SetAssocCache::clearTag(std::uint32_t set, std::uint64_t tag)
+{
+    std::uint32_t cleared = 0;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+        Line &l = line(set, w);
+        if (l.valid && l.tag == tag) {
+            l.valid = false;
+            l.dirty = false;
+            ++cleared;
+        }
+    }
+    return cleared;
+}
+
+bool
+SetAssocCache::contains(Addr addr) const
+{
+    const Addr ln = addr >> line_shift_;
+    std::uint32_t set = setOf(ln);
+    if (lockstep_[set >> region_shift_]) {
+        set &= ~(region_ - 1); // the group's first set holds its state
+    }
+    return holdsTag(set, tagOf(ln));
 }
 
 void
@@ -250,47 +271,78 @@ SetAssocCache::invalidateRange(Addr addr, std::uint64_t size)
     std::uint64_t invalidated = 0;
     const Addr first = addr >> line_shift_;
     const Addr last = (addr + size - 1) >> line_shift_;
+    const Addr region_mask = Addr{region_} - 1;
 
     // For ranges larger than the cache, walking the cache itself is
     // cheaper than walking the address range.
     if (last - first + 1 >= lines_.size()) {
         for (std::uint32_t group = 0; group < lockstep_.size(); ++group) {
-            if (region_ > 1 && lockstep_[group]) {
-                copyOut(group);
-            }
-        }
-        for (std::uint32_t set = 0; set < sets_; ++set) {
-            for (std::uint32_t w = 0; w < ways_; ++w) {
-                Line &l = line(set, w);
-                if (!l.valid) {
+            const std::uint32_t base = group << region_shift_;
+            if (lockstep_[group]) {
+                // Each resident region lies wholly inside the range,
+                // wholly outside it, or across an edge.  Without an
+                // edge the first set stands for the group as before.
+                bool split = false;
+                for (std::uint32_t w = 0; w < ways_ && !split; ++w) {
+                    const Line &l = line(base, w);
+                    const Addr lo = (l.tag << set_shift_) | base;
+                    split = l.valid && lo <= last &&
+                            lo + region_mask >= first &&
+                            (lo < first || lo + region_mask > last);
+                }
+                if (!split) {
+                    for (std::uint32_t w = 0; w < ways_; ++w) {
+                        Line &l = line(base, w);
+                        const Addr lo = (l.tag << set_shift_) | base;
+                        if (l.valid && lo >= first && lo <= last) {
+                            l.valid = false;
+                            l.dirty = false;
+                            invalidated += region_;
+                        }
+                    }
                     continue;
                 }
-                const Addr la = lineAddr(set, l.tag);
-                if (la >= (first << line_shift_) &&
-                    la <= (last << line_shift_)) {
-                    l.valid = false;
-                    l.dirty = false;
-                    ++invalidated;
+                copyOut(group);
+            }
+            for (std::uint32_t set = base; set < base + region_; ++set) {
+                for (std::uint32_t w = 0; w < ways_; ++w) {
+                    Line &l = line(set, w);
+                    const Addr ln = (l.tag << set_shift_) | set;
+                    if (l.valid && ln >= first && ln <= last) {
+                        l.valid = false;
+                        l.dirty = false;
+                        ++invalidated;
+                    }
                 }
             }
         }
         return invalidated;
     }
 
-    for (Addr ln = first; ln <= last; ++ln) {
+    for (Addr ln = first; ln <= last;) {
         const std::uint32_t set = setOf(ln);
+        const std::uint32_t group = set >> region_shift_;
         const std::uint64_t tag = tagOf(ln);
-        if (region_ > 1 && lockstep_[set >> region_shift_]) {
-            copyOut(set >> region_shift_);
-        }
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            Line &l = line(set, w);
-            if (l.valid && l.tag == tag) {
-                l.valid = false;
-                l.dirty = false;
-                ++invalidated;
+        if (lockstep_[group]) {
+            // The first set stands for the group.  A region the range
+            // covers whole, or one not resident, leaves every set of
+            // the group alike: the group stays in lockstep.
+            const std::uint32_t base = group << region_shift_;
+            const Addr region_first = ln & ~region_mask;
+            const Addr region_last = region_first + region_mask;
+            if (region_first >= first && region_last <= last) {
+                invalidated += std::uint64_t{region_} * clearTag(base, tag);
+                ln = region_last + 1;
+                continue;
             }
+            if (!holdsTag(base, tag)) {
+                ln = std::min(region_last, last) + 1;
+                continue;
+            }
+            copyOut(group);
         }
+        invalidated += clearTag(set, tag);
+        ++ln;
     }
     return invalidated;
 }

@@ -110,6 +110,13 @@ class SetAssocCache
      */
     std::uint64_t lockstepAccesses() const { return lockstep_accesses_; }
 
+    /**
+     * Lockstep groups taken out of lockstep (a partial access, or an
+     * invalidateRange edge that splits a resident region): a
+     * diagnostic of the region fast path, not a model stat.
+     */
+    std::uint64_t copyOuts() const { return copy_outs_; }
+
     /** Probe without updating any state. */
     bool contains(Addr addr) const;
 
@@ -119,7 +126,8 @@ class SetAssocCache
     /**
      * Invalidate every line covering [addr, addr+size) (dirty data
      * dropped) - the coherence action for a DMA engine overwriting
-     * memory behind the cache.
+     * memory behind the cache.  A lockstep group stays in lockstep
+     * unless a range edge splits one of its resident regions.
      *
      * @return number of lines invalidated.
      */
@@ -198,6 +206,13 @@ class SetAssocCache
     bool accessSlow(std::uint32_t set, std::uint64_t tag, MemOp op,
                     CacheAccessSummary &summary, std::uint32_t span);
 
+    /** Whether a valid way of @p set holds @p tag. */
+    bool holdsTag(std::uint32_t set, std::uint64_t tag) const;
+
+    /** Invalidate the way of @p set holding @p tag, if any; returns
+     * the ways cleared. */
+    std::uint32_t clearTag(std::uint32_t set, std::uint64_t tag);
+
     /** Give every set of lockstep group @p group the state of its
      * first set, and take the group out of lockstep. */
     void copyOut(std::uint32_t group);
@@ -233,6 +248,7 @@ class SetAssocCache
      * state (always 1 with one-line regions). */
     std::vector<std::uint8_t> lockstep_;
     std::uint64_t lockstep_accesses_ = 0;
+    std::uint64_t copy_outs_ = 0;
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

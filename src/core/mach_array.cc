@@ -173,11 +173,14 @@ MachArray::topMatchShares(std::size_t k) const
         counts.push_back(n);
         total += n;
     });
-    std::sort(counts.begin(), counts.end(),
-              std::greater<std::uint64_t>());
+    const std::size_t top = std::min(k, counts.size());
+    std::partial_sort(counts.begin(),
+                      counts.begin() + static_cast<std::ptrdiff_t>(top),
+                      counts.end(), std::greater<std::uint64_t>());
 
     std::vector<double> shares;
-    for (std::size_t i = 0; i < k && i < counts.size(); ++i) {
+    shares.reserve(top);
+    for (std::size_t i = 0; i < top; ++i) {
         shares.push_back(total ? static_cast<double>(counts[i]) /
                                      static_cast<double>(total)
                                : 0.0);

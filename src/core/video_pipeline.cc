@@ -151,8 +151,14 @@ struct Playback
         if (c.faults.enabled()) {
             faults = std::make_unique<FaultInjector>("faults", &queue,
                                                      c.faults);
-            mem.setFaultInjector(faults.get());
-            if (machs) {
+            // A layer consults the injector only for its own class;
+            // with no rule of that class every consult would draw
+            // nothing and change nothing, so it never gets one.
+            if (c.faults.anyRuleFor(FaultClass::kDramTimeout)) {
+                mem.setFaultInjector(faults.get());
+            }
+            if (machs &&
+                c.faults.anyRuleFor(FaultClass::kDigestCollision)) {
                 machs->setFaultInjector(faults.get());
             }
         }

@@ -128,7 +128,11 @@ void
 ZipfLibrary::applyTo(VideoProfile &profile, std::uint32_t title) const
 {
     vs_assert(title < spec_.titles, "library title out of range");
-    profile.key = "T" + std::to_string(title);
+    // "T" then the title, built by assign + append: GCC 12 at -O3
+    // warns -Wrestrict on the inlined string code of both
+    // "T" + to_string and operator=("T").
+    profile.key.assign(1, 'T');
+    profile.key.append(std::to_string(title));
     profile.library_title = title;
     // Content identity: same title => same generator seed => byte-
     // identical macroblocks, independent of which session plays it.

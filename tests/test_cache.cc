@@ -621,6 +621,147 @@ TEST_P(CacheDifferential, RepeatedReadRegionsMatchReference)
 INSTANTIATE_TEST_SUITE_P(Ways, CacheDifferential,
                          ::testing::Values(1u, 2u, 4u, 8u));
 
+/**
+ * A region-mode cache (8 KB, 4 ways, 64 B lines: four groups of
+ * eight sets, 512 B regions) beside ReferenceCache, for the DMA
+ * invalidations the decoder makes on each frame's slot.
+ */
+class RegionInvalidation : public ::testing::Test
+{
+  protected:
+    static constexpr Addr kRegion = 512;
+
+    static CacheConfig
+    cfg()
+    {
+        return tinyCache(8192, 4, /*write_alloc=*/false);
+    }
+
+    /** Read whole region @p r through both caches; last_mru_ says
+     * whether tryMruReadHit answered it. */
+    void
+    readRegion(Addr r)
+    {
+        const std::uint64_t mru_hits = cache_.lockstepAccesses();
+        last_mru_ = cache_.tryMruReadHit(r * kRegion, kRegion);
+        if (last_mru_) {
+            ASSERT_EQ(cache_.lockstepAccesses(), mru_hits + 1);
+            got_.hits = static_cast<std::uint32_t>(kRegion / 64);
+            got_.fills.clear();
+            got_.writebacks.clear();
+        } else {
+            cache_.accessInto(r * kRegion, kRegion, MemOp::kRead, got_);
+        }
+        const CacheAccessSummary want =
+            ref_.access(r * kRegion, kRegion, MemOp::kRead);
+        ASSERT_EQ(got_.hits, want.hits) << "region " << r;
+        ASSERT_EQ(got_.fills, want.fills) << "region " << r;
+        ASSERT_EQ(got_.writebacks, want.writebacks) << "region " << r;
+    }
+
+    void
+    invalidate(Addr addr, std::uint64_t size)
+    {
+        ASSERT_EQ(cache_.invalidateRange(addr, size),
+                  ref_.invalidateRange(addr, size))
+            << "[" << addr << ", +" << size << ")";
+    }
+
+    /** Every counter and every line agree with the reference. */
+    void
+    expectSameState()
+    {
+        EXPECT_EQ(cache_.hitCount(), ref_.hits_);
+        EXPECT_EQ(cache_.missCount(), ref_.misses_);
+        EXPECT_EQ(cache_.evictionCount(), ref_.evictions_);
+        for (Addr a = 0; a < 64 * kRegion; a += 64) {
+            ASSERT_EQ(cache_.contains(a), ref_.contains(a)) << a;
+        }
+    }
+
+    SetAssocCache cache_{"vd", cfg(), kRegion / 64};
+    ReferenceCache ref_{cfg()};
+    CacheAccessSummary got_;
+    bool last_mru_ = false;
+};
+
+TEST_F(RegionInvalidation, WholeRegionRangeKeepsLockstep)
+{
+    // Regions 0..15: region r sits in group r % 4, one way each.
+    for (Addr r = 0; r < 16; ++r) {
+        readRegion(r);
+    }
+    // Regions 2, 3 and 4 whole (24 lines, the range path).
+    invalidate(2 * kRegion, 3 * kRegion);
+    EXPECT_EQ(cache_.copyOuts(), 0u);
+    // 64 B-aligned edges inside regions 40 and 41, which are not
+    // resident: no set would change, so nothing copies out.
+    invalidate(40 * kRegion + 64, kRegion);
+    EXPECT_EQ(cache_.copyOuts(), 0u);
+    // Groups 2, 3 and 0 kept lockstep: their MRU regions (14, 15,
+    // 12) are still answered by one check each.
+    for (Addr r : {Addr{12}, Addr{14}, Addr{15}}) {
+        ASSERT_NO_FATAL_FAILURE(readRegion(r));
+        EXPECT_TRUE(last_mru_) << r;
+    }
+    // A dropped region misses, refills on the lockstep group and is
+    // then the group's MRU hit.
+    ASSERT_NO_FATAL_FAILURE(readRegion(2));
+    EXPECT_FALSE(last_mru_);
+    EXPECT_EQ(got_.fills.size(), 8u);
+    ASSERT_NO_FATAL_FAILURE(readRegion(2));
+    EXPECT_TRUE(last_mru_);
+    EXPECT_EQ(cache_.copyOuts(), 0u);
+    expectSameState();
+}
+
+TEST_F(RegionInvalidation, WholeCacheWalkKeepsLockstep)
+{
+    // Regions 0..7 and 16..23: four per group, two tags each.
+    for (Addr r = 0; r < 24; ++r) {
+        if (r < 8 || r >= 16) {
+            readRegion(r);
+        }
+    }
+    // [0, 8 KB) is the whole cache's size: the whole-cache walk.
+    // Regions 0..7 lie wholly inside it, 16..23 wholly outside.
+    invalidate(0, 16 * kRegion);
+    EXPECT_EQ(cache_.copyOuts(), 0u);
+    for (Addr r = 20; r < 24; ++r) {
+        ASSERT_NO_FATAL_FAILURE(readRegion(r));
+        EXPECT_TRUE(last_mru_) << r;
+    }
+    for (Addr r = 0; r < 8; ++r) {
+        EXPECT_FALSE(cache_.contains(r * kRegion)) << r;
+        ASSERT_NO_FATAL_FAILURE(readRegion(r));
+    }
+    EXPECT_EQ(cache_.copyOuts(), 0u);
+    expectSameState();
+}
+
+TEST_F(RegionInvalidation, SplitRegionStillCopiesOut)
+{
+    for (Addr r = 0; r < 24; ++r) {
+        if (r < 8 || r >= 16) {
+            readRegion(r);
+        }
+    }
+    // 64 B-aligned edges inside regions 2 and 3: two groups split.
+    invalidate(2 * kRegion + 64, kRegion);
+    EXPECT_EQ(cache_.copyOuts(), 2u);
+    // The whole-cache walk, its edges inside regions 0 and 16:
+    // both in group 0, which copies out once.
+    invalidate(64, 16 * kRegion);
+    EXPECT_EQ(cache_.copyOuts(), 3u);
+    // Group 1 has no split region and stays in lockstep.
+    ASSERT_NO_FATAL_FAILURE(readRegion(21));
+    EXPECT_TRUE(last_mru_);
+    for (Addr r = 0; r < 24; ++r) {
+        ASSERT_NO_FATAL_FAILURE(readRegion(r));
+    }
+    expectSameState();
+}
+
 /** Parameter: (cache KB, ways, line bytes). */
 class RegionDifferential
     : public ::testing::TestWithParam<

@@ -231,6 +231,45 @@ TEST(FaultInjector, ClassStreamsAreIndependent)
     EXPECT_EQ(want, got);
 }
 
+TEST(FaultInjector, ConsultsForAClassWithoutRulesChangeNothing)
+{
+    // The pipeline hands the injector only to layers whose class has
+    // a rule.  That is exact because a consult for a class with no
+    // rule draws nothing and counts nothing: interleaving such
+    // consults must leave the dram schedule, the per-class counts
+    // and the totals as if they never happened.
+    FaultConfig cfg;
+    cfg.seed = 7;
+    cfg.rules.push_back(
+        parseFaultRule(FaultClass::kDramTimeout, "p=0.3,max=40"));
+    cfg.rules.push_back(
+        parseFaultRule(FaultClass::kNetworkStall, "p=0.2,len=5ms"));
+
+    FaultInjector alone("alone", nullptr, cfg);
+    FaultInjector mixed("mixed", nullptr, cfg);
+    std::vector<bool> want, got;
+    for (Tick t = 0; t < 1000; ++t) {
+        want.push_back(alone.shouldInject(FaultClass::kDramTimeout, t));
+        EXPECT_FALSE(mixed.shouldInject(FaultClass::kDigestCollision, t));
+        got.push_back(mixed.shouldInject(FaultClass::kDramTimeout, t));
+        EXPECT_FALSE(mixed.shouldInject(FaultClass::kTraceCorrupt, t));
+        if (t % 10 == 0) {
+            ASSERT_EQ(alone.injectStall(t), mixed.injectStall(t)) << t;
+        }
+    }
+    EXPECT_EQ(want, got);
+    for (std::size_t c = 0; c < kNumFaultClasses; ++c) {
+        const auto cls = static_cast<FaultClass>(c);
+        EXPECT_EQ(mixed.injected(cls), alone.injected(cls))
+            << faultClassName(cls);
+    }
+    EXPECT_EQ(mixed.injected(FaultClass::kDramTimeout), 40u);
+    EXPECT_GT(mixed.injected(FaultClass::kNetworkStall), 0u);
+    EXPECT_EQ(mixed.totals().injected, alone.totals().injected);
+    EXPECT_EQ(mixed.totals().recovered, alone.totals().recovered);
+    EXPECT_EQ(mixed.totals().abandoned, alone.totals().abandoned);
+}
+
 TEST(FaultInjector, WindowAndCapRespected)
 {
     FaultConfig cfg;

@@ -274,6 +274,38 @@ TEST(MachArray, MatchCountsFeedTopShares)
     EXPECT_DOUBLE_EQ(shares[1], 0.25);
 }
 
+TEST(MachArray, TopMatchSharesMatchFullSort)
+{
+    // 40 digests hit 1 to 5 times each (many ties) in one frame.
+    MachConfig cfg = smallConfig();
+    cfg.entries = 64;
+    MachArray arr(cfg);
+    arr.beginFrame();
+    std::vector<std::uint64_t> counts;
+    for (std::uint32_t d = 1; d <= 40; ++d) {
+        const auto fill = static_cast<std::uint8_t>(d);
+        arr.insertUnique(d, 0, d, blockOf(fill), false);
+        counts.push_back(d * 7 % 5 + 1);
+        for (std::uint64_t i = 0; i < counts.back(); ++i) {
+            ASSERT_TRUE(arr.lookup(d, 0, blockOf(fill)).hit) << d;
+        }
+    }
+    std::uint64_t total = 0;
+    for (std::uint64_t n : counts) {
+        total += n;
+    }
+    std::sort(counts.begin(), counts.end(),
+              std::greater<std::uint64_t>());
+    for (std::size_t k : {0, 1, 5, 8, 32, 39, 40, 41, 1000}) {
+        std::vector<double> want;
+        for (std::size_t i = 0; i < k && i < counts.size(); ++i) {
+            want.push_back(static_cast<double>(counts[i]) /
+                           static_cast<double>(total));
+        }
+        EXPECT_EQ(arr.topMatchShares(k), want) << "k " << k;
+    }
+}
+
 TEST(MachArray, MissesCounted)
 {
     MachArray arr(smallConfig());

@@ -223,20 +223,44 @@ def check_null_macro(ctx, sf):
 # Statement position only: the call must open a statement (start of
 # line or right after ';'/'{'/'}'), so member calls (.read, ->read)
 # and uses of the return value (if (fread(...)), n = fread(...)) do
-# not match -- those check or consume the result.
+# not match -- those check or consume the result.  IO reads only:
+# fread, std::fread, ::read, and a bare read( only with POSIX read's
+# three arguments (a local helper or lambda named read is not IO).
 UNCHECKED_IO_RE = re.compile(
-    r'(?:^|[;{}])[ \t]*((?:std\s*::\s*)?fread|read)\s*\(',
+    r'(?:^|[;{}])[ \t]*((?:std\s*::\s*)?fread|(?:::\s*)?read)\s*\(',
     re.MULTILINE)
+
+
+def call_arg_count(code, open_paren):
+    """Top-level arguments of the call whose '(' is at @p open_paren."""
+    depth = 0
+    commas = 0
+    empty = True
+    for ch in code[open_paren + 1:]:
+        if ch in '([{':
+            depth += 1
+        elif ch in ')]}':
+            if depth == 0:
+                break
+            depth -= 1
+        elif depth == 0 and ch == ',':
+            commas += 1
+        if not ch.isspace():
+            empty = False
+    return 0 if empty else commas + 1
 
 
 def check_unchecked_io(ctx, sf):
     if sf.rel.startswith('src/sim/'):
         return
     for line, m in match_lines(sf.code, UNCHECKED_IO_RE):
+        name = re.sub(r'\s+', '', m.group(1))
+        if name == 'read' and call_arg_count(sf.code, m.end() - 1) != 3:
+            continue
         ctx.emit(sf, line, 'no-unchecked-io',
                  '%s() return value ignored; a short read must be '
                  'detected and handled (see src/video/trace.cc)'
-                 % m.group(1))
+                 % name)
 
 
 INF_LOOP_RE = re.compile(

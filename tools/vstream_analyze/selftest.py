@@ -50,6 +50,12 @@ inline void f(int *q) { assert(q != NULL); delete q; std::abort(); }
 inline int g() { return rand(); }
 inline void h(std::ostream &os) { stats::printStat(os, "x", 1.0); }
 inline void i(char *buf, FILE *fp) { fread(buf, 1, 16, fp); }
+inline void iPosix(char *buf, FILE *fp, int fd)
+{
+    std::fread(buf, 1, 16, fp);
+    ::read(fd, buf, 16);
+    read(fd, buf, sizeof(int[2]));
+}
 inline void j() { while (true) { retryBurst(); } }
 // vstream:hot
 inline int *k()
@@ -262,7 +268,12 @@ inline bool i(char *buf, std::size_t n, FILE *fp)
     if (fread(buf, 1, n, fp) != n) { return false; }
     std::stringstream ss;
     ss.read(buf, 4);
-    return bool(ss);
+    // Nor does a local lambda that happens to be named read:
+    std::size_t got = 0;
+    const auto read = [&](std::size_t lines) { got += lines; };
+    read(n);
+    read(std::min<std::size_t>(n, 2));
+    return bool(ss) && got > 0;
 }
 inline void j(unsigned retry_limit)
 {
@@ -600,6 +611,13 @@ def run():
             print('self-test: unknown rule id %s' % f.rule,
                   file=sys.stderr)
             ok = False
+    io_bad = [f for f in findings if f.rule == 'no-unchecked-io' and
+              f.path.endswith('src/core/bad.hh')]
+    if len(io_bad) != 4:
+        print('self-test: no-unchecked-io fired %d times on bad.hh, '
+              'want 4 (fread, std::fread, ::read, three-argument '
+              'read)' % len(io_bad), file=sys.stderr)
+        ok = False
     if not any(f.rule == 'stats-hygiene' and
                'BadStatsA::regStats' in f.message for f in findings):
         print('self-test: stats-hygiene missed the header class '
