@@ -2,13 +2,16 @@
  * @file
  * Fig. 7: address locality vs value locality.
  *
- * (a) Sweeping the VD cache from 32 KB to 512 KB helps the decoding
- *     (compute/MC) accesses but cannot help the frame writeback
- *     stream, which has no address reuse - paper Sec. 4.1.
+ * (a) Paper Sec. 4.1: sweeping the VD cache from 32 KB to 512 KB
+ *     helps the decoding (compute/MC) accesses but cannot help the
+ *     frame writeback stream, which has no address reuse.  Here the
+ *     compute curve is flat too; EXPERIMENTS.md says why.
  * (b) Content similarity: ~42% of mabs recur within their own frame,
  *     ~15% within the previous 16 frames, ~43% never; matches beyond
  *     16 frames are <1%.
  */
+
+#include <algorithm>
 
 #include "bench_util.hh"
 
@@ -23,8 +26,8 @@ using namespace vstream;
 using namespace vstream::bench;
 
 /** Part (a): read-side miss rate from real pipeline runs; write-side
- * miss rate from replaying the writeback stream through a
- * write-allocating cache of the same size. */
+ * miss rate from replaying the writeback stream through a cache of
+ * the same size. */
 void
 cacheSweep()
 {
@@ -33,6 +36,8 @@ cacheSweep()
               << std::setw(18) << "computeMiss%" << std::setw(18)
               << "writebackMiss%" << "\n";
 
+    double read_lo = 100.0, read_hi = 0.0;
+    double write_lo = 100.0, write_hi = 0.0;
     for (std::uint32_t kb : {32u, 64u, 128u, 256u, 512u}) {
         // Read side: the real decoder with this cache.
         double read_miss = 0.0;
@@ -49,13 +54,13 @@ cacheSweep()
         read_miss /= n;
 
         // Write side: the decoded-frame store stream (sequential,
-        // never re-read by the decoder) through a write-allocating
-        // cache: capacity cannot create reuse that is not there.
+        // never re-read by the decoder) replayed through the cache as
+        // allocating accesses: capacity cannot create reuse that is
+        // not there.
         CacheConfig wcfg;
         wcfg.size_bytes = kb * 1024;
         wcfg.line_bytes = 64;
         wcfg.assoc = 4;
-        wcfg.write_allocate = true;
         SetAssocCache wcache("wb", wcfg);
         // Distinct buffers per frame, as at 4K where a single frame
         // (24 MB) dwarfs any cache: there is no reuse to find.
@@ -64,17 +69,25 @@ cacheSweep()
         for (std::uint32_t f = 0; f < 8; ++f) {
             const Addr base = static_cast<Addr>(f) * frame_bytes;
             for (Addr a = 0; a < frame_bytes; a += 48) {
-                wcache.access(base + a, 48, MemOp::kWrite);
+                wcache.access(base + a, 48);
             }
         }
 
+        const double write_miss = wcache.missRate();
+        read_lo = std::min(read_lo, 100.0 * read_miss);
+        read_hi = std::max(read_hi, 100.0 * read_miss);
+        write_lo = std::min(write_lo, 100.0 * write_miss);
+        write_hi = std::max(write_hi, 100.0 * write_miss);
         std::cout << std::left << std::setw(12) << kb << std::right
                   << std::fixed << std::setprecision(2) << std::setw(18)
                   << 100.0 * read_miss << std::setw(18)
-                  << 100.0 * wcache.missRate() << "\n";
+                  << 100.0 * write_miss << "\n";
     }
-    std::cout << "(compute misses shrink with capacity; writeback "
-                 "misses stay put - paper Fig. 7a)\n\n";
+    std::cout << "(paper Fig. 7a: compute misses shrink with capacity; "
+                 "measured 32-512 KB: compute "
+              << read_lo << "-" << read_hi << "%, writeback " << write_lo
+              << "-" << write_hi
+              << "% - see EXPERIMENTS.md \"Locality study\")\n\n";
 }
 
 /** Part (b): content similarity across all 16 videos. */

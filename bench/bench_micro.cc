@@ -58,21 +58,13 @@ BENCHMARK_CAPTURE(BM_Digest, crc32, HashKind::kCrc32);
 BENCHMARK_CAPTURE(BM_Digest, md5, HashKind::kMd5);
 BENCHMARK_CAPTURE(BM_Digest, sha1, HashKind::kSha1);
 
-/** Per-kernel CRC32 throughput: 48 B (one mab) and 4 KB payloads.
- * state.range(0) indexes availableCrc32Kernels(); range(1) is the
- * payload size. */
+/** CRC32 throughput over 48 B (one mab) and 4 KB payloads, through
+ * the startup-dispatched kernel and through the table-walk reference;
+ * state.range(0) is the payload size. */
 void
-BM_Crc32Kernel(benchmark::State &state)
+BM_Crc32(benchmark::State &state, bool reference)
 {
-    const std::vector<CrcKernel> kernels = availableCrc32Kernels();
-    if (static_cast<std::size_t>(state.range(0)) >= kernels.size()) {
-        state.SkipWithError("kernel not available on this host");
-        return;
-    }
-    const CrcKernel kernel =
-        kernels[static_cast<std::size_t>(state.range(0))];
-    const std::size_t len =
-        static_cast<std::size_t>(state.range(1));
+    const std::size_t len = static_cast<std::size_t>(state.range(0));
     Random rng(5);
     std::vector<std::uint8_t> buf(len);
     for (auto &b : buf) {
@@ -80,15 +72,14 @@ BM_Crc32Kernel(benchmark::State &state)
     }
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            crc32Step(kernel, 0xffffffffu, buf.data(), buf.size()));
+            reference ? crc32Reference(0xffffffffu, buf.data(), len)
+                      : Crc32::compute(buf.data(), len));
     }
     state.SetBytesProcessed(static_cast<std::int64_t>(
         state.iterations() * buf.size()));
-    state.SetLabel(crcKernelName(kernel));
 }
-BENCHMARK(BM_Crc32Kernel)
-    ->ArgsProduct({benchmark::CreateDenseRange(0, 2, 1),
-                   {48, 4096}});
+BENCHMARK_CAPTURE(BM_Crc32, dispatched, false)->Arg(48)->Arg(4096);
+BENCHMARK_CAPTURE(BM_Crc32, reference, true)->Arg(48)->Arg(4096);
 
 void
 BM_Crc16Kernel(benchmark::State &state)
@@ -196,7 +187,8 @@ BM_FrameDigest(benchmark::State &state)
 BENCHMARK(BM_FrameDigest);
 
 /** The batched path MachWriteback::beginFrame runs: all mabs of a
- * frame through one digest32Batch dispatch (4-way interleaved CRC). */
+ * frame through one digest32Batch dispatch (one CLMUL fold per mab on
+ * a PCLMUL host). */
 void
 BM_FrameDigestBatch(benchmark::State &state)
 {
@@ -318,7 +310,7 @@ BM_CacheAccess(benchmark::State &state)
     SetAssocCache cache("bm", cfg);
     Addr a = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(cache.access(a, 48, MemOp::kRead));
+        benchmark::DoNotOptimize(cache.access(a, 48));
         a = (a + 48) % (256 * 1024);
     }
 }
@@ -337,7 +329,6 @@ BM_VdRegionRead(benchmark::State &state)
 {
     CacheConfig cfg;
     cfg.size_bytes = 64 * 1024;
-    cfg.write_allocate = false;
     constexpr Addr kRegion = 512;
     SetAssocCache cache("bm", cfg, kRegion / cfg.line_bytes);
     CacheAccessSummary scratch;
@@ -351,7 +342,7 @@ BM_VdRegionRead(benchmark::State &state)
         const auto widened = static_cast<std::uint32_t>(
             ((addr + size + kRegion - 1) & ~(kRegion - 1)) - lo);
         if (!cache.tryMruReadHit(lo, widened)) {
-            cache.accessInto(lo, widened, MemOp::kRead, scratch);
+            cache.accessInto(lo, widened, scratch);
         }
     };
     Addr encoded = 0;

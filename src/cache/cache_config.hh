@@ -1,6 +1,6 @@
 /**
  * @file
- * Configuration for the generic set-associative cache model.
+ * Geometry of the generic set-associative cache model.
  */
 
 #ifndef VSTREAM_CACHE_CACHE_CONFIG_HH
@@ -11,7 +11,7 @@
 namespace vstream
 {
 
-/** Geometry and behaviour of an LRU, write-back cache instance. */
+/** Geometry of an LRU, read-only cache instance. */
 struct CacheConfig
 {
     /** Total data capacity, bytes. */
@@ -20,9 +20,6 @@ struct CacheConfig
     std::uint32_t line_bytes = 64;
     /** Ways per set; 1 = direct-mapped. */
     std::uint32_t assoc = 4;
-    /** Allocate lines on write misses? Streaming writers disable
-     * this so frame writeback does not thrash the cache. */
-    bool write_allocate = true;
 
     std::uint32_t numLines() const;
     std::uint32_t numSets() const;

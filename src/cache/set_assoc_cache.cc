@@ -53,24 +53,16 @@ SetAssocCache::lineAddr(std::uint32_t set, std::uint64_t tag) const
 // vstream:allow(no-hotpath-alloc) appends into the caller's reused
 // summary scratch; its vectors keep their capacity across accesses
 bool
-SetAssocCache::accessSlow(std::uint32_t set, std::uint64_t tag, MemOp op,
+SetAssocCache::accessSlow(std::uint32_t set, std::uint64_t tag,
                           CacheAccessSummary &summary, std::uint32_t span)
 {
     for (std::uint32_t w = 0; w < ways_; ++w) {
-        Line &l = line(set, w);
+        const Line &l = line(set, w);
         if (l.valid && l.tag == tag) {
             repl_.touch(set, w);
             mru_[set] = w;
-            if (op == MemOp::kWrite) {
-                l.dirty = true;
-            }
             return true;
         }
-    }
-
-    if (op == MemOp::kWrite && !cfg_.write_allocate) {
-        // Streaming store: bypass, no state change.
-        return false;
     }
 
     // Find an invalid way; otherwise evict the LRU victim.
@@ -83,26 +75,15 @@ SetAssocCache::accessSlow(std::uint32_t set, std::uint64_t tag, MemOp op,
     }
     if (victim_way == ways_) {
         victim_way = repl_.victim(set);
-        Line &v = line(set, victim_way);
         evictions_ += span;
-        if (v.dirty) {
-            writebacks_ += span;
-            const Addr wb = lineAddr(set, v.tag);
-            for (std::uint32_t i = 0; i < span; ++i) {
-                summary.writebacks.push_back(wb + (Addr{i} << line_shift_));
-            }
-        }
     }
 
     Line &l = line(set, victim_way);
     l.valid = true;
     l.tag = tag;
-    l.dirty = op == MemOp::kWrite;
     repl_.touch(set, victim_way);
     mru_[set] = victim_way;
 
-    // A read miss fetches the line; so does an allocating write miss
-    // (fetch-on-write).
     const Addr fill = lineAddr(set, tag);
     for (std::uint32_t i = 0; i < span; ++i) {
         summary.fills.push_back(fill + (Addr{i} << line_shift_));
@@ -139,7 +120,7 @@ SetAssocCache::groupAgrees(std::uint32_t group) const
             const Line &a = line(base, w);
             const Line &b = line(set, w);
             if (a.valid != b.valid ||
-                (a.valid && (a.tag != b.tag || a.dirty != b.dirty))) {
+                (a.valid && a.tag != b.tag)) {
                 return false;
             }
         }
@@ -160,21 +141,20 @@ SetAssocCache::groupAgrees(std::uint32_t group) const
 }
 
 CacheAccessSummary
-SetAssocCache::access(Addr addr, std::uint32_t size, MemOp op)
+SetAssocCache::access(Addr addr, std::uint32_t size)
 {
     CacheAccessSummary summary;
-    accessInto(addr, size, op, summary);
+    accessInto(addr, size, summary);
     return summary;
 }
 
 // vstream:hot
 void
-SetAssocCache::accessInto(Addr addr, std::uint32_t size, MemOp op,
+SetAssocCache::accessInto(Addr addr, std::uint32_t size,
                           CacheAccessSummary &summary)
 {
     vs_assert(size > 0, "zero-size cache access");
 
-    summary.writebacks.clear();
     summary.fills.clear();
     const Addr first = addr >> line_shift_;
     const Addr last = (addr + size - 1) >> line_shift_;
@@ -189,7 +169,7 @@ SetAssocCache::accessInto(Addr addr, std::uint32_t size, MemOp op,
         const std::uint64_t tag = tagOf(ln);
         if (n == region_ && lockstep_[group]) {
             ++lockstep_accesses_;
-            if (accessSet(set, tag, op, summary, region_)) {
+            if (accessSet(set, tag, summary, region_)) {
                 hits += region_;
             }
         } else {
@@ -197,7 +177,7 @@ SetAssocCache::accessInto(Addr addr, std::uint32_t size, MemOp op,
                 copyOut(group);
             }
             for (std::uint32_t i = 0; i < n; ++i) {
-                if (accessSet(set + i, tag, op, summary, 1)) {
+                if (accessSet(set + i, tag, summary, 1)) {
                     ++hits;
                 }
             }
@@ -234,7 +214,6 @@ SetAssocCache::clearTag(std::uint32_t set, std::uint64_t tag)
         Line &l = line(set, w);
         if (l.valid && l.tag == tag) {
             l.valid = false;
-            l.dirty = false;
             ++cleared;
         }
     }
@@ -257,7 +236,6 @@ SetAssocCache::invalidateAll()
 {
     for (auto &l : lines_) {
         l.valid = false;
-        l.dirty = false;
     }
     std::fill(lockstep_.begin(), lockstep_.end(), 1);
 }
@@ -296,7 +274,6 @@ SetAssocCache::invalidateRange(Addr addr, std::uint64_t size)
                         const Addr lo = (l.tag << set_shift_) | base;
                         if (l.valid && lo >= first && lo <= last) {
                             l.valid = false;
-                            l.dirty = false;
                             invalidated += region_;
                         }
                     }
@@ -310,7 +287,6 @@ SetAssocCache::invalidateRange(Addr addr, std::uint64_t size)
                     const Addr ln = (l.tag << set_shift_) | set;
                     if (l.valid && ln >= first && ln <= last) {
                         l.valid = false;
-                        l.dirty = false;
                         ++invalidated;
                     }
                 }
@@ -347,26 +323,6 @@ SetAssocCache::invalidateRange(Addr addr, std::uint64_t size)
     return invalidated;
 }
 
-std::vector<Addr>
-SetAssocCache::flush()
-{
-    std::vector<Addr> dirty_lines;
-    for (std::uint32_t set = 0; set < sets_; ++set) {
-        const std::uint32_t holder = lockstep_[set >> region_shift_]
-                                         ? set & ~(region_ - 1)
-                                         : set;
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            const Line &l = line(holder, w);
-            if (l.valid && l.dirty) {
-                dirty_lines.push_back(lineAddr(set, l.tag));
-            }
-        }
-    }
-    invalidateAll();
-    writebacks_ += dirty_lines.size();
-    return dirty_lines;
-}
-
 double
 SetAssocCache::missRate() const
 {
@@ -382,7 +338,6 @@ SetAssocCache::resetStats()
     hits_ = 0;
     misses_ = 0;
     evictions_ = 0;
-    writebacks_ = 0;
 }
 
 void
@@ -396,8 +351,6 @@ SetAssocCache::regStats(StatsRegistry &r) const
                   [this] { return missRate(); });
     r.addCallback(name_ + ".evictions", "valid lines evicted",
                   [this] { return static_cast<double>(evictions_); });
-    r.addCallback(name_ + ".writebacks", "dirty lines written back",
-                  [this] { return static_cast<double>(writebacks_); });
 }
 
 } // namespace vstream

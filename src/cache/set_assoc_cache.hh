@@ -4,7 +4,9 @@
  *
  * Instantiated as the video decoder's internal cache (Fig. 7a sweeps
  * it from 32 KB to 512 KB) and, with assoc=1, as the 16 KB display
- * cache.  The model tracks tags and dirty bits only; data correctness
+ * cache.  Both serve reads only: the decoded-frame writeback streams
+ * past the VD cache (paper Sec. 4.1), and a DMA overwrite reaches it
+ * as invalidateRange().  The model tracks tags only; data correctness
  * is the client's concern (the simulator keeps pixel data in Frame
  * objects).
  *
@@ -13,9 +15,9 @@
  * a group.  While a group is in lockstep, all of its sets hold the
  * same state and only the group's first set stores it, so an access
  * to a whole region makes one check for all of its lines.  The
- * results (hits, misses, fills, writebacks, evictions) are exactly
- * those of the per-line walk; docs/PERFORMANCE.md "VD reads by
- * region" gives the argument.
+ * results (hits, misses, fills, evictions) are exactly those of the
+ * per-line walk; docs/PERFORMANCE.md "VD reads by region" gives the
+ * argument.
  */
 
 #ifndef VSTREAM_CACHE_SET_ASSOC_CACHE_HH
@@ -41,8 +43,6 @@ struct CacheAccessSummary
     std::uint32_t lines = 0;
     std::uint32_t hits = 0;
     std::uint32_t misses = 0;
-    /** Line addresses of dirty victims that must be written back. */
-    std::vector<Addr> writebacks;
     /** Line addresses that must be fetched from memory. */
     std::vector<Addr> fills;
 };
@@ -58,21 +58,15 @@ class SetAssocCache
     SetAssocCache(std::string name, const CacheConfig &cfg,
                   std::uint32_t region_lines = 1);
 
-    /**
-     * Access [addr, addr+size) with operation @p op.
-     *
-     * Reads allocate on miss.  Writes allocate only when the config
-     * enables write_allocate; otherwise write misses bypass the cache
-     * entirely (streaming store).
-     */
-    CacheAccessSummary access(Addr addr, std::uint32_t size, MemOp op);
+    /** Read [addr, addr+size); a miss allocates the line. */
+    CacheAccessSummary access(Addr addr, std::uint32_t size);
 
     /**
      * Zero-alloc variant of access(): results land in @p summary,
      * whose vectors are cleared and reused (hot paths pass a member
      * scratch so steady-state accesses never allocate).
      */
-    void accessInto(Addr addr, std::uint32_t size, MemOp op,
+    void accessInto(Addr addr, std::uint32_t size,
                     CacheAccessSummary &summary);
 
     /**
@@ -120,24 +114,18 @@ class SetAssocCache
     /** Probe without updating any state. */
     bool contains(Addr addr) const;
 
-    /** Invalidate everything (dirty contents dropped). */
+    /** Invalidate everything. */
     void invalidateAll();
 
     /**
-     * Invalidate every line covering [addr, addr+size) (dirty data
-     * dropped) - the coherence action for a DMA engine overwriting
-     * memory behind the cache.  A lockstep group stays in lockstep
-     * unless a range edge splits one of its resident regions.
+     * Invalidate every line covering [addr, addr+size) - the
+     * coherence action for a DMA engine overwriting memory behind
+     * the cache.  A lockstep group stays in lockstep unless a range
+     * edge splits one of its resident regions.
      *
      * @return number of lines invalidated.
      */
     std::uint64_t invalidateRange(Addr addr, std::uint64_t size);
-
-    /**
-     * Flush: returns dirty line addresses and leaves the cache
-     * clean+empty.
-     */
-    std::vector<Addr> flush();
 
     const CacheConfig &config() const { return cfg_; }
     const std::string &name() const { return name_; }
@@ -145,7 +133,6 @@ class SetAssocCache
     std::uint64_t hitCount() const { return hits_; }
     std::uint64_t missCount() const { return misses_; }
     std::uint64_t evictionCount() const { return evictions_; }
-    std::uint64_t writebackCount() const { return writebacks_; }
     double missRate() const;
 
     void resetStats();
@@ -157,7 +144,6 @@ class SetAssocCache
     struct Line
     {
         bool valid = false;
-        bool dirty = false;
         std::uint64_t tag = 0;
     };
 
@@ -178,32 +164,29 @@ class SetAssocCache
     }
 
     /**
-     * Access tag @p tag in @p set, standing for @p span consecutive
+     * Read tag @p tag in @p set, standing for @p span consecutive
      * sets of identical state (1, or a whole lockstep group): MRU way
      * first, then accessSlow().  Returns hit.
      */
-    bool accessSet(std::uint32_t set, std::uint64_t tag, MemOp op,
+    bool accessSet(std::uint32_t set, std::uint64_t tag,
                    CacheAccessSummary &summary, std::uint32_t span)
     {
         // MRU-way first: the common hit needs neither a scan nor a
         // replacement update (see mru_).
-        Line &m = line(set, mru_[set]);
+        const Line &m = line(set, mru_[set]);
         if (m.valid && m.tag == tag) {
-            if (op == MemOp::kWrite) {
-                m.dirty = true;
-            }
             return true;
         }
-        return accessSlow(set, tag, op, summary, span);
+        return accessSlow(set, tag, summary, span);
     }
 
     /**
-     * Access whose set's MRU way did not match: scan the other ways,
-     * else miss (and maybe fill).  Evictions and writebacks count
-     * @p span times, and writebacks and fills expand to the span's
-     * consecutive line addresses in ascending order.  Returns hit.
+     * Read whose set's MRU way did not match: scan the other ways,
+     * else miss and fill.  Evictions count @p span times, and fills
+     * expand to the span's consecutive line addresses in ascending
+     * order.  Returns hit.
      */
-    bool accessSlow(std::uint32_t set, std::uint64_t tag, MemOp op,
+    bool accessSlow(std::uint32_t set, std::uint64_t tag,
                     CacheAccessSummary &summary, std::uint32_t span);
 
     /** Whether a valid way of @p set holds @p tag. */
@@ -219,8 +202,8 @@ class SetAssocCache
 
     /**
      * Whether every set of @p group behaves as its first set: the
-     * same valid bits, the same tag and dirty bit on each valid way,
-     * and the same LRU order over the valid ways.
+     * same valid bits, the same tag on each valid way, and the same
+     * LRU order over the valid ways.
      */
     bool groupAgrees(std::uint32_t group) const;
 
@@ -253,7 +236,6 @@ class SetAssocCache
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t evictions_ = 0;
-    std::uint64_t writebacks_ = 0;
 };
 
 } // namespace vstream

@@ -11,17 +11,31 @@
 namespace vstream
 {
 
+namespace
+{
+
+/**
+ * Pre-sized capacity of the per-digest match-count table that feeds
+ * the Fig. 9b top-match shares.  Reserving it up front keeps
+ * steady-state serving allocation-free for digest populations up to
+ * this size; larger populations grow the table geometrically (a
+ * handful of rehashes over a whole playback).
+ */
+constexpr std::uint64_t kMatchTrackReserve = 16384;
+
+} // namespace
+
 MachArray::MachArray(const MachConfig &cfg, std::uint64_t max_lookups)
     // Validated before the ring is sized from it.
     : cfg_((cfg.validate(), cfg)),
       ring_(cfg_, cfg_.entries, cfg_.num_machs, /*full_tags=*/false)
 {
     // Pre-size the Fig. 9b match tracker so steady-state lookups
-    // never rehash it (see MachConfig::match_track_reserve).  Each
-    // hit counts one digest, so a playback never tracks more
-    // distinct digests than it makes lookups.
-    match_counts_.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
-        cfg_.match_track_reserve, max_lookups)));
+    // never rehash it (see kMatchTrackReserve).  Each hit counts one
+    // digest, so a playback never tracks more distinct digests than
+    // it makes lookups.
+    match_counts_.reserve(static_cast<std::size_t>(
+        std::min(kMatchTrackReserve, max_lookups)));
     if (cfg_.co_mach) {
         co_mach_.emplace(cfg_, cfg_.co_mach_entries, 1, /*full_tags=*/true);
     }

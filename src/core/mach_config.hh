@@ -11,7 +11,6 @@
 #ifndef VSTREAM_CORE_MACH_CONFIG_HH
 #define VSTREAM_CORE_MACH_CONFIG_HH
 
-#include <cstddef>
 #include <cstdint>
 
 #include "hash/hasher.hh"
@@ -50,17 +49,6 @@ struct MachConfig
     std::uint32_t pointer_bytes = 4;
     std::uint32_t base_bytes = 3;
     std::uint32_t digest_bytes = 4;
-
-    /**
-     * Pre-sized capacity of the per-digest match-count table that
-     * feeds the Fig. 9b top-match shares.  Reserving it up front
-     * keeps steady-state serving allocation-free for digest
-     * populations up to this size; larger populations grow the table
-     * geometrically (a handful of rehashes over a whole playback).
-     * A pipeline reserves no more than its video's frames x mabs per
-     * frame, the most distinct digests it can ever count.
-     */
-    std::size_t match_track_reserve = 16384;
 
     // --- power overheads (paper Table 2 / Sec. 6.3) --------------------
     /** 8 KB MACH at the VD. */

@@ -1,5 +1,7 @@
 #include "core/pipeline_config.hh"
 
+#include <algorithm>
+
 #include "decoder/decode_cost_model.hh"
 #include "sim/logging.hh"
 
@@ -98,6 +100,13 @@ PipelineConfig::trafficEnergyScale() const
     const double sim = static_cast<double>(profile.width) *
                        static_cast<double>(profile.height);
     return native / sim;
+}
+
+std::uint32_t
+PipelineConfig::framebufferSlots() const
+{
+    return std::max<std::uint32_t>(3, scheme.batch + 2) +
+           (scheme.mach ? mach.num_machs - 1 : 0);
 }
 
 void

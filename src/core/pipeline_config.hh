@@ -143,6 +143,13 @@ struct PipelineConfig
     double trafficEnergyScale() const;
 
     /**
+     * Frame-buffer slots a playback holds at most: triple buffering,
+     * or batch+2 slots when batching, plus the MACH retention window
+     * (frames that must stay resident for inter-frame pointers).
+     */
+    std::uint32_t framebufferSlots() const;
+
+    /**
      * Derive dependent parameters:
      *  - display/MACH flags from the scheme,
      *  - the DRAM row-open timeout from the decoder's mab rate at the

@@ -119,8 +119,7 @@ struct Playback
                      (c.buffer_interval * c.profile.fps) /
                      sim_clock::s))),
           window(c.scheme.mach ? c.mach.num_machs - 1 : 0),
-          pool_cap(std::max<std::uint32_t>(3, c.scheme.batch + 2) +
-                   (c.scheme.mach ? c.mach.num_machs - 1 : 0)),
+          pool_cap(c.framebufferSlots()),
           baseline_pacing(c.scheme.batch == 1)
     {
         frame_exec_ms = stats::SampleSeries(

@@ -23,15 +23,14 @@ struct DecoderConfig
 
     /**
      * The VD's internal cache (Sec. 4.1): serves encoded-stream reads
-     * and motion-compensation reference reads.  Decoded-frame
-     * writeback streams past it (no write allocation), which is why
-     * growing it does not help the write path (Fig. 7a).
+     * and motion-compensation reference reads, and nothing else.
+     * Decoded-frame writeback streams past it, which is why growing
+     * it does not help the write path (Fig. 7a).
      */
     CacheConfig cache = {
         .size_bytes = 64 * 1024,
         .line_bytes = 64,
         .assoc = 4,
-        .write_allocate = false,
     };
 
     /** Ring buffer holding buffered encoded frames. */

@@ -60,7 +60,7 @@ VideoDecoder::readThroughCache(Addr addr, std::uint32_t size, Tick now,
         return now; // all hits: no fills to fetch
     }
     CacheAccessSummary &s = access_scratch_;
-    cache_->accessInto(lo, widened, MemOp::kRead, s);
+    cache_->accessInto(lo, widened, s);
     const Tick t = mem_.readLines(s.fills, cfg_.cache.line_bytes,
                                   Requester::kVideoDecoder, now);
     *stall += t - now;

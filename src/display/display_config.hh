@@ -38,7 +38,6 @@ struct DisplayConfig
         .size_bytes = 16 * 1024,
         .line_bytes = 64,
         .assoc = 1,
-        .write_allocate = false,
     };
 
     /** MACH buffer: 2K entries x 48 B = 96 KB. */

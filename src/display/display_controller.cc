@@ -54,8 +54,7 @@ DisplayController::fetchBlock(Addr addr, std::uint32_t size, Tick now,
                               ScanStats &stats)
 {
     if (display_cache_) {
-        display_cache_->accessInto(addr, size, MemOp::kRead,
-                                   access_scratch_);
+        display_cache_->accessInto(addr, size, access_scratch_);
         const std::vector<Addr> &fills = access_scratch_.fills;
         const std::uint32_t span = access_scratch_.lines;
         const std::uint32_t line = display_cache_->config().line_bytes;

@@ -244,15 +244,7 @@ Session::framebufferBytes(const PipelineConfig &cfg)
     const std::uint64_t frame_bytes =
         static_cast<std::uint64_t>(p.mabsPerFrame()) * p.mab_dim *
         p.mab_dim * 3;
-    // Triple buffering, or batch+2 slots when batching, plus the
-    // MACH retention window (frames that must stay resident for
-    // inter-frame pointers).
-    std::uint64_t slots =
-        std::max<std::uint64_t>(3, cfg.scheme.batch + 2);
-    if (cfg.scheme.mach) {
-        slots += cfg.mach.num_machs - 1;
-    }
-    return slots * frame_bytes;
+    return std::uint64_t{cfg.framebufferSlots()} * frame_bytes;
 }
 
 } // namespace vstream

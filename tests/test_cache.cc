@@ -19,14 +19,12 @@ namespace
 {
 
 CacheConfig
-tinyCache(std::uint32_t size = 1024, std::uint32_t assoc = 2,
-          bool write_alloc = true)
+tinyCache(std::uint32_t size = 1024, std::uint32_t assoc = 2)
 {
     CacheConfig cfg;
     cfg.size_bytes = size;
     cfg.line_bytes = 64;
     cfg.assoc = assoc;
-    cfg.write_allocate = write_alloc;
     return cfg;
 }
 
@@ -48,10 +46,10 @@ TEST(CacheConfigDeath, NonPow2Sets)
 TEST(Cache, MissThenHit)
 {
     SetAssocCache c("c", tinyCache());
-    const auto first = c.access(0, 64, MemOp::kRead);
+    const auto first = c.access(0, 64);
     EXPECT_EQ(first.misses, 1u);
     EXPECT_EQ(first.fills.size(), 1u);
-    const auto second = c.access(0, 64, MemOp::kRead);
+    const auto second = c.access(0, 64);
     EXPECT_EQ(second.hits, 1u);
     EXPECT_TRUE(second.fills.empty());
     EXPECT_EQ(c.hitCount(), 1u);
@@ -63,7 +61,7 @@ TEST(Cache, MultiLineAccessCountsEachLine)
 {
     SetAssocCache c("c", tinyCache());
     // 100 bytes starting at 60 spans lines 0,1,2.
-    const auto s = c.access(60, 100, MemOp::kRead);
+    const auto s = c.access(60, 100);
     EXPECT_EQ(s.lines, 3u);
     EXPECT_EQ(s.misses, 3u);
 }
@@ -74,75 +72,31 @@ TEST(Cache, LruEvictsOldest)
     // third; the second (least recent) must be the victim.
     SetAssocCache c("c", tinyCache(1024, 2));
     const Addr set_stride = 8 * 64; // sets * line
-    c.access(0, 64, MemOp::kRead);            // A
-    c.access(set_stride, 64, MemOp::kRead);   // B, same set
-    c.access(0, 64, MemOp::kRead);            // touch A
-    c.access(2 * set_stride, 64, MemOp::kRead); // C evicts B
+    c.access(0, 64);              // A
+    c.access(set_stride, 64);     // B, same set
+    c.access(0, 64);              // touch A
+    c.access(2 * set_stride, 64); // C evicts B
     EXPECT_TRUE(c.contains(0));
     EXPECT_FALSE(c.contains(set_stride));
     EXPECT_TRUE(c.contains(2 * set_stride));
     EXPECT_EQ(c.evictionCount(), 1u);
 }
 
-TEST(Cache, WriteNoAllocateBypasses)
-{
-    SetAssocCache c("c", tinyCache(1024, 2, /*write_alloc=*/false));
-    const auto s = c.access(0, 64, MemOp::kWrite);
-    EXPECT_EQ(s.misses, 1u);
-    EXPECT_FALSE(c.contains(0));
-    EXPECT_TRUE(s.fills.empty());
-    // Write hits still update state.
-    c.access(0, 64, MemOp::kRead);
-    const auto s2 = c.access(0, 64, MemOp::kWrite);
-    EXPECT_EQ(s2.hits, 1u);
-}
-
-TEST(Cache, DirtyEvictionProducesWriteback)
-{
-    SetAssocCache c("c", tinyCache(1024, 1)); // direct-mapped
-    const Addr set_stride = 16 * 64;
-    c.access(0, 64, MemOp::kWrite); // allocate dirty
-    const auto s = c.access(set_stride, 64, MemOp::kRead); // conflict
-    ASSERT_EQ(s.writebacks.size(), 1u);
-    EXPECT_EQ(s.writebacks[0], 0u);
-    EXPECT_EQ(c.writebackCount(), 1u);
-}
-
-TEST(Cache, CleanEvictionNoWriteback)
-{
-    SetAssocCache c("c", tinyCache(1024, 1));
-    const Addr set_stride = 16 * 64;
-    c.access(0, 64, MemOp::kRead);
-    const auto s = c.access(set_stride, 64, MemOp::kRead);
-    EXPECT_TRUE(s.writebacks.empty());
-}
-
-TEST(Cache, FlushReturnsDirtyLinesOnly)
-{
-    SetAssocCache c("c", tinyCache());
-    c.access(0, 64, MemOp::kWrite);
-    c.access(64, 64, MemOp::kRead);
-    c.access(128, 64, MemOp::kWrite);
-    auto dirty = c.flush();
-    std::sort(dirty.begin(), dirty.end());
-    EXPECT_EQ(dirty, (std::vector<Addr>{0, 128}));
-    EXPECT_FALSE(c.contains(0));
-    EXPECT_FALSE(c.contains(64));
-}
-
 TEST(Cache, InvalidateDropsEverything)
 {
     SetAssocCache c("c", tinyCache());
-    c.access(0, 64, MemOp::kWrite);
+    c.access(0, 64);
+    c.access(64, 64);
     c.invalidateAll();
     EXPECT_FALSE(c.contains(0));
-    EXPECT_TRUE(c.flush().empty()); // dirty data dropped
+    EXPECT_FALSE(c.contains(64));
+    EXPECT_EQ(c.access(0, 64).fills, (std::vector<Addr>{0}));
 }
 
 TEST(Cache, ContainsDoesNotPerturb)
 {
     SetAssocCache c("c", tinyCache());
-    c.access(0, 64, MemOp::kRead);
+    c.access(0, 64);
     const auto hits_before = c.hitCount();
     EXPECT_TRUE(c.contains(0));
     EXPECT_FALSE(c.contains(1 << 20));
@@ -155,7 +109,7 @@ TEST(Cache, StreamingWorkingSetLargerThanCacheThrashes)
     // Two passes over 4 KB > 1 KB cache: second pass misses too.
     for (int pass = 0; pass < 2; ++pass) {
         for (Addr a = 0; a < 4096; a += 64) {
-            c.access(a, 64, MemOp::kRead);
+            c.access(a, 64);
         }
     }
     EXPECT_GT(c.missRate(), 0.9);
@@ -166,7 +120,7 @@ TEST(Cache, SmallWorkingSetFitsAfterWarmup)
     SetAssocCache c("c", tinyCache(1024, 2));
     for (int pass = 0; pass < 10; ++pass) {
         for (Addr a = 0; a < 512; a += 64) {
-            c.access(a, 64, MemOp::kRead);
+            c.access(a, 64);
         }
     }
     // 8 cold misses out of 80 accesses.
@@ -186,7 +140,7 @@ TEST_P(AssocSweep, HigherAssociativityNeverHurtsThisPattern)
     // Touch `assoc` lines mapping to set 0 repeatedly: always fits.
     for (int pass = 0; pass < 5; ++pass) {
         for (std::uint32_t w = 0; w < assoc; ++w) {
-            c.access(static_cast<Addr>(w) * sets * 64, 64, MemOp::kRead);
+            c.access(static_cast<Addr>(w) * sets * 64, 64);
         }
     }
     EXPECT_EQ(c.missCount(), assoc);
@@ -207,7 +161,7 @@ TEST_P(SizeSweep, MissRateMonotoneInSizeForLoopingPattern)
     SetAssocCache c("c", tinyCache(size_kb * 1024, 4));
     for (int pass = 0; pass < 4; ++pass) {
         for (Addr a = 0; a < 64 * 1024; a += 64) {
-            c.access(a, 64, MemOp::kRead);
+            c.access(a, 64);
         }
     }
     RecordProperty("missRate", c.missRate());
@@ -236,14 +190,14 @@ class ReferenceCache
     }
 
     CacheAccessSummary
-    access(Addr addr, std::uint32_t size, MemOp op)
+    access(Addr addr, std::uint32_t size)
     {
         CacheAccessSummary s;
         const Addr first = addr / cfg_.line_bytes;
         const Addr last = (addr + size - 1) / cfg_.line_bytes;
         for (Addr ln = first; ln <= last; ++ln) {
             ++s.lines;
-            if (accessLine(ln, op, s)) {
+            if (accessLine(ln, s)) {
                 ++s.hits;
                 ++hits_;
             } else {
@@ -266,7 +220,6 @@ class ReferenceCache
         for (Way &w : ways_) {
             if (w.valid && w.line >= first && w.line <= last) {
                 w.valid = false;
-                w.dirty = false;
                 ++n;
             }
         }
@@ -278,23 +231,7 @@ class ReferenceCache
     {
         for (Way &w : ways_) {
             w.valid = false;
-            w.dirty = false;
         }
-    }
-
-    std::vector<Addr>
-    flush()
-    {
-        std::vector<Addr> dirty;
-        for (Way &w : ways_) {
-            if (w.valid && w.dirty) {
-                dirty.push_back(w.line * cfg_.line_bytes);
-            }
-            w.valid = false;
-            w.dirty = false;
-        }
-        writebacks_ += dirty.size();
-        return dirty;
     }
 
     bool
@@ -313,7 +250,6 @@ class ReferenceCache
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t evictions_ = 0;
-    std::uint64_t writebacks_ = 0;
     /** Hits on the way the set last hit or filled, and elsewhere. */
     std::uint64_t repeat_way_hits_ = 0;
     std::uint64_t other_way_hits_ = 0;
@@ -322,7 +258,6 @@ class ReferenceCache
     struct Way
     {
         bool valid = false;
-        bool dirty = false;
         Addr line = 0;
         std::uint64_t stamp = 0;
     };
@@ -334,7 +269,7 @@ class ReferenceCache
     }
 
     bool
-    accessLine(Addr ln, MemOp op, CacheAccessSummary &s)
+    accessLine(Addr ln, CacheAccessSummary &s)
     {
         const Addr set = ln % sets_;
         for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
@@ -344,14 +279,8 @@ class ReferenceCache
                                        : other_way_hits_);
                 last_way_[set] = w;
                 way.stamp = ++clock_;
-                if (op == MemOp::kWrite) {
-                    way.dirty = true;
-                }
                 return true;
             }
-        }
-        if (op == MemOp::kWrite && !cfg_.write_allocate) {
-            return false;
         }
         std::uint32_t victim = cfg_.assoc;
         for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
@@ -369,17 +298,11 @@ class ReferenceCache
                 }
             }
             ++evictions_;
-            const Way &old = ways_[index(set, victim)];
-            if (old.dirty) {
-                ++writebacks_;
-                s.writebacks.push_back(old.line * cfg_.line_bytes);
-            }
         }
         last_way_[set] = victim;
         Way &way = ways_[index(set, victim)];
         way.valid = true;
         way.line = ln;
-        way.dirty = op == MemOp::kWrite;
         way.stamp = ++clock_;
         s.fills.push_back(ln * cfg_.line_bytes);
         return false;
@@ -395,22 +318,20 @@ class ReferenceCache
 /**
  * A read goes the way VideoDecoder::readThroughCache sends it: the
  * whole-region MRU-hit check first, accessInto() when that fails.
- * Writes go straight to accessInto().
  */
 void
 accessLikeDecoder(SetAssocCache &cache, Addr addr, std::uint32_t size,
-                  MemOp op, CacheAccessSummary &got)
+                  CacheAccessSummary &got)
 {
     const std::uint64_t hits = cache.hitCount();
-    if (op == MemOp::kRead && cache.tryMruReadHit(addr, size)) {
+    if (cache.tryMruReadHit(addr, size)) {
         got.lines = static_cast<std::uint32_t>(cache.hitCount() - hits);
         got.hits = got.lines;
         got.misses = 0;
         got.fills.clear();
-        got.writebacks.clear();
         return;
     }
-    cache.accessInto(addr, size, op, got);
+    cache.accessInto(addr, size, got);
 }
 
 /** Parameter: associativity. */
@@ -419,202 +340,166 @@ class CacheDifferential : public ::testing::TestWithParam<std::uint32_t>
 };
 
 /**
- * Differential replay: a seeded random trace of reads, writes,
- * multi-line ranges and invalidations against ReferenceCache.  The
- * trace revisits recent lines often (so hits land on the MRU way and
- * on other ways) and strays far enough to force evictions.
+ * Differential replay: a seeded random trace of reads, multi-line
+ * ranges and invalidations against ReferenceCache.  The trace
+ * revisits recent lines often (so hits land on the MRU way and on
+ * other ways) and strays far enough to force evictions.
  */
 TEST_P(CacheDifferential, MatchesNaiveReferenceOnRandomTrace)
 {
     const std::uint32_t assoc = GetParam();
-    // Write-allocate, then write-around.
-    for (int mode = 0; mode < 2; ++mode) {
-        const CacheConfig cfg = tinyCache(2048, assoc, mode == 0);
-        SetAssocCache cache("c", cfg);
-        ReferenceCache ref(cfg);
-        CacheAccessSummary got;
+    const CacheConfig cfg = tinyCache(2048, assoc);
+    SetAssocCache cache("c", cfg);
+    ReferenceCache ref(cfg);
+    CacheAccessSummary got;
 
-        Random rng(0xd1ffULL + mode * 131 + assoc);
-        const Addr space = 8 * cfg.size_bytes;
-        Addr cursor = 0;
-        for (int op = 0; op < 6000; ++op) {
-            const std::uint64_t kind = rng.uniformInt(0, 999);
-            if (kind < 10) {
-                // Up to twice the cache: exercises both the per-line
-                // and the whole-cache walk of invalidateRange.
-                const Addr at = rng.uniformInt(0, space - 1);
-                const std::uint64_t len =
-                    rng.uniformInt(0, 2 * cfg.size_bytes);
-                ASSERT_EQ(cache.invalidateRange(at, len),
-                          ref.invalidateRange(at, len))
-                    << "op " << op;
-                continue;
-            }
-            if (kind < 12) {
-                cache.invalidateAll();
-                ref.invalidateAll();
-                continue;
-            }
-            if (kind < 14) {
-                auto a = cache.flush();
-                auto b = ref.flush();
-                std::sort(a.begin(), a.end());
-                std::sort(b.begin(), b.end());
-                ASSERT_EQ(a, b) << "op " << op;
-                continue;
-            }
-            // Mostly near the last access, sometimes anywhere.
-            if (rng.uniformInt(0, 3) == 0) {
-                cursor = rng.uniformInt(0, space - 1);
-            } else {
-                cursor = (cursor + rng.uniformInt(0, 256)) % space;
-            }
-            const auto size =
-                static_cast<std::uint32_t>(rng.uniformInt(1, 300));
-            const MemOp mop =
-                rng.uniformInt(0, 3) == 0 ? MemOp::kWrite : MemOp::kRead;
-            cache.accessInto(cursor, size, mop, got);
-            const CacheAccessSummary want = ref.access(cursor, size, mop);
-            ASSERT_EQ(got.lines, want.lines) << "op " << op;
-            ASSERT_EQ(got.hits, want.hits) << "op " << op;
-            ASSERT_EQ(got.misses, want.misses) << "op " << op;
-            ASSERT_EQ(got.fills, want.fills) << "op " << op;
-            ASSERT_EQ(got.writebacks, want.writebacks) << "op " << op;
+    Random rng(0xd1ffULL + assoc);
+    const Addr space = 8 * cfg.size_bytes;
+    Addr cursor = 0;
+    for (int op = 0; op < 12000; ++op) {
+        const std::uint64_t kind = rng.uniformInt(0, 999);
+        if (kind < 10) {
+            // Up to twice the cache: exercises both the per-line and
+            // the whole-cache walk of invalidateRange.
+            const Addr at = rng.uniformInt(0, space - 1);
+            const std::uint64_t len =
+                rng.uniformInt(0, 2 * cfg.size_bytes);
+            ASSERT_EQ(cache.invalidateRange(at, len),
+                      ref.invalidateRange(at, len))
+                << "op " << op;
+            continue;
         }
+        if (kind < 14) {
+            cache.invalidateAll();
+            ref.invalidateAll();
+            continue;
+        }
+        // Mostly near the last access, sometimes anywhere.
+        if (rng.uniformInt(0, 3) == 0) {
+            cursor = rng.uniformInt(0, space - 1);
+        } else {
+            cursor = (cursor + rng.uniformInt(0, 256)) % space;
+        }
+        const auto size =
+            static_cast<std::uint32_t>(rng.uniformInt(1, 300));
+        cache.accessInto(cursor, size, got);
+        const CacheAccessSummary want = ref.access(cursor, size);
+        ASSERT_EQ(got.lines, want.lines) << "op " << op;
+        ASSERT_EQ(got.hits, want.hits) << "op " << op;
+        ASSERT_EQ(got.misses, want.misses) << "op " << op;
+        ASSERT_EQ(got.fills, want.fills) << "op " << op;
+    }
 
-        // The trace hit both the repeat way and the other ways (with
-        // one way there are no others), and evicted.
-        EXPECT_GT(ref.repeat_way_hits_, 1000u);
-        if (assoc > 1) {
-            EXPECT_GT(ref.other_way_hits_, 100u);
-        }
-        EXPECT_GT(ref.evictions_, 100u);
-        EXPECT_EQ(cache.hitCount(), ref.hits_);
-        EXPECT_EQ(cache.missCount(), ref.misses_);
-        EXPECT_EQ(cache.evictionCount(), ref.evictions_);
-        EXPECT_EQ(cache.writebackCount(), ref.writebacks_);
-        EXPECT_GT(ref.writebacks_, 0u);
-        for (Addr a = 0; a < space; a += cfg.line_bytes) {
-            ASSERT_EQ(cache.contains(a), ref.contains(a)) << "addr " << a;
-        }
+    // The trace hit both the repeat way and the other ways (with one
+    // way there are no others), and evicted.
+    EXPECT_GT(ref.repeat_way_hits_, 1000u);
+    if (assoc > 1) {
+        EXPECT_GT(ref.other_way_hits_, 100u);
+    }
+    EXPECT_GT(ref.evictions_, 100u);
+    EXPECT_EQ(cache.hitCount(), ref.hits_);
+    EXPECT_EQ(cache.missCount(), ref.misses_);
+    EXPECT_EQ(cache.evictionCount(), ref.evictions_);
+    for (Addr a = 0; a < space; a += cfg.line_bytes) {
+        ASSERT_EQ(cache.contains(a), ref.contains(a)) << "addr " << a;
     }
 }
 
 /**
  * Differential replay aimed at region mode (four-line regions, or one
  * group of every set when there are fewer): most reads repeat one of
- * a few recent regions, interleaved with accesses to other sets,
- * same-set conflicts that evict region lines, write hits inside
- * regions, invalidateRange, invalidateAll and flush.  Every result
- * must match ReferenceCache, and lockstep groups must have answered a
- * good share of the repeats.
+ * a few recent regions, interleaved with reads of other sets,
+ * same-set conflicts that evict region lines, invalidateRange and
+ * invalidateAll.  Every result must match ReferenceCache, and
+ * lockstep groups must have answered a good share of the repeats.
  */
 TEST_P(CacheDifferential, RepeatedReadRegionsMatchReference)
 {
     const std::uint32_t assoc = GetParam();
-    // Write-allocate, then write-around.
-    for (int mode = 0; mode < 2; ++mode) {
-        const CacheConfig cfg = tinyCache(2048, assoc, mode == 0);
-        const std::uint32_t region_lines =
-            std::min<std::uint32_t>(4, cfg.numSets());
-        const Addr region_bytes = Addr{region_lines} * cfg.line_bytes;
-        SetAssocCache cache("c", cfg, region_lines);
-        ReferenceCache ref(cfg);
-        CacheAccessSummary got;
+    const CacheConfig cfg = tinyCache(2048, assoc);
+    const std::uint32_t region_lines =
+        std::min<std::uint32_t>(4, cfg.numSets());
+    const Addr region_bytes = Addr{region_lines} * cfg.line_bytes;
+    SetAssocCache cache("c", cfg, region_lines);
+    ReferenceCache ref(cfg);
+    CacheAccessSummary got;
 
-        const Addr sets = cfg.numSets();
-        const Addr space = 8 * cfg.size_bytes;
-        struct Region
-        {
-            Addr addr = 0;
-            std::uint32_t size = 1;
-        };
-        std::vector<Region> recent(3);
-        Random rng(0x4e90ULL + mode * 17 + assoc);
-        for (int op = 0; op < 6000; ++op) {
-            const std::uint64_t kind = rng.uniformInt(0, 99);
-            Region &region =
-                recent[rng.uniformInt(0, recent.size() - 1)];
-            if (kind < 2) {
-                const Addr at = rng.uniformInt(0, 1) == 0
-                                    ? region.addr
-                                    : rng.uniformInt(0, space - 1);
-                const std::uint64_t len = rng.uniformInt(1, 512);
-                ASSERT_EQ(cache.invalidateRange(at, len),
-                          ref.invalidateRange(at, len))
-                    << "op " << op;
-                continue;
-            }
-            if (kind < 3) {
-                cache.invalidateAll();
-                ref.invalidateAll();
-                continue;
-            }
-            if (kind < 4) {
-                auto a = cache.flush();
-                auto b = ref.flush();
-                std::sort(a.begin(), a.end());
-                std::sort(b.begin(), b.end());
-                ASSERT_EQ(a, b) << "op " << op;
-                continue;
-            }
-
-            Addr addr = region.addr;
-            std::uint32_t size = region.size;
-            MemOp mop = MemOp::kRead;
-            if (kind < 14) {
-                // A new region of up to a few lines, or (3 in 4) one
-                // or two whole aligned regions.
-                if (rng.uniformInt(0, 3) == 0) {
-                    region.addr = rng.uniformInt(0, space - 1);
-                    region.size = static_cast<std::uint32_t>(
-                        rng.uniformInt(1, sets * cfg.line_bytes));
-                } else {
-                    region.addr = rng.uniformInt(0, space - 1) &
-                                  ~(region_bytes - 1);
-                    region.size = static_cast<std::uint32_t>(
-                        rng.uniformInt(1, 2) * region_bytes);
-                }
-                addr = region.addr;
-                size = region.size;
-            } else if (kind < 24) {
-                // Elsewhere: other sets, either direction.
-                addr = rng.uniformInt(0, space - 1);
-                size = static_cast<std::uint32_t>(rng.uniformInt(1, 200));
-                mop = rng.uniformInt(0, 1) ? MemOp::kWrite : MemOp::kRead;
-            } else if (kind < 34) {
-                // Same set as the region's first line, another tag.
-                addr = (region.addr + rng.uniformInt(1, 8) * sets *
-                                          cfg.line_bytes) %
-                       space;
-                size = static_cast<std::uint32_t>(rng.uniformInt(1, 64));
-                mop = rng.uniformInt(0, 1) ? MemOp::kWrite : MemOp::kRead;
-            }
-            if (kind >= 14 && kind < 34 && rng.uniformInt(0, 3) != 0) {
-                // Three in four of those as one whole region.
-                addr &= ~(region_bytes - 1);
-                size = static_cast<std::uint32_t>(region_bytes);
-            } else if (kind < 42) {
-                // A write hit inside the region.
-                mop = MemOp::kWrite;
-            }
-            accessLikeDecoder(cache, addr, size, mop, got);
-            const CacheAccessSummary want = ref.access(addr, size, mop);
-            ASSERT_EQ(got.lines, want.lines) << "op " << op;
-            ASSERT_EQ(got.hits, want.hits) << "op " << op;
-            ASSERT_EQ(got.misses, want.misses) << "op " << op;
-            ASSERT_EQ(got.fills, want.fills) << "op " << op;
-            ASSERT_EQ(got.writebacks, want.writebacks) << "op " << op;
+    const Addr sets = cfg.numSets();
+    const Addr space = 8 * cfg.size_bytes;
+    struct Region
+    {
+        Addr addr = 0;
+        std::uint32_t size = 1;
+    };
+    std::vector<Region> recent(3);
+    Random rng(0x4e90ULL + assoc);
+    for (int op = 0; op < 12000; ++op) {
+        const std::uint64_t kind = rng.uniformInt(0, 99);
+        Region &region = recent[rng.uniformInt(0, recent.size() - 1)];
+        if (kind < 2) {
+            const Addr at = rng.uniformInt(0, 1) == 0
+                                ? region.addr
+                                : rng.uniformInt(0, space - 1);
+            const std::uint64_t len = rng.uniformInt(1, 512);
+            ASSERT_EQ(cache.invalidateRange(at, len),
+                      ref.invalidateRange(at, len))
+                << "op " << op;
+            continue;
+        }
+        if (kind < 4) {
+            cache.invalidateAll();
+            ref.invalidateAll();
+            continue;
         }
 
-        EXPECT_GT(cache.lockstepAccesses(), 500u);
-        EXPECT_EQ(cache.hitCount(), ref.hits_);
-        EXPECT_EQ(cache.missCount(), ref.misses_);
-        EXPECT_EQ(cache.evictionCount(), ref.evictions_);
-        EXPECT_EQ(cache.writebackCount(), ref.writebacks_);
-        for (Addr a = 0; a < space; a += cfg.line_bytes) {
-            ASSERT_EQ(cache.contains(a), ref.contains(a)) << "addr " << a;
+        Addr addr = region.addr;
+        std::uint32_t size = region.size;
+        if (kind < 14) {
+            // A new region of up to a few lines, or (3 in 4) one or
+            // two whole aligned regions.
+            if (rng.uniformInt(0, 3) == 0) {
+                region.addr = rng.uniformInt(0, space - 1);
+                region.size = static_cast<std::uint32_t>(
+                    rng.uniformInt(1, sets * cfg.line_bytes));
+            } else {
+                region.addr =
+                    rng.uniformInt(0, space - 1) & ~(region_bytes - 1);
+                region.size = static_cast<std::uint32_t>(
+                    rng.uniformInt(1, 2) * region_bytes);
+            }
+            addr = region.addr;
+            size = region.size;
+        } else if (kind < 24) {
+            // Elsewhere: other sets.
+            addr = rng.uniformInt(0, space - 1);
+            size = static_cast<std::uint32_t>(rng.uniformInt(1, 200));
+        } else if (kind < 34) {
+            // Same set as the region's first line, another tag.
+            addr = (region.addr +
+                    rng.uniformInt(1, 8) * sets * cfg.line_bytes) %
+                   space;
+            size = static_cast<std::uint32_t>(rng.uniformInt(1, 64));
         }
+        if (kind >= 14 && kind < 34 && rng.uniformInt(0, 3) != 0) {
+            // Three in four of those as one whole region.
+            addr &= ~(region_bytes - 1);
+            size = static_cast<std::uint32_t>(region_bytes);
+        }
+        accessLikeDecoder(cache, addr, size, got);
+        const CacheAccessSummary want = ref.access(addr, size);
+        ASSERT_EQ(got.lines, want.lines) << "op " << op;
+        ASSERT_EQ(got.hits, want.hits) << "op " << op;
+        ASSERT_EQ(got.misses, want.misses) << "op " << op;
+        ASSERT_EQ(got.fills, want.fills) << "op " << op;
+    }
+
+    EXPECT_GT(cache.lockstepAccesses(), 500u);
+    EXPECT_GT(ref.evictions_, 100u);
+    EXPECT_EQ(cache.hitCount(), ref.hits_);
+    EXPECT_EQ(cache.missCount(), ref.misses_);
+    EXPECT_EQ(cache.evictionCount(), ref.evictions_);
+    for (Addr a = 0; a < space; a += cfg.line_bytes) {
+        ASSERT_EQ(cache.contains(a), ref.contains(a)) << "addr " << a;
     }
 }
 
@@ -634,7 +519,7 @@ class RegionInvalidation : public ::testing::Test
     static CacheConfig
     cfg()
     {
-        return tinyCache(8192, 4, /*write_alloc=*/false);
+        return tinyCache(8192, 4);
     }
 
     /** Read whole region @p r through both caches; last_mru_ says
@@ -648,15 +533,12 @@ class RegionInvalidation : public ::testing::Test
             ASSERT_EQ(cache_.lockstepAccesses(), mru_hits + 1);
             got_.hits = static_cast<std::uint32_t>(kRegion / 64);
             got_.fills.clear();
-            got_.writebacks.clear();
         } else {
-            cache_.accessInto(r * kRegion, kRegion, MemOp::kRead, got_);
+            cache_.accessInto(r * kRegion, kRegion, got_);
         }
-        const CacheAccessSummary want =
-            ref_.access(r * kRegion, kRegion, MemOp::kRead);
+        const CacheAccessSummary want = ref_.access(r * kRegion, kRegion);
         ASSERT_EQ(got_.hits, want.hits) << "region " << r;
         ASSERT_EQ(got_.fills, want.fills) << "region " << r;
-        ASSERT_EQ(got_.writebacks, want.writebacks) << "region " << r;
     }
 
     void
@@ -782,150 +664,138 @@ class RegionDifferential
  *    larger than the cache, or a quarter of it;
  *  - now and then partial invalidateRange at 64 B-aligned edges (a
  *    few larger than the cache), an unwidened read, whole-region
- *    writes, invalidateAll and flush.
+ *    reads anywhere in either slot, and invalidateAll.
  *
  * Every op must match ReferenceCache: the summary (lines, hits,
- * misses, fills, writebacks), the invalidation count, the flushed
- * lines in order, and every counter; at the end, contains() over the
- * whole address space.
+ * misses, fills), the invalidation count, and every counter; at the
+ * end, contains() over the whole address space.
  */
 TEST_P(RegionDifferential, VdTraceMatchesReference)
 {
     const auto [kb, assoc, line_bytes] = GetParam();
     const std::uint32_t region_lines = 512 / line_bytes;
     const Addr region_bytes = 512;
-    // Write-around (the VD cache), then write-allocate.
-    for (int mode = 0; mode < 2; ++mode) {
-        CacheConfig cfg;
-        cfg.size_bytes = std::uint64_t{kb} * 1024;
-        cfg.line_bytes = line_bytes;
-        cfg.assoc = assoc;
-        cfg.write_allocate = mode == 1;
-        SetAssocCache cache("vd", cfg, region_lines);
-        ReferenceCache ref(cfg);
-        CacheAccessSummary got;
+    CacheConfig cfg;
+    cfg.size_bytes = std::uint64_t{kb} * 1024;
+    cfg.line_bytes = line_bytes;
+    cfg.assoc = assoc;
+    SetAssocCache cache("vd", cfg, region_lines);
+    ReferenceCache ref(cfg);
+    CacheAccessSummary got;
 
-        // An encoded ring of twice the cache, then three frame slots
-        // a little over the cache each, every base 64 B past a region
-        // boundary.
-        const Addr ring_bytes = 2 * cfg.size_bytes;
-        const Addr slot_bytes = cfg.size_bytes + 3 * 64;
-        const auto slotBase = [&](std::uint64_t i) {
-            return ring_bytes + 64 + i * (slot_bytes + region_bytes);
-        };
-        const Addr space = slotBase(3);
-        const std::uint32_t mab_bytes = 768;
-        const std::uint64_t mabs = slot_bytes / mab_bytes;
+    // An encoded ring of twice the cache, then three frame slots
+    // a little over the cache each, every base 64 B past a region
+    // boundary.
+    const Addr ring_bytes = 2 * cfg.size_bytes;
+    const Addr slot_bytes = cfg.size_bytes + 3 * 64;
+    const auto slotBase = [&](std::uint64_t i) {
+        return ring_bytes + 64 + i * (slot_bytes + region_bytes);
+    };
+    const Addr space = slotBase(3);
+    const std::uint32_t mab_bytes = 768;
+    const std::uint64_t mabs = slot_bytes / mab_bytes;
 
-        // Widen [addr, addr + size) to whole regions.
-        const auto widen = [&](Addr addr, std::uint64_t size) {
-            const Addr lo = addr & ~(region_bytes - 1);
-            const Addr hi =
-                (addr + size + region_bytes - 1) & ~(region_bytes - 1);
-            return std::pair<Addr, std::uint32_t>(
-                lo, static_cast<std::uint32_t>(hi - lo));
-        };
-        int op = 0;
-        const auto check = [&](const CacheAccessSummary &want) {
-            ASSERT_EQ(got.lines, want.lines) << "op " << op;
-            ASSERT_EQ(got.hits, want.hits) << "op " << op;
-            ASSERT_EQ(got.misses, want.misses) << "op " << op;
-            ASSERT_EQ(got.fills, want.fills) << "op " << op;
-            ASSERT_EQ(got.writebacks, want.writebacks) << "op " << op;
-        };
+    // Widen [addr, addr + size) to whole regions.
+    const auto widen = [&](Addr addr, std::uint64_t size) {
+        const Addr lo = addr & ~(region_bytes - 1);
+        const Addr hi =
+            (addr + size + region_bytes - 1) & ~(region_bytes - 1);
+        return std::pair<Addr, std::uint32_t>(
+            lo, static_cast<std::uint32_t>(hi - lo));
+    };
+    int op = 0;
+    const auto check = [&](const CacheAccessSummary &want) {
+        ASSERT_EQ(got.lines, want.lines) << "op " << op;
+        ASSERT_EQ(got.hits, want.hits) << "op " << op;
+        ASSERT_EQ(got.misses, want.misses) << "op " << op;
+        ASSERT_EQ(got.fills, want.fills) << "op " << op;
+    };
 
-        Random rng(0x5e9aULL + kb * 7 + assoc * 131 + line_bytes + mode);
-        Addr enc_cursor = 0;
-        const auto counters = [&] {
-            ASSERT_EQ(cache.hitCount(), ref.hits_) << "op " << op;
-            ASSERT_EQ(cache.missCount(), ref.misses_) << "op " << op;
-            ASSERT_EQ(cache.evictionCount(), ref.evictions_) << "op " << op;
-            ASSERT_EQ(cache.writebackCount(), ref.writebacks_)
-                << "op " << op;
-        };
-        // At least six frames and 3,000 mabs.
-        const std::uint64_t frames = std::max<std::uint64_t>(
-            6, (3000 + mabs - 1) / mabs);
-        for (std::uint64_t frame = 0; frame < frames; ++frame) {
-            // The slot this frame writes is invalidated: all of it
-            // (more than the cache), or now and then a quarter (line
-            // by line).
-            const Addr slot = slotBase(frame % 3);
-            const Addr prev = slotBase((frame + 2) % 3);
-            const std::uint64_t len =
-                frame % 3 == 2 ? slot_bytes / 4 : slot_bytes;
-            ASSERT_EQ(cache.invalidateRange(slot, len),
-                      ref.invalidateRange(slot, len));
-            for (std::uint64_t mab = 0; mab < mabs; ++mab, ++op) {
-                // This mab's slice of the encoded stream.
-                const std::uint64_t bytes = rng.uniformInt(20, 700);
-                const auto [elo, esize] =
-                    widen(enc_cursor % ring_bytes, bytes);
-                enc_cursor += bytes;
-                accessLikeDecoder(cache, elo, esize, MemOp::kRead, got);
-                check(ref.access(elo, esize, MemOp::kRead));
+    Random rng(0x5e9aULL + kb * 7 + assoc * 131 + line_bytes);
+    Addr enc_cursor = 0;
+    const auto counters = [&] {
+        ASSERT_EQ(cache.hitCount(), ref.hits_) << "op " << op;
+        ASSERT_EQ(cache.missCount(), ref.misses_) << "op " << op;
+        ASSERT_EQ(cache.evictionCount(), ref.evictions_) << "op " << op;
+    };
+    // At least six frames and 6,000 mabs.
+    const std::uint64_t frames = std::max<std::uint64_t>(
+        6, (6000 + mabs - 1) / mabs);
+    for (std::uint64_t frame = 0; frame < frames; ++frame) {
+        // The slot this frame writes is invalidated: all of it
+        // (more than the cache), or now and then a quarter (line
+        // by line).
+        const Addr slot = slotBase(frame % 3);
+        const Addr prev = slotBase((frame + 2) % 3);
+        const std::uint64_t len =
+            frame % 3 == 2 ? slot_bytes / 4 : slot_bytes;
+        ASSERT_EQ(cache.invalidateRange(slot, len),
+                  ref.invalidateRange(slot, len));
+        for (std::uint64_t mab = 0; mab < mabs; ++mab, ++op) {
+            // This mab's slice of the encoded stream.
+            const std::uint64_t bytes = rng.uniformInt(20, 700);
+            const auto [elo, esize] =
+                widen(enc_cursor % ring_bytes, bytes);
+            enc_cursor += bytes;
+            accessLikeDecoder(cache, elo, esize, got);
+            check(ref.access(elo, esize));
 
-                // Its MC reference, within 8 mabs in the previous
-                // frame's slot (I frames have none).
-                if (frame % 3 != 0) {
-                    const std::uint64_t at =
-                        std::min(mabs - 1, mab + rng.uniformInt(0, 16));
-                    const auto [rlo, rsize] = widen(
-                        prev + (at > 8 ? at - 8 : 0) * mab_bytes,
-                        mab_bytes);
-                    accessLikeDecoder(cache, rlo, rsize, MemOp::kRead,
-                                      got);
-                    check(ref.access(rlo, rsize, MemOp::kRead));
-                }
+            // Its MC reference, within 8 mabs in the previous
+            // frame's slot (I frames have none).
+            if (frame % 3 != 0) {
+                const std::uint64_t at =
+                    std::min(mabs - 1, mab + rng.uniformInt(0, 16));
+                const auto [rlo, rsize] = widen(
+                    prev + (at > 8 ? at - 8 : 0) * mab_bytes,
+                    mab_bytes);
+                accessLikeDecoder(cache, rlo, rsize, got);
+                check(ref.access(rlo, rsize));
+            }
 
-                const std::uint64_t kind = rng.uniformInt(0, 999);
-                if (kind < 50) {
-                    // Whole-region writes into either slot.
-                    const Addr at =
-                        (kind < 25 ? slot : prev) +
-                        rng.uniformInt(0, slot_bytes - 1024);
-                    const auto [wlo, wsize] = widen(at, 1 + kind % 600);
-                    cache.accessInto(wlo, wsize, MemOp::kWrite, got);
-                    check(ref.access(wlo, wsize, MemOp::kWrite));
-                } else if (kind < 100) {
-                    // An unwidened read of a few lines.
-                    const Addr at = rng.uniformInt(0, space - 1);
-                    const auto size = static_cast<std::uint32_t>(
-                        rng.uniformInt(1, 300));
-                    accessLikeDecoder(cache, at, size, MemOp::kRead, got);
-                    check(ref.access(at, size, MemOp::kRead));
-                } else if (kind < 120) {
-                    // 64 B-aligned edges: within a region or across a
-                    // few, now and then more than the whole cache.
-                    const Addr at =
-                        rng.uniformInt(0, space - 1) & ~Addr{63};
-                    const std::uint64_t ilen =
-                        kind < 118 ? 64 * rng.uniformInt(1, 24)
-                                   : cfg.size_bytes +
-                                         64 * rng.uniformInt(0, 64);
-                    ASSERT_EQ(cache.invalidateRange(at, ilen),
-                              ref.invalidateRange(at, ilen))
-                        << "op " << op;
-                } else if (kind < 121) {
-                    cache.invalidateAll();
-                    ref.invalidateAll();
-                } else if (kind < 122) {
-                    ASSERT_EQ(cache.flush(), ref.flush()) << "op " << op;
-                }
-                counters();
-                if (HasFatalFailure()) {
-                    return;
-                }
+            const std::uint64_t kind = rng.uniformInt(0, 999);
+            if (kind < 50) {
+                // Whole-region reads anywhere in either slot.
+                const Addr at =
+                    (kind < 25 ? slot : prev) +
+                    rng.uniformInt(0, slot_bytes - 1024);
+                const auto [wlo, wsize] = widen(at, 1 + kind % 600);
+                accessLikeDecoder(cache, wlo, wsize, got);
+                check(ref.access(wlo, wsize));
+            } else if (kind < 100) {
+                // An unwidened read of a few lines.
+                const Addr at = rng.uniformInt(0, space - 1);
+                const auto size = static_cast<std::uint32_t>(
+                    rng.uniformInt(1, 300));
+                accessLikeDecoder(cache, at, size, got);
+                check(ref.access(at, size));
+            } else if (kind < 120) {
+                // 64 B-aligned edges: within a region or across a
+                // few, now and then more than the whole cache.
+                const Addr at =
+                    rng.uniformInt(0, space - 1) & ~Addr{63};
+                const std::uint64_t ilen =
+                    kind < 118 ? 64 * rng.uniformInt(1, 24)
+                               : cfg.size_bytes +
+                                     64 * rng.uniformInt(0, 64);
+                ASSERT_EQ(cache.invalidateRange(at, ilen),
+                          ref.invalidateRange(at, ilen))
+                    << "op " << op;
+            } else if (kind < 122) {
+                cache.invalidateAll();
+                ref.invalidateAll();
+            }
+            counters();
+            if (HasFatalFailure()) {
+                return;
             }
         }
+    }
 
-        // The trace evicted, wrote back and ran the one-check path.
-        EXPECT_GT(ref.evictions_, 0u);
-        EXPECT_GT(ref.writebacks_, 0u);
-        EXPECT_GT(cache.lockstepAccesses(), 500u);
-        for (Addr a = 0; a < space; a += cfg.line_bytes) {
-            ASSERT_EQ(cache.contains(a), ref.contains(a)) << "addr " << a;
-        }
+    // The trace evicted and ran the one-check path.
+    EXPECT_GT(ref.evictions_, 0u);
+    EXPECT_GT(cache.lockstepAccesses(), 500u);
+    for (Addr a = 0; a < space; a += cfg.line_bytes) {
+        ASSERT_EQ(cache.contains(a), ref.contains(a)) << "addr " << a;
     }
 }
 

@@ -227,7 +227,6 @@ TEST(DecoderConfig, DefaultsValid)
 {
     DecoderConfig cfg;
     cfg.validate();
-    EXPECT_FALSE(cfg.cache.write_allocate); // streaming writes bypass
     EXPECT_EQ(cfg.cache.size_bytes, 64u * 1024u);
 }
 

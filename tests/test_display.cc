@@ -53,15 +53,14 @@ dcCacheConfig()
     cfg.size_bytes = 1024;
     cfg.line_bytes = 64;
     cfg.assoc = 1;
-    cfg.write_allocate = false;
     return cfg;
 }
 
 TEST(DisplayCache, SecondFetchOfSameLineHits)
 {
     SetAssocCache dc("dc.displayCache", dcCacheConfig());
-    EXPECT_EQ(dc.access(0, 48, MemOp::kRead).fills.size(), 1u);
-    EXPECT_TRUE(dc.access(0, 48, MemOp::kRead).fills.empty());
+    EXPECT_EQ(dc.access(0, 48).fills.size(), 1u);
+    EXPECT_TRUE(dc.access(0, 48).fills.empty());
     EXPECT_EQ(dc.hitCount(), 1u);
 }
 
@@ -70,18 +69,18 @@ TEST(DisplayCache, LineSpanDetectsFragmentation)
     SetAssocCache dc("dc.displayCache", dcCacheConfig());
     // 48 B at offset 0 fits one line; at offset 32 it straddles two
     // (the paper's >45% fragmented pointer fetches).
-    EXPECT_EQ(dc.access(0, 48, MemOp::kRead).lines, 1u);
-    EXPECT_EQ(dc.access(32, 48, MemOp::kRead).lines, 2u);
-    EXPECT_EQ(dc.access(48, 48, MemOp::kRead).lines, 2u);
-    EXPECT_EQ(dc.access(16, 48, MemOp::kRead).lines, 1u);
+    EXPECT_EQ(dc.access(0, 48).lines, 1u);
+    EXPECT_EQ(dc.access(32, 48).lines, 2u);
+    EXPECT_EQ(dc.access(48, 48).lines, 2u);
+    EXPECT_EQ(dc.access(16, 48).lines, 1u);
 }
 
 TEST(DisplayCache, PartialHitOnStraddle)
 {
     SetAssocCache dc("dc.displayCache", dcCacheConfig());
-    dc.access(0, 64, MemOp::kRead); // line 0 cached
+    dc.access(0, 64); // line 0 cached
     // Needs lines 0 and 1; only line 1 is fetched.
-    const CacheAccessSummary s = dc.access(32, 48, MemOp::kRead);
+    const CacheAccessSummary s = dc.access(32, 48);
     ASSERT_EQ(s.fills.size(), 1u);
     EXPECT_EQ(s.fills[0], 64u);
 }

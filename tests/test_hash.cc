@@ -78,86 +78,68 @@ TEST(Crc32, SensitiveToSingleBitFlip)
 }
 
 // ---------------------------------------------------------------------
-// Kernel equivalence: every dispatchable CRC kernel must produce the
-// reference digest for any length, alignment and incremental split -
-// a kernel that diverges would silently change every MACH hit.
+// Kernel equivalence: the CRC32 kernel update() dispatched to must
+// produce the reference digest for any length, alignment and
+// incremental split - a kernel that diverges would silently change
+// every MACH hit.
 // ---------------------------------------------------------------------
 
-TEST(CrcKernels, ReferenceIsAlwaysAvailable)
-{
-    const auto kernels = availableCrc32Kernels();
-    ASSERT_FALSE(kernels.empty());
-    EXPECT_EQ(kernels.front(), CrcKernel::kReference);
-    EXPECT_EQ(std::string(crcKernelName(CrcKernel::kReference)),
-              "reference");
-    // Whatever update() dispatched to must be a usable kernel.
-    bool active_listed = false;
-    for (CrcKernel k : kernels) {
-        if (k == activeCrc32Kernel()) {
-            active_listed = true;
-        }
-    }
-    EXPECT_TRUE(active_listed);
-}
-
-TEST(CrcKernels, Crc32AllKernelsMatchReferenceAllLengths)
+TEST(CrcEquivalence, Crc32DispatchedMatchesReferenceAllLengths)
 {
     Random rng(0xc3c1);
     std::vector<std::uint8_t> buf(4096 + 64);
     for (auto &b : buf) {
         b = static_cast<std::uint8_t>(rng.next());
     }
-    const auto kernels = availableCrc32Kernels();
     // Lengths sweep the kernel-internal thresholds (16-byte folds,
-    // the 64-byte hardware cutover, slice8's 8-byte stride) and
-    // offsets force every load alignment.
+    // the 64-byte fold cutover, sub-16 B tails, Fig. 12c's 12 B and
+    // 192 B mabs) and offsets force every load alignment.
     for (std::size_t len : {std::size_t{0}, std::size_t{1},
                             std::size_t{7}, std::size_t{8},
-                            std::size_t{15}, std::size_t{16},
-                            std::size_t{48}, std::size_t{63},
-                            std::size_t{64}, std::size_t{65},
-                            std::size_t{127}, std::size_t{256},
+                            std::size_t{12}, std::size_t{15},
+                            std::size_t{16}, std::size_t{48},
+                            std::size_t{63}, std::size_t{64},
+                            std::size_t{65}, std::size_t{127},
+                            std::size_t{192}, std::size_t{256},
                             std::size_t{1023}, std::size_t{4096}}) {
         for (std::size_t off : {std::size_t{0}, std::size_t{1},
                                 std::size_t{3}, std::size_t{7}}) {
-            const std::uint32_t want = crc32Step(
-                CrcKernel::kReference, 0xffffffffu,
-                buf.data() + off, len);
-            for (CrcKernel k : kernels) {
-                EXPECT_EQ(crc32Step(k, 0xffffffffu,
-                                    buf.data() + off, len),
-                          want)
-                    << crcKernelName(k) << " len=" << len
-                    << " off=" << off;
-            }
+            EXPECT_EQ(Crc32::compute(buf.data() + off, len),
+                      ~crc32Reference(0xffffffffu, buf.data() + off,
+                                      len))
+                << "len=" << len << " off=" << off;
         }
     }
 }
 
-TEST(CrcKernels, Crc32IncrementalSplitsMatchOneShot)
+TEST(CrcEquivalence, Crc32IncrementalSplitsMatchOneShot)
 {
     Random rng(0xc3c2);
     std::vector<std::uint8_t> buf(777);
     for (auto &b : buf) {
         b = static_cast<std::uint8_t>(rng.next());
     }
-    const std::uint32_t want = Crc32::compute(buf.data(), buf.size());
-    for (CrcKernel k : availableCrc32Kernels()) {
-        // Chain the raw step through random-sized chunks.
-        Random split_rng(99);
-        std::uint32_t state = 0xffffffffu;
-        std::size_t pos = 0;
-        while (pos < buf.size()) {
-            const std::size_t n = std::min<std::size_t>(
-                1 + split_rng.next() % 100, buf.size() - pos);
-            state = crc32Step(k, state, buf.data() + pos, n);
-            pos += n;
-        }
-        EXPECT_EQ(~state, want) << crcKernelName(k);
+    const std::uint32_t want =
+        ~crc32Reference(0xffffffffu, buf.data(), buf.size());
+    // Chain the dispatched update() and the raw reference step
+    // through the same random-sized chunks.
+    Random split_rng(99);
+    Crc32 crc;
+    std::uint32_t state = 0xffffffffu;
+    std::size_t pos = 0;
+    while (pos < buf.size()) {
+        const std::size_t n = std::min<std::size_t>(
+            1 + split_rng.next() % 100, buf.size() - pos);
+        crc.update(buf.data() + pos, n);
+        state = crc32Reference(state, buf.data() + pos, n);
+        pos += n;
     }
+    EXPECT_EQ(crc.digest(), want);
+    EXPECT_EQ(~state, want);
+    EXPECT_EQ(Crc32::compute(buf.data(), buf.size()), want);
 }
 
-TEST(CrcKernels, Crc16SlicedMatchesReference)
+TEST(CrcEquivalence, Crc16SlicedMatchesReference)
 {
     Random rng(0xc3c3);
     std::vector<std::uint8_t> buf(1024 + 8);

@@ -14,17 +14,13 @@ Enforced rules (registered as the `vstream_docs` ctest and run by
     variable some source file reads (a quoted "VSTREAM_..." literal
     in C++ or Python outside tools/) or a CMake option / cache
     variable.  Names ending in `_HH` are header guards and exempt.
- 5. docs/PERFORMANCE.md's kernel table names, in its CRC32 row,
-    exactly the kernels `availableCrc32Kernels()` can return: the
-    `CrcKernel` enumerators that function lists, read from
-    src/hash/crc.cc and named through `crcKernelName()`.
- 6. Every `--flag` that README.md or a docs/*.md file passes to
+ 5. Every `--flag` that README.md or a docs/*.md file passes to
     vstream_serve, vstream_sim or bench_soak - on a command line in
     a code block, or in an inline code span that names the binary -
     is one that binary accepts: a whole "--flag" string literal in
     its source, or in the body of a shared flag table it calls
     (`sessionFlag`/`fleetFlag` in src/serve/cli_args.cc).
- 7. README.md, DESIGN.md and docs/*.md do not name a switch or stat
+ 6. README.md, DESIGN.md and docs/*.md do not name a switch or stat
     kind the code no longer has (REMOVED_NAMES), except on a line
     that records the removal ("removed in PR N").
 
@@ -59,14 +55,9 @@ CMAKE_KNOB_RE = re.compile(
 CODE_SUFFIXES = (".cc", ".hh", ".cpp", ".h", ".py")
 SKIP_DIRS = ("tools",)
 
-CRC_SOURCE = pathlib.Path("src/hash/crc.cc")
-KERNEL_TABLE_DOC = pathlib.Path("docs/PERFORMANCE.md")
-CRC_NAME_CASE_RE = re.compile(
-    r"case\s+CrcKernel::(k\w+)\s*:\s*return\s+\"([^\"]+)\"")
-CRC_ENUMERATOR_RE = re.compile(r"CrcKernel::(k\w+)")
 CODE_SPAN_RE = re.compile(r"`([^`]+)`")
 
-# Rule 6: the front ends whose flags the docs cite, and the shared
+# Rule 5: the front ends whose flags the docs cite, and the shared
 # flag tables they may call.
 FLAG_BINARIES = {
     "vstream_serve": pathlib.Path("examples/vstream_serve.cpp"),
@@ -80,13 +71,15 @@ DOC_FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 # Where a shell command ends: a pipe, a separator or a comment.
 COMMAND_END_RE = re.compile(r"\||;|&&|\s#")
 
-# Rule 7: names deleted from the code, and the marker that lets a
+# Rule 6: names deleted from the code, and the marker that lets a
 # line record their removal.
 REMOVED_NAMES = ("refresh_enabled", "ReplPolicy", "stats::Scalar",
                  "stats::Distribution", "stats::Histogram",
                  "queue_when_full", "verify_display", "ShardSnapshot",
                  "FleetLadder", "FleetHealth", "byte_io",
-                 "DisplayCache", "memoHits", "RegionMemo")
+                 "DisplayCache", "memoHits", "RegionMemo",
+                 "CrcKernel", "availableCrc32Kernels", "crc32BatchWith",
+                 "write_allocate", "writebackCount")
 REMOVED_NAME_RE = re.compile(
     r"(?<![\w:])(" + "|".join(re.escape(n) for n in REMOVED_NAMES) +
     r")(?!\w)")
@@ -238,39 +231,6 @@ def function_body(source: str, name: str) -> str:
     return ""
 
 
-def crc_kernel_table(root: pathlib.Path) -> list[str]:
-    """Rule 5; silent when the tree has no CRC source or no table."""
-    src, doc = root / CRC_SOURCE, root / KERNEL_TABLE_DOC
-    if not src.is_file() or not doc.is_file():
-        return []
-    code = src.read_text(encoding="utf-8")
-    names = dict(CRC_NAME_CASE_RE.findall(
-        function_body(code, "crcKernelName")))
-    enumerators = CRC_ENUMERATOR_RE.findall(
-        function_body(code, "availableCrc32Kernels"))
-    if not names or not enumerators:
-        return [f"{CRC_SOURCE}: cannot read crcKernelName() or "
-                f"availableCrc32Kernels()"]
-    unnamed = sorted(set(enumerators) - names.keys())
-    if unnamed:
-        return [f"{CRC_SOURCE}: availableCrc32Kernels() returns "
-                f"{', '.join(unnamed)} with no crcKernelName() case"]
-    code_kernels = {names[e] for e in enumerators}
-
-    for lineno, line in enumerate(
-            doc.read_text(encoding="utf-8").splitlines(), 1):
-        cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        if len(cells) < 2 or not cells[0].startswith("CRC32"):
-            continue
-        doc_kernels = set(CODE_SPAN_RE.findall(cells[1]))
-        if doc_kernels == code_kernels:
-            return []
-        return [f"{KERNEL_TABLE_DOC}:{lineno}: CRC32 row names "
-                f"{sorted(doc_kernels)}, but availableCrc32Kernels() "
-                f"can return {sorted(code_kernels)}"]
-    return [f"{KERNEL_TABLE_DOC}: no CRC32 row in the kernel table"]
-
-
 def accepted_flags(root: pathlib.Path) -> dict[str, set[str]]:
     """Binary -> the flags its handler and flag tables accept; a
     binary whose source is absent is left out."""
@@ -333,7 +293,7 @@ def cited_flags(path: pathlib.Path, binaries) -> list[tuple[int, str,
 
 
 def doc_flags(root: pathlib.Path) -> list[str]:
-    """Rule 6; silent for binaries whose source is absent."""
+    """Rule 5; silent for binaries whose source is absent."""
     accepted = accepted_flags(root)
     if not accepted:
         return []
@@ -404,11 +364,9 @@ def check(root: pathlib.Path) -> list[str]:
 
     # Rule 4: no doc names a knob the code no longer has.
     errors += stale_knobs(root, files)
-    # Rule 5: the kernel table matches the CRC dispatch.
-    errors += crc_kernel_table(root)
-    # Rule 6: every documented flag is one its binary accepts.
+    # Rule 5: every documented flag is one its binary accepts.
     errors += doc_flags(root)
-    # Rule 7: no doc names a removed switch or stat kind.
+    # Rule 6: no doc names a removed switch or stat kind.
     errors += removed_names(root)
     return errors
 
@@ -438,41 +396,7 @@ def self_test() -> int:
         assert errors[0].startswith("README.md:3: 'VSTREAM_STALE_IMPL'"), \
             errors
 
-    # Rule 5 on a fixture tree: a table row in step with the CRC
-    # dispatch, then the same row after a kernel was deleted.
-    with tempfile.TemporaryDirectory() as tmp:
-        root = pathlib.Path(tmp)
-        (root / "src" / "hash").mkdir(parents=True)
-        (root / "docs").mkdir()
-        (root / "src" / "hash" / "crc.cc").write_text(
-            "const char *\ncrcKernelName(CrcKernel k)\n{\n"
-            "    switch (k) {\n"
-            "      case CrcKernel::kReference:\n"
-            "        return \"reference\";\n"
-            "      case CrcKernel::kHardware:\n"
-            "        return \"hw\";\n    }\n}\n"
-            "std::vector<CrcKernel>\navailableCrc32Kernels()\n{\n"
-            "    std::vector<CrcKernel> out{CrcKernel::kReference};\n"
-            "    if (hw()) {\n"
-            "        out.push_back(CrcKernel::kHardware);\n    }\n"
-            "    return out;\n}\n")
-        (root / "README.md").write_text(
-            "[perf](docs/PERFORMANCE.md)\n")
-        row = ("| CRC32 digest (`src/hash/crc.cc`) | `reference`, "
-               "{} (PCLMUL fold) | CPUID | tests |\n")
-        table = ("| Family | Kernels | Selected by | Pinned by |\n"
-                 "|---|---|---|---|\n")
-        doc = root / "docs" / "PERFORMANCE.md"
-        doc.write_text(table + row.format("`hw`"))
-        assert check(root) == [], check(root)
-        doc.write_text(table + row.format("`slice8`, `hw`"))
-        errors = check(root)
-        assert len(errors) == 1, errors
-        assert errors[0].startswith("docs/PERFORMANCE.md:3: CRC32 row"), \
-            errors
-        assert "'slice8'" in errors[0], errors
-
-    # Rule 6 on a fixture tree: a handler flag, a table flag, and a
+    # Rule 5 on a fixture tree: a handler flag, a table flag, and a
     # deleted flag cited both in a continued command and in a span.
     with tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
@@ -498,7 +422,7 @@ def self_test() -> int:
             "README.md:5: vstream_serve does not accept "
             "'--verify-on-hit'"], errors
 
-    # Rule 7 on a fixture tree: a removed name in prose, the same
+    # Rule 6 on a fixture tree: a removed name in prose, the same
     # name on a line that records its removal, and a longer
     # identifier that merely contains one.
     with tempfile.TemporaryDirectory() as tmp:
