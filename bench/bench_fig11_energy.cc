@@ -84,7 +84,7 @@ main(int argc, char **argv)
                   << cfg.decoder.power.freq_high_hz / 1e6 << " MHz\n";
         std::cout << "  Display : " << cfg.profile.width << "x"
                   << cfg.profile.height << " (scaled from 3840x2160) @ "
-                  << cfg.display.refresh_hz << " Hz, "
+                  << cfg.profile.fps << " Hz, "
                   << cfg.display.power_w << " W\n";
         std::cout << "  MACH    : " << cfg.mach.num_machs << " MACHs x "
                   << cfg.mach.entries << " entries, " << cfg.mach.ways

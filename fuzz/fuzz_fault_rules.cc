@@ -39,7 +39,6 @@ fuzzFaultRule(const std::string &spec)
         vstream::FaultClass::kNetworkStall,
         vstream::FaultClass::kDigestCollision,
         vstream::FaultClass::kDramTimeout,
-        vstream::FaultClass::kTraceCorrupt,
     };
 
     for (const vstream::FaultClass cls : kClasses) {

@@ -6,7 +6,7 @@
  * TraceReader must survive arbitrary bytes: no crash, no sanitizer
  * report, no absurd allocation (the geometry caps in trace.hh bound
  * every Frame the loader may construct), and a result that is
- * internally consistent under both damage policies.
+ * internally consistent: all announced frames, or none.
  *
  * Built with -fsanitize=fuzzer under Clang; under GCC the fallback
  * driver in fuzz_driver_main.cc replays and mutates the checked-in
@@ -26,23 +26,15 @@ namespace
 
 /** Loader invariants that must hold for *any* input bytes. */
 void
-checkResult(const vstream::TraceLoadResult &result,
-            vstream::TracePolicy policy)
+checkResult(const vstream::TraceLoadResult &result)
 {
-    using vstream::TraceError;
-    using vstream::TracePolicy;
-
     if (result.ok()) {
-        // A clean load keeps every announced frame and skips none.
+        // A clean load keeps every announced frame.
         FUZZ_ASSERT(result.frames.size() == result.frames_expected);
-        FUZZ_ASSERT(result.frames_skipped == 0);
-    } else if (policy == TracePolicy::kFailClean) {
-        // Fail-clean means fail *clean*: damage discards everything.
+    } else {
+        // Damage discards everything.
         FUZZ_ASSERT(result.frames.empty());
     }
-    // Under either policy the loader never invents frames.
-    FUZZ_ASSERT(result.frames.size() + result.frames_skipped <=
-                result.frames_expected);
 
     // Every surviving frame obeys the documented geometry caps, so
     // the per-frame allocation downstream code performs is bounded.
@@ -65,15 +57,7 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
 
     {
         std::istringstream is(bytes);
-        checkResult(vstream::loadTrace(is,
-                                       vstream::TracePolicy::kFailClean),
-                    vstream::TracePolicy::kFailClean);
-    }
-    {
-        std::istringstream is(bytes);
-        checkResult(vstream::loadTrace(is,
-                                       vstream::TracePolicy::kSkipFrame),
-                    vstream::TracePolicy::kSkipFrame);
+        checkResult(vstream::loadTrace(is));
     }
 
     // Drive the incremental reader too: tryNextFrame() must make

@@ -31,13 +31,6 @@ ReplacementState::copySet(std::uint32_t from, std::uint32_t to)
     std::copy_n(&stamp(from, 0), ways_, &stamp(to, 0));
 }
 
-void
-ReplacementState::reset()
-{
-    std::fill(stamps_.begin(), stamps_.end(), 0);
-    clock_ = 0;
-}
-
 std::uint32_t
 ReplacementState::victim(std::uint32_t set)
 {

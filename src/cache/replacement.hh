@@ -39,13 +39,6 @@ class ReplacementState
         return stamps_[static_cast<std::size_t>(set) * ways_ + way];
     }
 
-    /**
-     * Restore the freshly constructed state (stamps and clock) so a
-     * recycled cache replays the exact victim sequence a new one
-     * would.  Keeps the stamp storage.
-     */
-    void reset();
-
   private:
     std::uint64_t &stamp(std::uint32_t set, std::uint32_t way);
 

@@ -333,14 +333,6 @@ SetAssocCache::missRate() const
 }
 
 void
-SetAssocCache::resetStats()
-{
-    hits_ = 0;
-    misses_ = 0;
-    evictions_ = 0;
-}
-
-void
 SetAssocCache::regStats(StatsRegistry &r) const
 {
     r.addCallback(name_ + ".hits", "lines hit",

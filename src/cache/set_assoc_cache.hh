@@ -135,8 +135,6 @@ class SetAssocCache
     std::uint64_t evictionCount() const { return evictions_; }
     double missRate() const;
 
-    void resetStats();
-
     /** Register hit/miss/eviction stats under this cache's name. */
     void regStats(StatsRegistry &r) const;
 

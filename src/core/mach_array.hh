@@ -152,10 +152,6 @@ class MachArray
 
     const MachStats &stats() const { return stats_; }
 
-    /** Zero every counter registered by regStats(); the array
-     * contents (current and frozen MACHs) are untouched. */
-    void resetStats() { stats_ = MachStats{}; }
-
     const MachConfig &config() const { return cfg_; }
     /** Blocks inserted into CO-MACH (its collision count proxy). */
     std::uint64_t coMachInserts() const { return co_mach_inserts_; }

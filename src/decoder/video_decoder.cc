@@ -179,11 +179,4 @@ VideoDecoder::regStats(StatsRegistry &r)
     cache_->regStats(r);
 }
 
-void
-VideoDecoder::resetStats()
-{
-    frames_decoded_ = 0;
-    cache_->resetStats();
-}
-
 } // namespace vstream

@@ -75,7 +75,6 @@ class VideoDecoder : public SimObject
     const DecoderConfig &config() const { return cfg_; }
 
     void regStats(StatsRegistry &r) override;
-    void resetStats() override;
 
   private:
     /** Read [addr, addr+size) through the VD cache, widened to the

@@ -8,9 +8,6 @@ namespace vstream
 void
 DisplayConfig::validate() const
 {
-    if (refresh_hz == 0) {
-        vs_fatal("refresh rate must be non-zero");
-    }
     display_cache.validate();
     if (use_mach_buffer &&
         (mach_buffer_entries == 0 || mach_buffer_ways == 0 ||

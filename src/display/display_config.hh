@@ -16,7 +16,6 @@ namespace vstream
 /** Static display parameters. */
 struct DisplayConfig
 {
-    std::uint32_t refresh_hz = 60;
     /** Display controller + panel interface power. */
     double power_w = 0.12;
 

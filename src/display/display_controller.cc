@@ -320,16 +320,4 @@ DisplayController::regStats(StatsRegistry &r)
     }
 }
 
-void
-DisplayController::resetStats()
-{
-    totals_ = DisplayTotals{};
-    if (display_cache_) {
-        display_cache_->resetStats();
-    }
-    if (mach_buffer_) {
-        mach_buffer_->resetStats();
-    }
-}
-
 } // namespace vstream

@@ -107,11 +107,7 @@ class DisplayController : public SimObject
     SetAssocCache *displayCache() { return display_cache_.get(); }
     MachBuffer *machBuffer() { return mach_buffer_.get(); }
 
-    /** Frame period in ticks. */
-    Tick framePeriod() const { return sim_clock::s / cfg_.refresh_hz; }
-
     void regStats(StatsRegistry &r) override;
-    void resetStats() override;
 
   private:
     /** Stream @p bytes sequentially from @p base; returns end tick. */

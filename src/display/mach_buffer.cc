@@ -87,14 +87,6 @@ MachBuffer::insert(std::uint32_t digest, const std::uint8_t *data,
 }
 
 void
-MachBuffer::resetStats()
-{
-    hits_ = 0;
-    misses_ = 0;
-    inserts_ = 0;
-}
-
-void
 MachBuffer::regStats(StatsRegistry &r, const std::string &prefix) const
 {
     r.addCallback(prefix + ".hits", "digest records served here",

@@ -46,8 +46,6 @@ class MachBuffer
 
     std::uint32_t entries() const { return sets_ * ways_; }
 
-    void resetStats();
-
     /** Register hit/miss/insert stats under @p prefix. */
     void regStats(StatsRegistry &r, const std::string &prefix) const;
 

@@ -108,9 +108,6 @@ class DramBank
         ready_at_ += d;
     }
 
-    /** Reset to power-up state. */
-    void reset() { *this = DramBank{}; }
-
   private:
     bool row_open_ = false;
     std::uint64_t open_row_ = 0;

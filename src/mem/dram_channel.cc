@@ -12,13 +12,4 @@ DramChannel::DramChannel(std::uint32_t ranks, std::uint32_t banks_per_rank)
     vs_assert(!banks_.empty(), "channel with zero banks");
 }
 
-void
-DramChannel::reset()
-{
-    for (auto &b : banks_) {
-        b.reset();
-    }
-    bus_free_at_ = 0;
-}
-
 } // namespace vstream

@@ -54,9 +54,6 @@ class DramChannel
      * DramBank::advance). */
     void advanceBus(Tick d) { bus_free_at_ += d; }
 
-    /** Reset all banks and the bus. */
-    void reset();
-
   private:
     std::size_t
     bankSlot(std::uint32_t rank, std::uint32_t bank_idx) const

@@ -9,6 +9,19 @@
 namespace vstream
 {
 
+namespace
+{
+
+/** Delay before the first burst re-issue; doubles on every further
+ * retry, up to kBackoffCap. */
+constexpr Tick kBackoffBase = static_cast<Tick>(200) * sim_clock::ns;
+/** Upper bound on a single backoff delay. */
+constexpr Tick kBackoffCap = static_cast<Tick>(10) * sim_clock::us;
+/** Uniform jitter fraction added on top of each backoff delay. */
+constexpr double kBackoffJitter = 0.25;
+
+} // namespace
+
 DramController::DramController(const DramConfig &cfg)
     : cfg_(cfg), map_(cfg_), energy_(cfg_),
       burst_bytes_(cfg_.bytesPerBurst()), burst_time_(cfg_.burstTime())
@@ -133,12 +146,6 @@ void
 DramController::setFaultInjector(FaultInjector *faults)
 {
     faults_ = faults;
-    seedJitter();
-}
-
-void
-DramController::seedJitter()
-{
     jitter_state_ = faults_ != nullptr
                         ? faults_->config().seed ^ 0xd2a0b0ffULL
                         : 0;
@@ -147,30 +154,23 @@ DramController::seedJitter()
 Tick
 DramController::backoffDelay(std::uint32_t attempt)
 {
-    const FaultConfig &fc = faults_->config();
-    if (fc.dram_backoff_base == 0) {
-        return 0;
-    }
     // min(cap, base << (attempt - 1)), shift guarded against
     // overflowing past the cap.
-    Tick delay = fc.dram_backoff_base;
+    Tick delay = kBackoffBase;
     for (std::uint32_t k = 1; k < attempt; ++k) {
-        if (delay >= fc.dram_backoff_cap / 2) {
-            delay = fc.dram_backoff_cap;
+        if (delay >= kBackoffCap / 2) {
+            delay = kBackoffCap;
             break;
         }
         delay *= 2;
     }
-    delay = std::min(delay, fc.dram_backoff_cap);
-    if (fc.dram_backoff_jitter > 0.0) {
-        // 53-bit uniform in [0, 1) from the dedicated SplitMix64
-        // stream; jitter only ever lengthens the wait.
-        const double u =
-            static_cast<double>(splitMix64(jitter_state_) >> 11) *
-            0x1.0p-53;
-        delay += static_cast<Tick>(static_cast<double>(delay) *
-                                   fc.dram_backoff_jitter * u);
-    }
+    delay = std::min(delay, kBackoffCap);
+    // 53-bit uniform in [0, 1) from the dedicated SplitMix64 stream;
+    // jitter only ever lengthens the wait.
+    const double u =
+        static_cast<double>(splitMix64(jitter_state_) >> 11) * 0x1.0p-53;
+    delay += static_cast<Tick>(static_cast<double>(delay) *
+                               kBackoffJitter * u);
     return delay;
 }
 
@@ -388,21 +388,6 @@ DramController::pendingWrites() const
         n += q.size();
     }
     return n;
-}
-
-void
-DramController::reset()
-{
-    for (auto &c : channels_) {
-        c.reset();
-    }
-    for (auto &q : write_queues_) {
-        q.clear();
-    }
-    closed_form_lines_ = 0;
-    resetFaultStats();
-    seedJitter();
-    energy_.reset();
 }
 
 } // namespace vstream

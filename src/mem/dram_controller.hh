@@ -97,22 +97,10 @@ class DramController
      */
     std::uint64_t closedFormLines() const { return closed_form_lines_; }
 
-    /** Zero the retry/abandon counters (stats reset, not state). */
-    void resetFaultStats()
-    {
-        retries_ = 0;
-        abandoned_ = 0;
-        backoff_ticks_ = 0;
-    }
-
     const DramConfig &config() const { return cfg_; }
     const AddressMap &addressMap() const { return map_; }
     DramEnergy &energy() { return energy_; }
     const DramEnergy &energy() const { return energy_; }
-
-    /** Reset bank/bus state, the energy ledger, the fault counters
-     * and the backoff jitter stream. */
-    void reset();
 
   private:
     struct PendingWrite
@@ -148,10 +136,6 @@ class DramController
      * inside the column span of @p addr and below capacity. */
     std::uint32_t linesInSpan(Addr addr, std::uint32_t n,
                               std::uint32_t line_bytes) const;
-
-    /** Restart the backoff jitter stream from the armed schedule's
-     * seed. */
-    void seedJitter();
 
     /** Global bank index of @p coord. */
     std::size_t bankIndex(const DramCoord &coord) const;

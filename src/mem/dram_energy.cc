@@ -82,14 +82,6 @@ DramEnergy::backgroundEnergy(Tick span) const
 }
 
 void
-DramEnergy::reset()
-{
-    for (auto &c : per_requester_) {
-        c = DramActivityCounts{};
-    }
-}
-
-void
 DramEnergy::regStats(StatsRegistry &reg, const std::string &prefix) const
 {
     for (std::size_t i = 0; i < per_requester_.size(); ++i) {

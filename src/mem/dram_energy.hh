@@ -88,12 +88,6 @@ class DramEnergy
     /** Background energy across a window of @p span ticks. */
     double backgroundEnergy(Tick span) const;
 
-    void reset();
-
-    /** Stats-reset alias for reset(): every registered counter and
-     * derived energy restarts from zero. */
-    void resetStats() { reset(); }
-
     /** Register per-requester counts/energies under @p prefix. */
     void regStats(StatsRegistry &r, const std::string &prefix) const;
 

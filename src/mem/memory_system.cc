@@ -83,22 +83,12 @@ MemorySystem::backgroundEnergy(Tick span) const
 }
 
 void
-MemorySystem::resetStats()
-{
-    ctrl_.energy().reset();
-    ctrl_.resetFaultStats();
-    request_count_ = 0;
-}
-
-void
 MemorySystem::regStats(StatsRegistry &r)
 {
     r.addCallback(name() + ".requests", "requests serviced", [this] {
         return static_cast<double>(request_count_);
     });
-    // next_free_ is the bump-allocator watermark, not a counter:
-    // resetting it would hand out live addresses again.
-    // vstream:allow(stats-hygiene) architectural gauge, never reset
+    // next_free_ is the bump-allocator watermark, not a counter.
     r.addCallback(name() + ".allocatedBytes",
                   "bytes handed out by the bump allocator", [this] {
                       return static_cast<double>(next_free_);

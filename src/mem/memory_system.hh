@@ -97,7 +97,6 @@ class MemorySystem : public SimObject
     /** Total requests serviced. */
     std::uint64_t requestCount() const { return request_count_; }
 
-    void resetStats() override;
     void regStats(StatsRegistry &r) override;
 
   private:

@@ -42,7 +42,7 @@ poissonArrivals(const PoissonArrivalConfig &cfg)
             gap_s * static_cast<double>(sim_clock::s)));
         ArrivalEvent e;
         e.tick = now;
-        e.id = cfg.first_id + i;
+        e.id = i;
         if (cfg.num_mixes > 0) {
             e.mix = static_cast<std::uint32_t>(i % cfg.num_mixes);
         }

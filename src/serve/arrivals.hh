@@ -49,8 +49,6 @@ struct PoissonArrivalConfig
     double rate_per_s = 100.0;
     /** Total sessions to generate. */
     std::uint64_t count = 1000;
-    /** First session id (ids are sequential from here). */
-    std::uint64_t first_id = 0;
     /** Probability a viewer leaves mid-stream. */
     double leave_probability = 0.0;
     /** Leave point drawn uniformly from [min_watch, max_watch]. */

@@ -56,13 +56,10 @@ Session::start()
         std::istringstream is(
             std::string(cfg_.trace_blob.begin(),
                         cfg_.trace_blob.end()));
-        const TraceLoadResult tr =
-            loadTrace(is, cfg_.trace_policy, nullptr);
+        const TraceLoadResult tr = loadTrace(is);
         trace_error_ = tr.error;
         if (!tr.ok()) {
             ladder_.transitionTo(HealthState::kQuarantined, 0);
-        } else if (tr.frames_skipped > 0) {
-            ladder_.transitionTo(HealthState::kDegraded, 0);
         }
     }
 }

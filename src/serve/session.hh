@@ -49,10 +49,8 @@ struct SessionConfig
     HealthConfig health;
     BreakerConfig breaker;
     /** Optional serialized ingest trace validated at start: damage
-     * quarantines (kFailClean) or degrades (kSkipFrame with skipped
-     * frames) only this session. */
+     * quarantines only this session. */
     std::vector<std::uint8_t> trace_blob;
-    TracePolicy trace_policy = TracePolicy::kFailClean;
     /** Viewer departure: the session ends once its next vsync would
      * land at or past this *local* tick (0 = watch to the end).
      * Drives mid-simulation leave in the fleet arrival process. */

@@ -444,14 +444,4 @@ SharedMachTier::quarantined(std::uint32_t domain) const
     return domainAt(domain).cooldown_left > 0;
 }
 
-void
-SharedMachTier::resetStats()
-{
-    for (Domain &d : domains_) {
-        const std::uint64_t epoch = d.stats.epoch;
-        d.stats = DedupDomainStats{};
-        d.stats.epoch = epoch;
-    }
-}
-
 } // namespace vstream

@@ -276,10 +276,6 @@ class SharedMachTier
     /** True while the domain ignores consults after a trip. */
     bool quarantined(std::uint32_t domain) const;
 
-    /** Zero every cumulative counter (epochs and tier content are
-     * structural and survive). */
-    void resetStats();
-
     const DedupConfig &config() const { return cfg_; }
 
   private:

@@ -17,8 +17,6 @@ faultClassName(FaultClass c)
         return "digest";
       case FaultClass::kDramTimeout:
         return "dram";
-      case FaultClass::kTraceCorrupt:
-        return "trace";
     }
     return "?";
 }
@@ -133,14 +131,6 @@ FaultConfig::validate() const
             rule.duration == 0) {
             vs_fatal("network-stall rules need a duration (len=...)");
         }
-    }
-    if (dram_backoff_jitter < 0.0 || dram_backoff_jitter > 1.0) {
-        vs_fatal("dram backoff jitter ", dram_backoff_jitter,
-                 " outside [0, 1]");
-    }
-    if (dram_backoff_cap < dram_backoff_base) {
-        vs_fatal("dram backoff cap ", dram_backoff_cap,
-                 " below base ", dram_backoff_base);
     }
 }
 
@@ -259,15 +249,6 @@ FaultInjector::regStats(StatsRegistry &r)
                           return static_cast<double>(abandoned_[c]);
                       });
     }
-}
-
-void
-FaultInjector::resetStats()
-{
-    injected_.fill(0);
-    recovered_.fill(0);
-    abandoned_.fill(0);
-    // rule_fired_ is architectural (max_count caps), not a stat.
 }
 
 } // namespace vstream

@@ -4,10 +4,10 @@
  *
  * The paper's Race-to-Sleep results assume a pristine world: the
  * streaming buffer always holds a full batch, every MACH digest is
- * honest, every DRAM burst completes, and every trace record parses.
- * The FaultInjector drops those assumptions on demand: a declarative
- * schedule of rules (probability- and tick-window-based) decides, per
- * injection opportunity, whether one of four fault classes fires:
+ * honest, and every DRAM burst completes.  The FaultInjector drops
+ * those assumptions on demand: a declarative schedule of rules
+ * (probability- and tick-window-based) decides, per injection
+ * opportunity, whether one of three fault classes fires:
  *
  *   kNetworkStall    the network path stops delivering frames for a
  *                    configured duration (ArrivalModel);
@@ -15,8 +15,7 @@
  *                    digest that collides with a resident entry
  *                    (MachArray);
  *   kDramTimeout     a DRAM burst times out and must be retried
- *                    (DramController);
- *   kTraceCorrupt    a trace record arrives corrupted (loadTrace).
+ *                    (DramController).
  *
  * Every draw comes from a per-class xoshiro256** stream derived from
  * the schedule seed, so the same seed and the same sequence of
@@ -41,18 +40,17 @@
 namespace vstream
 {
 
-/** The four injectable fault classes. */
+/** The three injectable fault classes. */
 enum class FaultClass : std::uint8_t
 {
     kNetworkStall = 0,
     kDigestCollision,
     kDramTimeout,
-    kTraceCorrupt,
 };
 
-constexpr std::size_t kNumFaultClasses = 4;
+constexpr std::size_t kNumFaultClasses = 3;
 
-/** Stable lower-case name ("stall", "digest", "dram", "trace"). */
+/** Stable lower-case name ("stall", "digest", "dram"). */
 const char *faultClassName(FaultClass c);
 
 /** One declarative injection rule. */
@@ -61,8 +59,7 @@ struct FaultRule
     FaultClass cls = FaultClass::kNetworkStall;
     /** Per-opportunity Bernoulli probability in [0, 1]. */
     double probability = 0.0;
-    /** Active window [from, until) on the opportunity clock.  For
-     * trace corruption the clock is the record index, not a tick. */
+    /** Active window [from, until) on the opportunity clock. */
     Tick from = 0;
     Tick until = maxTick;
     /** Cap on injections from this rule (~0 = unlimited). */
@@ -101,14 +98,6 @@ struct FaultConfig
     std::uint64_t seed = 0x5eedf417u;
     /** Bounded-retry budget for timed-out DRAM bursts. */
     std::uint32_t dram_retry_limit = 3;
-    /** Delay before the first DRAM burst re-issue; doubles on every
-     * further retry (capped).  0 restores immediate re-issue. */
-    Tick dram_backoff_base = static_cast<Tick>(200) * sim_clock::ns;
-    /** Upper bound on a single backoff delay. */
-    Tick dram_backoff_cap = static_cast<Tick>(10) * sim_clock::us;
-    /** Uniform jitter fraction added on top of each backoff delay
-     * (in [0, 1]; deterministic, derived from the seed). */
-    double dram_backoff_jitter = 0.25;
     std::vector<FaultRule> rules;
 
     bool enabled() const { return !rules.empty(); }
@@ -169,7 +158,7 @@ class FaultInjector : public SimObject
     Tick injectStall(Tick now);
 
     /** A layer recovered from an injected fault (retry succeeded,
-     * false hit caught, corrupt record skipped). */
+     * false hit caught). */
     void noteRecovered(FaultClass c) { ++recovered_[index(c)]; }
 
     /** A layer gave up on an injected fault but degraded cleanly. */
@@ -192,7 +181,6 @@ class FaultInjector : public SimObject
     FaultTotals totals() const;
 
     void regStats(StatsRegistry &r) override;
-    void resetStats() override;
 
   private:
     static std::size_t index(FaultClass c)

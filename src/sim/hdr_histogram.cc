@@ -144,16 +144,6 @@ HdrHistogram::merge(const HdrHistogram &other)
     sum_ += other.sum_;
 }
 
-void
-HdrHistogram::reset()
-{
-    count_ = 0;
-    sum_ = 0;
-    min_ = 0;
-    max_ = 0;
-    buckets_.clear();
-}
-
 bool
 HdrHistogram::operator==(const HdrHistogram &other) const
 {

@@ -72,8 +72,6 @@ class HdrHistogram
      */
     void merge(const HdrHistogram &other);
 
-    void reset();
-
     unsigned unitBits() const { return unit_bits_; }
 
     /** Bucket index for @p v (exposed for the boundary tests). */

@@ -42,9 +42,6 @@ class SimObject
      * on; see the class comment). */
     EventQueue *eventQueue() const { return queue_; }
 
-    /** Reset statistics (not architectural state). */
-    virtual void resetStats() {}
-
     /**
      * Register this object's stats under its name().
      *

@@ -28,7 +28,6 @@ class SampleSeries
     explicit SampleSeries(std::string name = "", std::string desc = "");
 
     void sample(double v) { samples_.push_back(v); }
-    void reset() { samples_.clear(); }
 
     /** Pre-size for @p n samples (hot loops pre-reserve so sampling
      * never reallocates mid-run). */

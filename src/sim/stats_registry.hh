@@ -58,12 +58,7 @@ class StatsRegistry
     /** Register @p s under @p name (desc taken from the series). */
     void add(const std::string &name, stats::SampleSeries &s);
 
-    /**
-     * Register a read-only scalar over an existing raw counter.
-     *
-     * The owning component remains responsible for resetting the
-     * underlying counter (resetStats()).
-     */
+    /** Register a read-only scalar over an existing raw counter. */
     void addCallback(const std::string &name, std::string desc,
                      std::function<double()> fn);
 

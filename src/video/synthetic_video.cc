@@ -82,9 +82,6 @@ class SyntheticVideo::Generator
     /** @p profile carries the mab_dim-rescaled rates. */
     explicit Generator(const VideoProfile &profile);
 
-    /** Restart from frame 0 (same content). */
-    void reset();
-
     /** Draw the next frame into its plane of @p planes, then
      * checksum the plane. */
     void generate(Planes &planes);
@@ -131,14 +128,6 @@ SyntheticVideo::Generator::Generator(const VideoProfile &profile)
             }
         }
     }
-}
-
-void
-SyntheticVideo::Generator::reset()
-{
-    rng_.seed(p_.seed);
-    next_ = 0;
-    win_size_ = 0;
 }
 
 Pixel
@@ -412,15 +401,6 @@ SyntheticVideo::~SyntheticVideo() = default;
 SyntheticVideo::SyntheticVideo(SyntheticVideo &&) noexcept = default;
 SyntheticVideo &
 SyntheticVideo::operator=(SyntheticVideo &&) noexcept = default;
-
-void
-SyntheticVideo::reset()
-{
-    next_index_ = 0;
-    if (gen_ != nullptr) {
-        gen_->reset();
-    }
-}
 
 Frame
 SyntheticVideo::nextFrame()

@@ -68,11 +68,6 @@ class SyntheticVideo
      */
     void nextFrameInto(Frame &out);
 
-    std::uint64_t framesEmitted() const { return next_index_; }
-
-    /** Restart the stream from frame 0 (same content). */
-    void reset();
-
     /** The generator's profile: the caller's, with the similarity
      * rates rescaled for mab_dim. */
     const VideoProfile &profile() const { return profile_; }

@@ -9,7 +9,6 @@
 #include <ostream>
 #include <type_traits>
 
-#include "sim/fault_injector.hh"
 #include "sim/logging.hh"
 #include "video/synthetic_video.hh"
 
@@ -328,7 +327,7 @@ writeTrace(std::ostream &os, const VideoProfile &profile)
 }
 
 TraceLoadResult
-loadTrace(std::istream &is, TracePolicy policy, FaultInjector *faults)
+loadTrace(std::istream &is)
 {
     TraceReader reader(is);
     TraceLoadResult result;
@@ -344,47 +343,19 @@ loadTrace(std::istream &is, TracePolicy policy, FaultInjector *faults)
     // before the (truncated) stream refutes it.
     constexpr std::uint32_t kReserveCap = 4096;
     result.frames.reserve(std::min(reader.frameCount(), kReserveCap));
-    std::uint32_t record = 0;
     while (!reader.done()) {
         std::optional<Frame> frame = reader.tryNextFrame();
         if (!frame.has_value()) {
             result.error = reader.error();
-            if (policy == TracePolicy::kFailClean) {
-                result.frames.clear();
-            } else {
-                result.frames_skipped =
-                    result.frames_expected -
-                    static_cast<std::uint32_t>(result.frames.size());
-            }
+            result.frames.clear();
             return result;
         }
-        // Injected record corruption is detected as if each record
-        // carried its own check: the loader knows which frame is bad
-        // and the policy decides whether to drop it or fail clean.
-        if (faults != nullptr &&
-            faults->shouldInject(FaultClass::kTraceCorrupt,
-                                 static_cast<Tick>(record))) {
-            if (policy == TracePolicy::kSkipFrame) {
-                ++result.frames_skipped;
-                faults->noteRecovered(FaultClass::kTraceCorrupt);
-            } else {
-                result.error = TraceError::kCorruptRecord;
-                result.frames.clear();
-                return result;
-            }
-        } else {
-            result.frames.push_back(*std::move(frame));
-        }
-        ++record;
+        result.frames.push_back(*std::move(frame));
     }
 
     if (!reader.verifyTrailer()) {
         result.error = reader.error();
-        if (policy == TracePolicy::kFailClean) {
-            result.frames.clear();
-        }
-        // kSkipFrame keeps the frames: each record was individually
-        // well-formed even though the whole-trace digest disagrees.
+        result.frames.clear();
     }
     return result;
 }

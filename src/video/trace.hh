@@ -32,7 +32,6 @@ namespace vstream
 {
 
 class SyntheticVideo;
-class FaultInjector;
 
 /** Why a trace failed to load (kNone = intact). */
 enum class TraceError : std::uint8_t
@@ -70,26 +69,14 @@ constexpr std::uint64_t kMaxTraceMabsPerFrame = 1u << 20;
 constexpr double kMaxTraceComplexity = 1e6;
 constexpr std::uint64_t kMaxTraceEncodedBytes = 1ull << 40;
 
-/** What to do with a damaged trace. */
-enum class TracePolicy : std::uint8_t
-{
-    /** Any damage discards every frame (the result carries only the
-     * error); the caller decides whether that is fatal. */
-    kFailClean,
-    /** Keep every intact frame, drop damaged ones, report how many
-     * were skipped. */
-    kSkipFrame,
-};
-
 /** Outcome of loading a whole trace. */
 struct TraceLoadResult
 {
+    /** Every frame, or none when the trace is damaged. */
     std::vector<Frame> frames;
     TraceError error = TraceError::kNone;
     /** Frames the header announced. */
     std::uint32_t frames_expected = 0;
-    /** Frames dropped under TracePolicy::kSkipFrame. */
-    std::uint32_t frames_skipped = 0;
 
     bool ok() const { return error == TraceError::kNone; }
 };
@@ -182,17 +169,11 @@ class TraceReader
 void writeTrace(std::ostream &os, const VideoProfile &profile);
 
 /**
- * Load a whole trace with recoverable error handling.
- *
- * @param policy what to do with damaged records
- * @param faults optional record-corruption source (FaultClass::
- *        kTraceCorrupt, opportunity clock = record index); injected
- *        corruption is detected as if each record carried its own
- *        check and handled per @p policy.
+ * Load a whole trace with recoverable error handling: any damage
+ * discards every frame and the result carries only the typed error;
+ * the caller decides whether that is fatal.
  */
-TraceLoadResult loadTrace(std::istream &is,
-                          TracePolicy policy = TracePolicy::kFailClean,
-                          FaultInjector *faults = nullptr);
+TraceLoadResult loadTrace(std::istream &is);
 
 } // namespace vstream
 

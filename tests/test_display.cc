@@ -569,12 +569,5 @@ TEST(DisplayController, FragmentationCounted)
     EXPECT_EQ(s.pointer_records, 8u);
 }
 
-TEST(DisplayController, FramePeriodFromRefreshRate)
-{
-    DisplayRig rig(4);
-    DisplayController dc("dc", &rig.queue, rig.mem, rig.fbm, rig.dcfg);
-    EXPECT_EQ(dc.framePeriod(), sim_clock::s / 60);
-}
-
 } // namespace
 } // namespace vstream

@@ -7,13 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <vector>
 
 #include "core/video_pipeline.hh"
 #include "sim/fault_injector.hh"
 #include "video/arrival_model.hh"
-#include "video/trace.hh"
 
 namespace vstream
 {
@@ -231,6 +229,36 @@ TEST(FaultInjector, ClassStreamsAreIndependent)
     EXPECT_EQ(want, got);
 }
 
+TEST(FaultInjector, PerClassStreamsArePinned)
+{
+    // The first 64 draws of each class's stream for a fixed seed,
+    // one bit per p=0.5 opportunity.  The streams are seeded in
+    // class order from one SplitMix chain, so these masks move if a
+    // class is added, removed or reordered ahead of them.
+    FaultConfig cfg;
+    cfg.seed = 42;
+    cfg.rules.push_back(
+        parseFaultRule(FaultClass::kNetworkStall, "p=0.5,len=1ms"));
+    cfg.rules.push_back(
+        parseFaultRule(FaultClass::kDigestCollision, "p=0.5"));
+    cfg.rules.push_back(
+        parseFaultRule(FaultClass::kDramTimeout, "p=0.5"));
+    FaultInjector inj("inj", nullptr, cfg);
+
+    const auto draws = [&inj](FaultClass c) {
+        std::uint64_t mask = 0;
+        for (unsigned i = 0; i < 64; ++i) {
+            if (inj.shouldInject(c, i)) {
+                mask |= std::uint64_t(1) << i;
+            }
+        }
+        return mask;
+    };
+    EXPECT_EQ(draws(FaultClass::kNetworkStall), 0x86771daafb5a28c3u);
+    EXPECT_EQ(draws(FaultClass::kDigestCollision), 0x1c04a7246751fe02u);
+    EXPECT_EQ(draws(FaultClass::kDramTimeout), 0x8fd97f16b87f33ceu);
+}
+
 TEST(FaultInjector, ConsultsForAClassWithoutRulesChangeNothing)
 {
     // The pipeline hands the injector only to layers whose class has
@@ -252,7 +280,6 @@ TEST(FaultInjector, ConsultsForAClassWithoutRulesChangeNothing)
         want.push_back(alone.shouldInject(FaultClass::kDramTimeout, t));
         EXPECT_FALSE(mixed.shouldInject(FaultClass::kDigestCollision, t));
         got.push_back(mixed.shouldInject(FaultClass::kDramTimeout, t));
-        EXPECT_FALSE(mixed.shouldInject(FaultClass::kTraceCorrupt, t));
         if (t % 10 == 0) {
             ASSERT_EQ(alone.injectStall(t), mixed.injectStall(t)) << t;
         }
@@ -381,7 +408,6 @@ TEST(FaultInjector, MayInjectIgnoresOtherClassesAndZeroProbability)
     FaultConfig cfg;
     cfg.rules.push_back(
         parseFaultRule(FaultClass::kDigestCollision, "p=1"));
-    cfg.rules.push_back(parseFaultRule(FaultClass::kTraceCorrupt, "p=1"));
     cfg.rules.push_back(
         parseFaultRule(FaultClass::kDramTimeout, "p=0"));
     const FaultInjector inj("inj", nullptr, cfg);
@@ -389,7 +415,6 @@ TEST(FaultInjector, MayInjectIgnoresOtherClassesAndZeroProbability)
     EXPECT_FALSE(inj.mayInject(FaultClass::kNetworkStall, 0, maxTick));
     EXPECT_TRUE(
         inj.mayInject(FaultClass::kDigestCollision, 0, maxTick));
-    EXPECT_TRUE(inj.mayInject(FaultClass::kTraceCorrupt, 0, maxTick));
 }
 
 // ---- arrival model ---------------------------------------------------
@@ -564,52 +589,6 @@ TEST(FaultPipeline, ZeroCostWhenOff)
     EXPECT_EQ(r.underruns, 0u);
     EXPECT_EQ(r.dram_retries, 0u);
     EXPECT_EQ(r.faults.injected, 0u);
-}
-
-// ---- trace corruption through loadTrace ------------------------------
-
-TEST(FaultTrace, SkipFramePolicyDropsCorruptRecords)
-{
-    VideoProfile p = tinyProfile(10);
-    std::stringstream buf;
-    writeTrace(buf, p);
-
-    FaultConfig cfg;
-    cfg.seed = 3;
-    // Opportunity clock is the record index: corrupt records 2-5.
-    cfg.rules.push_back(parseFaultRule(FaultClass::kTraceCorrupt,
-                                       "p=1,from=0ps,until=4ps"));
-    // parseTicks: "2ps".."5ps" are literal ticks = record indices.
-    cfg.rules.back().from = 2;
-    cfg.rules.back().until = 6;
-    FaultInjector inj("inj", nullptr, cfg);
-
-    const TraceLoadResult r =
-        loadTrace(buf, TracePolicy::kSkipFrame, &inj);
-    EXPECT_EQ(r.error, TraceError::kNone);
-    EXPECT_EQ(r.frames_expected, 10u);
-    EXPECT_EQ(r.frames_skipped, 4u);
-    EXPECT_EQ(r.frames.size(), 6u);
-    EXPECT_EQ(inj.injected(FaultClass::kTraceCorrupt), 4u);
-    EXPECT_EQ(inj.recovered(FaultClass::kTraceCorrupt), 4u);
-}
-
-TEST(FaultTrace, FailCleanPolicyRejectsCorruptTrace)
-{
-    VideoProfile p = tinyProfile(6);
-    std::stringstream buf;
-    writeTrace(buf, p);
-
-    FaultConfig cfg;
-    cfg.seed = 3;
-    cfg.rules.push_back(
-        parseFaultRule(FaultClass::kTraceCorrupt, "p=1,max=1"));
-    FaultInjector inj("inj", nullptr, cfg);
-
-    const TraceLoadResult r =
-        loadTrace(buf, TracePolicy::kFailClean, &inj);
-    EXPECT_EQ(r.error, TraceError::kCorruptRecord);
-    EXPECT_TRUE(r.frames.empty());
 }
 
 } // namespace

@@ -244,14 +244,6 @@ TEST(HdrHistogram, MergedPercentilesMatchSingleHistogram)
     EXPECT_EQ(merged.max(), single.max());
 }
 
-TEST(HdrHistogram, ResetReturnsToEmpty)
-{
-    HdrHistogram h = randomHist(8, 100);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h, HdrHistogram(7));
-}
-
 // ---------------------------------------------------------------------
 // ScalarAgg fixed-point algebra
 // ---------------------------------------------------------------------

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -240,60 +239,6 @@ TEST(DramEnergy, BackgroundScalesWithSpan)
     EXPECT_NEAR(one_ms, cfg.background_watts * 1e-3, 1e-12);
     EXPECT_NEAR(e.backgroundEnergy(10 * sim_clock::ms), 10 * one_ms,
                 1e-12);
-}
-
-TEST(DramController, ResetClearsState)
-{
-    DramController ctrl(smallConfig());
-    ctrl.access(MemRequest{0, 32, MemOp::kRead,
-                           Requester::kVideoDecoder},
-                0);
-    ctrl.reset();
-    EXPECT_EQ(ctrl.energy().totalCounts().activations, 0u);
-    const auto r = ctrl.access(
-        MemRequest{0, 32, MemOp::kRead, Requester::kVideoDecoder}, 0);
-    EXPECT_EQ(r.activations, 1u); // cold again
-
-    // Fault counters and the backoff jitter stream restart as well: a
-    // reset controller whose injector is freshly seeded in place
-    // replays a fresh controller's retries and backoffs exactly.
-    FaultConfig fc;
-    fc.seed = 3;
-    fc.rules.push_back(
-        parseFaultRule(FaultClass::kDramTimeout, "p=0.7"));
-    const auto backoffs = [](DramController &c) {
-        std::vector<Tick> seq;
-        Tick t = 0;
-        for (Addr i = 0; i < 64; ++i) {
-            t = c.access(MemRequest{i * 4096, 32, MemOp::kRead,
-                                    Requester::kVideoDecoder},
-                         t)
-                    .finish_tick;
-            seq.push_back(c.backoffTicks());
-            seq.push_back(t);
-        }
-        return seq;
-    };
-    std::optional<FaultInjector> inj;
-    inj.emplace("inj", nullptr, fc);
-    ctrl.setFaultInjector(&*inj);
-    backoffs(ctrl);
-    EXPECT_GT(ctrl.retryCount(), 0u);
-    EXPECT_GT(ctrl.abandonedCount(), 0u);
-    EXPECT_GT(ctrl.backoffTicks(), 0u);
-    ctrl.reset();
-    EXPECT_EQ(ctrl.retryCount(), 0u);
-    EXPECT_EQ(ctrl.abandonedCount(), 0u);
-    EXPECT_EQ(ctrl.backoffTicks(), 0u);
-    EXPECT_EQ(ctrl.closedFormLines(), 0u);
-
-    inj.emplace("inj", nullptr, fc); // same object, fresh streams
-    DramController fresh(smallConfig());
-    FaultInjector fresh_inj("fresh", nullptr, fc);
-    fresh.setFaultInjector(&fresh_inj);
-    EXPECT_EQ(backoffs(ctrl), backoffs(fresh));
-    EXPECT_EQ(ctrl.retryCount(), fresh.retryCount());
-    EXPECT_EQ(ctrl.abandonedCount(), fresh.abandonedCount());
 }
 
 TEST(MemorySystem, AllocateBumpsAndAligns)

@@ -38,22 +38,6 @@ TEST(MemStats, DumpListsRequesters)
     EXPECT_NE(out.find("actPreEnergyJ"), std::string::npos);
 }
 
-TEST(MemStats, ResetStatsClearsLedger)
-{
-    EventQueue q;
-    DramConfig cfg;
-    cfg.capacity_bytes = 64ULL << 20;
-    MemorySystem mem("mem", &q, cfg);
-    mem.read(0, 64, Requester::kVideoDecoder, 0);
-    EXPECT_GT(mem.energy().totalCounts().read_bursts, 0u);
-    mem.resetStats();
-    EXPECT_EQ(mem.energy().totalCounts().read_bursts, 0u);
-    EXPECT_EQ(mem.requestCount(), 0u);
-    // Allocations survive a stats reset.
-    const Addr a = mem.allocate(128, "x");
-    EXPECT_EQ(a, 0u);
-}
-
 TEST(MemStats, ActivityCountsAccumulate)
 {
     DramActivityCounts a;

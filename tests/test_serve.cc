@@ -383,9 +383,10 @@ TEST(FaultDomain, IntactTraceStaysHealthy)
 
 /**
  * Trace-corruption fuzz: random byte flips, truncations, and garbage
- * prefixes must never crash the server - every damaged blob lands on
- * the ladder (quarantine/evict) or is survivable (kSkipFrame), and a
- * clean neighbour session stays bit-identical to its solo run.
+ * prefixes must never crash the server - every damaged blob
+ * quarantines its session at tick 0 with the loader's TraceError, a
+ * tail past the trailer is ignored, and a clean neighbour session
+ * stays bit-identical to its solo run.
  */
 TEST(FaultDomain, TraceCorruptionFuzzNeverLeaks)
 {
@@ -413,15 +414,16 @@ TEST(FaultDomain, TraceCorruptionFuzzNeverLeaks)
                 blob[b] = static_cast<std::uint8_t>(rng.next());
             }
         } else {
-            // Random tail past the trailer.
+            // Random tail past the trailer: never read.
             blob.push_back(static_cast<std::uint8_t>(rng.next()));
         }
+        std::istringstream is(std::string(blob.begin(), blob.end()));
+        const TraceError want = loadTrace(is).error;
+        ASSERT_EQ(want == TraceError::kNone, kind == 3)
+            << "round " << round;
 
         SessionConfig fuzzed = tinySession(0);
         fuzzed.trace_blob = std::move(blob);
-        fuzzed.trace_policy = (round % 2 == 0)
-                                  ? TracePolicy::kFailClean
-                                  : TracePolicy::kSkipFrame;
         fuzzed.health.evict_windows = 1;
         const ServeRun run = serveAll(
             ServeConfig{}, {std::move(fuzzed), tinySession(99)});
@@ -429,7 +431,24 @@ TEST(FaultDomain, TraceCorruptionFuzzNeverLeaks)
         ASSERT_EQ(run.outcomes.size(), 2u);
 
         for (const SessionOutcome &o : run.outcomes) {
-            if (o.id != 99) {
+            if (o.id == 0) {
+                EXPECT_EQ(o.trace_error, want) << "round " << round;
+                if (want == TraceError::kNone) {
+                    EXPECT_EQ(o.final_state, HealthState::kHealthy);
+                    continue;
+                }
+                // Quarantined at tick 0: no dwell in Healthy or
+                // Degraded, then evicted after one window.
+                EXPECT_EQ(o.final_state, HealthState::kEvicted);
+                EXPECT_EQ(o.dwell[static_cast<std::size_t>(
+                              HealthState::kHealthy)],
+                          0u);
+                EXPECT_EQ(o.dwell[static_cast<std::size_t>(
+                              HealthState::kDegraded)],
+                          0u);
+                EXPECT_GT(o.dwell[static_cast<std::size_t>(
+                              HealthState::kQuarantined)],
+                          0u);
                 continue;
             }
             // The clean neighbour never notices the fuzzed blob.

@@ -129,7 +129,6 @@ TEST(Trace, LoadTraceCleanStream)
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(r.error, TraceError::kNone);
     EXPECT_EQ(r.frames_expected, 3u);
-    EXPECT_EQ(r.frames_skipped, 0u);
     EXPECT_EQ(r.frames.size(), 3u);
 }
 
@@ -150,28 +149,9 @@ TEST(Trace, LoadTraceTruncatedFailClean)
     const std::string bytes = buf.str();
     std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
 
-    const TraceLoadResult r =
-        loadTrace(truncated, TracePolicy::kFailClean);
+    const TraceLoadResult r = loadTrace(truncated);
     EXPECT_EQ(r.error, TraceError::kTruncatedFrame);
     EXPECT_TRUE(r.frames.empty());
-}
-
-TEST(Trace, LoadTraceTruncatedSkipFrameKeepsPrefix)
-{
-    const VideoProfile p = traceProfile(4);
-    std::stringstream buf;
-    writeTrace(buf, p);
-    const std::string bytes = buf.str();
-    std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-
-    const TraceLoadResult r =
-        loadTrace(truncated, TracePolicy::kSkipFrame);
-    EXPECT_EQ(r.error, TraceError::kTruncatedFrame);
-    EXPECT_EQ(r.frames_expected, 4u);
-    // Every intact leading frame survives; the damaged tail counts
-    // as skipped.
-    EXPECT_FALSE(r.frames.empty());
-    EXPECT_EQ(r.frames.size() + r.frames_skipped, 4u);
 }
 
 TEST(Trace, LoadTraceBadCrcFailClean)
@@ -183,27 +163,9 @@ TEST(Trace, LoadTraceBadCrcFailClean)
     bytes[bytes.size() / 2] ^= 0x40; // flip a payload bit
 
     std::stringstream corrupt(bytes);
-    const TraceLoadResult r =
-        loadTrace(corrupt, TracePolicy::kFailClean);
+    const TraceLoadResult r = loadTrace(corrupt);
     EXPECT_EQ(r.error, TraceError::kBadCrc);
     EXPECT_TRUE(r.frames.empty());
-}
-
-TEST(Trace, LoadTraceBadCrcSkipFrameKeepsFrames)
-{
-    const VideoProfile p = traceProfile(2);
-    std::stringstream buf;
-    writeTrace(buf, p);
-    std::string bytes = buf.str();
-    bytes[bytes.size() / 2] ^= 0x40;
-
-    std::stringstream corrupt(bytes);
-    const TraceLoadResult r =
-        loadTrace(corrupt, TracePolicy::kSkipFrame);
-    // The trailer disagrees, but each record parsed: the permissive
-    // policy keeps them and reports the damage.
-    EXPECT_EQ(r.error, TraceError::kBadCrc);
-    EXPECT_EQ(r.frames.size(), 2u);
 }
 
 TEST(TraceDeath, GeometryMismatchOnAppend)
@@ -335,7 +297,7 @@ TEST(Trace, HugeGeometryRejectedBeforeAllocation)
     // come back kBadGeometry without touching a Frame.
     std::stringstream buf(
         hostile::header(1, 0xffffffffu, 0xffffffffu, 16));
-    TraceLoadResult r = loadTrace(buf, TracePolicy::kFailClean);
+    TraceLoadResult r = loadTrace(buf);
     EXPECT_EQ(r.error, TraceError::kBadGeometry);
     EXPECT_TRUE(r.frames.empty());
 }
@@ -345,26 +307,22 @@ TEST(Trace, GeometryCapsEnforcedPerAxisAndPerFrame)
     {
         // One axis past the cap.
         std::stringstream buf(hostile::header(1, 4097, 1, 4));
-        EXPECT_EQ(loadTrace(buf, TracePolicy::kFailClean).error,
-                  TraceError::kBadGeometry);
+        EXPECT_EQ(loadTrace(buf).error, TraceError::kBadGeometry);
     }
     {
         // Axes individually fine, product past the per-frame cap.
         std::stringstream buf(hostile::header(1, 2048, 2048, 4));
-        EXPECT_EQ(loadTrace(buf, TracePolicy::kFailClean).error,
-                  TraceError::kBadGeometry);
+        EXPECT_EQ(loadTrace(buf).error, TraceError::kBadGeometry);
     }
     {
         // Macroblock dimension past its cap.
         std::stringstream buf(hostile::header(1, 2, 2, 129));
-        EXPECT_EQ(loadTrace(buf, TracePolicy::kFailClean).error,
-                  TraceError::kBadGeometry);
+        EXPECT_EQ(loadTrace(buf).error, TraceError::kBadGeometry);
     }
     {
         // Zero stays rejected as before.
         std::stringstream buf(hostile::header(1, 0, 2, 4));
-        EXPECT_EQ(loadTrace(buf, TracePolicy::kFailClean).error,
-                  TraceError::kBadGeometry);
+        EXPECT_EQ(loadTrace(buf).error, TraceError::kBadGeometry);
     }
 }
 
@@ -374,7 +332,7 @@ TEST(Trace, HugeFrameCountDoesNotPreallocate)
     // the loader must fail on truncation promptly instead of
     // reserving 2^32 Frame objects up front.
     std::stringstream buf(hostile::header(0xffffffffu, 2, 2, 4));
-    TraceLoadResult r = loadTrace(buf, TracePolicy::kFailClean);
+    TraceLoadResult r = loadTrace(buf);
     EXPECT_EQ(r.error, TraceError::kTruncatedFrame);
     EXPECT_EQ(r.frames_expected, 0xffffffffu);
     EXPECT_TRUE(r.frames.empty());
@@ -390,7 +348,7 @@ TEST(Trace, InvalidFrameTypeByteIsCorruptRecord)
     // byte is the FrameType.
     bytes[28] = '\x7f';
     std::stringstream buf(bytes);
-    TraceLoadResult r = loadTrace(buf, TracePolicy::kFailClean);
+    TraceLoadResult r = loadTrace(buf);
     EXPECT_EQ(r.error, TraceError::kCorruptRecord);
     EXPECT_TRUE(r.frames.empty());
 }
@@ -408,7 +366,7 @@ TEST(Trace, NonFiniteComplexityIsCorruptRecord)
         bytes[29 + i] = static_cast<char>(nan_le[i]);
     }
     std::stringstream buf(bytes);
-    TraceLoadResult r = loadTrace(buf, TracePolicy::kFailClean);
+    TraceLoadResult r = loadTrace(buf);
     EXPECT_EQ(r.error, TraceError::kCorruptRecord);
     EXPECT_TRUE(r.frames.empty());
 }
@@ -424,7 +382,7 @@ TEST(Trace, AbsurdEncodedBytesIsCorruptRecord)
         bytes[37 + i] = '\xff';
     }
     std::stringstream buf(bytes);
-    TraceLoadResult r = loadTrace(buf, TracePolicy::kFailClean);
+    TraceLoadResult r = loadTrace(buf);
     EXPECT_EQ(r.error, TraceError::kCorruptRecord);
     EXPECT_TRUE(r.frames.empty());
 }

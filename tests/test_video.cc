@@ -236,16 +236,6 @@ TEST(SyntheticVideo, DifferentSeedsDifferentContent)
               b.nextFrame().contentChecksum());
 }
 
-TEST(SyntheticVideo, ResetReplaysIdentically)
-{
-    SyntheticVideo v(testProfile());
-    const auto first = v.nextFrame().contentChecksum();
-    v.nextFrame();
-    v.reset();
-    EXPECT_EQ(v.framesEmitted(), 0u);
-    EXPECT_EQ(v.nextFrame().contentChecksum(), first);
-}
-
 TEST(SyntheticVideo, IntraCopiesAreExactDuplicates)
 {
     SyntheticVideo v(testProfile());

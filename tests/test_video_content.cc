@@ -249,24 +249,6 @@ TEST(VideoContent, BudgetDecidesSharing)
     EXPECT_FALSE(SyntheticVideo(p).sharesContent());
 }
 
-TEST(VideoContent, ResetReplaysBothModes)
-{
-    const VideoProfile p = small("V5");
-    for (const VideoProfile &q : {p, overBudget(p)}) {
-        SyntheticVideo v(q);
-        const auto first = take(v, 20);
-        v.reset();
-        EXPECT_EQ(v.framesEmitted(), 0U);
-        const auto again = take(v, 20);
-        ASSERT_EQ(again.size(), first.size());
-        for (std::size_t i = 0; i < first.size(); ++i) {
-            EXPECT_TRUE(first[i] == again[i])
-                << (v.sharesContent() ? "shared" : "ring") << " frame "
-                << i;
-        }
-    }
-}
-
 TEST(VideoContent, ProfileKeepsRescaledRates)
 {
     // profile() reports the rates the generator draws with; the key

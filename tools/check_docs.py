@@ -79,7 +79,9 @@ REMOVED_NAMES = ("refresh_enabled", "ReplPolicy", "stats::Scalar",
                  "FleetLadder", "FleetHealth", "byte_io",
                  "DisplayCache", "memoHits", "RegionMemo",
                  "CrcKernel", "availableCrc32Kernels", "crc32BatchWith",
-                 "write_allocate", "writebackCount")
+                 "write_allocate", "writebackCount", "resetStats",
+                 "TracePolicy", "kSkipFrame", "kTraceCorrupt",
+                 "refresh_hz", "dram_backoff_base")
 REMOVED_NAME_RE = re.compile(
     r"(?<![\w:])(" + "|".join(re.escape(n) for n in REMOVED_NAMES) +
     r")(?!\w)")

@@ -12,7 +12,7 @@ splits into:
                suppression machinery.
   project.py   the cross-TU pass: include graph, class/function
                symbol tables, call graph, hot markers, field
-               annotations, regStats/resetStats bodies.
+               annotations.
   rules.py     every rule, per-TU and project-wide.
   selftest.py  synthetic good/bad projects; every rule must fire on
                the bad inputs and stay silent on the good ones.

@@ -23,7 +23,6 @@ RULE_IDS = (
     'no-naked-new',
     'determinism-guard',
     'include-guards',
-    'stats-reset-pairing',
     'registry-stats',
     'no-null-macro',
     'no-unchecked-io',
@@ -34,7 +33,6 @@ RULE_IDS = (
     'lock-discipline',
     'shard-local',
     'shared-state-guarded',
-    'stats-hygiene',
     'bounded-queue',
     'surface-pool-discipline',
     'unreferenced-function',
@@ -169,11 +167,6 @@ def check_include_guard(ctx, sf):
                  % (m.group(1), want))
 
 
-SIMOBJECT_CLASS_RE = re.compile(
-    r'class\s+([A-Za-z_][A-Za-z0-9_]*)\s*(?:final\s*)?'
-    r':\s*public\s+SimObject\b')
-
-
 def class_body(code, open_pos):
     """Text of a class/function body given a position before its
     opening brace; '' when the brace structure is surprising."""
@@ -184,18 +177,6 @@ def class_body(code, open_pos):
     if end < 0:
         return ''
     return code[brace:end - 1]
-
-
-def check_stats_pairing(ctx, sf):
-    for m in SIMOBJECT_CLASS_RE.finditer(sf.code):
-        body = class_body(sf.code, m.end())
-        regs = re.search(r'\bregStats\s*\(', body)
-        resets = re.search(r'\bresetStats\s*\(', body)
-        if regs and not resets:
-            ctx.emit(sf, sf.line_of(m.start()), 'stats-reset-pairing',
-                     'SimObject subclass %s overrides regStats but not '
-                     'resetStats; stale counters survive a stats '
-                     'reset' % m.group(1))
 
 
 PRINT_STAT_RE = re.compile(
@@ -631,107 +612,6 @@ def check_lock_discipline(ctx, sf):
 
 
 # ===================================================================
-# stats-hygiene: cross-TU regStats / resetStats pairing
-# ===================================================================
-
-ADD_CALL_RE = re.compile(r'\.\s*add\w*\s*\(')
-MEMBER_ID_RE = re.compile(r'\b([a-z]\w*_)\b\s*([^\w\s]|$)')
-
-# Classes whose regStats registers only derived/externally-owned
-# values have no counters of their own to reset.
-_RESET_TOKEN_RE_CACHE = {}
-
-
-def _first_arg_end(span):
-    """Offset in @p span (which starts at the call's open paren) just
-    past the first top-level comma, or len(span) when the call has a
-    single argument."""
-    depth = 0
-    for i, ch in enumerate(span):
-        if ch in '([{':
-            depth += 1
-        elif ch in ')]}':
-            depth -= 1
-        elif ch == ',' and depth == 1:
-            return i + 1
-    return len(span)
-
-
-def _members_registered(code, body_start, body_end):
-    """Member identifiers (trailing underscore) that appear in
-    r.add*/addCallback argument lists within the body, with the line
-    of their add call.  Identifiers that are traversed (m_->x, m_.x)
-    or called (m_()) are handles, not counters, and are skipped — as
-    is the entire first argument, which is the stat *name*: a member
-    there (name_ + ".hits") titles the stat, it is not a registered
-    value."""
-    out = {}
-    body = code[body_start:body_end]
-    for m in ADD_CALL_RE.finditer(body):
-        open_paren = body_start + m.end() - 1
-        close = find_matching(code, open_paren, '(', ')')
-        if close < 0:
-            continue
-        span = code[open_paren:close]
-        value_args = _first_arg_end(span)
-        for im in MEMBER_ID_RE.finditer(span, value_args):
-            follow = im.group(2)
-            if follow in ('.', '(',):
-                continue
-            if span[im.end(1):im.end(1) + 2] == '->':
-                continue
-            name = im.group(1)
-            out.setdefault(name, open_paren)
-    return out
-
-
-def _header_classes(project):
-    """Names of the classes and structs defined in a src/ header."""
-    names = set()
-    for rel, sf in project.files.items():
-        if rel.startswith('src/') and rel.endswith(('.hh', '.h')):
-            names.update(name for name, _, _ in
-                         project._class_spans(sf))
-    return names
-
-
-def check_stats_hygiene(ctx):
-    project = ctx.project
-    header_classes = _header_classes(project)
-    reg_defs = [f for f in project.functions
-                if f.name == 'regStats' and f.cls]
-    for fn in reg_defs:
-        members = _members_registered(fn.sf.code, fn.body_start,
-                                      fn.body_end)
-        if not members and \
-                not ADD_CALL_RE.search(fn.body()):
-            continue
-        resets = project.by_qualified.get(
-            '%s::resetStats' % fn.cls, [])
-        if not resets:
-            if fn.cls not in header_classes:
-                # A class local to one .cc file can only be reset
-                # from that file; with no reset there is no caller
-                # to miss it.
-                continue
-            ctx.emit(fn.sf, fn.line, 'stats-hygiene',
-                     '%s::regStats registers stats but no '
-                     '%s::resetStats is defined anywhere in the '
-                     'project; stale counters survive a stats reset'
-                     % (fn.cls, fn.cls))
-            continue
-        reset_body = '\n'.join(r.body() for r in resets)
-        for name, off in sorted(members.items()):
-            if re.search(r'\b%s\b' % re.escape(name), reset_body):
-                continue
-            ctx.emit(fn.sf, fn.sf.line_of(off), 'stats-hygiene',
-                     'member %s is registered in %s::regStats but '
-                     'never touched in %s::resetStats; it will '
-                     'report stale values after a reset'
-                     % (name, fn.cls, fn.cls))
-
-
-# ===================================================================
 # bounded-queue: waitlists need a deadline or eviction path
 # ===================================================================
 
@@ -963,7 +843,6 @@ SRC_CHECKS = [
     check_naked_new,
     check_determinism,
     check_include_guard,
-    check_stats_pairing,
     check_registry_stats,
     check_null_macro,
     check_unchecked_io,
@@ -1009,7 +888,6 @@ SCAN_DIRS = {
 # Project-wide passes (run once, after the per-file rules).
 PROJECT_CHECKS = [
     check_hotpath_propagation,
-    check_stats_hygiene,
     check_unreferenced_function,
 ]
 

@@ -131,57 +131,6 @@ BadShard::run(unsigned jobs)
 }
 '''
 
-# BadStatsA is declared in a header, so any TU could reset it: it
-# must define resetStats.
-BAD_STATS_HEADER = '''\
-#ifndef VSTREAM_CORE_BAD_STATS_HH
-#define VSTREAM_CORE_BAD_STATS_HH
-#include "sim/stats_registry.hh"
-class BadStatsA
-{
-  public:
-    void regStats(StatsRegistry &r);
-  private:
-    std::uint64_t hits_ = 0;
-};
-#endif
-'''
-
-BAD_STATS = '''\
-#include "core/bad_stats.hh"
-void
-BadStatsA::regStats(StatsRegistry &r)
-{
-    r.addCallback("bad.hits", "hits", [this] {
-        return static_cast<double>(hits_);
-    });
-}
-class BadStatsB
-{
-  public:
-    void regStats(StatsRegistry &r);
-    void resetStats();
-  private:
-    std::uint64_t good_ = 0;
-    std::uint64_t forgotten_ = 0;
-};
-void
-BadStatsB::regStats(StatsRegistry &r)
-{
-    r.addCallback("bad.good", "reset fine", [this] {
-        return static_cast<double>(good_);
-    });
-    r.addCallback("bad.forgotten", "never reset", [this] {
-        return static_cast<double>(forgotten_);
-    });
-}
-void
-BadStatsB::resetStats()
-{
-    good_ = 0;
-}
-'''
-
 BAD_QUEUE = '''\
 #include "sim/stats_registry.hh"
 class BadAdmission
@@ -260,7 +209,6 @@ class Good : public SimObject
 {
   public:
     void regStats(StatsRegistry &r) override;
-    void resetStats() override;
 };
 inline bool i(char *buf, std::size_t n, FILE *fp)
 {
@@ -351,53 +299,6 @@ GoodShard::run(unsigned jobs)
     });
     merged_ += 1; // outside the workers: fine
 }
-'''
-
-GOOD_STATS = '''\
-#include "sim/stats_registry.hh"
-class GoodStats
-{
-  public:
-    void regStats(StatsRegistry &r);
-    void resetStats();
-  private:
-    std::string name_;
-    std::uint64_t hits_ = 0;
-};
-void
-GoodStats::regStats(StatsRegistry &r)
-{
-    // name_ appears in the stat-name argument only: it titles the
-    // stat and must never be demanded in resetStats.
-    r.addCallback(name_ + ".hits", "hits", [this] {
-        return static_cast<double>(hits_);
-    });
-}
-void
-GoodStats::resetStats()
-{
-    hits_ = 0;
-}
-'''
-
-# A class local to one .cc file can only be reset from that file; with
-# no resetStats there is nothing to demand one.
-GOOD_LOCAL_STATS = '''\
-#include "sim/stats_registry.hh"
-namespace
-{
-struct LocalRun
-{
-    std::uint64_t frames = 0;
-    void
-    regStats(StatsRegistry &r)
-    {
-        r.addCallback("run.frames", "frames", [this] {
-            return static_cast<double>(frames);
-        });
-    }
-};
-} // namespace
 '''
 
 GOOD_ORDERED = '''\
@@ -506,8 +407,6 @@ BAD_FILES = {
     'src/core/bad.hh': BAD_HEADER,
     'src/core/bad_hot.cc': BAD_HOT,
     'src/core/bad_lock.cc': BAD_LOCK,
-    'src/core/bad_stats.hh': BAD_STATS_HEADER,
-    'src/core/bad_stats.cc': BAD_STATS,
     'src/core/bad_queue.cc': BAD_QUEUE,
     'src/core/bad_shared.cc': BAD_SHARED,
     'src/core/bad_unref.hh': BAD_UNREF,
@@ -518,8 +417,6 @@ GOOD_FILES = {
     'src/core/good.hh': GOOD_HEADER,
     'src/core/good_hot.cc': GOOD_HOT,
     'src/core/good_lock.cc': GOOD_LOCK,
-    'src/core/good_stats.cc': GOOD_STATS,
-    'src/core/good_local_stats.cc': GOOD_LOCAL_STATS,
     'src/core/good_ordered.cc': GOOD_ORDERED,
     'src/core/good_queue.cc': GOOD_QUEUE,
     'src/core/good_shared.cc': GOOD_SHARED,
@@ -617,11 +514,6 @@ def run():
         print('self-test: no-unchecked-io fired %d times on bad.hh, '
               'want 4 (fread, std::fread, ::read, three-argument '
               'read)' % len(io_bad), file=sys.stderr)
-        ok = False
-    if not any(f.rule == 'stats-hygiene' and
-               'BadStatsA::regStats' in f.message for f in findings):
-        print('self-test: stats-hygiene missed the header class '
-              'with no resetStats', file=sys.stderr)
         ok = False
     for f in good_hits:
         print('self-test: false positive on clean input: %s' % f,
