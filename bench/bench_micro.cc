@@ -259,6 +259,34 @@ BM_DramAccess(benchmark::State &state)
 }
 BENCHMARK(BM_DramAccess);
 
+/**
+ * The decoder's writeback stream: 64 B posted writes to consecutive
+ * lines through MemorySystem::write, each after a compute gap that
+ * falls alternately inside and past the row-open timeout (so about
+ * half the line pairs find their rows open and half find them closed
+ * by the timeout, near the split fig11's writes see).  Items are
+ * writes.
+ */
+void
+BM_DramWriteStream(benchmark::State &state)
+{
+    EventQueue queue;
+    MemorySystem mem("bm.mem", &queue, DramConfig{});
+    const Tick timeout = mem.config().row_open_timeout;
+    const Tick gaps[2] = {timeout / 2, timeout * 2};
+    Tick t = 0;
+    Addr a = 0;
+    std::uint32_t i = 0;
+    for (auto _ : state) {
+        mem.write(a, 64, Requester::kVideoDecoder, t);
+        t += gaps[i++ & 1];
+        a = (a + 64) % (64ULL << 20);
+    }
+    benchmark::DoNotOptimize(mem.requestCount());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DramWriteStream);
+
 /** A dependent chain of range(0) 64 B line reads streaming through
  * DRAM: DramController::readRun against the same lines through
  * access() one at a time (the reference).  Items are lines. */

@@ -42,6 +42,7 @@ SetAssocCache::SetAssocCache(std::string name, const CacheConfig &cfg,
               " lines must be a power of two no larger than ", sets_,
               " sets");
     lockstep_.assign(sets_ >> region_shift_, 1);
+    changed_.assign(lockstep_.size(), 0);
 }
 
 Addr
@@ -56,6 +57,8 @@ bool
 SetAssocCache::accessSlow(std::uint32_t set, std::uint64_t tag,
                           CacheAccessSummary &summary, std::uint32_t span)
 {
+    // A hit off the MRU way reorders the set, a miss fills it.
+    changed_[set >> region_shift_] = 1;
     for (std::uint32_t w = 0; w < ways_; ++w) {
         const Line &l = line(set, w);
         if (l.valid && l.tag == tag) {
@@ -103,6 +106,7 @@ SetAssocCache::copyOut(std::uint32_t group)
         repl_.copySet(base, set);
     }
     lockstep_[group] = 0;
+    changed_[group] = 1;
     ++copy_outs_;
 }
 
@@ -181,7 +185,10 @@ SetAssocCache::accessInto(Addr addr, std::uint32_t size,
                     ++hits;
                 }
             }
-            if (n == region_) {
+            // Sets that disagreed when last compared still do unless
+            // one of them changed since.
+            if (n == region_ && changed_[group]) {
+                changed_[group] = 0;
                 lockstep_[group] = groupAgrees(group) ? 1 : 0;
             }
         }
@@ -287,6 +294,7 @@ SetAssocCache::invalidateRange(Addr addr, std::uint64_t size)
                     const Addr ln = (l.tag << set_shift_) | set;
                     if (l.valid && ln >= first && ln <= last) {
                         l.valid = false;
+                        changed_[group] = 1;
                         ++invalidated;
                     }
                 }
@@ -317,7 +325,11 @@ SetAssocCache::invalidateRange(Addr addr, std::uint64_t size)
             }
             copyOut(group);
         }
-        invalidated += clearTag(set, tag);
+        const std::uint32_t cleared = clearTag(set, tag);
+        if (cleared > 0) {
+            changed_[group] = 1;
+        }
+        invalidated += cleared;
         ++ln;
     }
     return invalidated;

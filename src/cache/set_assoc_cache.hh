@@ -228,6 +228,12 @@ class SetAssocCache
     /** Per group of region_ sets: 1 while only its first set holds
      * state (always 1 with one-line regions). */
     std::vector<std::uint8_t> lockstep_;
+    /**
+     * Per group: 1 once a set of it changed after its last
+     * groupAgrees() (or its copyOut), so only then can a comparison
+     * find it back in lockstep.
+     */
+    std::vector<std::uint8_t> changed_;
     std::uint64_t lockstep_accesses_ = 0;
     std::uint64_t copy_outs_ = 0;
 

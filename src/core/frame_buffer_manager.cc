@@ -7,11 +7,22 @@
 namespace vstream
 {
 
+ExactDivision::ExactDivision(std::uint32_t d, std::uint64_t bound)
+{
+    vs_assert(d > 0, "division by zero (zero-byte mabs?)");
+    vs_assert(bound <= (std::uint64_t{1} << 31), "exact division below ",
+              bound, ": bound over 2^31");
+    while ((std::uint64_t{1} << shift_) < bound * d) {
+        ++shift_;
+    }
+    mul_ = ((std::uint64_t{1} << shift_) + d - 1) / d;
+}
+
 FrameBufferManager::FrameBufferManager(MemorySystem &mem,
                                        std::uint32_t mab_count,
                                        std::uint32_t mab_bytes,
                                        std::uint64_t mach_dump_bytes)
-    : mem_(mem), mab_count_(mab_count), mab_bytes_(mab_bytes),
+    : mem_(mem), mab_count_(mab_count),
       // Worst-case metadata: a 4 B pointer/digest stream and a 3 B
       // base stream (kept in disjoint halves with slack so the two
       // write-combining cursors never collide) plus the 1 bit/mab
@@ -19,9 +30,9 @@ FrameBufferManager::FrameBufferManager(MemorySystem &mem,
       meta_capacity_(static_cast<std::uint64_t>(mab_count) * 9 +
                      (mab_count + 7) / 8 + 128),
       data_capacity_(static_cast<std::uint64_t>(mab_count) * mab_bytes),
+      mab_index_(mab_bytes, data_capacity_),
       mach_dump_capacity_(mach_dump_bytes)
 {
-    vs_assert(mab_bytes_ > 0, "zero-byte mabs");
 }
 
 BufferSlot &
@@ -125,7 +136,7 @@ FrameBufferManager::findBlock(const BufferSlot &slot, std::uint32_t off) const
     const BlockEntry *end = begin + slot.block_count;
     // Blocks of a whole mab each sit at entry off / mab size (every
     // layout but the DCC-compacted one): try that before searching.
-    const std::size_t direct = off / mab_bytes_;
+    const std::size_t direct = mab_index_(off);
     if (direct < slot.block_count && begin[direct].region_off == off) {
         return begin + direct;
     }

@@ -90,6 +90,30 @@ struct BufferSlot
     FrameLayout layout;
 };
 
+/**
+ * n / d for every n below a bound, as one multiply and shift.  With
+ * 2^s >= bound * d and m = ceil(2^s / d) = (2^s + e) / d, e < d:
+ * n * m / 2^s = n / d + n e / (d 2^s), and n e < bound * d <= 2^s,
+ * so the excess stays under 1 / d and never carries the quotient
+ * past floor(n / d).  The product stays below 2 bound^2, inside 64
+ * bits for any bound up to 2^31.
+ */
+class ExactDivision
+{
+  public:
+    ExactDivision(std::uint32_t d, std::uint64_t bound);
+
+    std::uint32_t
+    operator()(std::uint32_t n) const
+    {
+        return static_cast<std::uint32_t>((n * mul_) >> shift_);
+    }
+
+  private:
+    std::uint64_t mul_ = 1;
+    std::uint32_t shift_ = 0;
+};
+
 /** Pool of frame buffers plus the simulated block store. */
 class FrameBufferManager
 {
@@ -156,9 +180,10 @@ class FrameBufferManager
 
     MemorySystem &mem_;
     std::uint32_t mab_count_;
-    std::uint32_t mab_bytes_;
     std::uint64_t meta_capacity_;
     std::uint64_t data_capacity_;
+    /** off / mab size for every offset inside a slot's data. */
+    ExactDivision mab_index_;
     std::uint64_t mach_dump_capacity_;
     /** Every slot ever made, in acquisition order; a deque, so
      * growth never moves a slot a caller holds. */

@@ -54,26 +54,6 @@ AddressMap::AddressMap(const DramConfig &cfg)
     row_shift_ = shift;
 }
 
-// vstream:hot
-DramCoord
-AddressMap::decompose(Addr addr) const
-{
-    // Simulated allocations sit below capacity_, so the 64-bit
-    // modulo is only paid by addresses that actually wrap.
-    const Addr a =
-        (addr < capacity_ ? addr : addr % capacity_) >> burst_shift_;
-
-    DramCoord coord;
-    coord.channel = static_cast<std::uint32_t>(a >> channel_.shift) &
-                    channel_.mask;
-    coord.column =
-        static_cast<std::uint32_t>(a >> column_.shift) & column_.mask;
-    coord.bank = static_cast<std::uint32_t>(a >> bank_.shift) & bank_.mask;
-    coord.rank = static_cast<std::uint32_t>(a >> rank_.shift) & rank_.mask;
-    coord.row = a >> row_shift_;
-    return coord;
-}
-
 Addr
 AddressMap::compose(const DramCoord &coord) const
 {

@@ -43,8 +43,32 @@ class AddressMap
   public:
     explicit AddressMap(const DramConfig &cfg);
 
-    /** Decompose @p addr (wraps modulo capacity). */
-    DramCoord decompose(Addr addr) const;
+    /**
+     * Decompose @p addr (wraps modulo capacity).  Defined here, so
+     * the controller's per-burst loop and every other caller inline
+     * it.
+     */
+    // vstream:hot
+    DramCoord
+    decompose(Addr addr) const
+    {
+        // Simulated allocations sit below capacity_, so the 64-bit
+        // modulo is only paid by addresses that actually wrap.
+        const Addr a =
+            (addr < capacity_ ? addr : addr % capacity_) >> burst_shift_;
+
+        DramCoord coord;
+        coord.channel = static_cast<std::uint32_t>(a >> channel_.shift) &
+                        channel_.mask;
+        coord.column =
+            static_cast<std::uint32_t>(a >> column_.shift) & column_.mask;
+        coord.bank =
+            static_cast<std::uint32_t>(a >> bank_.shift) & bank_.mask;
+        coord.rank =
+            static_cast<std::uint32_t>(a >> rank_.shift) & rank_.mask;
+        coord.row = a >> row_shift_;
+        return coord;
+    }
 
     /** Recompose coordinates back to the canonical address (field
      * bits beyond a field's width are dropped). */
@@ -69,6 +93,17 @@ class AddressMap
      * maps to the same row of the same banks.
      */
     Addr spanBytes() const { return subColumnBytes() * columns_per_row_; }
+
+    /**
+     * Whether the channel takes the lowest burst-index bit, with at
+     * least two channels (RoRaBaCoCh, RoRaCoBaCh): two bursts of a
+     * line aligned to two bursts then differ only in the channel,
+     * the second on the next one.
+     */
+    bool channelLowest() const
+    {
+        return channel_.shift == 0 && channel_.mask != 0;
+    }
 
     /** Addresses at or above this wrap (see decompose()). */
     std::uint64_t capacity() const { return capacity_; }

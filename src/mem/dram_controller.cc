@@ -48,7 +48,8 @@ DramController::bankIndex(const DramCoord &coord) const
            coord.bank;
 }
 
-Tick
+// vstream:hot
+inline Tick
 DramController::accessBurst(const DramCoord &coord, MemOp op, Requester r,
                             Tick now, bool &row_hit, bool &activated)
 {
@@ -104,15 +105,21 @@ DramController::accessBurst(const DramCoord &coord, MemOp op, Requester r,
     return finish;
 }
 
-Tick
+// vstream:hot
+inline Tick
 DramController::burstWithRetry(const DramCoord &coord, MemOp op,
                                Requester r, Tick now, bool &row_hit,
                                bool &activated)
 {
-    Tick finish = accessBurst(coord, op, r, now, row_hit, activated);
-    if (faults_ == nullptr) {
-        return finish;
-    }
+    const Tick finish = accessBurst(coord, op, r, now, row_hit, activated);
+    return faults_ == nullptr ? finish
+                              : retryTimeouts(coord, op, r, finish);
+}
+
+Tick
+DramController::retryTimeouts(const DramCoord &coord, MemOp op,
+                              Requester r, Tick finish)
+{
     // A timed-out burst backs off (capped exponential, jittered so
     // colliding retries from different banks spread out) and is then
     // re-issued, so every retry pays the backoff wait plus the full
@@ -200,58 +207,104 @@ DramController::drainBank(std::size_t bank_idx, Tick now)
     queue.clear();
 }
 
-MemResult
-DramController::access(const MemRequest &req, Tick now)
+// vstream:hot
+template <typename F>
+inline void
+DramController::forEachBurst(Addr addr, std::uint32_t size, F &&f) const
 {
-    vs_assert(req.size > 0, "zero-size memory request");
+    vs_assert(size > 0, "zero-size memory request");
 
     // bytesPerBurst() is a power of two (AddressMap checks it).
     const Addr align = ~static_cast<Addr>(burst_bytes_ - 1);
-    const Addr first = req.addr & align;
-    const Addr last = (req.addr + req.size - 1) & align;
-
-    const bool queue_writes =
-        cfg_.write_queue_depth > 0 && req.op == MemOp::kWrite;
-
-    MemResult result;
-    Tick finish = now;
-    for (Addr a = first;; a += burst_bytes_) {
-        const DramCoord coord = map_.decompose(a);
-        ++result.bursts;
-
-        if (queue_writes) {
-            // Posted write: enqueue and drain in batches.
-            auto &queue = write_queues_[bankIndex(coord)];
-            // The queue is reserved to the depth at construction and
-            // drained on reaching it, so this never grows it.
-            // vstream:allow(no-hotpath-alloc) capacity reserved above
-            queue.push_back(PendingWrite{coord, req.requester});
-            if (queue.size() >= cfg_.write_queue_depth) {
-                drainBank(bankIndex(coord), now);
-            }
-        } else {
-            bool row_hit = false;
-            bool activated = false;
-            const Tick burst_finish =
-                faults_ == nullptr
-                    ? accessBurst(coord, req.op, req.requester, now,
-                                  row_hit, activated)
-                    : burstWithRetry(coord, req.op, req.requester, now,
-                                     row_hit, activated);
-            finish = std::max(finish, burst_finish);
-            if (row_hit) {
-                ++result.row_hits;
-            }
-            if (activated) {
-                ++result.activations;
-            }
-        }
-        if (a == last) {
-            break;
-        }
+    const Addr first = addr & align;
+    const Addr last = (addr + size - 1) & align;
+    DramCoord coord = map_.decompose(first);
+    // An even burst index and its successor differ only in the
+    // lowest index bit, the channel's lowest bit under a
+    // channel-lowest map; neither wraps below capacity.
+    if (map_.channelLowest() && last == first + burst_bytes_ &&
+        (first & burst_bytes_) == 0 && last < map_.capacity()) {
+        f(coord);
+        ++coord.channel;
+        f(coord);
+        return;
     }
-    result.finish_tick = finish;
+    for (Addr a = first;;) {
+        f(coord);
+        if (a == last) {
+            return;
+        }
+        a += burst_bytes_;
+        coord = map_.decompose(a);
+    }
+}
+
+void
+DramController::post(const DramCoord &coord, Requester r, Tick now)
+{
+    const std::size_t idx = bankIndex(coord);
+    auto &queue = write_queues_[idx];
+    // The queue is reserved to the depth at construction and drained
+    // on reaching it, so this never grows it.
+    // vstream:allow(no-hotpath-alloc) capacity reserved above
+    queue.push_back(PendingWrite{coord, r});
+    if (queue.size() >= cfg_.write_queue_depth) {
+        drainBank(idx, now);
+    }
+}
+
+// vstream:hot
+template <typename Done>
+inline void
+DramController::serve(Addr addr, std::uint32_t size, MemOp op,
+                      Requester r, Tick now, Done &&done)
+{
+    if (op == MemOp::kWrite && cfg_.write_queue_depth > 0) {
+        // Posted write: enqueue and drain in batches.
+        forEachBurst(addr, size,
+                     [&](const DramCoord &c) { post(c, r, now); });
+        return;
+    }
+    forEachBurst(addr, size, [&](const DramCoord &c) {
+        bool row_hit = false;
+        bool activated = false;
+        const Tick finish =
+            burstWithRetry(c, op, r, now, row_hit, activated);
+        done(finish, row_hit, activated);
+    });
+}
+
+// vstream:hot
+inline MemResult
+DramController::request(Addr addr, std::uint32_t size, MemOp op,
+                        Requester r, Tick now)
+{
+    MemResult result;
+    result.finish_tick = now;
+    serve(addr, size, op, r, now,
+          [&](Tick finish, bool row_hit, bool activated) {
+              result.finish_tick = std::max(result.finish_tick, finish);
+              result.row_hits += row_hit ? 1 : 0;
+              result.activations += activated ? 1 : 0;
+          });
+    const Addr align = ~static_cast<Addr>(burst_bytes_ - 1);
+    result.bursts = static_cast<std::uint32_t>(
+        (((addr + size - 1) & align) - (addr & align)) / burst_bytes_ +
+        1);
     return result;
+}
+
+MemResult
+DramController::access(const MemRequest &req, Tick now)
+{
+    return request(req.addr, req.size, req.op, req.requester, now);
+}
+
+// vstream:hot
+void
+DramController::write(Addr addr, std::uint32_t size, Requester r, Tick now)
+{
+    serve(addr, size, MemOp::kWrite, r, now, [](Tick, bool, bool) {});
 }
 
 std::uint32_t
@@ -278,8 +331,8 @@ DramController::readRun(Addr base, std::uint32_t n,
     MemResult total;
     total.finish_tick = now;
     const auto readLine = [&](Addr a) {
-        const MemResult res = access(
-            MemRequest{a, line_bytes, MemOp::kRead, r}, total.finish_tick);
+        const MemResult res =
+            request(a, line_bytes, MemOp::kRead, r, total.finish_tick);
         total.finish_tick = res.finish_tick;
         total.bursts += res.bursts;
         total.row_hits += res.row_hits;

@@ -20,6 +20,12 @@
  * produces; wherever that cannot be shown (closed page, an armed
  * timeout fault ahead, a span boundary), readRun falls back to
  * access().
+ *
+ * Every request is one pass through one burst routine (accessBurst,
+ * inlined into each path): its first burst is decoded once, and a
+ * line of two bursts under a channel-lowest map takes its second
+ * burst as the first's on the next channel.  Writes are posted:
+ * write() times and charges them like access() but returns nothing.
  */
 
 #ifndef VSTREAM_MEM_DRAM_CONTROLLER_HH
@@ -55,6 +61,13 @@ class DramController
      * @return completion tick and per-request burst statistics.
      */
     MemResult access(const MemRequest &req, Tick now);
+
+    /**
+     * Posted write of @p size bytes at @p addr issued at @p now: the
+     * same bank, bus and ledger effects as access() on the write,
+     * with no result (no writer waits on one).
+     */
+    void write(Addr addr, std::uint32_t size, Requester r, Tick now);
 
     /**
      * Read @p n lines of @p line_bytes starting at @p base as a
@@ -109,14 +122,48 @@ class DramController
         Requester requester;
     };
 
-    /** Service one burst at @p coord; returns its completion tick. */
+    /**
+     * Call @p f on the coordinates of each burst of [addr,
+     * addr + size), in address order.  The first burst is decoded
+     * once; a line of two bursts aligned to two under a
+     * channel-lowest map gets its second as the first's on the next
+     * channel (docs/PERFORMANCE.md "One pass per DRAM request").
+     */
+    template <typename F>
+    void forEachBurst(Addr addr, std::uint32_t size, F &&f) const;
+
+    /**
+     * Service the bursts of [addr, addr + size) issued at @p now:
+     * post them when writes queue, else time each one through
+     * burstWithRetry and pass its (finish, row hit, activated) to
+     * @p done.
+     */
+    template <typename Done>
+    void serve(Addr addr, std::uint32_t size, MemOp op, Requester r,
+               Tick now, Done &&done);
+
+    /** access() on the request's fields, inlined into readRun. */
+    MemResult request(Addr addr, std::uint32_t size, MemOp op,
+                      Requester r, Tick now);
+
+    /** Service one burst at @p coord; returns its completion tick.
+     * The one burst model every path times bursts with. */
     Tick accessBurst(const DramCoord &coord, MemOp op, Requester r,
                      Tick now, bool &row_hit, bool &activated);
 
-    /** accessBurst plus the bounded-retry loop for injected
-     * timeouts. */
+    /** accessBurst plus, with an injector armed, the bounded-retry
+     * loop for injected timeouts (retryTimeouts). */
     Tick burstWithRetry(const DramCoord &coord, MemOp op, Requester r,
                         Tick now, bool &row_hit, bool &activated);
+
+    /** Re-issue the burst at @p coord that completed at @p finish
+     * while the injector times it out, within the retry budget;
+     * returns the final completion tick. */
+    Tick retryTimeouts(const DramCoord &coord, MemOp op, Requester r,
+                       Tick finish);
+
+    /** Queue a posted write burst; drain its bank when full. */
+    void post(const DramCoord &coord, Requester r, Tick now);
 
     /**
      * Closed-form tail of a read run.  Line 1 of the run, at

@@ -54,12 +54,6 @@ MemorySystem::readLines(std::span<const Addr> lines,
     return now;
 }
 
-MemResult
-MemorySystem::write(Addr addr, std::uint32_t size, Requester r, Tick now)
-{
-    return access(MemRequest{addr, size, MemOp::kWrite, r}, now);
-}
-
 Addr
 MemorySystem::allocate(std::uint64_t bytes, const std::string &label)
 {

@@ -60,8 +60,16 @@ class MemorySystem : public SimObject
     Tick readLines(std::span<const Addr> lines, std::uint32_t line_bytes,
                    Requester r, Tick now);
 
-    /** Shorthand: write @p size bytes at @p addr. */
-    MemResult write(Addr addr, std::uint32_t size, Requester r, Tick now);
+    /**
+     * Posted write of @p size bytes at @p addr: one request, timed
+     * and charged like access() on it, with no result to wait on.
+     */
+    void
+    write(Addr addr, std::uint32_t size, Requester r, Tick now)
+    {
+        ++request_count_;
+        ctrl_.write(addr, size, r, now);
+    }
 
     /**
      * Allocate a contiguous region of @p bytes (64 B aligned).

@@ -167,5 +167,61 @@ TEST(FrameBufferPoolDeath, StoreOutOfAddressOrderPanics)
                  "out of order");
 }
 
+TEST(ExactDivision, EqualsDivisionBelowEveryFrameCapacity)
+{
+    // Mabs of 2x2, 4x4, 8x8 and 16x16 RGB pixels, at the largest
+    // frame the simulator runs (3840x2160): every offset below the
+    // slot's data capacity, and the capacity-1 edge of smaller
+    // frames through the same divider.
+    for (const std::uint32_t side : {2u, 4u, 8u, 16u}) {
+        const std::uint32_t mab_bytes = side * side * 3;
+        const std::uint64_t capacity =
+            static_cast<std::uint64_t>(3840 / side) * (2160 / side) *
+            mab_bytes;
+        SCOPED_TRACE(::testing::Message() << "mab " << mab_bytes);
+        const ExactDivision div(mab_bytes, capacity);
+        std::uint64_t wrong = 0;
+        for (std::uint32_t off = 0; off < capacity; ++off) {
+            wrong += div(off) != off / mab_bytes ? 1 : 0;
+        }
+        EXPECT_EQ(wrong, 0u);
+    }
+    // The largest bound it accepts, at its top and its multiples.
+    for (const std::uint32_t d : {1u, 3u, 12u, 768u, 65537u}) {
+        const std::uint64_t bound = std::uint64_t{1} << 31;
+        const ExactDivision div(d, bound);
+        for (std::uint64_t n = bound - 4096; n < bound; ++n) {
+            const auto n32 = static_cast<std::uint32_t>(n);
+            ASSERT_EQ(div(n32), n32 / d) << "d " << d << " n " << n;
+        }
+        for (std::uint64_t q = 1; q * d < bound; q = q * 2 + 1) {
+            const auto n32 = static_cast<std::uint32_t>(q * d);
+            ASSERT_EQ(div(n32), q) << "d " << d;
+            ASSERT_EQ(div(n32 - 1), q - 1) << "d " << d;
+        }
+    }
+}
+
+TEST(FrameBufferPool, LoadsEveryBlockOfAFrame)
+{
+    // Blocks at every mab index come back through the direct index
+    // (off / mab size) that findBlock tries first.
+    Rig rig;
+    BufferSlot &slot = rig.fbm.acquire(0);
+    for (std::uint32_t i = 0; i < kMabs; ++i) {
+        rig.fbm.storeBlock(slot, slot.data_base + i * kMabBytes,
+                           std::vector<std::uint8_t>(
+                               kMabBytes, static_cast<std::uint8_t>(i)));
+    }
+    for (std::uint32_t i = 0; i < kMabs; ++i) {
+        const StoredBlock b =
+            rig.fbm.loadBlock(slot.data_base + i * kMabBytes);
+        ASSERT_TRUE(b);
+        EXPECT_EQ(b.size, kMabBytes);
+        EXPECT_EQ(b.data[0], i);
+        EXPECT_FALSE(rig.fbm.loadBlock(slot.data_base + i * kMabBytes + 1));
+    }
+}
+
 } // namespace
 } // namespace vstream

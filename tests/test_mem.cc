@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <string>
@@ -308,8 +309,9 @@ TEST(DramController, StreamingBeatsScattered)
 
 /** First difference between two controllers' observable state, or
  * "" when they agree. */
+template <typename A, typename B>
 std::string
-stateDiff(const DramController &a, const DramController &b)
+stateDiff(const A &a, const B &b)
 {
     std::ostringstream os;
     for (std::size_t i = 0; i < 4; ++i) {
@@ -641,6 +643,439 @@ TEST(MemorySystem, ReadLinesMatchesPerLineReads)
     EXPECT_EQ(b.requestCount(), lines.size());
     EXPECT_EQ(stateDiff(a.controller(), b.controller()), "");
     EXPECT_EQ(a.readLines({}, 64, Requester::kVideoDecoder, 5), 5u);
+}
+
+// ---- frozen reference ------------------------------------------------
+
+/**
+ * The controller's request path as it stood before requests were
+ * served in one pass: every burst decoded on its own, timed through
+ * its own copy of accessBurst, retried through its own backoff loop,
+ * and every result built in full, writes too.  It shares the bank,
+ * channel, map and ledger classes with DramController and nothing of
+ * the controller itself.
+ */
+class ReferenceDram
+{
+  public:
+    explicit ReferenceDram(const DramConfig &cfg)
+        : cfg_(cfg), map_(cfg_), energy_(cfg_),
+          burst_bytes_(cfg_.bytesPerBurst()),
+          burst_time_(cfg_.burstTime())
+    {
+        for (std::uint32_t c = 0; c < cfg_.channels; ++c) {
+            channels_.emplace_back(cfg_.ranks_per_channel,
+                                   cfg_.banks_per_rank);
+        }
+        write_queues_.resize(static_cast<std::size_t>(cfg_.channels) *
+                             cfg_.ranks_per_channel *
+                             cfg_.banks_per_rank);
+    }
+
+    void
+    setFaultInjector(FaultInjector *faults)
+    {
+        faults_ = faults;
+        jitter_state_ = faults_ != nullptr
+                            ? faults_->config().seed ^ 0xd2a0b0ffULL
+                            : 0;
+    }
+
+    MemResult
+    access(const MemRequest &req, Tick now)
+    {
+        const Addr align = ~static_cast<Addr>(burst_bytes_ - 1);
+        const Addr first = req.addr & align;
+        const Addr last = (req.addr + req.size - 1) & align;
+        const bool queue_writes =
+            cfg_.write_queue_depth > 0 && req.op == MemOp::kWrite;
+
+        MemResult result;
+        Tick finish = now;
+        for (Addr a = first;; a += burst_bytes_) {
+            const DramCoord coord = map_.decompose(a);
+            ++result.bursts;
+            if (queue_writes) {
+                auto &queue = write_queues_[bankIndex(coord)];
+                queue.push_back(PendingWrite{coord, req.requester});
+                if (queue.size() >= cfg_.write_queue_depth) {
+                    drainBank(bankIndex(coord), now);
+                }
+            } else {
+                bool row_hit = false;
+                bool activated = false;
+                const Tick burst_finish =
+                    faults_ == nullptr
+                        ? accessBurst(coord, req.op, req.requester, now,
+                                      row_hit, activated)
+                        : burstWithRetry(coord, req.op, req.requester,
+                                         now, row_hit, activated);
+                finish = std::max(finish, burst_finish);
+                if (row_hit) {
+                    ++result.row_hits;
+                }
+                if (activated) {
+                    ++result.activations;
+                }
+            }
+            if (a == last) {
+                break;
+            }
+        }
+        result.finish_tick = finish;
+        return result;
+    }
+
+    void
+    flushWrites(Tick now)
+    {
+        for (std::size_t i = 0; i < write_queues_.size(); ++i) {
+            drainBank(i, now);
+        }
+    }
+
+    std::uint64_t
+    pendingWrites() const
+    {
+        std::uint64_t n = 0;
+        for (const auto &q : write_queues_) {
+            n += q.size();
+        }
+        return n;
+    }
+
+    std::uint64_t retryCount() const { return retries_; }
+    std::uint64_t abandonedCount() const { return abandoned_; }
+    Tick backoffTicks() const { return backoff_ticks_; }
+    const DramEnergy &energy() const { return energy_; }
+
+  private:
+    struct PendingWrite
+    {
+        DramCoord coord;
+        Requester requester;
+    };
+
+    std::size_t
+    bankIndex(const DramCoord &coord) const
+    {
+        return (static_cast<std::size_t>(coord.channel) *
+                    cfg_.ranks_per_channel +
+                coord.rank) *
+                   cfg_.banks_per_rank +
+               coord.bank;
+    }
+
+    Tick
+    accessBurst(const DramCoord &coord, MemOp op, Requester r, Tick now,
+                bool &row_hit, bool &activated)
+    {
+        DramChannel &channel = channels_[coord.channel];
+        DramBank &bank = channel.bank(coord.rank, coord.bank);
+        if (bank.expireRow(now, cfg_.row_open_timeout)) {
+            energy_.recordPrecharge(r);
+        }
+        Tick t = std::max(now, bank.readyAt());
+        row_hit = false;
+        activated = false;
+        if (bank.rowOpen() && bank.openRow() == coord.row) {
+            row_hit = true;
+        } else {
+            if (bank.rowOpen()) {
+                const Tick pre_start =
+                    std::max(t, bank.openedAt() + cfg_.t_ras);
+                t = pre_start + cfg_.t_rp;
+                bank.precharge(t);
+                energy_.recordPrecharge(r);
+            }
+            t += cfg_.t_rcd;
+            bank.activate(coord.row, t);
+            energy_.recordActivation(r);
+            activated = true;
+        }
+        const Tick data_start = t + cfg_.t_cl;
+        const Tick finish = channel.occupyBus(data_start, burst_time_);
+        bank.touch(finish);
+        if (cfg_.page_policy == PagePolicy::kClosedPage) {
+            bank.precharge(finish);
+        }
+        energy_.recordBurst(r, op, burst_bytes_);
+        if (row_hit) {
+            energy_.recordRowHit(r);
+        }
+        return finish;
+    }
+
+    Tick
+    burstWithRetry(const DramCoord &coord, MemOp op, Requester r,
+                   Tick now, bool &row_hit, bool &activated)
+    {
+        Tick finish = accessBurst(coord, op, r, now, row_hit, activated);
+        if (faults_ == nullptr) {
+            return finish;
+        }
+        const std::uint32_t limit = faults_->config().dram_retry_limit;
+        std::uint32_t attempts = 0;
+        while (faults_->shouldInject(FaultClass::kDramTimeout, finish)) {
+            if (attempts >= limit) {
+                ++abandoned_;
+                faults_->noteAbandoned(FaultClass::kDramTimeout);
+                break;
+            }
+            ++attempts;
+            ++retries_;
+            const Tick delay = backoffDelay(attempts);
+            backoff_ticks_ += delay;
+            bool retry_hit = false;
+            bool retry_act = false;
+            finish = accessBurst(coord, op, r, finish + delay, retry_hit,
+                                 retry_act);
+            faults_->noteRecovered(FaultClass::kDramTimeout);
+        }
+        return finish;
+    }
+
+    Tick
+    backoffDelay(std::uint32_t attempt)
+    {
+        const Tick base = static_cast<Tick>(200) * sim_clock::ns;
+        const Tick cap = static_cast<Tick>(10) * sim_clock::us;
+        Tick delay = base;
+        for (std::uint32_t k = 1; k < attempt; ++k) {
+            if (delay >= cap / 2) {
+                delay = cap;
+                break;
+            }
+            delay *= 2;
+        }
+        delay = std::min(delay, cap);
+        const double u =
+            static_cast<double>(splitMix64(jitter_state_) >> 11) *
+            0x1.0p-53;
+        delay += static_cast<Tick>(static_cast<double>(delay) * 0.25 * u);
+        return delay;
+    }
+
+    void
+    drainBank(std::size_t bank_idx, Tick now)
+    {
+        auto &queue = write_queues_[bank_idx];
+        if (queue.empty()) {
+            return;
+        }
+        std::stable_sort(queue.begin(), queue.end(),
+                         [](const PendingWrite &a, const PendingWrite &b) {
+                             return a.coord.row < b.coord.row;
+                         });
+        bool row_hit = false;
+        bool activated = false;
+        Tick t = now;
+        for (const PendingWrite &w : queue) {
+            t = burstWithRetry(w.coord, MemOp::kWrite, w.requester, t,
+                               row_hit, activated);
+        }
+        queue.clear();
+    }
+
+    DramConfig cfg_;
+    AddressMap map_;
+    DramEnergy energy_;
+    std::uint32_t burst_bytes_;
+    Tick burst_time_;
+    std::vector<DramChannel> channels_;
+    std::vector<std::vector<PendingWrite>> write_queues_;
+    FaultInjector *faults_ = nullptr;
+    std::uint64_t retries_ = 0;
+    std::uint64_t abandoned_ = 0;
+    Tick backoff_ticks_ = 0;
+    std::uint64_t jitter_state_ = 0;
+};
+
+/** The reference's readRun: each line through its access(). */
+MemResult
+referenceRun(ReferenceDram &ref, Addr base, std::uint32_t n,
+             std::uint32_t line, Requester r, Tick now)
+{
+    MemResult total;
+    total.finish_tick = now;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const MemResult res = ref.access(
+            MemRequest{base + static_cast<Addr>(i) * line, line,
+                       MemOp::kRead, r},
+            total.finish_tick);
+        total.finish_tick = res.finish_tick;
+        total.bursts += res.bursts;
+        total.row_hits += res.row_hits;
+        total.activations += res.activations;
+    }
+    return total;
+}
+
+/**
+ * Seeded traces through the controller and the frozen reference:
+ * reads, posted writes of 1..256 B at any alignment (through write()
+ * and, now and then, access()), read runs and flushes, over 1, 2 and
+ * 4 channels, all three map orders, both page policies, write queue
+ * depths 0 and 4, and no injector or an armed kDramTimeout rule.
+ * Every read's result and the whole ledger must agree after every
+ * operation, and a probe read per bank at the end must see the same
+ * bank and bus state.
+ */
+TEST(DramReference, OnePassMatchesFrozenReferenceOverSeededTraces)
+{
+    const AddrMapOrder orders[] = {AddrMapOrder::kRoRaBaCoCh,
+                                   AddrMapOrder::kRoRaBaChCo,
+                                   AddrMapOrder::kRoRaCoBaCh};
+    const PagePolicy pages[] = {PagePolicy::kOpenPage,
+                                PagePolicy::kClosedPage};
+    const std::uint32_t channel_counts[] = {2, 1, 2, 4};
+    constexpr int kTracesPerConfig = 8;
+    constexpr int kOpsPerTrace = 120;
+
+    int traces = 0;
+    std::uint64_t paired_writes = 0;
+    std::uint64_t retries = 0;
+    std::uint64_t seed = 1000;
+    for (const AddrMapOrder order : orders) {
+    for (const PagePolicy page : pages) {
+    for (const std::uint32_t wq : {0u, 4u}) {
+    for (const bool armed : {false, true}) {
+    for (int k = 0; k < kTracesPerConfig; ++k, ++seed) {
+        DramConfig cfg = smallConfig();
+        cfg.map_order = order;
+        cfg.page_policy = page;
+        cfg.write_queue_depth = wq;
+        cfg.channels = channel_counts[k % 4];
+        if (k % 3 == 2) {
+            // Rows close between the bursts of one request.
+            cfg.row_open_timeout = 15 * sim_clock::ns;
+        }
+        if (k % 2 == 1) {
+            // A capacity that ends mid-span: lines at the end wrap.
+            cfg.capacity_bytes += 2048 + 32;
+        }
+        SCOPED_TRACE(::testing::Message()
+                     << addrMapOrderName(order) << " "
+                     << pagePolicyName(page) << " wq=" << wq
+                     << " armed=" << armed << " channels="
+                     << cfg.channels << " seed=" << seed);
+
+        FaultConfig fc;
+        fc.seed = seed;
+        if (armed) {
+            fc.rules.push_back(parseFaultRule(FaultClass::kDramTimeout,
+                                              "p=0.05,until=40us"));
+        }
+        FaultInjector inj_a("a", nullptr, fc);
+        FaultInjector inj_b("b", nullptr, fc);
+        DramController dram(cfg);
+        ReferenceDram ref(cfg);
+        if (armed) {
+            dram.setFaultInjector(&inj_a);
+            ref.setFaultInjector(&inj_b);
+        }
+
+        Random rng(seed * 0x9e3779b97f4a7c15ULL);
+        const Addr space = 256 * 1024;
+        const auto pick = [&]() -> Addr {
+            return rng.uniformInt(0, 7) == 0
+                       ? cfg.capacity_bytes - rng.uniformInt(1, 4096)
+                       : rng.uniformInt(0, space - 1);
+        };
+        Tick t = 0;
+        for (int op = 0; op < kOpsPerTrace; ++op) {
+            SCOPED_TRACE(::testing::Message() << "op " << op);
+            if (rng.uniformInt(0, 2) == 0) {
+                // Idle gaps on both sides of the row-open timeout.
+                t += rng.uniformInt(0, 2 * cfg.row_open_timeout);
+            }
+            const auto r = static_cast<Requester>(rng.uniformInt(0, 3));
+            const std::uint64_t kind = rng.uniformInt(0, 19);
+            if (kind < 9) {
+                // Posted write, mostly a 64 B line on a line boundary.
+                Addr addr = pick();
+                std::uint32_t size = 64;
+                if (rng.uniformInt(0, 2) == 0) {
+                    size = static_cast<std::uint32_t>(
+                        rng.uniformInt(1, 256));
+                } else {
+                    addr &= ~Addr{63};
+                }
+                if (rng.uniformInt(0, 4) == 0) {
+                    const MemRequest req{addr, size, MemOp::kWrite, r};
+                    ASSERT_EQ(resultDiff(dram.access(req, t),
+                                         ref.access(req, t)),
+                              "");
+                } else {
+                    dram.write(addr, size, r, t);
+                    ref.access(MemRequest{addr, size, MemOp::kWrite, r},
+                               t);
+                }
+                paired_writes += size == 64 && addr % 64 == 0 ? 1 : 0;
+            } else if (kind < 15) {
+                Addr addr = pick();
+                std::uint32_t size = 64;
+                if (rng.uniformInt(0, 1) == 0) {
+                    size = static_cast<std::uint32_t>(
+                        rng.uniformInt(1, 128));
+                } else {
+                    addr &= ~Addr{63};
+                }
+                const MemRequest req{addr, size, MemOp::kRead, r};
+                const MemResult got = dram.access(req, t);
+                ASSERT_EQ(resultDiff(got, ref.access(req, t)), "");
+                if (rng.uniformInt(0, 3) != 0) {
+                    t = got.finish_tick;
+                }
+            } else if (kind < 19) {
+                const std::uint32_t line = rng.uniformInt(0, 1) ? 64 : 128;
+                const auto n =
+                    static_cast<std::uint32_t>(rng.uniformInt(0, 40));
+                const Addr base = pick() / line * line;
+                const MemResult got = dram.readRun(base, n, line, r, t);
+                ASSERT_EQ(resultDiff(got, referenceRun(ref, base, n, line,
+                                                       r, t)),
+                          "");
+                t = got.finish_tick;
+            } else {
+                dram.flushWrites(t);
+                ref.flushWrites(t);
+            }
+            ASSERT_EQ(stateDiff(dram, ref), "");
+        }
+
+        dram.flushWrites(t);
+        ref.flushWrites(t);
+        ASSERT_EQ(stateDiff(dram, ref), "");
+        const AddressMap &map = dram.addressMap();
+        for (std::uint32_t ch = 0; ch < cfg.channels; ++ch) {
+            for (std::uint32_t bank = 0; bank < cfg.banks_per_rank;
+                 ++bank) {
+                DramCoord c;
+                c.channel = ch;
+                c.bank = bank;
+                c.row = rng.uniformInt(0, 7);
+                const MemRequest probe{map.compose(c), 32, MemOp::kRead,
+                                       Requester::kOther};
+                ASSERT_EQ(resultDiff(dram.access(probe, t),
+                                     ref.access(probe, t)),
+                          "")
+                    << "probe ch" << ch << " bank" << bank;
+            }
+        }
+        ASSERT_EQ(stateDiff(dram, ref), "");
+        ++traces;
+        retries += dram.retryCount();
+    }
+    }
+    }
+    }
+    }
+
+    // 3 map orders x 2 page policies x 2 queue depths x armed or not.
+    EXPECT_EQ(traces, 24 * kTracesPerConfig);
+    EXPECT_GT(paired_writes, 5000u);
+    EXPECT_GT(retries, 100u);
 }
 
 class BankTimeoutSweep : public ::testing::TestWithParam<Tick>
