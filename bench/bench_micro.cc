@@ -18,7 +18,6 @@
 #include "hash/hasher.hh"
 #include "mem/dram_controller.hh"
 #include "mem/memory_system.hh"
-#include "sim/event_queue.hh"
 #include "sim/parallel.hh"
 #include "sim/random.hh"
 #include "video/macroblock.hh"
@@ -270,8 +269,7 @@ BENCHMARK(BM_DramAccess);
 void
 BM_DramWriteStream(benchmark::State &state)
 {
-    EventQueue queue;
-    MemorySystem mem("bm.mem", &queue, DramConfig{});
+    MemorySystem mem("bm.mem", nullptr, DramConfig{});
     const Tick timeout = mem.config().row_open_timeout;
     const Tick gaps[2] = {timeout / 2, timeout * 2};
     Tick t = 0;
@@ -416,8 +414,7 @@ BENCHMARK(BM_DccCompress);
 void
 BM_FrameBufferWrite(benchmark::State &state)
 {
-    EventQueue queue;
-    MemorySystem mem("bm.mem", &queue, DramConfig{});
+    MemorySystem mem("bm.mem", nullptr, DramConfig{});
     constexpr std::uint32_t kMabs = 256;
     constexpr std::uint32_t kMabBytes = 48;
     FrameBufferManager fbm(mem, kMabs, kMabBytes, 4096);

@@ -19,7 +19,6 @@
 #include "core/mach_array.hh"
 #include "core/writeback_stage.hh"
 #include "serve/cli_args.hh"
-#include "sim/event_queue.hh"
 #include "video/synthetic_video.hh"
 #include "video/workloads.hh"
 
@@ -40,8 +39,7 @@ main(int argc, char **argv)
               << " fps, " << profile.width << "x" << profile.height
               << "\n\n";
 
-    EventQueue queue;
-    MemorySystem mem("mem", &queue, DramConfig{});
+    MemorySystem mem("mem", nullptr, DramConfig{});
     const std::uint32_t mab_bytes =
         profile.mab_dim * profile.mab_dim * kBytesPerPixel;
     FrameBufferManager fbm(mem, profile.mabsPerFrame(), mab_bytes, 0);

@@ -7,7 +7,6 @@
 
 #include "core/frame_prep.hh"
 #include "decoder/video_decoder.hh"
-#include "sim/event_queue.hh"
 #include "sim/fault_injector.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -37,7 +36,6 @@ VideoPipeline::~VideoPipeline() = default;
 struct Playback
 {
     const PipelineConfig &cfg;
-    EventQueue queue;
     MemorySystem mem;
     FrameBufferManager fbm;
     std::unique_ptr<MachArray> machs;
@@ -100,15 +98,15 @@ struct Playback
     PipelineResult result;
 
     Playback(const PipelineConfig &c, bool prepare_ahead)
-        : cfg(c), mem("mem", &queue, c.dram),
+        : cfg(c), mem("mem", nullptr, c.dram),
           fbm(mem, c.profile.mabsPerFrame(),
               c.profile.mab_dim * c.profile.mab_dim * kBytesPerPixel,
               c.scheme.mach
                   ? static_cast<std::uint64_t>(c.mach.entries) *
                         (c.mach.digest_bytes + c.mach.pointer_bytes)
                   : 0),
-          vd("vd", &queue, mem, c.decoder, c.profile),
-          dc("dc", &queue, mem, fbm, c.display),
+          vd("vd", nullptr, mem, c.decoder, c.profile),
+          dc("dc", nullptr, mem, fbm, c.display),
           governor(c.decoder.power),
           frames(c.profile.frame_count),
           period(c.profile.framePeriodTicks()),
@@ -132,7 +130,6 @@ struct Playback
             tr_power = trace->track("vd.power");
             tr_dc = trace->track("dc.scanout");
             tr_dram = trace->track("dram");
-            queue.setTraceSink(trace);
         }
         if (c.scheme.mach) {
             machs = std::make_unique<MachArray>(
@@ -148,8 +145,7 @@ struct Playback
         vd.setFrequency(c.scheme.freq);
 
         if (c.faults.enabled()) {
-            faults = std::make_unique<FaultInjector>("faults", &queue,
-                                                     c.faults);
+            faults = std::make_unique<FaultInjector>("faults", c.faults);
             // A layer consults the injector only for its own class;
             // with no rule of that class every consult would draw
             // nothing and change nothing, so it never gets one.

@@ -30,15 +30,15 @@ readRegionLines(const CacheConfig &cache)
 
 } // namespace
 
-VideoDecoder::VideoDecoder(std::string name, EventQueue *queue,
+VideoDecoder::VideoDecoder(std::string name, EventQueue *,
                            MemorySystem &mem, const DecoderConfig &cfg,
                            const VideoProfile &profile)
-    : SimObject(std::move(name), queue), mem_(mem), cfg_(cfg),
+    : name_(std::move(name)), mem_(mem), cfg_(cfg),
       profile_(profile), cost_(profile, cfg.power, cfg.cost)
 {
     cfg_.validate();
     cache_ = std::make_unique<SetAssocCache>(
-        this->name() + ".cache", cfg_.cache, readRegionLines(cfg_.cache));
+        name_ + ".cache", cfg_.cache, readRegionLines(cfg_.cache));
     encoded_region_ = mem_.allocate(DecoderConfig::kEncodedRingBytes,
                                     "vd.encoded_ring");
 }
@@ -172,7 +172,7 @@ VideoDecoder::decodeFrame(const Frame &frame, WritebackStage &wb,
 void
 VideoDecoder::regStats(StatsRegistry &r)
 {
-    r.addCallback(name() + ".framesDecoded", "frames fully decoded",
+    r.addCallback(name_ + ".framesDecoded", "frames fully decoded",
                   [this] {
                       return static_cast<double>(frames_decoded_);
                   });

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <ostream>
+#include <string>
 
 #include "cache/set_assoc_cache.hh"
 #include "core/frame_buffer_manager.hh"
@@ -24,7 +25,6 @@
 #include "decoder/decode_cost_model.hh"
 #include "decoder/decoder_config.hh"
 #include "mem/memory_system.hh"
-#include "sim/sim_object.hh"
 #include "video/frame.hh"
 #include "video/video_profile.hh"
 
@@ -46,10 +46,11 @@ struct FrameDecodeResult
 };
 
 /** The VD IP. */
-class VideoDecoder : public SimObject
+class VideoDecoder
 {
   public:
-    VideoDecoder(std::string name, EventQueue *queue, MemorySystem &mem,
+    /** The queue parameter is unused (see sim/event_queue.hh). */
+    VideoDecoder(std::string name, EventQueue *, MemorySystem &mem,
                  const DecoderConfig &cfg, const VideoProfile &profile);
 
     /** Change the P-state (the "race" knob). */
@@ -74,7 +75,8 @@ class VideoDecoder : public SimObject
     SetAssocCache &cache() { return *cache_; }
     const DecoderConfig &config() const { return cfg_; }
 
-    void regStats(StatsRegistry &r) override;
+    /** Register the decoder's and its cache's stats. */
+    void regStats(StatsRegistry &r);
 
   private:
     /** Read [addr, addr+size) through the VD cache, widened to the
@@ -90,6 +92,7 @@ class VideoDecoder : public SimObject
                        std::uint32_t mab_count, std::int32_t reach_off,
                        Tick now, Tick *stall);
 
+    std::string name_;
     MemorySystem &mem_;
     DecoderConfig cfg_;
     VideoProfile profile_;

@@ -10,11 +10,11 @@
 namespace vstream
 {
 
-DisplayController::DisplayController(std::string name, EventQueue *queue,
+DisplayController::DisplayController(std::string name, EventQueue *,
                                      MemorySystem &mem,
                                      FrameBufferManager &fbm,
                                      const DisplayConfig &cfg)
-    : SimObject(std::move(name), queue), mem_(mem), fbm_(fbm), cfg_(cfg)
+    : name_(std::move(name)), mem_(mem), fbm_(fbm), cfg_(cfg)
 {
     cfg_.validate();
     if (cfg_.use_display_cache) {
@@ -277,37 +277,37 @@ DisplayController::scanOut(const FrameLayout &layout, Tick now,
 void
 DisplayController::regStats(StatsRegistry &r)
 {
-    r.addCallback(name() + ".framesShown", "frames scanned out",
+    r.addCallback(name_ + ".framesShown", "frames scanned out",
                   [this] {
                       return static_cast<double>(totals_.frames_shown);
                   });
-    r.addCallback(name() + ".reRenders",
+    r.addCallback(name_ + ".reRenders",
                   "stale frames shown again after a drop", [this] {
                       return static_cast<double>(totals_.re_renders);
                   });
-    r.addCallback(name() + ".dramRequests", "DRAM requests issued",
+    r.addCallback(name_ + ".dramRequests", "DRAM requests issued",
                   [this] {
                       return static_cast<double>(totals_.dram_requests);
                   });
-    r.addCallback(name() + ".bytesRead", "frame-buffer bytes fetched",
+    r.addCallback(name_ + ".bytesRead", "frame-buffer bytes fetched",
                   [this] {
                       return static_cast<double>(totals_.bytes_read);
                   });
-    r.addCallback(name() + ".metaBytes", "layout metadata bytes fetched",
+    r.addCallback(name_ + ".metaBytes", "layout metadata bytes fetched",
                   [this] {
                       return static_cast<double>(totals_.meta_bytes);
                   });
-    r.addCallback(name() + ".eliminatedFrames",
+    r.addCallback(name_ + ".eliminatedFrames",
                   "scans skipped by transaction elimination", [this] {
                       return static_cast<double>(
                           totals_.eliminated_frames);
                   });
-    r.addCallback(name() + ".verifyFailures",
+    r.addCallback(name_ + ".verifyFailures",
                   "frames whose checksum mismatched", [this] {
                       return static_cast<double>(
                           totals_.verify_failures);
                   });
-    r.addCallback(name() + ".underrunRepeats",
+    r.addCallback(name_ + ".underrunRepeats",
                   "frame repeats forced by a buffer underrun", [this] {
                       return static_cast<double>(
                           totals_.underrun_repeats);
@@ -316,7 +316,7 @@ DisplayController::regStats(StatsRegistry &r)
         display_cache_->regStats(r);
     }
     if (mach_buffer_) {
-        mach_buffer_->regStats(r, name() + ".machBuffer");
+        mach_buffer_->regStats(r, name_ + ".machBuffer");
     }
 }
 

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "cache/set_assoc_cache.hh"
@@ -26,7 +27,6 @@
 #include "display/display_config.hh"
 #include "display/mach_buffer.hh"
 #include "mem/memory_system.hh"
-#include "sim/sim_object.hh"
 
 namespace vstream
 {
@@ -81,12 +81,12 @@ struct DisplayTotals
 };
 
 /** The DC IP. */
-class DisplayController : public SimObject
+class DisplayController
 {
   public:
-    DisplayController(std::string name, EventQueue *queue,
-                      MemorySystem &mem, FrameBufferManager &fbm,
-                      const DisplayConfig &cfg);
+    /** The queue parameter is unused (see sim/event_queue.hh). */
+    DisplayController(std::string name, EventQueue *, MemorySystem &mem,
+                      FrameBufferManager &fbm, const DisplayConfig &cfg);
 
     /**
      * Scan out @p layout starting at @p now (a vsync tick).
@@ -107,7 +107,9 @@ class DisplayController : public SimObject
     SetAssocCache *displayCache() { return display_cache_.get(); }
     MachBuffer *machBuffer() { return mach_buffer_.get(); }
 
-    void regStats(StatsRegistry &r) override;
+    /** Register the controller's, its cache's and its MACH buffer's
+     * stats. */
+    void regStats(StatsRegistry &r);
 
   private:
     /** Stream @p bytes sequentially from @p base; returns end tick. */
@@ -133,6 +135,7 @@ class DisplayController : public SimObject
     /** Dump @p i of the ring, 0 = newest. */
     const MachDumpVec &dumpAt(std::size_t i) const;
 
+    std::string name_;
     MemorySystem &mem_;
     FrameBufferManager &fbm_;
     DisplayConfig cfg_;

@@ -41,9 +41,10 @@ std::uint16_t auxDigest16(const void *data, std::size_t len);
 
 /**
  * Whole-frame digest batch: digest @p count equal-length blocks in
- * one dispatch call.  CRC32 runs the 4-way interleaved kernel; MD5
- * and SHA-1 hoist the per-mab kind switch out of the loop.  Each
- * out[i] equals digest32(kind, blocks[i], block_len) exactly.
+ * one dispatch call.  CRC32 runs the PCLMUL fold when the CPU has
+ * it and the bytewise table otherwise; MD5 and SHA-1 hoist the
+ * per-mab kind switch out of the loop.  Each out[i] equals
+ * digest32(kind, blocks[i], block_len) exactly.
  */
 void digest32Batch(HashKind kind, const std::uint8_t *const *blocks,
                    std::size_t block_len, std::size_t count,

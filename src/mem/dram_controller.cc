@@ -36,6 +36,7 @@ DramController::DramController(const DramConfig &cfg)
     for (auto &q : write_queues_) {
         q.reserve(cfg_.write_queue_depth);
     }
+    steady_banks_.resize(map_.subColumnBytes() / burst_bytes_);
 }
 
 std::size_t
@@ -385,20 +386,19 @@ DramController::chargeSteadyLines(Addr line1, std::uint32_t max_lines,
     // f1 + (k - 2) d, meets the same state shifted by (k - 1) d, as
     // long as its rows are still open (the row timeout measures the
     // same idle gap line 2 sees).  Line 1 covers every sub-column
-    // value once within its first `sub` bursts, so those name each
-    // bank it used exactly once.
+    // value once within its first steady_banks_.size() bursts, so
+    // those name each bank it used exactly once.
     const Addr first = line1 & ~static_cast<Addr>(burst_bytes_ - 1);
-    const auto sub =
-        static_cast<std::uint32_t>(map_.subColumnBytes() / burst_bytes_);
     const std::uint64_t m = max_lines;
     std::uint64_t used_channels = 0;
-    for (std::uint32_t j = 0; j < sub; ++j) {
+    for (std::size_t j = 0; j < steady_banks_.size(); ++j) {
         const DramCoord c =
             map_.decompose(first + static_cast<Addr>(j) * burst_bytes_);
-        const DramBank &bank = channels_[c.channel].bank(c.rank, c.bank);
+        DramBank &bank = channels_[c.channel].bank(c.rank, c.bank);
         if (f1 - bank.lastAccess() > cfg_.row_open_timeout) {
             return 0;
         }
+        steady_banks_[j] = &bank;
         used_channels |= std::uint64_t{1} << c.channel;
     }
     // Every skipped burst would have consulted the injector at its
@@ -410,10 +410,8 @@ DramController::chargeSteadyLines(Addr line1, std::uint32_t max_lines,
     }
 
     const Tick shift = static_cast<Tick>(m) * d;
-    for (std::uint32_t j = 0; j < sub; ++j) {
-        const DramCoord c =
-            map_.decompose(first + static_cast<Addr>(j) * burst_bytes_);
-        channels_[c.channel].bank(c.rank, c.bank).advance(shift);
+    for (DramBank *bank : steady_banks_) {
+        bank->advance(shift);
     }
     for (std::uint32_t c = 0; c < cfg_.channels; ++c) {
         if ((used_channels >> c) & 1) {

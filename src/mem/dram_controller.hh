@@ -198,6 +198,9 @@ class DramController
     Tick burst_time_;
     std::vector<DramChannel> channels_;
     std::vector<std::vector<PendingWrite>> write_queues_;
+    /** chargeSteadyLines scratch: the bank of each of a line's first
+     * subColumnBytes() / burst_bytes_ bursts. */
+    std::vector<DramBank *> steady_banks_;
     std::uint64_t closed_form_lines_ = 0;
     /** Backoff delay before the @p attempt-th re-issue (capped
      * exponential plus deterministic jitter). */

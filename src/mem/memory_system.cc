@@ -8,9 +8,9 @@
 namespace vstream
 {
 
-MemorySystem::MemorySystem(std::string name, EventQueue *queue,
+MemorySystem::MemorySystem(std::string name, EventQueue *,
                            const DramConfig &cfg)
-    : SimObject(std::move(name), queue), ctrl_(cfg)
+    : name_(std::move(name)), ctrl_(cfg)
 {
 }
 
@@ -79,30 +79,30 @@ MemorySystem::backgroundEnergy(Tick span) const
 void
 MemorySystem::regStats(StatsRegistry &r)
 {
-    r.addCallback(name() + ".requests", "requests serviced", [this] {
+    r.addCallback(name_ + ".requests", "requests serviced", [this] {
         return static_cast<double>(request_count_);
     });
     // next_free_ is the bump-allocator watermark, not a counter.
-    r.addCallback(name() + ".allocatedBytes",
+    r.addCallback(name_ + ".allocatedBytes",
                   "bytes handed out by the bump allocator", [this] {
                       return static_cast<double>(next_free_);
                   });
-    r.addCallback(name() + ".dram.retries",
+    r.addCallback(name_ + ".dram.retries",
                   "bursts re-issued after an injected timeout", [this] {
                       return static_cast<double>(ctrl_.retryCount());
                   });
-    r.addCallback(name() + ".dram.abandoned",
+    r.addCallback(name_ + ".dram.abandoned",
                   "bursts abandoned after exhausting retries", [this] {
                       return static_cast<double>(
                           ctrl_.abandonedCount());
                   });
-    r.addCallback(name() + ".dram.backoffTicks",
+    r.addCallback(name_ + ".dram.backoffTicks",
                   "ticks spent backing off before burst re-issues",
                   [this] {
                       return static_cast<double>(
                           ctrl_.backoffTicks());
                   });
-    ctrl_.energy().regStats(r, name() + ".");
+    ctrl_.energy().regStats(r, name_ + ".");
 }
 
 } // namespace vstream

@@ -19,17 +19,22 @@
 
 #include "mem/dram_controller.hh"
 #include "mem/mem_request.hh"
-#include "sim/sim_object.hh"
+#include "sim/event_queue.hh"
 
 namespace vstream
 {
 
+class StatsRegistry;
+
 /** Top-level simulated memory. */
-class MemorySystem : public SimObject
+class MemorySystem
 {
   public:
-    MemorySystem(std::string name, EventQueue *queue,
-                 const DramConfig &cfg);
+    /** The queue parameter is unused (see sim/event_queue.hh). */
+    MemorySystem(std::string name, EventQueue *, const DramConfig &cfg);
+
+    MemorySystem(const MemorySystem &) = delete;
+    MemorySystem &operator=(const MemorySystem &) = delete;
 
     /**
      * Service a request issued at @p now.
@@ -105,9 +110,11 @@ class MemorySystem : public SimObject
     /** Total requests serviced. */
     std::uint64_t requestCount() const { return request_count_; }
 
-    void regStats(StatsRegistry &r) override;
+    /** Register this memory's stats under its name. */
+    void regStats(StatsRegistry &r);
 
   private:
+    std::string name_;
     DramController ctrl_;
     std::uint64_t next_free_ = 0;
     std::uint64_t peak_allocated_ = 0;

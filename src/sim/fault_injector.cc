@@ -1,5 +1,7 @@
 #include "sim/fault_injector.hh"
 
+#include <utility>
+
 #include "sim/logging.hh"
 #include "sim/spec_fields.hh"
 #include "sim/stats_registry.hh"
@@ -145,9 +147,8 @@ FaultConfig::forSession(std::uint64_t session_id) const
     return scoped;
 }
 
-FaultInjector::FaultInjector(std::string name, EventQueue *queue,
-                             const FaultConfig &cfg)
-    : SimObject(std::move(name), queue), cfg_(cfg),
+FaultInjector::FaultInjector(std::string name, const FaultConfig &cfg)
+    : name_(std::move(name)), cfg_(cfg),
       rule_fired_(cfg_.rules.size(), 0)
 {
     cfg_.validate();
@@ -234,7 +235,7 @@ FaultInjector::regStats(StatsRegistry &r)
     for (std::size_t c = 0; c < kNumFaultClasses; ++c) {
         const auto cls = static_cast<FaultClass>(c);
         const std::string base =
-            name() + "." + faultClassName(cls) + ".";
+            name_ + "." + faultClassName(cls) + ".";
         r.addCallback(base + "injected", "faults injected",
                       [this, c] {
                           return static_cast<double>(injected_[c]);

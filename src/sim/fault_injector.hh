@@ -34,11 +34,12 @@
 #include <vector>
 
 #include "sim/random.hh"
-#include "sim/sim_object.hh"
 #include "sim/ticks.hh"
 
 namespace vstream
 {
+
+class StatsRegistry;
 
 /** The three injectable fault classes. */
 enum class FaultClass : std::uint8_t
@@ -121,11 +122,13 @@ struct FaultTotals
 };
 
 /** The injection oracle every degradation path consults. */
-class FaultInjector : public SimObject
+class FaultInjector
 {
   public:
-    FaultInjector(std::string name, EventQueue *queue,
-                  const FaultConfig &cfg);
+    FaultInjector(std::string name, const FaultConfig &cfg);
+
+    FaultInjector(const FaultInjector &) = delete;
+    FaultInjector &operator=(const FaultInjector &) = delete;
 
     const FaultConfig &config() const { return cfg_; }
     bool enabled() const { return cfg_.enabled(); }
@@ -180,7 +183,8 @@ class FaultInjector : public SimObject
     /** Sums across all classes. */
     FaultTotals totals() const;
 
-    void regStats(StatsRegistry &r) override;
+    /** Register each class's counters under its name. */
+    void regStats(StatsRegistry &r);
 
   private:
     static std::size_t index(FaultClass c)
@@ -188,6 +192,7 @@ class FaultInjector : public SimObject
         return static_cast<std::size_t>(c);
     }
 
+    std::string name_;
     FaultConfig cfg_;
     std::array<Random, kNumFaultClasses> rngs_;
     /** Injections already charged to each rule (max_count caps). */

@@ -4,8 +4,8 @@
  *
  * The simulator's parallelism model is coarse: whole pipelines (one
  * video x scheme unit) or whole session rehearsals run concurrently,
- * each on a fully private substrate (EventQueue, MemorySystem, RNG
- * streams), and the results are merged in canonical input order.
+ * each on a fully private substrate (MemorySystem, RNG streams),
+ * and the results are merged in canonical input order.
  * Nothing inside a unit ever observes which thread ran it or in what
  * order its siblings finished, so output is byte-identical to a
  * serial run at any --jobs value - the determinism contract

@@ -59,17 +59,6 @@ secondsToTicks(double sec)
     return static_cast<Tick>(sec * static_cast<double>(sim_clock::s));
 }
 
-/**
- * Period of a clock in ticks given its frequency in hertz.
- *
- * @param hz Clock frequency; must be non-zero.
- */
-constexpr Tick
-periodFromFreq(double hz)
-{
-    return static_cast<Tick>(static_cast<double>(sim_clock::s) / hz);
-}
-
 /** Number of ticks taken by @p cycles cycles of a clock at @p hz. */
 constexpr Tick
 cyclesToTicks(std::uint64_t cycles, double hz)

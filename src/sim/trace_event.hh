@@ -3,9 +3,9 @@
  * Chrome-trace / Perfetto timeline sink.
  *
  * Records simulation activity - decode bursts, power-state dwells,
- * display scan-outs, DRAM counters, raw EventQueue firings - as
- * Trace Event Format JSON that loads directly in ui.perfetto.dev or
- * chrome://tracing (see docs/TRACING.md).
+ * display scan-outs, DRAM counters - as Trace Event Format JSON that
+ * loads directly in ui.perfetto.dev or chrome://tracing (see
+ * docs/TRACING.md).
  *
  * Tracks map to trace "threads" of one process: each track gets a
  * stable tid in registration order plus a thread_name metadata

@@ -10,7 +10,6 @@
 #include "core/writeback_stage.hh"
 #include "decoder/decode_cost_model.hh"
 #include "decoder/video_decoder.hh"
-#include "sim/event_queue.hh"
 #include "video/synthetic_video.hh"
 
 namespace vstream
@@ -32,7 +31,6 @@ tinyProfile()
 
 struct DecoderRig
 {
-    EventQueue queue;
     MemorySystem mem;
     FrameBufferManager fbm;
     VideoDecoder vd;
@@ -40,9 +38,9 @@ struct DecoderRig
 
     explicit DecoderRig(const VideoProfile &p,
                         const DecoderConfig &cfg = {})
-        : mem("mem", &queue, DramConfig{}),
+        : mem("mem", nullptr, DramConfig{}),
           fbm(mem, p.mabsPerFrame(), p.mab_dim * p.mab_dim * 3, 0),
-          vd("vd", &queue, mem, cfg, p), wb(mem, fbm)
+          vd("vd", nullptr, mem, cfg, p), wb(mem, fbm)
     {
     }
 };

@@ -15,7 +15,6 @@
 #include "display/display_controller.hh"
 #include "display/frame_reconstructor.hh"
 #include "display/mach_buffer.hh"
-#include "sim/event_queue.hh"
 #include "sim/fault_injector.hh"
 #include "sim/random.hh"
 
@@ -211,14 +210,13 @@ TEST(FrameReconstructorDeath, NonSquareBlockPanics)
 
 struct DisplayRig
 {
-    EventQueue queue;
     MemorySystem mem;
     FrameBufferManager fbm;
     DisplayConfig dcfg;
 
     explicit DisplayRig(std::uint32_t mabs, bool dcache = true,
                         bool mbuffer = true)
-        : mem("mem", &queue, DramConfig{}), fbm(mem, mabs, 48, 4096)
+        : mem("mem", nullptr, DramConfig{}), fbm(mem, mabs, 48, 4096)
     {
         dcfg.use_display_cache = dcache;
         dcfg.use_mach_buffer = mbuffer;
@@ -239,7 +237,7 @@ makeFrame(const std::vector<Macroblock> &mabs, std::uint64_t idx)
 TEST(DisplayController, LinearScanReadsWholeFrameOnce)
 {
     DisplayRig rig(8, false, false);
-    DisplayController dc("dc", &rig.queue, rig.mem, rig.fbm, rig.dcfg);
+    DisplayController dc("dc", nullptr, rig.mem, rig.fbm, rig.dcfg);
 
     LinearWriteback wb(rig.mem, rig.fbm);
     Random rng(13);
@@ -278,7 +276,7 @@ TEST_P(LayoutRoundTrip, LosslessAndCheaperWithMatches)
     const LayoutKind kind = std::get<1>(GetParam());
 
     DisplayRig rig(12, true, kind == LayoutKind::kPointerDigest);
-    DisplayController dc("dc", &rig.queue, rig.mem, rig.fbm, rig.dcfg);
+    DisplayController dc("dc", nullptr, rig.mem, rig.fbm, rig.dcfg);
 
     MachConfig mcfg;
     mcfg.use_gradient = gradient;
@@ -371,7 +369,7 @@ TEST_P(ShownChecksum, FoldedFromStorageEqualsRebuiltFrame)
 {
     const ScanCase c = GetParam();
     DisplayRig rig(16, true, c.mach_buffer);
-    DisplayController dc("dc", &rig.queue, rig.mem, rig.fbm, rig.dcfg);
+    DisplayController dc("dc", nullptr, rig.mem, rig.fbm, rig.dcfg);
 
     MachConfig mcfg;
     mcfg.use_gradient = c.gradient;
@@ -389,7 +387,7 @@ TEST_P(ShownChecksum, FoldedFromStorageEqualsRebuiltFrame)
         late.until = 6000;
         fcfg.rules.push_back(late);
     }
-    FaultInjector faults("faults", nullptr, fcfg);
+    FaultInjector faults("faults", fcfg);
     machs.setFaultInjector(&faults);
     std::unique_ptr<WritebackStage> wb;
     if (c.kind == LayoutKind::kLinear) {
@@ -466,7 +464,7 @@ TEST(DisplayController, MachBufferHitSurvivesLaterInsert)
     DisplayRig rig(2, true, true);
     rig.dcfg.mach_buffer_entries = 1;
     rig.dcfg.mach_buffer_ways = 1;
-    DisplayController dc("dc", &rig.queue, rig.mem, rig.fbm, rig.dcfg);
+    DisplayController dc("dc", nullptr, rig.mem, rig.fbm, rig.dcfg);
     MachConfig mcfg;
     MachArray machs(mcfg);
     MachWriteback wb(rig.mem, rig.fbm, machs, LayoutKind::kPointerDigest);
@@ -497,8 +495,7 @@ TEST(DisplayController, DisplayCacheCutsRepeatFetches)
     // cached run must issue fewer DRAM requests (Fig. 10e).
     auto run = [](bool use_cache) {
         DisplayRig rig(16, use_cache, false);
-        DisplayController dc("dc", &rig.queue, rig.mem, rig.fbm,
-                             rig.dcfg);
+        DisplayController dc("dc", nullptr, rig.mem, rig.fbm, rig.dcfg);
         MachConfig mcfg;
         MachArray machs(mcfg);
         MachWriteback wb(rig.mem, rig.fbm, machs,
@@ -523,7 +520,7 @@ TEST(DisplayController, DisplayCacheCutsRepeatFetches)
 TEST(DisplayController, ReRenderCountsAndReads)
 {
     DisplayRig rig(4, false, false);
-    DisplayController dc("dc", &rig.queue, rig.mem, rig.fbm, rig.dcfg);
+    DisplayController dc("dc", nullptr, rig.mem, rig.fbm, rig.dcfg);
     LinearWriteback wb(rig.mem, rig.fbm);
     const Frame f = makeFrame({pure(1), pure(2), pure(3), pure(4)}, 0);
     BufferSlot &slot = rig.fbm.acquire(0);
@@ -545,7 +542,7 @@ TEST(DisplayController, FragmentationCounted)
     // Blocks packed at 48 B offsets: every 4th block is aligned, the
     // rest straddle 64 B lines.
     DisplayRig rig(8, true, false);
-    DisplayController dc("dc", &rig.queue, rig.mem, rig.fbm, rig.dcfg);
+    DisplayController dc("dc", nullptr, rig.mem, rig.fbm, rig.dcfg);
     MachConfig mcfg;
     MachArray machs(mcfg);
     MachWriteback wb(rig.mem, rig.fbm, machs, LayoutKind::kPointer);

@@ -191,8 +191,8 @@ TEST(FaultInjector, SameSeedSameSchedule)
     cfg.rules.push_back(
         parseFaultRule(FaultClass::kDigestCollision, "p=0.05"));
 
-    FaultInjector a("a", nullptr, cfg);
-    FaultInjector b("b", nullptr, cfg);
+    FaultInjector a("a", cfg);
+    FaultInjector b("b", cfg);
     for (Tick t = 0; t < 2000; ++t) {
         ASSERT_EQ(a.shouldInject(FaultClass::kDramTimeout, t),
                   b.shouldInject(FaultClass::kDramTimeout, t));
@@ -216,8 +216,8 @@ TEST(FaultInjector, ClassStreamsAreIndependent)
     cfg.rules.push_back(
         parseFaultRule(FaultClass::kDigestCollision, "p=0.5"));
 
-    FaultInjector alone("alone", nullptr, cfg);
-    FaultInjector mixed("mixed", nullptr, cfg);
+    FaultInjector alone("alone", cfg);
+    FaultInjector mixed("mixed", cfg);
     std::vector<bool> want, got;
     for (Tick t = 0; t < 1000; ++t) {
         want.push_back(
@@ -243,7 +243,7 @@ TEST(FaultInjector, PerClassStreamsArePinned)
         parseFaultRule(FaultClass::kDigestCollision, "p=0.5"));
     cfg.rules.push_back(
         parseFaultRule(FaultClass::kDramTimeout, "p=0.5"));
-    FaultInjector inj("inj", nullptr, cfg);
+    FaultInjector inj("inj", cfg);
 
     const auto draws = [&inj](FaultClass c) {
         std::uint64_t mask = 0;
@@ -273,8 +273,8 @@ TEST(FaultInjector, ConsultsForAClassWithoutRulesChangeNothing)
     cfg.rules.push_back(
         parseFaultRule(FaultClass::kNetworkStall, "p=0.2,len=5ms"));
 
-    FaultInjector alone("alone", nullptr, cfg);
-    FaultInjector mixed("mixed", nullptr, cfg);
+    FaultInjector alone("alone", cfg);
+    FaultInjector mixed("mixed", cfg);
     std::vector<bool> want, got;
     for (Tick t = 0; t < 1000; ++t) {
         want.push_back(alone.shouldInject(FaultClass::kDramTimeout, t));
@@ -302,7 +302,7 @@ TEST(FaultInjector, WindowAndCapRespected)
     FaultConfig cfg;
     cfg.rules.push_back(parseFaultRule(
         FaultClass::kDramTimeout, "p=1,from=100,until=200,max=5"));
-    FaultInjector inj("inj", nullptr, cfg);
+    FaultInjector inj("inj", cfg);
 
     EXPECT_FALSE(
         inj.shouldInject(FaultClass::kDramTimeout, 0));
@@ -323,7 +323,7 @@ TEST(FaultInjector, WindowAndCapRespected)
 
 TEST(FaultInjector, DisabledInjectorIsInert)
 {
-    FaultInjector inj("inj", nullptr, FaultConfig{});
+    FaultInjector inj("inj", FaultConfig{});
     EXPECT_FALSE(inj.enabled());
     EXPECT_FALSE(inj.shouldInject(FaultClass::kDramTimeout, 123));
     EXPECT_EQ(inj.injectStall(123), 0u);
@@ -339,7 +339,7 @@ TEST(FaultInjector, MayInjectWindowEdges)
     rule.from = 100;
     rule.until = 200;
     cfg.rules.push_back(rule);
-    const FaultInjector inj("inj", nullptr, cfg);
+    const FaultInjector inj("inj", cfg);
     const FaultClass c = FaultClass::kDramTimeout;
 
     // [from, until) against the rule's [100, 200).
@@ -363,8 +363,8 @@ TEST(FaultInjector, MayInjectMatchesShouldInjectOpportunities)
     cfg.seed = 11;
     cfg.rules.push_back(parseFaultRule(FaultClass::kDramTimeout,
                                        "p=0.3,from=50ns,until=80ns"));
-    FaultInjector all("all", nullptr, cfg);
-    FaultInjector skip("skip", nullptr, cfg);
+    FaultInjector all("all", cfg);
+    FaultInjector skip("skip", cfg);
     for (Tick t = 0; t < 150 * sim_clock::ns; t += 1000) {
         const bool want = all.shouldInject(FaultClass::kDramTimeout, t);
         if (skip.mayInject(FaultClass::kDramTimeout, t, t + 1)) {
@@ -384,7 +384,7 @@ TEST(FaultInjector, MayInjectFalseOnceRuleIsExhausted)
     FaultConfig cfg;
     cfg.rules.push_back(
         parseFaultRule(FaultClass::kDramTimeout, "p=1,max=2"));
-    FaultInjector inj("inj", nullptr, cfg);
+    FaultInjector inj("inj", cfg);
     const FaultClass c = FaultClass::kDramTimeout;
     EXPECT_TRUE(inj.mayInject(c, 0, maxTick));
     EXPECT_TRUE(inj.shouldInject(c, 10));
@@ -396,7 +396,7 @@ TEST(FaultInjector, MayInjectFalseOnceRuleIsExhausted)
 
 TEST(FaultInjector, MayInjectFalseWhenDisabled)
 {
-    const FaultInjector inj("inj", nullptr, FaultConfig{});
+    const FaultInjector inj("inj", FaultConfig{});
     for (std::size_t k = 0; k < kNumFaultClasses; ++k) {
         EXPECT_FALSE(
             inj.mayInject(static_cast<FaultClass>(k), 0, maxTick));
@@ -410,7 +410,7 @@ TEST(FaultInjector, MayInjectIgnoresOtherClassesAndZeroProbability)
         parseFaultRule(FaultClass::kDigestCollision, "p=1"));
     cfg.rules.push_back(
         parseFaultRule(FaultClass::kDramTimeout, "p=0"));
-    const FaultInjector inj("inj", nullptr, cfg);
+    const FaultInjector inj("inj", cfg);
     EXPECT_FALSE(inj.mayInject(FaultClass::kDramTimeout, 0, maxTick));
     EXPECT_FALSE(inj.mayInject(FaultClass::kNetworkStall, 0, maxTick));
     EXPECT_TRUE(
@@ -457,7 +457,7 @@ TEST(ArrivalModel, InjectedStallDelaysEverythingAfter)
     FaultConfig fcfg;
     fcfg.rules.push_back(parseFaultRule(FaultClass::kNetworkStall,
                                         "at=0ms,len=500ms"));
-    FaultInjector inj("inj", nullptr, fcfg);
+    FaultInjector inj("inj", fcfg);
     ArrivalModel stalled(p, cfg, &inj);
 
     EXPECT_EQ(stalled.stallTicks(), 500 * sim_clock::ms);

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/frame_buffer_manager.hh"
-#include "sim/event_queue.hh"
 
 namespace vstream
 {
@@ -26,12 +25,11 @@ constexpr std::uint32_t kMabBytes = 48;
 
 struct Rig
 {
-    EventQueue queue;
     MemorySystem mem;
     FrameBufferManager fbm;
 
     Rig()
-        : mem("mem", &queue, DramConfig{}),
+        : mem("mem", nullptr, DramConfig{}),
           fbm(mem, kMabs, kMabBytes, 4096)
     {
     }

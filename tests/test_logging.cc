@@ -1,7 +1,6 @@
 /**
  * @file
- * Focused tests for the error-reporting layer (sim/logging.hh) and
- * the EventQueue lifetime/ordering invariants it guards.
+ * Focused tests for the error-reporting layer (sim/logging.hh).
  *
  * The custom analyzer (tools/vstream_analyze, rule logging-discipline)
  * funnels every internal error through vs_assert/vs_panic/vs_fatal,
@@ -14,7 +13,6 @@
 
 #include <string>
 
-#include "sim/event_queue.hh"
 #include "sim/logging.hh"
 
 namespace vstream
@@ -92,60 +90,6 @@ TEST(Logging, QuietModeSuppressesWarnOutput)
     vs_warn("should appear");
     const std::string out = ::testing::internal::GetCapturedStderr();
     EXPECT_NE(out.find("warn: should appear"), std::string::npos);
-}
-
-// ------------------------------------------- EventQueue invariants
-
-TEST(EventQueueInvariants, ScheduleInPastNamesEventAndTicks)
-{
-    EventQueue q;
-    LambdaEvent fired("advance", [] {});
-    q.schedule(&fired, 100);
-    q.run();
-    EXPECT_EQ(q.curTick(), 100u);
-
-    LambdaEvent late("late.event", [] {});
-    // The message must identify the event and both ticks, or the
-    // report is useless for debugging a mis-scheduled component.
-    EXPECT_DEATH(q.schedule(&late, 50),
-                 "event 'late.event' scheduled in the past: 50 < 100");
-}
-
-TEST(EventQueueInvariants, DestroyWhileScheduledNamesEvent)
-{
-    EXPECT_DEATH(
-        {
-            EventQueue q;
-            LambdaEvent ev("leaky.vsync", [] {});
-            q.schedule(&ev, 10);
-            // ev destructs here while still pending: the queue would
-            // be left holding a dangling pointer.
-        },
-        "event 'leaky.vsync' destroyed while scheduled");
-}
-
-TEST(EventQueueInvariants, DescheduleThenDestroyIsClean)
-{
-    EventQueue q;
-    {
-        LambdaEvent ev("transient", [] {});
-        q.schedule(&ev, 10);
-        q.deschedule(&ev);
-        // Destruction after deschedule must NOT fire the invariant.
-    }
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueInvariants, RescheduleOfPendingEventIsAllowed)
-{
-    EventQueue q;
-    Tick seen = 0;
-    LambdaEvent ev("moved", [&] { seen = q.curTick(); });
-    q.schedule(&ev, 10);
-    q.reschedule(&ev, 30);
-    q.run();
-    EXPECT_EQ(seen, 30u);
-    EXPECT_EQ(q.processedCount(), 1u);
 }
 
 } // namespace

@@ -858,8 +858,8 @@ TEST(MachArray, MatchesFrameByFrameReferenceOnSeededSequences)
         }
         std::unique_ptr<FaultInjector> fa, fb;
         if (fcfg.enabled()) {
-            fa = std::make_unique<FaultInjector>("fa", nullptr, fcfg);
-            fb = std::make_unique<FaultInjector>("fb", nullptr, fcfg);
+            fa = std::make_unique<FaultInjector>("fa", fcfg);
+            fb = std::make_unique<FaultInjector>("fb", fcfg);
         }
         MachArray arr(cfg);
         arr.setFaultInjector(fa.get());

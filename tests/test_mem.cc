@@ -17,7 +17,6 @@
 #include "mem/dram_bank.hh"
 #include "mem/dram_controller.hh"
 #include "mem/memory_system.hh"
-#include "sim/event_queue.hh"
 #include "sim/fault_injector.hh"
 #include "sim/random.hh"
 
@@ -244,8 +243,7 @@ TEST(DramEnergy, BackgroundScalesWithSpan)
 
 TEST(MemorySystem, AllocateBumpsAndAligns)
 {
-    EventQueue q;
-    MemorySystem mem("mem", &q, smallConfig());
+    MemorySystem mem("mem", nullptr, smallConfig());
     const Addr a = mem.allocate(100, "x");
     const Addr b = mem.allocate(1, "y");
     EXPECT_EQ(a, 0u);
@@ -256,17 +254,15 @@ TEST(MemorySystem, AllocateBumpsAndAligns)
 
 TEST(MemorySystemDeath, ExhaustionIsFatal)
 {
-    EventQueue q;
     DramConfig cfg = smallConfig();
-    MemorySystem mem("mem", &q, cfg);
+    MemorySystem mem("mem", nullptr, cfg);
     EXPECT_DEATH(mem.allocate(cfg.capacity_bytes + 64, "huge"),
                  "out of simulated DRAM");
 }
 
 TEST(MemorySystem, ReadWriteCountRequests)
 {
-    EventQueue q;
-    MemorySystem mem("mem", &q, smallConfig());
+    MemorySystem mem("mem", nullptr, smallConfig());
     mem.read(0, 64, Requester::kVideoDecoder, 0);
     mem.write(4096, 48, Requester::kDisplayController, 0);
     EXPECT_EQ(mem.requestCount(), 2u);
@@ -451,8 +447,8 @@ TEST(DramReadRun, MatchesPerLineAccessOverSeededTraces)
             fc.rules.push_back(
                 parseFaultRule(FaultClass::kDramTimeout, "p=1,max=2"));
         }
-        FaultInjector inj_a("a", nullptr, fc);
-        FaultInjector inj_b("b", nullptr, fc);
+        FaultInjector inj_a("a", fc);
+        FaultInjector inj_b("b", fc);
         DramController a(cfg);
         DramController b(cfg);
         if (mode != FaultMode::kNone) {
@@ -598,8 +594,8 @@ TEST(DramReadRun, FaultAtAnySkippedCompletionIsSeen)
         rule.until = at + 1;
         rule.max_count = 1;
         fc.rules.push_back(rule);
-        FaultInjector inj_a("a", nullptr, fc);
-        FaultInjector inj_b("b", nullptr, fc);
+        FaultInjector inj_a("a", fc);
+        FaultInjector inj_b("b", fc);
         DramController a{DramConfig{}};
         DramController b{DramConfig{}};
         a.setFaultInjector(&inj_a);
@@ -626,9 +622,8 @@ TEST(DramReadRun, EmptyRunIsFree)
 
 TEST(MemorySystem, ReadLinesMatchesPerLineReads)
 {
-    EventQueue q;
-    MemorySystem a("a", &q, smallConfig());
-    MemorySystem b("b", &q, smallConfig());
+    MemorySystem a("a", nullptr, smallConfig());
+    MemorySystem b("b", nullptr, smallConfig());
     // Three contiguous stretches, one crossing a column span.
     const std::vector<Addr> lines = {0,    64,   128,  192,  1024,
                                      4032, 4096, 4160, 4224, 9000};
@@ -966,8 +961,8 @@ TEST(DramReference, OnePassMatchesFrozenReferenceOverSeededTraces)
             fc.rules.push_back(parseFaultRule(FaultClass::kDramTimeout,
                                               "p=0.05,until=40us"));
         }
-        FaultInjector inj_a("a", nullptr, fc);
-        FaultInjector inj_b("b", nullptr, fc);
+        FaultInjector inj_a("a", fc);
+        FaultInjector inj_b("b", fc);
         DramController dram(cfg);
         ReferenceDram ref(cfg);
         if (armed) {

@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "mem/memory_system.hh"
-#include "sim/event_queue.hh"
 #include "sim/stats_registry.hh"
 
 namespace vstream
@@ -19,10 +18,9 @@ namespace
 
 TEST(MemStats, DumpListsRequesters)
 {
-    EventQueue q;
     DramConfig cfg;
     cfg.capacity_bytes = 64ULL << 20;
-    MemorySystem mem("mem", &q, cfg);
+    MemorySystem mem("mem", nullptr, cfg);
     mem.read(0, 64, Requester::kVideoDecoder, 0);
     mem.write(4096, 64, Requester::kDisplayController, 0);
 
@@ -62,10 +60,9 @@ TEST(MemStats, RequesterNames)
 
 TEST(MemStats, PeakAllocationTracksHighWater)
 {
-    EventQueue q;
     DramConfig cfg;
     cfg.capacity_bytes = 64ULL << 20;
-    MemorySystem mem("mem", &q, cfg);
+    MemorySystem mem("mem", nullptr, cfg);
     mem.allocate(1024, "a");
     mem.allocate(2048, "b");
     EXPECT_EQ(mem.peakAllocatedBytes(), 3072u);

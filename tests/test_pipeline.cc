@@ -8,7 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/video_pipeline.hh"
+#include "sim/trace_event.hh"
 #include "video/workloads.hh"
 
 namespace vstream
@@ -250,6 +256,31 @@ TEST(Pipeline, DeterministicAcrossRuns)
     EXPECT_EQ(a.drops, b.drops);
     EXPECT_EQ(a.dram_total.activations, b.dram_total.activations);
     EXPECT_EQ(a.writeback.totalBytes(), b.writeback.totalBytes());
+}
+
+TEST(Pipeline, TraceHoldsExactlyTheModelTracks)
+{
+    TraceEventSink sink;
+    PipelineConfig cfg;
+    cfg.profile = tinyProfile(8);
+    cfg.scheme = SchemeConfig::make(Scheme::kGab, 4);
+    cfg.trace = &sink;
+    VideoPipeline(std::move(cfg)).run();
+
+    // Each track writes one thread_name record, in track-id order.
+    std::ostringstream os;
+    sink.writeJson(os);
+    const std::string json = os.str();
+    const std::string key = "\"name\":\"thread_name\",\"args\":{\"name\":\"";
+    std::vector<std::string> tracks;
+    for (auto at = json.find(key); at != std::string::npos;
+         at = json.find(key, at)) {
+        at += key.size();
+        tracks.push_back(json.substr(at, json.find('"', at) - at));
+    }
+    EXPECT_EQ(tracks, (std::vector<std::string>{"vd.decode", "vd.power",
+                                                "dc.scanout", "dram"}));
+    EXPECT_EQ(sink.trackCount(), tracks.size());
 }
 
 TEST(Pipeline, DisplayVerifiedLossless)

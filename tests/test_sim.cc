@@ -1,16 +1,11 @@
 /**
  * @file
- * Unit tests for the simulation kernel: ticks, event queue, logging.
+ * Unit tests for the simulation kernel: ticks and logging.
  */
 
 #include <gtest/gtest.h>
 
-#include <string>
-#include <vector>
-
-#include "sim/event_queue.hh"
 #include "sim/logging.hh"
-#include "sim/sim_object.hh"
 #include "sim/ticks.hh"
 
 namespace vstream
@@ -33,172 +28,10 @@ TEST(Ticks, Conversions)
     EXPECT_EQ(secondsToTicks(0.001), sim_clock::ms);
 }
 
-TEST(Ticks, PeriodFromFreq)
-{
-    // 60 Hz -> 16.67 ms.
-    const Tick p = periodFromFreq(60.0);
-    EXPECT_NEAR(ticksToMs(p), 16.6667, 1e-3);
-    // 800 MHz -> 1.25 ns.
-    EXPECT_EQ(periodFromFreq(800e6), 1250u);
-}
-
 TEST(Ticks, CyclesToTicks)
 {
     EXPECT_EQ(cyclesToTicks(150, 150e6), sim_clock::us);
     EXPECT_EQ(cyclesToTicks(0, 300e6), 0u);
-}
-
-TEST(EventQueue, ProcessesInTimeOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    LambdaEvent e1("e1", [&] { order.push_back(1); });
-    LambdaEvent e2("e2", [&] { order.push_back(2); });
-    LambdaEvent e3("e3", [&] { order.push_back(3); });
-
-    q.schedule(&e2, 200);
-    q.schedule(&e3, 300);
-    q.schedule(&e1, 100);
-    q.run();
-
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(q.curTick(), 300u);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, PriorityBreaksTies)
-{
-    EventQueue q;
-    std::vector<char> order;
-    LambdaEvent lo("lo", [&] { order.push_back('l'); },
-                   Event::kMinimumPriority);
-    LambdaEvent hi("hi", [&] { order.push_back('h'); },
-                   Event::kMaximumPriority);
-    q.schedule(&lo, 50);
-    q.schedule(&hi, 50);
-    q.run();
-    EXPECT_EQ(order, (std::vector<char>{'h', 'l'}));
-}
-
-TEST(EventQueue, FifoAmongEqualPriority)
-{
-    EventQueue q;
-    std::vector<int> order;
-    LambdaEvent a("a", [&] { order.push_back(0); });
-    LambdaEvent b("b", [&] { order.push_back(1); });
-    q.schedule(&a, 10);
-    q.schedule(&b, 10);
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1}));
-}
-
-TEST(EventQueue, DescheduleCancels)
-{
-    EventQueue q;
-    int fired = 0;
-    LambdaEvent e("e", [&] { ++fired; });
-    q.schedule(&e, 10);
-    EXPECT_TRUE(e.scheduled());
-    q.deschedule(&e);
-    EXPECT_FALSE(e.scheduled());
-    q.run();
-    EXPECT_EQ(fired, 0);
-}
-
-TEST(EventQueue, RescheduleMoves)
-{
-    EventQueue q;
-    Tick fired_at = 0;
-    LambdaEvent e("e", [&] { fired_at = q.curTick(); });
-    q.schedule(&e, 10);
-    q.reschedule(&e, 500);
-    q.run();
-    EXPECT_EQ(fired_at, 500u);
-    EXPECT_EQ(q.processedCount(), 1u);
-}
-
-TEST(EventQueue, EventsMayRescheduleThemselves)
-{
-    EventQueue q;
-    int count = 0;
-    LambdaEvent tick("tick", [&] {
-        if (++count < 5) {
-            q.schedule(&tick, q.curTick() + 100);
-        }
-    });
-    q.schedule(&tick, 0);
-    q.run();
-    EXPECT_EQ(count, 5);
-    EXPECT_EQ(q.curTick(), 400u);
-}
-
-TEST(EventQueue, RunLimitStopsEarly)
-{
-    EventQueue q;
-    int fired = 0;
-    LambdaEvent a("a", [&] { ++fired; });
-    LambdaEvent b("b", [&] { ++fired; });
-    q.schedule(&a, 100);
-    q.schedule(&b, 1000);
-    q.run(500);
-    EXPECT_EQ(fired, 1);
-    EXPECT_FALSE(q.empty());
-    q.run();
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, StepProcessesExactlyOne)
-{
-    EventQueue q;
-    int fired = 0;
-    LambdaEvent a("a", [&] { ++fired; });
-    LambdaEvent b("b", [&] { ++fired; });
-    q.schedule(&a, 1);
-    q.schedule(&b, 2);
-    EXPECT_TRUE(q.step());
-    EXPECT_EQ(fired, 1);
-    EXPECT_TRUE(q.step());
-    EXPECT_FALSE(q.step());
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueueDeath, SchedulingInPastPanics)
-{
-    EventQueue q;
-    LambdaEvent a("a", [] {});
-    LambdaEvent b("b", [] {});
-    q.schedule(&a, 100);
-    q.run();
-    EXPECT_DEATH(q.schedule(&b, 50), "scheduled in the past");
-}
-
-TEST(EventQueueDeath, DoubleSchedulePanics)
-{
-    EventQueue q;
-    LambdaEvent a("a", [] {});
-    q.schedule(&a, 10);
-    EXPECT_DEATH(q.schedule(&a, 20), "already scheduled");
-    q.deschedule(&a);
-}
-
-TEST(EventQueueDeath, DestroyWhileScheduledPanics)
-{
-    EXPECT_DEATH(
-        {
-            EventQueue q;
-            LambdaEvent e("doomed", [] {});
-            q.schedule(&e, 10);
-            // e destroyed while scheduled.
-        },
-        "destroyed while scheduled");
-}
-
-TEST(SimObject, HoldsNameAndQueue)
-{
-    EventQueue q;
-    SimObject obj("soc.vd", &q);
-    EXPECT_EQ(obj.name(), "soc.vd");
-    EXPECT_EQ(obj.eventQueue(), &q);
 }
 
 TEST(Logging, WarnIncrementsCounter)

@@ -9,7 +9,6 @@
 #include "core/video_pipeline.hh"
 #include "core/writeback_stage.hh"
 #include "display/display_controller.hh"
-#include "sim/event_queue.hh"
 #include "video/synthetic_video.hh"
 
 namespace vstream
@@ -55,14 +54,13 @@ TEST(StaticFrames, ZeroRateNeverRepeatsWholeFrames)
 
 TEST(TransactionElimination, SkipsIdenticalScan)
 {
-    EventQueue queue;
-    MemorySystem mem("mem", &queue, DramConfig{});
+    MemorySystem mem("mem", nullptr, DramConfig{});
     FrameBufferManager fbm(mem, 8, 48, 0);
     DisplayConfig dcfg;
     dcfg.use_display_cache = false;
     dcfg.use_mach_buffer = false;
     dcfg.transaction_elimination = true;
-    DisplayController dc("dc", &queue, mem, fbm, dcfg);
+    DisplayController dc("dc", nullptr, mem, fbm, dcfg);
 
     LinearWriteback wb(mem, fbm);
     Frame f(0, FrameType::kI, 8, 1, 4);

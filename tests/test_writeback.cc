@@ -11,7 +11,6 @@
 #include "core/coalescing_buffer.hh"
 #include "core/frame_buffer_manager.hh"
 #include "core/writeback_stage.hh"
-#include "sim/event_queue.hh"
 #include "sim/random.hh"
 #include "video/synthetic_video.hh"
 
@@ -22,12 +21,11 @@ namespace
 
 struct Rig
 {
-    EventQueue queue;
     MemorySystem mem;
     FrameBufferManager fbm;
 
     explicit Rig(std::uint32_t mabs = 32)
-        : mem("mem", &queue, DramConfig{}),
+        : mem("mem", nullptr, DramConfig{}),
           fbm(mem, mabs, 48, 4096)
     {
     }

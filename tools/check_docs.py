@@ -81,7 +81,8 @@ REMOVED_NAMES = ("refresh_enabled", "ReplPolicy", "stats::Scalar",
                  "CrcKernel", "availableCrc32Kernels", "crc32BatchWith",
                  "write_allocate", "writebackCount", "resetStats",
                  "TracePolicy", "kSkipFrame", "kTraceCorrupt",
-                 "refresh_hz", "dram_backoff_base")
+                 "refresh_hz", "dram_backoff_base", "LambdaEvent",
+                 "SimObject", "setTraceSink", "periodFromFreq")
 REMOVED_NAME_RE = re.compile(
     r"(?<![\w:])(" + "|".join(re.escape(n) for n in REMOVED_NAMES) +
     r")(?!\w)")

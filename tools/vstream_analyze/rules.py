@@ -100,20 +100,16 @@ NAKED_DELETE_RE = re.compile(r'(?<![A-Za-z0-9_])delete(\s*\[\s*\])?\s')
 
 
 def check_naked_new(ctx, sf):
-    if sf.rel.startswith('src/sim/'):
-        return
     for line, m in match_lines(sf.code, NAKED_NEW_RE):
         ctx.emit(sf, line, 'no-naked-new',
-                 'naked new outside src/sim; use std::make_unique '
-                 'or a container')
+                 'naked new; use std::make_unique or a container')
     for line, m in match_lines(sf.code, NAKED_DELETE_RE):
         # "= delete" (deleted special members) is not a deallocation.
         start = sf.code.rfind('\n', 0, m.start()) + 1
         if sf.code[start:m.start()].rstrip().endswith('='):
             continue
         ctx.emit(sf, line, 'no-naked-new',
-                 'naked delete outside src/sim; prefer RAII '
-                 'ownership')
+                 'naked delete; prefer RAII ownership')
 
 
 NONDET_RE = re.compile(

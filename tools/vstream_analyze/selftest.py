@@ -189,6 +189,15 @@ Dead::neverCalled() const
 }
 '''
 
+BAD_SIM_NEW = '''\
+// src/sim/ has no exemption: no-naked-new must fire here too.
+int *
+leakOne()
+{
+    return new int(7);
+}
+'''
+
 # -- good inputs: zero findings expected -----------------------------
 
 GOOD_HEADER = '''\
@@ -411,6 +420,7 @@ BAD_FILES = {
     'src/core/bad_shared.cc': BAD_SHARED,
     'src/core/bad_unref.hh': BAD_UNREF,
     'src/core/bad_unref.cc': BAD_UNREF_IMPL,
+    'src/sim/bad_new.cc': BAD_SIM_NEW,
 }
 
 GOOD_FILES = {
@@ -495,8 +505,8 @@ def run():
         findings = rules.run_all(project)
 
     bad_rules = {f.rule for f in findings if '/bad' in f.path}
-    good_hits = [f for f in findings
-                 if '/good' in f.path or '/sim/' in f.path]
+    good_hits = [f for f in findings if '/good' in f.path or
+                 ('/sim/' in f.path and '/bad' not in f.path)]
 
     ok = not failures
     for rule in sorted(set(rules.RULE_IDS) - bad_rules):
@@ -514,6 +524,11 @@ def run():
         print('self-test: no-unchecked-io fired %d times on bad.hh, '
               'want 4 (fread, std::fread, ::read, three-argument '
               'read)' % len(io_bad), file=sys.stderr)
+        ok = False
+    if not any(f.rule == 'no-naked-new' and
+               f.path.endswith('src/sim/bad_new.cc') for f in findings):
+        print('self-test: no-naked-new did not fire in src/sim/',
+              file=sys.stderr)
         ok = False
     for f in good_hits:
         print('self-test: false positive on clean input: %s' % f,
