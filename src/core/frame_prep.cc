@@ -7,19 +7,18 @@ namespace vstream
 
 // vstream:hot
 void
-prepareFrame(SyntheticVideo &video, const MachConfig *mach,
+prepareFrame(SyntheticVideo &video, const MachPlan *mach,
              PreparedFrame &out)
 {
     video.nextFrameInto(out.frame);
     if (mach != nullptr) {
-        prepareMachRepr(out.frame, *mach, out.mach);
+        prepareMachFrame(out.frame, *mach, out.mach);
     }
 }
 
-FramePrep::FramePrep(const VideoProfile &profile, const MachConfig *mach,
+FramePrep::FramePrep(const VideoProfile &profile, const MachPlan *mach,
                      bool ahead)
-    : video_(profile), has_mach_(mach != nullptr),
-      mach_(mach != nullptr ? *mach : MachConfig{}),
+    : video_(profile), mach_(mach != nullptr ? *mach : MachPlan{}),
       frames_(video_.profile().frame_count),
       threaded_(ahead && !video_.sharesContent())
 {
@@ -32,9 +31,10 @@ FramePrep::FramePrep(const VideoProfile &profile, const MachConfig *mach,
     for (PreparedFrame &slot : slots_) {
         slot.frame = Frame(0, FrameType::kI, p.mabsX(), p.mabsY(),
                            p.mab_dim);
-        if (has_mach_) {
+        if (mach_.machs != nullptr) {
             slot.mach.sizeFor(p.mabsPerFrame(),
-                           p.mab_dim * p.mab_dim * kBytesPerPixel, mach_);
+                              p.mab_dim * p.mab_dim * kBytesPerPixel,
+                              mach_.machs->config());
         }
     }
     helper_ = std::thread([this] { run(); });
@@ -57,12 +57,15 @@ FramePrep::run()
                 return;
             }
         }
-        prepareFrame(video_, has_mach_ ? &mach_ : nullptr, slots_[k % 2]);
+        prepareFrame(video_, plan(), slots_[k % 2]);
         {
             const std::lock_guard<std::mutex> lock(mu_);
             prepared_ = k + 1;
         }
         cv_.notify_all();
+        // Draw frame k + 1 while its buffer may still be in use: only
+        // the copy, the representation and the decisions wait for it.
+        video_.generateAhead();
     }
 }
 
@@ -74,7 +77,7 @@ FramePrep::take(std::uint64_t index)
               ", got ", index);
     ++next_take_;
     if (!threaded()) {
-        prepareFrame(video_, has_mach_ ? &mach_ : nullptr, slots_[0]);
+        prepareFrame(video_, plan(), slots_[0]);
         return slots_[0];
     }
     std::unique_lock<std::mutex> lock(mu_);

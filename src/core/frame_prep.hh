@@ -5,20 +5,26 @@
  *
  * Preparing a frame draws it from the SyntheticVideo (its CRC32 comes
  * with it, taken once when the plane was generated) and, for schemes
- * with a MACH, computes its MACH representation: the gab bytes in
- * gradient mode, the primary digest of every block and, with CO-MACH,
- * the CRC16 aux.  None of it depends on simulated time, so it can run
- * ahead of the decode loop.
+ * with a MACH, runs prepareMachFrame(): the gab bytes in gradient
+ * mode, the primary digest of every block, with CO-MACH the CRC16
+ * aux, and the MACH state half - each mab's lookup and insert
+ * against the MachArray, recorded as one MachOutcome per mab plus the
+ * frame's MACH dump (core/writeback_stage.hh).  None of it depends on
+ * simulated time, so it can run ahead of the decode loop; the
+ * decode thread's MachWriteback::writeMab() only times, stores and
+ * counts.  (A MachArray that injects digest collisions is the
+ * exception: its lookups wait for writeMab().)
  *
  * FramePrep is the pipeline's preparation stage.  A streamed video
  * (one that does not share its content, SyntheticVideo::sharesContent)
  * played by its own caller gets a helper thread that prepares frame
  * k+1 while the consumer simulates frame k, handing frames over
- * through a double buffer.  A shared-content video, and every session
- * a serving scheduler steps (VideoPipeline::Driver::kScheduler),
- * prepares each frame inline when it is taken.
- * Both call prepareFrame(), so the frames and representations are the
- * same bytes either way.
+ * through a double buffer; the helper then owns the MachArray's state
+ * half, and the consumer its accounting half.  A shared-content
+ * video, and every session a serving scheduler steps
+ * (VideoPipeline::Driver::kScheduler), prepares each frame inline
+ * when it is taken.  Both call prepareFrame(), so the frames,
+ * representations and outcomes are the same bytes either way.
  */
 
 #ifndef VSTREAM_CORE_FRAME_PREP_HH
@@ -30,7 +36,6 @@
 #include <mutex>
 #include <thread>
 
-#include "core/mach_config.hh"
 #include "core/writeback_stage.hh"
 #include "video/frame.hh"
 #include "video/synthetic_video.hh"
@@ -38,7 +43,8 @@
 namespace vstream
 {
 
-/** One prepared frame: the frame and, with a MACH, its representation. */
+/** One prepared frame: the frame and, with a MACH, its
+ * representation and outcomes. */
 struct PreparedFrame
 {
     Frame frame;
@@ -46,8 +52,8 @@ struct PreparedFrame
 };
 
 /** Draw @p video's next frame into @p out and, when @p mach is not
- * null, prepare its MACH representation under *@p mach. */
-void prepareFrame(SyntheticVideo &video, const MachConfig *mach,
+ * null, prepare and decide it under *@p mach (prepareMachFrame()). */
+void prepareFrame(SyntheticVideo &video, const MachPlan *mach,
                   PreparedFrame &out);
 
 /**
@@ -56,22 +62,25 @@ void prepareFrame(SyntheticVideo &video, const MachConfig *mach,
  * Frames are taken in order, 0 to frame_count - 1.  take(i) returns
  * frame i prepared; release(i) hands its buffer back once nothing reads
  * it any more.  A streamed video prepared ahead runs a helper thread,
- * started by the constructor, that stays at most one frame ahead of the consumer: the
- * two buffers hold the frame being simulated and the next one.  stop()
- * (also run by the destructor) joins the helper; a stopped stage must
- * not be taken from again.
+ * started by the constructor, that stays at most one frame ahead of
+ * the consumer: the two buffers hold the frame being simulated and the
+ * next one.  While it waits for a buffer, the helper already draws the
+ * frame after that into the video's ring (SyntheticVideo::
+ * generateAhead()).  stop() (also run by the destructor) joins the
+ * helper; a stopped stage must not be taken from again.
  */
 class FramePrep
 {
   public:
     /**
      * @param profile the video to play
-     * @param mach    MACH config the representations follow (copied),
-     *                or nullptr for a scheme without a MACH
+     * @param mach    how frames are decided (copied; its MachArray
+     *                must outlive the stage), or nullptr for a scheme
+     *                without a MACH
      * @param ahead   prepare a streamed video on a helper thread; when
      *                false (or the content is shared) prepare inline
      */
-    FramePrep(const VideoProfile &profile, const MachConfig *mach,
+    FramePrep(const VideoProfile &profile, const MachPlan *mach,
               bool ahead);
     ~FramePrep();
 
@@ -92,13 +101,20 @@ class FramePrep
 
   private:
     /** The helper thread's body: prepare every frame in order.  The
-     * buffers are sized before it starts, so it allocates nothing,
-     * and a broken invariant panics: nothing can escape the thread. */
+     * buffers are sized before it starts, so it allocates nothing but
+     * the MACH table's one-time truth reserve, and a broken invariant
+     * panics: nothing can escape the thread. */
     void run();
 
+    /** The plan prepareFrame() takes: mach_, or null without a MACH. */
+    const MachPlan *
+    plan() const
+    {
+        return mach_.machs != nullptr ? &mach_ : nullptr;
+    }
+
     SyntheticVideo video_;
-    bool has_mach_;
-    MachConfig mach_;
+    MachPlan mach_;
     std::uint64_t frames_;
     /** Streamed video prepared ahead: a helper prepares the frames. */
     bool threaded_;

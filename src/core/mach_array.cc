@@ -56,14 +56,21 @@ MachLookupResult
 MachArray::lookup(std::uint32_t digest, std::uint16_t aux,
                   std::span<const std::uint8_t> truth, Tick now)
 {
-    ++stats_.lookups;
+    const MachLookupResult result = probe(digest, aux, truth, now);
+    count(result.bits(), result.digest);
+    return result;
+}
+
+MachLookupResult
+MachArray::probe(std::uint32_t digest, std::uint16_t aux,
+                 std::span<const std::uint8_t> truth, Tick now)
+{
     MachLookupResult result;
 
     // Bypassed (circuit breaker open): every block is treated as
     // unique so nothing stale in the caches can be matched.
     if (bypass_) {
-        ++stats_.bypassed_lookups;
-        ++stats_.misses;
+        result.bypassed = true;
         return result;
     }
 
@@ -80,6 +87,7 @@ MachArray::lookup(std::uint32_t digest, std::uint16_t aux,
         aux = collider_aux_;
         forged = true;
     }
+    result.digest = digest;
 
     // Current frame first (intra), then history newest-to-oldest.
     MachProbe probe = ring_.lookup(digest, aux, truth);
@@ -104,9 +112,8 @@ MachArray::lookup(std::uint32_t digest, std::uint16_t aux,
         }
     }
 
-    if (forged && result.hit && result.collision_undetected) {
-        ++stats_.injected_collisions;
-    }
+    result.injected =
+        forged && result.hit && result.collision_undetected;
 
     // Verify-on-hit byte compare: any hit whose stored bytes differ
     // from the candidate (i.e. an undetected collision, injected or
@@ -114,7 +121,7 @@ MachArray::lookup(std::uint32_t digest, std::uint16_t aux,
     // full 48 B unique write.
     if (cfg_.verify_on_hit && result.hit &&
         result.collision_undetected) {
-        ++stats_.false_hits;
+        result.false_hit = true;
         if (faults_ != nullptr && forged) {
             faults_->noteRecovered(FaultClass::kDigestCollision);
         }
@@ -124,9 +131,27 @@ MachArray::lookup(std::uint32_t digest, std::uint16_t aux,
         result.ptr = 0;
         result.collision_undetected = false;
     }
+    return result;
+}
 
-    if (result.hit) {
-        if (result.inter) {
+// vstream:hot
+void
+MachArray::count(std::uint8_t bits, std::uint32_t digest)
+{
+    ++stats_.lookups;
+    if ((bits & kMachBypassed) != 0) {
+        ++stats_.bypassed_lookups;
+        ++stats_.misses;
+        return;
+    }
+    if ((bits & kMachInjected) != 0) {
+        ++stats_.injected_collisions;
+    }
+    if ((bits & kMachFalseHit) != 0) {
+        ++stats_.false_hits;
+    }
+    if ((bits & kMachHit) != 0) {
+        if ((bits & kMachInter) != 0) {
             ++stats_.inter_hits;
         } else {
             ++stats_.intra_hits;
@@ -135,13 +160,12 @@ MachArray::lookup(std::uint32_t digest, std::uint16_t aux,
     } else {
         ++stats_.misses;
     }
-    if (result.collision_detected) {
+    if ((bits & kMachCollisionDetected) != 0) {
         ++stats_.collisions_detected;
     }
-    if (result.collision_undetected) {
+    if ((bits & kMachCollisionUndetected) != 0) {
         ++stats_.collisions_undetected;
     }
-    return result;
 }
 
 void
@@ -149,13 +173,22 @@ MachArray::insertUnique(std::uint32_t digest, std::uint16_t aux, Addr ptr,
                         std::span<const std::uint8_t> truth,
                         bool collided)
 {
+    store(digest, aux, ptr, truth, collided);
+    countInsert(static_cast<std::uint8_t>(
+        (bypass_ ? kMachBypassed : 0) |
+        (collided && co_mach_ ? kMachCoMachInsert : 0)));
+}
+
+void
+MachArray::store(std::uint32_t digest, std::uint16_t aux, Addr ptr,
+                 std::span<const std::uint8_t> truth, bool collided)
+{
     if (bypass_) {
         // The caller already paid for the unique write; recording it
         // would let a later (re-probed) lookup hit a block whose
         // digest path was never exercised.
         return;
     }
-    ++stats_.inserts;
     if (write_observer_) {
         write_observer_(digest, aux, truth);
     }
@@ -170,7 +203,6 @@ MachArray::insertUnique(std::uint32_t digest, std::uint16_t aux, Addr ptr,
         collider_truth_.assign(truth.begin(), truth.end());
     }
     if (collided && co_mach_) {
-        ++co_mach_inserts_;
         co_mach_->insert(digest, aux, ptr, truth);
         return;
     }

@@ -9,6 +9,16 @@
  * frame's MACH is an intra-match, a hit in an older MACH an
  * inter-match - the distinction decides whether the frame-buffer
  * layout stores a pointer or a digest (Sec. 5.1).
+ *
+ * The array has a state half and an accounting half.  probe(),
+ * store() and beginFrame() advance the caches (and the injector, the
+ * write observer and the collider snapshot); count() and
+ * countInsert() record MachStats, the Fig. 9b match counts and the
+ * CO-MACH inserts.  The two halves share no member, so a streamed
+ * playback decides a frame on its preparation thread while the
+ * decode thread accounts for the frame before it
+ * (core/frame_prep.hh); lookup() and insertUnique() run both halves
+ * at once.
  */
 
 #ifndef VSTREAM_CORE_MACH_ARRAY_HH
@@ -44,6 +54,24 @@ using MachWriteObserver =
     std::function<void(std::uint32_t digest, std::uint16_t aux,
                        std::span<const std::uint8_t> truth)>;
 
+/** Bits of one MACH decision, as MachArray::count() and
+ * countInsert() read them. */
+enum MachBit : std::uint8_t
+{
+    kMachHit = 1U << 0,
+    kMachInter = 1U << 1,
+    kMachCollisionDetected = 1U << 2,
+    kMachCollisionUndetected = 1U << 3,
+    /** Answered "miss" because the array was bypassed. */
+    kMachBypassed = 1U << 4,
+    /** A hit demoted to a miss by the verify-on-hit byte compare. */
+    kMachFalseHit = 1U << 5,
+    /** An injected digest collision that hit a wrong block. */
+    kMachInjected = 1U << 6,
+    /** The unique block that followed the miss went to CO-MACH. */
+    kMachCoMachInsert = 1U << 7,
+};
+
 /** Combined outcome of searching all MACHs. */
 struct MachLookupResult
 {
@@ -55,6 +83,24 @@ struct MachLookupResult
     Addr ptr = 0;
     bool collision_detected = false;
     bool collision_undetected = false;
+    bool bypassed = false;
+    bool false_hit = false;
+    bool injected = false;
+    /** The digest looked up: the block's own, or the one an injected
+     * collision forged (the Fig. 9b match count keys on it). */
+    std::uint32_t digest = 0;
+
+    /** This result as MachBit flags. */
+    std::uint8_t
+    bits() const
+    {
+        return static_cast<std::uint8_t>(
+            (hit ? kMachHit : 0) | (inter ? kMachInter : 0) |
+            (collision_detected ? kMachCollisionDetected : 0) |
+            (collision_undetected ? kMachCollisionUndetected : 0) |
+            (bypassed ? kMachBypassed : 0) |
+            (false_hit ? kMachFalseHit : 0) | (injected ? kMachInjected : 0));
+    }
 };
 
 /** Running statistics of the MACH array. */
@@ -104,7 +150,8 @@ class MachArray
     void beginFrame();
 
     /**
-     * Search every cache for @p digest.
+     * Search every cache for @p digest and count the lookup:
+     * probe() then count().
      *
      * @param now simulated time, the fault injector's opportunity
      *        clock for FaultClass::kDigestCollision.
@@ -113,8 +160,23 @@ class MachArray
                             std::span<const std::uint8_t> truth,
                             Tick now = 0);
 
+    /** State half of lookup(): search, consult the injector and run
+     * the verify-on-hit compare, counting nothing. */
+    MachLookupResult probe(std::uint32_t digest, std::uint16_t aux,
+                           std::span<const std::uint8_t> truth,
+                           Tick now = 0);
+
+    /** Accounting half of lookup(): record a probe's MachBit
+     * @p bits, whose hit matched @p digest. */
+    void count(std::uint8_t bits, std::uint32_t digest);
+
     /** Arm digest-collision injection (nullptr disables it). */
     void setFaultInjector(FaultInjector *faults) { faults_ = faults; }
+
+    /** True when digest collisions are injected: each probe then
+     * depends on its block's decode tick, so it cannot be decided
+     * ahead of the decode. */
+    bool injectsCollisions() const { return faults_ != nullptr; }
 
     /**
      * Bypass the array: every lookup misses (counted separately) and
@@ -134,7 +196,7 @@ class MachArray
     }
 
     /**
-     * Record a freshly written unique block.
+     * Record a freshly written unique block: store() then count it.
      *
      * Inserts into the current MACH, or into CO-MACH when the lookup
      * that preceded this call detected a digest collision.
@@ -142,6 +204,24 @@ class MachArray
     void insertUnique(std::uint32_t digest, std::uint16_t aux, Addr ptr,
                       std::span<const std::uint8_t> truth,
                       bool collided);
+
+    /** State half of insertUnique() (a no-op while bypassed). */
+    void store(std::uint32_t digest, std::uint16_t aux, Addr ptr,
+               std::span<const std::uint8_t> truth, bool collided);
+
+    /** Accounting half of insertUnique(), from the MachBit @p bits
+     * of the lookup the insert followed. */
+    void
+    countInsert(std::uint8_t bits)
+    {
+        if ((bits & kMachBypassed) != 0) {
+            return;
+        }
+        ++stats_.inserts;
+        if ((bits & kMachCoMachInsert) != 0) {
+            ++co_mach_inserts_;
+        }
+    }
 
     /** The ring of per-frame MACHs; its validCount() and
      * forEachValid() see the frame being decoded. */
@@ -167,7 +247,8 @@ class MachArray
 
   private:
     MachConfig cfg_;
-    FlatCounter match_counts_;
+
+    // --- state half: beginFrame(), probe(), store() -------------------
     /**
      * The num_machs per-frame MACHs.  Advancing a frame recycles the
      * aged-out slot in place, so frame boundaries perform no heap
@@ -177,17 +258,23 @@ class MachArray
     /** CO-MACH (Sec. 6.3): the current frame's collided blocks under
      * their full 48-bit tags, cleared at every frame boundary. */
     std::optional<MachTable> co_mach_;
-    std::uint64_t co_mach_inserts_ = 0;
-    MachStats stats_;
     FaultInjector *faults_ = nullptr;
     MachWriteObserver write_observer_;
     bool bypass_ = false;
     /** Snapshot of a previously inserted block whose digest a later
-     * lookup can be forged to collide with. */
+     * lookup can be forged to collide with (injection only). */
     bool have_collider_ = false;
     std::uint32_t collider_digest_ = 0;
     std::uint16_t collider_aux_ = 0;
     std::vector<std::uint8_t> collider_truth_;
+
+    // --- accounting half: count(), countInsert() ---------------------
+    // Last, behind the collider fields (touched only with injection,
+    // when one thread runs both halves), so no cache line holds both
+    // a counter and the ring's state.
+    FlatCounter match_counts_;
+    std::uint64_t co_mach_inserts_ = 0;
+    MachStats stats_;
 };
 
 } // namespace vstream

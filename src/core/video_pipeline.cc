@@ -48,7 +48,7 @@ struct Playback
     MachWriteback *mach_wb = nullptr;
     /** Frame preparation: a helper thread for a streamed video the
      * pipeline's own caller steps, inline otherwise.  Created after
-     * machs (it follows their config). */
+     * machs, whose state half it advances. */
     std::unique_ptr<FramePrep> prep;
 
     // Robustness plumbing (both null in a pristine run: the fault
@@ -165,8 +165,11 @@ struct Playback
                                                       faults.get());
         }
 
+        const MachPlan plan =
+            mach_wb != nullptr ? mach_wb->plan() : MachPlan{};
         prep = std::make_unique<FramePrep>(
-            c.profile, machs ? &machs->config() : nullptr, prepare_ahead);
+            c.profile, mach_wb != nullptr ? &plan : nullptr,
+            prepare_ahead);
 
         finishes.assign(frames, maxTick);
         frame_exec_ms.reserve(frames);
@@ -637,6 +640,8 @@ void
 VideoPipeline::setMachBypass(bool on)
 {
     vs_assert(p_ != nullptr, "start() must precede setMachBypass()");
+    vs_assert(!p_->prep->threaded(),
+              "setMachBypass() on a pipeline that decides ahead");
     if (p_->machs) {
         p_->machs->setBypass(on);
     }
@@ -647,6 +652,8 @@ VideoPipeline::setMachWriteObserver(MachWriteObserver obs)
 {
     vs_assert(p_ != nullptr,
               "start() must precede setMachWriteObserver()");
+    vs_assert(!p_->prep->threaded(),
+              "setMachWriteObserver() on a pipeline that decides ahead");
     if (p_->machs) {
         p_->machs->setWriteObserver(std::move(obs));
     }
@@ -663,6 +670,8 @@ MachStats
 VideoPipeline::liveMachStats() const
 {
     vs_assert(p_ != nullptr, "start() must precede liveMachStats()");
+    vs_assert(!p_->prep->threaded(),
+              "liveMachStats() on a pipeline that decides ahead");
     return p_->machs ? p_->machs->stats() : MachStats{};
 }
 

@@ -170,13 +170,19 @@ class VideoPipeline
     /** MACH present in this scheme (breaker has something to trip)? */
     bool hasMach() const;
 
+    // setMachBypass(), setMachWriteObserver() and liveMachStats()
+    // need a pipeline that prepares inline (!preparesAhead()): one
+    // preparing ahead decides the next frame's lookups on its helper
+    // thread while the current frame is counted.
+
     /** Bypass (true) or re-enable (false) the MACH array: the
      * circuit-breaker fallback to full 48 B unique writes. */
     void setMachBypass(bool on);
 
     /** Attach @p obs to the MACH array's unique-block writes (no-op
      * for schemes without MACH); the shared dedup tier's recording
-     * hook (serve/shared_mach.hh). */
+     * hook (serve/shared_mach.hh).  It is called as each frame is
+     * prepared. */
     void setMachWriteObserver(MachWriteObserver obs);
 
     /** Live mid-run counters (drops, underruns, batch shrinks). */

@@ -1,6 +1,7 @@
 #include "core/writeback_stage.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/dcc.hh"
 #include "hash/hasher.hh"
@@ -89,17 +90,31 @@ void
 MachRepr::sizeFor(std::uint32_t mabs, std::uint32_t block_size,
                    const MachConfig &cfg)
 {
+    vs_assert(block_size <= UINT16_MAX, "a ", block_size,
+              " B block overflows MachOutcome::stored_bytes");
     block_bytes = block_size;
     gabs.resize(cfg.use_gradient
                     ? static_cast<std::size_t>(mabs) * block_size
                     : 0);
     digests.resize(mabs);
     auxes.resize(cfg.co_mach ? mabs : 0);
+    outcomes.resize(mabs);
+    // A dump never exceeds the MACH's entry count.
+    dump.reserve(cfg.entries);
 }
 
-// vstream:hot
+namespace
+{
+
+/**
+ * Compute @p frame's representation under @p cfg into @p out a chunk
+ * of mabs at a time, and call @p then(first, n) after each chunk, while
+ * its blocks are still in cache.
+ */
+template <typename Then>
 void
-prepareMachRepr(const Frame &frame, const MachConfig &cfg, MachRepr &out)
+reprChunks(const Frame &frame, const MachConfig &cfg, MachRepr &out,
+           Then &&then)
 {
     const std::uint32_t count = frame.mabCount();
     const std::uint32_t size = frame.mabSizeBytes();
@@ -128,6 +143,94 @@ prepareMachRepr(const Frame &frame, const MachConfig &cfg, MachRepr &out)
         if (cfg.co_mach) {
             auxDigest16Batch(blocks, size, n, out.auxes.data() + first);
         }
+        then(first, n);
+    }
+}
+
+/** A pointer as the MACH array stores it: frame index and byte
+ * offset in that frame's data region. */
+constexpr Addr
+framePtr(std::uint32_t frame, std::uint32_t offset)
+{
+    return static_cast<Addr>(frame) << 32 | offset;
+}
+
+/**
+ * Decide one block of frame @p frame: probe @p machs and, on a miss,
+ * size the block (DCC when @p dcc) and store it at @p offset, which
+ * advances past it.  @p looked_up receives the digest the probe used.
+ */
+MachOutcome
+decideMab(MachArray &machs, bool dcc, std::uint32_t frame,
+          std::span<const std::uint8_t> truth, std::uint32_t digest,
+          std::uint16_t aux, std::uint32_t &offset, Tick now,
+          std::uint32_t &looked_up)
+{
+    const MachLookupResult hit = machs.probe(digest, aux, truth, now);
+    looked_up = hit.digest;
+    MachOutcome out;
+    out.bits = hit.bits();
+    if (hit.hit) {
+        out.frame = static_cast<std::uint32_t>(hit.ptr >> 32);
+        out.offset = static_cast<std::uint32_t>(hit.ptr);
+        return out;
+    }
+    auto stored = static_cast<std::uint32_t>(truth.size());
+    if (dcc) {
+        stored = std::min(dccCompress(truth).compressed_bytes, stored);
+    }
+    out.frame = frame;
+    out.offset = offset;
+    out.stored_bytes = static_cast<std::uint16_t>(stored);
+    if (hit.collision_detected && machs.config().co_mach) {
+        out.bits |= kMachCoMachInsert;
+    }
+    machs.store(digest, aux, framePtr(frame, offset), truth,
+                hit.collision_detected);
+    offset += stored;
+    return out;
+}
+
+} // namespace
+
+// vstream:hot
+void
+prepareMachRepr(const Frame &frame, const MachConfig &cfg, MachRepr &out)
+{
+    reprChunks(frame, cfg, out, [](std::uint32_t, std::uint32_t) {});
+}
+
+// vstream:hot
+void
+prepareMachFrame(const Frame &frame, const MachPlan &plan, MachRepr &out)
+{
+    MachArray &machs = *plan.machs;
+    const MachConfig &cfg = machs.config();
+    if (machs.injectsCollisions()) {
+        prepareMachRepr(frame, cfg, out);
+        return;
+    }
+    machs.beginFrame();
+    const auto index = static_cast<std::uint32_t>(frame.index());
+    std::uint32_t offset = 0;
+    std::uint32_t looked_up = 0;
+    // Each chunk is decided while its gab bytes are still in cache.
+    reprChunks(frame, cfg, out, [&](std::uint32_t first, std::uint32_t n) {
+        for (std::uint32_t i = first; i < first + n; ++i) {
+            out.outcomes[i] = decideMab(
+                machs, plan.dcc, index,
+                cfg.use_gradient ? out.gab(i) : frame.mabBytes(i),
+                out.digests[i], cfg.co_mach ? out.auxes[i] : 0, offset, 0,
+                looked_up);
+        }
+    });
+    out.dump.clear();
+    if (plan.layout == LayoutKind::kPointerDigest) {
+        machs.ring().forEachValid([&](std::uint32_t digest, Addr ptr) {
+            // A dump fits the cfg.entries that sizeFor() reserved.
+            // vstream:allow(no-hotpath-alloc)
+            out.dump.emplace_back(digest, ptr);
+        });
     }
 }
 
@@ -141,10 +244,21 @@ MachWriteback::MachWriteback(MemorySystem &mem, FrameBufferManager &fbm,
     : mem_(mem), fbm_(fbm), machs_(machs), layout_kind_(layout_kind),
       use_dcc_(use_dcc), data_buf_(mem, totals_.dram_write_requests),
       meta_buf_(mem, totals_.dram_write_requests),
-      base_buf_(mem, totals_.dram_write_requests)
+      base_buf_(mem, totals_.dram_write_requests),
+      bases_(std::bit_ceil(machs.config().num_machs),
+             {MachRepr::kNoFrame, 0})
 {
     vs_assert(layout_kind_ != LayoutKind::kLinear,
               "MachWriteback requires a pointer-based layout");
+}
+
+Addr
+MachWriteback::blockAddr(std::uint32_t frame, std::uint32_t offset) const
+{
+    const auto &[index, base] = bases_[frame & (bases_.size() - 1)];
+    vs_assert(index == frame, "MACH pointer into frame ", frame,
+              ", outside the frames begun last");
+    return base + offset;
 }
 
 void
@@ -153,7 +267,6 @@ MachWriteback::beginFrame(const Frame &frame, BufferSlot &slot,
 {
     slot_ = &slot;
     mab_bytes_ = frame.mabSizeBytes();
-    machs_.beginFrame();
     layout.reinit(frame.index(), layout_kind_, frame.mabCount(),
                   mab_bytes_, machs_.config().use_gradient);
     layout_ = &layout;
@@ -161,6 +274,8 @@ MachWriteback::beginFrame(const Frame &frame, BufferSlot &slot,
     layout_->setMetaBase(slot.meta_base);
     layout_->setMachDumpBase(slot.mach_dump_base);
     layout_->setSourceChecksum(frame.contentChecksum());
+    bases_[frame.index() & (bases_.size() - 1)] = {frame.index(),
+                                                   slot.data_base};
 
     data_buf_.rebase(slot.data_base);
     // Pointer/digest stream first, bases behind it (both live in the
@@ -172,14 +287,20 @@ MachWriteback::beginFrame(const Frame &frame, BufferSlot &slot,
     frame_data_bytes_ = 0;
     frame_meta_bytes_ = 0;
 
-    // The whole frame's gab bytes and digests: prepared ahead when
-    // the caller offered them for this frame, else here.
+    // The whole frame's representation and outcomes: prepared ahead
+    // when the caller offered them, else here.
     frame_ = &frame;
-    if (offered_ != nullptr && offered_->frame_index == frame.index()) {
+    if (offered_ != nullptr) {
+        vs_assert(offered_->frame_index == frame.index(),
+                  "offered frame ", offered_->frame_index,
+                  " for frame ", frame.index());
         repr_ = offered_;
     } else {
-        prepareMachRepr(frame, machs_.config(), own_);
+        prepareMachFrame(frame, plan(), own_);
         repr_ = &own_;
+    }
+    if (machs_.injectsCollisions()) {
+        machs_.beginFrame();
     }
 }
 
@@ -199,27 +320,39 @@ MachWriteback::writeMab(const Macroblock &mab, std::uint32_t idx, Tick now)
         gab_mode ? repr_->gab(idx)
                  : std::span<const std::uint8_t>(mab.bytes());
     const std::uint32_t digest = repr_->digests[idx];
-    const std::uint16_t aux = cfg.co_mach ? repr_->auxes[idx] : 0;
 
     MabRecord &rec = layout_->record(idx);
     rec.digest = digest;
     rec.base = mab.base();
 
-    const MachLookupResult hit =
-        machs_.lookup(digest, aux, repr, now);
+    // The decision: made ahead, or here when it needs this block's
+    // decode tick (collision injection).
+    MachOutcome o;
+    std::uint32_t looked_up = digest;
+    if (machs_.injectsCollisions()) {
+        auto offset = static_cast<std::uint32_t>(frame_data_bytes_);
+        o = decideMab(machs_, use_dcc_,
+                      static_cast<std::uint32_t>(frame_->index()), repr,
+                      digest, cfg.co_mach ? repr_->auxes[idx] : 0, offset,
+                      now, looked_up);
+    } else {
+        o = repr_->outcomes[idx];
+    }
+    machs_.count(o.bits, looked_up);
 
     ++totals_.mabs;
 
-    if (hit.hit) {
+    if ((o.bits & kMachHit) != 0) {
         // Match: store only the pointer (layout ii) or, for
         // inter-matches in layout iii, the digest.
+        const bool inter = (o.bits & kMachInter) != 0;
         const bool as_digest =
-            layout_kind_ == LayoutKind::kPointerDigest && hit.inter;
+            layout_kind_ == LayoutKind::kPointerDigest && inter;
         rec.storage = as_digest
                           ? MabStorage::kInterDigest
-                          : (hit.inter ? MabStorage::kInterPointer
-                                       : MabStorage::kIntraPointer);
-        rec.data_addr = hit.ptr;
+                          : (inter ? MabStorage::kInterPointer
+                                   : MabStorage::kIntraPointer);
+        rec.data_addr = blockAddr(o.frame, o.offset);
 
         const std::uint32_t meta =
             (as_digest ? cfg.digest_bytes : cfg.pointer_bytes);
@@ -229,7 +362,7 @@ MachWriteback::writeMab(const Macroblock &mab, std::uint32_t idx, Tick now)
             base_buf_.append(cfg.base_bytes, now);
             frame_meta_bytes_ += cfg.base_bytes;
         }
-        if (hit.inter) {
+        if (inter) {
             ++totals_.inter_matches;
         } else {
             ++totals_.intra_matches;
@@ -238,16 +371,11 @@ MachWriteback::writeMab(const Macroblock &mab, std::uint32_t idx, Tick now)
     }
 
     // No match: append the block to the compacted data region.
-    const Addr addr = slot_->data_base + frame_data_bytes_;
-    const auto repr_bytes = static_cast<std::uint32_t>(repr.size());
-    std::uint32_t stored_bytes = repr_bytes;
-    if (use_dcc_) {
-        const DccResult dcc = dccCompress(repr);
-        totals_.dcc_saved_bytes += repr_bytes > dcc.compressed_bytes
-                                       ? repr_bytes - dcc.compressed_bytes
-                                       : 0;
-        stored_bytes = std::min(dcc.compressed_bytes, repr_bytes);
-    }
+    vs_assert(o.frame == frame_->index() && o.offset == frame_data_bytes_,
+              "unique block of mab ", idx, " decided out of order");
+    const Addr addr = slot_->data_base + o.offset;
+    const std::uint32_t stored_bytes = o.stored_bytes;
+    totals_.dcc_saved_bytes += repr.size() - stored_bytes;
     fbm_.storeBlock(*slot_, addr, repr);
 
     rec.storage = MabStorage::kUnique;
@@ -265,7 +393,7 @@ MachWriteback::writeMab(const Macroblock &mab, std::uint32_t idx, Tick now)
         frame_meta_bytes_ += cfg.base_bytes;
     }
 
-    machs_.insertUnique(digest, aux, addr, repr, hit.collision_detected);
+    machs_.countInsert(o.bits);
     ++totals_.unique_blocks;
 }
 
@@ -299,9 +427,19 @@ MachWriteback::finishFrame(Tick now)
         // no-op once the recycled layout has reached cfg.entries
         dump.reserve(cfg.entries);
         dump.clear();
-        machs_.ring().forEachValid([&](std::uint32_t digest, Addr ptr) {
-            dump.emplace_back(digest, ptr);
-        });
+        const auto emit = [&](std::uint32_t digest, Addr ptr) {
+            dump.emplace_back(digest,
+                              blockAddr(static_cast<std::uint32_t>(
+                                            ptr >> 32),
+                                        static_cast<std::uint32_t>(ptr)));
+        };
+        if (machs_.injectsCollisions()) {
+            machs_.ring().forEachValid(emit);
+        } else {
+            for (const auto &[digest, ptr] : repr_->dump) {
+                emit(digest, ptr);
+            }
+        }
         const std::uint64_t dump_bytes =
             dump.size() * (cfg.digest_bytes + cfg.pointer_bytes);
         if (dump_bytes > 0) {

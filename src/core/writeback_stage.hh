@@ -11,9 +11,23 @@
  *    pointer or digest plus (in gab mode) the 3 B base
  *    (layouts Fig. 9c(ii)/(iii)), with CO-MACH and DCC options.
  *
- * MachWriteback reads each frame's MachRepr (gab bytes, digests,
- * auxes), which depends on the content only; the pipeline prepares
- * it ahead of the decode (core/frame_prep.hh).
+ * A block's MACH outcome depends on the content only: its digest, its
+ * aux, the truth compare and the order of earlier inserts.  So the
+ * MACH work is split in two.  prepareMachFrame() - run by the
+ * pipeline's preparation stage (core/frame_prep.hh), or by
+ * MachWriteback::beginFrame() when nothing was offered - computes a
+ * frame's MachRepr (gab bytes, digests, auxes) and decides every mab
+ * against the MachArray: ring advance, probe, verify-on-hit, insert,
+ * CO-MACH, the DCC size of each unique block and the frame's MACH
+ * dump.  It records one MachOutcome per mab with a frame-relative
+ * pointer, since the frame's buffer slot is not acquired yet.
+ * MachWriteback::writeMab() applies an outcome: it translates the
+ * pointer through the data_base of the last num_machs frames, stores
+ * the unique block, feeds the coalescing buffers and does the
+ * accounting (MachStats, match counts, CO-MACH inserts), so every
+ * statistic covers exactly the blocks written.  Only a MachArray that
+ * injects digest collisions decides each mab inside writeMab(): the
+ * injector's consult depends on the block's decode tick.
  */
 
 #ifndef VSTREAM_CORE_WRITEBACK_STAGE_HH
@@ -21,6 +35,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/coalescing_buffer.hh"
@@ -113,9 +128,30 @@ class LinearWriteback : public WritebackStage
 };
 
 /**
- * The MACH representation of one frame: what MachWriteback looks up,
- * stores and inserts for each mab.  All storage is flat and reused
- * from frame to frame.
+ * One mab's MACH decision, compact.  The block it leads to is named
+ * frame-relatively - a frame index and a byte offset into that
+ * frame's data region - because the decision is made before the
+ * frame's buffer slot is acquired.
+ */
+struct MachOutcome
+{
+    /** Frame whose data region holds the block: the matched frame's,
+     * or this frame's for a unique block. */
+    std::uint32_t frame = 0;
+    /** Byte offset of the block in that frame's data region. */
+    std::uint32_t offset = 0;
+    /** Unique block: bytes stored (after DCC). */
+    std::uint16_t stored_bytes = 0;
+    /** MachBit flags of the lookup (and of the insert after a miss). */
+    std::uint8_t bits = 0;
+
+    bool operator==(const MachOutcome &) const = default;
+};
+
+/**
+ * The MACH representation of one frame: what MachWriteback stores and
+ * counts for each mab.  All storage is flat and reused from frame to
+ * frame.
  */
 struct MachRepr
 {
@@ -131,6 +167,11 @@ struct MachRepr
     std::vector<std::uint32_t> digests;
     /** CO-MACH: CRC16 aux of every block; else empty. */
     std::vector<std::uint16_t> auxes;
+    /** Every mab's decision, unless the array injects collisions. */
+    std::vector<MachOutcome> outcomes;
+    /** Layout (iii), decided ahead: the frame's MACH after its last
+     * insert, as (digest, frame-relative pointer) pairs. */
+    std::vector<std::pair<std::uint32_t, Addr>> dump;
 
     /** Size the storage for @p mabs blocks of @p block_size bytes
      * under @p cfg (a no-op once sized for the stream). */
@@ -150,6 +191,26 @@ struct MachRepr
  * A pure function of the frame's bytes and the config. */
 void prepareMachRepr(const Frame &frame, const MachConfig &cfg,
                      MachRepr &out);
+
+/** What deciding a frame's MACH outcomes needs: the array they
+ * advance, the layout (iii records a dump) and whether unique blocks
+ * are DCC-compressed. */
+struct MachPlan
+{
+    MachArray *machs = nullptr;
+    LayoutKind layout = LayoutKind::kPointerDigest;
+    bool dcc = false;
+};
+
+/**
+ * Prepare @p frame's representation into @p out and, unless the array
+ * injects digest collisions, decide every mab against plan.machs in
+ * frame order, advancing the array's state half only (the accounting
+ * half is MachWriteback::writeMab()'s).  Frames must be prepared in
+ * order, each once.
+ */
+void prepareMachFrame(const Frame &frame, const MachPlan &plan,
+                      MachRepr &out);
 
 /** MACH-compacted layouts (ii)/(iii). */
 class MachWriteback : public WritebackStage
@@ -172,16 +233,23 @@ class MachWriteback : public WritebackStage
 
     MachArray &machs() { return machs_; }
 
+    /** How this stage's frames are decided (prepareMachFrame()). */
+    MachPlan plan() const { return {&machs_, layout_kind_, use_dcc_}; }
+
     /**
-     * Offer a representation prepared ahead of the decode (the
-     * pipeline's FramePrep).  beginFrame() uses it when it carries
-     * that frame's index and prepares inline otherwise; the offer
-     * lasts until finishFrame().  @p repr must stay untouched until
-     * then.
+     * Offer the next frame's representation, prepared and decided by
+     * prepareMachFrame() under plan() ahead of the decode (the
+     * pipeline's FramePrep).  beginFrame() prepares inline when
+     * nothing was offered; the offer lasts until finishFrame().
+     * @p repr must stay untouched until then.
      */
     void offerPrepared(const MachRepr *repr) { offered_ = repr; }
 
   private:
+    /** Address of the block at @p offset in frame @p frame's data
+     * region; the frame must be one of the last num_machs begun. */
+    Addr blockAddr(std::uint32_t frame, std::uint32_t offset) const;
+
     MemorySystem &mem_;
     FrameBufferManager &fbm_;
     MachArray &machs_;
@@ -202,11 +270,15 @@ class MachWriteback : public WritebackStage
     const Frame *frame_ = nullptr;
     /** Prepared ahead by the caller (offerPrepared()), or null. */
     const MachRepr *offered_ = nullptr;
-    /** The current frame's gab bytes, digests and auxes: offered_
-     * when it matches the frame, else own_. */
+    /** The current frame's representation and outcomes: offered_
+     * when there was an offer, else own_. */
     const MachRepr *repr_ = nullptr;
     /** Inline preparation, reused across frames. */
     MachRepr own_;
+    /** (frame index, data_base) of the last num_machs frames begun,
+     * at the index's low bits (the ring is num_machs rounded up to a
+     * power of two): where frame-relative pointers land. */
+    std::vector<std::pair<std::uint64_t, Addr>> bases_;
 };
 
 } // namespace vstream

@@ -87,8 +87,13 @@ VideoDecoder::readReference(const BufferSlot &prev, std::uint32_t idx,
                             std::int32_t reach_off, Tick now, Tick *stall)
 {
     // Motion vectors are short: the reference block sits near the
-    // same position in the previous frame, giving MC reads the
-    // address locality that makes the VD cache effective (Fig. 7a).
+    // same position in the previous frame.  That locality does not
+    // shape Fig. 7a: its compute miss rate is flat (4.96% at 32 KB,
+    // 4.94% at 512 KB), because every compute miss is compulsory.
+    // The read goes to the reference's linear address under every
+    // layout, also under M and G, where the slot holds the frame
+    // MACH-compacted and the block may be stored elsewhere or not
+    // at all (DESIGN.md section 2).
     std::int64_t ref_idx = static_cast<std::int64_t>(idx) + reach_off;
     if (ref_idx < 0) {
         ref_idx = 0;

@@ -1,6 +1,7 @@
 #include "display/frame_reconstructor.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "sim/logging.hh"
 #include "video/pixel_kernels.hh"
@@ -41,10 +42,26 @@ FrameReconstructor::rebuildMab(const StoredBlock &stored,
 
 // vstream:hot
 void
+ShownFrameCrc::flushChunk()
+{
+    if (fill_ > 0) {
+        crc_.update(chunk_, fill_);
+        fill_ = 0;
+    }
+}
+
+// vstream:hot
+void
 ShownFrameCrc::flushRun()
 {
-    if (run_len_ > 0) {
+    if (run_len_ > kChunk - fill_) {
+        flushChunk();
+    }
+    if (run_len_ > kChunk) {
         crc_.update(run_, run_len_);
+    } else if (run_len_ > 0) {
+        std::memcpy(chunk_ + fill_, run_, run_len_);
+        fill_ += run_len_;
     }
     run_ = nullptr;
     run_len_ = 0;
@@ -66,14 +83,13 @@ ShownFrameCrc::add(const StoredBlock &stored, const MabRecord &rec,
         return;
     }
     flushRun();
-    // Whole pixels per chunk (768 = 256 * 3), so the base's channel
-    // phase restarts with each chunk exactly as it runs on.
-    constexpr std::size_t kChunk = 768;
-    std::uint8_t block[kChunk];
     for (std::size_t off = 0; off < stored.size; off += kChunk) {
         const std::size_t n = std::min(kChunk, stored.size - off);
-        gradientAdd(block, stored.data + off, n, rec.base);
-        crc_.update(block, n);
+        if (n > kChunk - fill_) {
+            flushChunk();
+        }
+        gradientAdd(chunk_ + fill_, stored.data + off, n, rec.base);
+        fill_ += n;
     }
 }
 
@@ -81,6 +97,7 @@ std::uint32_t
 ShownFrameCrc::digest()
 {
     flushRun();
+    flushChunk();
     return crc_.digest();
 }
 

@@ -49,10 +49,14 @@ class FrameReconstructor
  * display order - the same CRC the decoder took over the source
  * plane, without rebuilding the frame.
  *
- * A raw block is folded in place, and a run of blocks that sit back
- * to back in storage (the linear layout's whole frame, a pointer
- * layout's consecutive unique blocks) goes into one update.  A gab
- * has its base re-added into a stack block first.
+ * A run of raw blocks that sit back to back in storage (the linear
+ * layout's whole frame, a pointer layout's consecutive unique blocks)
+ * is folded in place in one update once it outgrows the staging
+ * chunk.  Shorter runs, and every gab with its base re-added, are
+ * staged in a 768 B chunk that is folded once it fills, so a scan
+ * costs about one CRC call per chunk rather than one per block.
+ * CRC32 streams across block boundaries, so the digest is the same
+ * however the bytes are split.
  */
 class ShownFrameCrc
 {
@@ -64,7 +68,7 @@ class ShownFrameCrc
              bool gradient_mode);
 
     /** Fold the next mab from storage that may change before
-     * digest() (a MACH-buffer entry): folded at once. */
+     * digest() (a MACH-buffer entry): its bytes are taken now. */
     void
     addNow(const StoredBlock &stored, const MabRecord &rec,
            bool gradient_mode)
@@ -77,12 +81,22 @@ class ShownFrameCrc
     std::uint32_t digest();
 
   private:
-    /** Fold the pending run of contiguous raw blocks. */
+    /** Whole pixels (256 * 3 B), so a gab's base phase restarts with
+     * each chunk of a block exactly as it runs on. */
+    static constexpr std::size_t kChunk = 768;
+
+    /** Take the pending run of contiguous raw blocks: copied into the
+     * chunk when it fits, folded in place otherwise. */
     void flushRun();
+
+    /** Fold the staged chunk. */
+    void flushChunk();
 
     Crc32 crc_;
     const std::uint8_t *run_ = nullptr;
     std::size_t run_len_ = 0;
+    std::size_t fill_ = 0;
+    std::uint8_t chunk_[kChunk];
 };
 
 } // namespace vstream

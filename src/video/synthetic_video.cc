@@ -418,7 +418,10 @@ SyntheticVideo::nextFrameInto(Frame &out)
     const std::uint64_t idx = next_index_++;
     const Planes *planes = content_.get();
     if (planes == nullptr) {
-        gen_->generate(*ring_);
+        if (!ahead_) {
+            gen_->generate(*ring_);
+        }
+        ahead_ = false;
         planes = ring_.get();
     }
     const Planes::Meta &meta = planes->meta[idx % planes->count];
@@ -436,6 +439,16 @@ SyntheticVideo::nextFrameInto(Frame &out)
     }
     out.setComplexity(meta.complexity);
     out.setEncodedBytes(meta.encoded_bytes);
+}
+
+void
+SyntheticVideo::generateAhead()
+{
+    if (gen_ == nullptr || ahead_ || done()) {
+        return;
+    }
+    gen_->generate(*ring_);
+    ahead_ = true;
 }
 
 } // namespace vstream

@@ -68,6 +68,15 @@ class SyntheticVideo
      */
     void nextFrameInto(Frame &out);
 
+    /**
+     * Ring mode: draw the next frame's content now, so the
+     * nextFrameInto() that emits it only copies it out of the ring.
+     * At most one frame ahead, so the ring always has room: the plane
+     * it takes held a frame emitted and past the copy window.  A
+     * no-op in shared mode, when done() or when already ahead.
+     */
+    void generateAhead();
+
     /** The generator's profile: the caller's, with the similarity
      * rates rescaled for mab_dim. */
     const VideoProfile &profile() const { return profile_; }
@@ -100,6 +109,8 @@ class SyntheticVideo
      * emitted. */
     std::unique_ptr<Generator> gen_;
     std::unique_ptr<Planes> ring_;
+    /** Ring mode: frame next_index_ is already drawn. */
+    bool ahead_ = false;
 };
 
 } // namespace vstream

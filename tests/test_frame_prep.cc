@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the pipeline's frame-preparation stage (core/frame_prep.hh):
- * a streamed video's helper thread prepares the same bytes as inline
- * preparation, streamed pipelines keep their pinned results, every way
- * a pipeline can end joins the helper, and scheduled sessions start
- * none.
+ * a streamed video's helper thread prepares and decides the same bytes
+ * as inline preparation, streamed pipelines keep their pinned results,
+ * a playback that decides ahead reports what one stepped by a
+ * scheduler reports at any finish point, every way a pipeline can end
+ * joins the helper, and scheduled sessions start none.
  */
 
 #include <gtest/gtest.h>
@@ -55,8 +56,21 @@ flat(const Frame &f)
     return out;
 }
 
+/** A MACH array and the plan that decides frames against it. */
+struct Decider
+{
+    explicit Decider(const MachConfig &cfg, bool dcc = false)
+        : machs(cfg), plan{&machs, LayoutKind::kPointerDigest, dcc}
+    {
+    }
+
+    MachArray machs;
+    MachPlan plan;
+};
+
 /** Expect @p got (from the helper) to equal @p want (inline), byte
- * for byte: frame, origins, checksum and MACH representation. */
+ * for byte: frame, origins, checksum, MACH representation, outcomes
+ * and dump. */
 void
 expectSamePrepared(const PreparedFrame &got, const PreparedFrame &want,
                    const std::string &what)
@@ -79,6 +93,9 @@ expectSamePrepared(const PreparedFrame &got, const PreparedFrame &want,
     ASSERT_EQ(got.mach.gabs, want.mach.gabs) << what;
     ASSERT_EQ(got.mach.digests, want.mach.digests) << what;
     ASSERT_EQ(got.mach.auxes, want.mach.auxes) << what;
+    ASSERT_TRUE(got.mach.outcomes == want.mach.outcomes)
+        << what << " frame " << g.index();
+    ASSERT_EQ(got.mach.dump, want.mach.dump) << what;
 }
 
 TEST(FramePrep, HelperEqualsInlinePreparation)
@@ -92,20 +109,25 @@ TEST(FramePrep, HelperEqualsInlinePreparation)
             p = overBudget(p);
             for (const bool co_mach : {false, true}) {
                 for (const HashKind hash : hashes) {
+                    // CO-MACH cases also size unique blocks under
+                    // DCC; the wider hashes verify every hit.
                     MachConfig cfg;
                     cfg.use_gradient = true;
                     cfg.co_mach = co_mach;
                     cfg.hash = hash;
+                    cfg.verify_on_hit = hash != HashKind::kCrc32;
                     const std::string what =
                         t.key + "/mab" + std::to_string(dim) +
                         (co_mach ? "/co" : "") + "/" + hashKindName(hash);
 
-                    FramePrep prep(p, &cfg, true);
+                    Decider ahead(cfg, co_mach);
+                    Decider here(cfg, co_mach);
+                    FramePrep prep(p, &ahead.plan, true);
                     ASSERT_TRUE(prep.threaded()) << what;
                     SyntheticVideo video(p);
                     PreparedFrame want;
                     for (std::uint64_t i = 0; i < kComparedFrames; ++i) {
-                        prepareFrame(video, &cfg, want);
+                        prepareFrame(video, &here.plan, want);
                         const PreparedFrame &got = prep.take(i);
                         expectSamePrepared(got, want, what);
                         prep.release(i);
@@ -131,12 +153,14 @@ TEST(FramePrep, RawBlocksAndNoMach)
     const VideoProfile p = overBudget(scaledWorkload("V3", 40, 128, 72));
     MachConfig raw;
     raw.co_mach = true;
-    FramePrep with_mach(p, &raw, true);
+    Decider ahead(raw);
+    Decider here(raw);
+    FramePrep with_mach(p, &ahead.plan, true);
     FramePrep no_mach(p, nullptr, true);
     SyntheticVideo video(p);
     PreparedFrame want;
     for (std::uint64_t i = 0; i < kComparedFrames; ++i) {
-        prepareFrame(video, &raw, want);
+        prepareFrame(video, &here.plan, want);
         EXPECT_TRUE(want.mach.gabs.empty());
         expectSamePrepared(with_mach.take(i), want, "raw");
         with_mach.release(i);
@@ -155,12 +179,14 @@ TEST(FramePrep, NotAheadPreparesInline)
     MachConfig cfg;
     cfg.use_gradient = true;
     cfg.co_mach = true;
-    FramePrep prep(p, &cfg, false);
+    Decider ahead(cfg);
+    Decider here(cfg);
+    FramePrep prep(p, &ahead.plan, false);
     EXPECT_FALSE(prep.threaded());
     SyntheticVideo video(p);
     PreparedFrame want;
     for (std::uint64_t i = 0; i < kComparedFrames; ++i) {
-        prepareFrame(video, &cfg, want);
+        prepareFrame(video, &here.plan, want);
         expectSamePrepared(prep.take(i), want, "not ahead");
         prep.release(i);
     }
@@ -171,12 +197,14 @@ TEST(FramePrep, SharedContentPreparesInline)
     const VideoProfile p = scaledWorkload("V5", 24, 128, 72);
     MachConfig cfg;
     cfg.use_gradient = true;
-    FramePrep prep(p, &cfg, true);
+    Decider ahead(cfg);
+    Decider here(cfg);
+    FramePrep prep(p, &ahead.plan, true);
     EXPECT_FALSE(prep.threaded());
     SyntheticVideo video(p);
     PreparedFrame want;
     for (std::uint64_t i = 0; i < p.frame_count; ++i) {
-        prepareFrame(video, &cfg, want);
+        prepareFrame(video, &here.plan, want);
         expectSamePrepared(prep.take(i), want, "shared");
         prep.release(i);
     }
@@ -237,6 +265,107 @@ TEST(FramePrep, StreamedPipelinesArePinned)
     // from its stats JSON.
     EXPECT_EQ(streamedDigest(Scheme::kGab), 0xb0c845d3d146847eULL);
     EXPECT_EQ(streamedDigest(Scheme::kBaseline), 0x9794d828060aa6ddULL);
+}
+
+// ---------------------------------------------------------------------
+// Deciding ahead reports what deciding inline reports
+// ---------------------------------------------------------------------
+
+/** The stats JSON and every counter of one playback's result. */
+std::string
+resultText(const PipelineResult &r, const std::string &json)
+{
+    std::ostringstream os;
+    os.precision(17);
+    os << json << '\n'
+       << r.frames << ' ' << r.drops << ' ' << r.span << ' '
+       << r.totalEnergy() << ' ' << r.all_verified << '\n';
+    const WritebackTotals &w = r.writeback;
+    os << w.mabs << ' ' << w.unique_blocks << ' ' << w.intra_matches << ' '
+       << w.inter_matches << ' ' << w.data_bytes << ' ' << w.meta_bytes
+       << ' ' << w.dump_bytes << ' ' << w.dram_write_requests << ' '
+       << w.dcc_saved_bytes << '\n';
+    const MachStats &m = r.mach;
+    os << m.lookups << ' ' << m.intra_hits << ' ' << m.inter_hits << ' '
+       << m.misses << ' ' << m.collisions_detected << ' '
+       << m.collisions_undetected << ' ' << m.inserts << ' '
+       << m.injected_collisions << ' ' << m.false_hits << ' '
+       << m.bypassed_lookups << ' ' << r.co_mach_inserts << '\n';
+    for (const double share : r.top_match_shares) {
+        os << share << ' ';
+    }
+    os << '\n'
+       << r.dram_total.bytes_read << ' ' << r.dram_total.bytes_written
+       << ' ' << r.dram_total.activations << ' ' << r.display_cache_hits
+       << ' ' << r.display_cache_misses << ' ' << r.mach_buffer_hits << ' '
+       << r.mach_buffer_misses << ' ' << r.vd_cache_miss_rate << '\n';
+    for (const FrameStateRecord &f : r.frame_records) {
+        os << f.start << ' ' << f.finish << ' ' << f.dropped << '\n';
+    }
+    return os.str();
+}
+
+/** Play @p cfg under @p driver, finishing after @p vsyncs vsyncs (0:
+ * the whole playback, as run() plays it); return its resultText(). */
+std::string
+playText(PipelineConfig cfg, VideoPipeline::Driver driver,
+         std::uint32_t vsyncs)
+{
+    std::ostringstream json;
+    cfg.stats_json = &json;
+    const bool streamed = !SyntheticVideo(cfg.profile).sharesContent();
+    VideoPipeline vp(std::move(cfg));
+    vp.start(driver);
+    EXPECT_EQ(vp.preparesAhead(),
+              streamed && driver == VideoPipeline::Driver::kOwn);
+    for (std::uint32_t v = 0; !vp.stepDone() && (vsyncs == 0 || v < vsyncs);
+         ++v) {
+        vp.stepVsync();
+    }
+    const PipelineResult r = vp.finish();
+    return resultText(r, json.str());
+}
+
+TEST(FramePrep, DecidingAheadMatchesSteppedAtEveryEnding)
+{
+    struct Case
+    {
+        const char *name;
+        Scheme scheme;
+        bool co_mach;
+        bool dcc;
+        bool verify;
+    };
+    const Case cases[] = {
+        {"M", Scheme::kMab, false, false, false},
+        {"G", Scheme::kGab, false, false, false},
+        {"G+co", Scheme::kGab, true, false, false},
+        {"G+dcc", Scheme::kGab, false, true, false},
+        {"G+verify", Scheme::kGab, false, false, true},
+    };
+    const VideoProfile sizes[] = {streamedV8(),
+                                  scaledWorkload("V8", 40, 256, 144)};
+    for (const VideoProfile &profile : sizes) {
+        const bool streamed = !SyntheticVideo(profile).sharesContent();
+        for (const Case &c : cases) {
+            PipelineConfig cfg;
+            cfg.profile = profile;
+            cfg.scheme = SchemeConfig::make(c.scheme);
+            cfg.scheme.co_mach = c.co_mach;
+            cfg.scheme.dcc = c.dcc;
+            cfg.mach.verify_on_hit = c.verify;
+            for (const std::uint32_t vsyncs : {0U, 1U, 7U, 20U}) {
+                const std::string what =
+                    std::string(c.name) + (streamed ? "/streamed" : "/shared") +
+                    " after " + std::to_string(vsyncs) + " vsyncs";
+                const std::string own =
+                    playText(cfg, VideoPipeline::Driver::kOwn, vsyncs);
+                const std::string stepped =
+                    playText(cfg, VideoPipeline::Driver::kScheduler, vsyncs);
+                EXPECT_EQ(own, stepped) << what;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

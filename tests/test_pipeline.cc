@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/video_pipeline.hh"
+#include "sim/fault_injector.hh"
 #include "sim/trace_event.hh"
 #include "video/workloads.hh"
 
@@ -340,6 +341,56 @@ TEST(Pipeline, DccOnTopOfGabShrinksWriteback)
     EXPECT_LT(b.writeback.data_bytes, a.writeback.data_bytes);
     EXPECT_GT(b.writeback.dcc_saved_bytes, 0u);
     EXPECT_TRUE(b.all_verified || b.mach.collisions_undetected > 0);
+}
+
+/** FNV-1a of the stats JSON and the MACH and writeback counters of a
+ * G playback of @p profile whose MACH array injects digest collisions
+ * (decided per mab, at each block's decode tick). */
+std::uint64_t
+collisionDigest(const VideoProfile &profile, bool verify_on_hit)
+{
+    PipelineConfig cfg;
+    cfg.profile = profile;
+    cfg.scheme = SchemeConfig::make(Scheme::kGab);
+    cfg.mach.verify_on_hit = verify_on_hit;
+    FaultRule rule;
+    rule.cls = FaultClass::kDigestCollision;
+    rule.probability = 0.05;
+    cfg.faults.rules.push_back(rule);
+    std::ostringstream json;
+    cfg.stats_json = &json;
+    const PipelineResult r = VideoPipeline(std::move(cfg)).run();
+    EXPECT_GT(r.mach.injected_collisions + r.mach.false_hits, 0u);
+
+    std::ostringstream os;
+    os.precision(17);
+    const MachStats &m = r.mach;
+    const WritebackTotals &w = r.writeback;
+    os << json.str() << m.lookups << ' ' << m.hits() << ' '
+       << m.collisions_undetected << ' ' << m.inserts << ' '
+       << m.injected_collisions << ' ' << m.false_hits << ' '
+       << w.unique_blocks << ' ' << w.totalBytes() << ' '
+       << r.totalEnergy() << ' ' << r.all_verified;
+    for (const double share : r.top_match_shares) {
+        os << ' ' << share;
+    }
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : os.str()) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(Pipeline, InjectedCollisionsArePinned)
+{
+    // Digests of the pipeline that looked up and inserted every mab
+    // inside writeMab(): a streamed playback (prepared on the helper
+    // thread) and a shared-content one verifying every hit.
+    EXPECT_EQ(collisionDigest(scaledWorkload("V8", 40, 512, 288), false),
+              0xbdcbe6c84177882bULL);
+    EXPECT_EQ(collisionDigest(scaledWorkload("V8", 40, 256, 144), true),
+              0xb407c2bbbd7f4dc1ULL);
 }
 
 TEST(Pipeline, RunTwicePanics)

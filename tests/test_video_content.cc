@@ -167,6 +167,34 @@ TEST(VideoContent, SharedPlanesEqualPrivateRing)
     }
 }
 
+TEST(VideoContent, DrawingAheadEmitsTheSameFrames)
+{
+    // The frame-preparation helper draws the next frame while the
+    // previous one is still in use; every other call draws it when it
+    // is emitted.  Both emit the same frames, and a shared video
+    // ignores the call.
+    for (const auto &[name, p] : variants()) {
+        const VideoProfile long_p = overBudget(p);
+        SyntheticVideo plain(long_p);
+        SyntheticVideo ahead(long_p);
+        SyntheticVideo shared(p);
+        Frame f;
+        Frame g;
+        for (std::uint64_t i = 0; i < p.frame_count; ++i) {
+            ahead.generateAhead();
+            ahead.generateAhead(); // at most one frame ahead
+            shared.generateAhead();
+            plain.nextFrameInto(f);
+            ahead.nextFrameInto(g);
+            ASSERT_TRUE(FrameImage(f) == FrameImage(g))
+                << name << " frame " << i;
+            shared.nextFrameInto(g);
+            ASSERT_TRUE(FrameImage(f) == FrameImage(g))
+                << name << " shared frame " << i;
+        }
+    }
+}
+
 TEST(VideoContent, FramesAreViewsIntoOnePlane)
 {
     const VideoProfile p = variants().front().second;
