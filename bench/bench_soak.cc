@@ -61,6 +61,7 @@
 #include "bench_util.hh"
 #include "serve/cli_args.hh"
 #include "serve/fleet_report.hh"
+#include "video/synthetic_video.hh"
 
 namespace
 {
@@ -275,6 +276,17 @@ runFleet(std::uint32_t n_sessions, std::uint32_t n_shards,
     return failures == 0 ? 0 : 1;
 }
 
+/** The content store's hits and misses over the run, on stderr: they
+ * follow the order in which worker threads build sessions, so they
+ * stay out of stdout and the JSON. */
+void
+reportContentStore()
+{
+    const SyntheticVideo::StoreStats s = SyntheticVideo::storeStats();
+    std::cerr << "content store: " << s.hits << " hits, " << s.misses
+              << " misses\n";
+}
+
 struct MixTally
 {
     std::uint64_t sessions = 0;
@@ -316,9 +328,11 @@ main(int argc, char **argv)
 
     if (n_shards > 0) {
         // Fleet mode: Poisson churn through the sharded Placer.
-        return runFleet(sessions.value_or(
-                            envU32("VSTREAM_SOAK_SESSIONS", 2000)),
-                        n_shards, n_jobs, flags);
+        const int status = runFleet(
+            sessions.value_or(envU32("VSTREAM_SOAK_SESSIONS", 2000)),
+            n_shards, n_jobs, flags);
+        reportContentStore();
+        return status;
     }
 
     const std::uint32_t n_sessions =
@@ -575,5 +589,6 @@ main(int argc, char **argv)
         w.endObject();
     }
 
+    reportContentStore();
     return failures == 0 ? 0 : 1;
 }

@@ -198,11 +198,16 @@ SharedMachTier::insert(Domain &d, std::uint64_t key,
         d.slab.emplace_back();
     }
     Entry &e = d.slab[slot];
-    const auto len = static_cast<std::uint32_t>(truth.size());
+    vs_assert(truth.size() <= UINT16_MAX,
+              "dedup block exceeds 65,535 bytes");
+    vs_assert(d.stats.epoch <= UINT32_MAX, "dedup epoch exceeds 2^32");
+    const auto len = static_cast<std::uint16_t>(truth.size());
     if (e.cap < len) {
         // A fresh slot, or one whose old region is too small (only
         // a domain mixing block sizes ever abandons a region).
-        e.offset = d.arena.size();
+        vs_assert(d.arena.size() + len <= UINT32_MAX,
+                  "dedup arena exceeds 4 GiB");
+        e.offset = static_cast<std::uint32_t>(d.arena.size());
         e.cap = len;
         d.arena.resize(d.arena.size() + len);
     }
@@ -210,10 +215,10 @@ SharedMachTier::insert(Domain &d, std::uint64_t key,
         std::memcpy(d.arena.data() + e.offset, truth.data(), len);
     }
     e.key = key;
-    e.epoch = d.stats.epoch;
+    e.epoch = static_cast<std::uint32_t>(d.stats.epoch);
     e.refs = refs;
     e.len = len;
-    e.used = true;
+    e.used = 1;
     d.index[key] = slot;
     d.have_last_insert = true;
     d.last_insert = key;
@@ -225,7 +230,7 @@ SharedMachTier::freeSlot(Domain &d, std::uint32_t slot)
 {
     Entry &e = d.slab[slot];
     d.index.erase(e.key);
-    e.used = false;
+    e.used = 0;
     d.free_slots.push_back(slot);
 }
 
@@ -300,6 +305,8 @@ SharedMachTier::publish(std::uint32_t domain, const DedupRecord &rec,
                 settle.bytes_elided += b.writes * size;
                 d.stats.shared_hits += b.writes;
                 d.stats.bytes_elided += b.writes * size;
+                vs_assert(e.refs < (1U << 31) - 1,
+                          "dedup refcount overflows");
                 ++e.refs;
                 lease.keys.push_back(
                     DedupLeaseKey{key, e.epoch, slot});

@@ -280,19 +280,24 @@ class SharedMachTier
 
   private:
     /** One slab slot: a resident block whose bytes are the domain
-     * arena's [offset, offset + len). */
+     * arena's [offset, offset + len).  Packed to 24 bytes, because a
+     * fleet holds hundreds of thousands: insert() asserts that the
+     * arena stays under 4 GiB, the epoch under 2^32 and a block
+     * within 65,535 bytes. */
     struct Entry
     {
         std::uint64_t key = 0;
-        std::uint64_t epoch = 0;
-        std::uint64_t offset = 0;
-        std::uint32_t refs = 0;
-        std::uint32_t len = 0;
+        std::uint32_t epoch = 0;
+        std::uint32_t offset = 0;
+        std::uint32_t refs : 31 = 0;
+        /** The slot holds a resident entry (else it is free). */
+        std::uint32_t used : 1 = 0;
+        std::uint16_t len = 0;
         /** Arena bytes reserved at offset; a reused slot keeps its
          * region whenever the new block fits. */
-        std::uint32_t cap = 0;
-        bool used = false;
+        std::uint16_t cap = 0;
     };
+    static_assert(sizeof(Entry) <= 24);
 
     /**
      * One fault domain's tier, in flat memory: a slab of entries

@@ -1,10 +1,12 @@
 #include "video/synthetic_video.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "hash/crc.hh"
@@ -295,39 +297,178 @@ SyntheticVideo::Generator::draw(Planes &planes, std::uint64_t idx)
     win_size_ = std::min<std::uint64_t>(win_size_ + 1, p_.inter_window);
 }
 
-/** The process-wide content cache: the last video generated in full
- * (or being generated), keyed on the profile its caller passed in. */
-struct SyntheticVideo::Cache
+namespace
 {
-    using Entry = std::shared_future<std::shared_ptr<const Planes>>;
+
+/** A hash of what names a video: its key, seed, library title and
+ * geometry.  Two profiles that differ elsewhere may share it; the
+ * store only uses it to recognise a profile that missed before. */
+std::uint64_t
+identityHash(const VideoProfile &p)
+{
+    std::uint64_t h = Crc32::compute(p.key.data(), p.key.size());
+    for (const std::uint64_t v :
+         {p.seed, std::uint64_t{p.library_title}, std::uint64_t{p.width},
+          std::uint64_t{p.height}, std::uint64_t{p.mab_dim}}) {
+        std::uint64_t state = h ^ v;
+        h = splitMix64(state);
+    }
+    return h;
+}
+
+} // namespace
+
+/**
+ * The process-wide content store: complete videos, keyed on the
+ * caller's profile without its frame count.  An entry of N frames
+ * serves every request for N or fewer, because the generator's first
+ * frames do not depend on frame_count; a longer request regenerates
+ * the video and replaces the entry.
+ *
+ * A missed video enters on probation and is dropped at the next
+ * miss.  It is kept only when its profile missed before, as the ring
+ * of recent misses records, so a sweep that moves from video to video
+ * and a fleet of one-shot sessions hold one video, while the titles
+ * of a library stay.  Kept videos are evicted least recently used
+ * first, so that kept and probation bytes together never exceed
+ * kSharedBudgetBytes.
+ */
+struct SyntheticVideo::Store
+{
+    using Built = std::shared_future<std::shared_ptr<const Planes>>;
+
+    struct Entry
+    {
+        /** The caller's profile with frame_count 0. */
+        VideoProfile key;
+        std::uint64_t hash = 0;
+        /** Frames generated (or being generated). */
+        std::uint32_t frames = 0;
+        std::uint64_t bytes = 0;
+        Built planes;
+    };
+
+    /** Profile hashes remembered from earlier misses. */
+    static constexpr std::size_t kRecentMisses = 256;
+
+    /** The planes for @p frames frames of @p key, or an invalid
+     * future on a miss; a hit refreshes a kept entry's recency. */
+    Built find(const VideoProfile &key, std::uint64_t hash,
+               std::uint32_t frames);
+    /** Count a miss and take @p fresh in, on probation or kept. */
+    void admit(Entry fresh);
+    std::uint64_t heldBytes() const;
 
     std::mutex mutex;
-    VideoProfile cached_profile; // vstream:guarded_by(mutex)
-    Entry cached_planes; // vstream:guarded_by(mutex)
+    /** Kept videos, least recently used first. */
+    std::vector<Entry> kept; // vstream:guarded_by(mutex)
+    /** The last missed video whose profile had not missed before. */
+    std::optional<Entry> probation; // vstream:guarded_by(mutex)
+    /** Ring of the hashes of profiles that missed (a zero slot is
+     * unused: at worst it keeps a video whose hash is 0 early). */
+    std::array<std::uint64_t, kRecentMisses> recent{}; // vstream:guarded_by(mutex)
+    std::size_t recent_next = 0; // vstream:guarded_by(mutex)
+    StoreStats stats; // vstream:guarded_by(mutex)
 };
 
+SyntheticVideo::Store::Built
+SyntheticVideo::Store::find(const VideoProfile &key, std::uint64_t hash,
+                            std::uint32_t frames)
+{
+    const auto serves = [&](const Entry &e) {
+        return e.hash == hash && e.frames >= frames && e.key == key;
+    };
+    if (probation && serves(*probation)) {
+        ++stats.hits;
+        return probation->planes;
+    }
+    const auto it = std::find_if(kept.begin(), kept.end(), serves);
+    if (it == kept.end()) {
+        return {};
+    }
+    ++stats.hits;
+    std::rotate(it, it + 1, kept.end());
+    return kept.back().planes;
+}
+
+void
+SyntheticVideo::Store::admit(Entry fresh)
+{
+    ++stats.misses;
+    const auto same = [&](const Entry &e) {
+        return e.hash == fresh.hash && e.key == fresh.key;
+    };
+    // A shorter copy of the same video recurs, and is replaced.
+    bool recurs = probation && same(*probation);
+    probation.reset();
+    const auto shorter = std::find_if(kept.begin(), kept.end(), same);
+    if (shorter != kept.end()) {
+        kept.erase(shorter);
+        recurs = true;
+    }
+    if (!recurs) {
+        recurs = std::find(recent.begin(), recent.end(), fresh.hash) !=
+                 recent.end();
+    }
+    if (!recurs) {
+        recent[recent_next] = fresh.hash;
+        recent_next = (recent_next + 1) % kRecentMisses;
+    }
+    std::uint64_t held = heldBytes();
+    while (held + fresh.bytes > kSharedBudgetBytes) {
+        held -= kept.front().bytes;
+        kept.erase(kept.begin());
+    }
+    if (recurs) {
+        kept.push_back(std::move(fresh));
+    } else {
+        probation = std::move(fresh);
+    }
+}
+
+std::uint64_t
+SyntheticVideo::Store::heldBytes() const
+{
+    std::uint64_t held = probation ? probation->bytes : 0;
+    for (const Entry &e : kept) {
+        held += e.bytes;
+    }
+    return held;
+}
+
+SyntheticVideo::Store &
+SyntheticVideo::store()
+{
+    static Store store;
+    return store;
+}
+
 std::shared_ptr<const SyntheticVideo::Planes>
-SyntheticVideo::sharedPlanes(const VideoProfile &key,
+SyntheticVideo::sharedPlanes(const VideoProfile &caller,
                              const VideoProfile &scaled)
 {
-    static Cache cache;
-    Cache::Entry cached;
+    Store &store = SyntheticVideo::store();
+    Store::Entry entry;
+    entry.key = caller;
+    entry.key.frame_count = 0;
+    entry.hash = identityHash(entry.key);
+    entry.frames = scaled.frame_count;
+    entry.bytes = scaled.frame_count * frameBytes(scaled);
+    Store::Built found;
     std::promise<std::shared_ptr<const Planes>> build;
     {
-        const std::lock_guard<std::mutex> lock(cache.mutex);
-        if (cache.cached_planes.valid() && cache.cached_profile == key) {
-            cached = cache.cached_planes;
-        } else {
-            // Claim the entry before generating, dropping the old
-            // video: a sweep that moves on holds one video, not two,
-            // and parallel units of the new one wait for this build
-            // instead of repeating it.
-            cache.cached_profile = key;
-            cache.cached_planes = build.get_future().share();
+        const std::lock_guard<std::mutex> lock(store.mutex);
+        found = store.find(entry.key, entry.hash, entry.frames);
+        if (!found.valid()) {
+            // Claim the entry before generating: callers of the same
+            // video meanwhile wait for this build instead of
+            // repeating it.
+            entry.planes = build.get_future().share();
+            store.admit(std::move(entry));
         }
     }
-    if (cached.valid()) {
-        return cached.get();
+    if (found.valid()) {
+        return found.get();
     }
     // Generate outside the lock, so threads building different videos
     // do not wait on each other.
@@ -338,6 +479,16 @@ SyntheticVideo::sharedPlanes(const VideoProfile &key,
     }
     build.set_value(planes);
     return planes;
+}
+
+SyntheticVideo::StoreStats
+SyntheticVideo::storeStats()
+{
+    Store &store = SyntheticVideo::store();
+    const std::lock_guard<std::mutex> lock(store.mutex);
+    StoreStats out = store.stats;
+    out.kept_bytes = store.heldBytes();
+    return out;
 }
 
 std::uint64_t

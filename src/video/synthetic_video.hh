@@ -13,16 +13,20 @@
  * back to back, mab_dim * mab_dim * 3 bytes each), so the inter-copy
  * window is simply the earlier planes.  A video whose planes fit
  * kSharedBudgetBytes is generated in full and kept, read-only, in a
- * process-wide single-entry cache, so SyntheticVideos built for the
- * same profile one after another share one generation (the
- * simulator's own content cache: a figure that plays one video under
- * six schemes in a row generates it once).  A larger video streams
- * through a private ring of min(frame_count, inter_window + 1)
- * planes instead.  Both run the same generator, so the frames they
- * emit are byte-identical.  Each plane's CRC32 is taken once, when
- * it is generated, and travels with the frame.  A shared-content
- * frame views its plane in place (Frame::viewShared); a streamed one
- * copies it out of the ring in one memcpy.
+ * process-wide content store (the simulator's own content cache), so
+ * SyntheticVideos built for the same profile share one generation.
+ * The store holds several videos within kSharedBudgetBytes: a video
+ * that missed once is held until the next miss (a figure that plays
+ * one video under six schemes in a row generates it once), and one
+ * whose profile misses again is kept, least recently used first out
+ * (the titles of a fleet's library are generated once per process).
+ * A larger video streams through a private ring of
+ * min(frame_count, inter_window + 1) planes instead.  Both run the
+ * same generator, so the frames they emit are byte-identical.  Each
+ * plane's CRC32 is taken once, when it is generated, and travels
+ * with the frame.  A shared-content frame views its plane in place
+ * (Frame::viewShared); a streamed one copies it out of the ring in
+ * one memcpy.
  */
 
 #ifndef VSTREAM_VIDEO_SYNTHETIC_VIDEO_HH
@@ -43,9 +47,10 @@ class SyntheticVideo
   public:
     /**
      * Largest video (frame_count planes of pixels plus origins) that
-     * is generated in full and shared; 16 MiB holds a 48-frame
-     * 256x144 video (5.4 MB) with room to spare, while a 48-frame
-     * 512x288 one (21 MB) streams through the private ring.
+     * is generated in full and shared, and the most the content
+     * store holds at once; 16 MiB holds a 48-frame 256x144 video
+     * (5.4 MB) with room to spare, while a 48-frame 512x288 one
+     * (21 MB) streams through the private ring.
      */
     static constexpr std::uint64_t kSharedBudgetBytes = 16ULL << 20;
 
@@ -88,17 +93,33 @@ class SyntheticVideo
     /** Flat bytes of one frame: pixel plane plus origin plane. */
     static std::uint64_t frameBytes(const VideoProfile &profile);
 
+    /** What the content store has done in this process.  Depends on
+     * what ran before and on thread timing, so it never enters a
+     * deterministic output. */
+    struct StoreStats
+    {
+        /** Constructions served by a stored video. */
+        std::uint64_t hits = 0;
+        /** Constructions that generated their video. */
+        std::uint64_t misses = 0;
+        /** Bytes of the videos the store holds now. */
+        std::uint64_t kept_bytes = 0;
+    };
+    static StoreStats storeStats();
+
   private:
     struct Planes;
     class Generator;
-    struct Cache;
+    struct Store;
 
-    /** The complete planes of @p scaled, from the process-wide
-     * single-entry cache keyed on the caller's profile @p key; a
-     * miss builds them, and callers of the same key meanwhile wait
-     * for that build. */
+    static Store &store();
+
+    /** The complete planes of @p scaled (at least its frame_count
+     * frames), from the process-wide store keyed on the caller's
+     * profile @p caller without its frame count; a miss builds them,
+     * and callers of the same video meanwhile wait for that build. */
     static std::shared_ptr<const Planes>
-    sharedPlanes(const VideoProfile &key, const VideoProfile &scaled);
+    sharedPlanes(const VideoProfile &caller, const VideoProfile &scaled);
 
     VideoProfile profile_;
     std::uint64_t next_index_ = 0;

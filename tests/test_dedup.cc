@@ -29,6 +29,7 @@
 #include "sim/random.hh"
 #include "sim/stats_snapshot.hh"
 #include "video/library.hh"
+#include "video/synthetic_video.hh"
 
 namespace vstream
 {
@@ -461,6 +462,44 @@ TEST(SharedMachTier, ReleaseAfterWipeSkipsTheReusedSlot)
     tier.release(after);
     EXPECT_EQ(tier.liveRefs(0), 0u);
     EXPECT_EQ(tier.entries(0), 1u);
+}
+
+TEST(SharedMachTier, FreedSlotTakesASmallerThenALargerBlock)
+{
+    // A freed slot keeps its arena region for a block that fits its
+    // cap, and takes a fresh region for one that does not.  Each round
+    // stores a block, cites it, and frees its slot with a breaker trip
+    // on a consult that differs in the last byte only.
+    DedupConfig cfg;
+    cfg.breaker_false_hits = 1;
+    cfg.quarantine_consults = 0;
+    SharedMachTier tier(cfg, 1);
+    const auto one = [](std::uint32_t digest, std::vector<std::uint8_t> b) {
+        DedupRecord r;
+        r.append(digest, 0, 1, b);
+        return r;
+    };
+    std::vector<std::uint32_t> slots;
+    for (const std::size_t n : {48U, 16U, 768U}) {
+        const auto digest = static_cast<std::uint32_t>(n);
+        std::vector<std::uint8_t> truth = bytes(0xa5, n);
+        truth.front() = 0x01;
+        tier.republish(0, one(digest, truth));
+        DedupLease lease;
+        const DedupSettle hit = tier.publish(0, one(digest, truth), lease);
+        EXPECT_EQ(hit.shared_hits, 1U) << n << " B";
+        ASSERT_EQ(lease.keys.size(), 1U);
+        slots.push_back(lease.keys[0].slot);
+        tier.release(lease);
+
+        truth.back() ^= 0xff;
+        DedupLease none;
+        const DedupSettle miss = tier.publish(0, one(digest, truth), none);
+        EXPECT_EQ(miss.false_hits, 1U) << n << " B";
+        EXPECT_EQ(tier.entries(0), 0U) << n << " B";
+    }
+    EXPECT_EQ(slots, (std::vector<std::uint32_t>{0, 0, 0}));
+    EXPECT_EQ(tier.domainStats(0).trips, 3U);
 }
 
 // ---------------------------------------------------------------------
@@ -1074,9 +1113,9 @@ TEST(DedupFleet, PoisonedDomainNeverLeaksIntoNeighbours)
 
 std::string
 fleetReport(const FleetConfig &cfg,
-            const std::vector<ArrivalEvent> &arrivals)
+            const std::vector<ArrivalEvent> &arrivals,
+            const ZipfLibrary &library = testLibrary())
 {
-    const ZipfLibrary library = testLibrary();
     Placer placer(cfg, [&](const ArrivalEvent &a) {
         return dedupSession(a, library);
     });
@@ -1110,6 +1149,37 @@ TEST(DedupFleet, CrashRecoveryIsJobInvariantWithDedup)
     // The dedup block is present (tier on) and the crashed domain's
     // epoch advanced (wipe on crash).
     EXPECT_NE(j1.find("\"dedup\":"), std::string::npos);
+}
+
+TEST(DedupFleet, WarmContentStoreServesTheLibrary)
+{
+    // A library's titles recur, so the content store keeps them: a
+    // second pass of the same fleet generates almost nothing, and
+    // the report does not depend on what the store held.
+    LibrarySpec spec;
+    spec.titles = 6;
+    spec.skew = 1.0;
+    spec.seed = 0x5702e; // titles no other test plays: a cold store
+    const ZipfLibrary library(spec);
+    const std::vector<ArrivalEvent> arrivals = dedupArrivals(120);
+    FleetConfig cfg = dedupFleetConfig(/*shards=*/2, /*jobs=*/2);
+    cfg.dedup.enabled = true;
+
+    const SyntheticVideo::StoreStats cold = SyntheticVideo::storeStats();
+    const std::string first = fleetReport(cfg, arrivals, library);
+    const SyntheticVideo::StoreStats warm = SyntheticVideo::storeStats();
+    const std::string second = fleetReport(cfg, arrivals, library);
+    const SyntheticVideo::StoreStats done = SyntheticVideo::storeStats();
+
+    EXPECT_EQ(first, second);
+    EXPECT_GT(warm.misses, cold.misses);
+    const std::uint64_t hits = done.hits - warm.hits;
+    const std::uint64_t misses = done.misses - warm.misses;
+    ASSERT_GT(hits + misses, 0U);
+    EXPECT_GE(static_cast<double>(hits) / static_cast<double>(hits + misses),
+              0.9)
+        << hits << " hits, " << misses << " misses";
+    EXPECT_LE(done.kept_bytes, SyntheticVideo::kSharedBudgetBytes);
 }
 
 } // namespace

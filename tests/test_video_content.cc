@@ -2,14 +2,19 @@
  * @file
  * Tests for SyntheticVideo's content store: the shared, fully
  * generated planes and the private ring emit the same frames, byte
- * for byte, and both still emit the generator's historical bytes.
+ * for byte, and both still emit the generator's historical bytes;
+ * the store serves a shorter request from a longer video, keeps only
+ * what recurs, stays within its budget and evicts least recently
+ * used first.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,12 +34,13 @@ struct FrameImage
     FrameType type = FrameType::kI;
     double complexity = 0.0;
     std::uint64_t encoded_bytes = 0;
+    std::uint32_t checksum = 0;
     std::vector<std::uint8_t> bytes;
     std::vector<MabOrigin> origins;
 
     explicit FrameImage(const Frame &f)
         : index(f.index()), type(f.type()), complexity(f.complexity()),
-          encoded_bytes(f.encodedBytes())
+          encoded_bytes(f.encodedBytes()), checksum(f.contentChecksum())
     {
         for (std::uint32_t i = 0; i < f.mabCount(); ++i) {
             const auto b = f.mabBytes(i);
@@ -50,7 +56,8 @@ struct FrameImage
         return index == o.index && type == o.type &&
                std::memcmp(&complexity, &o.complexity,
                            sizeof(complexity)) == 0 &&
-               encoded_bytes == o.encoded_bytes && bytes == o.bytes &&
+               encoded_bytes == o.encoded_bytes &&
+               checksum == o.checksum && bytes == o.bytes &&
                origins == o.origins;
     }
 };
@@ -90,15 +97,14 @@ fnv(std::uint64_t h, const void *data, std::size_t n)
     return h;
 }
 
-/** FNV-1a over every frame's index, type, complexity, encoded size,
- * and each mab's bytes and origin. */
+/** FNV-1a over the first @p n frames' index, type, complexity,
+ * encoded size, and each mab's bytes and origin. */
 std::uint64_t
-videoDigest(const VideoProfile &p)
+digestFrames(SyntheticVideo &v, std::uint64_t n)
 {
-    SyntheticVideo v(p);
     std::uint64_t h = 0xcbf29ce484222325ULL;
     Frame f;
-    while (!v.done()) {
+    for (std::uint64_t k = 0; k < n && !v.done(); ++k) {
         v.nextFrameInto(f);
         const std::uint64_t idx = f.index();
         const auto type = static_cast<unsigned char>(f.type());
@@ -115,6 +121,23 @@ videoDigest(const VideoProfile &p)
         }
     }
     return h;
+}
+
+/** The digest of every frame of @p p. */
+std::uint64_t
+videoDigest(const VideoProfile &p)
+{
+    SyntheticVideo v(p);
+    return digestFrames(v, p.frame_count);
+}
+
+/** videoDigest(p), drawn through the private ring: the store is not
+ * touched. */
+std::uint64_t
+ringDigest(const VideoProfile &p)
+{
+    SyntheticVideo v(overBudget(p));
+    return digestFrames(v, p.frame_count);
 }
 
 VideoProfile
@@ -268,13 +291,26 @@ TEST(VideoContent, GeneratorBytesAreUnchanged)
 
 TEST(VideoContent, BudgetDecidesSharing)
 {
+    // A video that fits the budget is stored and shared; one frame
+    // more streams through the private ring and leaves the store
+    // alone.
     VideoProfile p = small("V3");
     const std::uint64_t fit =
         SyntheticVideo::kSharedBudgetBytes / SyntheticVideo::frameBytes(p);
     p.frame_count = static_cast<std::uint32_t>(fit);
     EXPECT_TRUE(SyntheticVideo(p).sharesContent());
+    EXPECT_LE(SyntheticVideo::storeStats().kept_bytes,
+              SyntheticVideo::kSharedBudgetBytes);
+    const SyntheticVideo::StoreStats before = SyntheticVideo::storeStats();
     p.frame_count = static_cast<std::uint32_t>(fit + 1);
     EXPECT_FALSE(SyntheticVideo(p).sharesContent());
+    const SyntheticVideo::StoreStats after = SyntheticVideo::storeStats();
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.misses, before.misses);
+    // The stored video also serves a shorter request.
+    p.frame_count = static_cast<std::uint32_t>(fit / 2);
+    EXPECT_TRUE(SyntheticVideo(p).sharesContent());
+    EXPECT_EQ(SyntheticVideo::storeStats().hits, after.hits + 1);
 }
 
 TEST(VideoContent, ProfileKeepsRescaledRates)
@@ -298,14 +334,13 @@ TEST(VideoContent, ProfileKeepsRescaledRates)
 TEST(VideoContent, ConcurrentConstructionIsSafe)
 {
     // Same profile on both threads, then different ones: every thread
-    // must see its own video's exact frames whichever thread built
-    // or evicted the cached entry.  The cache holds b when the first
-    // round starts, so both threads miss on a together: one builds,
-    // the other waits for that build.
+    // must see its own video's exact frames whichever thread built,
+    // kept or dropped the stored entry.  The references come from the
+    // private ring, so they do not depend on what the store holds.
     const VideoProfile a = small("V2");
     const VideoProfile b = small("V9");
-    const std::uint64_t want_a = videoDigest(a);
-    const std::uint64_t want_b = videoDigest(b);
+    const std::uint64_t want_a = ringDigest(a);
+    const std::uint64_t want_b = ringDigest(b);
     for (const bool same : {true, false}) {
         std::uint64_t got[2][4] = {};
         std::thread t0([&] {
@@ -326,7 +361,185 @@ TEST(VideoContent, ConcurrentConstructionIsSafe)
         for (const std::uint64_t g : got[1]) {
             EXPECT_EQ(g, same ? want_a : want_b);
         }
+        EXPECT_LE(SyntheticVideo::storeStats().kept_bytes,
+                  SyntheticVideo::kSharedBudgetBytes);
     }
+}
+
+/** @p key at 128x72 and @p frames frames, with a seed that no
+ * earlier call returned, so the store has never seen it. */
+VideoProfile
+fresh(const std::string &key, std::uint32_t frames)
+{
+    static std::uint64_t calls = 0;
+    VideoProfile p = scaledWorkload(key, frames, 128, 72);
+    p.seed ^= ++calls << 32;
+    return p;
+}
+
+std::uint64_t
+storedBytes(const VideoProfile &p)
+{
+    return p.frame_count * SyntheticVideo::frameBytes(p);
+}
+
+/**
+ * Leave the store holding one kept video that fills its budget, so
+ * that the next miss of any 128x72 video evicts it: the store then
+ * holds just what the test asks for, whatever ran before.
+ */
+void
+fillStore()
+{
+    VideoProfile fill = fresh("V5", 1);
+    fill.frame_count = static_cast<std::uint32_t>(
+        SyntheticVideo::kSharedBudgetBytes /
+        SyntheticVideo::frameBytes(fill));
+    // fill, other, fill: the second miss of fill keeps it, and
+    // keeping it evicts everything else.
+    for (const VideoProfile &p : {fill, fresh("V6", 1), fill}) {
+        EXPECT_TRUE(SyntheticVideo(p).sharesContent());
+    }
+}
+
+TEST(VideoContent, ShorterRequestsShareALongerVideo)
+{
+    // An entry of N frames serves every request for N or fewer; a
+    // longer request regenerates the video and replaces the entry.
+    // Every order of three lengths, each on a video the store has not
+    // seen, emits the private ring's frames.
+    for (const std::string key : {"V3", "V8"}) {
+        std::array<std::uint32_t, 3> lengths = {24, 28, 32};
+        do {
+            VideoProfile p = fresh(key, 32);
+            SyntheticVideo ring(overBudget(p));
+            const auto want = take(ring, 32);
+            std::uint32_t longest = 0;
+            for (const std::uint32_t n : lengths) {
+                p.frame_count = n;
+                const SyntheticVideo::StoreStats before =
+                    SyntheticVideo::storeStats();
+                SyntheticVideo v(p);
+                ASSERT_TRUE(v.sharesContent());
+                const auto got = take(v, n);
+                ASSERT_EQ(got.size(), n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    ASSERT_TRUE(got[i] == want[i])
+                        << key << " at " << n << " frames, frame " << i;
+                }
+                EXPECT_EQ(SyntheticVideo::storeStats().misses -
+                              before.misses,
+                          n > longest ? 1U : 0U)
+                    << key << " at " << n << " frames";
+                longest = std::max(longest, n);
+            }
+        } while (std::next_permutation(lengths.begin(), lengths.end()));
+    }
+}
+
+TEST(VideoContent, SweepHoldsOnlyTheNewestVideo)
+{
+    // A figure's sweep plays each video under six schemes in a row:
+    // each video is generated once and dropped when the next misses.
+    fillStore();
+    const SyntheticVideo::StoreStats before = SyntheticVideo::storeStats();
+    std::uint64_t newest = 0;
+    for (const std::string key : {"V1", "V2", "V3"}) {
+        const VideoProfile p = fresh(key, 40);
+        for (int scheme = 0; scheme < 6; ++scheme) {
+            EXPECT_TRUE(SyntheticVideo(p).sharesContent());
+        }
+        newest = storedBytes(p);
+    }
+    const SyntheticVideo::StoreStats after = SyntheticVideo::storeStats();
+    EXPECT_EQ(after.misses - before.misses, 3U);
+    EXPECT_EQ(after.hits - before.hits, 15U);
+    EXPECT_EQ(after.kept_bytes, newest);
+}
+
+TEST(VideoContent, RecurringVideoIsKept)
+{
+    // A, B, A: A's second miss keeps it (and drops B), so a fourth
+    // request for A is a hit.  B's own second miss then keeps B too.
+    fillStore();
+    const VideoProfile a = fresh("V4", 40);
+    const VideoProfile b = fresh("V7", 40);
+    const SyntheticVideo::StoreStats before = SyntheticVideo::storeStats();
+    for (const VideoProfile *p : {&a, &b, &a, &a}) {
+        EXPECT_TRUE(SyntheticVideo(*p).sharesContent());
+    }
+    SyntheticVideo::StoreStats now = SyntheticVideo::storeStats();
+    EXPECT_EQ(now.misses - before.misses, 3U);
+    EXPECT_EQ(now.hits - before.hits, 1U);
+    EXPECT_EQ(now.kept_bytes, storedBytes(a));
+
+    for (const VideoProfile *p : {&b, &a, &b}) {
+        EXPECT_TRUE(SyntheticVideo(*p).sharesContent());
+    }
+    now = SyntheticVideo::storeStats();
+    EXPECT_EQ(now.misses - before.misses, 4U);
+    EXPECT_EQ(now.hits - before.hits, 3U);
+    EXPECT_EQ(now.kept_bytes, storedBytes(a) + storedBytes(b));
+}
+
+TEST(VideoContent, KeptVideosStayWithinBudgetLeastRecentlyUsedFirst)
+{
+    // Two 200-frame videos fit the budget together, three do not.
+    fillStore();
+    const VideoProfile a = fresh("V9", 200);
+    const VideoProfile b = fresh("V10", 200);
+    const VideoProfile c = fresh("V11", 200);
+    ASSERT_LE(2 * storedBytes(a), SyntheticVideo::kSharedBudgetBytes);
+    ASSERT_GT(3 * storedBytes(a), SyntheticVideo::kSharedBudgetBytes);
+    const auto build = [](const VideoProfile &p) {
+        EXPECT_TRUE(SyntheticVideo(p).sharesContent());
+        EXPECT_LE(SyntheticVideo::storeStats().kept_bytes,
+                  SyntheticVideo::kSharedBudgetBytes);
+    };
+    // A and B recur, so both are kept; then A is used again.
+    for (const VideoProfile *p : {&a, &b, &a, &b, &a}) {
+        build(*p);
+    }
+    EXPECT_EQ(SyntheticVideo::storeStats().kept_bytes,
+              2 * storedBytes(a));
+    // C misses, and B, the least recently used, makes room for it:
+    // A still hits and B misses.
+    const std::uint64_t hits_at[] = {0, 1, 0};
+    const VideoProfile *order[] = {&c, &a, &b};
+    for (int k = 0; k < 3; ++k) {
+        const SyntheticVideo::StoreStats before =
+            SyntheticVideo::storeStats();
+        build(*order[k]);
+        const SyntheticVideo::StoreStats after =
+            SyntheticVideo::storeStats();
+        EXPECT_EQ(after.hits - before.hits, hits_at[k]) << "request " << k;
+        EXPECT_EQ(after.misses - before.misses, 1 - hits_at[k])
+            << "request " << k;
+    }
+}
+
+TEST(VideoContent, ConcurrentBuildersGenerateOnce)
+{
+    // Two threads construct a video the store has not seen at the
+    // same moment: one generates it, the other waits for that build.
+    const VideoProfile p = fresh("V12", 200);
+    const std::uint64_t want = ringDigest(p);
+    const SyntheticVideo::StoreStats before = SyntheticVideo::storeStats();
+    std::latch start(2);
+    std::uint64_t got[2] = {};
+    const auto run = [&](int t) {
+        start.arrive_and_wait();
+        got[t] = videoDigest(p);
+    };
+    std::thread t0(run, 0);
+    std::thread t1(run, 1);
+    t0.join();
+    t1.join();
+    EXPECT_EQ(got[0], want);
+    EXPECT_EQ(got[1], want);
+    const SyntheticVideo::StoreStats after = SyntheticVideo::storeStats();
+    EXPECT_EQ(after.misses - before.misses, 1U);
+    EXPECT_EQ(after.hits - before.hits, 1U);
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include <execinfo.h>
@@ -131,6 +132,18 @@ operator delete(void *p, std::align_val_t) noexcept
 
 void
 operator delete[](void *p, std::align_val_t) noexcept
+{
+    std::free(p); // NOLINT
+}
+
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p); // NOLINT
+}
+
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
 {
     std::free(p); // NOLINT
 }
@@ -269,6 +282,24 @@ TEST(ZeroAlloc, SharedContentFrameOwnsNoPixels)
     Frame g;
     again.nextFrameInto(g);
     EXPECT_EQ(g.plane().data(), f.plane().data());
+}
+
+TEST(ZeroAlloc, OverAlignedObjectsUseTheReplacedFunctions)
+{
+    // An over-aligned object goes through the aligned new above and
+    // comes back through the sized aligned delete; a delete the
+    // binary does not replace would free this binary's aligned_alloc
+    // memory with the library's (or a sanitizer's) own.
+    struct alignas(64) Line
+    {
+        std::uint8_t bytes[64] = {};
+    };
+    const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+    auto one = std::make_unique<Line>();
+    auto many = std::make_unique<Line[]>(3);
+    EXPECT_EQ(g_news.load(std::memory_order_relaxed) - before, 2u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(one.get()) % 64, 0u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(many.get()) % 64, 0u);
 }
 
 TEST(ZeroAlloc, RingGenerationAllocatesNothing)
