@@ -99,17 +99,6 @@ BM_Crc16Kernel(benchmark::State &state)
 }
 BENCHMARK(BM_Crc16Kernel)->Arg(0)->Arg(1);
 
-void
-BM_GradientTransform(benchmark::State &state)
-{
-    Random rng(2);
-    const Macroblock m = randomMab(rng);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(m.gradient());
-    }
-}
-BENCHMARK(BM_GradientTransform);
-
 /** Gradient transform (the mab -> gab subtract); range(0) is the
  * payload size (48 B = one 4x4 mab, 768 B = one 16x16 mab, 3 KB =
  * four 16x16 mabs). */
@@ -226,8 +215,10 @@ BM_MachLookup(benchmark::State &state)
         entries;
     for (int i = 0; i < 2048; ++i) {
         const Macroblock m = randomMab(rng);
-        const std::uint32_t d = m.digest(HashKind::kCrc32);
-        machs.insertUnique(d, 0, i * 48, m.bytes(), false);
+        const std::uint32_t d =
+            digest32(HashKind::kCrc32, m.bytes().data(), m.bytes().size());
+        machs.store(d, 0, i * 48, m.bytes(), false);
+        machs.countInsert(0);
         entries.emplace_back(d, m.bytes());
         if (i % 256 == 255) {
             machs.beginFrame();
@@ -236,7 +227,9 @@ BM_MachLookup(benchmark::State &state)
     std::size_t i = 0;
     for (auto _ : state) {
         const auto &[d, truth] = entries[i++ % entries.size()];
-        benchmark::DoNotOptimize(machs.lookup(d, 0, truth));
+        const MachLookupResult r = machs.probe(d, 0, truth);
+        machs.count(r.bits(), r.digest);
+        benchmark::DoNotOptimize(r);
     }
 }
 BENCHMARK(BM_MachLookup);

@@ -54,6 +54,8 @@ main(int argc, char **argv)
         const Tick frame_period = profile.framePeriodTicks();
         Tick now = 0;
         std::uint64_t slot_cycle = 0;
+        // The block the camera hands over, refilled for every mab.
+        Macroblock block(profile.mab_dim);
 
         while (!sensor.done()) {
             const Frame frame = sensor.nextFrame();
@@ -64,7 +66,10 @@ main(int argc, char **argv)
             FrameLayout layout;
             camera.beginFrame(frame, slot, now, layout);
             for (std::uint32_t i = 0; i < frame.mabCount(); ++i) {
-                camera.writeMab(frame.mab(i), i, now);
+                const auto bytes = frame.mabBytes(i);
+                block.assignBytes(frame.mabDim(), bytes.data(),
+                                  bytes.size());
+                camera.writeMab(block, i, now);
             }
             camera.finishFrame(now);
             now += frame_period;

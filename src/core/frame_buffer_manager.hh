@@ -42,12 +42,6 @@ struct StoredBlock
     std::uint32_t size = 0;
 
     explicit operator bool() const { return data != nullptr; }
-
-    std::vector<std::uint8_t>
-    toVector() const
-    {
-        return std::vector<std::uint8_t>(data, data + size);
-    }
 };
 
 /** Where one stored block of a slot lives. */

@@ -53,15 +53,6 @@ MachArray::beginFrame()
 }
 
 MachLookupResult
-MachArray::lookup(std::uint32_t digest, std::uint16_t aux,
-                  std::span<const std::uint8_t> truth, Tick now)
-{
-    const MachLookupResult result = probe(digest, aux, truth, now);
-    count(result.bits(), result.digest);
-    return result;
-}
-
-MachLookupResult
 MachArray::probe(std::uint32_t digest, std::uint16_t aux,
                  std::span<const std::uint8_t> truth, Tick now)
 {
@@ -95,7 +86,6 @@ MachArray::probe(std::uint32_t digest, std::uint16_t aux,
     if (probe.hit) {
         result.hit = true;
         result.inter = probe.age > 0;
-        result.frame_age = probe.age;
         result.ptr = probe.ptr;
         result.collision_undetected = probe.collision_undetected;
     }
@@ -106,7 +96,6 @@ MachArray::probe(std::uint32_t digest, std::uint16_t aux,
         if (probe.hit) {
             result.hit = true;
             result.inter = false;
-            result.frame_age = 0;
             result.ptr = probe.ptr;
             result.collision_undetected = probe.collision_undetected;
         }
@@ -127,7 +116,6 @@ MachArray::probe(std::uint32_t digest, std::uint16_t aux,
         }
         result.hit = false;
         result.inter = false;
-        result.frame_age = 0;
         result.ptr = 0;
         result.collision_undetected = false;
     }
@@ -166,17 +154,6 @@ MachArray::count(std::uint8_t bits, std::uint32_t digest)
     if ((bits & kMachCollisionUndetected) != 0) {
         ++stats_.collisions_undetected;
     }
-}
-
-void
-MachArray::insertUnique(std::uint32_t digest, std::uint16_t aux, Addr ptr,
-                        std::span<const std::uint8_t> truth,
-                        bool collided)
-{
-    store(digest, aux, ptr, truth, collided);
-    countInsert(static_cast<std::uint8_t>(
-        (bypass_ ? kMachBypassed : 0) |
-        (collided && co_mach_ ? kMachCoMachInsert : 0)));
 }
 
 void

@@ -17,8 +17,7 @@
  * CO-MACH inserts.  The two halves share no member, so a streamed
  * playback decides a frame on its preparation thread while the
  * decode thread accounts for the frame before it
- * (core/frame_prep.hh); lookup() and insertUnique() run both halves
- * at once.
+ * (core/frame_prep.hh).
  */
 
 #ifndef VSTREAM_CORE_MACH_ARRAY_HH
@@ -42,7 +41,7 @@ class FaultInjector;
 class StatsRegistry;
 
 /**
- * Observer of unique-block materializations (insertUnique calls).
+ * Observer of unique-block materializations (store() calls).
  *
  * Receives the *original* digest/aux as computed by the writeback
  * stage - digest-collision injection forges only the lookup path, so
@@ -78,8 +77,6 @@ struct MachLookupResult
     bool hit = false;
     /** Hit in a previous frame's MACH (else the current frame's). */
     bool inter = false;
-    /** Age of the owning MACH: 0 = current frame, 1 = previous, ... */
-    std::uint32_t frame_age = 0;
     Addr ptr = 0;
     bool collision_detected = false;
     bool collision_undetected = false;
@@ -150,23 +147,18 @@ class MachArray
     void beginFrame();
 
     /**
-     * Search every cache for @p digest and count the lookup:
-     * probe() then count().
+     * Search every cache for @p digest: consult the injector and run
+     * the verify-on-hit compare, counting nothing (count() records
+     * the result).
      *
      * @param now simulated time, the fault injector's opportunity
      *        clock for FaultClass::kDigestCollision.
      */
-    MachLookupResult lookup(std::uint32_t digest, std::uint16_t aux,
-                            std::span<const std::uint8_t> truth,
-                            Tick now = 0);
-
-    /** State half of lookup(): search, consult the injector and run
-     * the verify-on-hit compare, counting nothing. */
     MachLookupResult probe(std::uint32_t digest, std::uint16_t aux,
                            std::span<const std::uint8_t> truth,
                            Tick now = 0);
 
-    /** Accounting half of lookup(): record a probe's MachBit
+    /** Accounting half of probe(): record a probe's MachBit
      * @p bits, whose hit matched @p digest. */
     void count(std::uint8_t bits, std::uint32_t digest);
 
@@ -187,7 +179,7 @@ class MachArray
      */
     void setBypass(bool on) { bypass_ = on; }
 
-    /** Attach @p obs to every future insertUnique() (empty function
+    /** Attach @p obs to every future store() (empty function
      * detaches).  Purely observational: the array's own behaviour
      * and stats are unchanged. */
     void setWriteObserver(MachWriteObserver obs)
@@ -196,21 +188,18 @@ class MachArray
     }
 
     /**
-     * Record a freshly written unique block: store() then count it.
+     * Record a freshly written unique block, counting nothing
+     * (countInsert() records it); a no-op while bypassed.
      *
-     * Inserts into the current MACH, or into CO-MACH when the lookup
+     * Inserts into the current MACH, or into CO-MACH when the probe
      * that preceded this call detected a digest collision.
      */
-    void insertUnique(std::uint32_t digest, std::uint16_t aux, Addr ptr,
-                      std::span<const std::uint8_t> truth,
-                      bool collided);
-
-    /** State half of insertUnique() (a no-op while bypassed). */
     void store(std::uint32_t digest, std::uint16_t aux, Addr ptr,
                std::span<const std::uint8_t> truth, bool collided);
 
-    /** Accounting half of insertUnique(), from the MachBit @p bits
-     * of the lookup the insert followed. */
+    /** Accounting half of store(), from the MachBit @p bits of the
+     * probe the insert followed (kMachCoMachInsert when it went to
+     * CO-MACH). */
     void
     countInsert(std::uint8_t bits)
     {

@@ -99,7 +99,8 @@ struct PipelineConfig
 
     // --- streaming/buffering model --------------------------------------
     /** Interval between network chunk deliveries (paper: 400-500 ms). */
-    Tick buffer_interval = static_cast<Tick>(450) * sim_clock::ms;
+    static constexpr Tick kBufferInterval =
+        static_cast<Tick>(450) * sim_clock::ms;
     /** Frames available at t = 0 (pre-roll). */
     std::uint32_t preroll_frames = 32;
     /** Vsyncs between t = 0 and the first frame's deadline. */

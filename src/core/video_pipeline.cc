@@ -114,7 +114,7 @@ struct Playback
              c.profile.framePeriodTicks()),
           chunk_frames(std::max<std::uint32_t>(
               1, static_cast<std::uint32_t>(
-                     (c.buffer_interval * c.profile.fps) /
+                     (PipelineConfig::kBufferInterval * c.profile.fps) /
                      sim_clock::s))),
           window(c.scheme.mach ? c.mach.num_machs - 1 : 0),
           pool_cap(c.framebufferSlots()),
@@ -194,7 +194,7 @@ struct Playback
         }
         const std::uint64_t chunk =
             (i - cfg.preroll_frames) / chunk_frames;
-        return (chunk + 1) * cfg.buffer_interval;
+        return (chunk + 1) * PipelineConfig::kBufferInterval;
     }
 
     /** At a decoder wake-up for frame @p i, record whether fewer

@@ -191,14 +191,17 @@ decideMab(MachArray &machs, bool dcc, std::uint32_t frame,
     return out;
 }
 
-} // namespace
-
+/** Compute @p frame's MACH representation under @p cfg into @p out,
+ * deciding nothing: a pure function of the frame's bytes and the
+ * config. */
 // vstream:hot
 void
 prepareMachRepr(const Frame &frame, const MachConfig &cfg, MachRepr &out)
 {
     reprChunks(frame, cfg, out, [](std::uint32_t, std::uint32_t) {});
 }
+
+} // namespace
 
 // vstream:hot
 void

@@ -43,6 +43,7 @@
 #include "core/framebuffer_layout.hh"
 #include "core/mach_array.hh"
 #include "video/frame.hh"
+#include "video/macroblock.hh"
 
 namespace vstream
 {
@@ -186,11 +187,6 @@ struct MachRepr
                 block_bytes};
     }
 };
-
-/** Compute @p frame's MACH representation under @p cfg into @p out.
- * A pure function of the frame's bytes and the config. */
-void prepareMachRepr(const Frame &frame, const MachConfig &cfg,
-                     MachRepr &out);
 
 /** What deciding a frame's MACH outcomes needs: the array they
  * advance, the layout (iii records a dump) and whether unique blocks

@@ -37,12 +37,6 @@ struct DecoderConfig
     static constexpr std::uint64_t kEncodedRingBytes = 8ULL << 20;
 
     /**
-     * Motion-vector reach of P/B reference reads, in mabs.  Small
-     * values give the high address locality real MC exhibits.
-     */
-    std::uint32_t mc_reach_mabs = 8;
-
-    /**
      * Read-side prefetch granularity, bytes.  The bitstream DMA and
      * the MC reference fetcher bring data in dense bursts of this
      * size, so their DRAM accesses row-hit within a burst; Act/Pre
@@ -53,6 +47,12 @@ struct DecoderConfig
     static constexpr std::uint32_t kReadPrefetchBytes = 512;
     static_assert((kReadPrefetchBytes & (kReadPrefetchBytes - 1)) == 0,
                   "the read-prefetch granularity must be a power of two");
+
+    /**
+     * Motion-vector reach of P/B reference reads, in mabs.  Small
+     * values give the high address locality real MC exhibits.
+     */
+    static constexpr std::uint32_t kMcReachMabs = 8;
 
     void validate() const;
 };

@@ -146,9 +146,10 @@ VideoDecoder::decodeFrame(const Frame &frame, WritebackStage &wb,
 
         // 2. Motion compensation reference (P/B mabs).
         if (needs_mc && prev_slot != nullptr) {
-            const auto off = static_cast<std::int32_t>(
-                jitter_rng.uniformInt(0, 2 * cfg_.mc_reach_mabs)) -
-                static_cast<std::int32_t>(cfg_.mc_reach_mabs);
+            constexpr auto reach = DecoderConfig::kMcReachMabs;
+            const auto off =
+                static_cast<std::int32_t>(jitter_rng.uniformInt(0, 2 * reach)) -
+                static_cast<std::int32_t>(reach);
             t = readReference(*prev_slot, i, mab_count, off, t,
                               &result.mem_stall);
             ++result.mc_reads;

@@ -3,42 +3,10 @@
 #include <algorithm>
 #include <cstring>
 
-#include "sim/logging.hh"
 #include "video/pixel_kernels.hh"
 
 namespace vstream
 {
-
-Macroblock
-FrameReconstructor::rebuildMab(const std::vector<std::uint8_t> &stored,
-                               const MabRecord &rec, bool gradient_mode)
-{
-    return rebuildMab(
-        StoredBlock{stored.data(),
-                    static_cast<std::uint32_t>(stored.size())},
-        rec, gradient_mode);
-}
-
-Macroblock
-FrameReconstructor::rebuildMab(const StoredBlock &stored,
-                               const MabRecord &rec, bool gradient_mode)
-{
-    // Infer the block dimension from the stored byte count.
-    std::uint32_t dim = 1;
-    while (static_cast<std::size_t>(dim) * dim * kBytesPerPixel <
-           stored.size) {
-        ++dim;
-    }
-    vs_assert(static_cast<std::size_t>(dim) * dim * kBytesPerPixel ==
-                  stored.size,
-              "stored block is not a square pixel block");
-
-    Macroblock out(dim, stored.toVector());
-    if (gradient_mode) {
-        out.addBase(rec.base);
-    }
-    return out;
-}
 
 // vstream:hot
 void

@@ -2,11 +2,11 @@
  * @file
  * Pixel-level frame reconstruction at the display side.
  *
- * Turns the stored representation of a mab (raw block, or gradient
- * block plus base) back into display pixels, and verifies whole
- * frames against the checksum taken at decode time - the simulator's
- * proof that the MACH path is lossless (absent undetected hash
- * collisions, which this check is designed to expose).
+ * Folds the stored representation of each mab (raw block, or gradient
+ * block with its base re-added) into the CRC32 of the shown frame, to
+ * verify whole frames against the checksum taken at decode time - the
+ * simulator's proof that the MACH path is lossless (absent undetected
+ * hash collisions, which this check is designed to expose).
  */
 
 #ifndef VSTREAM_DISPLAY_FRAME_RECONSTRUCTOR_HH
@@ -14,35 +14,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "core/frame_buffer_manager.hh"
 #include "core/framebuffer_layout.hh"
 #include "hash/crc.hh"
-#include "video/macroblock.hh"
 
 namespace vstream
 {
-
-/** Stateless reconstruction helpers. */
-class FrameReconstructor
-{
-  public:
-    /**
-     * Rebuild the displayed mab from its stored block bytes.
-     *
-     * In gradient mode the stored bytes are the gab and the record's
-     * base is added back per pixel (the vector-add the DC performs).
-     */
-    static Macroblock rebuildMab(const std::vector<std::uint8_t> &stored,
-                                 const MabRecord &rec,
-                                 bool gradient_mode);
-
-    /** Same, from an arena byte view. */
-    static Macroblock rebuildMab(const StoredBlock &stored,
-                                 const MabRecord &rec,
-                                 bool gradient_mode);
-};
 
 /**
  * CRC32 of a shown frame, folded straight from the stored blocks in

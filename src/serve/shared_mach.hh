@@ -48,14 +48,14 @@ namespace vstream
 {
 
 /** One distinct block a session materialized: the original (unforged)
- * digest/aux as seen by MachArray::insertUnique, where its
+ * digest/aux as seen by MachArray::store, where its
  * ground-truth bytes sit in the owning record's arena, and how many
  * times the session wrote a block with this identity. */
 struct DedupBlock
 {
     std::uint32_t digest = 0;
     std::uint16_t aux = 0;
-    /** insertUnique calls with this (digest, aux) and these bytes. */
+    /** store() calls with this (digest, aux) and these bytes. */
     std::uint32_t writes = 0;
     /** The bytes are DedupRecord::arena[offset, offset + len). */
     std::uint32_t offset = 0;

@@ -1,6 +1,5 @@
 #include "video/frame.hh"
 
-#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -15,7 +14,6 @@ Frame::Frame(std::uint64_t index, FrameType type, std::uint32_t mabs_x,
 {
     reinit(index, type, mabs_x, mabs_y, mab_dim);
     pixels_.assign(decodedBytes(), 0);
-    origins_.assign(mabCount(), MabOrigin::kUnique);
 }
 
 // vstream:hot
@@ -33,7 +31,6 @@ Frame::reinit(std::uint64_t index, FrameType type, std::uint32_t mabs_x,
     encoded_bytes_ = 0;
     has_checksum_ = false;
     view_pixels_ = nullptr;
-    view_origins_ = nullptr;
     view_owner_.reset();
 }
 
@@ -41,15 +38,11 @@ Frame::reinit(std::uint64_t index, FrameType type, std::uint32_t mabs_x,
 // vstream:allow(no-hotpath-alloc) sizes the owned plane on the first
 // frame of a geometry; every later call copies into that storage
 void
-Frame::assignFlat(const std::uint8_t *pixels, const MabOrigin *origins,
-                  std::uint32_t checksum)
+Frame::assignFlat(const std::uint8_t *pixels, std::uint32_t checksum)
 {
     pixels_.resize(decodedBytes());
-    origins_.resize(mabCount());
     std::memcpy(pixels_.data(), pixels, pixels_.size());
-    std::copy(origins, origins + origins_.size(), origins_.begin());
     view_pixels_ = nullptr;
-    view_origins_ = nullptr;
     view_owner_.reset();
     checksum_ = checksum;
     has_checksum_ = true;
@@ -58,14 +51,12 @@ Frame::assignFlat(const std::uint8_t *pixels, const MabOrigin *origins,
 // vstream:hot
 void
 Frame::viewShared(std::shared_ptr<const void> owner,
-                  const std::uint8_t *pixels, const MabOrigin *origins,
-                  std::uint32_t checksum)
+                  const std::uint8_t *pixels, std::uint32_t checksum)
 {
-    vs_assert(owner != nullptr && pixels != nullptr && origins != nullptr,
-              "shared view without planes");
+    vs_assert(owner != nullptr && pixels != nullptr,
+              "shared view without a plane");
     view_owner_ = std::move(owner);
     view_pixels_ = pixels;
-    view_origins_ = origins;
     checksum_ = checksum;
     has_checksum_ = true;
 }
@@ -91,25 +82,15 @@ Frame::mabBase(std::uint32_t i) const
     return Pixel{p[0], p[1], p[2]};
 }
 
-Macroblock
-Frame::mab(std::uint32_t i) const
-{
-    const std::span<const std::uint8_t> b = mabBytes(i);
-    return Macroblock(mab_dim_, std::vector<std::uint8_t>(b.begin(), b.end()));
-}
-
 void
 Frame::makeOwned()
 {
     if (view_pixels_ != nullptr) {
         pixels_.assign(view_pixels_, view_pixels_ + decodedBytes());
-        origins_.assign(view_origins_, view_origins_ + mabCount());
         view_pixels_ = nullptr;
-        view_origins_ = nullptr;
         view_owner_.reset();
     }
-    vs_assert(pixels_.size() == decodedBytes() &&
-                  origins_.size() == mabCount(),
+    vs_assert(pixels_.size() == decodedBytes(),
               "frame has no content to modify");
 }
 
@@ -126,13 +107,6 @@ Frame::setMab(std::uint32_t i, std::span<const std::uint8_t> bytes)
     std::memmove(pixels_.data() + static_cast<std::size_t>(i) * bytes.size(),
                  bytes.data(), bytes.size());
     has_checksum_ = false;
-}
-
-MabOrigin
-Frame::origin(std::uint32_t i) const
-{
-    vs_assert(i < mabCount(), "mab index out of range");
-    return view_origins_ != nullptr ? view_origins_[i] : origins_[i];
 }
 
 std::uint32_t

@@ -3,10 +3,10 @@
  * A decoded video frame: one pixel plane plus decode metadata.
  *
  * The plane holds the frame's macroblocks back to back (mab i is the
- * mab-size bytes at i * mab size), with one origin per mab beside
- * it.  A frame either owns its plane or views planes shared with the
- * content generator, holding a reference that keeps them alive; mab
- * i is a view into whichever plane the frame reads.
+ * mab-size bytes at i * mab size).  A frame either owns its plane or
+ * views a plane shared with the content generator, holding a
+ * reference that keeps it alive; mab i is a view into whichever
+ * plane the frame reads.
  */
 
 #ifndef VSTREAM_VIDEO_FRAME_HH
@@ -18,21 +18,10 @@
 #include <vector>
 
 #include "video/gop.hh"
-#include "video/macroblock.hh"
+#include "video/pixel.hh"
 
 namespace vstream
 {
-
-/** How the synthetic generator produced a macroblock (ground truth
- * for tests; the simulated hardware never sees this). */
-enum class MabOrigin : std::uint8_t
-{
-    kUnique,
-    kPureColor,
-    kIntraCopy,
-    kInterCopy,
-    kGradientShift,
-};
 
 /** A decoded frame. */
 class Frame
@@ -43,7 +32,7 @@ class Frame
      * scratch frame (zero-alloc steady state). */
     Frame() = default;
 
-    /** A frame that owns an all-black plane, every origin kUnique. */
+    /** A frame that owns an all-black plane. */
     Frame(std::uint64_t index, FrameType type, std::uint32_t mabs_x,
           std::uint32_t mabs_y, std::uint32_t mab_dim);
 
@@ -58,22 +47,20 @@ class Frame
                 std::uint32_t mabs_y, std::uint32_t mab_dim);
 
     /**
-     * Copy the pixel plane and origins into this frame's own storage
-     * (one copy each; storage is reused once sized).  @p checksum is
-     * the CRC32 of the pixel bytes, kept for contentChecksum().  The
-     * geometry must already be set (reinit()).
+     * Copy the pixel plane into this frame's own storage (one copy;
+     * storage is reused once sized).  @p checksum is the CRC32 of the
+     * pixel bytes, kept for contentChecksum().  The geometry must
+     * already be set (reinit()).
      */
-    void assignFlat(const std::uint8_t *pixels, const MabOrigin *origins,
-                    std::uint32_t checksum);
+    void assignFlat(const std::uint8_t *pixels, std::uint32_t checksum);
 
     /**
-     * Read @p pixels and @p origins in place, without copying; @p
-     * owner keeps them alive for as long as this frame (or a copy of
-     * it) views them.  The geometry must already be set (reinit()).
+     * Read @p pixels in place, without copying; @p owner keeps them
+     * alive for as long as this frame (or a copy of it) views them.
+     * The geometry must already be set (reinit()).
      */
     void viewShared(std::shared_ptr<const void> owner,
-                    const std::uint8_t *pixels, const MabOrigin *origins,
-                    std::uint32_t checksum);
+                    const std::uint8_t *pixels, std::uint32_t checksum);
 
     std::uint64_t index() const { return index_; }
     FrameType type() const { return type_; }
@@ -102,16 +89,10 @@ class Frame
     /** First (top-left) pixel of mab @p i: its gab base. */
     Pixel mabBase(std::uint32_t i) const;
 
-    /** A copy of mab @p i (tests and offline tools; the decode path
-     * reads mabBytes()). */
-    Macroblock mab(std::uint32_t i) const;
-
     /** Overwrite mab @p i with @p bytes (one mab's worth); moves a
      * shared view into owned storage first and drops the checksum
      * kept by assignFlat(). */
     void setMab(std::uint32_t i, std::span<const std::uint8_t> bytes);
-
-    MabOrigin origin(std::uint32_t i) const;
 
     /**
      * Per-frame decode complexity multiplier (lognormal across
@@ -131,7 +112,7 @@ class Frame
      */
     std::uint32_t contentChecksum() const;
 
-    /** True when the frame reads shared planes (it owns no pixels). */
+    /** True when the frame reads a shared plane (it owns no pixels). */
     bool viewsShared() const { return view_pixels_ != nullptr; }
 
   private:
@@ -154,12 +135,10 @@ class Frame
     /** contentChecksum() as assignFlat() set it, when has_checksum_. */
     std::uint32_t checksum_ = 0;
     bool has_checksum_ = false;
-    /** Owned plane and origins (unused while viewing shared ones). */
+    /** Owned plane (unused while viewing a shared one). */
     std::vector<std::uint8_t> pixels_;
-    std::vector<MabOrigin> origins_;
-    /** Shared planes viewed in place, and their keep-alive owner. */
+    /** Shared plane viewed in place, and its keep-alive owner. */
     const std::uint8_t *view_pixels_ = nullptr;
-    const MabOrigin *view_origins_ = nullptr;
     std::shared_ptr<const void> view_owner_;
 };
 

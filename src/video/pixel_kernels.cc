@@ -12,11 +12,10 @@ namespace vstream
 namespace
 {
 
-// The gradient contract is pinned by Macroblock::gradientInto's
-// original scalar loop: exactly floor(len / 3) pixels are
-// transformed; any 1-2 trailing bytes past the last full pixel are
-// left untouched in dst.  In the simulator len is always a multiple
-// of 3, but the tests exercise ragged tails too.
+// The gradient contract is the scalar loop's: exactly floor(len / 3)
+// pixels are transformed; any 1-2 trailing bytes past the last full
+// pixel are left untouched in dst.  In the simulator len is always a
+// multiple of 3, but the tests exercise ragged tails too.
 
 // vstream:hot
 void
@@ -88,7 +87,7 @@ gradient(std::uint8_t *dst, const std::uint8_t *src, std::size_t len,
 #if defined(__SSE2__)
     const BasePhases ph = makePhases(base);
     // Each chunk is loaded whole before it is stored, so dst == src
-    // (Macroblock::addBase) is safe.
+    // is safe.
     for (; i + 48 <= len; i += 48) {
         const auto *s = reinterpret_cast<const __m128i *>(src + i);
         auto *d = reinterpret_cast<__m128i *>(dst + i);

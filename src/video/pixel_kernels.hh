@@ -4,9 +4,10 @@
  *
  *  - **Gradient transform** (`gradientSub` / `gradientAdd`): the
  *    wrap-around per-byte subtract/add of a base pixel whose channel
- *    cycles r,g,b (Macroblock::gradientInto / fromGradient).  Where
- *    the compiler targets SSE2 (baseline on x86-64) a 16-pixel loop
- *    is compiled in: lcm(16, 3) = 48, so three rotated 16-byte base
+ *    cycles r,g,b (prepareMachFrame's gabs, the generator's shifted
+ *    and smooth blocks, ShownFrameCrc's base re-add).  Where the
+ *    compiler targets SSE2 (baseline on x86-64) a 16-pixel loop is
+ *    compiled in: lcm(16, 3) = 48, so three rotated 16-byte base
  *    vectors cover every phase of the 3-byte pattern and one
  *    iteration transforms exactly one 48 B (4x4) mab.  The scalar
  *    loop takes the sub-48 B tail, and the whole length on other
@@ -14,8 +15,8 @@
  *    forms, so the bytes never depend on which loop ran.
  *
  *  - **Block equality** (`blockEqual`): the probe behind MACH
- *    verify-on-hit, the collider forge check and
- *    Macroblock::operator==.  It is `std::memcmp`, which beats
+ *    verify-on-hit, the collider forge check and MachWriteback's
+ *    identity assert.  It is `std::memcmp`, which beats
  *    hand-written packed and SSE2 compares at both 48 B and 768 B.
  */
 

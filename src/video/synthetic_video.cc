@@ -20,11 +20,11 @@ namespace vstream
 
 /**
  * Frames as flat planes: frame f lives in plane f % count, its mabs
- * back to back in pixels and one origin per mab in origins.
+ * back to back in pixels.
  */
 struct SyntheticVideo::Planes
 {
-    /** What a Frame carries besides its pixels and origins. */
+    /** What a Frame carries besides its pixels. */
     struct Meta
     {
         FrameType type = FrameType::kI;
@@ -38,8 +38,7 @@ struct SyntheticVideo::Planes
         : mab_count(p.mabsPerFrame()),
           mab_bytes(p.mab_dim * p.mab_dim * kBytesPerPixel),
           count(plane_count),
-          pixels(plane_count * mab_count * mab_bytes),
-          origins(plane_count * mab_count), meta(plane_count)
+          pixels(plane_count * mab_count * mab_bytes), meta(plane_count)
     {
     }
 
@@ -55,22 +54,11 @@ struct SyntheticVideo::Planes
         return pixels.data() +
                (frame % count) * mab_count * mab_bytes;
     }
-    MabOrigin *
-    originsOf(std::uint64_t frame)
-    {
-        return origins.data() + (frame % count) * mab_count;
-    }
-    const MabOrigin *
-    originsOf(std::uint64_t frame) const
-    {
-        return origins.data() + (frame % count) * mab_count;
-    }
 
     std::uint64_t mab_count;
     std::uint64_t mab_bytes;
     std::uint64_t count;
     std::vector<std::uint8_t> pixels;
-    std::vector<MabOrigin> origins;
     std::vector<Meta> meta;
 };
 
@@ -89,7 +77,7 @@ class SyntheticVideo::Generator
     void generate(Planes &planes);
 
   private:
-    /** Draw frame @p idx's pixels, origins and meta (bar checksum). */
+    /** Draw frame @p idx's pixels and meta (bar checksum). */
     void draw(Planes &planes, std::uint64_t idx);
 
     Pixel paletteColor();
@@ -211,7 +199,6 @@ SyntheticVideo::Generator::draw(Planes &planes, std::uint64_t idx)
     const std::uint64_t count = planes.mab_count;
     const std::uint64_t size = planes.mab_bytes;
     std::uint8_t *frame = planes.pixelsOf(idx);
-    MabOrigin *origins = planes.originsOf(idx);
     Planes::Meta &meta = planes.meta[idx % planes.count];
     meta.type = gop_.frameType(idx);
 
@@ -225,7 +212,6 @@ SyntheticVideo::Generator::draw(Planes &planes, std::uint64_t idx)
     // content class that checksum-based display schemes eliminate).
     if (idx > 0 && win_size_ > 0 && rng_.chance(p_.static_frame_rate)) {
         std::memcpy(frame, planes.pixelsOf(idx - 1), count * size);
-        std::fill(origins, origins + count, MabOrigin::kInterCopy);
         meta.complexity = 0.6; // repeats decode cheaply
         meta.encoded_bytes = static_cast<std::uint64_t>(
             p_.mabsPerFrame() * p_.encoded_bytes_per_mab * 0.2);
@@ -255,10 +241,8 @@ SyntheticVideo::Generator::draw(Planes &planes, std::uint64_t idx)
 
         if (r < p_intra && i > 0) {
             std::memcpy(mab, frame + intraSource(i) * size, size);
-            origins[i] = MabOrigin::kIntraCopy;
         } else if (r < p_inter && win_size_ > 0) {
             std::memcpy(mab, windowMabNear(planes, idx, i), size);
-            origins[i] = MabOrigin::kInterCopy;
         } else if (r < p_grad && i > 0) {
             // Same gradient, different base: pick an earlier mab of
             // this frame and shift all pixels by a non-zero constant.
@@ -267,7 +251,6 @@ SyntheticVideo::Generator::draw(Planes &planes, std::uint64_t idx)
             const auto dg = static_cast<std::uint8_t>(rng_.uniformInt(0, 255));
             const auto db = static_cast<std::uint8_t>(rng_.uniformInt(0, 255));
             gradientAdd(mab, src, size, Pixel{dr, dg, db});
-            origins[i] = MabOrigin::kGradientShift;
         } else if (rng_.chance(p_.pure_color_rate)) {
             const Pixel c = paletteColor();
             for (std::uint64_t b = 0; b < size; b += kBytesPerPixel) {
@@ -275,13 +258,11 @@ SyntheticVideo::Generator::draw(Planes &planes, std::uint64_t idx)
                 mab[b + 1] = c.g;
                 mab[b + 2] = c.b;
             }
-            origins[i] = MabOrigin::kPureColor;
         } else if (rng_.chance(p_.smooth_rate)) {
             const std::uint64_t ramp =
                 rng_.uniformInt(0, std::uint64_t{p_.ramp_palette} - 1);
             gradientAdd(mab, ramps_.data() + ramp * size, size,
                         paletteColor());
-            origins[i] = MabOrigin::kGradientShift;
         } else {
             // Draw through a local copy: stores to mab may alias the
             // member state, which would pin it in memory.
@@ -290,7 +271,6 @@ SyntheticVideo::Generator::draw(Planes &planes, std::uint64_t idx)
                 mab[b] = static_cast<std::uint8_t>(rng.next());
             }
             rng_ = rng;
-            origins[i] = MabOrigin::kUnique;
         }
     }
 
@@ -497,7 +477,7 @@ SyntheticVideo::frameBytes(const VideoProfile &profile)
     const std::uint64_t mab_bytes =
         static_cast<std::uint64_t>(profile.mab_dim) * profile.mab_dim *
         kBytesPerPixel;
-    return profile.mabsPerFrame() * (mab_bytes + sizeof(MabOrigin));
+    return profile.mabsPerFrame() * mab_bytes;
 }
 
 SyntheticVideo::SyntheticVideo(const VideoProfile &profile)
@@ -581,12 +561,10 @@ SyntheticVideo::nextFrameInto(Frame &out)
     if (content_ != nullptr) {
         // Shared planes are read-only and live as long as a frame
         // holds them: view them in place.
-        out.viewShared(content_, planes->pixelsOf(idx),
-                       planes->originsOf(idx), meta.checksum);
+        out.viewShared(content_, planes->pixelsOf(idx), meta.checksum);
     } else {
         // The ring plane is redrawn frames later: copy it out.
-        out.assignFlat(planes->pixelsOf(idx), planes->originsOf(idx),
-                       meta.checksum);
+        out.assignFlat(planes->pixelsOf(idx), meta.checksum);
     }
     out.setComplexity(meta.complexity);
     out.setEncodedBytes(meta.encoded_bytes);

@@ -46,10 +46,10 @@ class SyntheticVideo
 {
   public:
     /**
-     * Largest video (frame_count planes of pixels plus origins) that
-     * is generated in full and shared, and the most the content
-     * store holds at once; 16 MiB holds a 48-frame 256x144 video
-     * (5.4 MB) with room to spare, while a 48-frame 512x288 one
+     * Largest video (frame_count pixel planes) that is generated in
+     * full and shared, and the most the content store holds at once;
+     * 16 MiB holds a 48-frame 256x144 video (5.3 MB) with room to
+     * spare, while a 48-frame 512x288 one
      * (21 MB) streams through the private ring.
      */
     static constexpr std::uint64_t kSharedBudgetBytes = 16ULL << 20;
@@ -90,7 +90,7 @@ class SyntheticVideo
      * planes rather than a private ring. */
     bool sharesContent() const { return content_ != nullptr; }
 
-    /** Flat bytes of one frame: pixel plane plus origin plane. */
+    /** Flat bytes of one frame: its pixel plane. */
     static std::uint64_t frameBytes(const VideoProfile &profile);
 
     /** What the content store has done in this process.  Depends on

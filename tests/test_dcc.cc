@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "block_util.hh"
 #include "core/dcc.hh"
 #include "sim/random.hh"
 #include "video/macroblock.hh"
@@ -18,8 +21,20 @@ namespace
 Macroblock
 pure(std::uint8_t r, std::uint8_t g, std::uint8_t b)
 {
+    return pureMab(Pixel{r, g, b});
+}
+
+/** A 4x4 grey block whose pixel i is @p level(i). */
+template <typename Level>
+Macroblock
+grey(Level level)
+{
     Macroblock m(4);
-    m.fill(Pixel{r, g, b});
+    for (std::uint32_t i = 0; i < 16; ++i) {
+        const auto v = static_cast<std::uint8_t>(level(i));
+        std::fill_n(m.bytes().begin() + i * kBytesPerPixel, kBytesPerPixel,
+                    v);
+    }
     return m;
 }
 
@@ -34,11 +49,7 @@ TEST(Dcc, PureColorCompressesToHeaderPlusBase)
 
 TEST(Dcc, SmallDeltasPackTightly)
 {
-    Macroblock m(4);
-    for (std::uint32_t i = 0; i < 16; ++i) {
-        const auto v = static_cast<std::uint8_t>(100 + (i % 2));
-        m.setPixel(i, Pixel{v, v, v});
-    }
+    const Macroblock m = grey([](std::uint32_t i) { return 100 + i % 2; });
     const DccResult r = dccCompress(m.bytes());
     EXPECT_TRUE(r.compressed);
     // Delta of 1 -> 2 signed bits per channel; 15 pixels * 6 bits.
@@ -66,13 +77,9 @@ TEST(Dcc, RandomNoiseIsIncompressible)
 
 TEST(Dcc, GradientRampCompresses)
 {
-    Macroblock m(4);
-    for (std::uint32_t y = 0; y < 4; ++y) {
-        for (std::uint32_t x = 0; x < 4; ++x) {
-            const auto v = static_cast<std::uint8_t>(50 + 4 * x + y);
-            m.setPixel(y * 4 + x, Pixel{v, v, v});
-        }
-    }
+    // Pixel i sits at x = i % 4, y = i / 4.
+    const Macroblock m =
+        grey([](std::uint32_t i) { return 50 + 4 * (i % 4) + i / 4; });
     const DccResult r = dccCompress(m.bytes());
     EXPECT_TRUE(r.compressed);
     // Max delta 15 -> 5 signed bits/channel: 34 of 48 bytes.
@@ -96,8 +103,7 @@ TEST(Dcc, NeverLargerThanRawPlusHeader)
 TEST(Dcc, LargerBlocksAmortizeTheBase)
 {
     // 8x8 pure-colour block: still 5 bytes.
-    Macroblock m(8);
-    m.fill(Pixel{1, 2, 3});
+    const Macroblock m = pureMab(Pixel{1, 2, 3}, 8);
     const DccResult r = dccCompress(m.bytes());
     EXPECT_EQ(r.compressed_bytes, 5u);
     EXPECT_LT(r.ratio(m.sizeBytes()), 0.03);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the display side: display cache, MACH buffer, frame
- * reconstruction, and the display controller's scan-out of all three
+ * Tests for the display side: display cache, MACH buffer, the shown
+ * frame's CRC, and the display controller's scan-out of all three
  * frame-buffer layouts (including pixel-exact round trips).
  */
 
@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "block_util.hh"
 #include "core/mach_array.hh"
 #include "core/writeback_stage.hh"
 #include "display/display_controller.hh"
@@ -26,19 +27,7 @@ namespace
 Macroblock
 pure(std::uint8_t v)
 {
-    Macroblock m(4);
-    m.fill(Pixel{v, v, v});
-    return m;
-}
-
-Macroblock
-randomMab(Random &rng)
-{
-    Macroblock m(4);
-    for (auto &b : m.bytes()) {
-        b = static_cast<std::uint8_t>(rng.next());
-    }
-    return m;
+    return pureMab(Pixel{v, v, v});
 }
 
 // ---------------------------------------------------------------------
@@ -123,47 +112,8 @@ TEST(MachBuffer, LruEvictionInSet)
 }
 
 // ---------------------------------------------------------------------
-// FrameReconstructor
+// ShownFrameCrc
 // ---------------------------------------------------------------------
-
-TEST(FrameReconstructor, RawModePassthrough)
-{
-    Random rng(9);
-    const Macroblock m = randomMab(rng);
-    MabRecord rec;
-    rec.base = m.base();
-    const Macroblock out =
-        FrameReconstructor::rebuildMab(m.bytes(), rec, false);
-    EXPECT_EQ(out, m);
-}
-
-TEST(FrameReconstructor, GabModeAddsBaseBack)
-{
-    Random rng(10);
-    const Macroblock m = randomMab(rng);
-    MabRecord rec;
-    rec.base = m.base();
-    const Macroblock out = FrameReconstructor::rebuildMab(
-        m.gradient().bytes(), rec, true);
-    EXPECT_EQ(out, m);
-}
-
-TEST(FrameReconstructor, GabSharedAcrossBases)
-{
-    // One stored gab serves two mabs with different bases.
-    Random rng(11);
-    const Macroblock m = randomMab(rng);
-    const Macroblock shifted = m.shifted(50, 60, 70);
-    const auto gab_bytes = m.gradient().bytes();
-
-    MabRecord rec_a;
-    rec_a.base = m.base();
-    MabRecord rec_b;
-    rec_b.base = shifted.base();
-    EXPECT_EQ(FrameReconstructor::rebuildMab(gab_bytes, rec_a, true), m);
-    EXPECT_EQ(FrameReconstructor::rebuildMab(gab_bytes, rec_b, true),
-              shifted);
-}
 
 TEST(ShownFrameCrc, MatchesFrameChecksum)
 {
@@ -175,7 +125,8 @@ TEST(ShownFrameCrc, MatchesFrameChecksum)
     // Raw blocks one by one, and the whole plane as one stored run.
     ShownFrameCrc apart;
     for (std::uint32_t i = 0; i < 4; ++i) {
-        const auto b = f.mab(i).bytes();
+        const std::vector<std::uint8_t> b(f.mabBytes(i).begin(),
+                                          f.mabBytes(i).end());
         apart.addNow({b.data(), static_cast<std::uint32_t>(b.size())},
                      MabRecord{}, false);
     }
@@ -187,21 +138,33 @@ TEST(ShownFrameCrc, MatchesFrameChecksum)
     EXPECT_EQ(run.digest(), f.contentChecksum());
     // Gabs get their base re-added.
     ShownFrameCrc gabs;
+    std::vector<std::vector<std::uint8_t>> stored;
     for (std::uint32_t i = 0; i < 4; ++i) {
-        const Macroblock gab = f.mab(i).gradient();
+        stored.push_back(gabOf(f.mabBytes(i)));
         MabRecord rec;
         rec.base = f.mabBase(i);
-        gabs.add({gab.bytes().data(), 48}, rec, true);
+        gabs.add({stored.back().data(), 48}, rec, true);
     }
     EXPECT_EQ(gabs.digest(), f.contentChecksum());
 }
 
-TEST(FrameReconstructorDeath, NonSquareBlockPanics)
+TEST(ShownFrameCrc, OneGabServesTwoBases)
 {
-    MabRecord rec;
-    EXPECT_DEATH(FrameReconstructor::rebuildMab(
-                     std::vector<std::uint8_t>(47), rec, false),
-                 "square pixel block");
+    // One stored gab shows as two mabs with different bases.
+    Random rng(11);
+    const Macroblock m = randomMab(rng);
+    const Macroblock shifted = shiftedMab(m, Pixel{50, 60, 70});
+    Frame f(0, FrameType::kI, 2, 1, 4);
+    f.setMab(0, m.bytes());
+    f.setMab(1, shifted.bytes());
+    const std::vector<std::uint8_t> gab = gabOf(m.bytes());
+    ShownFrameCrc crc;
+    for (const Macroblock *b : {&m, &shifted}) {
+        MabRecord rec;
+        rec.base = b->base();
+        crc.add({gab.data(), 48}, rec, true);
+    }
+    EXPECT_EQ(crc.digest(), f.contentChecksum());
 }
 
 // ---------------------------------------------------------------------
@@ -249,9 +212,7 @@ TEST(DisplayController, LinearScanReadsWholeFrameOnce)
     BufferSlot &slot = rig.fbm.acquire(0);
     FrameLayout layout;
     wb.beginFrame(f, slot, 0, layout);
-    for (std::uint32_t i = 0; i < 8; ++i) {
-        wb.writeMab(f.mab(i), i, 0);
-    }
+    writeMabs(wb, f, 0);
     wb.finishFrame(0);
 
     const ScanStats s = dc.scanOut(layout, 0);
@@ -291,11 +252,11 @@ TEST_P(LayoutRoundTrip, LosslessAndCheaperWithMatches)
                                     u2,
                                     u1,
                                     pure(9),
-                                    u1.shifted(3, 3, 3),
+                                    shiftedMab(u1, Pixel{3, 3, 3}),
                                     pure(9),
                                     u2,
                                     pure(200),
-                                    u2.shifted(1, 0, 0),
+                                    shiftedMab(u2, Pixel{1, 0, 0}),
                                     pure(9),
                                     u1,
                                     pure(200)};
@@ -303,9 +264,7 @@ TEST_P(LayoutRoundTrip, LosslessAndCheaperWithMatches)
     BufferSlot &s0 = rig.fbm.acquire(0);
     FrameLayout l0;
     wb.beginFrame(f0, s0, 0, l0);
-    for (std::uint32_t i = 0; i < f0.mabCount(); ++i) {
-        wb.writeMab(f0.mab(i), i, 0);
-    }
+    writeMabs(wb, f0, 0);
     wb.finishFrame(0);
     const ScanStats scan0 = dc.scanOut(l0, 0);
     EXPECT_TRUE(scan0.verified);
@@ -315,9 +274,7 @@ TEST_P(LayoutRoundTrip, LosslessAndCheaperWithMatches)
     BufferSlot &s1 = rig.fbm.acquire(1);
     FrameLayout l1;
     wb.beginFrame(f1, s1, 1000, l1);
-    for (std::uint32_t i = 0; i < f1.mabCount(); ++i) {
-        wb.writeMab(f1.mab(i), i, 1000);
-    }
+    writeMabs(wb, f1, 1000);
     wb.finishFrame(1000);
     const ScanStats scan1 = dc.scanOut(l1, 1000);
     EXPECT_TRUE(scan1.verified);
@@ -347,16 +304,18 @@ struct ScanCase
 };
 
 /** CRC32 of @p layout's frame rebuilt mab by mab from the blocks its
- * records point at. */
+ * records point at, a gab's base re-added. */
 std::uint32_t
 rebuiltCrc(const FrameLayout &layout, const FrameBufferManager &fbm)
 {
     Crc32 crc;
     for (std::uint32_t i = 0; i < layout.mabCount(); ++i) {
         const MabRecord &rec = layout.record(i);
-        const Macroblock m = FrameReconstructor::rebuildMab(
-            fbm.loadBlock(rec.data_addr), rec, layout.gradientMode());
-        crc.update(m.bytes().data(), m.bytes().size());
+        std::vector<std::uint8_t> mab = bytesOf(fbm.loadBlock(rec.data_addr));
+        if (layout.gradientMode()) {
+            gradientAdd(mab.data(), mab.data(), mab.size(), rec.base);
+        }
+        crc.update(mab.data(), mab.size());
     }
     return crc.digest();
 }
@@ -403,7 +362,7 @@ TEST_P(ShownChecksum, FoldedFromStorageEqualsRebuiltFrame)
     std::vector<Macroblock> pool;
     for (int i = 0; i < 4; ++i) {
         pool.push_back(randomMab(rng));
-        pool.push_back(pool.back().shifted(5, 6, 7));
+        pool.push_back(shiftedMab(pool.back(), Pixel{5, 6, 7}));
         pool.push_back(pure(static_cast<std::uint8_t>(40 * i)));
     }
     std::vector<FrameLayout> layouts(6);
@@ -417,9 +376,7 @@ TEST_P(ShownChecksum, FoldedFromStorageEqualsRebuiltFrame)
         const Tick now = 1000ull * f;
         FrameLayout &layout = layouts[f];
         wb->beginFrame(frame, rig.fbm.acquire(f), now, layout);
-        for (std::uint32_t i = 0; i < frame.mabCount(); ++i) {
-            wb->writeMab(frame.mab(i), i, now);
-        }
+        writeMabs(*wb, frame, now);
         wb->finishFrame(now);
         // Frame 4's decode-time checksum is damaged: it must fail
         // verification however the blocks are folded.
@@ -477,9 +434,7 @@ TEST(DisplayController, MachBufferHitSurvivesLaterInsert)
     for (std::uint32_t f = 0; f < 2; ++f) {
         const Frame frame = makeFrame(frames[f], f);
         wb.beginFrame(frame, rig.fbm.acquire(f), 1000ull * f, layouts[f]);
-        for (std::uint32_t i = 0; i < 2; ++i) {
-            wb.writeMab(frame.mab(i), i, 1000ull * f);
-        }
+        writeMabs(wb, frame, 1000ull * f);
         wb.finishFrame(1000ull * f);
         const ScanStats s = dc.scanOut(layouts[f], 1000ull * f);
         EXPECT_TRUE(s.verified) << "frame " << f;
@@ -508,9 +463,7 @@ TEST(DisplayController, DisplayCacheCutsRepeatFetches)
         BufferSlot &slot = rig.fbm.acquire(0);
         FrameLayout layout;
         wb.beginFrame(f, slot, 0, layout);
-        for (std::uint32_t i = 0; i < 16; ++i) {
-            wb.writeMab(f.mab(i), i, 0);
-        }
+        writeMabs(wb, f, 0);
         wb.finishFrame(0);
         return dc.scanOut(layout, 0).dram_requests;
     };
@@ -526,9 +479,7 @@ TEST(DisplayController, ReRenderCountsAndReads)
     BufferSlot &slot = rig.fbm.acquire(0);
     FrameLayout layout;
     wb.beginFrame(f, slot, 0, layout);
-    for (std::uint32_t i = 0; i < 4; ++i) {
-        wb.writeMab(f.mab(i), i, 0);
-    }
+    writeMabs(wb, f, 0);
     wb.finishFrame(0);
 
     dc.scanOut(layout, 0);
@@ -555,9 +506,7 @@ TEST(DisplayController, FragmentationCounted)
     BufferSlot &slot = rig.fbm.acquire(0);
     FrameLayout layout;
     wb.beginFrame(f, slot, 0, layout);
-    for (std::uint32_t i = 0; i < 8; ++i) {
-        wb.writeMab(f.mab(i), i, 0);
-    }
+    writeMabs(wb, f, 0);
     wb.finishFrame(0);
     const ScanStats s = dc.scanOut(layout, 0);
     // Offsets 0,48,96,144,192,240,288,336 -> straddles at 48,96,240,

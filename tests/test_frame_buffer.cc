@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "block_util.hh"
 #include "core/frame_buffer_manager.hh"
 
 namespace vstream
@@ -93,7 +94,7 @@ TEST(FrameBufferPool, SlotReferencesSurviveGrowth)
         EXPECT_EQ(rig.fbm.find(f), held[f]);
         EXPECT_EQ(held[f]->data_base, bases[f]);
         EXPECT_EQ(held[f]->frame_index, f);
-        EXPECT_EQ(rig.fbm.loadBlock(bases[f]).toVector(),
+        EXPECT_EQ(bytesOf(rig.fbm.loadBlock(bases[f])),
                   std::vector<std::uint8_t>(
                       kMabBytes, static_cast<std::uint8_t>(f)));
     }

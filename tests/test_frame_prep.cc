@@ -41,7 +41,7 @@ overBudget(VideoProfile p)
 /** Frames compared per case: the 18th reuses the first ring plane. */
 constexpr std::uint64_t kComparedFrames = 18;
 
-/** Every mab's bytes back to back, then every origin. */
+/** Every mab's bytes back to back. */
 std::vector<std::uint8_t>
 flat(const Frame &f)
 {
@@ -49,9 +49,6 @@ flat(const Frame &f)
     for (std::uint32_t i = 0; i < f.mabCount(); ++i) {
         const auto b = f.mabBytes(i);
         out.insert(out.end(), b.begin(), b.end());
-    }
-    for (std::uint32_t i = 0; i < f.mabCount(); ++i) {
-        out.push_back(static_cast<std::uint8_t>(f.origin(i)));
     }
     return out;
 }
@@ -69,8 +66,8 @@ struct Decider
 };
 
 /** Expect @p got (from the helper) to equal @p want (inline), byte
- * for byte: frame, origins, checksum, MACH representation, outcomes
- * and dump. */
+ * for byte: frame, checksum, MACH representation, outcomes and
+ * dump. */
 void
 expectSamePrepared(const PreparedFrame &got, const PreparedFrame &want,
                    const std::string &what)

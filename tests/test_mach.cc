@@ -15,6 +15,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -51,6 +52,46 @@ MachTable
 single(const MachConfig &cfg, bool full_tags = false)
 {
     return MachTable(cfg, cfg.entries, 1, full_tags);
+}
+
+/** A probe of @p arr counted as MachWriteback::writeMab() counts it. */
+MachLookupResult
+lookup(MachArray &arr, std::uint32_t digest, std::uint16_t aux,
+       std::span<const std::uint8_t> truth, Tick now = 0)
+{
+    const MachLookupResult r = arr.probe(digest, aux, truth, now);
+    arr.count(r.bits(), r.digest);
+    return r;
+}
+
+/** Store the unique block that follows a probe whose MachBit flags
+ * were @p bits, and count it, as the writeback does: into CO-MACH when
+ * the probe detected a collision, dropped when it was bypassed. */
+void
+insert(MachArray &arr, std::uint8_t bits, std::uint32_t digest,
+       std::uint16_t aux, Addr ptr, std::span<const std::uint8_t> truth)
+{
+    const bool collided = (bits & kMachCollisionDetected) != 0;
+    if (collided && arr.config().co_mach) {
+        bits |= kMachCoMachInsert;
+    }
+    arr.store(digest, aux, ptr, truth, collided);
+    arr.countInsert(bits);
+}
+
+/** A block pointer as the writeback names it (MachOutcome): the frame
+ * whose data region holds the block, and the offset in it. */
+constexpr Addr
+blockPtr(std::uint32_t frame, std::uint32_t offset)
+{
+    return static_cast<Addr>(frame) << 32 | offset;
+}
+
+/** Frame index of a block pointer (MachOutcome::frame). */
+constexpr std::uint32_t
+ptrFrame(Addr ptr)
+{
+    return static_cast<std::uint32_t>(ptr >> 32);
 }
 
 /** The current slot's entries as (digest, ptr), in dump order. */
@@ -209,22 +250,22 @@ TEST(MachTable, FrozenSlotsAnswerByAge)
 TEST(MachArray, IntraVsInterClassification)
 {
     MachArray arr(smallConfig());
-    arr.beginFrame();
-    arr.insertUnique(0x10, 0, 100, blockOf(1), false);
+    arr.beginFrame(); // frame 0
+    insert(arr, 0, 0x10, 0, blockPtr(0, 100), blockOf(1));
 
-    // Same frame: intra.
-    auto r = arr.lookup(0x10, 0, blockOf(1));
+    // Same frame: intra, a hit on this frame's block.
+    auto r = lookup(arr, 0x10, 0, blockOf(1));
     EXPECT_TRUE(r.hit);
     EXPECT_FALSE(r.inter);
-    EXPECT_EQ(r.frame_age, 0u);
-    EXPECT_EQ(r.ptr, 100u);
+    EXPECT_EQ(r.ptr, blockPtr(0, 100));
 
-    // Next frame: the old MACH freezes into history -> inter.
-    arr.beginFrame();
-    r = arr.lookup(0x10, 0, blockOf(1));
+    // Next frame: the old MACH freezes into history -> inter, and the
+    // block is one frame old.
+    arr.beginFrame(); // frame 1
+    r = lookup(arr, 0x10, 0, blockOf(1));
     EXPECT_TRUE(r.hit);
     EXPECT_TRUE(r.inter);
-    EXPECT_EQ(r.frame_age, 1u);
+    EXPECT_EQ(1 - ptrFrame(r.ptr), 1u);
 
     EXPECT_EQ(arr.stats().intra_hits, 1u);
     EXPECT_EQ(arr.stats().inter_hits, 1u);
@@ -236,12 +277,12 @@ TEST(MachArray, HistoryBoundedByNumMachs)
     cfg.num_machs = 3; // current + 2 previous
     MachArray arr(cfg);
     arr.beginFrame();
-    arr.insertUnique(0x42, 0, 1, blockOf(9), false);
+    insert(arr, 0, 0x42, 0, 1, blockOf(9));
     // Age the entry past the window.
     for (int i = 0; i < 3; ++i) {
         arr.beginFrame();
     }
-    EXPECT_FALSE(arr.lookup(0x42, 0, blockOf(9)).hit);
+    EXPECT_FALSE(lookup(arr, 0x42, 0, blockOf(9)).hit);
     EXPECT_LE(arr.historyDepth(), 2u);
 }
 
@@ -249,10 +290,10 @@ TEST(MachArray, CurrentFrameWinsOverHistory)
 {
     MachArray arr(smallConfig());
     arr.beginFrame();
-    arr.insertUnique(0x7, 0, 111, blockOf(3), false);
+    insert(arr, 0, 0x7, 0, 111, blockOf(3));
     arr.beginFrame();
-    arr.insertUnique(0x7, 0, 222, blockOf(3), false);
-    const auto r = arr.lookup(0x7, 0, blockOf(3));
+    insert(arr, 0, 0x7, 0, 222, blockOf(3));
+    const auto r = lookup(arr, 0x7, 0, blockOf(3));
     EXPECT_TRUE(r.hit);
     EXPECT_FALSE(r.inter); // found in the current frame first
     EXPECT_EQ(r.ptr, 222u);
@@ -262,12 +303,12 @@ TEST(MachArray, MatchCountsFeedTopShares)
 {
     MachArray arr(smallConfig());
     arr.beginFrame();
-    arr.insertUnique(0xa, 0, 1, blockOf(1), false);
-    arr.insertUnique(0xb, 0, 2, blockOf(2), false);
+    insert(arr, 0, 0xa, 0, 1, blockOf(1));
+    insert(arr, 0, 0xb, 0, 2, blockOf(2));
     for (int i = 0; i < 3; ++i) {
-        arr.lookup(0xa, 0, blockOf(1));
+        lookup(arr, 0xa, 0, blockOf(1));
     }
-    arr.lookup(0xb, 0, blockOf(2));
+    lookup(arr, 0xb, 0, blockOf(2));
     const auto shares = arr.topMatchShares(4);
     ASSERT_EQ(shares.size(), 2u);
     EXPECT_DOUBLE_EQ(shares[0], 0.75);
@@ -284,10 +325,10 @@ TEST(MachArray, TopMatchSharesMatchFullSort)
     std::vector<std::uint64_t> counts;
     for (std::uint32_t d = 1; d <= 40; ++d) {
         const auto fill = static_cast<std::uint8_t>(d);
-        arr.insertUnique(d, 0, d, blockOf(fill), false);
+        insert(arr, 0, d, 0, d, blockOf(fill));
         counts.push_back(d * 7 % 5 + 1);
         for (std::uint64_t i = 0; i < counts.back(); ++i) {
-            ASSERT_TRUE(arr.lookup(d, 0, blockOf(fill)).hit) << d;
+            ASSERT_TRUE(lookup(arr, d, 0, blockOf(fill)).hit) << d;
         }
     }
     std::uint64_t total = 0;
@@ -310,8 +351,8 @@ TEST(MachArray, MissesCounted)
 {
     MachArray arr(smallConfig());
     arr.beginFrame();
-    arr.lookup(0x1, 0, blockOf(1));
-    arr.lookup(0x2, 0, blockOf(2));
+    lookup(arr, 0x1, 0, blockOf(1));
+    lookup(arr, 0x2, 0, blockOf(2));
     EXPECT_EQ(arr.stats().misses, 2u);
     EXPECT_EQ(arr.stats().lookups, 2u);
     EXPECT_DOUBLE_EQ(arr.stats().hitRate(), 0.0);
@@ -411,10 +452,9 @@ TEST(MachArray, RandomTraceIsDeterministicAndConserves)
             if (op % 97 == 96) {
                 arr.beginFrame();
             }
-            const auto r = arr.lookup(digest, 0, truth);
+            const auto r = lookup(arr, digest, 0, truth);
             if (!r.hit) {
-                arr.insertUnique(digest, 0, digest * 48, truth,
-                                 false);
+                insert(arr, r.bits(), digest, 0, digest * 48, truth);
             }
         }
         return arr.stats();
@@ -439,10 +479,10 @@ TEST(CoMach, PerFrameReset)
     cfg.co_mach = true;
     MachArray arr(cfg);
     arr.beginFrame();
-    arr.insertUnique(0x1, 0x2, 99, blockOf(5), true);
-    EXPECT_TRUE(arr.lookup(0x1, 0x2, blockOf(5)).hit);
+    insert(arr, kMachCollisionDetected, 0x1, 0x2, 99, blockOf(5));
+    EXPECT_TRUE(lookup(arr, 0x1, 0x2, blockOf(5)).hit);
     arr.beginFrame();
-    EXPECT_FALSE(arr.lookup(0x1, 0x2, blockOf(5)).hit);
+    EXPECT_FALSE(lookup(arr, 0x1, 0x2, blockOf(5)).hit);
     EXPECT_EQ(arr.coMachInserts(), 1u);
 }
 
@@ -452,14 +492,14 @@ TEST(MachArray, CollidedInsertGoesToCoMach)
     cfg.co_mach = true;
     MachArray arr(cfg);
     arr.beginFrame();
-    arr.insertUnique(0x99, 0x01, 1, blockOf(1), false);
-    // Pretend a lookup detected a collision; the new block lands in
+    insert(arr, 0, 0x99, 0x01, 1, blockOf(1));
+    // Pretend a probe detected a collision; the new block lands in
     // CO-MACH under its full 48-bit tag.
-    arr.insertUnique(0x99, 0x02, 2, blockOf(2), true);
+    insert(arr, kMachCollisionDetected, 0x99, 0x02, 2, blockOf(2));
     EXPECT_EQ(arr.coMachInserts(), 1u);
     // Both are now findable (different aux).
-    EXPECT_EQ(arr.lookup(0x99, 0x01, blockOf(1)).ptr, 1u);
-    EXPECT_EQ(arr.lookup(0x99, 0x02, blockOf(2)).ptr, 2u);
+    EXPECT_EQ(lookup(arr, 0x99, 0x01, blockOf(1)).ptr, 1u);
+    EXPECT_EQ(lookup(arr, 0x99, 0x02, blockOf(2)).ptr, 2u);
 }
 
 /** Brute-force a genuine CRC32 collision between distinct 48-byte
@@ -497,9 +537,9 @@ TEST(CoMach, RealCrc32CollisionIsDetected)
     cfg.co_mach = true;
     MachArray arr(cfg);
     arr.beginFrame();
-    arr.insertUnique(d, aux_a, 10, a, false);
+    insert(arr, 0, d, aux_a, 10, a);
 
-    const auto r = arr.lookup(d, aux_b, b);
+    const auto r = lookup(arr, d, aux_b, b);
     EXPECT_FALSE(r.hit);
     EXPECT_TRUE(r.collision_detected);
 
@@ -508,8 +548,8 @@ TEST(CoMach, RealCrc32CollisionIsDetected)
     plain.co_mach = false;
     MachArray bad(plain);
     bad.beginFrame();
-    bad.insertUnique(d, 0, 10, a, false);
-    const auto rb = bad.lookup(d, 0, b);
+    insert(bad, 0, d, 0, 10, a);
+    const auto rb = lookup(bad, d, 0, b);
     EXPECT_TRUE(rb.hit);
     EXPECT_TRUE(rb.collision_undetected);
 }
@@ -598,7 +638,6 @@ class RefMachArray
         for (std::size_t age = 0; age < frames_.size(); ++age) {
             if (probe(frames_[age], digest, aux, truth, false, r)) {
                 r.inter = age > 0;
-                r.frame_age = static_cast<std::uint32_t>(age);
                 break;
             }
         }
@@ -784,18 +823,17 @@ class RefMachArray
 ::testing::AssertionResult
 sameResult(const MachLookupResult &a, const MachLookupResult &b)
 {
-    if (a.hit == b.hit && a.inter == b.inter &&
-        a.frame_age == b.frame_age && a.ptr == b.ptr &&
+    if (a.hit == b.hit && a.inter == b.inter && a.ptr == b.ptr &&
         a.collision_detected == b.collision_detected &&
         a.collision_undetected == b.collision_undetected) {
         return ::testing::AssertionSuccess();
     }
     return ::testing::AssertionFailure()
-           << "table {hit " << a.hit << " inter " << a.inter << " age "
-           << a.frame_age << " ptr " << a.ptr << " det "
+           << "table {hit " << a.hit << " inter " << a.inter << " ptr "
+           << a.ptr << " det "
            << a.collision_detected << " undet " << a.collision_undetected
            << "} vs reference {hit " << b.hit << " inter " << b.inter
-           << " age " << b.frame_age << " ptr " << b.ptr << " det "
+           << " ptr " << b.ptr << " det "
            << b.collision_detected << " undet " << b.collision_undetected
            << "}";
 }
@@ -866,9 +904,14 @@ TEST(MachArray, MatchesFrameByFrameReferenceOnSeededSequences)
         RefMachArray ref(cfg, fb.get());
 
         const auto palette = rng.uniformInt(4, 40);
+        // Pointers name the frame that inserted the block, so a hit's
+        // age is frame - ptrFrame(ptr), as the writeback reads it.
+        std::uint32_t frame = 0;
+        bool bypassed = false;
         for (std::uint32_t op = 0; op < 250; ++op) {
             const double u = rng.uniform();
             if (u < 0.08) {
+                ++frame;
                 arr.beginFrame();
                 ref.beginFrame();
                 std::vector<std::pair<std::uint32_t, Addr>> dump;
@@ -880,9 +923,9 @@ TEST(MachArray, MatchesFrameByFrameReferenceOnSeededSequences)
                 continue;
             }
             if (u < 0.10) {
-                const bool on = rng.chance(0.3);
-                arr.setBypass(on);
-                ref.setBypass(on);
+                bypassed = rng.chance(0.3);
+                arr.setBypass(bypassed);
+                ref.setBypass(bypassed);
                 continue;
             }
             // Digests mostly follow the content; some collide with a
@@ -895,19 +938,20 @@ TEST(MachArray, MatchesFrameByFrameReferenceOnSeededSequences)
             const std::uint32_t digest = key * 0x9e3779b1u;
             const auto aux = static_cast<std::uint16_t>(
                 cfg.co_mach ? fill % 5 : 0);
-            const Addr ptr = 48ull * op;
+            const Addr ptr = blockPtr(frame, 48 * op);
             const Tick now = 1000ull * op;
             if (u < 0.15) {
-                arr.insertUnique(digest, aux, ptr, truth, false);
+                insert(arr, bypassed ? kMachBypassed : 0, digest, aux, ptr,
+                       truth);
                 ref.insertUnique(digest, aux, ptr, truth, false);
             } else {
-                const MachLookupResult a = arr.lookup(digest, aux, truth, now);
+                const MachLookupResult a =
+                    lookup(arr, digest, aux, truth, now);
                 const MachLookupResult b = ref.lookup(digest, aux, truth, now);
                 ASSERT_TRUE(sameResult(a, b)) << "seq " << seq << " op " << op;
-                deep_hits += a.hit && a.frame_age > 1 ? 1 : 0;
+                deep_hits += a.hit && frame - ptrFrame(a.ptr) > 1 ? 1 : 0;
                 if (!a.hit) {
-                    arr.insertUnique(digest, aux, ptr, truth,
-                                     a.collision_detected);
+                    insert(arr, a.bits(), digest, aux, ptr, truth);
                     ref.insertUnique(digest, aux, ptr, truth,
                                      b.collision_detected);
                 }

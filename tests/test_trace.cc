@@ -46,10 +46,8 @@ TEST(Trace, RoundTripIsByteExact)
         EXPECT_DOUBLE_EQ(got.complexity(), want.complexity());
         EXPECT_EQ(got.encodedBytes(), want.encodedBytes());
         EXPECT_EQ(got.mabCount(), want.mabCount());
-        for (std::uint32_t i = 0; i < got.mabCount(); ++i) {
-            ASSERT_EQ(got.mab(i), want.mab(i));
-        }
-        // The loaded frame owns one plane equal to the generator's.
+        // The loaded frame owns one plane equal to the generator's,
+        // so every mab is byte-exact.
         EXPECT_FALSE(got.viewsShared());
         ASSERT_TRUE(std::equal(got.plane().begin(), got.plane().end(),
                                want.plane().begin(), want.plane().end()));

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "block_util.hh"
 #include "core/video_pipeline.hh"
 #include "core/writeback_stage.hh"
 #include "display/display_controller.hh"
@@ -65,16 +66,13 @@ TEST(TransactionElimination, SkipsIdenticalScan)
     LinearWriteback wb(mem, fbm);
     Frame f(0, FrameType::kI, 8, 1, 4);
     for (std::uint32_t i = 0; i < 8; ++i) {
-        Macroblock m(4);
-        m.fill(Pixel{static_cast<std::uint8_t>(i), 0, 0});
-        f.setMab(i, m.bytes());
+        f.setMab(i, pureMab(Pixel{static_cast<std::uint8_t>(i), 0, 0})
+                        .bytes());
     }
     BufferSlot &slot = fbm.acquire(0);
     FrameLayout layout;
     wb.beginFrame(f, slot, 0, layout);
-    for (std::uint32_t i = 0; i < 8; ++i) {
-        wb.writeMab(f.mab(i), i, 0);
-    }
+    writeMabs(wb, f, 0);
     wb.finishFrame(0);
 
     const ScanStats first = dc.scanOut(layout, 0);

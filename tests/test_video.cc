@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
+#include <vector>
 
+#include "block_util.hh"
+#include "hash/hasher.hh"
 #include "sim/random.hh"
 #include "sim/ticks.hh"
 #include "video/frame.hh"
@@ -23,109 +28,75 @@ namespace vstream
 namespace
 {
 
-Macroblock
-randomMab(Random &rng, std::uint32_t dim = 4)
-{
-    Macroblock m(dim);
-    for (auto &b : m.bytes()) {
-        b = static_cast<std::uint8_t>(rng.next());
-    }
-    return m;
-}
-
-TEST(Macroblock, SizeAndAccessors)
+TEST(Macroblock, SizeBaseAndAssign)
 {
     Macroblock m(4);
-    EXPECT_EQ(m.pixelCount(), 16u);
+    EXPECT_EQ(m.dim(), 4u);
     EXPECT_EQ(m.sizeBytes(), 48u);
-    m.setPixel(5, Pixel{10, 20, 30});
-    EXPECT_EQ(m.pixel(5), (Pixel{10, 20, 30}));
-    EXPECT_EQ(m.pixel(0), (Pixel{0, 0, 0}));
-}
-
-TEST(Macroblock, FillMakesPureColor)
-{
-    Macroblock m(4);
-    m.fill(Pixel{1, 2, 3});
-    for (std::uint32_t i = 0; i < m.pixelCount(); ++i) {
-        EXPECT_EQ(m.pixel(i), (Pixel{1, 2, 3}));
-    }
-    EXPECT_EQ(m.base(), (Pixel{1, 2, 3}));
-}
-
-TEST(Macroblock, GradientOfPureColorIsZero)
-{
-    Macroblock m(4);
-    m.fill(Pixel{200, 100, 50});
-    const Macroblock gab = m.gradient();
-    for (std::uint8_t b : gab.bytes()) {
-        EXPECT_EQ(b, 0);
-    }
-}
-
-TEST(Macroblock, GradientRoundTripIsLossless)
-{
-    Random rng(1);
-    for (int i = 0; i < 200; ++i) {
-        const Macroblock m = randomMab(rng);
-        const Macroblock rebuilt =
-            Macroblock::fromGradient(m.gradient(), m.base());
-        EXPECT_EQ(rebuilt, m) << "iteration " << i;
-    }
-}
-
-TEST(Macroblock, GradientInvariantUnderShift)
-{
-    // The core gab property (paper Fig. 8e): shifting every pixel by
-    // a constant leaves the gradient block unchanged.
-    Random rng(2);
-    for (int i = 0; i < 200; ++i) {
-        const Macroblock m = randomMab(rng);
-        const auto dr = static_cast<std::uint8_t>(rng.next());
-        const auto dg = static_cast<std::uint8_t>(rng.next());
-        const auto db = static_cast<std::uint8_t>(rng.next());
-        const Macroblock shifted = m.shifted(dr, dg, db);
-        EXPECT_EQ(m.gradient(), shifted.gradient());
-        if (dr || dg || db) {
-            // Content differs but gradient digest matches.
-            EXPECT_EQ(m.gradientDigest(HashKind::kCrc32),
-                      shifted.gradientDigest(HashKind::kCrc32));
-        }
-    }
-}
-
-TEST(Macroblock, ShiftWrapsModulo256)
-{
-    Macroblock m(2);
-    m.fill(Pixel{250, 250, 250});
-    const Macroblock s = m.shifted(10, 10, 10);
-    EXPECT_EQ(s.pixel(0), (Pixel{4, 4, 4}));
-}
-
-TEST(Macroblock, DigestDiscriminatesContent)
-{
-    Random rng(3);
-    const Macroblock a = randomMab(rng);
-    Macroblock b = a;
-    b.bytes()[17] ^= 1;
-    EXPECT_NE(a.digest(HashKind::kCrc32), b.digest(HashKind::kCrc32));
-    EXPECT_EQ(a.digest(HashKind::kCrc32),
-              Macroblock(a).digest(HashKind::kCrc32));
-}
-
-TEST(Macroblock, GradientFirstPixelAlwaysZero)
-{
-    Random rng(4);
-    for (int i = 0; i < 50; ++i) {
-        const Macroblock gab = randomMab(rng).gradient();
-        EXPECT_EQ(gab.pixel(0), (Pixel{0, 0, 0}));
-    }
+    EXPECT_EQ(m.base(), (Pixel{0, 0, 0}));
+    // The decoder's scratch: refilled in place, at any dimension.
+    const Macroblock big = pureMab(Pixel{10, 20, 30}, 8);
+    m.assignBytes(8, big.bytes().data(), big.bytes().size());
+    EXPECT_EQ(m.dim(), 8u);
+    EXPECT_EQ(m.sizeBytes(), 192u);
+    EXPECT_EQ(m.bytes(), big.bytes());
+    EXPECT_EQ(m.base(), (Pixel{10, 20, 30}));
 }
 
 TEST(MacroblockDeath, WrongByteCount)
 {
     EXPECT_DEATH(Macroblock(4, std::vector<std::uint8_t>(47)),
                  "byte count");
+    Macroblock m(4);
+    const std::vector<std::uint8_t> bytes(47);
+    EXPECT_DEATH(m.assignBytes(4, bytes.data(), bytes.size()),
+                 "byte count");
+}
+
+TEST(Gradient, PureColorHasZeroGab)
+{
+    for (const std::uint8_t b : gabOf(pureMab(Pixel{200, 100, 50}).bytes())) {
+        EXPECT_EQ(b, 0);
+    }
+}
+
+TEST(Gradient, GabFirstPixelAlwaysZero)
+{
+    Random rng(4);
+    for (int i = 0; i < 50; ++i) {
+        const auto gab = gabOf(randomMab(rng).bytes());
+        EXPECT_EQ((Pixel{gab[0], gab[1], gab[2]}), (Pixel{0, 0, 0}));
+    }
+}
+
+TEST(Gradient, GabInvariantUnderShift)
+{
+    // The core gab property (paper Fig. 8e): shifting every pixel by
+    // a constant leaves the gradient block, and so its digest,
+    // unchanged, while the block itself differs.
+    Random rng(2);
+    for (int i = 0; i < 200; ++i) {
+        const Macroblock m = randomMab(rng);
+        const Pixel offset{static_cast<std::uint8_t>(rng.next()),
+                           static_cast<std::uint8_t>(rng.next()),
+                           static_cast<std::uint8_t>(rng.next())};
+        const Macroblock shifted = shiftedMab(m, offset);
+        const auto gab = gabOf(m.bytes());
+        EXPECT_EQ(gab, gabOf(shifted.bytes()));
+        if (offset != Pixel{0, 0, 0}) {
+            EXPECT_NE(m.bytes(), shifted.bytes());
+            EXPECT_EQ(digest32(HashKind::kCrc32, gab.data(), gab.size()),
+                      digest32(HashKind::kCrc32,
+                               gabOf(shifted.bytes()).data(), gab.size()));
+        }
+    }
+}
+
+TEST(Gradient, ShiftWrapsModulo256)
+{
+    const Macroblock s =
+        shiftedMab(pureMab(Pixel{250, 250, 250}, 2), Pixel{10, 10, 10});
+    EXPECT_EQ(s.base(), (Pixel{4, 4, 4}));
 }
 
 TEST(Frame, GeometryAndChecksum)
@@ -134,11 +105,10 @@ TEST(Frame, GeometryAndChecksum)
     EXPECT_EQ(f.mabCount(), 32u);
     EXPECT_EQ(f.decodedBytes(), 32u * 48u);
     const auto c0 = f.contentChecksum();
-    Macroblock m(4);
-    m.fill(Pixel{9, 9, 9});
+    const Macroblock m = pureMab(Pixel{9, 9, 9});
     f.setMab(7, m.bytes());
     EXPECT_NE(f.contentChecksum(), c0);
-    EXPECT_EQ(f.mab(7), m);
+    EXPECT_TRUE(std::ranges::equal(f.mabBytes(7), m.bytes()));
     // Mab i is a view into the one plane.
     EXPECT_EQ(f.mabBytes(7).data(), f.plane().data() + 7 * 48);
     EXPECT_EQ(f.mabBase(7), (Pixel{9, 9, 9}));
@@ -236,52 +206,75 @@ TEST(SyntheticVideo, DifferentSeedsDifferentContent)
               b.nextFrame().contentChecksum());
 }
 
+/** @p rate for one content class of a 256x144 video, every other
+ * class's rate 0: each later mab of its first frame is that class
+ * with probability @p rate, and unique noise otherwise. */
+VideoProfile
+onlyClass(double VideoProfile::*cls, double rate)
+{
+    VideoProfile p = testProfile();
+    p.width = 256;
+    p.height = 144;
+    p.intra_match_rate = 0.0;
+    p.inter_match_rate = 0.0;
+    p.gradient_shift_rate = 0.0;
+    p.pure_color_rate = 0.0;
+    p.smooth_rate = 0.0;
+    p.*cls = rate;
+    return p;
+}
+
+/** Of the mabs of @p f after the first, the shares equal to an
+ * earlier mab, and whose gab alone equals an earlier mab's. */
+struct RepeatShares
+{
+    double exact = 0.0;
+    double gab_only = 0.0;
+};
+
+RepeatShares
+repeatShares(const Frame &f)
+{
+    const std::uint32_t size = f.mabSizeBytes();
+    std::vector<std::uint8_t> gabs;
+    for (std::uint32_t i = 0; i < f.mabCount(); ++i) {
+        const std::vector<std::uint8_t> gab = gabOf(f.mabBytes(i));
+        gabs.insert(gabs.end(), gab.begin(), gab.end());
+    }
+    const auto gab = [&](std::uint32_t i) {
+        return std::span<const std::uint8_t>(gabs.data() + i * size, size);
+    };
+    std::uint32_t exact = 0;
+    std::uint32_t gab_only = 0;
+    for (std::uint32_t i = 1; i < f.mabCount(); ++i) {
+        bool mab_seen = false;
+        bool gab_seen = false;
+        for (std::uint32_t j = 0; j < i && !mab_seen; ++j) {
+            mab_seen = blockEqual(f.mabBytes(j), f.mabBytes(i));
+            gab_seen = gab_seen || blockEqual(gab(j), gab(i));
+        }
+        exact += mab_seen ? 1 : 0;
+        gab_only += !mab_seen && gab_seen ? 1 : 0;
+    }
+    const double later = f.mabCount() - 1.0;
+    return {exact / later, gab_only / later};
+}
+
 TEST(SyntheticVideo, IntraCopiesAreExactDuplicates)
 {
-    SyntheticVideo v(testProfile());
-    const Frame f = v.nextFrame();
-    std::uint32_t checked = 0;
-    for (std::uint32_t i = 0; i < f.mabCount(); ++i) {
-        if (f.origin(i) != MabOrigin::kIntraCopy) {
-            continue;
-        }
-        // An intra copy must match some earlier mab exactly.
-        bool found = false;
-        for (std::uint32_t j = 0; j < i && !found; ++j) {
-            found = (f.mab(j) == f.mab(i));
-        }
-        EXPECT_TRUE(found) << "mab " << i;
-        ++checked;
-    }
-    EXPECT_GT(checked, 0u);
+    // 2303 later mabs: one standard deviation of the share is ~0.01.
+    SyntheticVideo v(onlyClass(&VideoProfile::intra_match_rate, 0.4));
+    const RepeatShares s = repeatShares(v.nextFrame());
+    EXPECT_NEAR(s.exact, 0.4, 0.05);
+    EXPECT_EQ(s.gab_only, 0.0);
 }
 
 TEST(SyntheticVideo, GradientShiftsMatchOnlyUnderGab)
 {
-    auto p = testProfile();
-    p.intra_match_rate = 0.0;
-    p.inter_match_rate = 0.0;
-    p.gradient_shift_rate = 0.5;
-    p.pure_color_rate = 0.0;
-    p.smooth_rate = 0.0;
-    SyntheticVideo v(p);
-    const Frame f = v.nextFrame();
-    std::uint32_t gab_only = 0;
-    for (std::uint32_t i = 0; i < f.mabCount(); ++i) {
-        if (f.origin(i) != MabOrigin::kGradientShift) {
-            continue;
-        }
-        bool exact = false, gab = false;
-        for (std::uint32_t j = 0; j < i; ++j) {
-            exact = exact || f.mab(j) == f.mab(i);
-            gab = gab || f.mab(j).gradient() == f.mab(i).gradient();
-        }
-        EXPECT_TRUE(gab) << "mab " << i;
-        if (!exact) {
-            ++gab_only;
-        }
-    }
-    EXPECT_GT(gab_only, 0u);
+    SyntheticVideo v(onlyClass(&VideoProfile::gradient_shift_rate, 0.4));
+    const RepeatShares s = repeatShares(v.nextFrame());
+    EXPECT_NEAR(s.gab_only, 0.4, 0.05);
+    EXPECT_EQ(s.exact, 0.0);
 }
 
 TEST(SyntheticVideo, ComplexityMeanNearOne)

@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "block_util.hh"
 #include "core/coalescing_buffer.hh"
 #include "core/frame_buffer_manager.hh"
 #include "core/writeback_stage.hh"
@@ -45,9 +46,7 @@ frameOfMabs(const std::vector<Macroblock> &mabs, std::uint64_t index = 0)
 Macroblock
 pure(std::uint8_t r, std::uint8_t g, std::uint8_t b)
 {
-    Macroblock m(4);
-    m.fill(Pixel{r, g, b});
-    return m;
+    return pureMab(Pixel{r, g, b});
 }
 
 // ---------------------------------------------------------------------
@@ -163,7 +162,7 @@ TEST(FrameBufferManager, BlockStoreRoundTrip)
     rig.fbm.storeBlock(slot, slot.data_base + 96, bytes);
     const StoredBlock loaded = rig.fbm.loadBlock(slot.data_base + 96);
     ASSERT_TRUE(loaded);
-    EXPECT_EQ(loaded.toVector(), bytes);
+    EXPECT_EQ(bytesOf(loaded), bytes);
     EXPECT_FALSE(rig.fbm.loadBlock(slot.data_base + 97));
 }
 
@@ -192,9 +191,9 @@ TEST(FrameBufferManager, SlotMemoFollowsStoresAcrossSlots)
     rig.fbm.storeBlock(a, a.data_base, a1);
     rig.fbm.storeBlock(b, b.data_base + 48, b1);
     rig.fbm.storeBlock(a, a.data_base + 96, a2);
-    EXPECT_EQ(rig.fbm.loadBlock(a.data_base).toVector(), a1);
-    EXPECT_EQ(rig.fbm.loadBlock(b.data_base + 48).toVector(), b1);
-    EXPECT_EQ(rig.fbm.loadBlock(a.data_base + 96).toVector(), a2);
+    EXPECT_EQ(bytesOf(rig.fbm.loadBlock(a.data_base)), a1);
+    EXPECT_EQ(bytesOf(rig.fbm.loadBlock(b.data_base + 48)), b1);
+    EXPECT_EQ(bytesOf(rig.fbm.loadBlock(a.data_base + 96)), a2);
 
     // Right after a hit in b: addresses in no slot's data region.
     const Addr last_a = a.data_base + a.data_capacity - 48;
@@ -213,8 +212,8 @@ TEST(FrameBufferManager, SlotMemoFollowsStoresAcrossSlots)
     ASSERT_EQ(&c, &a);
     EXPECT_FALSE(rig.fbm.loadBlock(a.data_base));
     rig.fbm.storeBlock(c, c.data_base, a3);
-    EXPECT_EQ(rig.fbm.loadBlock(b.data_base + 48).toVector(), b1);
-    EXPECT_EQ(rig.fbm.loadBlock(c.data_base).toVector(), a3);
+    EXPECT_EQ(bytesOf(rig.fbm.loadBlock(b.data_base + 48)), b1);
+    EXPECT_EQ(bytesOf(rig.fbm.loadBlock(c.data_base)), a3);
     EXPECT_FALSE(rig.fbm.loadBlock(c.data_base + 96));
 }
 
@@ -312,9 +311,7 @@ TEST(LinearWriteback, WritesEveryMabAtItsLinearAddress)
     BufferSlot &slot = rig.fbm.acquire(0);
     FrameLayout layout;
     wb.beginFrame(f, slot, 0, layout);
-    for (std::uint32_t i = 0; i < f.mabCount(); ++i) {
-        wb.writeMab(f.mab(i), i, 0);
-    }
+    writeMabs(wb, f, 0);
     wb.finishFrame(0);
 
     EXPECT_EQ(layout.kind(), LayoutKind::kLinear);
@@ -350,9 +347,7 @@ TEST(MachWriteback, DeduplicatesExactRepeats)
     BufferSlot &slot = rig.fbm.acquire(0);
     FrameLayout layout;
     wb.beginFrame(f, slot, 0, layout);
-    for (std::uint32_t i = 0; i < 4; ++i) {
-        wb.writeMab(f.mab(i), i, 0);
-    }
+    writeMabs(wb, f, 0);
     wb.finishFrame(0);
 
     EXPECT_EQ(wb.totals().unique_blocks, 2u);
@@ -378,19 +373,13 @@ TEST(MachWriteback, AllUniqueFramePaysMetadataOverhead)
     Random rng(5);
     std::vector<Macroblock> mabs;
     for (int i = 0; i < 4; ++i) {
-        Macroblock m(4);
-        for (auto &b : m.bytes()) {
-            b = static_cast<std::uint8_t>(rng.next());
-        }
-        mabs.push_back(m);
+        mabs.push_back(randomMab(rng));
     }
     const Frame f = frameOfMabs(mabs);
     BufferSlot &slot = rig.fbm.acquire(0);
     FrameLayout layout;
     wb.beginFrame(f, slot, 0, layout);
-    for (std::uint32_t i = 0; i < 4; ++i) {
-        wb.writeMab(f.mab(i), i, 0);
-    }
+    writeMabs(wb, f, 0);
     wb.finishFrame(0);
     EXPECT_LT(wb.totals().savings(48), 0.0);
     EXPECT_EQ(wb.totals().totalBytes(), 4u * 52u);
@@ -405,20 +394,16 @@ TEST(MachWriteback, GabCatchesShiftedBlocks)
     MachWriteback wb(rig.mem, rig.fbm, machs, LayoutKind::kPointer);
 
     Random rng(6);
-    Macroblock base(4);
-    for (auto &b : base.bytes()) {
-        b = static_cast<std::uint8_t>(rng.next());
-    }
+    const Macroblock base = randomMab(rng);
     const auto mabs = std::vector<Macroblock>{
-        base, base.shifted(10, 20, 30), base.shifted(1, 1, 1)};
+        base, shiftedMab(base, Pixel{10, 20, 30}),
+        shiftedMab(base, Pixel{1, 1, 1})};
     const Frame f = frameOfMabs(mabs);
 
     BufferSlot &slot = rig.fbm.acquire(0);
     FrameLayout layout;
     wb.beginFrame(f, slot, 0, layout);
-    for (std::uint32_t i = 0; i < 3; ++i) {
-        wb.writeMab(f.mab(i), i, 0);
-    }
+    writeMabs(wb, f, 0);
     wb.finishFrame(0);
 
     EXPECT_EQ(wb.totals().unique_blocks, 1u);
@@ -437,15 +422,14 @@ TEST(MachWriteback, MabModeMissesShiftedBlocks)
     MachArray machs(mcfg);
     MachWriteback wb(rig.mem, rig.fbm, machs, LayoutKind::kPointer);
 
-    Macroblock base = pure(5, 5, 5);
+    const Macroblock base = pure(5, 5, 5);
     const auto mabs =
-        std::vector<Macroblock>{base, base.shifted(1, 2, 3)};
+        std::vector<Macroblock>{base, shiftedMab(base, Pixel{1, 2, 3})};
     const Frame f = frameOfMabs(mabs);
     BufferSlot &slot = rig.fbm.acquire(0);
     FrameLayout layout;
     wb.beginFrame(f, slot, 0, layout);
-    wb.writeMab(f.mab(0), 0, 0);
-    wb.writeMab(f.mab(1), 1, 0);
+    writeMabs(wb, f, 0);
     wb.finishFrame(0);
     EXPECT_EQ(wb.totals().unique_blocks, 2u);
     EXPECT_EQ(wb.totals().intra_matches, 0u);
@@ -465,8 +449,7 @@ TEST(MachWriteback, InterMatchesBecomeDigestsInLayoutIii)
     BufferSlot &s0 = rig.fbm.acquire(0);
     FrameLayout l0;
     wb.beginFrame(f0, s0, 0, l0);
-    wb.writeMab(f0.mab(0), 0, 0);
-    wb.writeMab(f0.mab(1), 1, 0);
+    writeMabs(wb, f0, 0);
     wb.finishFrame(0);
     EXPECT_EQ(l0.machDump().size(), 2u);
     EXPECT_GT(l0.machDumpBytes(), 0u);
@@ -476,8 +459,7 @@ TEST(MachWriteback, InterMatchesBecomeDigestsInLayoutIii)
     BufferSlot &s1 = rig.fbm.acquire(1);
     FrameLayout l1;
     wb.beginFrame(f1, s1, 0, l1);
-    wb.writeMab(f1.mab(0), 0, 0);
-    wb.writeMab(f1.mab(1), 1, 0);
+    writeMabs(wb, f1, 0);
     wb.finishFrame(0);
 
     EXPECT_EQ(l1.record(0).storage, MabStorage::kInterDigest);
@@ -500,8 +482,7 @@ TEST(MachWriteback, DccShrinksUniqueBlocks)
     BufferSlot &slot = rig.fbm.acquire(0);
     FrameLayout layout;
     wb.beginFrame(f, slot, 0, layout);
-    wb.writeMab(f.mab(0), 0, 0);
-    wb.writeMab(f.mab(1), 1, 0);
+    writeMabs(wb, f, 0);
     wb.finishFrame(0);
 
     // Pure-colour blocks compress to a handful of bytes.

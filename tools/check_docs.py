@@ -82,7 +82,11 @@ REMOVED_NAMES = ("refresh_enabled", "ReplPolicy", "stats::Scalar",
                  "write_allocate", "writebackCount", "resetStats",
                  "TracePolicy", "kSkipFrame", "kTraceCorrupt",
                  "refresh_hz", "dram_backoff_base", "LambdaEvent",
-                 "SimObject", "setTraceSink", "periodFromFreq")
+                 "SimObject", "setTraceSink", "periodFromFreq",
+                 "MabOrigin", "rebuildMab", "insertUnique",
+                 "gradientInto", "gradientDigest", "fromGradient",
+                 "mc_reach_mabs", "buffer_interval", "frame_age",
+                 "BM_GradientTransform")
 REMOVED_NAME_RE = re.compile(
     r"(?<![\w:])(" + "|".join(re.escape(n) for n in REMOVED_NAMES) +
     r")(?!\w)")
