@@ -22,7 +22,7 @@ FrameBufferManager::FrameBufferManager(MemorySystem &mem,
                                        std::uint32_t mab_count,
                                        std::uint32_t mab_bytes,
                                        std::uint64_t mach_dump_bytes)
-    : mem_(mem), mab_count_(mab_count),
+    : mem_(mem), mab_count_(mab_count), mab_bytes_(mab_bytes),
       // Worst-case metadata: a 4 B pointer/digest stream and a 3 B
       // base stream (kept in disjoint halves with slack so the two
       // write-combining cursors never collide) plus the 1 bit/mab
@@ -30,9 +30,15 @@ FrameBufferManager::FrameBufferManager(MemorySystem &mem,
       meta_capacity_(static_cast<std::uint64_t>(mab_count) * 9 +
                      (mab_count + 7) / 8 + 128),
       data_capacity_(static_cast<std::uint64_t>(mab_count) * mab_bytes),
-      mab_index_(mab_bytes, data_capacity_),
+      mab_index_(mab_bytes, data_capacity_ + 1),
       mach_dump_capacity_(mach_dump_bytes)
 {
+}
+
+void
+FrameBufferManager::expectPackedStores()
+{
+    packed_stores_ = true;
 }
 
 BufferSlot &
@@ -50,7 +56,9 @@ FrameBufferManager::acquire(std::uint64_t frame_index)
         // are allocated exactly once, and steady state recycles.
         slot = &slots_.emplace_back();
         slot->arena.reserve(data_capacity_);
-        slot->blocks.resize(mab_count_);
+        if (packed_stores_) {
+            slot->packed.reserve(mab_count_);
+        }
         slot->meta_base = mem_.allocate(meta_capacity_, "fb.meta");
         slot->data_base = mem_.allocate(data_capacity_, "fb.data");
         slot->mach_dump_base =
@@ -64,7 +72,7 @@ FrameBufferManager::acquire(std::uint64_t frame_index)
     slot->in_use = true;
     slot->frame_index = frame_index;
     slot->arena.clear();
-    slot->block_count = 0;
+    slot->packed.clear();
     return *slot;
 }
 
@@ -109,6 +117,9 @@ FrameBufferManager::slotContaining(Addr addr) const
 }
 
 // vstream:hot
+// The region-offset list grows only in a slot made without
+// expectPackedStores(); a DCC writeback's slots reserve it when made.
+// vstream:allow(no-hotpath-alloc)
 void
 FrameBufferManager::storeBlock(BufferSlot &slot, Addr addr,
                                std::span<const std::uint8_t> bytes)
@@ -116,34 +127,43 @@ FrameBufferManager::storeBlock(BufferSlot &slot, Addr addr,
     vs_assert(addr >= slot.data_base &&
                   addr < slot.data_base + slot.data_capacity,
               "block store outside its frame buffer: addr=", addr);
+    vs_assert(bytes.size() == mab_bytes_, "a stored block is one mab (",
+              mab_bytes_, " B), not ", bytes.size(), " B");
     const auto off = static_cast<std::uint32_t>(addr - slot.data_base);
-    const std::size_t n = slot.block_count;
-    vs_assert(n < slot.blocks.size() &&
-                  (n == 0 || slot.blocks[n - 1].region_off < off),
+    // Arena offset of this block; region offset of the last one.
+    const std::size_t next = slot.arena.size();
+    const std::size_t last =
+        slot.packed.empty() ? next - mab_bytes_ : slot.packed.back();
+    vs_assert(next < slot.data_capacity && (next == 0 || last < off),
               "block stored out of order or past the mab count: offset ",
-              off, " after ", n, " blocks");
-    slot.blocks[n] = {off, static_cast<std::uint32_t>(slot.arena.size()),
-                      static_cast<std::uint32_t>(bytes.size())};
-    slot.block_count = n + 1;
+              off, " after ", next / mab_bytes_, " blocks");
+    if (!slot.packed.empty() || off != next) {
+        if (slot.packed.empty()) {
+            // The first block off the mab grid: list the region
+            // offsets of the blocks before it, which sat on it.
+            for (std::size_t a = 0; a < next; a += mab_bytes_) {
+                slot.packed.push_back(static_cast<std::uint32_t>(a));
+            }
+        }
+        slot.packed.push_back(off);
+    }
     slot.arena.insert(slot.arena.end(), bytes.begin(), bytes.end());
 }
 
 // vstream:hot
-const BlockEntry *
-FrameBufferManager::findBlock(const BufferSlot &slot, std::uint32_t off) const
+std::size_t
+FrameBufferManager::blockAt(const BufferSlot &slot, std::uint32_t off) const
 {
-    const BlockEntry *begin = slot.blocks.data();
-    const BlockEntry *end = begin + slot.block_count;
-    // Blocks of a whole mab each sit at entry off / mab size (every
-    // layout but the DCC-compacted one): try that before searching.
-    const std::size_t direct = mab_index_(off);
-    if (direct < slot.block_count && begin[direct].region_off == off) {
-        return begin + direct;
+    if (slot.packed.empty()) {
+        const std::uint32_t k = mab_index_(off);
+        return off < slot.arena.size() && k * mab_bytes_ == off ? k
+                                                                : kNoBlock;
     }
-    const BlockEntry *it = std::lower_bound(
-        begin, end, off,
-        [](const BlockEntry &e, std::uint32_t o) { return e.region_off < o; });
-    return it != end && it->region_off == off ? it : nullptr;
+    const auto it =
+        std::lower_bound(slot.packed.begin(), slot.packed.end(), off);
+    return it != slot.packed.end() && *it == off
+               ? static_cast<std::size_t>(it - slot.packed.begin())
+               : kNoBlock;
 }
 
 // vstream:hot
@@ -154,12 +174,12 @@ FrameBufferManager::loadBlock(Addr addr) const
     if (slot == nullptr) {
         return {};
     }
-    const BlockEntry *e =
-        findBlock(*slot, static_cast<std::uint32_t>(addr - slot->data_base));
-    if (e == nullptr) {
+    const std::size_t k =
+        blockAt(*slot, static_cast<std::uint32_t>(addr - slot->data_base));
+    if (k == kNoBlock) {
         return {};
     }
-    return {slot->arena.data() + e->arena_off, e->size};
+    return {slot->arena.data() + k * mab_bytes_, mab_bytes_};
 }
 
 // vstream:hot
@@ -171,23 +191,22 @@ FrameBufferManager::loadRun(Addr addr, std::uint64_t bytes) const
         return {};
     }
     const auto off = static_cast<std::uint32_t>(addr - slot->data_base);
-    const BlockEntry *e = findBlock(*slot, off);
-    if (e == nullptr) {
+    const std::size_t k = blockAt(*slot, off);
+    if (k == kNoBlock || bytes > slot->arena.size() - k * mab_bytes_) {
         return {};
     }
-    const BlockEntry *end = slot->blocks.data() + slot->block_count;
-    std::uint64_t covered = 0;
-    for (const BlockEntry *b = e; b != end && covered < bytes; ++b) {
-        if (b->region_off != off + covered ||
-            b->arena_off != e->arena_off + covered) {
+    // Whole blocks only; on the grid they sit back to back in the
+    // region as in the arena, off it each offset must say so.
+    const std::uint32_t n = mab_index_(static_cast<std::uint32_t>(bytes));
+    if (static_cast<std::uint64_t>(n) * mab_bytes_ != bytes) {
+        return {};
+    }
+    for (std::uint32_t j = 1; j < n && !slot->packed.empty(); ++j) {
+        if (slot->packed[k + j] != off + j * mab_bytes_) {
             return {};
         }
-        covered += b->size;
     }
-    if (covered != bytes) {
-        return {};
-    }
-    return {slot->arena.data() + e->arena_off,
+    return {slot->arena.data() + k * mab_bytes_,
             static_cast<std::uint32_t>(bytes)};
 }
 

@@ -12,7 +12,12 @@
  * The manager also plays the role of "what the bytes in DRAM are":
  * block contents written by the decoder are stored here so the
  * display model can reconstruct frames and the test suite can verify
- * losslessness end to end.
+ * losslessness end to end.  A slot holds the bytes and little else:
+ * every stored block is one mab, appended to the slot's arena, and
+ * the k-th block of a frame sits at k mabs into the arena.  On the
+ * mab grid (every layout but DCC's) it also sits k mabs into the data
+ * region, so a lookup is arithmetic; only a slot whose blocks left the
+ * grid keeps one 4 B region offset per stored block.
  */
 
 #ifndef VSTREAM_CORE_FRAME_BUFFER_MANAGER_HH
@@ -33,8 +38,9 @@ namespace vstream
 /**
  * View of block bytes stored in a slot's arena.
  *
- * Valid until the next storeBlock() into the same slot (arena growth
- * may move the bytes); consume it before writing again.
+ * Valid until the slot is acquired again; a slot's arena never grows
+ * past the capacity reserved when it was made, so a later
+ * storeBlock() moves no stored bytes.
  */
 struct StoredBlock
 {
@@ -42,16 +48,6 @@ struct StoredBlock
     std::uint32_t size = 0;
 
     explicit operator bool() const { return data != nullptr; }
-};
-
-/** Where one stored block of a slot lives. */
-struct BlockEntry
-{
-    /** Block address minus the slot's data_base. */
-    std::uint32_t region_off = 0;
-    /** Offset of the block's bytes in the slot's arena. */
-    std::uint32_t arena_off = 0;
-    std::uint32_t size = 0;
 };
 
 /**
@@ -70,16 +66,18 @@ struct BufferSlot
     bool in_use = false;
     std::uint64_t frame_index = 0;
     /**
-     * Simulated contents: blocks append into one frame-sized arena,
-     * and the first block_count entries of blocks index them in
-     * increasing region offset.  blocks is sized to the frame's mab
-     * count when the slot is created; the writebacks store each block
-     * once, in address order, so a store is an append that never
-     * grows it.
+     * Simulated contents: the frame's stored blocks, one mab each, in
+     * the order (and so the increasing region offset) they were
+     * stored; the k-th at k mabs.  Reserved to the data capacity when
+     * the slot is made, so a store never grows it.
      */
     std::vector<std::uint8_t> arena;
-    std::vector<BlockEntry> blocks;
-    std::size_t block_count = 0;
+    /**
+     * Region offset of every stored block once one left the mab grid
+     * (DCC packs unique blocks closer); empty while the k-th block
+     * sits k mabs into the data region.
+     */
+    std::vector<std::uint32_t> packed;
     /** Where the held frame's mabs live; the writeback fills it. */
     FrameLayout layout;
 };
@@ -137,9 +135,17 @@ class FrameBufferManager
     BufferSlot *find(std::uint64_t frame_index);
 
     /**
-     * Record block bytes at @p addr in @p slot's data region.  Each
-     * block of a frame is stored once, above the previous one (the
-     * order both writebacks write in); anything else panics.
+     * Slots made from now on expect stores off the mab grid (DCC):
+     * each reserves its region-offset list when made, so no store
+     * allocates.
+     */
+    void expectPackedStores();
+
+    /**
+     * Record one mab of block bytes at @p addr in @p slot's data
+     * region.  Each block of a frame is stored once, above the
+     * previous one (the order both writebacks write in); anything
+     * else panics.
      */
     void storeBlock(BufferSlot &slot, Addr addr,
                     std::span<const std::uint8_t> bytes);
@@ -149,9 +155,8 @@ class FrameBufferManager
 
     /**
      * View of the @p bytes stored from @p addr on, when the blocks
-     * covering them sit back to back both in the slot's region and in
-     * its arena (a linear frame's whole data region); empty view
-     * otherwise.
+     * covering them sit back to back in the slot's region (a linear
+     * frame's whole data region); empty view otherwise.
      */
     StoredBlock loadRun(Addr addr, std::uint64_t bytes) const;
 
@@ -165,20 +170,25 @@ class FrameBufferManager
     std::uint64_t poolBytes() const;
 
   private:
-    /** Entry of @p slot at region offset @p off, or nullptr. */
-    const BlockEntry *findBlock(const BufferSlot &slot,
-                                std::uint32_t off) const;
+    static constexpr std::size_t kNoBlock = SIZE_MAX;
+
+    /** Index of @p slot's block at region offset @p off, or
+     * kNoBlock. */
+    std::size_t blockAt(const BufferSlot &slot, std::uint32_t off) const;
 
     /** Slot whose data region holds @p addr, or nullptr. */
     const BufferSlot *slotContaining(Addr addr) const;
 
     MemorySystem &mem_;
     std::uint32_t mab_count_;
+    std::uint32_t mab_bytes_;
     std::uint64_t meta_capacity_;
     std::uint64_t data_capacity_;
-    /** off / mab size for every offset inside a slot's data. */
+    /** n / mab size for every n up to a slot's data capacity. */
     ExactDivision mab_index_;
     std::uint64_t mach_dump_capacity_;
+    /** Slots reserve their region-offset lists when made. */
+    bool packed_stores_ = false;
     /** Every slot ever made, in acquisition order; a deque, so
      * growth never moves a slot a caller holds. */
     std::deque<BufferSlot> slots_;

@@ -10,7 +10,7 @@ void
 prepareFrame(SyntheticVideo &video, const MachPlan *mach,
              PreparedFrame &out)
 {
-    video.nextFrameInto(out.frame);
+    video.viewNextFrame(out.frame);
     if (mach != nullptr) {
         prepareMachFrame(out.frame, *mach, out.mach);
     }
@@ -25,13 +25,11 @@ FramePrep::FramePrep(const VideoProfile &profile, const MachPlan *mach,
     if (!threaded_) {
         return;
     }
-    // Size both buffers here, so the helper never allocates and its
-    // frames come from the consumer's heap.
+    // Size both representations here, so the helper never allocates;
+    // its frames view the video's ring.
     const VideoProfile &p = video_.profile();
-    for (PreparedFrame &slot : slots_) {
-        slot.frame = Frame(0, FrameType::kI, p.mabsX(), p.mabsY(),
-                           p.mab_dim);
-        if (mach_.machs != nullptr) {
+    if (mach_.machs != nullptr) {
+        for (PreparedFrame &slot : slots_) {
             slot.mach.sizeFor(p.mabsPerFrame(),
                               p.mab_dim * p.mab_dim * kBytesPerPixel,
                               mach_.machs->config());
@@ -64,7 +62,8 @@ FramePrep::run()
         }
         cv_.notify_all();
         // Draw frame k + 1 while its buffer may still be in use: only
-        // the copy, the representation and the decisions wait for it.
+        // the representation and the decisions wait for it.  Its ring
+        // plane held frame k - 2 at the latest, which is released.
         video_.generateAhead();
     }
 }

@@ -3,8 +3,10 @@
  * Frame preparation: the content-only work done for a frame before the
  * decoder model sees it.
  *
- * Preparing a frame draws it from the SyntheticVideo (its CRC32 comes
- * with it, taken once when the plane was generated) and, for schemes
+ * Preparing a frame draws it from the SyntheticVideo as a view of its
+ * plane, shared or in the video's ring, never a copy
+ * (SyntheticVideo::viewNextFrame(); its CRC32 comes with it, taken
+ * once when the plane was generated) and, for schemes
  * with a MACH, runs prepareMachFrame(): the gab bytes in gradient
  * mode, the primary digest of every block, with CO-MACH the CRC16
  * aux, and the MACH state half - each mab's lookup and insert
@@ -51,7 +53,8 @@ struct PreparedFrame
     MachRepr mach;
 };
 
-/** Draw @p video's next frame into @p out and, when @p mach is not
+/** Draw @p video's next frame into @p out as a view of its plane
+ * (valid while two more frames are drawn) and, when @p mach is not
  * null, prepare and decide it under *@p mach (prepareMachFrame()). */
 void prepareFrame(SyntheticVideo &video, const MachPlan *mach,
                   PreparedFrame &out);
@@ -66,8 +69,9 @@ void prepareFrame(SyntheticVideo &video, const MachPlan *mach,
  * the consumer: the two buffers hold the frame being simulated and the
  * next one.  While it waits for a buffer, the helper already draws the
  * frame after that into the video's ring (SyntheticVideo::
- * generateAhead()).  stop() (also run by the destructor) joins the
- * helper; a stopped stage must not be taken from again.
+ * generateAhead()), whose third plane keeps it clear of the two
+ * frames the buffers view.  stop() (also run by the destructor) joins
+ * the helper; a stopped stage must not be taken from again.
  */
 class FramePrep
 {

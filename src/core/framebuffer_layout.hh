@@ -51,20 +51,22 @@ enum class MabStorage : std::uint8_t
 
 /**
  * Per-mab record the display walks during scan-out.  Fields are in
- * falling alignment so the record packs into 16 bytes.
+ * falling alignment so the record packs into 12 bytes.
  */
 struct MabRecord
 {
-    /** Address of the block bytes (not meaningful for kInterDigest
-     * unless the MACH buffer misses and the dump is consulted). */
-    Addr data_addr = 0;
+    /** Simulated address of the block bytes (not meaningful for
+     * kInterDigest unless the MACH buffer misses and the dump is
+     * consulted).  32 bits: DramConfig::validate() caps the simulated
+     * DRAM at 4 GiB. */
+    std::uint32_t data_addr = 0;
     /** Content digest (always computed; the tag for kInterDigest). */
     std::uint32_t digest = 0;
     /** gab base to re-add during reconstruction. */
     Pixel base;
     MabStorage storage = MabStorage::kUnique;
 };
-static_assert(sizeof(MabRecord) == 16, "MabRecord should pack to 16 B");
+static_assert(sizeof(MabRecord) == 12, "MabRecord should pack to 12 B");
 
 /** The complete description of one decoded frame in memory. */
 class FrameLayout

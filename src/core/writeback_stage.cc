@@ -58,7 +58,7 @@ LinearWriteback::writeMab(const Macroblock &mab, std::uint32_t idx,
 
     MabRecord &rec = layout_->record(idx);
     rec.storage = MabStorage::kUnique;
-    rec.data_addr = addr;
+    rec.data_addr = static_cast<std::uint32_t>(addr);
     rec.base = mab.base();
 
     data_buf_.append(mab.sizeBytes(), now);
@@ -253,6 +253,10 @@ MachWriteback::MachWriteback(MemorySystem &mem, FrameBufferManager &fbm,
 {
     vs_assert(layout_kind_ != LayoutKind::kLinear,
               "MachWriteback requires a pointer-based layout");
+    if (use_dcc_) {
+        // Compressed unique blocks pack closer than a mab apart.
+        fbm_.expectPackedStores();
+    }
 }
 
 Addr
@@ -355,7 +359,8 @@ MachWriteback::writeMab(const Macroblock &mab, std::uint32_t idx, Tick now)
                           ? MabStorage::kInterDigest
                           : (inter ? MabStorage::kInterPointer
                                    : MabStorage::kIntraPointer);
-        rec.data_addr = blockAddr(o.frame, o.offset);
+        rec.data_addr =
+            static_cast<std::uint32_t>(blockAddr(o.frame, o.offset));
 
         const std::uint32_t meta =
             (as_digest ? cfg.digest_bytes : cfg.pointer_bytes);
@@ -382,7 +387,7 @@ MachWriteback::writeMab(const Macroblock &mab, std::uint32_t idx, Tick now)
     fbm_.storeBlock(*slot_, addr, repr);
 
     rec.storage = MabStorage::kUnique;
-    rec.data_addr = addr;
+    rec.data_addr = static_cast<std::uint32_t>(addr);
 
     data_buf_.append(stored_bytes, now);
     frame_data_bytes_ += stored_bytes;

@@ -77,6 +77,11 @@ DramConfig::validate() const
     if (rowsPerBank() == 0) {
         vs_fatal("capacity too small for geometry");
     }
+    if (capacity_bytes > (1ULL << 32)) {
+        vs_fatal("capacity_bytes ", capacity_bytes,
+                 " above 4 GiB: frame-buffer records hold 32-bit "
+                 "addresses");
+    }
 }
 
 } // namespace vstream

@@ -63,7 +63,8 @@ struct DramConfig
     std::uint32_t bus_width_bits = 32;
     /** Burst length in beats. */
     std::uint32_t burst_length = 8;
-    /** Total capacity in bytes (2 GB). */
+    /** Total capacity in bytes (2 GB; at most 4 GiB, so every
+     * simulated address fits the 32-bit MabRecord::data_addr). */
     std::uint64_t capacity_bytes = 2ULL << 30;
     /** Address interleaving (paper Table 2: RoRaBaCoCh). */
     AddrMapOrder map_order = AddrMapOrder::kRoRaBaCoCh;

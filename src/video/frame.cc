@@ -53,8 +53,7 @@ void
 Frame::viewShared(std::shared_ptr<const void> owner,
                   const std::uint8_t *pixels, std::uint32_t checksum)
 {
-    vs_assert(owner != nullptr && pixels != nullptr,
-              "shared view without a plane");
+    vs_assert(pixels != nullptr, "shared view without a plane");
     view_owner_ = std::move(owner);
     view_pixels_ = pixels;
     checksum_ = checksum;

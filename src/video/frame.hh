@@ -4,9 +4,10 @@
  *
  * The plane holds the frame's macroblocks back to back (mab i is the
  * mab-size bytes at i * mab size).  A frame either owns its plane or
- * views a plane shared with the content generator, holding a
- * reference that keeps it alive; mab i is a view into whichever
- * plane the frame reads.
+ * views a plane of the content generator: a shared plane it holds a
+ * reference to, or a streamed video's ring plane its caller reads
+ * before the ring redraws it.  Mab i is a view into whichever plane
+ * the frame reads.
  */
 
 #ifndef VSTREAM_VIDEO_FRAME_HH
@@ -57,7 +58,9 @@ class Frame
     /**
      * Read @p pixels in place, without copying; @p owner keeps them
      * alive for as long as this frame (or a copy of it) views them.
-     * The geometry must already be set (reinit()).
+     * A null @p owner leaves that to the caller (a streamed video's
+     * ring plane, SyntheticVideo::viewNextFrame()).  The geometry must
+     * already be set (reinit()).
      */
     void viewShared(std::shared_ptr<const void> owner,
                     const std::uint8_t *pixels, std::uint32_t checksum);

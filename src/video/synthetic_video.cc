@@ -520,11 +520,14 @@ SyntheticVideo::SyntheticVideo(const VideoProfile &profile)
         content_ = sharedPlanes(profile, profile_);
     } else {
         // The copy window needs inter_window earlier planes plus the
-        // one being drawn, and never more planes than frames.
+        // one being drawn, and a viewed frame outlives two later
+        // draws (viewNextFrame()); never more planes than frames.
         gen_ = std::make_unique<Generator>(profile_);
         ring_ = std::make_unique<Planes>(
-            profile_, std::min<std::uint64_t>(profile_.frame_count,
-                                              profile_.inter_window + 1ULL));
+            profile_,
+            std::min<std::uint64_t>(
+                profile_.frame_count,
+                std::max<std::uint64_t>(profile_.inter_window + 1ULL, 3)));
     }
 }
 
@@ -541,9 +544,21 @@ SyntheticVideo::nextFrame()
     return frame;
 }
 
-// vstream:hot
 void
 SyntheticVideo::nextFrameInto(Frame &out)
+{
+    emit(out, /*view_ring=*/false);
+}
+
+void
+SyntheticVideo::viewNextFrame(Frame &out)
+{
+    emit(out, /*view_ring=*/true);
+}
+
+// vstream:hot
+void
+SyntheticVideo::emit(Frame &out, bool view_ring)
 {
     vs_assert(!done(), "video '", profile_.key, "' exhausted");
     const std::uint64_t idx = next_index_++;
@@ -562,6 +577,10 @@ SyntheticVideo::nextFrameInto(Frame &out)
         // Shared planes are read-only and live as long as a frame
         // holds them: view them in place.
         out.viewShared(content_, planes->pixelsOf(idx), meta.checksum);
+    } else if (view_ring) {
+        // The caller reads the frame before the ring comes back to
+        // its plane.
+        out.viewShared(nullptr, planes->pixelsOf(idx), meta.checksum);
     } else {
         // The ring plane is redrawn frames later: copy it out.
         out.assignFlat(planes->pixelsOf(idx), meta.checksum);

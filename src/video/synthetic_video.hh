@@ -21,12 +21,14 @@
  * whose profile misses again is kept, least recently used first out
  * (the titles of a fleet's library are generated once per process).
  * A larger video streams through a private ring of
- * min(frame_count, inter_window + 1) planes instead.  Both run the
- * same generator, so the frames they emit are byte-identical.  Each
- * plane's CRC32 is taken once, when it is generated, and travels
+ * min(frame_count, max(inter_window + 1, 3)) planes instead.  Both run
+ * the same generator, so the frames they emit are byte-identical.
+ * Each plane's CRC32 is taken once, when it is generated, and travels
  * with the frame.  A shared-content frame views its plane in place
- * (Frame::viewShared); a streamed one copies it out of the ring in
- * one memcpy.
+ * (Frame::viewShared).  A streamed one copies it out of the ring in
+ * one memcpy (nextFrameInto()), or views its ring plane in place for a
+ * caller that is done with it within two more draws
+ * (viewNextFrame(): the pipeline's FramePrep).
  */
 
 #ifndef VSTREAM_VIDEO_SYNTHETIC_VIDEO_HH
@@ -74,11 +76,20 @@ class SyntheticVideo
     void nextFrameInto(Frame &out);
 
     /**
+     * nextFrameInto(), except that a streamed frame views its ring
+     * plane in place instead of copying it.  The view stays valid
+     * while the next two frames are drawn (by these calls or
+     * generateAhead()): the ring keeps at least three planes.
+     */
+    void viewNextFrame(Frame &out);
+
+    /**
      * Ring mode: draw the next frame's content now, so the
-     * nextFrameInto() that emits it only copies it out of the ring.
-     * At most one frame ahead, so the ring always has room: the plane
-     * it takes held a frame emitted and past the copy window.  A
-     * no-op in shared mode, when done() or when already ahead.
+     * nextFrameInto() or viewNextFrame() that emits it only hands it
+     * out.  At most one frame ahead, so the ring always has room: the
+     * plane it takes held a frame emitted and past the copy window
+     * (and counts as a draw against a view).  A no-op in shared mode,
+     * when done() or when already ahead.
      */
     void generateAhead();
 
@@ -114,6 +125,10 @@ class SyntheticVideo
 
     static Store &store();
 
+    /** Emit the next frame into @p out; @p view_ring: a streamed
+     * frame views its ring plane rather than copying it. */
+    void emit(Frame &out, bool view_ring);
+
     /** The complete planes of @p scaled (at least its frame_count
      * frames), from the process-wide store keyed on the caller's
      * profile @p caller without its frame count; a miss builds them,
@@ -126,8 +141,8 @@ class SyntheticVideo
     /** Shared mode: every frame, generated once, read-only. */
     std::shared_ptr<const Planes> content_;
     /** Ring mode: the generator and the min(frame_count,
-     * inter_window + 1) planes it writes each frame into before it is
-     * emitted. */
+     * max(inter_window + 1, 3)) planes it writes each frame into
+     * before it is emitted. */
     std::unique_ptr<Generator> gen_;
     std::unique_ptr<Planes> ring_;
     /** Ring mode: frame next_index_ is already drawn. */

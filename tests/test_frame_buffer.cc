@@ -4,13 +4,15 @@
  * lowest-indexed-free acquisition (the order the DRAM address
  * assignment, and with it every simulated timing, depends on),
  * slot references that survive growth, no growth under steady
- * churn, recycled layouts that keep their capacity, and the
- * store-order assert.
+ * churn, recycled layouts that keep their capacity, the store-order
+ * assert, and the block store: arithmetic lookups on the mab grid,
+ * region offsets listed only for a slot whose blocks left it (DCC).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "block_util.hh"
@@ -145,7 +147,7 @@ TEST(FrameBufferPool, RecycledSlotKeepsLayoutCapacity)
     // layout's dump and the arena keep the storage they had.
     BufferSlot &again = rig.fbm.acquire(1);
     ASSERT_EQ(&again, &slot);
-    EXPECT_EQ(again.block_count, 0u);
+    EXPECT_TRUE(again.arena.empty());
     EXPECT_FALSE(rig.fbm.loadBlock(again.data_base));
     EXPECT_EQ(again.arena.capacity(), arena_cap);
     again.layout.reinit(1, LayoutKind::kPointerDigest, kMabs, kMabBytes,
@@ -203,8 +205,7 @@ TEST(ExactDivision, EqualsDivisionBelowEveryFrameCapacity)
 
 TEST(FrameBufferPool, LoadsEveryBlockOfAFrame)
 {
-    // Blocks at every mab index come back through the direct index
-    // (off / mab size) that findBlock tries first.
+    // Blocks at every mab index come back, found by arithmetic.
     Rig rig;
     BufferSlot &slot = rig.fbm.acquire(0);
     for (std::uint32_t i = 0; i < kMabs; ++i) {
@@ -220,6 +221,116 @@ TEST(FrameBufferPool, LoadsEveryBlockOfAFrame)
         EXPECT_EQ(b.data[0], i);
         EXPECT_FALSE(rig.fbm.loadBlock(slot.data_base + i * kMabBytes + 1));
     }
+}
+
+TEST(FrameBufferPool, OnGridSlotAllocatesNoIndex)
+{
+    // A frame stored a mab apart (every layout but DCC's) keeps no
+    // region offsets: lookups and the whole-frame run are arithmetic.
+    Rig rig;
+    BufferSlot &slot = rig.fbm.acquire(0);
+    std::vector<std::uint8_t> frame;
+    for (std::uint32_t i = 0; i < kMabs; ++i) {
+        const std::vector<std::uint8_t> block(
+            kMabBytes, static_cast<std::uint8_t>(3 * i + 1));
+        rig.fbm.storeBlock(slot, slot.data_base + i * kMabBytes, block);
+        frame.insert(frame.end(), block.begin(), block.end());
+    }
+    EXPECT_EQ(slot.packed.capacity(), 0u);
+    const StoredBlock all = rig.fbm.loadRun(slot.data_base, frame.size());
+    ASSERT_TRUE(all);
+    EXPECT_EQ(bytesOf(all), frame);
+    // A run from the middle, one block past the end, or not a whole
+    // number of blocks is no run.
+    EXPECT_EQ(bytesOf(rig.fbm.loadRun(slot.data_base + 5 * kMabBytes,
+                                      3 * kMabBytes)),
+              std::vector<std::uint8_t>(frame.begin() + 5 * kMabBytes,
+                                        frame.begin() + 8 * kMabBytes));
+    EXPECT_FALSE(rig.fbm.loadRun(slot.data_base + kMabBytes, frame.size()));
+    EXPECT_FALSE(rig.fbm.loadRun(slot.data_base, 2 * kMabBytes + 1));
+    EXPECT_FALSE(rig.fbm.loadRun(slot.data_base + 1, kMabBytes));
+    // A slot holding part of a frame: nothing past its last block.
+    rig.fbm.release(0);
+    BufferSlot &again = rig.fbm.acquire(1);
+    rig.fbm.storeBlock(again, again.data_base,
+                       std::vector<std::uint8_t>(kMabBytes, 9));
+    EXPECT_TRUE(rig.fbm.loadBlock(again.data_base));
+    EXPECT_FALSE(rig.fbm.loadBlock(again.data_base + kMabBytes));
+    EXPECT_FALSE(rig.fbm.loadRun(again.data_base, 2 * kMabBytes));
+    EXPECT_EQ(again.packed.capacity(), 0u);
+}
+
+TEST(FrameBufferPool, PackedStoresLoadBack)
+{
+    // DCC: unique blocks of mixed compressed sizes pack closer than a
+    // mab apart; each keeps its region offset and loads back whole.
+    Rig rig;
+    rig.fbm.expectPackedStores();
+    BufferSlot &slot = rig.fbm.acquire(0);
+    const std::size_t reserved = slot.packed.capacity();
+    EXPECT_GE(reserved, kMabs);
+    const std::uint32_t sizes[kMabs] = {48, 48, 20, 7,  48, 33, 48, 48,
+                                        48, 1,  12, 48, 48, 40, 5, 48};
+    std::vector<Addr> addrs;
+    Addr addr = slot.data_base;
+    for (std::uint32_t i = 0; i < kMabs; ++i) {
+        addrs.push_back(addr);
+        rig.fbm.storeBlock(slot, addr,
+                           std::vector<std::uint8_t>(
+                               kMabBytes, static_cast<std::uint8_t>(i)));
+        addr += sizes[i];
+    }
+    EXPECT_EQ(slot.packed.capacity(), reserved); // never grown
+    for (std::uint32_t i = 0; i < kMabs; ++i) {
+        EXPECT_EQ(bytesOf(rig.fbm.loadBlock(addrs[i])),
+                  std::vector<std::uint8_t>(kMabBytes,
+                                            static_cast<std::uint8_t>(i)))
+            << "block " << i;
+    }
+    for (const Addr off : {Addr{1}, Addr{100}, Addr{500}, Addr{600}}) {
+        EXPECT_FALSE(rig.fbm.loadBlock(slot.data_base + off))
+            << "offset " << off;
+    }
+    // Blocks 6 to 9 sit a mab apart (6, 7 and 8 stored 48 B each):
+    // they are a run, but nothing that crosses a compressed block is.
+    EXPECT_EQ(rig.fbm.loadRun(addrs[6], 4 * kMabBytes).data,
+              rig.fbm.loadBlock(addrs[6]).data);
+    EXPECT_FALSE(rig.fbm.loadRun(addrs[6], 5 * kMabBytes));
+    EXPECT_FALSE(rig.fbm.loadRun(addrs[2], 2 * kMabBytes));
+    EXPECT_TRUE(rig.fbm.loadRun(addrs[0], 2 * kMabBytes));
+}
+
+TEST(FrameBufferPool, StoresLeavingTheGridKeepEarlierBlocks)
+{
+    // Without expectPackedStores(), the first block off the grid
+    // lists the offsets of the blocks before it.
+    Rig rig;
+    BufferSlot &slot = rig.fbm.acquire(0);
+    const Addr at[] = {0, 48, 96, 130, 178, 400};
+    for (std::uint32_t i = 0; i < std::size(at); ++i) {
+        rig.fbm.storeBlock(slot, slot.data_base + at[i],
+                           std::vector<std::uint8_t>(
+                               kMabBytes, static_cast<std::uint8_t>(i)));
+    }
+    ASSERT_EQ(slot.packed.size(), std::size(at));
+    for (std::uint32_t i = 0; i < std::size(at); ++i) {
+        const StoredBlock b = rig.fbm.loadBlock(slot.data_base + at[i]);
+        ASSERT_TRUE(b) << "block " << i;
+        EXPECT_EQ(b.data[0], i);
+    }
+    EXPECT_FALSE(rig.fbm.loadBlock(slot.data_base + 144));
+    EXPECT_TRUE(rig.fbm.loadRun(slot.data_base, 3 * kMabBytes));
+    EXPECT_FALSE(rig.fbm.loadRun(slot.data_base, 4 * kMabBytes));
+}
+
+TEST(FrameBufferPoolDeath, StoreOfAPartBlockPanics)
+{
+    // Every stored block is one mab: a mab, or its gab.
+    Rig rig;
+    BufferSlot &slot = rig.fbm.acquire(0);
+    EXPECT_DEATH(rig.fbm.storeBlock(slot, slot.data_base,
+                                    std::vector<std::uint8_t>(20, 1)),
+                 "one mab");
 }
 
 } // namespace

@@ -2,7 +2,8 @@
  * @file
  * Tests for the pipeline's frame-preparation stage (core/frame_prep.hh):
  * a streamed video's helper thread prepares and decides the same bytes
- * as inline preparation, streamed pipelines keep their pinned results,
+ * as inline preparation, a frame viewing the ring reads its bytes for
+ * as long as it is held, streamed pipelines keep their pinned results,
  * a playback that decides ahead reports what one stepped by a
  * scheduler reports at any finish point, every way a pipeline can end
  * joins the helper, and scheduled sessions start none.
@@ -10,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <system_error>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/frame_prep.hh"
@@ -204,6 +207,51 @@ TEST(FramePrep, SharedContentPreparesInline)
         prepareFrame(video, &here.plan, want);
         expectSamePrepared(prep.take(i), want, "shared");
         prep.release(i);
+    }
+}
+
+TEST(FramePrep, StreamedViewsOutliveTheNextTwoDraws)
+{
+    // A prepared frame views its ring plane: it must read the bytes
+    // and CRC of nextFrame()'s copy for as long as it is held.  The
+    // helper holds two frames handed over and draws the one after
+    // them, so with inter_window 1 (a copy window of two planes) the
+    // ring still needs a third.
+    for (const std::uint32_t window : {1U, 2U, 16U}) {
+        VideoProfile p = scaledWorkload("V8", 40, 48, 24);
+        p.inter_window = window;
+        p = overBudget(p);
+        SyntheticVideo video(p);
+        std::vector<std::vector<std::uint8_t>> want;
+        std::vector<std::uint32_t> crcs;
+        for (std::uint64_t i = 0; i <= kComparedFrames; ++i) {
+            const Frame f = video.nextFrame();
+            want.push_back(flat(f));
+            crcs.push_back(f.contentChecksum());
+        }
+        for (const bool ahead : {true, false}) {
+            const std::string what = "window " + std::to_string(window) +
+                                     (ahead ? " threaded" : " inline");
+            FramePrep prep(p, nullptr, ahead);
+            ASSERT_EQ(prep.threaded(), ahead) << what;
+            const PreparedFrame *held = &prep.take(0);
+            for (std::uint64_t i = 0; i < kComparedFrames; ++i) {
+                const PreparedFrame *next = nullptr;
+                if (ahead) {
+                    // Hold frame i while the helper hands over i + 1
+                    // and draws i + 2.
+                    next = &prep.take(i + 1);
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(2));
+                }
+                const Frame &f = held->frame;
+                ASSERT_EQ(f.index(), i) << what;
+                ASSERT_TRUE(flat(f) == want[i]) << what << " frame " << i;
+                ASSERT_EQ(f.contentChecksum(), crcs[i]) << what;
+                prep.release(i);
+                held = ahead ? next : &prep.take(i + 1);
+            }
+        }
     }
 }
 

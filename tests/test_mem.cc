@@ -49,6 +49,16 @@ TEST(DramConfigDeath, BadGeometryFatal)
     EXPECT_DEATH(cfg.validate(), "power of two");
 }
 
+TEST(DramConfigDeath, CapacityAboveFourGiBFatal)
+{
+    // Frame-buffer records hold 32-bit simulated addresses.
+    DramConfig cfg;
+    cfg.capacity_bytes = 4ULL << 30;
+    cfg.validate();
+    cfg.capacity_bytes += 2048;
+    EXPECT_DEATH(cfg.validate(), "above 4 GiB");
+}
+
 TEST(AddressMap, RoundTrip)
 {
     const DramConfig cfg = smallConfig();

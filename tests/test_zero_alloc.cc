@@ -9,7 +9,9 @@
  * vsyncs performs *zero* heap allocations - the acceptance criterion
  * the slot-recycling / ring-buffer / scratch-reuse rewrites exist for.
  * The simulation is fully deterministic, so the allocation count in
- * the measured window is a stable, reproducible quantity.
+ * the measured window is a stable, reproducible quantity; so are the
+ * bytes a whole playback requests, which one test bounds by what its
+ * frame buffers must hold.
  */
 
 #include <gtest/gtest.h>
@@ -24,13 +26,16 @@
 #include <execinfo.h>
 #include <unistd.h>
 
+#include "core/framebuffer_layout.hh"
 #include "core/video_pipeline.hh"
 #include "video/synthetic_video.hh"
+#include "video/workloads.hh"
 
 namespace
 {
 
 std::atomic<std::uint64_t> g_news{0};
+std::atomic<std::uint64_t> g_bytes{0};
 std::atomic<int> g_trace_budget{0};
 
 void
@@ -53,6 +58,7 @@ void *
 countedAlloc(std::size_t n)
 {
     g_news.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(n, std::memory_order_relaxed);
     maybeTraceAlloc();
     if (void *p = std::malloc(n ? n : 1)) { // NOLINT
         return p;
@@ -64,6 +70,7 @@ void *
 countedAlignedAlloc(std::size_t n, std::size_t align)
 {
     g_news.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(n, std::memory_order_relaxed);
     if (void *p = std::aligned_alloc(align, (n + align - 1) /
                                                 align * align)) {
         return p;
@@ -172,11 +179,12 @@ constexpr int kMeasuredVsyncs = 96;
 
 void
 expectZeroAllocSteadyState(Scheme scheme, std::uint32_t batch,
-                           std::uint32_t frames = 420)
+                           std::uint32_t frames = 420, bool dcc = false)
 {
     PipelineConfig cfg;
     cfg.profile = steadyProfile(frames);
     cfg.scheme = SchemeConfig::make(scheme, batch);
+    cfg.scheme.dcc = dcc;
     VideoPipeline vp(std::move(cfg));
     vp.start();
 
@@ -218,6 +226,43 @@ TEST(ZeroAlloc, GabServingSteadyStateAllocatesNothing)
     // The full paper stack: MACH + gradient + pointer-digest layout
     // + display cache + MACH buffer - the widest hot path there is.
     expectZeroAllocSteadyState(Scheme::kGab, 8);
+}
+
+TEST(ZeroAlloc, GabDccSteadyStateAllocatesNothing)
+{
+    // DCC packs unique blocks off the mab grid: each slot lists their
+    // region offsets in storage reserved when the slot was made.
+    expectZeroAllocSteadyState(Scheme::kGab, 8, 420, /*dcc=*/true);
+}
+
+TEST(ZeroAlloc, StreamedPlaybackHeapIsItsFrameBuffers)
+{
+    // A streamed 48-frame 512x288 G playback allocates its frame
+    // buffers - per live slot, one mab of arena and one 12 B layout
+    // record per mab - its generator ring of inter_window + 1 planes,
+    // the gab bytes of the two prepared frames, and less than 3 MiB
+    // besides (MACH, caches, DRAM queues, records).  Counted in bytes
+    // requested, so the bound holds on any host; per-mab bookkeeping
+    // in a slot, or a frame copied out of the ring, breaks it.
+    PipelineConfig cfg;
+    cfg.profile = scaledWorkload("V8", 48, 512, 288);
+    cfg.scheme = SchemeConfig::make(Scheme::kGab);
+    const VideoProfile p = cfg.profile;
+    ASSERT_FALSE(SyntheticVideo(p).sharesContent());
+    const std::uint64_t before = g_bytes.load(std::memory_order_relaxed);
+    VideoPipeline vp(std::move(cfg));
+    const PipelineResult r = vp.run();
+    const std::uint64_t bytes =
+        g_bytes.load(std::memory_order_relaxed) - before;
+
+    const std::uint64_t mabs = p.mabsPerFrame();
+    const std::uint64_t frame = SyntheticVideo::frameBytes(p);
+    const std::uint64_t slots =
+        r.peak_buffers * mabs * (frame / mabs + sizeof(MabRecord));
+    const std::uint64_t ring = (p.inter_window + 1ULL) * frame;
+    const std::uint64_t bound = slots + ring + 2 * frame + (3ULL << 20);
+    EXPECT_LE(bytes, bound) << r.peak_buffers << " slots of " << mabs
+                            << " mabs";
 }
 
 TEST(ZeroAlloc, StreamedGabSteadyStateAllocatesNothing)
