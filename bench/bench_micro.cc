@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "cache/set_assoc_cache.hh"
 #include "core/dcc.hh"
@@ -20,7 +22,6 @@
 #include "mem/memory_system.hh"
 #include "sim/parallel.hh"
 #include "sim/random.hh"
-#include "video/macroblock.hh"
 #include "video/pixel_kernels.hh"
 #include "video/synthetic_video.hh"
 #include "video/workloads.hh"
@@ -30,11 +31,12 @@ namespace
 
 using namespace vstream;
 
-Macroblock
+/** One 4x4 mab (48 B) of random bytes. */
+std::vector<std::uint8_t>
 randomMab(Random &rng)
 {
-    Macroblock m(4);
-    for (auto &b : m.bytes()) {
+    std::vector<std::uint8_t> m(48);
+    for (auto &b : m) {
         b = static_cast<std::uint8_t>(rng.next());
     }
     return m;
@@ -44,13 +46,12 @@ void
 BM_Digest(benchmark::State &state, HashKind kind)
 {
     Random rng(1);
-    const Macroblock m = randomMab(rng);
+    const std::vector<std::uint8_t> m = randomMab(rng);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            digest32(kind, m.bytes().data(), m.bytes().size()));
+        benchmark::DoNotOptimize(digest32(kind, m.data(), m.size()));
     }
     state.SetBytesProcessed(static_cast<std::int64_t>(
-        state.iterations() * m.bytes().size()));
+        state.iterations() * m.size()));
 }
 
 BENCHMARK_CAPTURE(BM_Digest, crc32, HashKind::kCrc32);
@@ -214,12 +215,11 @@ BM_MachLookup(benchmark::State &state)
     std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>>
         entries;
     for (int i = 0; i < 2048; ++i) {
-        const Macroblock m = randomMab(rng);
-        const std::uint32_t d =
-            digest32(HashKind::kCrc32, m.bytes().data(), m.bytes().size());
-        machs.store(d, 0, i * 48, m.bytes(), false);
+        std::vector<std::uint8_t> m = randomMab(rng);
+        const std::uint32_t d = digest32(HashKind::kCrc32, m.data(), m.size());
+        machs.store(d, 0, i * 48, m, false);
         machs.countInsert(0);
-        entries.emplace_back(d, m.bytes());
+        entries.emplace_back(d, std::move(m));
         if (i % 256 == 255) {
             machs.beginFrame();
         }
@@ -390,14 +390,14 @@ void
 BM_DccCompress(benchmark::State &state)
 {
     Random rng(4);
-    std::vector<Macroblock> mabs;
+    std::vector<std::vector<std::uint8_t>> mabs;
     for (int i = 0; i < 64; ++i) {
         mabs.push_back(randomMab(rng));
     }
     std::size_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            dccCompress(mabs[i++ % mabs.size()].bytes()));
+            dccCompress(mabs[i++ % mabs.size()]));
     }
 }
 BENCHMARK(BM_DccCompress);

@@ -54,8 +54,6 @@ main(int argc, char **argv)
         const Tick frame_period = profile.framePeriodTicks();
         Tick now = 0;
         std::uint64_t slot_cycle = 0;
-        // The block the camera hands over, refilled for every mab.
-        Macroblock block(profile.mab_dim);
 
         while (!sensor.done()) {
             const Frame frame = sensor.nextFrame();
@@ -65,11 +63,9 @@ main(int argc, char **argv)
             BufferSlot &slot = fbm.acquire(slot_cycle++);
             FrameLayout layout;
             camera.beginFrame(frame, slot, now, layout);
+            // The camera hands over each mab where the frame holds it.
             for (std::uint32_t i = 0; i < frame.mabCount(); ++i) {
-                const auto bytes = frame.mabBytes(i);
-                block.assignBytes(frame.mabDim(), bytes.data(),
-                                  bytes.size());
-                camera.writeMab(block, i, now);
+                camera.writeMab(frame.mabBytes(i), i, now);
             }
             camera.finishFrame(now);
             now += frame_period;

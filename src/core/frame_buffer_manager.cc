@@ -167,7 +167,7 @@ FrameBufferManager::blockAt(const BufferSlot &slot, std::uint32_t off) const
 }
 
 // vstream:hot
-StoredBlock
+std::span<const std::uint8_t>
 FrameBufferManager::loadBlock(Addr addr) const
 {
     const BufferSlot *slot = slotContaining(addr);
@@ -183,7 +183,7 @@ FrameBufferManager::loadBlock(Addr addr) const
 }
 
 // vstream:hot
-StoredBlock
+std::span<const std::uint8_t>
 FrameBufferManager::loadRun(Addr addr, std::uint64_t bytes) const
 {
     const BufferSlot *slot = slotContaining(addr);
@@ -206,8 +206,7 @@ FrameBufferManager::loadRun(Addr addr, std::uint64_t bytes) const
             return {};
         }
     }
-    return {slot->arena.data() + k * mab_bytes_,
-            static_cast<std::uint32_t>(bytes)};
+    return {slot->arena.data() + k * mab_bytes_, bytes};
 }
 
 std::uint64_t

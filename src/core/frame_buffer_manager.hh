@@ -17,7 +17,10 @@
  * the k-th block of a frame sits at k mabs into the arena.  On the
  * mab grid (every layout but DCC's) it also sits k mabs into the data
  * region, so a lookup is arithmetic; only a slot whose blocks left the
- * grid keeps one 4 B region offset per stored block.
+ * grid keeps one 4 B region offset per stored block.  Storing is the
+ * one copy a block's bytes get, the VD's write to memory: readers (the
+ * display, the tests) get spans of the arena, empty when nothing is
+ * stored.
  */
 
 #ifndef VSTREAM_CORE_FRAME_BUFFER_MANAGER_HH
@@ -34,21 +37,6 @@
 
 namespace vstream
 {
-
-/**
- * View of block bytes stored in a slot's arena.
- *
- * Valid until the slot is acquired again; a slot's arena never grows
- * past the capacity reserved when it was made, so a later
- * storeBlock() moves no stored bytes.
- */
-struct StoredBlock
-{
-    const std::uint8_t *data = nullptr;
-    std::uint32_t size = 0;
-
-    explicit operator bool() const { return data != nullptr; }
-};
 
 /**
  * One reusable frame-buffer slot: the DRAM regions of one decoded
@@ -150,15 +138,22 @@ class FrameBufferManager
     void storeBlock(BufferSlot &slot, Addr addr,
                     std::span<const std::uint8_t> bytes);
 
-    /** Fetch block bytes at @p addr; empty view when nothing stored. */
-    StoredBlock loadBlock(Addr addr) const;
+    /**
+     * View of the block stored at @p addr; empty when nothing is.
+     * Valid until the slot is acquired again: a slot's arena never
+     * grows past the capacity reserved when it was made, so a later
+     * storeBlock() moves no stored bytes.
+     */
+    std::span<const std::uint8_t> loadBlock(Addr addr) const;
 
     /**
      * View of the @p bytes stored from @p addr on, when the blocks
      * covering them sit back to back in the slot's region (a linear
-     * frame's whole data region); empty view otherwise.
+     * frame's whole data region); empty otherwise.  Valid as long as
+     * loadBlock()'s view.
      */
-    StoredBlock loadRun(Addr addr, std::uint64_t bytes) const;
+    std::span<const std::uint8_t> loadRun(Addr addr,
+                                          std::uint64_t bytes) const;
 
     /** Slots ever allocated (== peak simultaneous buffers). */
     std::uint32_t slotsAllocated() const

@@ -142,11 +142,6 @@ class FrameLayout
     {
         return mach_dump_;
     }
-    void
-    setMachDump(std::vector<std::pair<std::uint32_t, Addr>> dump)
-    {
-        mach_dump_ = std::move(dump);
-    }
 
     /** Mutable dump for in-place building (keeps pooled capacity). */
     std::vector<std::pair<std::uint32_t, Addr>> &

@@ -11,6 +11,28 @@
 namespace vstream
 {
 
+namespace
+{
+
+/** Whether @p mab views mab @p idx of @p frame in place: the same
+ * storage, so the same bytes. */
+bool
+viewsMab(const Frame *frame, Macroblock mab, std::uint32_t idx)
+{
+    return frame != nullptr && idx < frame->mabCount() &&
+           mab.data() == frame->mabBytes(idx).data() &&
+           mab.size() == frame->mabSizeBytes();
+}
+
+/** The gab base of @p mab: its first pixel. */
+Pixel
+gabBase(Macroblock mab)
+{
+    return Pixel{mab[0], mab[1], mab[2]};
+}
+
+} // namespace
+
 double
 WritebackTotals::savings(std::uint32_t mab_bytes) const
 {
@@ -36,6 +58,7 @@ LinearWriteback::beginFrame(const Frame &frame, BufferSlot &slot,
                             Tick /*now*/, FrameLayout &layout)
 {
     slot_ = &slot;
+    frame_ = &frame;
     mab_bytes_ = frame.mabSizeBytes();
     layout.reinit(frame.index(), LayoutKind::kLinear, frame.mabCount(),
                   mab_bytes_, /*gradient_mode=*/false);
@@ -52,19 +75,21 @@ LinearWriteback::writeMab(const Macroblock &mab, std::uint32_t idx,
                           Tick now)
 {
     vs_assert(layout_ != nullptr, "writeMab outside a frame");
+    vs_assert(viewsMab(frame_, mab, idx),
+              "writeMab must view the frame given to beginFrame");
     const Addr addr =
         slot_->data_base + static_cast<Addr>(idx) * mab_bytes_;
-    fbm_.storeBlock(*slot_, addr, mab.bytes());
+    fbm_.storeBlock(*slot_, addr, mab);
 
     MabRecord &rec = layout_->record(idx);
     rec.storage = MabStorage::kUnique;
     rec.data_addr = static_cast<std::uint32_t>(addr);
-    rec.base = mab.base();
+    rec.base = gabBase(mab);
 
-    data_buf_.append(mab.sizeBytes(), now);
+    data_buf_.append(mab_bytes_, now);
     ++totals_.mabs;
     ++totals_.unique_blocks;
-    totals_.data_bytes += mab.sizeBytes();
+    totals_.data_bytes += mab_bytes_;
 }
 
 void
@@ -78,6 +103,7 @@ LinearWriteback::finishFrame(Tick now)
     layout_->setMetaBytes(0);
     layout_ = nullptr;
     slot_ = nullptr;
+    frame_ = nullptr;
 }
 
 // ---------------------------------------------------------------------
@@ -273,6 +299,7 @@ MachWriteback::beginFrame(const Frame &frame, BufferSlot &slot,
                           Tick /*now*/, FrameLayout &layout)
 {
     slot_ = &slot;
+    frame_ = &frame;
     mab_bytes_ = frame.mabSizeBytes();
     layout.reinit(frame.index(), layout_kind_, frame.mabCount(),
                   mab_bytes_, machs_.config().use_gradient);
@@ -316,21 +343,19 @@ void
 MachWriteback::writeMab(const Macroblock &mab, std::uint32_t idx, Tick now)
 {
     vs_assert(layout_ != nullptr, "writeMab outside a frame");
-    vs_assert(frame_ != nullptr && idx < frame_->mabCount() &&
-                  blockEqual(mab.bytes(), frame_->mabBytes(idx)),
-              "writeMab must walk the frame given to beginFrame");
+    vs_assert(viewsMab(frame_, mab, idx),
+              "writeMab must view the frame given to beginFrame");
     const MachConfig &cfg = machs_.config();
     const bool gab_mode = cfg.use_gradient;
 
     // Representation stored in memory: the gab in gradient mode.
     const std::span<const std::uint8_t> repr =
-        gab_mode ? repr_->gab(idx)
-                 : std::span<const std::uint8_t>(mab.bytes());
+        gab_mode ? repr_->gab(idx) : mab;
     const std::uint32_t digest = repr_->digests[idx];
 
     MabRecord &rec = layout_->record(idx);
     rec.digest = digest;
-    rec.base = mab.base();
+    rec.base = gabBase(mab);
 
     // The decision: made ahead, or here when it needs this block's
     // decode tick (collision injection).

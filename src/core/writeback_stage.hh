@@ -43,10 +43,17 @@
 #include "core/framebuffer_layout.hh"
 #include "core/mach_array.hh"
 #include "video/frame.hh"
-#include "video/macroblock.hh"
 
 namespace vstream
 {
+
+/**
+ * One decoded mab as a writeback stage receives it: a view of its
+ * bytes in the frame's plane (Frame::mabBytes()), never a copy.  A
+ * mab is a square block of pixels (4x4 = 48 B by default, the size
+ * the paper's Fig. 12c selects); its first pixel is the gab base.
+ */
+using Macroblock = std::span<const std::uint8_t>;
 
 /** Cumulative writeback statistics across all frames. */
 struct WritebackTotals
@@ -95,7 +102,9 @@ class WritebackStage
     virtual void beginFrame(const Frame &frame, BufferSlot &slot,
                             Tick now, FrameLayout &layout) = 0;
 
-    /** Write mab @p idx of the current frame (posted; no stall). */
+    /** Write mab @p idx of the current frame (posted; no stall);
+     * @p mab views the bytes of that mab in the frame given to
+     * beginFrame(). */
     virtual void writeMab(const Macroblock &mab, std::uint32_t idx,
                           Tick now) = 0;
 
@@ -125,6 +134,8 @@ class LinearWriteback : public WritebackStage
     CoalescingBuffer data_buf_;
     FrameLayout *layout_ = nullptr;
     BufferSlot *slot_ = nullptr;
+    /** The frame given to beginFrame(). */
+    const Frame *frame_ = nullptr;
     std::uint32_t mab_bytes_ = 0;
 };
 

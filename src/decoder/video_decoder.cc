@@ -1,6 +1,5 @@
 #include "decoder/video_decoder.hh"
 
-#include <span>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -164,10 +163,8 @@ VideoDecoder::decodeFrame(const Frame &frame, WritebackStage &wb,
         t += cyclesToTicks(static_cast<std::uint64_t>(cycles), hz);
 
         // 4. Writeback (posted; does not stall the pipeline) of the
-        //    reconstructed block.
-        const std::span<const std::uint8_t> bytes = frame.mabBytes(i);
-        recon_.assignBytes(frame.mabDim(), bytes.data(), bytes.size());
-        wb.writeMab(recon_, i, t);
+        //    reconstructed block, viewed where the frame holds it.
+        wb.writeMab(frame.mabBytes(i), i, t);
     }
 
     result.finish = t;

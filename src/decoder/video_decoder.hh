@@ -105,10 +105,6 @@ class VideoDecoder
      * DecoderConfig::kEncodedRingBytes. */
     std::uint64_t encoded_cursor_ = 0;
 
-    /** The reconstruction buffer: each decoded mab is assembled here
-     * and handed to the writeback stage (reused, zero-alloc). */
-    Macroblock recon_;
-
     /** Reused cache-access scratch: readThroughCache runs per mab
      * and must not construct fresh summary vectors each call. */
     CacheAccessSummary access_scratch_;

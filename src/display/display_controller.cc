@@ -81,7 +81,7 @@ DisplayController::fetchBlock(Addr addr, std::uint32_t size, Tick now,
         .finish_tick;
 }
 
-StoredBlock
+std::span<const std::uint8_t>
 DisplayController::resolveDigestMiss(const FrameLayout &layout,
                                      std::uint32_t digest, Tick &now,
                                      ScanStats &stats)
@@ -180,8 +180,9 @@ DisplayController::scanOut(const FrameLayout &layout, Tick now,
         t = streamRead(layout.dataBase(), frame_bytes, t, stats);
         // Record i sits at dataBase() + i * mabBytes(), stored in
         // order: the frame is one run.
-        const StoredBlock all = fbm_.loadRun(layout.dataBase(), frame_bytes);
-        vs_assert(all, "linear frame ", layout.frameIndex(),
+        const std::span<const std::uint8_t> all =
+            fbm_.loadRun(layout.dataBase(), frame_bytes);
+        vs_assert(!all.empty(), "linear frame ", layout.frameIndex(),
                   " is not stored back to back");
         shown.add(all, layout.record(0), false);
     } else {
@@ -208,22 +209,22 @@ DisplayController::scanOut(const FrameLayout &layout, Tick now,
 
         for (std::uint32_t i = 0; i < layout.mabCount(); ++i) {
             const MabRecord &rec = layout.record(i);
-            StoredBlock stored;
+            std::span<const std::uint8_t> stored;
 
             if (rec.storage == MabStorage::kInterDigest && mach_buffer_) {
                 ++stats.digest_records;
-                if (const auto *hit = mach_buffer_->lookup(rec.digest)) {
+                const std::span<const std::uint8_t> hit =
+                    mach_buffer_->lookup(rec.digest);
+                if (!hit.empty()) {
                     ++stats.mach_buffer_hits;
                     // A later insert in this scan may overwrite the
                     // entry: fold its bytes now.
-                    shown.addNow({hit->data(),
-                                  static_cast<std::uint32_t>(hit->size())},
-                                 rec, layout.gradientMode());
+                    shown.addNow(hit, rec, layout.gradientMode());
                     continue;
                 }
                 ++stats.mach_buffer_misses;
                 stored = resolveDigestMiss(layout, rec.digest, t, stats);
-                if (!stored) {
+                if (stored.empty()) {
                     // Dump aged out too: fall back to the block
                     // pointer the record still carries.
                     t = fetchBlock(rec.data_addr, layout.mabBytes(), t,
@@ -235,15 +236,14 @@ DisplayController::scanOut(const FrameLayout &layout, Tick now,
                 t = fetchBlock(rec.data_addr, layout.mabBytes(), t,
                                stats);
                 stored = fbm_.loadBlock(rec.data_addr);
-                if (stored && mach_buffer_ &&
+                if (!stored.empty() && mach_buffer_ &&
                     rec.storage == MabStorage::kUnique &&
                     dump_digests.contains(rec.digest)) {
-                    mach_buffer_->insert(rec.digest, stored.data,
-                                         stored.size);
+                    mach_buffer_->insert(rec.digest, stored);
                 }
             }
 
-            vs_assert(stored,
+            vs_assert(!stored.empty(),
                       "display could not locate block for mab ", i,
                       " of frame ", layout.frameIndex());
             shown.add(stored, rec, layout.gradientMode());

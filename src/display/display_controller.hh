@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -121,16 +122,15 @@ class DisplayController
                     ScanStats &stats);
 
     /** Resolve a digest record on a MACH-buffer miss. */
-    StoredBlock resolveDigestMiss(const FrameLayout &layout,
-                                  std::uint32_t digest, Tick &now,
-                                  ScanStats &stats);
+    std::span<const std::uint8_t>
+    resolveDigestMiss(const FrameLayout &layout, std::uint32_t digest,
+                      Tick &now, ScanStats &stats);
 
     using MachDumpVec = std::vector<std::pair<std::uint32_t, Addr>>;
 
-    /** Copy @p dump into the dump ring as the newest entry. */
-    /** Retire @p dump into the recycled ring; @p cap_hint (the
-     * frame's mab count) bounds any dump size, so ring slots are
-     * reserved once and recycled allocation-free. */
+    /** Copy @p dump into the dump ring as its newest entry; @p
+     * cap_hint (the frame's mab count) bounds any dump size, so ring
+     * slots are reserved once and recycled allocation-free. */
     void pushDump(const MachDumpVec &dump, std::size_t cap_hint);
     /** Dump @p i of the ring, 0 = newest. */
     const MachDumpVec &dumpAt(std::size_t i) const;

@@ -37,26 +37,26 @@ ShownFrameCrc::flushRun()
 
 // vstream:hot
 void
-ShownFrameCrc::add(const StoredBlock &stored, const MabRecord &rec,
-                   bool gradient_mode)
+ShownFrameCrc::add(std::span<const std::uint8_t> stored,
+                   const MabRecord &rec, bool gradient_mode)
 {
     if (!gradient_mode) {
-        if (run_ != nullptr && run_ + run_len_ == stored.data) {
-            run_len_ += stored.size;
+        if (run_ != nullptr && run_ + run_len_ == stored.data()) {
+            run_len_ += stored.size();
         } else {
             flushRun();
-            run_ = stored.data;
-            run_len_ = stored.size;
+            run_ = stored.data();
+            run_len_ = stored.size();
         }
         return;
     }
     flushRun();
-    for (std::size_t off = 0; off < stored.size; off += kChunk) {
-        const std::size_t n = std::min(kChunk, stored.size - off);
+    for (std::size_t off = 0; off < stored.size(); off += kChunk) {
+        const std::size_t n = std::min(kChunk, stored.size() - off);
         if (n > kChunk - fill_) {
             flushChunk();
         }
-        gradientAdd(chunk_ + fill_, stored.data + off, n, rec.base);
+        gradientAdd(chunk_ + fill_, stored.data() + off, n, rec.base);
         fill_ += n;
     }
 }

@@ -14,8 +14,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
-#include "core/frame_buffer_manager.hh"
 #include "core/framebuffer_layout.hh"
 #include "hash/crc.hh"
 
@@ -25,7 +25,9 @@ namespace vstream
 /**
  * CRC32 of a shown frame, folded straight from the stored blocks in
  * display order - the same CRC the decoder took over the source
- * plane, without rebuilding the frame.
+ * plane, without rebuilding the frame.  Each block arrives as a view
+ * of where it is stored (the frame-buffer arena or a MACH-buffer
+ * entry); none is copied whole.
  *
  * A run of raw blocks that sit back to back in storage (the linear
  * layout's whole frame, a pointer layout's consecutive unique blocks)
@@ -42,13 +44,13 @@ class ShownFrameCrc
     /** Fold the next mab of the frame from frame-buffer storage; its
      * bytes must stay unchanged until digest() (a scan-out stores
      * nothing, so they do). */
-    void add(const StoredBlock &stored, const MabRecord &rec,
+    void add(std::span<const std::uint8_t> stored, const MabRecord &rec,
              bool gradient_mode);
 
     /** Fold the next mab from storage that may change before
      * digest() (a MACH-buffer entry): its bytes are taken now. */
     void
-    addNow(const StoredBlock &stored, const MabRecord &rec,
+    addNow(std::span<const std::uint8_t> stored, const MabRecord &rec,
            bool gradient_mode)
     {
         add(stored, rec, gradient_mode);

@@ -1,5 +1,7 @@
 #include "display/mach_buffer.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 #include "sim/stats_registry.hh"
 
@@ -27,41 +29,45 @@ MachBuffer::setOf(std::uint32_t digest) const
     return digest & (sets_ - 1);
 }
 
-const std::vector<std::uint8_t> *
+std::span<std::uint8_t>
+MachBuffer::blockBytes(std::uint32_t block)
+{
+    return {arena_.data() + static_cast<std::size_t>(block) * block_bytes_,
+            block_bytes_};
+}
+
+std::span<const std::uint8_t>
 MachBuffer::lookup(std::uint32_t digest)
 {
     const std::uint32_t set = setOf(digest);
     for (std::uint32_t w = 0; w < ways_; ++w) {
         Entry &e = entry(set, w);
-        if (e.valid && e.digest == digest) {
+        if (e.block != kInvalid && e.digest == digest) {
             ++hits_;
             repl_.touch(set, w);
-            return &e.block;
+            return blockBytes(e.block);
         }
     }
     ++misses_;
-    return nullptr;
+    return {};
 }
 
 void
-MachBuffer::insert(std::uint32_t digest,
-                   const std::vector<std::uint8_t> &block)
+MachBuffer::insert(std::uint32_t digest, std::span<const std::uint8_t> block)
 {
-    insert(digest, block.data(),
-           static_cast<std::uint32_t>(block.size()));
-}
-
-void
-MachBuffer::insert(std::uint32_t digest, const std::uint8_t *data,
-                   std::uint32_t size)
-{
+    if (block_bytes_ == 0) {
+        block_bytes_ = static_cast<std::uint32_t>(block.size());
+        arena_.reserve(store_.size() * block_bytes_);
+    }
+    vs_assert(!block.empty() && block.size() == block_bytes_,
+              "MACH buffer block size changed between inserts");
     const std::uint32_t set = setOf(digest);
 
     // Refresh an existing entry in place.
     for (std::uint32_t w = 0; w < ways_; ++w) {
         Entry &e = entry(set, w);
-        if (e.valid && e.digest == digest) {
-            e.block.assign(data, data + size);
+        if (e.block != kInvalid && e.digest == digest) {
+            std::ranges::copy(block, blockBytes(e.block).begin());
             repl_.touch(set, w);
             return;
         }
@@ -69,7 +75,7 @@ MachBuffer::insert(std::uint32_t digest, const std::uint8_t *data,
 
     std::uint32_t way = ways_;
     for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (!entry(set, w).valid) {
+        if (entry(set, w).block == kInvalid) {
             way = w;
             break;
         }
@@ -79,9 +85,16 @@ MachBuffer::insert(std::uint32_t digest, const std::uint8_t *data,
     }
 
     Entry &e = entry(set, way);
-    e.valid = true;
+    if (e.block == kInvalid) {
+        // First fill: the entry takes the next arena block, within
+        // the capacity reserved above.
+        e.block = static_cast<std::uint32_t>(arena_.size() / block_bytes_);
+        arena_.insert(arena_.end(), block.begin(), block.end());
+    } else {
+        // The LRU victim's block now holds the new one.
+        std::ranges::copy(block, blockBytes(e.block).begin());
+    }
     e.digest = digest;
-    e.block.assign(data, data + size);
     repl_.touch(set, way);
     ++inserts_;
 }

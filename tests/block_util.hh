@@ -2,10 +2,10 @@
  * @file
  * Block builders shared by the tests.
  *
- * A Macroblock only carries one block's bytes; the helpers here make,
- * shift and transform blocks with the flat kernels production runs
- * (video/pixel_kernels.hh), and hand a frame's mabs to a writeback
- * stage through one scratch block, as the decoder does.
+ * A block is its bytes: the builders here make, shift and transform
+ * byte vectors with the flat kernels production runs
+ * (video/pixel_kernels.hh), and writeMabs() hands a frame's mabs to a
+ * writeback stage as views into the frame, as the decoder does.
  */
 
 #ifndef VSTREAM_TESTS_BLOCK_UTIL_HH
@@ -18,40 +18,41 @@
 #include "core/writeback_stage.hh"
 #include "sim/random.hh"
 #include "video/frame.hh"
-#include "video/macroblock.hh"
 #include "video/pixel_kernels.hh"
 
 namespace vstream
 {
 
+/** A block a test builds: its bytes, owned. */
+using Block = std::vector<std::uint8_t>;
+
 /** A @p dim block of random bytes. */
-inline Macroblock
+inline Block
 randomMab(Random &rng, std::uint32_t dim = 4)
 {
-    Macroblock m(dim);
-    for (auto &b : m.bytes()) {
+    Block m(dim * dim * kBytesPerPixel);
+    for (auto &b : m) {
         b = static_cast<std::uint8_t>(rng.next());
     }
     return m;
 }
 
 /** A @p dim block whose every pixel is @p p. */
-inline Macroblock
+inline Block
 pureMab(const Pixel &p, std::uint32_t dim = 4)
 {
-    Macroblock m(dim);
-    gradientAdd(m.bytes().data(), m.bytes().data(), m.sizeBytes(), p);
+    Block m(dim * dim * kBytesPerPixel);
+    gradientAdd(m.data(), m.data(), m.size(), p);
     return m;
 }
 
 /** @p m with @p offset added to every pixel (wrap-around): the same
  * gab under a different base. */
-inline Macroblock
-shiftedMab(const Macroblock &m, const Pixel &offset)
+inline Block
+shiftedMab(std::span<const std::uint8_t> m, const Pixel &offset)
 {
-    Macroblock out(m.dim());
-    gradientAdd(out.bytes().data(), m.bytes().data(), m.sizeBytes(),
-                offset);
+    Block out(m.size());
+    gradientAdd(out.data(), m.data(), m.size(), offset);
     return out;
 }
 
@@ -67,10 +68,9 @@ gabOf(std::span<const std::uint8_t> mab)
 
 /** A copy of the bytes @p stored views. */
 inline std::vector<std::uint8_t>
-bytesOf(const StoredBlock &stored)
+bytesOf(std::span<const std::uint8_t> stored)
 {
-    return std::vector<std::uint8_t>(stored.data,
-                                     stored.data + stored.size);
+    return std::vector<std::uint8_t>(stored.begin(), stored.end());
 }
 
 /** Write every mab of @p frame through @p wb at @p now, between the
@@ -78,11 +78,8 @@ bytesOf(const StoredBlock &stored)
 inline void
 writeMabs(WritebackStage &wb, const Frame &frame, Tick now)
 {
-    Macroblock block(frame.mabDim());
     for (std::uint32_t i = 0; i < frame.mabCount(); ++i) {
-        const std::span<const std::uint8_t> bytes = frame.mabBytes(i);
-        block.assignBytes(frame.mabDim(), bytes.data(), bytes.size());
-        wb.writeMab(block, i, now);
+        wb.writeMab(frame.mabBytes(i), i, now);
     }
 }
 

@@ -11,14 +11,13 @@
 #include "block_util.hh"
 #include "core/dcc.hh"
 #include "sim/random.hh"
-#include "video/macroblock.hh"
 
 namespace vstream
 {
 namespace
 {
 
-Macroblock
+Block
 pure(std::uint8_t r, std::uint8_t g, std::uint8_t b)
 {
     return pureMab(Pixel{r, g, b});
@@ -26,21 +25,20 @@ pure(std::uint8_t r, std::uint8_t g, std::uint8_t b)
 
 /** A 4x4 grey block whose pixel i is @p level(i). */
 template <typename Level>
-Macroblock
+Block
 grey(Level level)
 {
-    Macroblock m(4);
+    Block m(48);
     for (std::uint32_t i = 0; i < 16; ++i) {
         const auto v = static_cast<std::uint8_t>(level(i));
-        std::fill_n(m.bytes().begin() + i * kBytesPerPixel, kBytesPerPixel,
-                    v);
+        std::fill_n(m.begin() + i * kBytesPerPixel, kBytesPerPixel, v);
     }
     return m;
 }
 
 TEST(Dcc, PureColorCompressesToHeaderPlusBase)
 {
-    const DccResult r = dccCompress(pure(120, 0, 255).bytes());
+    const DccResult r = dccCompress(pure(120, 0, 255));
     EXPECT_TRUE(r.compressed);
     // 2 B header + 3 B base + 0 payload bits.
     EXPECT_EQ(r.compressed_bytes, 5u);
@@ -49,8 +47,8 @@ TEST(Dcc, PureColorCompressesToHeaderPlusBase)
 
 TEST(Dcc, SmallDeltasPackTightly)
 {
-    const Macroblock m = grey([](std::uint32_t i) { return 100 + i % 2; });
-    const DccResult r = dccCompress(m.bytes());
+    const Block m = grey([](std::uint32_t i) { return 100 + i % 2; });
+    const DccResult r = dccCompress(m);
     EXPECT_TRUE(r.compressed);
     // Delta of 1 -> 2 signed bits per channel; 15 pixels * 6 bits.
     EXPECT_EQ(r.compressed_bytes, 2u + 3u + (15u * 6u + 7u) / 8u);
@@ -61,11 +59,7 @@ TEST(Dcc, RandomNoiseIsIncompressible)
     Random rng(21);
     int incompressible = 0;
     for (int t = 0; t < 50; ++t) {
-        Macroblock m(4);
-        for (auto &b : m.bytes()) {
-            b = static_cast<std::uint8_t>(rng.next());
-        }
-        const DccResult r = dccCompress(m.bytes());
+        const DccResult r = dccCompress(randomMab(rng));
         if (!r.compressed) {
             // Raw fallback: original size plus the mode byte.
             EXPECT_EQ(r.compressed_bytes, 49u);
@@ -78,9 +72,9 @@ TEST(Dcc, RandomNoiseIsIncompressible)
 TEST(Dcc, GradientRampCompresses)
 {
     // Pixel i sits at x = i % 4, y = i / 4.
-    const Macroblock m =
+    const Block m =
         grey([](std::uint32_t i) { return 50 + 4 * (i % 4) + i / 4; });
-    const DccResult r = dccCompress(m.bytes());
+    const DccResult r = dccCompress(m);
     EXPECT_TRUE(r.compressed);
     // Max delta 15 -> 5 signed bits/channel: 34 of 48 bytes.
     EXPECT_LT(r.ratio(48), 0.75);
@@ -90,11 +84,7 @@ TEST(Dcc, NeverLargerThanRawPlusHeader)
 {
     Random rng(22);
     for (int t = 0; t < 200; ++t) {
-        Macroblock m(4);
-        for (auto &b : m.bytes()) {
-            b = static_cast<std::uint8_t>(rng.next());
-        }
-        const DccResult r = dccCompress(m.bytes());
+        const DccResult r = dccCompress(randomMab(rng));
         EXPECT_LE(r.compressed_bytes, 49u);
         EXPECT_GE(r.compressed_bytes, 5u);
     }
@@ -103,10 +93,10 @@ TEST(Dcc, NeverLargerThanRawPlusHeader)
 TEST(Dcc, LargerBlocksAmortizeTheBase)
 {
     // 8x8 pure-colour block: still 5 bytes.
-    const Macroblock m = pureMab(Pixel{1, 2, 3}, 8);
-    const DccResult r = dccCompress(m.bytes());
+    const Block m = pureMab(Pixel{1, 2, 3}, 8);
+    const DccResult r = dccCompress(m);
     EXPECT_EQ(r.compressed_bytes, 5u);
-    EXPECT_LT(r.ratio(m.sizeBytes()), 0.03);
+    EXPECT_LT(r.ratio(m.size()), 0.03);
 }
 
 TEST(Dcc, RatioOfZeroRawIsOne)

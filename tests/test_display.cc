@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "block_util.hh"
@@ -24,7 +26,7 @@ namespace vstream
 namespace
 {
 
-Macroblock
+Block
 pure(std::uint8_t v)
 {
     return pureMab(Pixel{v, v, v});
@@ -77,25 +79,51 @@ TEST(DisplayCache, PartialHitOnStraddle)
 // MachBuffer
 // ---------------------------------------------------------------------
 
+/** A copy of the block @p mb holds under @p digest; empty on a
+ * miss. */
+std::vector<std::uint8_t>
+lookupBytes(MachBuffer &mb, std::uint32_t digest)
+{
+    return bytesOf(mb.lookup(digest));
+}
+
 TEST(MachBuffer, InsertLookup)
 {
     MachBuffer mb(16, 4);
     const std::vector<std::uint8_t> block(48, 0x77);
-    EXPECT_EQ(mb.lookup(0xabc), nullptr);
+    EXPECT_TRUE(mb.lookup(0xabc).empty());
     mb.insert(0xabc, block);
-    const auto *found = mb.lookup(0xabc);
-    ASSERT_NE(found, nullptr);
-    EXPECT_EQ(*found, block);
+    const std::span<const std::uint8_t> found = mb.lookup(0xabc);
+    ASSERT_EQ(found.size(), 48u);
+    EXPECT_TRUE(std::ranges::equal(found, block));
+    // A view into the buffer, not the caller's bytes.
+    EXPECT_NE(found.data(), block.data());
     EXPECT_EQ(mb.hitCount(), 1u);
     EXPECT_EQ(mb.missCount(), 1u);
+}
+
+TEST(MachBuffer, MissReturnsAnEmptyView)
+{
+    MachBuffer mb(16, 4);
+    EXPECT_TRUE(mb.lookup(0x5).empty()); // nothing stored yet
+    mb.insert(0x5, std::vector<std::uint8_t>(48, 5));
+    // Same set, other digest; other set.
+    EXPECT_TRUE(mb.lookup(0x5 + 4).empty());
+    EXPECT_TRUE(mb.lookup(0x6).empty());
+    EXPECT_EQ(mb.missCount(), 3u);
+    EXPECT_EQ(mb.hitCount(), 0u);
 }
 
 TEST(MachBuffer, ReinsertRefreshesInPlace)
 {
     MachBuffer mb(16, 4);
     mb.insert(0x1, std::vector<std::uint8_t>(48, 1));
+    const std::span<const std::uint8_t> view = mb.lookup(0x1);
     mb.insert(0x1, std::vector<std::uint8_t>(48, 2));
-    EXPECT_EQ((*mb.lookup(0x1))[0], 2);
+    // The refresh overwrote the bytes the earlier view sees.
+    EXPECT_EQ(mb.lookup(0x1).data(), view.data());
+    EXPECT_EQ(lookupBytes(mb, 0x1), std::vector<std::uint8_t>(48, 2));
+    EXPECT_EQ(view[0], 2);
     EXPECT_EQ(mb.insertCount(), 1u); // refresh, not new insert
 }
 
@@ -107,8 +135,42 @@ TEST(MachBuffer, LruEvictionInSet)
         mb.insert(i * 2, std::vector<std::uint8_t>(48,
                   static_cast<std::uint8_t>(i)));
     }
-    EXPECT_EQ(mb.lookup(0), nullptr);   // evicted
-    EXPECT_NE(mb.lookup(8), nullptr);
+    EXPECT_TRUE(mb.lookup(0).empty()); // evicted
+    EXPECT_FALSE(mb.lookup(8).empty());
+}
+
+TEST(MachBuffer, VictimReuseServesTheNewBlock)
+{
+    MachBuffer mb(8, 4); // 2 sets, 4 ways
+    Random rng(31);
+    std::vector<Block> blocks;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        blocks.push_back(randomMab(rng));
+        mb.insert(i * 2, blocks.back());
+    }
+    // Touch 0, 4 and 6: digest 2 is the LRU way of set 0.
+    const std::uint8_t *lru = mb.lookup(2).data();
+    for (std::uint32_t d : {0u, 4u, 6u}) {
+        ASSERT_FALSE(mb.lookup(d).empty());
+    }
+    const Block fresh = randomMab(rng);
+    mb.insert(10, fresh);
+    EXPECT_TRUE(mb.lookup(2).empty());
+    // The victim's storage now holds the new block.
+    EXPECT_EQ(mb.lookup(10).data(), lru);
+    EXPECT_EQ(lookupBytes(mb, 10), fresh);
+    for (std::uint32_t d : {0u, 4u, 6u}) {
+        EXPECT_EQ(lookupBytes(mb, d), blocks[d / 2]) << "digest " << d;
+    }
+    EXPECT_EQ(mb.insertCount(), 5u);
+}
+
+TEST(MachBufferDeath, BlockSizeIsFixedByTheFirstInsert)
+{
+    MachBuffer mb(16, 4);
+    mb.insert(0x1, std::vector<std::uint8_t>(48, 1));
+    EXPECT_DEATH(mb.insert(0x2, std::vector<std::uint8_t>(47, 1)),
+                 "block size changed");
 }
 
 // ---------------------------------------------------------------------
@@ -120,20 +182,18 @@ TEST(ShownFrameCrc, MatchesFrameChecksum)
     Random rng(12);
     Frame f(0, FrameType::kI, 4, 1, 4);
     for (std::uint32_t i = 0; i < 4; ++i) {
-        f.setMab(i, randomMab(rng).bytes());
+        f.setMab(i, randomMab(rng));
     }
     // Raw blocks one by one, and the whole plane as one stored run.
     ShownFrameCrc apart;
     for (std::uint32_t i = 0; i < 4; ++i) {
-        const std::vector<std::uint8_t> b(f.mabBytes(i).begin(),
-                                          f.mabBytes(i).end());
-        apart.addNow({b.data(), static_cast<std::uint32_t>(b.size())},
-                     MabRecord{}, false);
+        const std::vector<std::uint8_t> b = bytesOf(f.mabBytes(i));
+        apart.addNow(b, MabRecord{}, false);
     }
     EXPECT_EQ(apart.digest(), f.contentChecksum());
     ShownFrameCrc run;
     for (std::uint32_t i = 0; i < 4; ++i) {
-        run.add({f.mabBytes(i).data(), 48}, MabRecord{}, false);
+        run.add(f.mabBytes(i), MabRecord{}, false);
     }
     EXPECT_EQ(run.digest(), f.contentChecksum());
     // Gabs get their base re-added.
@@ -143,7 +203,7 @@ TEST(ShownFrameCrc, MatchesFrameChecksum)
         stored.push_back(gabOf(f.mabBytes(i)));
         MabRecord rec;
         rec.base = f.mabBase(i);
-        gabs.add({stored.back().data(), 48}, rec, true);
+        gabs.add(stored.back(), rec, true);
     }
     EXPECT_EQ(gabs.digest(), f.contentChecksum());
 }
@@ -152,17 +212,17 @@ TEST(ShownFrameCrc, OneGabServesTwoBases)
 {
     // One stored gab shows as two mabs with different bases.
     Random rng(11);
-    const Macroblock m = randomMab(rng);
-    const Macroblock shifted = shiftedMab(m, Pixel{50, 60, 70});
+    const Block m = randomMab(rng);
+    const Block shifted = shiftedMab(m, Pixel{50, 60, 70});
     Frame f(0, FrameType::kI, 2, 1, 4);
-    f.setMab(0, m.bytes());
-    f.setMab(1, shifted.bytes());
-    const std::vector<std::uint8_t> gab = gabOf(m.bytes());
+    f.setMab(0, m);
+    f.setMab(1, shifted);
+    const std::vector<std::uint8_t> gab = gabOf(m);
     ShownFrameCrc crc;
-    for (const Macroblock *b : {&m, &shifted}) {
+    for (const Block *b : {&m, &shifted}) {
         MabRecord rec;
-        rec.base = b->base();
-        crc.add({gab.data(), 48}, rec, true);
+        rec.base = Pixel{(*b)[0], (*b)[1], (*b)[2]};
+        crc.add(gab, rec, true);
     }
     EXPECT_EQ(crc.digest(), f.contentChecksum());
 }
@@ -187,12 +247,12 @@ struct DisplayRig
 };
 
 Frame
-makeFrame(const std::vector<Macroblock> &mabs, std::uint64_t idx)
+makeFrame(const std::vector<Block> &mabs, std::uint64_t idx)
 {
     Frame f(idx, FrameType::kI,
             static_cast<std::uint32_t>(mabs.size()), 1, 4);
     for (std::uint32_t i = 0; i < mabs.size(); ++i) {
-        f.setMab(i, mabs[i].bytes());
+        f.setMab(i, mabs[i]);
     }
     return f;
 }
@@ -204,7 +264,7 @@ TEST(DisplayController, LinearScanReadsWholeFrameOnce)
 
     LinearWriteback wb(rig.mem, rig.fbm);
     Random rng(13);
-    std::vector<Macroblock> mabs;
+    std::vector<Block> mabs;
     for (int i = 0; i < 8; ++i) {
         mabs.push_back(randomMab(rng));
     }
@@ -246,9 +306,9 @@ TEST_P(LayoutRoundTrip, LosslessAndCheaperWithMatches)
 
     // Frame 0: repeated and shifted content.
     Random rng(14);
-    const Macroblock u1 = randomMab(rng);
-    const Macroblock u2 = randomMab(rng);
-    std::vector<Macroblock> mabs = {u1,
+    const Block u1 = randomMab(rng);
+    const Block u2 = randomMab(rng);
+    std::vector<Block> mabs = {u1,
                                     u2,
                                     u1,
                                     pure(9),
@@ -359,7 +419,7 @@ TEST_P(ShownChecksum, FoldedFromStorageEqualsRebuiltFrame)
     // Repeats, constant-offset repeats and pure colours, so the MACH
     // layouts mix unique blocks with intra and inter matches.
     Random rng(21);
-    std::vector<Macroblock> pool;
+    std::vector<Block> pool;
     for (int i = 0; i < 4; ++i) {
         pool.push_back(randomMab(rng));
         pool.push_back(shiftedMab(pool.back(), Pixel{5, 6, 7}));
@@ -368,7 +428,7 @@ TEST_P(ShownChecksum, FoldedFromStorageEqualsRebuiltFrame)
     std::vector<FrameLayout> layouts(6);
     std::uint64_t failures = 0;
     for (std::uint32_t f = 0; f < layouts.size(); ++f) {
-        std::vector<Macroblock> mabs;
+        std::vector<Block> mabs;
         for (int i = 0; i < 16; ++i) {
             mabs.push_back(pool[rng.uniformInt(0, pool.size() - 1)]);
         }
@@ -426,11 +486,11 @@ TEST(DisplayController, MachBufferHitSurvivesLaterInsert)
     MachArray machs(mcfg);
     MachWriteback wb(rig.mem, rig.fbm, machs, LayoutKind::kPointerDigest);
     Random rng(22);
-    const Macroblock w = randomMab(rng);
-    const Macroblock x = randomMab(rng);
-    const Macroblock y = randomMab(rng);
+    const Block w = randomMab(rng);
+    const Block x = randomMab(rng);
+    const Block y = randomMab(rng);
     std::vector<FrameLayout> layouts(2);
-    const std::vector<std::vector<Macroblock>> frames = {{w, x}, {x, y}};
+    const std::vector<std::vector<Block>> frames = {{w, x}, {x, y}};
     for (std::uint32_t f = 0; f < 2; ++f) {
         const Frame frame = makeFrame(frames[f], f);
         wb.beginFrame(frame, rig.fbm.acquire(f), 1000ull * f, layouts[f]);
@@ -455,7 +515,7 @@ TEST(DisplayController, DisplayCacheCutsRepeatFetches)
         MachArray machs(mcfg);
         MachWriteback wb(rig.mem, rig.fbm, machs,
                          LayoutKind::kPointer);
-        std::vector<Macroblock> mabs;
+        std::vector<Block> mabs;
         for (int i = 0; i < 16; ++i) {
             mabs.push_back(pure(static_cast<std::uint8_t>(i % 2)));
         }
@@ -498,7 +558,7 @@ TEST(DisplayController, FragmentationCounted)
     MachArray machs(mcfg);
     MachWriteback wb(rig.mem, rig.fbm, machs, LayoutKind::kPointer);
     Random rng(15);
-    std::vector<Macroblock> mabs;
+    std::vector<Block> mabs;
     for (int i = 0; i < 8; ++i) {
         mabs.push_back(randomMab(rng)); // all unique -> packed
     }

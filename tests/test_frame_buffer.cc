@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <iterator>
+#include <span>
 #include <vector>
 
 #include "block_util.hh"
@@ -148,7 +149,7 @@ TEST(FrameBufferPool, RecycledSlotKeepsLayoutCapacity)
     BufferSlot &again = rig.fbm.acquire(1);
     ASSERT_EQ(&again, &slot);
     EXPECT_TRUE(again.arena.empty());
-    EXPECT_FALSE(rig.fbm.loadBlock(again.data_base));
+    EXPECT_TRUE(rig.fbm.loadBlock(again.data_base).empty());
     EXPECT_EQ(again.arena.capacity(), arena_cap);
     again.layout.reinit(1, LayoutKind::kPointerDigest, kMabs, kMabBytes,
                         /*gradient_mode=*/true);
@@ -214,12 +215,13 @@ TEST(FrameBufferPool, LoadsEveryBlockOfAFrame)
                                kMabBytes, static_cast<std::uint8_t>(i)));
     }
     for (std::uint32_t i = 0; i < kMabs; ++i) {
-        const StoredBlock b =
+        const std::span<const std::uint8_t> b =
             rig.fbm.loadBlock(slot.data_base + i * kMabBytes);
-        ASSERT_TRUE(b);
-        EXPECT_EQ(b.size, kMabBytes);
-        EXPECT_EQ(b.data[0], i);
-        EXPECT_FALSE(rig.fbm.loadBlock(slot.data_base + i * kMabBytes + 1));
+        ASSERT_FALSE(b.empty());
+        EXPECT_EQ(b.size(), kMabBytes);
+        EXPECT_EQ(b[0], i);
+        EXPECT_TRUE(
+            rig.fbm.loadBlock(slot.data_base + i * kMabBytes + 1).empty());
     }
 }
 
@@ -237,8 +239,9 @@ TEST(FrameBufferPool, OnGridSlotAllocatesNoIndex)
         frame.insert(frame.end(), block.begin(), block.end());
     }
     EXPECT_EQ(slot.packed.capacity(), 0u);
-    const StoredBlock all = rig.fbm.loadRun(slot.data_base, frame.size());
-    ASSERT_TRUE(all);
+    const std::span<const std::uint8_t> all =
+        rig.fbm.loadRun(slot.data_base, frame.size());
+    ASSERT_FALSE(all.empty());
     EXPECT_EQ(bytesOf(all), frame);
     // A run from the middle, one block past the end, or not a whole
     // number of blocks is no run.
@@ -246,17 +249,18 @@ TEST(FrameBufferPool, OnGridSlotAllocatesNoIndex)
                                       3 * kMabBytes)),
               std::vector<std::uint8_t>(frame.begin() + 5 * kMabBytes,
                                         frame.begin() + 8 * kMabBytes));
-    EXPECT_FALSE(rig.fbm.loadRun(slot.data_base + kMabBytes, frame.size()));
-    EXPECT_FALSE(rig.fbm.loadRun(slot.data_base, 2 * kMabBytes + 1));
-    EXPECT_FALSE(rig.fbm.loadRun(slot.data_base + 1, kMabBytes));
+    EXPECT_TRUE(
+        rig.fbm.loadRun(slot.data_base + kMabBytes, frame.size()).empty());
+    EXPECT_TRUE(rig.fbm.loadRun(slot.data_base, 2 * kMabBytes + 1).empty());
+    EXPECT_TRUE(rig.fbm.loadRun(slot.data_base + 1, kMabBytes).empty());
     // A slot holding part of a frame: nothing past its last block.
     rig.fbm.release(0);
     BufferSlot &again = rig.fbm.acquire(1);
     rig.fbm.storeBlock(again, again.data_base,
                        std::vector<std::uint8_t>(kMabBytes, 9));
-    EXPECT_TRUE(rig.fbm.loadBlock(again.data_base));
-    EXPECT_FALSE(rig.fbm.loadBlock(again.data_base + kMabBytes));
-    EXPECT_FALSE(rig.fbm.loadRun(again.data_base, 2 * kMabBytes));
+    EXPECT_FALSE(rig.fbm.loadBlock(again.data_base).empty());
+    EXPECT_TRUE(rig.fbm.loadBlock(again.data_base + kMabBytes).empty());
+    EXPECT_TRUE(rig.fbm.loadRun(again.data_base, 2 * kMabBytes).empty());
     EXPECT_EQ(again.packed.capacity(), 0u);
 }
 
@@ -288,16 +292,16 @@ TEST(FrameBufferPool, PackedStoresLoadBack)
             << "block " << i;
     }
     for (const Addr off : {Addr{1}, Addr{100}, Addr{500}, Addr{600}}) {
-        EXPECT_FALSE(rig.fbm.loadBlock(slot.data_base + off))
+        EXPECT_TRUE(rig.fbm.loadBlock(slot.data_base + off).empty())
             << "offset " << off;
     }
     // Blocks 6 to 9 sit a mab apart (6, 7 and 8 stored 48 B each):
     // they are a run, but nothing that crosses a compressed block is.
-    EXPECT_EQ(rig.fbm.loadRun(addrs[6], 4 * kMabBytes).data,
-              rig.fbm.loadBlock(addrs[6]).data);
-    EXPECT_FALSE(rig.fbm.loadRun(addrs[6], 5 * kMabBytes));
-    EXPECT_FALSE(rig.fbm.loadRun(addrs[2], 2 * kMabBytes));
-    EXPECT_TRUE(rig.fbm.loadRun(addrs[0], 2 * kMabBytes));
+    EXPECT_EQ(rig.fbm.loadRun(addrs[6], 4 * kMabBytes).data(),
+              rig.fbm.loadBlock(addrs[6]).data());
+    EXPECT_TRUE(rig.fbm.loadRun(addrs[6], 5 * kMabBytes).empty());
+    EXPECT_TRUE(rig.fbm.loadRun(addrs[2], 2 * kMabBytes).empty());
+    EXPECT_FALSE(rig.fbm.loadRun(addrs[0], 2 * kMabBytes).empty());
 }
 
 TEST(FrameBufferPool, StoresLeavingTheGridKeepEarlierBlocks)
@@ -314,13 +318,14 @@ TEST(FrameBufferPool, StoresLeavingTheGridKeepEarlierBlocks)
     }
     ASSERT_EQ(slot.packed.size(), std::size(at));
     for (std::uint32_t i = 0; i < std::size(at); ++i) {
-        const StoredBlock b = rig.fbm.loadBlock(slot.data_base + at[i]);
-        ASSERT_TRUE(b) << "block " << i;
-        EXPECT_EQ(b.data[0], i);
+        const std::span<const std::uint8_t> b =
+            rig.fbm.loadBlock(slot.data_base + at[i]);
+        ASSERT_FALSE(b.empty()) << "block " << i;
+        EXPECT_EQ(b[0], i);
     }
-    EXPECT_FALSE(rig.fbm.loadBlock(slot.data_base + 144));
-    EXPECT_TRUE(rig.fbm.loadRun(slot.data_base, 3 * kMabBytes));
-    EXPECT_FALSE(rig.fbm.loadRun(slot.data_base, 4 * kMabBytes));
+    EXPECT_TRUE(rig.fbm.loadBlock(slot.data_base + 144).empty());
+    EXPECT_FALSE(rig.fbm.loadRun(slot.data_base, 3 * kMabBytes).empty());
+    EXPECT_TRUE(rig.fbm.loadRun(slot.data_base, 4 * kMabBytes).empty());
 }
 
 TEST(FrameBufferPoolDeath, StoreOfAPartBlockPanics)

@@ -63,7 +63,7 @@ TEST(FrameLayout, MachDumpRoundTrip)
     FrameLayout l(0, LayoutKind::kPointerDigest, 2, 48, false);
     std::vector<std::pair<std::uint32_t, Addr>> dump = {{0xaa, 100},
                                                         {0xbb, 200}};
-    l.setMachDump(dump);
+    l.machDumpMutable() = dump;
     l.setMachDumpBytes(16);
     l.setMachDumpBase(4096);
     ASSERT_EQ(l.machDump().size(), 2u);

@@ -111,7 +111,7 @@ TEST(GradientKernels, AddInvertsSub)
 
 TEST(GradientKernels, ExactAliasInPlaceMatchesOutOfPlace)
 {
-    // Macroblock::addBase runs gradientAdd with dst == src; both
+    // pureMab() (block_util.hh) runs gradientAdd with dst == src; both
     // transforms must load each chunk before storing it.
     const Pixel base{5, 250, 77};
     for (std::size_t len : kSizes) {

@@ -66,8 +66,7 @@ TEST(TransactionElimination, SkipsIdenticalScan)
     LinearWriteback wb(mem, fbm);
     Frame f(0, FrameType::kI, 8, 1, 4);
     for (std::uint32_t i = 0; i < 8; ++i) {
-        f.setMab(i, pureMab(Pixel{static_cast<std::uint8_t>(i), 0, 0})
-                        .bytes());
+        f.setMab(i, pureMab(Pixel{static_cast<std::uint8_t>(i), 0, 0}));
     }
     BufferSlot &slot = fbm.acquire(0);
     FrameLayout layout;

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the video substrate: macroblocks and the gradient
- * transform (the algebra MACH's gab mode rests on), frames, GOP
- * structure, profiles, and the synthetic generator.
+ * Tests for the video substrate: the gradient transform (the algebra
+ * MACH's gab mode rests on), frames, GOP structure, profiles, and the
+ * synthetic generator.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "sim/ticks.hh"
 #include "video/frame.hh"
 #include "video/gop.hh"
-#include "video/macroblock.hh"
 #include "video/synthetic_video.hh"
 #include "video/video_profile.hh"
 #include "video/workloads.hh"
@@ -28,34 +27,9 @@ namespace vstream
 namespace
 {
 
-TEST(Macroblock, SizeBaseAndAssign)
-{
-    Macroblock m(4);
-    EXPECT_EQ(m.dim(), 4u);
-    EXPECT_EQ(m.sizeBytes(), 48u);
-    EXPECT_EQ(m.base(), (Pixel{0, 0, 0}));
-    // The decoder's scratch: refilled in place, at any dimension.
-    const Macroblock big = pureMab(Pixel{10, 20, 30}, 8);
-    m.assignBytes(8, big.bytes().data(), big.bytes().size());
-    EXPECT_EQ(m.dim(), 8u);
-    EXPECT_EQ(m.sizeBytes(), 192u);
-    EXPECT_EQ(m.bytes(), big.bytes());
-    EXPECT_EQ(m.base(), (Pixel{10, 20, 30}));
-}
-
-TEST(MacroblockDeath, WrongByteCount)
-{
-    EXPECT_DEATH(Macroblock(4, std::vector<std::uint8_t>(47)),
-                 "byte count");
-    Macroblock m(4);
-    const std::vector<std::uint8_t> bytes(47);
-    EXPECT_DEATH(m.assignBytes(4, bytes.data(), bytes.size()),
-                 "byte count");
-}
-
 TEST(Gradient, PureColorHasZeroGab)
 {
-    for (const std::uint8_t b : gabOf(pureMab(Pixel{200, 100, 50}).bytes())) {
+    for (const std::uint8_t b : gabOf(pureMab(Pixel{200, 100, 50}))) {
         EXPECT_EQ(b, 0);
     }
 }
@@ -64,7 +38,7 @@ TEST(Gradient, GabFirstPixelAlwaysZero)
 {
     Random rng(4);
     for (int i = 0; i < 50; ++i) {
-        const auto gab = gabOf(randomMab(rng).bytes());
+        const auto gab = gabOf(randomMab(rng));
         EXPECT_EQ((Pixel{gab[0], gab[1], gab[2]}), (Pixel{0, 0, 0}));
     }
 }
@@ -76,27 +50,27 @@ TEST(Gradient, GabInvariantUnderShift)
     // unchanged, while the block itself differs.
     Random rng(2);
     for (int i = 0; i < 200; ++i) {
-        const Macroblock m = randomMab(rng);
+        const Block m = randomMab(rng);
         const Pixel offset{static_cast<std::uint8_t>(rng.next()),
                            static_cast<std::uint8_t>(rng.next()),
                            static_cast<std::uint8_t>(rng.next())};
-        const Macroblock shifted = shiftedMab(m, offset);
-        const auto gab = gabOf(m.bytes());
-        EXPECT_EQ(gab, gabOf(shifted.bytes()));
+        const Block shifted = shiftedMab(m, offset);
+        const auto gab = gabOf(m);
+        EXPECT_EQ(gab, gabOf(shifted));
         if (offset != Pixel{0, 0, 0}) {
-            EXPECT_NE(m.bytes(), shifted.bytes());
+            EXPECT_NE(m, shifted);
             EXPECT_EQ(digest32(HashKind::kCrc32, gab.data(), gab.size()),
                       digest32(HashKind::kCrc32,
-                               gabOf(shifted.bytes()).data(), gab.size()));
+                               gabOf(shifted).data(), gab.size()));
         }
     }
 }
 
 TEST(Gradient, ShiftWrapsModulo256)
 {
-    const Macroblock s =
+    const Block s =
         shiftedMab(pureMab(Pixel{250, 250, 250}, 2), Pixel{10, 10, 10});
-    EXPECT_EQ(s.base(), (Pixel{4, 4, 4}));
+    EXPECT_EQ((Pixel{s[0], s[1], s[2]}), (Pixel{4, 4, 4}));
 }
 
 TEST(Frame, GeometryAndChecksum)
@@ -105,10 +79,10 @@ TEST(Frame, GeometryAndChecksum)
     EXPECT_EQ(f.mabCount(), 32u);
     EXPECT_EQ(f.decodedBytes(), 32u * 48u);
     const auto c0 = f.contentChecksum();
-    const Macroblock m = pureMab(Pixel{9, 9, 9});
-    f.setMab(7, m.bytes());
+    const Block m = pureMab(Pixel{9, 9, 9});
+    f.setMab(7, m);
     EXPECT_NE(f.contentChecksum(), c0);
-    EXPECT_TRUE(std::ranges::equal(f.mabBytes(7), m.bytes()));
+    EXPECT_TRUE(std::ranges::equal(f.mabBytes(7), m));
     // Mab i is a view into the one plane.
     EXPECT_EQ(f.mabBytes(7).data(), f.plane().data() + 7 * 48);
     EXPECT_EQ(f.mabBase(7), (Pixel{9, 9, 9}));

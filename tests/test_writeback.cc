@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "block_util.hh"
@@ -32,18 +33,19 @@ struct Rig
     }
 };
 
+/** A one-row frame of the 4x4 blocks @p mabs. */
 Frame
-frameOfMabs(const std::vector<Macroblock> &mabs, std::uint64_t index = 0)
+frameOfMabs(const std::vector<Block> &mabs, std::uint64_t index = 0)
 {
     Frame f(index, FrameType::kI,
-            static_cast<std::uint32_t>(mabs.size()), 1, mabs[0].dim());
+            static_cast<std::uint32_t>(mabs.size()), 1, 4);
     for (std::uint32_t i = 0; i < mabs.size(); ++i) {
-        f.setMab(i, mabs[i].bytes());
+        f.setMab(i, mabs[i]);
     }
     return f;
 }
 
-Macroblock
+Block
 pure(std::uint8_t r, std::uint8_t g, std::uint8_t b)
 {
     return pureMab(Pixel{r, g, b});
@@ -160,10 +162,11 @@ TEST(FrameBufferManager, BlockStoreRoundTrip)
     BufferSlot &slot = rig.fbm.acquire(0);
     const std::vector<std::uint8_t> bytes(48, 0x5a);
     rig.fbm.storeBlock(slot, slot.data_base + 96, bytes);
-    const StoredBlock loaded = rig.fbm.loadBlock(slot.data_base + 96);
-    ASSERT_TRUE(loaded);
+    const std::span<const std::uint8_t> loaded =
+        rig.fbm.loadBlock(slot.data_base + 96);
+    ASSERT_FALSE(loaded.empty());
     EXPECT_EQ(bytesOf(loaded), bytes);
-    EXPECT_FALSE(rig.fbm.loadBlock(slot.data_base + 97));
+    EXPECT_TRUE(rig.fbm.loadBlock(slot.data_base + 97).empty());
 }
 
 TEST(FrameBufferManager, RecycleClearsBlocks)
@@ -173,7 +176,7 @@ TEST(FrameBufferManager, RecycleClearsBlocks)
     rig.fbm.storeBlock(slot, slot.data_base, std::vector<std::uint8_t>(48, 1));
     rig.fbm.release(0);
     rig.fbm.acquire(5);
-    EXPECT_FALSE(rig.fbm.loadBlock(slot.data_base));
+    EXPECT_TRUE(rig.fbm.loadBlock(slot.data_base).empty());
 }
 
 TEST(FrameBufferManager, SlotMemoFollowsStoresAcrossSlots)
@@ -200,21 +203,21 @@ TEST(FrameBufferManager, SlotMemoFollowsStoresAcrossSlots)
     for (const Addr outside :
          {b.data_base - 1, b.data_base + b.data_capacity,
           a.data_base + a.data_capacity, a.meta_base, Addr{0xdeadbeef}}) {
-        ASSERT_TRUE(rig.fbm.loadBlock(b.data_base + 48));
-        EXPECT_FALSE(rig.fbm.loadBlock(outside)) << "addr " << outside;
+        ASSERT_FALSE(rig.fbm.loadBlock(b.data_base + 48).empty());
+        EXPECT_TRUE(rig.fbm.loadBlock(outside).empty()) << "addr " << outside;
     }
-    EXPECT_FALSE(rig.fbm.loadBlock(last_a)); // in a, never stored
+    EXPECT_TRUE(rig.fbm.loadBlock(last_a).empty()); // in a, never stored
 
     // Recycle a for another frame: its old blocks are gone, new ones
     // land in the same region, and b is untouched.
     rig.fbm.release(0);
     BufferSlot &c = rig.fbm.acquire(2);
     ASSERT_EQ(&c, &a);
-    EXPECT_FALSE(rig.fbm.loadBlock(a.data_base));
+    EXPECT_TRUE(rig.fbm.loadBlock(a.data_base).empty());
     rig.fbm.storeBlock(c, c.data_base, a3);
     EXPECT_EQ(bytesOf(rig.fbm.loadBlock(b.data_base + 48)), b1);
     EXPECT_EQ(bytesOf(rig.fbm.loadBlock(c.data_base)), a3);
-    EXPECT_FALSE(rig.fbm.loadBlock(c.data_base + 96));
+    EXPECT_TRUE(rig.fbm.loadBlock(c.data_base + 96).empty());
 }
 
 TEST(FrameBufferManagerDeath, StoreBelowTheLastBlockPanics)
@@ -269,8 +272,8 @@ TEST(FrameBufferManager, UnalignedOffsetsMiss)
     // probed after a hit so the lookup memo points next door.
     for (const Addr off : {Addr{1}, Addr{47}, Addr{49}, Addr{95},
                            Addr{100}, Addr{191}, Addr{193}, Addr{240}}) {
-        ASSERT_TRUE(rig.fbm.loadBlock(base + (off / 48) * 48 % 192));
-        EXPECT_FALSE(rig.fbm.loadBlock(base + off)) << "offset " << off;
+        ASSERT_FALSE(rig.fbm.loadBlock(base + (off / 48) * 48 % 192).empty());
+        EXPECT_TRUE(rig.fbm.loadBlock(base + off).empty()) << "offset " << off;
     }
 }
 
@@ -304,7 +307,7 @@ TEST(LinearWriteback, WritesEveryMabAtItsLinearAddress)
 {
     Rig rig(4);
     LinearWriteback wb(rig.mem, rig.fbm);
-    const auto mabs = std::vector<Macroblock>{
+    const auto mabs = std::vector<Block>{
         pure(1, 1, 1), pure(1, 1, 1), pure(2, 2, 2), pure(3, 3, 3)};
     const Frame f = frameOfMabs(mabs);
 
@@ -322,7 +325,7 @@ TEST(LinearWriteback, WritesEveryMabAtItsLinearAddress)
         EXPECT_EQ(layout.record(i).data_addr,
                   slot.data_base + i * 48u);
         // Duplicates are NOT deduplicated in the baseline.
-        EXPECT_TRUE(rig.fbm.loadBlock(layout.record(i).data_addr));
+        EXPECT_FALSE(rig.fbm.loadBlock(layout.record(i).data_addr).empty());
     }
     EXPECT_EQ(wb.totals().unique_blocks, 4u);
     EXPECT_DOUBLE_EQ(wb.totals().savings(48), 0.0);
@@ -340,7 +343,7 @@ TEST(MachWriteback, DeduplicatesExactRepeats)
     MachArray machs(mcfg);
     MachWriteback wb(rig.mem, rig.fbm, machs, LayoutKind::kPointer);
 
-    const auto mabs = std::vector<Macroblock>{
+    const auto mabs = std::vector<Block>{
         pure(1, 1, 1), pure(2, 2, 2), pure(1, 1, 1), pure(1, 1, 1)};
     const Frame f = frameOfMabs(mabs);
 
@@ -371,7 +374,7 @@ TEST(MachWriteback, AllUniqueFramePaysMetadataOverhead)
     MachWriteback wb(rig.mem, rig.fbm, machs, LayoutKind::kPointer);
 
     Random rng(5);
-    std::vector<Macroblock> mabs;
+    std::vector<Block> mabs;
     for (int i = 0; i < 4; ++i) {
         mabs.push_back(randomMab(rng));
     }
@@ -394,8 +397,8 @@ TEST(MachWriteback, GabCatchesShiftedBlocks)
     MachWriteback wb(rig.mem, rig.fbm, machs, LayoutKind::kPointer);
 
     Random rng(6);
-    const Macroblock base = randomMab(rng);
-    const auto mabs = std::vector<Macroblock>{
+    const Block base = randomMab(rng);
+    const auto mabs = std::vector<Block>{
         base, shiftedMab(base, Pixel{10, 20, 30}),
         shiftedMab(base, Pixel{1, 1, 1})};
     const Frame f = frameOfMabs(mabs);
@@ -411,7 +414,8 @@ TEST(MachWriteback, GabCatchesShiftedBlocks)
     // gab metadata: 4 B pointer + 3 B base per mab.
     EXPECT_EQ(layout.metaBytes(), 3u * (4u + 3u));
     // Bases preserved per record for reconstruction.
-    EXPECT_EQ(layout.record(1).base, mabs[1].base());
+    EXPECT_EQ(layout.record(1).base,
+              (Pixel{mabs[1][0], mabs[1][1], mabs[1][2]}));
     EXPECT_TRUE(layout.gradientMode());
 }
 
@@ -422,9 +426,9 @@ TEST(MachWriteback, MabModeMissesShiftedBlocks)
     MachArray machs(mcfg);
     MachWriteback wb(rig.mem, rig.fbm, machs, LayoutKind::kPointer);
 
-    const Macroblock base = pure(5, 5, 5);
+    const Block base = pure(5, 5, 5);
     const auto mabs =
-        std::vector<Macroblock>{base, shiftedMab(base, Pixel{1, 2, 3})};
+        std::vector<Block>{base, shiftedMab(base, Pixel{1, 2, 3})};
     const Frame f = frameOfMabs(mabs);
     BufferSlot &slot = rig.fbm.acquire(0);
     FrameLayout layout;
@@ -444,7 +448,7 @@ TEST(MachWriteback, InterMatchesBecomeDigestsInLayoutIii)
                      LayoutKind::kPointerDigest);
 
     const auto mabs0 =
-        std::vector<Macroblock>{pure(9, 9, 9), pure(8, 8, 8)};
+        std::vector<Block>{pure(9, 9, 9), pure(8, 8, 8)};
     const Frame f0 = frameOfMabs(mabs0, 0);
     BufferSlot &s0 = rig.fbm.acquire(0);
     FrameLayout l0;
@@ -477,7 +481,7 @@ TEST(MachWriteback, DccShrinksUniqueBlocks)
                      /*use_dcc=*/true);
 
     const auto mabs =
-        std::vector<Macroblock>{pure(4, 4, 4), pure(200, 1, 7)};
+        std::vector<Block>{pure(4, 4, 4), pure(200, 1, 7)};
     const Frame f = frameOfMabs(mabs);
     BufferSlot &slot = rig.fbm.acquire(0);
     FrameLayout layout;
@@ -498,6 +502,37 @@ TEST(MachWritebackDeath, LinearLayoutRejected)
     EXPECT_DEATH(MachWriteback(rig.mem, rig.fbm, machs,
                                LayoutKind::kLinear),
                  "pointer-based layout");
+}
+
+TEST(MachWritebackDeath, WriteMabMustViewTheFramesMab)
+{
+    Rig rig(2);
+    MachConfig mcfg;
+    MachArray machs(mcfg);
+    MachWriteback wb(rig.mem, rig.fbm, machs, LayoutKind::kPointerDigest);
+    const Frame f = frameOfMabs({pure(1, 2, 3), pure(4, 5, 6)});
+    FrameLayout layout;
+    wb.beginFrame(f, rig.fbm.acquire(0), 0, layout);
+    // Equal bytes held elsewhere are not the frame's mab: a stage
+    // receives the block where the frame holds it.
+    const Block copy = bytesOf(f.mabBytes(0));
+    EXPECT_DEATH(wb.writeMab(copy, 0, 0), "must view the frame");
+    EXPECT_DEATH(wb.writeMab(f.mabBytes(1), 0, 0), "must view the frame");
+    EXPECT_DEATH(wb.writeMab(f.mabBytes(0).first(47), 0, 0),
+                 "must view the frame");
+    EXPECT_DEATH(wb.writeMab(f.mabBytes(1), 2, 0), "must view the frame");
+}
+
+TEST(LinearWritebackDeath, WriteMabMustViewTheFramesMab)
+{
+    Rig rig(2);
+    LinearWriteback wb(rig.mem, rig.fbm);
+    const Frame f = frameOfMabs({pure(1, 2, 3), pure(4, 5, 6)});
+    FrameLayout layout;
+    wb.beginFrame(f, rig.fbm.acquire(0), 0, layout);
+    const Block copy = bytesOf(f.mabBytes(0));
+    EXPECT_DEATH(wb.writeMab(copy, 0, 0), "must view the frame");
+    EXPECT_DEATH(wb.writeMab(f.mabBytes(0), 1, 0), "must view the frame");
 }
 
 TEST(WritebackTotals, SavingsArithmetic)

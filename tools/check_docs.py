@@ -86,7 +86,8 @@ REMOVED_NAMES = ("refresh_enabled", "ReplPolicy", "stats::Scalar",
                  "MabOrigin", "rebuildMab", "insertUnique",
                  "gradientInto", "gradientDigest", "fromGradient",
                  "mc_reach_mabs", "buffer_interval", "frame_age",
-                 "BM_GradientTransform", "BlockEntry")
+                 "BM_GradientTransform", "BlockEntry", "assignBytes",
+                 "StoredBlock")
 REMOVED_NAME_RE = re.compile(
     r"(?<![\w:])(" + "|".join(re.escape(n) for n in REMOVED_NAMES) +
     r")(?!\w)")
